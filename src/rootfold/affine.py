@@ -270,12 +270,6 @@ class ExtendedAffineWeyl:
     def omega_part(self, x):
         return self.normal_form(x)[1]
 
-    def waff_part(self, x):
-        return self.multiply(x, self.inverse(self.omega_part(x)))
-
-    def is_length_zero(self, x):
-        return self.length(x) == 0
-
     # -- Bruhat order -----------------------------------------------------------
 
     def bruhat_leq(self, x, y):

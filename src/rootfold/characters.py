@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .echelonnage import TheoremViolation
-from .folding import RootSystemV, fold, form_value
+from .folding import fold, form_value
 from .lattice import group_closure
 from .linalg import (
     frac_vec,
@@ -163,7 +163,7 @@ class DualGroup:
 
     def __init__(self, datum):
         self.datum = datum
-        self.system = RootSystemV.dual_from_datum(datum)
+        self.system = datum.coroot_system()
         self.gram = datum.gram_star()
         self._positives = self.system.positive_roots()
         self._tables = {}
@@ -488,7 +488,7 @@ def twining_character(datum, sigma_cochar, mu):
 def weight_multiplicity(datum, mu, nu):
     """dim V_mu(nu) for the connected group with the given root datum
     (weights on the character side)."""
-    system = RootSystemV.from_datum(datum)
+    system = datum.root_system()
     if not all(vec_dot(frac_vec(mu), frac_vec(cv)) >= 0 for cv in datum.simple_coroots):
         raise ValueError("mu must be dominant")
     tbl = freudenthal(system.base, system.positive_roots(), datum.gram(), mu)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .affine import admissible_set, extremal_elements
 from .echelonnage import LocalGroupDatum, TheoremViolation, UnparameterizedComponent
-from .folding import RootSystemV, fold
+from .folding import fold
 from .hecke import CenterContext
 from .lattice import MalformedAction, ResourceCap
 from .presets import PresetError, load_preset, preset_names
@@ -51,6 +51,15 @@ def _parse_vec(s):
         return tuple(int(x) for x in s.replace("(", "").replace(")", "").split(","))
     except ValueError:
         raise PresetError("expected a comma-separated integer vector, got %r" % s)
+
+
+def _parse_cochar(s, datum, option):
+    """A cocharacter option, checked against the rank of the datum."""
+    v = _parse_vec(s)
+    if len(v) != datum.rank:
+        raise PresetError("%s needs %d entries (the rank of the datum), got %d"
+                          % (option, datum.rank, len(v)))
+    return v
 
 
 def _emit(args, payload, tsv_rows=None, tsv_header=None):
@@ -94,7 +103,7 @@ def cmd_fold(args):
     lgd = preset.lgd
     from .lattice import group_closure
     group = group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,))
-    rs = RootSystemV.from_datum(preset.datum)
+    rs = preset.datum.root_system()
     rows = []
     payload = {}
     for op in ("res", "resprime", "N", "Nprime"):
@@ -125,7 +134,7 @@ def cmd_echelonnage(args):
 def cmd_adm(args):
     preset = _load_lgd(args)
     lgd = preset.lgd
-    mu = _parse_vec(args.mu)
+    mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if not preset.datum.is_dominant_cochar(mu):
         raise PresetError("mu must be dominant")
     from .affine import build_affine
@@ -157,10 +166,10 @@ def cmd_adm(args):
 
 def cmd_kl(args):
     preset = _load_lgd(args)
-    center = CenterContext(preset.lgd, preset.overrides)
     nu_s, _, lam_s = args.pair.partition("|")
-    nu = preset.lgd.coinv.project(_parse_vec(nu_s))
-    lam = preset.lgd.coinv.project(_parse_vec(lam_s))
+    nu = preset.lgd.coinv.project(_parse_cochar(nu_s, preset.datum, "--pair"))
+    lam = preset.lgd.coinv.project(_parse_cochar(lam_s, preset.datum, "--pair"))
+    center = CenterContext(preset.lgd, preset.overrides)
     eng = center.tau_engine
     w_nu = eng.max_double_coset(nu)
     w_lam = eng.max_double_coset(lam)
@@ -177,8 +186,8 @@ def cmd_kl(args):
 
 def cmd_geom_basis(args):
     preset = _load_lgd(args)
+    lam = preset.lgd.coinv.project(_parse_cochar(args.lam, preset.datum, "--lambda"))
     center = CenterContext(preset.lgd, preset.overrides)
-    lam = preset.lgd.coinv.project(_parse_vec(args.lam))
     C = center.geometric_basis(lam)
     terms = []
     kl_terms = {}
@@ -199,9 +208,9 @@ def cmd_geom_basis(args):
 
 def cmd_branch(args):
     preset = _load_lgd(args)
+    mu = _parse_cochar(args.mu, preset.datum, "--mu")
     from .characters import CharacterContext
     chars = CharacterContext(preset.lgd)
-    mu = _parse_vec(args.mu)
     br = chars.branching(mu)
     tr = chars.tau_traces_on_H(mu)
     rows = []
@@ -222,7 +231,7 @@ def cmd_testfn(args):
         preset = Preset(raw.get("name", "config"), raw)
     else:
         preset = load_preset(args.preset)
-    mu = _parse_vec(args.mu)
+    mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if preset.tower_small is None and not args.degenerate:
         center = CenterContext(preset.lgd, preset.overrides)
         z = z_v_star_1j(center, mu)

@@ -24,13 +24,13 @@ from fractions import Fraction
 from .folding import (
     RootSystemV,
     _form_identification,
+    cartan_closure,
+    cartan_of_gram,
     fold,
     form_value,
-    reflect,
 )
 from .lattice import MalformedAction, coinvariants, group_closure
 from .linalg import (
-    gauss_solve,
     identity_matrix,
     is_positive_definite,
     mat_integer_inverse,
@@ -137,8 +137,8 @@ class EchelonnageData:
         self.lgd = lgd
         datum = lgd.datum
         iota = _form_identification(datum)
-        char = RootSystemV.from_datum(datum)
-        cochar = RootSystemV.dual_from_datum(datum)
+        char = datum.root_system()
+        cochar = datum.coroot_system()
         I_char = lgd.inertia.group
         I_cochar = lgd.inertia.cochar_group
 
@@ -375,7 +375,7 @@ class EchelonnageData:
                 raise UnparameterizedComponent(
                     "orbit %r generates an infinite parabolic; supply an override"
                     % (orb,))
-            params[key] = _parabolic_length(rs.gram, vecs)
+            params[key] = _parabolic_length(gram_sub)
         if overrides:
             raise ValueError("unknown override keys: %r" % sorted(overrides))
         self.parameters = params
@@ -425,8 +425,7 @@ def _path_order(cart, comp):
 
 def _support_rep(rs, root):
     """Index of some simple root in the support of a root."""
-    sol = gauss_solve(mat_transpose(rs.base), root)
-    for i, c in enumerate(sol):
+    for i, c in enumerate(rs.coords[root]):
         if c != 0:
             return i
     raise ValueError("zero root")
@@ -436,39 +435,21 @@ def _highest_root(rs, comp):
     """Highest root of one component of a based system."""
     best = None
     best_h = None
-    A = mat_transpose(rs.base)
-    for r in rs.roots:
-        sol = gauss_solve(A, r)
-        if any(c < 0 for c in sol):
+    for r in rs.positive_roots():
+        c = rs.coords[r]
+        if any(c[i] != 0 for i in range(len(rs.base)) if i not in comp):
             continue
-        if any(sol[i] != 0 for i in range(len(rs.base)) if i not in comp):
-            continue
-        if all(sol[i] == 0 for i in comp):
-            continue
-        h = sum(sol)
+        h = sum(c)
         if best is None or h > best_h:
             best, best_h = r, h
     return best
 
 
-def _parabolic_length(gram, vecs):
-    """Number of positive roots of the finite system the vectors generate
-    (= length of the longest parabolic element)."""
-    seen = set(tuple(v) for v in vecs)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for b in vecs:
-                w = tuple(reflect(gram, b, v))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    seen |= {tuple(vec_neg(v)) for v in seen}
-    if len(seen) % 2 != 0:
-        raise TheoremViolation("odd parabolic root count")
-    return len(seen) // 2
+def _parabolic_length(gram_sub):
+    """Number of positive roots of the finite system whose base has the
+    positive definite Gram matrix gram_sub (= length of the longest
+    parabolic element)."""
+    return len(cartan_closure(cartan_of_gram(gram_sub))) // 2
 
 
 def breve_sigma(lgd):

@@ -10,18 +10,18 @@ compared by literal vector equality (the duality theorem is an identity).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .lattice import MalformedAction, ResourceCap
 from .linalg import (
     frac_vec,
-    gauss_solve,
+    mat_det,
     mat_mul,
     mat_rational_inverse,
     mat_transpose,
     mat_vec,
     vec_add,
     vec_dot,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -29,6 +29,26 @@ from .linalg import (
 OP_TAGS = ("N", "Nprime", "res", "resprime")
 
 _CLOSURE_CAP = 100000
+
+
+def _as_int(x):
+    """x as an int when it is integral, else unchanged."""
+    return int(x) if x.denominator == 1 else x
+
+
+def _integral(rows):
+    """(d, d * rows) with d the least common denominator, so the scaled rows
+    are int."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = lcm(den, Fraction(x).denominator)
+    return den, tuple(tuple(int(x * den) for x in row) for row in rows)
+
+
+def _is_negative(c):
+    """Whether the first nonzero entry of a coordinate tuple is negative."""
+    return next(x for x in c if x) < 0
 
 
 def form_value(gram, u, v):
@@ -46,15 +66,63 @@ def reflect(gram, root, v):
     return vec_sub(frac_vec(v), vec_scale(c, frac_vec(root)))
 
 
+def cartan_of_gram(base_gram):
+    """C[i][j] = 2(b_i|b_j)/(b_i|b_i) from the Gram matrix of a base, with
+    int entries wherever they are integral."""
+    return tuple(tuple(_as_int(2 * gij / row[i]) for gij in row)
+                 for i, row in enumerate(base_gram))
+
+
+def cartan_closure(cartan):
+    """All roots of the system with Cartan matrix C[i][j] = <b_j, b_i^vee>,
+    as coordinate tuples over its base: the orbit of the simple roots under
+    s_i(c) = c - (sum_j c_j C[i][j]) e_i, closed under negation."""
+    n = len(cartan)
+    rows = tuple(enumerate(cartan))
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = simple
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i, row in rows:
+                p = sum(cj * cij for cj, cij in zip(c, row))
+                if not p:
+                    continue
+                w = c[:i] + (c[i] - p,) + c[i + 1:]
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    if len(seen) > _CLOSURE_CAP:
+                        raise ResourceCap("root closure exceeded cap")
+        frontier = nxt
+    seen |= {tuple(-x for x in c) for c in seen}
+    return seen
+
+
 class RootSystemV:
-    """A based root system given by exact vectors and an invariant form."""
+    """A based root system given by exact vectors and an invariant form.
+
+    The closure runs in simple-root coordinates: with the Cartan matrix
+    C[i][j] = <b_j, b_i^vee> of the base, s_i sends c to
+    c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.5), in plain int arithmetic whenever C is integral.  Each root
+    is mapped to its ambient Fraction vector once.  `roots` is the sorted
+    tuple of ambient vectors and `coords[r]` the coordinates of the root r
+    over `base`.  A system is never changed after construction.
+    """
 
     def __init__(self, base, gram, label=""):
         self.base = tuple(frac_vec(b) for b in base)
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.label = label
-        self.roots = self._closure(self.base)
-        self._cartan = None
+        gram_base = [mat_vec(self.gram, b) for b in self.base]
+        self._base_gram = tuple(tuple(vec_dot(u, gv) for gv in gram_base)
+                                for u in self.base)
+        if mat_det(self._base_gram) == 0:
+            raise ValueError("the base is not linearly independent")
+        self._cartan = cartan_of_gram(self._base_gram)
+        self._index(self._ambient(cartan_closure(self._cartan)))
 
     @classmethod
     def from_datum(cls, datum):
@@ -68,38 +136,35 @@ class RootSystemV:
         return cls(datum.simple_coroots, datum.gram_star(),
                    label=datum.label + "^" if datum.label else "")
 
-    def _closure(self, base):
-        seen = set(base)
-        frontier = list(base)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for b in self.base:
-                    w = reflect(self.gram, b, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        if len(seen) > _CLOSURE_CAP:
-                            raise ResourceCap("root closure exceeded cap")
-            frontier = nxt
-        seen |= {vec_neg(v) for v in seen}
-        return tuple(sorted(seen))
+    def _ambient(self, coord_tuples):
+        """{ambient vector: coordinates} for a set of coordinate tuples that
+        holds the negative of each of its members."""
+        den, base = _integral(self.base)
+        out = {}
+        for c in coord_tuples:
+            if _is_negative(c):
+                continue
+            v = [0] * len(self.gram)
+            for cj, b in zip(c, base):
+                if cj:
+                    for k, bk in enumerate(b):
+                        v[k] += cj * bk
+            v = tuple(Fraction(x, den) for x in v)
+            out[v] = c
+            out[tuple(-x for x in v)] = tuple(-x for x in c)
+        return out
+
+    def _index(self, coords):
+        """Install {root: coordinates} as `roots`, `coords` and positives."""
+        self.coords = coords
+        self.roots = tuple(sorted(coords))
+        self._positive = tuple(r for r in self.roots
+                               if all(x >= 0 for x in coords[r]))
 
     def cartan(self):
         """C[i][j] = <beta_j, beta_i^vee> = 2(b_i|b_j)/(b_i|b_i)."""
-        if self._cartan is None:
-            n = len(self.base)
-            rows = []
-            for i in range(n):
-                di = form_value(self.gram, self.base[i], self.base[i])
-                row = []
-                for j in range(n):
-                    val = Fraction(2) * form_value(self.gram, self.base[i], self.base[j]) / di
-                    if val.denominator != 1:
-                        raise ValueError("non-integral Cartan entry")
-                    row.append(int(val))
-                rows.append(tuple(row))
-            self._cartan = tuple(rows)
+        if any(isinstance(x, Fraction) for row in self._cartan for x in row):
+            raise ValueError("non-integral Cartan entry")
         return self._cartan
 
     def classify(self):
@@ -107,24 +172,37 @@ class RootSystemV:
         return classify_cartan(self.cartan())
 
     def positive_roots(self):
-        out = []
-        A = mat_transpose(self.base)
-        for r in self.roots:
-            sol = gauss_solve(A, r)
-            if sol is None:
-                raise ValueError("root outside the base span")
-            if all(c >= 0 for c in sol):
-                out.append(r)
-        return tuple(sorted(out))
+        return self._positive
 
     def dual(self):
-        """Pointwise dual system (same ambient space and form)."""
+        """Pointwise dual system (same ambient space and form).
+
+        A root with coordinates c has coroot with coordinates
+        c_j (b_j|b_j)/(beta|beta) over the dual base, so positivity and
+        support carry over."""
         out = RootSystemV.__new__(RootSystemV)
         out.base = tuple(dual_vector(self.gram, b) for b in self.base)
         out.gram = self.gram
         out.label = self.label + "^"
-        out.roots = tuple(sorted(dual_vector(self.gram, r) for r in self.roots))
-        out._cartan = None
+        G = self._base_gram
+        n = len(G)
+        out._base_gram = tuple(tuple(4 * G[i][j] / (G[i][i] * G[j][j])
+                                     for j in range(n)) for i in range(n))
+        out._cartan = tuple(zip(*self._cartan))
+        den, Gd = _integral(G)
+        coords = {}
+        for r, c in self.coords.items():
+            if _is_negative(c):
+                continue
+            # (beta|beta) = norm / den
+            norm = sum(ci * cj * Gd[i][j] for i, ci in enumerate(c) if ci
+                       for j, cj in enumerate(c) if cj)
+            scale = Fraction(2 * den, norm)
+            rv = tuple(scale * x for x in r)
+            cv = tuple(_as_int(Fraction(cj * Gd[j][j], norm)) for j, cj in enumerate(c))
+            coords[rv] = cv
+            coords[tuple(-x for x in rv)] = tuple(-x for x in cv)
+        out._index(coords)
         return out
 
     def weyl_order(self, cap=2000000):
@@ -271,8 +349,8 @@ def verify_duality(datum, group_char, group_cochar):
     into the character space by the form identification.  Returns a report
     dict with a list of mismatches (empty means the theorem holds here).
     """
-    char = RootSystemV.from_datum(datum)
-    cochar = RootSystemV.dual_from_datum(datum)
+    char = datum.root_system()
+    cochar = datum.coroot_system()
     iota = _form_identification(datum)
 
     mismatches = []

@@ -55,10 +55,6 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(m, n):
-    return tuple((0,) * n for _ in range(m))
-
-
 def mat_vec(M, v):
     return tuple(vec_dot(row, v) for row in M)
 
@@ -72,16 +68,8 @@ def mat_transpose(M):
     return tuple(zip(*M))
 
 
-def mat_add(A, B):
-    return tuple(vec_add(r, s) for r, s in zip(A, B))
-
-
 def mat_sub(A, B):
     return tuple(vec_sub(r, s) for r, s in zip(A, B))
-
-
-def mat_frac(M):
-    return tuple(frac_vec(row) for row in M)
 
 
 def mat_int(M):

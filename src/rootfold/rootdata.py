@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .folding import RootSystemV
 from .lattice import MalformedAction, ResourceCap, group_closure
 from .linalg import (
     frac_vec,
@@ -272,6 +273,12 @@ class BasedRootDatum:
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         self._gram = None
         self._gram_star = None
+        # Phi and Phi^vee as RootSystemV, built on first use and never
+        # changed afterwards, so every consumer of this datum shares one
+        # closure of each.  Two threads racing on the first build each
+        # build the same value and one assignment wins; no lock is needed.
+        self._root_system = None
+        self._coroot_system = None
 
     # -- construction ------------------------------------------------------
 
@@ -401,6 +408,20 @@ class BasedRootDatum:
             self._gram_star = mat_rational_inverse(self.gram())
         return self._gram_star
 
+    # -- the root systems Phi and Phi^vee ---------------------------------------
+
+    def root_system(self):
+        """(Phi, Delta) in X^* (x) Q with the invariant form, shared."""
+        if self._root_system is None:
+            self._root_system = RootSystemV.from_datum(self)
+        return self._root_system
+
+    def coroot_system(self):
+        """(Phi^vee, Delta^vee) in X_* (x) Q with the induced form, shared."""
+        if self._coroot_system is None:
+            self._coroot_system = RootSystemV.dual_from_datum(self)
+        return self._coroot_system
+
     # -- Weyl combinatorics on the cocharacter side -------------------------
 
     def weyl_orbit_cochar(self, v):
@@ -412,21 +433,6 @@ class BasedRootDatum:
             for u in frontier:
                 for i in range(len(self.simple_roots)):
                     w = self.reflect_cochar(i, u)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
-
-    def weyl_orbit_char(self, v):
-        v = tuple(v)
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(len(self.simple_roots)):
-                    w = self.reflect_char(i, u)
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)

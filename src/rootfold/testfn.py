@@ -69,10 +69,6 @@ class FieldTowerConfig:
                 raise MalformedAction("E_j inertia is not contained in the "
                                       "E_j0 inertia")
 
-    def is_degenerate(self):
-        return set(self.lgd_small.inertia.cochar_group) == \
-            set(self.lgd_big.inertia.cochar_group)
-
     def coset_representatives(self):
         """Representatives of I_big / I_small (cocharacter matrices),
         identity first."""

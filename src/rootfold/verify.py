@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .affine import coroot_identity_check, verify_extremal
 from .echelonnage import TheoremViolation, UnparameterizedComponent
-from .folding import RootSystemV, verify_duality
+from .folding import verify_duality
 from .hecke import CenterContext
 from .lattice import ResourceCap
 from .linalg import mat_vec
@@ -85,7 +85,7 @@ class Verifier:
         self.record("theorem-B", name, True, detail)
         # split case: Sigma_breve = Phi (Prasad-Raghunathan)
         if len(lgd.inertia.group) == 1:
-            char = RootSystemV.from_datum(preset.datum)
+            char = preset.datum.root_system()
             ok = set(ech.sigma_breve.rs_root.roots) == set(char.roots)
             self.record("theorem-B(split)", name, ok)
         # Macdonald: halved members of Sigma_1 are exactly the special roots

@@ -5,6 +5,7 @@ per-criterion lines; stated runtime budgets are asserted with the wall
 clock.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -22,6 +23,10 @@ from rootfold.rootdata import AutomorphismAction, build_datum, diagram_automorph
 from rootfold.testfn import ramified_descent_check, z_v_star_1j
 from rootfold.testfn import test_function as tower_expansion
 from rootfold.verify import run_verify
+
+# sha256 of the default `rootfold verify` report (lines joined by newlines);
+# the same value is `report_sha256` in benchmarks/golden.json
+VERIFY_REPORT_SHA256 = "3d4ee35357afd7040e00348849fb971189ea9ea97c5ffbb24e8fbaecc74486a5"
 
 
 def flip(r):
@@ -253,6 +258,10 @@ def test_criterion_9_determinism():
     t0 = time.time()
     code1, lines1 = run_verify()
     code2, lines2 = run_verify()
-    ok = code1 == 0 and code2 == 0 and "\n".join(lines1) == "\n".join(lines2)
+    report = "\n".join(lines1)
+    # the digest pins the report itself, so a change that alters both runs
+    # alike still fails
+    ok = (code1 == 0 and code2 == 0 and report == "\n".join(lines2)
+          and hashlib.sha256(report.encode()).hexdigest() == VERIFY_REPORT_SHA256)
     _report(9, "cmd_verify determinism (%d lines)" % len(lines1), ok,
             time.time() - t0, 600)

@@ -103,6 +103,25 @@ def test_malformed_permutation_exit_2(capsys):
     assert code == 2
 
 
+def test_wrong_length_vector_exit_2(capsys):
+    # each cocharacter option is checked against the rank before any work
+    cases = [
+        (("adm", "--preset", "split-a2", "--mu", "1,0,0"), "--mu", 2, 3),
+        (("branch", "--preset", "split-a3", "--mu", "1,0"), "--mu", 3, 2),
+        (("kl", "--preset", "su3-unramified", "--pair", "0,0|1,1,1"),
+         "--pair", 2, 3),
+        (("geom-basis", "--preset", "su3-unramified", "--lambda", "1"),
+         "--lambda", 2, 1),
+        (("testfn", "--preset", "tower-su3", "--mu", "1,1,0"), "--mu", 2, 3),
+    ]
+    for argv, option, rank, given in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.strip() == ("input error: %s needs %d entries (the rank of "
+                               "the datum), got %d" % (option, rank, given)), argv
+
+
 def test_unknown_preset_exit_2(capsys):
     code, _out, err = run(capsys, "fold", "--preset", "nope")
     assert code == 2

@@ -14,6 +14,7 @@ from rootfold.folding import (
 )
 from rootfold.lattice import average, group_closure
 from rootfold.linalg import identity_matrix, mat_vec, vec_scale
+from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import AutomorphismAction, build_datum, diagram_automorphism
 
 
@@ -167,3 +168,117 @@ def test_base_preservation_error():
     bad = ((0, -1), (-1, 0))  # sends simple roots to negatives
     with pytest.raises(MalformedAction):
         fold(rs, group_closure([bad]), "res")
+
+
+# -- reference closure -------------------------------------------------------
+
+def reference_roots(base, gram):
+    """Roots by Fraction reflection closure in the ambient space."""
+    from rootfold.folding import reflect
+    from rootfold.linalg import frac_vec, vec_neg
+    base = tuple(frac_vec(b) for b in base)
+    seen = set(base)
+    frontier = list(base)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for b in base:
+                w = reflect(gram, b, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    seen |= {vec_neg(v) for v in seen}
+    return tuple(sorted(seen))
+
+
+def reference_positive_roots(base, roots):
+    """Roots with nonnegative coordinates, solved one by one over the base."""
+    from rootfold.linalg import frac_vec, gauss_solve, mat_transpose
+    A = mat_transpose(tuple(frac_vec(b) for b in base))
+    return tuple(sorted(r for r in roots if all(c >= 0 for c in gauss_solve(A, r))))
+
+
+def assert_matches_reference(rs):
+    roots = reference_roots(rs.base, rs.gram)
+    assert rs.roots == roots, rs
+    assert rs.positive_roots() == reference_positive_roots(rs.base, roots), rs
+    dual = rs.dual()
+    dual_roots = tuple(sorted(dual_vector(rs.gram, r) for r in roots))
+    assert dual.roots == dual_roots, rs
+    assert dual.positive_roots() == reference_positive_roots(dual.base, dual_roots), rs
+
+
+def _preset_groups(lgd):
+    inertia = (lgd.inertia.group, lgd.inertia.cochar_group)
+    galois = (group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,)),
+              group_closure(tuple(lgd.inertia.cochar_generators) + (lgd.tau_cochar,)))
+    return inertia, galois
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_closure_matches_reference(name):
+    d = load_preset(name).datum
+    char = d.root_system()
+    cochar = d.coroot_system()
+    assert char is d.root_system() and cochar is d.coroot_system()
+    assert_matches_reference(char)
+    assert_matches_reference(cochar)
+    for g_char, g_cochar in _preset_groups(load_preset(name).lgd):
+        for op in ("res", "resprime", "N", "Nprime"):
+            assert_matches_reference(fold(char, g_char, op))
+            assert_matches_reference(fold(cochar, g_cochar, op))
+
+
+def test_scaled_form_closure_matches_reference():
+    d, act = _setup("A4", flip(4))
+    scaled = RootSystemV(d.simple_roots,
+                         tuple(tuple(5 * x for x in row) for row in d.gram()))
+    assert_matches_reference(scaled)
+    assert scaled.roots == d.root_system().roots
+    for op in ("res", "resprime", "N", "Nprime"):
+        assert_matches_reference(fold(scaled, act.group, op))
+
+
+def test_dependent_base_rejected():
+    eye = identity_matrix(2)
+    with pytest.raises(ValueError):
+        RootSystemV(((1, -1), (-2, 2)), eye)
+    with pytest.raises(ValueError):
+        RootSystemV(((1, 0), (0, 1), (1, 1)), eye)
+
+
+def test_closure_cap(monkeypatch):
+    import rootfold.folding as folding
+    from rootfold.lattice import ResourceCap
+    monkeypatch.setattr(folding, "_CLOSURE_CAP", 5)
+    d = build_datum("A3")
+    with pytest.raises(ResourceCap):
+        RootSystemV.from_datum(d)
+
+
+def test_shared_systems_first_build_race():
+    # threads racing on the first build may each build; all see equal systems
+    import sys
+    import threading
+    d = build_datum("D4")
+    got = []
+
+    def worker():
+        got.append((d.root_system().roots, d.coroot_system().roots))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    ref = (reference_roots(d.simple_roots, d.gram()),
+           reference_roots(d.simple_coroots, d.gram_star()))
+    assert got == [ref] * 8
+    assert d.root_system() is d.root_system()
