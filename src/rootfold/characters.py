@@ -21,6 +21,7 @@ from .linalg import (
     frac_vec,
     gauss_solve,
     identity_matrix,
+    mat_mul,
     mat_transpose,
     mat_vec,
     vec_add,
@@ -28,7 +29,6 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .ring import Cyc
 
 
 def _reflect_to_dominant(base, gram, v, sign=1):
@@ -159,7 +159,10 @@ class WeightTable:
 
 
 class DualGroup:
-    """The dual group of the datum: root system Phi^vee in X_* (x) Q."""
+    """The dual group of the datum: root system Phi^vee in X_* (x) Q.
+
+    Weight tables, folds and trace tables are memoized in per-instance
+    dicts; confine an instance to one thread or guard access externally."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -232,6 +235,34 @@ class DualGroup:
         if tuple(frac_vec(mat_vec(g_cochar, nu))) != nu:
             raise ValueError("g does not fix nu")
         return self.trace_table(g_cochar, tuple(mu)).get(tuple(nu), 0)
+
+
+def graded_trace(dual, mu, ops, coinv, d):
+    """(1/d) sum_{h in ops} sum_{h nu = nu} tr(h | V_mu(nu)), keyed by the
+    class coinv.project(nu) of each weight nu of V_mu.
+
+    `ops` are pinned automorphisms fixing mu; every graded value must be an
+    integer."""
+    weights = [tuple(int(x) for x in v)
+               for _c, v, _m in dual.weight_table(mu).items()]
+    acc = {}
+    for h in ops:
+        traces = dual.trace_table(h, mu)
+        for nu in weights:
+            if tuple(mat_vec(h, nu)) != nu:
+                continue
+            tr = traces.get(tuple(frac_vec(nu)), 0)
+            if tr:
+                key = coinv.project(nu)
+                acc[key] = acc.get(key, 0) + tr
+    out = {}
+    for key, val in acc.items():
+        q = Fraction(val, d)
+        if q.denominator != 1:
+            raise TheoremViolation("non-integral graded trace")
+        if q:
+            out[key] = int(q)
+    return out
 
 
 class FixedGroup:
@@ -337,7 +368,11 @@ class FixedGroup:
 
 
 class CharacterContext:
-    """All character-level computations attached to one local datum."""
+    """All character-level computations attached to one local datum.
+
+    Invariants characters, branching tables and tau-traces are memoized in
+    per-instance dicts (as are those of its DualGroup and FixedGroup);
+    confine an instance to one thread or guard access externally."""
 
     def __init__(self, lgd):
         self.lgd = lgd
@@ -371,29 +406,9 @@ class CharacterContext:
         key = (mu, g)
         if key in self._inv_cache:
             return self._inv_cache[key]
-        coinv = self.lgd.coinv
-        acc = {}
         group = self.lgd.inertia.cochar_group
-        table = list(self.dual.weight_table(mu).items())
-        from .linalg import mat_mul
-        for s in group:
-            h = mat_mul(g, s)
-            traces = self.dual.trace_table(h, mu)
-            for _c, nu_vec, _m in table:
-                nu = tuple(int(x) for x in nu_vec)
-                if tuple(mat_vec(h, nu)) != nu:
-                    continue
-                tr = traces.get(tuple(frac_vec(nu)), 0)
-                if tr:
-                    nub = coinv.project(nu)
-                    acc[nub] = acc.get(nub, 0) + tr
-        out = {}
-        for nub, val in acc.items():
-            q = Fraction(val, len(group))
-            if q.denominator != 1:
-                raise TheoremViolation("non-integral invariants trace")
-            if q:
-                out[nub] = int(q)
+        out = graded_trace(self.dual, mu, [mat_mul(g, s) for s in group],
+                           self.lgd.coinv, len(group))
         self._inv_cache[key] = out
         return out
 
@@ -452,7 +467,7 @@ class CharacterContext:
     def tau_trace_on_H(self, mu, lam):
         if not self.h.is_tau_fixed(lam):
             raise ValueError("lambda must be tau-fixed")
-        return Cyc.integer(self.tau_traces_on_H(mu).get(lam, 0))
+        return self.tau_traces_on_H(mu).get(lam, 0)
 
     def weight_equality_check(self, mu):
         """Image of Wt(mu) equals Wt(mu-bar) of the fixed group."""

@@ -15,12 +15,11 @@ import sys
 from fractions import Fraction
 
 from .affine import admissible_set, extremal_elements
-from .echelonnage import LocalGroupDatum, TheoremViolation, UnparameterizedComponent
+from .echelonnage import TheoremViolation, UnparameterizedComponent
 from .folding import fold
 from .hecke import CenterContext
 from .lattice import MalformedAction, ResourceCap
-from .presets import PresetError, load_preset, preset_names
-from .rootdata import build_datum, diagram_automorphism
+from .presets import Preset, PresetError, load_preset, preset_names
 from .testfn import test_function, z_v_star_1j
 from .verify import run_verify
 
@@ -72,30 +71,21 @@ def _emit(args, payload, tsv_rows=None, tsv_header=None):
 
 
 def _load_lgd(args):
+    """The preset named by --preset, or one built from --type/--isogeny or
+    --datum with the --inertia/--tau permutations."""
     if args.preset:
         return load_preset(args.preset)
     if getattr(args, "datum", None):
-        from .rootdata import BasedRootDatum
         with open(args.datum) as fh:
-            datum = BasedRootDatum.from_json(json.load(fh))
+            raw = {"datum": {"explicit": json.load(fh)}}
     elif args.type:
-        datum = build_datum(args.type, args.isogeny)
+        raw = {"datum": {"cartan_type": args.type, "isogeny": args.isogeny}}
     else:
         raise PresetError("give --preset, --type, or --datum")
-    inertia = tuple(diagram_automorphism(datum, _parse_vec(p))
-                    for p in (args.inertia or []))
-    frob = diagram_automorphism(datum, _parse_vec(args.tau)) if args.tau else None
-
-    class _Adhoc:
-        pass
-
-    preset = _Adhoc()
-    preset.name = args.type
-    preset.datum = datum
-    preset.lgd = LocalGroupDatum(datum, inertia, frob, label=args.type)
-    preset.overrides = {}
-    preset.tower_small = None
-    return preset
+    raw["inertia"] = [{"perm": _parse_vec(p)} for p in (args.inertia or [])]
+    if args.tau:
+        raw["frobenius"] = {"perm": _parse_vec(args.tau)}
+    return Preset(args.type, raw)
 
 
 def cmd_fold(args):
@@ -195,11 +185,11 @@ def cmd_geom_basis(args):
         Ckl = center.geometric_basis_kl(lam)
         if C != Ckl:
             raise TheoremViolation("twining and KL routes disagree")
-        kl_terms = {k: v for k, v in Ckl.coeffs.items()}
+        kl_terms = Ckl.coeffs
     for nu, c in C.items_sorted():
         term = {"nu": _fmt_class(nu), "coeff_cyclotomic": list(c.to_tuple())}
         if kl_terms:
-            term["kl_at_1"] = kl_terms[nu].as_int()
+            term["kl_at_1"] = int(kl_terms[nu])
         terms.append(term)
     payload = {"lambda": _fmt_class(lam), "terms": terms}
     _emit(args, payload)
@@ -224,10 +214,11 @@ def cmd_branch(args):
 
 
 def cmd_testfn(args):
+    if args.j < 1:
+        raise PresetError("--j must be at least 1, got %d" % args.j)
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        from .presets import Preset
         preset = Preset(raw.get("name", "config"), raw)
     else:
         preset = load_preset(args.preset)

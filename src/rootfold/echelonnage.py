@@ -451,27 +451,3 @@ def _parabolic_length(gram_sub):
     parabolic element)."""
     return len(cartan_closure(cartan_of_gram(gram_sub))) // 2
 
-
-def breve_sigma(lgd):
-    return lgd.echelonnage().sigma_breve
-
-
-def sigma_zero(lgd):
-    return lgd.echelonnage().sigma0
-
-
-def knop_sigma(lgd):
-    return lgd.echelonnage().sigma0_tilde_root
-
-
-def macdonald_sigma(lgd):
-    ech = lgd.echelonnage()
-    return ech.sigma1, ech.sigma1_nonreduced
-
-
-def special_roots(lgd):
-    return lgd.echelonnage().special
-
-
-def parameter_function(lgd, overrides=None):
-    return lgd.echelonnage().parameter_function(overrides)

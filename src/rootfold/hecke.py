@@ -16,7 +16,7 @@ formula), which is also computed independently from twining characters.
 from __future__ import annotations
 
 from .echelonnage import TheoremViolation
-from .ring import Cyc, LaurentPoly
+from .ring import LaurentPoly
 
 KL_INTERVAL_CAP = 100000
 
@@ -65,7 +65,10 @@ class HeckeElement:
 
 
 class HeckeAlgebra:
-    """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine."""
+    """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine.
+
+    Caches (bar expansions, KL tables, checked weights) are per-instance
+    dicts; confine an instance to one thread or guard access externally."""
 
     def __init__(self, engine, weights):
         self.engine = engine
@@ -234,34 +237,34 @@ class HeckeAlgebra:
         return HeckeElement(self, self.kl_table(y))
 
 
+class CenterCoefficient(int):
+    """A centre coefficient tr(tau | V(nu)).  The traces are folded
+    multiplicities, so they are rational integers; `to_tuple` serializes one
+    as an element of Z = Z[zeta_1]: the order 1, then the value."""
+
+    __slots__ = ()
+
+    def to_tuple(self):
+        return (1, int(self))
+
+
 class BernsteinElement:
     """Element of the center in the Bernstein basis: a finitely supported
-    map from dominant tau-fixed weight classes to cyclotomic integers."""
+    map from dominant tau-fixed weight classes to integers."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        for k, val in (coeffs or {}).items():
-            if isinstance(val, int):
-                val = Cyc.integer(val)
-            if not val.is_zero():
-                c[k] = val
-        self.coeffs = c
+        self.coeffs = {k: CenterCoefficient(v)
+                       for k, v in (coeffs or {}).items() if v}
 
     def __add__(self, other):
         c = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = c.get(k, Cyc.integer(0)) + v
-            if s.is_zero():
-                c.pop(k, None)
-            else:
-                c[k] = s
+            c[k] = c.get(k, 0) + v
         return BernsteinElement(c)
 
     def scale(self, val):
-        if isinstance(val, int):
-            val = Cyc.integer(val)
         return BernsteinElement({k: v * val for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
@@ -313,26 +316,20 @@ class CenterContext:
         if not (h.is_dominant(lam) and h.is_tau_fixed(lam)):
             raise ValueError("lambda must be dominant and tau-fixed")
         tw = h.twisted_hw_character(lam)
-        coeffs = {}
-        for nu in self.dominant_tau_fixed_weights(lam):
-            val = tw.get(nu, 0)
-            if val:
-                coeffs[nu] = Cyc.integer(val)
-        if coeffs.get(lam) != Cyc.integer(1):
+        coeffs = {nu: tw.get(nu, 0)
+                  for nu in self.dominant_tau_fixed_weights(lam)}
+        if coeffs.get(lam) != 1:
             raise TheoremViolation("geometric basis element is not unitriangular")
         return BernsteinElement(coeffs)
 
     def geometric_basis_kl(self, lam):
         """The same element with coefficients P_{w_nu, w_lambda}(1)."""
-        h = self.chars.h
         eng = self.tau_engine
         w_lam = eng.max_double_coset(lam)
         coeffs = {}
         for nu in self.dominant_tau_fixed_weights(lam):
             w_nu = eng.max_double_coset(nu)
-            val = self.hecke.kl_polynomial(w_nu, w_lam).at_one()
-            if val:
-                coeffs[nu] = Cyc.integer(val)
+            coeffs[nu] = self.hecke.kl_polynomial(w_nu, w_lam).at_one()
         return BernsteinElement(coeffs)
 
     def geometric_basis_checked(self, lam):
@@ -351,16 +348,14 @@ def evaluate_bernstein(center, elt, point):
     `point` maps tau-fixed weight classes to scalars and must be defined on
     the whole W_0-orbit of every support weight."""
     eng = center.tau_engine
-    total = None
+    total = 0
     for nu, c in elt.coeffs.items():
-        orbit_total = None
+        orbit_total = 0
         for nu2 in eng.weyl_orbit_class(nu):
             try:
-                val = point(nu2)
+                orbit_total = orbit_total + point(nu2)
             except KeyError:
                 raise ValueError("evaluation map is not defined on the "
                                  "W_0-orbit of %r" % (nu,))
-            orbit_total = val if orbit_total is None else orbit_total + val
-        term = c * orbit_total
-        total = term if total is None else total + term
-    return total if total is not None else Cyc.integer(0)
+        total = total + c * orbit_total
+    return total

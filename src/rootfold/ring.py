@@ -1,11 +1,8 @@
-"""Exact scalar rings: Laurent polynomials in v (= q^(1/2)) over Z, and
-cyclotomic integers Z[zeta_n] reduced modulo the n-th cyclotomic polynomial.
-"""
+"""Exact scalars: Laurent polynomials in v (= q^(1/2)) over Z."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 
 class LaurentPoly:
@@ -126,156 +123,3 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): a for e, a in sorted(self.coeffs.items())}
 
-
-def _poly_divmod(num, den):
-    """Exact division of integer polynomials (coefficient lists, low first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        lead = num[k + len(den) - 1]
-        q, r = divmod(lead, den[-1])
-        if r:
-            raise ValueError("non-exact polynomial division")
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-    if any(num):
-        raise ValueError("non-exact polynomial division")
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, lowest degree first."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divmod(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-class Cyc:
-    """Cyclotomic integer: an element of Z[x]/(Phi_n(x)), x = zeta_n."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        phi = cyclotomic_polynomial(order)
-        deg = len(phi) - 1
-        c = list(coeffs) + [0] * max(0, deg - len(coeffs))
-        # reduce mod Phi_n
-        for k in range(len(c) - 1, deg - 1, -1):
-            if c[k]:
-                q = c[k]
-                for i in range(len(phi)):
-                    c[k - deg + i] -= q * phi[i]
-        self.order = order
-        self.coeffs = tuple(c[:deg])
-
-    @classmethod
-    def integer(cls, a, order=1):
-        return cls(order, (a,))
-
-    @classmethod
-    def zeta(cls, n, k=1):
-        v = [0] * (k % n + 1)
-        v[k % n] = 1
-        return cls(n, v)
-
-    def promote(self, order):
-        """Rewrite in Z[zeta_m] for a multiple m of the current order."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValueError("order %d does not divide %d" % (self.order, order))
-        step = order // self.order
-        out = [0] * (len(self.coeffs) * step + 1)
-        for e, a in enumerate(self.coeffs):
-            out[e * step] += a
-        return Cyc(order, out)
-
-    def _match(self, other):
-        if isinstance(other, int):
-            other = Cyc.integer(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented, NotImplemented
-        n = _lcm(self.order, other.order)
-        return self.promote(n), other.promote(n)
-
-    def __add__(self, other):
-        a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc(self.order, tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Cyc.integer(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out = [0] * (len(a.coeffs) + len(b.coeffs) + 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return Cyc(a.order, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Cyc.integer(other)
-        if not isinstance(other, Cyc):
-            return False
-        a, b = self._match(other)
-        return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash((r.order, r.coeffs))
-
-    def reduced(self):
-        """Smallest-order representation (descends to Z when rational)."""
-        if self.is_integer():
-            return Cyc.integer(self.as_int())
-        return self
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integer(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_int(self):
-        if not self.is_integer():
-            raise ValueError("%r is not a rational integer" % (self,))
-        return self.coeffs[0] if self.coeffs else 0
-
-    def to_tuple(self):
-        return (self.order,) + tuple(self.coeffs)
-
-    def __repr__(self):
-        if self.is_integer():
-            return str(self.as_int())
-        return "Cyc(order=%d, %r)" % (self.order, list(self.coeffs))
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)

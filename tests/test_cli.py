@@ -94,6 +94,15 @@ def test_testfn_cli(capsys):
     assert "degenerate" in json.loads(out2)["kind"]
 
 
+def test_testfn_j_below_one_exit_2(capsys):
+    for j in ("0", "-1"):
+        code, out, err = run(capsys, "testfn", "--preset", "tower-su3",
+                             "--mu=1,1", "--j", j)
+        assert code == 2, j
+        assert out == ""
+        assert err.strip() == "input error: --j must be at least 1, got %s" % j
+
+
 def test_malformed_permutation_exit_2(capsys):
     code, _out, err = run(capsys, "echelonnage", "--type", "A2",
                           "--tau", "0,0")

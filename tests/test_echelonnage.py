@@ -4,15 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootfold.echelonnage import (
-    LocalGroupDatum,
-    breve_sigma,
-    knop_sigma,
-    macdonald_sigma,
-    parameter_function,
-    sigma_zero,
-    special_roots,
-)
+from rootfold.echelonnage import LocalGroupDatum
 from rootfold.folding import RootSystemV
 from rootfold.linalg import vec_scale
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
@@ -35,20 +27,19 @@ def test_split_prs():
     char = RootSystemV.from_datum(lgd.datum)
     assert set(ech.sigma_breve.rs_root.roots) == set(char.roots)
     assert ech.special == frozenset()
-    assert set(parameter_function(lgd).values()) == {1}
+    assert set(ech.parameter_function().values()) == {1}
 
 
 def test_su3_unramified():
     lgd = _lgd("A2", "simply_connected", tau_perm=flip(2), label="su3")
     ech = lgd.echelonnage()
-    assert breve_sigma(lgd).type_label() == "A2"
-    assert sigma_zero(lgd).type_label() == "C1"
-    assert knop_sigma(lgd).type_label() == "B1"
-    s1, nonreduced = macdonald_sigma(lgd)
-    assert nonreduced
-    assert special_roots(lgd) == frozenset({0})
+    assert ech.sigma_breve.type_label() == "A2"
+    assert ech.sigma0.type_label() == "C1"
+    assert ech.sigma0_tilde_root.type_label() == "B1"
+    assert ech.sigma1_nonreduced
+    assert ech.special == frozenset({0})
     # the paper's parameter values: L(s_a) = 3, L(s_0) = 1
-    assert parameter_function(lgd) == {("fin", 0): 3, ("aff", 0): 1}
+    assert ech.parameter_function() == {("fin", 0): 3, ("aff", 0): 1}
     # Knop root is half the Sigma_0 root
     assert ech.sigma0_tilde_root.base[0] == vec_scale(Fraction(1, 2),
                                                       ech.sigma0.base[0])
@@ -56,10 +47,11 @@ def test_su3_unramified():
 
 def test_su5_unramified():
     lgd = _lgd("A4", "simply_connected", tau_perm=flip(4), label="su5")
-    assert sigma_zero(lgd).type_label() == "C2"
-    assert knop_sigma(lgd).type_label() == "B2"
-    assert special_roots(lgd) == frozenset({1})
-    p = parameter_function(lgd)
+    ech = lgd.echelonnage()
+    assert ech.sigma0.type_label() == "C2"
+    assert ech.sigma0_tilde_root.type_label() == "B2"
+    assert ech.special == frozenset({1})
+    p = ech.parameter_function()
     assert p[("aff", 0)] == 1
     assert p[("fin", 1)] == 3  # special node
     assert p[("fin", 0)] == 2  # folded middle node
@@ -68,16 +60,17 @@ def test_su5_unramified():
 def test_su4_and_su6():
     # 2A'_{2n-1}: no special roots, L(s_a) = 1 = L(s_0)
     lgd = _lgd("A3", "adjoint", tau_perm=flip(3), label="su4")
-    assert sigma_zero(lgd).type_label() == "C2"
-    assert special_roots(lgd) == frozenset()
-    s1, nonreduced = macdonald_sigma(lgd)
-    assert not nonreduced
-    p = parameter_function(lgd)
+    ech = lgd.echelonnage()
+    assert ech.sigma0.type_label() == "C2"
+    assert ech.special == frozenset()
+    assert not ech.sigma1_nonreduced
+    p = ech.parameter_function()
     assert p[("aff", 0)] == 1 and sorted(p.values()) == [1, 1, 2]
     lgd6 = _lgd("A5", "simply_connected", tau_perm=flip(5), label="su6")
-    assert sigma_zero(lgd6).type_label() == "C3"
-    assert special_roots(lgd6) == frozenset()
-    p6 = parameter_function(lgd6)
+    ech6 = lgd6.echelonnage()
+    assert ech6.sigma0.type_label() == "C3"
+    assert ech6.special == frozenset()
+    p6 = ech6.parameter_function()
     assert sorted(p6.values()) == [1, 1, 2, 2]
 
 
@@ -94,14 +87,16 @@ def test_ramified_su3():
 
 def test_triality_and_e6():
     lgd = _lgd("D4", "simply_connected", tau_perm=(2, 1, 3, 0), label="3d4")
-    assert breve_sigma(lgd).type_label() == "D4"
-    assert sigma_zero(lgd).type_label() == "G2"
-    assert knop_sigma(lgd).type_label() == "G2"
-    p = parameter_function(lgd)
+    ech = lgd.echelonnage()
+    assert ech.sigma_breve.type_label() == "D4"
+    assert ech.sigma0.type_label() == "G2"
+    assert ech.sigma0_tilde_root.type_label() == "G2"
+    p = ech.parameter_function()
     assert sorted(p.values()) == [1, 1, 3]
     lgd6 = _lgd("E6", "adjoint", tau_perm=(5, 1, 4, 3, 2, 0), label="2e6")
-    assert sigma_zero(lgd6).type_label() == "F4"
-    p6 = parameter_function(lgd6)
+    ech6 = lgd6.echelonnage()
+    assert ech6.sigma0.type_label() == "F4"
+    p6 = ech6.parameter_function()
     assert sorted(p6.values()) == [1, 1, 1, 2, 2]
 
 
@@ -150,12 +145,13 @@ def test_macdonald_membership():
 
 def test_parameter_overrides():
     lgd = _lgd("A2", "simply_connected", tau_perm=flip(2), label="ov")
-    p = parameter_function(lgd, {("fin", 0): 5})
+    ech = lgd.echelonnage()
+    p = ech.parameter_function({("fin", 0): 5})
     assert p[("fin", 0)] == 5 and p[("aff", 0)] == 1
     with pytest.raises(ValueError):
-        parameter_function(lgd, {("fin", 7): 2})
+        ech.parameter_function({("fin", 7): 2})
     with pytest.raises(ValueError):
-        parameter_function(lgd, {("fin", 0): 0})
+        ech.parameter_function({("fin", 0): 0})
 
 
 def test_frobenius_must_normalize():

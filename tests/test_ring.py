@@ -1,10 +1,8 @@
-"""Exact scalars: Laurent polynomials in v and cyclotomic integers."""
+"""Exact scalars: Laurent polynomials in v."""
 
 from fractions import Fraction
 
-import pytest
-
-from rootfold.ring import Cyc, LaurentPoly, cyclotomic_polynomial
+from rootfold.ring import LaurentPoly
 
 v = LaurentPoly.v_power
 
@@ -29,36 +27,3 @@ def test_laurent_bar_and_parts():
     assert p.shifted(2) == v(5) - v(-1) + v(3)
     assert p.max_degree() == 3 and p.min_degree() == -3
 
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_arithmetic():
-    z = Cyc.zeta(3)
-    assert z * z * z == 1
-    assert 1 + z + z * z == 0
-    assert Cyc.zeta(2) == -1
-    w = Cyc.zeta(4)
-    assert w * w == -1
-    mixed = z * Cyc.zeta(2)  # a sixth root of unity
-    assert mixed * mixed * mixed * mixed * mixed * mixed == 1
-    assert (z - z).is_zero()
-    assert (z * 0).is_zero()
-    assert Cyc.integer(5).as_int() == 5
-    with pytest.raises(ValueError):
-        z.as_int()
-    assert (z + (1 - z)).as_int() == 1
-    # trace-like sums of conjugates are rational integers
-    assert (z + z * z).as_int() == -1
-
-
-def test_cyclotomic_tuple_display():
-    z = Cyc.zeta(3)
-    assert z.to_tuple() == (3, 0, 1)
-    assert Cyc.integer(7).to_tuple() == (1, 7)

@@ -6,7 +6,6 @@ from rootfold.echelonnage import LocalGroupDatum
 from rootfold.hecke import BernsteinElement, CenterContext
 from rootfold.lattice import MalformedAction
 from rootfold.presets import load_preset
-from rootfold.ring import Cyc
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
 from rootfold.testfn import FieldTowerConfig, ramified_descent_check, z_v_star_1j
 from rootfold.testfn import test_function as tower_expansion
@@ -28,10 +27,10 @@ def test_split_gaitsgory():
     for _c, nu, m in ctx.chars.dual.weight_table(mu).items():
         cls = L.project(tuple(int(x) for x in nu))
         if ctx.chars.h.is_dominant(cls):
-            expected[cls] = Cyc.integer(m)
+            expected[cls] = m
     assert z == BernsteinElement(expected)
-    assert z.coeffs[L.project(mu)] == Cyc.integer(1)
-    assert z.coeffs[L.zero()] == Cyc.integer(2)
+    assert z.coeffs[L.project(mu)] == 1
+    assert z.coeffs[L.zero()] == 2
 
 
 def test_su3_z_equals_geometric_basis():
@@ -41,7 +40,7 @@ def test_su3_z_equals_geometric_basis():
     mu = (1, 1)
     z = z_v_star_1j(ctx, mu)
     assert z == ctx.geometric_basis(lgd.coinv.project(mu))
-    assert z.coeffs[lgd.coinv.project(mu)] == Cyc.integer(1)
+    assert z.coeffs[lgd.coinv.project(mu)] == 1
 
 
 def test_top_coefficient_everywhere():
@@ -51,7 +50,7 @@ def test_top_coefficient_everywhere():
         ctx = CenterContext(preset.lgd, preset.overrides)
         z = z_v_star_1j(ctx, mu)
         mubar = preset.lgd.coinv.project(mu)
-        assert z.coeffs[mubar] == Cyc.integer(1), name
+        assert z.coeffs[mubar] == 1, name
         # support bound: everything below mu in the Sigma-order
         for nu in z.coeffs:
             assert ctx.chars.h.class_leq(nu, mubar)
@@ -99,7 +98,7 @@ def test_test_function_routes_and_degeneration():
     assert tower_expansion(cfg, (0, 0)) == BernsteinElement({zero: 1})
     # top coefficient of the expansion is 1
     mubar_big = cfg.project(cfg.lgd_small.coinv.project((1, 1)))
-    assert tf.coeffs[big.tau_engine.dominant_class(mubar_big)] == Cyc.integer(1)
+    assert tf.coeffs[big.tau_engine.dominant_class(mubar_big)] == 1
 
 
 def test_test_function_j2():
