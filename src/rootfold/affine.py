@@ -1,23 +1,24 @@
 """Extended affine Weyl groups W~ = X_*(T)_I x| W, Bruhat order, admissible
 sets, and the extremal-elements theorem.
 
-An engine is built from a coinvariant lattice, a folded root system with
-coroot lattice classes, and integer matrices for the simple reflections of
-the finite Weyl group.  Elements are pairs (translation class, Weyl matrix);
-lengths come from the inversion formula, normal forms from descent peeling,
-and the Bruhat order from the subword recursion.  Torsion classes are
-central and have length zero (they land in Omega).
+An engine is built from a coinvariant lattice, the Sigma system it lives
+over (Sigma_breve or Sigma_0, as closed once by the echelonnage data), and
+integer matrices for the simple reflections of the finite Weyl group.  The
+positive roots, components and highest roots are read from the system's
+coordinates; no roots are closed here.  Elements are pairs (translation
+class, Weyl matrix); lengths come from the inversion formula, normal forms
+from descent peeling, and the Bruhat order from the subword recursion.
+Torsion classes are central and have length zero (they land in Omega).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .echelonnage import TheoremViolation
+from .echelonnage import TheoremViolation, _highest_root
 from .lattice import ResourceCap
 from .linalg import (
     frac_vec,
-    gauss_solve,
     identity_matrix,
     mat_integer_inverse,
     mat_mul,
@@ -26,6 +27,7 @@ from .linalg import (
     vec_dot,
     vec_neg,
 )
+from .rootdata import _components
 
 ADM_CAP = 10 ** 6
 DOUBLE_COSET_CAP = 200000
@@ -54,23 +56,25 @@ class AffineElement:
 class ExtendedAffineWeyl:
     """W~ = Lambda x| W for a folded system Sigma with coroot classes.
 
-    `base_triples` lists (root vector, coroot vector, coroot class) for the
-    simple roots of Sigma; `simple_matrices` gives the corresponding
-    reflections as integer matrices on the ambient cocharacter lattice.
+    `sigma` is the SigmaSystem the group is built over: `sigma.rs_root`
+    gives the simple roots, the positive roots and the coordinates of every
+    root, and `sigma.base_classes` the coroot classes of the simple roots in
+    Lambda.  `simple_matrices` gives the corresponding reflections as
+    integer matrices on the ambient cocharacter lattice.
     Caches (lengths, Bruhat pairs, normal forms) are per-instance dicts;
     confine an instance to one thread or guard access externally.
     """
 
-    def __init__(self, coinv, base_triples, simple_matrices, gram, label="",
+    def __init__(self, coinv, sigma, simple_matrices, label="",
                  restrict_endo=None):
         self.coinv = coinv
-        self.gram = gram
+        self.sigma = sigma
         self.label = label
-        self.base_roots = tuple(frac_vec(t[0]) for t in base_triples)
-        self.base_coroots = tuple(frac_vec(t[1]) for t in base_triples)
-        self.base_classes = tuple(t[2] for t in base_triples)
+        self.base_roots = sigma.rs_root.base
         self.simple_matrices = tuple(simple_matrices)
         self.restrict_endo = restrict_endo
+        self.positive_roots = sigma.rs_root.positive_roots()
+        self._positive_set = set(self.positive_roots)
         self._endos = {}
         self._char = {}
         self._inv = {}
@@ -79,53 +83,11 @@ class ExtendedAffineWeyl:
         self._bruhat = {}
         self._interval = {}
         self.e_mat = identity_matrix(coinv.rank)
-        self._build_roots()
         self._build_pairing()
         self._build_walls()
         self.identity = AffineElement(coinv.zero(), self.e_mat)
 
     # -- root bookkeeping ---------------------------------------------------
-
-    def _build_roots(self):
-        triples = {}
-        frontier = []
-        for k in range(len(self.base_roots)):
-            t = (self.base_roots[k], self.base_coroots[k], self.base_classes[k],
-                 self.simple_matrices[k])
-            triples[t[0]] = t
-            frontier.append(t)
-        while frontier:
-            nxt = []
-            for root, coroot, cls, refl in frontier:
-                for k, m in enumerate(self.simple_matrices):
-                    r2 = tuple(Fraction(x) for x in mat_vec(self.char_action(m), root))
-                    if r2 in triples:
-                        continue
-                    c2 = tuple(Fraction(x) for x in mat_vec(tuple(map(frac_vec, m)), coroot))
-                    cls2 = self.endo(m)(cls)
-                    refl2 = mat_mul(mat_mul(m, refl), self.inverse_matrix(m))
-                    t2 = (r2, c2, cls2, refl2)
-                    triples[r2] = t2
-                    nxt.append(t2)
-                    if len(triples) > 10000:
-                        raise ResourceCap("root closure exceeded cap")
-            frontier = nxt
-        all_roots = {}
-        for root, (r, c, cls, refl) in triples.items():
-            all_roots[root] = (r, c, cls, refl)
-            neg = tuple(-x for x in r)
-            if neg not in triples:
-                all_roots[neg] = (neg, vec_neg(c), -cls, refl)
-        self._root_data = all_roots
-        A = mat_transpose(self.base_roots)
-        pos = []
-        for r in sorted(all_roots):
-            sol = gauss_solve(A, r)
-            if sol is not None and all(x >= 0 for x in sol):
-                pos.append(r)
-        self.positive_roots = tuple(pos)
-        self._positive_set = set(pos)
-        self._root_set = set(all_roots)
 
     def _build_pairing(self):
         # one row per root: pairing against the free basis of Lambda.  For a
@@ -155,41 +117,39 @@ class ExtendedAffineWeyl:
         return int(val)
 
     def _build_walls(self):
-        from .rootdata import _components
-        cart = []
-        n = len(self.base_roots)
-        for i in range(n):
-            di = self._form(self.base_roots[i], self.base_roots[i])
-            row = []
-            for j in range(n):
-                row.append(int(Fraction(2) * self._form(self.base_roots[i],
-                                                        self.base_roots[j]) / di))
-            cart.append(tuple(row))
-        comps = _components(tuple(cart))
-        self.components = comps
+        rs = self.sigma.rs_root
+        cart = rs.cartan()
+        self.components = _components(cart)
         walls = []
-        for k in range(n):
-            walls.append((("fin", k),
-                          AffineElement(self.coinv.zero(), self.simple_matrices[k])))
-        A = mat_transpose(self.base_roots)
-        for ci, comp in enumerate(comps):
-            best, best_h = None, None
-            for r in self.positive_roots:
-                sol = gauss_solve(A, r)
-                if any(sol[i] != 0 for i in range(n) if i not in comp):
-                    continue
-                h = sum(sol)
-                if best is None or h > best_h:
-                    best, best_h = r, h
-            _, _co, cls, refl = self._root_data[best]
-            walls.append((("aff", ci), AffineElement(cls, refl)))
+        for k, m in enumerate(self.simple_matrices):
+            walls.append((("fin", k), AffineElement(self.coinv.zero(), m)))
+        for ci, comp in enumerate(self.components):
+            theta = rs.coords[_highest_root(rs, comp)]
+            walls.append((("aff", ci), self._root_reflection(theta, cart)))
             if self.length(walls[-1][1]) != 1:
                 raise TheoremViolation("affine wall reflection has length != 1")
         self.s_aff = tuple(walls)
         self._s_aff_map = dict(walls)
 
-    def _form(self, u, v):
-        return vec_dot(frac_vec(u), mat_vec(self.gram, frac_vec(v)))
+    def _root_reflection(self, c, cart):
+        """t_{beta^vee-class} s_beta for the positive root beta with
+        coordinates c.  Descend c to a simple root e_k by simple reflections
+        s_i with <beta, alpha_i^vee> > 0 (one exists while beta is not
+        simple, as (beta|beta) > 0), then conjugate the class and reflection
+        of e_k back up along that word."""
+        word = []
+        while sum(c) != 1:
+            pairings = [sum(cj * cij for cj, cij in zip(c, row)) for row in cart]
+            i = next(i for i, p in enumerate(pairings) if p > 0)
+            c = c[:i] + (c[i] - pairings[i],) + c[i + 1:]
+            word.append(i)
+        k = c.index(1)
+        cls, refl = self.sigma.base_classes[k], self.simple_matrices[k]
+        for i in reversed(word):
+            m = self.simple_matrices[i]
+            cls = self.endo(m)(cls)
+            refl = mat_mul(mat_mul(m, refl), self.inverse_matrix(m))
+        return AffineElement(cls, refl)
 
     # -- matrix caches --------------------------------------------------------
 
@@ -383,24 +343,6 @@ class ExtendedAffineWeyl:
             raise TheoremViolation("longest double-coset element is not unique")
         return best
 
-    def dominance_leq_sigma(self, lam, mu):
-        """lam <= mu for the positive coroots of Sigma (integral cone
-        membership inside the coinvariant lattice, torsion included)."""
-        diff = mu - lam
-        cols = tuple(frac_vec(c.free) for c in self.base_classes)
-        if not cols:
-            return diff.is_zero()
-        A = mat_transpose(cols)
-        sol = gauss_solve(A, frac_vec(diff.free))
-        if sol is None:
-            return False
-        if any(c.denominator != 1 or c < 0 for c in sol):
-            return False
-        acc = self.coinv.zero()
-        for c, cls in zip(sol, self.base_classes):
-            acc = acc + cls.scale(int(c))
-        return acc == diff
-
 
 def datum_simple_reflection_cochar(datum, i):
     """s_i as an integer matrix on X_*: y - <alpha_i, y> alpha_i^vee."""
@@ -454,9 +396,7 @@ def build_affine(lgd):
     mats = []
     for orb, _orth in sig.rs_co.orbits:
         mats.append(_orbit_longest_matrix(orb, adj, base_mats))
-    triples = list(zip(sig.base, sig.cobase, sig.base_classes))
-    return ExtendedAffineWeyl(lgd.coinv, triples, mats, datum.gram(),
-                              label="W(%s)" % lgd.label)
+    return ExtendedAffineWeyl(lgd.coinv, sig, mats, label="W(%s)" % lgd.label)
 
 
 def build_tau_fixed(lgd, breve_engine=None):
@@ -465,17 +405,15 @@ def build_tau_fixed(lgd, breve_engine=None):
     if breve_engine is None:
         breve_engine = build_affine(lgd)
     sig0 = ech.sigma0
-    breve = ech.sigma_breve
+    cart = ech.sigma_breve.rs_root.cartan()
 
     def adj(i, j):
-        return breve_engine._form(breve.base[i], breve.base[j]) != 0
+        return cart[i][j] != 0
 
     mats = []
     for orb, _orth in sig0.rs_root.orbits:
         mats.append(_orbit_longest_matrix(orb, adj, breve_engine.simple_matrices))
-    triples = list(zip(sig0.base, sig0.cobase, sig0.base_classes))
-    return ExtendedAffineWeyl(lgd.coinv, triples, mats, lgd.datum.gram(),
-                              label="W(%s)^tau" % lgd.label,
+    return ExtendedAffineWeyl(lgd.coinv, sig0, mats, label="W(%s)^tau" % lgd.label,
                               restrict_endo=lgd.tau_endo)
 
 
@@ -531,7 +469,7 @@ def verify_extremal(lgd, mu, engine=None):
     images = sorted({coinv.project(lam) for lam in weights},
                     key=lambda c: (c.free, c.tors))
     for lam in images:
-        if not engine.dominance_leq_sigma(engine.dominant_class(lam), mubar):
+        if not engine.sigma.class_leq(engine.dominant_class(lam), mubar):
             report["mismatches"].append("dominance bridge fails at %r" % (lam,))
     translations = {engine.translation(c) for c in images}
     maximal = extremal_elements(engine, translations)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .echelonnage import TheoremViolation
-from .folding import fold, form_value
+from .folding import _as_int, fold, form_value
 from .lattice import group_closure
 from .linalg import (
     frac_vec,
@@ -31,49 +31,45 @@ from .linalg import (
 )
 
 
-def _reflect_to_dominant(base, gram, v, sign=1):
-    v = frac_vec(v)
-    while True:
-        for b in base:
-            if sign * form_value(gram, b, v) < 0:
-                c = Fraction(2) * form_value(gram, b, v) / form_value(gram, b, b)
-                v = vec_sub(v, vec_scale(c, b))
-                break
-        else:
-            return v
-
-
-def freudenthal(base, positives, gram, mu):
-    """Weight multiplicities of the irrep with highest weight mu.
+def freudenthal(rs, mu):
+    """Weight multiplicities of the irrep with highest weight mu for the
+    root system rs (a RootSystemV).
 
     Returns {c: multiplicity} over coefficient tuples c >= 0 with
-    nu = mu - sum_i c_i base_i, listing exactly the weights (positive
-    multiplicity).  All arithmetic is exact.
+    nu = mu - sum_i c_i rs.base[i], listing exactly the weights (positive
+    multiplicity).  All arithmetic is exact.  Weights are moved to the
+    dominant chamber in these coordinates: <nu, b_i^vee> is
+    <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan matrix C of rs, and
+    s_i adds that pairing to c_i.
     """
-    base = tuple(frac_vec(b) for b in base)
+    base, gram, cart = rs.base, rs.gram, rs.cartan()
+    positives = [(p, rs.coords[p]) for p in rs.positive_roots()]
     mu = frac_vec(mu)
-    A = mat_transpose(base)
-    lowest = _reflect_to_dominant(base, gram, mu, sign=-1)
-    bounds_sol = gauss_solve(A, vec_sub(mu, lowest))
-    if bounds_sol is None:
-        raise ValueError("mu - w0(mu) is not in the root span")
-    bounds = []
-    for c in bounds_sol:
-        if Fraction(c).denominator != 1 or c < 0:
-            raise ValueError("bad weight box")
-        bounds.append(int(c))
+    top = tuple(_as_int(2 * form_value(gram, b, mu) / form_value(gram, b, b))
+                for b in base)
+
+    def to_dominant(c, sign=1):
+        """Coordinates of the dominant (sign=-1: antidominant) weight in
+        the Weyl orbit of the weight with coordinates c."""
+        while True:
+            for i, (t, row) in enumerate(zip(top, cart)):
+                p = t - sum(cj * cij for cj, cij in zip(c, row))
+                if sign * p < 0:
+                    c = c[:i] + (c[i] + p,) + c[i + 1:]
+                    break
+            else:
+                return c
+
+    bounds = to_dominant((0,) * len(base), sign=-1)
+    if any(Fraction(b).denominator != 1 or b < 0 for b in bounds):
+        raise ValueError("bad weight box")
     rho = (Fraction(0),) * len(mu)
-    for p in positives:
+    for p, _cp in positives:
         rho = vec_add(rho, frac_vec(p))
     rho = vec_scale(Fraction(1, 2), rho)
 
     def B(u, v):
         return form_value(gram, u, v)
-
-    pos_coords = []
-    for p in positives:
-        cp = gauss_solve(A, frac_vec(p))
-        pos_coords.append(tuple(int(x) for x in cp))
 
     def vec_of(c):
         v = mu
@@ -84,32 +80,26 @@ def freudenthal(base, positives, gram, mu):
 
     # dominant weights by increasing height
     import itertools
-    all_cs = sorted(itertools.product(*(range(b + 1) for b in bounds)),
+    all_cs = sorted(itertools.product(*(range(int(b) + 1) for b in bounds)),
                     key=lambda c: (sum(c), c))
-    cs_index = {}
     dominant_mult = {}
-    for c in all_cs:
-        cs_index[c] = vec_of(c)
 
     def lookup(c):
         """Multiplicity at an arbitrary box point, via its dominant
         representative."""
-        v = cs_index[c]
-        dom = _reflect_to_dominant(base, gram, v)
-        return dominant_mult.get(dom, 0)
+        return dominant_mult.get(to_dominant(c), 0)
 
     norm_mu = B(vec_add(mu, rho), vec_add(mu, rho))
     for c in all_cs:
-        v = cs_index[c]
-        dom = _reflect_to_dominant(base, gram, v)
-        if dom != v or dom in dominant_mult:
+        if to_dominant(c) != c:
             continue
         if sum(c) == 0:
-            dominant_mult[v] = 1
+            dominant_mult[c] = 1
             continue
+        v = vec_of(c)
         denom = norm_mu - B(vec_add(v, rho), vec_add(v, rho))
         total = Fraction(0)
-        for p, cp in zip(positives, pos_coords):
+        for p, cp in positives:
             k = 1
             while True:
                 c2 = tuple(ci - k * cpi for ci, cpi in zip(c, cp))
@@ -122,13 +112,12 @@ def freudenthal(base, positives, gram, mu):
         if denom == 0:
             if total != 0:
                 raise TheoremViolation("Freudenthal 0/0 with nonzero numerator")
-            dominant_mult[v] = 0
             continue
         m = 2 * total / denom
         if m.denominator != 1 or m < 0:
             raise TheoremViolation("non-integral Freudenthal multiplicity")
         if m:
-            dominant_mult[v] = int(m)
+            dominant_mult[c] = int(m)
 
     out = {}
     for c in all_cs:
@@ -167,8 +156,6 @@ class DualGroup:
     def __init__(self, datum):
         self.datum = datum
         self.system = datum.coroot_system()
-        self.gram = datum.gram_star()
-        self._positives = self.system.positive_roots()
         self._tables = {}
         self._folds = {}
         self._trace_tables = {}
@@ -178,7 +165,7 @@ class DualGroup:
         if mu not in self._tables:
             if not self.datum.is_dominant_cochar(mu):
                 raise ValueError("mu must be dominant")
-            tbl = freudenthal(self.system.base, self._positives, self.gram, mu)
+            tbl = freudenthal(self.system, mu)
             self._tables[mu] = WeightTable(self.system.base, mu, tbl)
         return self._tables[mu]
 
@@ -195,8 +182,7 @@ class DualGroup:
         key = tuple(sorted(matrices))
         if key not in self._folds:
             grp = group_closure(list(matrices))
-            folded = fold(self.system, grp, "Nprime")
-            self._folds[key] = (folded, folded.positive_roots())
+            self._folds[key] = fold(self.system, grp, "Nprime")
         return self._folds[key]
 
     def trace_table(self, g_cochar, mu):
@@ -217,8 +203,8 @@ class DualGroup:
         if g_cochar == identity_matrix(n):
             out = {tuple(v): m for _c, v, m in self.weight_table(mu).items()}
         else:
-            folded, pos = self._folded((g_cochar,))
-            tbl = freudenthal(folded.base, pos, self.gram, mu)
+            folded = self._folded((g_cochar,))
+            tbl = freudenthal(folded, mu)
             out = {}
             for c, m in tbl.items():
                 v = frac_vec(mu)
@@ -278,11 +264,8 @@ class FixedGroup:
         ech = lgd.echelonnage()
         self.sigma = ech.sigma_breve
         self.system = ech.sigma_breve.rs_co
-        self.gram = lgd.datum.gram_star()
-        self._positives = self.system.positive_roots()
         # Knop-side fold for the tau-twisted character of V_{lambda,1}
         self.knop_co = ech.sigma0_tilde_co
-        self._knop_positives = self.knop_co.positive_roots()
         self._knop_classes = []
         for (orb, orth) in self.knop_co.orbits:
             total = None
@@ -312,8 +295,7 @@ class FixedGroup:
             return self._hw_cache[lam]
         if not self.is_dominant(lam):
             raise ValueError("lambda must be dominant")
-        tbl = freudenthal(self.system.base, self._positives, self.gram,
-                          self.section(lam))
+        tbl = freudenthal(self.system, self.section(lam))
         out = {}
         for c, m in tbl.items():
             nu = lam
@@ -334,8 +316,7 @@ class FixedGroup:
             raise ValueError("lambda must be dominant")
         if not self.is_tau_fixed(lam):
             raise ValueError("lambda must be tau-fixed")
-        tbl = freudenthal(self.knop_co.base, self._knop_positives, self.gram,
-                          self.section(lam))
+        tbl = freudenthal(self.knop_co, self.section(lam))
         out = {}
         for c, m in tbl.items():
             nu = lam
@@ -354,17 +335,7 @@ class FixedGroup:
 
     def class_leq(self, lam, mu):
         """lam <= mu in the Sigma_breve^vee cone inside X_*(T)_I."""
-        diff = mu - lam
-        cols = tuple(frac_vec(c.free) for c in self.sigma.base_classes)
-        if not cols:
-            return diff.is_zero()
-        sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
-        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
-            return False
-        acc = self.coinv.zero()
-        for c, cls in zip(sol, self.sigma.base_classes):
-            acc = acc + cls.scale(int(c))
-        return acc == diff
+        return self.sigma.class_leq(lam, mu)
 
 
 class CharacterContext:
@@ -506,7 +477,7 @@ def weight_multiplicity(datum, mu, nu):
     system = datum.root_system()
     if not all(vec_dot(frac_vec(mu), frac_vec(cv)) >= 0 for cv in datum.simple_coroots):
         raise ValueError("mu must be dominant")
-    tbl = freudenthal(system.base, system.positive_roots(), datum.gram(), mu)
+    tbl = freudenthal(system, mu)
     diff = vec_sub(frac_vec(mu), frac_vec(nu))
     coords = gauss_solve(mat_transpose(system.base), diff)
     if coords is None or any(c.denominator != 1 or c < 0 for c in coords):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -224,6 +225,9 @@ def cmd_testfn(args):
         preset = load_preset(args.preset)
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if preset.tower_small is None and not args.degenerate:
+        if args.j != 1:
+            raise PresetError("--j %d needs tower data, and preset %s has no "
+                              "tower data" % (args.j, preset.name))
         center = CenterContext(preset.lgd, preset.overrides)
         z = z_v_star_1j(center, mu)
         label = "z_V*1_J"
@@ -325,7 +329,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): drop the rest quietly
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
     except (PresetError, MalformedAction, UnparameterizedComponent, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

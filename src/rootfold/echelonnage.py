@@ -31,6 +31,8 @@ from .folding import (
 )
 from .lattice import MalformedAction, coinvariants, group_closure
 from .linalg import (
+    frac_vec,
+    gauss_solve,
     identity_matrix,
     is_positive_definite,
     mat_integer_inverse,
@@ -93,8 +95,9 @@ class LocalGroupDatum:
 class SigmaSystem:
     """A folded system on both sides of the duality, with lattice classes.
 
-    base_pairs[k] = (root vector in X^* (x) Q, coroot vector in X_* (x) Q,
-    coroot class in X_*(T)_I).  The two folded systems are built
+    For the k-th simple root, `base[k]` is the root vector in X^* (x) Q,
+    `cobase[k]` the coroot vector in X_* (x) Q and `base_classes[k]` the
+    coroot class in X_*(T)_I.  The two folded systems are built
     independently and verified against each other.
     """
 
@@ -120,6 +123,22 @@ class SigmaSystem:
 
     def classify(self):
         return self.rs_root.classify()
+
+    def class_leq(self, lam, mu):
+        """lam <= mu in the cone of the coroot classes inside X_*(T)_I:
+        mu - lam is a nonnegative integral combination of `base_classes`
+        (torsion coordinates included)."""
+        diff = mu - lam
+        cols = tuple(frac_vec(c.free) for c in self.base_classes)
+        if not cols:
+            return diff.is_zero()
+        sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
+        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+            return False
+        acc = diff.lattice.zero()
+        for c, cls in zip(sol, self.base_classes):
+            acc = acc + cls.scale(int(c))
+        return acc == diff
 
 
 def _check_dual_match(rs_res_co, rs_norm_root, iota, name):

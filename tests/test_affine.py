@@ -1,10 +1,12 @@
 """Extended affine Weyl groups: lengths, Bruhat order, admissible sets."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from rootfold.affine import (
+    _orbit_longest_matrix,
     admissible_set,
     build_affine,
     build_tau_fixed,
@@ -13,7 +15,15 @@ from rootfold.affine import (
     verify_extremal,
 )
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from rootfold.linalg import frac_vec, gauss_solve, mat_mul, mat_transpose, mat_vec, vec_dot
+from rootfold.presets import load_preset, preset_names
+from rootfold.rootdata import (
+    _components,
+    build_datum,
+    diagram_automorphism,
+    gl_datum,
+    unitary_dual_action,
+)
 
 
 def flip(r):
@@ -302,3 +312,76 @@ def test_tau_fixed_engine_su4():
     ball = _ball(teng, 3)
     for x, depth in ball.items():
         assert teng.length(x) == depth
+
+
+def reference_engine_data(eng, sigma, gram):
+    """Root data of an engine derived the slow way, without the Sigma
+    system's coordinates: a Fraction closure of (root, class, reflection)
+    triples under the character action of the simple matrices, one
+    gauss_solve per root for positivity, the Cartan matrix from the form,
+    and the highest root of each component by a gauss_solve per positive
+    root.  Returns (positive roots, components, affine walls as
+    (key, (class, matrix)))."""
+    base = tuple(frac_vec(b) for b in sigma.base)
+    triples = {}
+    frontier = []
+    for t in zip(base, sigma.base_classes, eng.simple_matrices):
+        triples[t[0]] = t
+        frontier.append(t)
+    while frontier:
+        nxt = []
+        for root, cls, refl in frontier:
+            for m in eng.simple_matrices:
+                r2 = tuple(Fraction(x) for x in mat_vec(eng.char_action(m), root))
+                if r2 not in triples:
+                    t2 = (r2, eng.endo(m)(cls),
+                          mat_mul(mat_mul(m, refl), eng.inverse_matrix(m)))
+                    triples[r2] = t2
+                    nxt.append(t2)
+        frontier = nxt
+    roots = dict(triples)
+    for r, (_r, cls, refl) in triples.items():
+        neg = tuple(-x for x in r)
+        roots.setdefault(neg, (neg, -cls, refl))
+    A = mat_transpose(base)
+    coords = {r: gauss_solve(A, r) for r in roots}
+    pos = tuple(r for r in sorted(roots) if all(x >= 0 for x in coords[r]))
+
+    def form(u, v):
+        return vec_dot(u, mat_vec(gram, v))
+
+    n = len(base)
+    cart = tuple(tuple(int(2 * form(base[i], base[j]) / form(base[i], base[i]))
+                       for j in range(n)) for i in range(n))
+    comps = _components(cart)
+    walls = [(("fin", k), (eng.coinv.zero(), m))
+             for k, m in enumerate(eng.simple_matrices)]
+    for ci, comp in enumerate(comps):
+        inside = [r for r in pos
+                  if all(coords[r][i] == 0 for i in range(n) if i not in comp)]
+        theta = max(inside, key=lambda r: sum(coords[r]))
+        walls.append((("aff", ci), roots[theta][1:]))
+    return pos, comps, walls
+
+
+@pytest.mark.parametrize("name", preset_names() + ("tower-su3/lgd_big",))
+def test_engines_match_reference_closure(name):
+    if name == "tower-su3/lgd_big":
+        lgd = load_preset("tower-su3").tower_config().lgd_big
+    else:
+        lgd = load_preset(name).lgd
+    gram = lgd.datum.gram()
+    ech = lgd.echelonnage()
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    # the tau-level simple matrices, with adjacency read off the form
+    breve_base = ech.sigma_breve.base
+    mats = [_orbit_longest_matrix(
+        orb, lambda i, j: vec_dot(breve_base[i], mat_vec(gram, breve_base[j])) != 0,
+        beng.simple_matrices) for orb, _orth in ech.sigma0.rs_root.orbits]
+    assert list(teng.simple_matrices) == mats, name
+    for eng, sigma in ((beng, ech.sigma_breve), (teng, ech.sigma0)):
+        pos, comps, walls = reference_engine_data(eng, sigma, gram)
+        assert eng.positive_roots == pos, name
+        assert eng.components == comps, name
+        assert [(k, (x.lam, x.w)) for k, x in eng.s_aff] == walls, name

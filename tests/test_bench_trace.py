@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds every layer it times.
+
+`benchmarks/tracer.py` wraps rootfold functions and methods by name, so a
+rename in `src/` would break `benchmarks/run.py --trace 1`.  The tracer
+patches the library globally, so it is installed in a child interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CHILD = r"""
+import importlib
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from tracer import TARGETS, Tracer
+
+Tracer().install()
+unwrapped = []
+for name, mod, attr, _hot in TARGETS:
+    obj = importlib.import_module("rootfold." + mod)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    if not hasattr(obj, "__wrapped__"):
+        unwrapped.append(name)
+print(json.dumps({"targets": len(TARGETS), "unwrapped": unwrapped}))
+"""
+
+
+def test_tracer_wraps_every_target():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, os.path.join(ROOT, "benchmarks")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["targets"] > 0
+    assert out["unwrapped"] == []

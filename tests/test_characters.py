@@ -4,13 +4,31 @@ The independent oracles: sl2 strings, the Weyl dimension formula, and an
 explicit 8-dimensional matrix model of the A2 flip on sl3.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from rootfold.characters import CharacterContext, DualGroup, weight_multiplicity
+from rootfold.characters import (
+    CharacterContext,
+    DualGroup,
+    FixedGroup,
+    freudenthal,
+    weight_multiplicity,
+)
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.linalg import frac_vec, gauss_solve, mat_mul, mat_transpose, mat_vec, vec_dot
+from rootfold.linalg import (
+    frac_vec,
+    gauss_solve,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    vec_add,
+    vec_dot,
+    vec_scale,
+    vec_sub,
+)
+from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
 
 
@@ -70,6 +88,79 @@ def test_freudenthal_dimensions(cartan, iso, mu, dim):
     assert total == expect
     if dim is not None:
         assert total == dim
+
+
+def reference_freudenthal(base, positives, gram, mu):
+    """Freudenthal's recursion on ambient Fraction vectors: box bounds and
+    root coordinates by gauss_solve, dominant representatives by reflecting
+    vectors in the form."""
+
+    def B(u, w):
+        return vec_dot(frac_vec(u), mat_vec(gram, frac_vec(w)))
+
+    def to_dominant(v, sign=1):
+        while True:
+            for b in base:
+                if sign * B(b, v) < 0:
+                    v = vec_sub(v, vec_scale(2 * B(b, v) / B(b, b), b))
+                    break
+            else:
+                return v
+
+    base = tuple(frac_vec(b) for b in base)
+    mu = frac_vec(mu)
+    A = mat_transpose(base)
+    bounds = [int(c) for c in gauss_solve(A, vec_sub(mu, to_dominant(mu, -1)))]
+    coords = {p: tuple(int(x) for x in gauss_solve(A, frac_vec(p))) for p in positives}
+    rho = (Fraction(0),) * len(mu)
+    for p in positives:
+        rho = vec_add(rho, vec_scale(Fraction(1, 2), frac_vec(p)))
+    vec = {}
+    for c in itertools.product(*(range(b + 1) for b in bounds)):
+        v = mu
+        for ci, b in zip(c, base):
+            v = vec_sub(v, vec_scale(ci, b))
+        vec[c] = v
+    cs = sorted(vec, key=lambda c: (sum(c), c))
+    mult = {}
+    norm_mu = B(vec_add(mu, rho), vec_add(mu, rho))
+    for c in cs:
+        v = vec[c]
+        if to_dominant(v) != v:
+            continue
+        if sum(c) == 0:
+            mult[v] = 1
+            continue
+        total = Fraction(0)
+        for p in positives:
+            k = 1
+            while all(ci >= k * pi for ci, pi in zip(c, coords[p])):
+                c2 = tuple(ci - k * pi for ci, pi in zip(c, coords[p]))
+                total += B(vec_add(v, vec_scale(k, p)), p) \
+                    * mult.get(to_dominant(vec[c2]), 0)
+                k += 1
+        denom = norm_mu - B(vec_add(v, rho), vec_add(v, rho))
+        mult[v] = 2 * total / denom if denom else 0
+    out = {c: mult.get(to_dominant(vec[c]), 0) for c in cs}
+    return {c: m for c, m in out.items() if m}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_freudenthal_matches_reference(name):
+    # Phi^vee, Sigma_breve^vee and the Knop fold, on small dominant inputs
+    lgd = load_preset(name).lgd
+    h = FixedGroup(lgd)
+    cases = []
+    for mu in lgd.datum.dominant_cochars_up_to(6, central_box=0):
+        cases.append((lgd.datum.coroot_system(), mu))
+        lam = lgd.coinv.project(mu)
+        if h.is_dominant(lam):
+            cases.append((h.system, h.section(lam)))
+            if h.is_tau_fixed(lam):
+                cases.append((h.knop_co, h.section(lam)))
+    for rs, mu in cases:
+        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, mu)
+        assert freudenthal(rs, mu) == ref, (name, rs, mu)
 
 
 def test_adjoint_zero_multiplicity():

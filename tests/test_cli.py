@@ -1,6 +1,9 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import io
 import json
+import os
+import sys
 
 from rootfold import cli
 
@@ -101,6 +104,34 @@ def test_testfn_j_below_one_exit_2(capsys):
         assert code == 2, j
         assert out == ""
         assert err.strip() == "input error: --j must be at least 1, got %s" % j
+
+
+def test_testfn_j_without_tower_exit_2(capsys):
+    # a preset without tower data has no use for --j (unless --degenerate)
+    code, out, err = run(capsys, "testfn", "--preset", "split-a2", "--mu", "1,1",
+                         "--j", "5")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: --j 5 needs tower data, and preset "
+                           "split-a2 has no tower data")
+    code, out, _ = run(capsys, "testfn", "--preset", "split-a2", "--mu", "1,1")
+    assert code == 0
+    assert json.loads(out)["kind"] == "z_V*1_J"
+
+
+def test_broken_pipe_exits_quietly(monkeypatch, capsys):
+    # `rootfold ... | head` closes the pipe before the output is written
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main(["testfn", "--preset", "split-a2", "--mu", "1,1"])
+    devnull = sys.stdout
+    assert code == 0
+    assert devnull.name == os.devnull
+    devnull.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_permutation_exit_2(capsys):
