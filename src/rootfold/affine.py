@@ -261,18 +261,22 @@ class ExtendedAffineWeyl:
         self._bruhat[key] = out
         return out
 
-    def lower_interval(self, y):
-        """All x <= y, via subword products of a reduced word of y."""
+    def lower_interval(self, y, cap=ADM_CAP):
+        """All x <= y, via subword products of a reduced word of y.  Raises
+        ResourceCap as soon as the enumeration passes `cap` elements."""
         word, omega = self.normal_form(y)
         key = (word, omega)
         if key in self._interval:
-            return self._interval[key]
+            out = self._interval[key]
+            if len(out) > cap:
+                raise ResourceCap("Bruhat interval exceeded cap %d" % cap)
+            return out
         elems = {self.identity}
         for k in word:
             s = self._s_aff_map[k]
             elems |= {self.multiply(x, s) for x in elems}
-            if len(elems) > ADM_CAP:
-                raise ResourceCap("Bruhat interval exceeded cap")
+            if len(elems) > cap:
+                raise ResourceCap("Bruhat interval exceeded cap %d" % cap)
         out = frozenset(self.multiply(x, omega) for x in elems)
         self._interval[key] = out
         return out

@@ -7,10 +7,15 @@ Ttilde_w = q^(-L(w)/2) T_w over Z[v, v^(-1)], v = q^(1/2):
 
 so that the standard-basis relation T_s^2 = (q^L(s)-1) T_s + q^L(s) T_e
 holds after rescaling.  Kazhdan-Lusztig elements c_y = sum p_{x,y} Ttilde_x
-are computed from the bar involution by triangular solving; the polynomials
-P_{x,y} = v^(L(y)-L(x)) p_{x,y} specialize at v = 1 to the coefficients of
-the geometric basis of the Hecke-algebra center (the Knop/Lusztig character
-formula), which is also computed independently from twining characters.
+are computed over the Bruhat interval [e, y], numbered in length order: the
+rows of the bar involution come from the R-polynomial recursion
+bar(Ttilde_x) = (Ttilde_s - (v_s - v_s^(-1))) bar(Ttilde_{sx}) for a left
+descent s of x (Lusztig, Hecke algebras with unequal parameters, sections
+4-6), one step per element, and p_{x,y} by triangular solving down the
+columns of that table.  The polynomials P_{x,y} = v^(L(y)-L(x)) p_{x,y}
+specialize at v = 1 to the coefficients of the geometric basis of the
+Hecke-algebra center (the Knop/Lusztig character formula), which is also
+computed independently from twining characters.
 """
 
 from __future__ import annotations
@@ -18,11 +23,25 @@ from __future__ import annotations
 from .echelonnage import TheoremViolation
 from .ring import LaurentPoly
 
-KL_INTERVAL_CAP = 100000
+# Largest Bruhat interval whose bar rows are built (for the KL solve and for
+# `bar_basis`).  Measured `kl_table` on split-a2 (one Xeon core): n = 366,
+# 546, 762, 1014, 1302, 1626 elements took 1.6, 3.9, 7.3, 17.9, 31.3, 55.7 s
+# (404 MB peak at 1626), a fit of t ~ n^2.39; so a solve at the cap takes
+# about a minute.
+KL_INTERVAL_CAP = 1700
 
 
 class UndefinedPair(ValueError):
     """Kazhdan-Lusztig polynomial requested outside the Bruhat order."""
+
+
+def _add_term(terms, x, c):
+    """terms[x] += c, dropping the entry when the sum is zero."""
+    s = terms[x] + c if x in terms else c
+    if s.is_zero():
+        terms.pop(x, None)
+    else:
+        terms[x] = s
 
 
 class HeckeElement:
@@ -44,11 +63,7 @@ class HeckeElement:
     def __add__(self, other):
         t = dict(self.terms)
         for x, c in other.terms.items():
-            s = t.get(x, LaurentPoly.zero()) + c
-            if s.is_zero():
-                t.pop(x, None)
-            else:
-                t[x] = s
+            _add_term(t, x, c)
         return HeckeElement(self.algebra, t)
 
     def __sub__(self, other):
@@ -67,8 +82,11 @@ class HeckeElement:
 class HeckeAlgebra:
     """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine.
 
-    Caches (bar expansions, KL tables, checked weights) are per-instance
-    dicts; confine an instance to one thread or guard access externally."""
+    Caches (bar-involution rows by interval, KL tables, checked weights)
+    are per-instance dicts; confine an instance to one thread or guard
+    access externally.  They hold index rows and plain dicts, never a
+    HeckeElement, so no cache points back at the algebra and an instance is
+    freed by reference counting alone."""
 
     def __init__(self, engine, weights):
         self.engine = engine
@@ -107,36 +125,22 @@ class HeckeAlgebra:
 
     # -- multiplication -----------------------------------------------------------
 
-    def _mult_gen(self, elt, key, side):
-        """Multiply by Ttilde_s on the chosen side."""
+    def _mult_gen(self, elt, key):
+        """Multiply by Ttilde_s on the right."""
         eng = self.engine
         s = eng._s_aff_map[key]
         out = {}
-
-        def add(x, c):
-            cur = out.get(x)
-            s2 = c if cur is None else cur + c
-            if s2.is_zero():
-                out.pop(x, None)
-            else:
-                out[x] = s2
-
         for x, c in elt.terms.items():
-            xs = eng.multiply(x, s) if side == "right" else eng.multiply(s, x)
-            if eng.length(xs) > eng.length(x):
-                add(xs, c)
-            else:
-                add(xs, c)
-                add(x, c * self._eps(key))
+            xs = eng.multiply(x, s)
+            _add_term(out, xs, c)
+            if eng.length(xs) < eng.length(x):
+                _add_term(out, x, c * self._eps(key))
         return HeckeElement(self, out)
 
-    def _mult_omega(self, elt, omega, side):
+    def _mult_omega(self, elt, omega):
         eng = self.engine
-        out = {}
-        for x, c in elt.terms.items():
-            y = eng.multiply(x, omega) if side == "right" else eng.multiply(omega, x)
-            out[y] = c
-        return HeckeElement(self, out)
+        return HeckeElement(self, {eng.multiply(x, omega): c
+                                   for x, c in elt.terms.items()})
 
     def multiply(self, a, b):
         """Product in H, expanding b through its normal form letters."""
@@ -147,8 +151,8 @@ class HeckeAlgebra:
             self._check_weight_consistency(y, word)
             acc = a.scale(c)
             for key in word:
-                acc = self._mult_gen(acc, key, "right")
-            acc = self._mult_omega(acc, omega, "right")
+                acc = self._mult_gen(acc, key)
+            acc = self._mult_omega(acc, omega)
             out = out + acc
         return out
 
@@ -164,19 +168,69 @@ class HeckeAlgebra:
 
     # -- bar involution -----------------------------------------------------------
 
-    def bar_basis(self, x):
-        """bar(Ttilde_x) = Ttilde_{x^-1}^{-1}, expanded in the Ttilde basis."""
-        if x in self._bar_cache:
-            return self._bar_cache[x]
+    def _interval_rows(self, y_aff):
+        """The Bruhat interval [e, y_aff] of an element with trivial Omega
+        part, numbered 0..n-1 in length order, and the rows of the bar
+        involution on it: bar(Ttilde_{elems[j]}) = sum_i rows[j][i]
+        Ttilde_{elems[i]}.
+
+        Row j comes from the row of s x for the first wall s (in `s_aff`
+        order, as in `normal_form`) that is a left descent of x = elems[j]:
+        bar(Ttilde_x) = (Ttilde_s - eps_s) bar(Ttilde_{sx}), and
+        (Ttilde_s - eps_s) Ttilde_w is Ttilde_{sw} when sw < w and
+        Ttilde_{sw} - eps_s Ttilde_w when sw > w (the R-polynomial
+        recursion).  By the lifting property sw stays in [e, y_aff], so the
+        products s w are looked up in a table indexed like the interval.
+        Every element is registered in `_bar_cache` (first interval wins)
+        with its row, for `bar_basis`."""
         eng = self.engine
-        word, omega = eng.normal_form(x)
-        out = HeckeElement(self, {omega: LaurentPoly.one()})
-        # bar(Ttilde_s) = Ttilde_s - (v_s - v_s^{-1}); multiply left-to-right
-        for key in reversed(word):
-            out = self._mult_gen(out, key, "left") + \
-                out.scale(-self._eps(key))
-        self._bar_cache[x] = out
-        return out
+        length = eng.length
+        elems = sorted(eng.lower_interval(y_aff, KL_INTERVAL_CAP),
+                       key=length)
+        index = {x: i for i, x in enumerate(elems)}
+        lengths = [length(x) for x in elems]
+        walls = [(s, self._eps(key)) for key, s in eng.s_aff]
+        left = [[None] * len(elems) for _ in walls]
+
+        def times(k, j):
+            """Index of s_k x_j; -1 when it leaves the interval, which
+            happens only when s_k x_j > x_j."""
+            i = left[k][j]
+            if i is None:
+                i = left[k][j] = index.get(
+                    eng.multiply(walls[k][0], elems[j]), -1)
+            return i
+
+        rows = [{0: LaurentPoly.one()}]
+        for j in range(1, len(elems)):
+            for k in range(len(walls)):
+                sx = times(k, j)
+                if sx >= 0 and lengths[sx] < lengths[j]:
+                    break
+            eps = walls[k][1]
+            row = {}
+            for w, c in rows[sx].items():
+                sw = times(k, w)
+                _add_term(row, sw, c)
+                if lengths[sw] > lengths[w]:
+                    _add_term(row, w, -(c * eps))
+            rows.append(row)
+        for j, x in enumerate(elems):
+            self._bar_cache.setdefault(x, (elems, rows, j))
+        return elems, rows
+
+    def bar_basis(self, x):
+        """bar(Ttilde_x) = Ttilde_{x^-1}^{-1}, expanded in the Ttilde basis.
+        For x = x_aff omega the row of x_aff is read from the interval rows
+        of the first interval that contained it, else of [e, x_aff]."""
+        eng = self.engine
+        _word, omega = eng.normal_form(x)
+        x_aff = eng.multiply(x, eng.inverse(omega))
+        if x_aff not in self._bar_cache:
+            self._interval_rows(x_aff)
+        elems, rows, j = self._bar_cache[x_aff]
+        return HeckeElement(self, {eng.multiply(elems[i], omega): r
+                                   for i, r in rows[j].items()})
 
     def bar(self, elt):
         out = HeckeElement(self, {})
@@ -188,38 +242,43 @@ class HeckeAlgebra:
 
     def kl_table(self, y):
         """{x: p_{x,y}} with c_y = sum_x p_{x,y} Ttilde_x bar-invariant,
-        p_{y,y} = 1 and deg p_{x,y} < 0 for x < y."""
+        p_{y,y} = 1 and deg p_{x,y} < 0 for x < y.
+
+        Solved downwards over the numbered interval: p_x - bar(p_x) =
+        sum_{w > x} bar(p_w) r_{w,x}, read from the column of x."""
         if y in self._kl_cache:
             return self._kl_cache[y]
         eng = self.engine
-        word, omega = eng.normal_form(y)
+        _word, omega = eng.normal_form(y)
         y_aff = eng.multiply(y, eng.inverse(omega))
-        interval = sorted(eng.lower_interval(y_aff),
-                          key=lambda x: -eng.length(x))
-        if len(interval) > KL_INTERVAL_CAP:
-            from .lattice import ResourceCap
-            raise ResourceCap("Bruhat interval for the KL solve exceeds %d"
-                              % KL_INTERVAL_CAP)
-        bar_rows = {x: self.bar_basis(x) for x in interval}
-        p = {y_aff: LaurentPoly.one()}
-        for x in interval:
-            if x == y_aff:
-                continue
+        elems, rows = self._interval_rows(y_aff)
+        top = len(elems) - 1
+        cols = [[] for _ in elems]
+        for w, row in enumerate(rows):
+            for x, r in row.items():
+                if x != w:
+                    cols[x].append((w, r))
+        p = {top: LaurentPoly.one()}
+        pbar = {top: LaurentPoly.one()}
+        for x in range(top - 1, -1, -1):
             f = LaurentPoly.zero()
-            for w, pw in p.items():
-                if w == x:
-                    continue
-                f = f + pw.bar() * bar_rows[w].coefficient(x)
+            for w, r in cols[x]:
+                if w in pbar:
+                    f = f + pbar[w] * r
             if f.bar() != -f or f.constant_term() != 0:
                 raise TheoremViolation("bar self-consistency failed in KL solve")
             px = f.negative_part()
             if not px.is_zero():
                 p[x] = px
-        # verify: c_y is bar-invariant
-        c = HeckeElement(self, {eng.multiply(x, omega): q for x, q in p.items()})
-        if self.bar(c) != c:
+                pbar[x] = px.bar()
+        # verify: c_y is bar-invariant, bar(c_y) = sum_w bar(p_w) bar(Ttilde_w)
+        c = {}
+        for w, pw in pbar.items():
+            for x, r in rows[w].items():
+                _add_term(c, x, pw * r)
+        if c != p:
             raise TheoremViolation("canonical basis element is not bar-invariant")
-        table = {eng.multiply(x, omega): q for x, q in p.items()}
+        table = {eng.multiply(elems[x], omega): q for x, q in p.items()}
         self._kl_cache[y] = table
         return table
 

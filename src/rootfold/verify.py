@@ -44,10 +44,15 @@ class Verifier:
         try:
             self._theorem_a(name, preset)
             center = self._theorem_b(name, preset)
-            self._theorem_c(name, preset, center)
-            self._theorem_d(name, preset, center)
-            self._branching(name, preset, center)
-            self._test_functions(name, preset, center)
+            # one enumeration of the dominant cocharacters, shared by C, D
+            # and the branching and test-function checks
+            mus = preset.datum.dominant_cochars_up_to(self.mu_bound,
+                                                      self.central_box)
+            self._theorem_c(name, preset, center, mus)
+            self._theorem_d(name, preset, center, mus)
+            branch_mus = self._branching_mus(preset, mus)
+            self._branching(name, preset, center, branch_mus)
+            self._test_functions(name, preset, center, branch_mus)
         except ResourceCap as exc:
             self.capped = True
             self.lines.append("CAP resource preset=%s %s" % (name, exc))
@@ -103,10 +108,9 @@ class Verifier:
 
     # -- Theorem C ---------------------------------------------------------
 
-    def _theorem_c(self, name, preset, center):
+    def _theorem_c(self, name, preset, center, mus):
         lgd = preset.lgd
         engine = center.breve_engine
-        mus = preset.datum.dominant_cochars_up_to(self.mu_bound, self.central_box)
         all_ok = True
         details = []
         for mu in mus:
@@ -119,13 +123,17 @@ class Verifier:
 
     # -- Theorem D ---------------------------------------------------------
 
-    def _kl_lambdas(self, preset, center):
+    def _kl_lambdas(self, preset, center, mus):
+        """Dominant tau-fixed images of the cocharacters up to kl_bound;
+        `mus` are those up to mu_bound, reused when the bounds agree."""
         lgd = preset.lgd
         out = []
         seen = set()
         h = center.chars.h
-        for mu in preset.datum.dominant_cochars_up_to(self.kl_bound,
-                                                      self.central_box):
+        if self.kl_bound != self.mu_bound:
+            mus = preset.datum.dominant_cochars_up_to(self.kl_bound,
+                                                      self.central_box)
+        for mu in mus:
             lam = lgd.coinv.project(mu)
             if lam in seen:
                 continue
@@ -134,10 +142,10 @@ class Verifier:
                 out.append(lam)
         return sorted(out, key=lambda c: (c.free, c.tors))
 
-    def _theorem_d(self, name, preset, center):
+    def _theorem_d(self, name, preset, center, mus):
         if not preset.kl_check:
             return
-        lams = self._kl_lambdas(preset, center)
+        lams = self._kl_lambdas(preset, center, mus)
         all_ok = True
         bad = []
         for lam in lams:
@@ -151,22 +159,20 @@ class Verifier:
 
     # -- branching / decomposition ------------------------------------------
 
-    def _branching_mus(self, preset):
+    def _branching_mus(self, preset, mus):
         lgd = preset.lgd
         out = []
-        for mu in preset.datum.dominant_cochars_up_to(self.mu_bound,
-                                                      self.central_box):
+        for mu in mus:
             if all(mat_vec(g, mu) == tuple(mu) for g in lgd.inertia.cochar_group) \
                     and tuple(mat_vec(lgd.tau_cochar, mu)) == tuple(mu):
                 out.append(mu)
         return out
 
-    def _branching(self, name, preset, center):
+    def _branching(self, name, preset, center, mus):
         lgd = preset.lgd
         chars = center.chars
         all_ok = True
         details = []
-        mus = self._branching_mus(preset)
         for mu in mus:
             mubar = lgd.coinv.project(mu)
             br = chars.branching(mu)
@@ -183,10 +189,9 @@ class Verifier:
 
     # -- test functions -------------------------------------------------------
 
-    def _test_functions(self, name, preset, center):
+    def _test_functions(self, name, preset, center, mus):
         lgd = preset.lgd
         chars = center.chars
-        mus = self._branching_mus(preset)
         all_ok = True
         details = []
         for mu in mus:

@@ -1,11 +1,24 @@
 """Hecke algebras with unequal parameters, KL polynomials, geometric basis."""
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rootfold import cli, hecke
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.hecke import BernsteinElement, CenterContext, UndefinedPair, evaluate_bernstein
+from rootfold.hecke import (
+    BernsteinElement,
+    CenterContext,
+    HeckeElement,
+    UndefinedPair,
+    evaluate_bernstein,
+)
+from rootfold.lattice import ResourceCap
+from rootfold.presets import load_preset
 from rootfold.ring import LaurentPoly
 from rootfold.rootdata import build_datum, diagram_automorphism
 
@@ -277,3 +290,176 @@ def test_theorem_d_bridge_triality():
     a = ctx.geometric_basis(lam)
     assert a == ctx.geometric_basis_kl(lam)
     assert a == BernsteinElement({lam: 1, L.zero(): 1})
+
+
+# -- the whole-word route, kept as the reference for the interval kernel -------
+
+
+def _left_mult_gen(H, elt, key):
+    """Ttilde_s * elt."""
+    eng = H.engine
+    s = eng._s_aff_map[key]
+    out = HeckeElement(H, {})
+    for x, c in elt.terms.items():
+        sx = eng.multiply(s, x)
+        out = out + HeckeElement(H, {sx: c})
+        if eng.length(sx) < eng.length(x):
+            out = out + HeckeElement(H, {x: c * H._eps(key)})
+    return out
+
+
+def reference_bar_basis(H, x, cache):
+    """bar(Ttilde_x) rebuilt letter by letter from the normal form:
+    bar(Ttilde_s) = Ttilde_s - (v_s - v_s^-1), multiplied on the left of
+    Ttilde_omega."""
+    if x not in cache:
+        word, omega = H.engine.normal_form(x)
+        out = HeckeElement(H, {omega: LaurentPoly.one()})
+        for key in reversed(word):
+            out = _left_mult_gen(H, out, key) + out.scale(-H._eps(key))
+        cache[x] = out
+    return cache[x]
+
+
+def reference_kl_table(H, y, cache):
+    """{x: p_{x,y}} by triangular solving against the reference bar rows."""
+    eng = H.engine
+    _word, omega = eng.normal_form(y)
+    y_aff = eng.multiply(y, eng.inverse(omega))
+    interval = sorted(eng.lower_interval(y_aff), key=lambda x: -eng.length(x))
+    bar_rows = {x: reference_bar_basis(H, x, cache) for x in interval}
+    p = {y_aff: LaurentPoly.one()}
+    for x in interval:
+        if x == y_aff:
+            continue
+        f = LaurentPoly.zero()
+        for w, pw in p.items():
+            if w != x:
+                f = f + pw.bar() * bar_rows[w].coefficient(x)
+        assert f.bar() == -f and f.constant_term() == 0
+        if not f.negative_part().is_zero():
+            p[x] = f.negative_part()
+    c = HeckeElement(H, p)
+    bar_c = HeckeElement(H, {})
+    for x, q in p.items():
+        bar_c = bar_c + bar_rows[x].scale(q.bar())
+    assert bar_c == c
+    return {eng.multiply(x, omega): q for x, q in p.items()}
+
+
+def _order_four_center():
+    d = build_datum("A2xA2", "simply_connected")
+    lgd = LocalGroupDatum(d, (), diagram_automorphism(d, (2, 3, 1, 0)),
+                          label="res-su3")
+    return lgd, CenterContext(lgd)
+
+
+def _preset_center(name):
+    preset = load_preset(name)
+    return preset.lgd, CenterContext(preset.lgd, preset.overrides)
+
+
+REFERENCE_CASES = [
+    ("su3-unramified", (3, 3)),
+    ("res-su3", (1, 1, 1, 1)),
+    ("split-a2", (1, 1)),
+    ("split-a2", (2, 2)),
+    ("split-b2", (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,vec", REFERENCE_CASES)
+def test_interval_kernel_matches_reference(name, vec):
+    """Full KL tables and every bar(Ttilde_x) on the interval agree with the
+    whole-word route, both on a fresh algebra (each x read from its own
+    interval, shortest first) and after the KL solve (x read from the
+    interval of y)."""
+    centers = [(_order_four_center() if name == "res-su3"
+                else _preset_center(name)) for _ in range(2)]
+    (lgd, fresh), (_lgd, solved) = centers
+    if name == "su3-unramified":
+        assert solved.parameters == {("fin", 0): 3, ("aff", 0): 1}
+    if name == "res-su3":
+        assert solved.parameters == {("fin", 0): 6, ("aff", 0): 2}
+    eng = solved.tau_engine
+    y = eng.max_double_coset(lgd.coinv.project(vec))
+    cache = {}
+    ref = reference_kl_table(solved.hecke, y, cache)
+    assert solved.hecke.kl_table(y) == ref
+    interval = sorted(eng.lower_interval(y), key=eng.length)
+    assert len(interval) > 1
+    for x in interval:
+        expect = reference_bar_basis(solved.hecke, x, cache)
+        assert solved.hecke.bar_basis(x) == expect
+        assert fresh.hecke.bar_basis(x) == expect
+
+
+def test_kl_caches_hold_no_algebra_reference():
+    """Dropping a CenterContext frees its algebra and engines without the
+    cyclic collector: no cache entry points back at the algebra."""
+    gc.collect()
+    gc.disable()
+    try:
+        lgd, center = _su3_center()
+        lam = lgd.coinv.project((1, 1))
+        center.geometric_basis_kl(lam)
+        y = center.tau_engine.max_double_coset(lam)
+        c = center.hecke.canonical_basis_element(y)
+        assert center.hecke.bar(c) == c
+        del c
+        refs = [weakref.ref(center.hecke), weakref.ref(center.tau_engine)]
+        del center
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_kl_interval_cap_trips_while_enumerating(monkeypatch, capsys):
+    monkeypatch.setattr(hecke, "KL_INTERVAL_CAP", 40)
+    lgd, center = _preset_center("split-a2")
+    eng = center.tau_engine
+    y = eng.max_double_coset(lgd.coinv.project((2, 2)))
+    with pytest.raises(ResourceCap):
+        center.hecke.kl_table(y)
+    # the enumeration stopped at the cap: no interval was stored
+    assert eng._interval == {}
+    code = cli.main(["kl", "--preset", "split-a2", "--pair", "0,0|2,2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CAP
+    assert err.startswith("resource cap: Bruhat interval exceeded cap 40")
+
+
+# -- properties over small data --------------------------------------------------
+
+PROPERTY_PRESETS = ("split-a1", "split-gl2", "split-a2", "split-b2",
+                    "su3-unramified", "tower-su3")
+_PROPERTY_CENTERS = {}
+
+
+def _property_center(name):
+    """(center, sorted dominant tau-fixed lambda with <2rho, lambda> <= 4)."""
+    if name not in _PROPERTY_CENTERS:
+        preset = load_preset(name)
+        center = CenterContext(preset.lgd, preset.overrides)
+        h = center.chars.h
+        lams = {preset.lgd.coinv.project(mu)
+                for mu in preset.datum.dominant_cochars_up_to(4)}
+        lams = sorted((lam for lam in lams
+                       if h.is_tau_fixed(lam) and h.is_dominant(lam)),
+                      key=lambda c: (c.free, c.tors))
+        _PROPERTY_CENTERS[name] = (center, lams)
+    return _PROPERTY_CENTERS[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PROPERTY_PRESETS), st.data())
+def test_kl_route_properties(name, data):
+    center, lams = _property_center(name)
+    lam = data.draw(st.sampled_from(lams))
+    assert center.geometric_basis(lam) == center.geometric_basis_kl(lam)
+    H = center.hecke
+    y = center.tau_engine.max_double_coset(lam)
+    c = H.canonical_basis_element(y)
+    assert H.bar(c) == c
+    for x in c.terms:
+        assert H.kl_polynomial(x, y).min_degree() >= 0
