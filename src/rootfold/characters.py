@@ -457,14 +457,6 @@ class CharacterContext:
         return lhs == rhs
 
 
-def fixed_point_datum(lgd):
-    """The based root datum data of the fixed dual group G-hat^I: weight
-    lattice X_*(T)_I, roots Sigma_breve^vee with base classes, realized by
-    the FixedGroup machinery (cross-checked against the echelonnage system
-    at construction time)."""
-    return FixedGroup(lgd)
-
-
 def twining_character(datum, sigma_cochar, mu):
     """{nu: tr(sigma | V_mu(nu))} over sigma-fixed weights of the dual-group
     module V_mu, for a splitting-preserving automorphism fixing mu."""

@@ -161,6 +161,12 @@ def cmd_kl(args):
     nu = preset.lgd.coinv.project(_parse_cochar(nu_s, preset.datum, "--pair"))
     lam = preset.lgd.coinv.project(_parse_cochar(lam_s, preset.datum, "--pair"))
     center = CenterContext(preset.lgd, preset.overrides)
+    h = center.chars.h
+    for side, cls in (("nu", nu), ("lambda", lam)):
+        if not h.is_dominant(cls):
+            raise PresetError("--pair: %s %s is not dominant" % (side, _fmt_class(cls)))
+        if not h.is_tau_fixed(cls):
+            raise PresetError("--pair: %s %s is not tau-fixed" % (side, _fmt_class(cls)))
     eng = center.tau_engine
     w_nu = eng.max_double_coset(nu)
     w_lam = eng.max_double_coset(lam)
@@ -245,6 +251,9 @@ def cmd_testfn(args):
 
 
 def cmd_verify(args):
+    for option, bound in (("--mu-bound", args.mu_bound), ("--kl-bound", args.kl_bound)):
+        if bound < 0:
+            raise PresetError("%s must be at least 0, got %d" % (option, bound))
     names = args.preset_list or None
     code, lines = run_verify(names, mu_bound=args.mu_bound, kl_bound=args.kl_bound)
     print("\n".join(lines))

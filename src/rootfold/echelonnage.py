@@ -23,9 +23,10 @@ from fractions import Fraction
 
 from .folding import (
     RootSystemV,
-    _form_identification,
+    base_permutation,
     cartan_closure,
     cartan_of_gram,
+    dual_mismatch,
     fold,
     form_value,
 )
@@ -37,7 +38,6 @@ from .linalg import (
     is_positive_definite,
     mat_integer_inverse,
     mat_transpose,
-    mat_vec,
     vec_dot,
     vec_neg,
     vec_scale,
@@ -98,7 +98,11 @@ class SigmaSystem:
     For the k-th simple root, `base[k]` is the root vector in X^* (x) Q,
     `cobase[k]` the coroot vector in X_* (x) Q and `base_classes[k]` the
     coroot class in X_*(T)_I.  The two folded systems are built
-    independently and verified against each other.
+    independently; `EchelonnageData` checks that the dual of the res-side
+    system, carried across by the invariant form, is the norm-side system
+    (`folding.dual_mismatch`).  Each side's `orbits` record which simple
+    roots of the source system were folded into its k-th simple root, as
+    the automorphisms permute them.
     """
 
     def __init__(self, rs_root, rs_co, base_classes, name):
@@ -141,21 +145,11 @@ class SigmaSystem:
         return acc == diff
 
 
-def _check_dual_match(rs_res_co, rs_norm_root, iota, name):
-    """res-side fold of coroots, dualized and carried across the form
-    identification, must equal the norm-side fold of roots exactly."""
-    lhs = rs_res_co.dual()
-    lhs_base = tuple(tuple(mat_vec(iota, b)) for b in lhs.base)
-    lhs_roots = {tuple(mat_vec(iota, r)) for r in lhs.roots}
-    if lhs_base != rs_norm_root.base or lhs_roots != set(rs_norm_root.roots):
-        raise TheoremViolation("%s: the two characterizations disagree" % name)
-
-
 class EchelonnageData:
     def __init__(self, lgd):
         self.lgd = lgd
         datum = lgd.datum
-        iota = _form_identification(datum)
+        gram_star = datum.gram_star()
         char = datum.root_system()
         cochar = datum.coroot_system()
         I_char = lgd.inertia.group
@@ -164,25 +158,25 @@ class EchelonnageData:
         # Sigma_breve: res_I(Phi^vee) = Sigma^vee and N'_I(Phi) = Sigma
         breve_co = fold(cochar, I_cochar, "res")
         breve_root = fold(char, I_char, "Nprime")
-        _check_dual_match(breve_co, breve_root, iota, "Sigma_breve")
+        if dual_mismatch(breve_co, breve_root, gram_star):
+            raise TheoremViolation("Sigma_breve: the two characterizations disagree")
         classes = []
         for orb, _orth in breve_co.orbits:
             rep = datum.simple_coroots[orb[0]]
             classes.append(lgd.coinv.project(rep))
         self.sigma_breve = SigmaSystem(breve_root, breve_co, classes, "Sigma_breve")
 
-        # induced tau action on Sigma_breve
+        # induced tau action on Sigma_breve, as a permutation of its simple
+        # roots (raises MalformedAction unless tau permutes them)
         tau_grp_char = group_closure([lgd.tau_char])
         tau_grp_cochar = group_closure([lgd.tau_cochar])
-        base_set = set(breve_root.base)
-        for b in breve_root.base:
-            if tuple(Fraction(x) for x in mat_vec(lgd.tau_char, b)) not in base_set:
-                raise MalformedAction("frobenius does not preserve the Sigma_breve base")
+        self._tau_perm = base_permutation(breve_root, lgd.tau_char)
 
         # Sigma_0: N_tau(Sigma^vee) = Sigma_0^vee and res'_tau(Sigma) = Sigma_0
         sigma0_co = fold(breve_co, tau_grp_cochar, "N")
         sigma0_root = fold(breve_root, tau_grp_char, "resprime")
-        _check_dual_match(sigma0_co, sigma0_root, iota, "Sigma_0")
+        if dual_mismatch(sigma0_co, sigma0_root, gram_star):
+            raise TheoremViolation("Sigma_0: the two characterizations disagree")
         classes0 = []
         for orb, _orth in sigma0_co.orbits:
             total = None
@@ -196,18 +190,14 @@ class EchelonnageData:
         knop_root = fold(breve_root, tau_grp_char, "res")
         knop_co = fold(breve_co, tau_grp_cochar, "Nprime")
         # duality the other way around: res on the root side, N' on coroots
-        lhs = knop_root.dual()
-        G = datum.gram()
-        lhs_base = tuple(tuple(mat_vec(G, b)) for b in lhs.base)
-        lhs_roots = {tuple(mat_vec(G, r)) for r in lhs.roots}
-        if lhs_base != knop_co.base or lhs_roots != set(knop_co.roots):
+        if dual_mismatch(knop_root, knop_co, datum.gram()):
             raise TheoremViolation("Knop system: res_tau dual does not match "
                                    "N'_tau of the coroots")
         self.sigma0_tilde_root = knop_root
         self.sigma0_tilde_co = knop_co
 
         # special roots by the A_{2n} middle-orbit criterion
-        self.special = self._special_roots(breve_root, lgd.tau_char, sigma0_root)
+        self.special = self._special_roots(breve_root, sigma0_root)
         # the Galois criterion must coincide with non-orthogonality of the
         # tau-orbit (end of the Knop comparison proof)
         for k, (orb, orth) in enumerate(sigma0_root.orbits):
@@ -237,35 +227,27 @@ class EchelonnageData:
 
     # -- special roots -----------------------------------------------------
 
-    def _special_roots(self, breve_root, tau_char, sigma0_root):
-        base = breve_root.base
+    def _special_roots(self, breve_root, sigma0_root):
         cart = breve_root.cartan()
         comps = _components(cart)
         comp_of = {}
         for ci, comp in enumerate(comps):
             for i in comp:
                 comp_of[i] = ci
-        index = {b: i for i, b in enumerate(base)}
-
-        def tau_node(i):
-            return index[tuple(Fraction(x) for x in mat_vec(tau_char, base[i]))]
-
+        node = self._tau_perm
         special = set()
         for k, (orb, _orth) in enumerate(sigma0_root.orbits):
             rep = orb[0]
             comp = comps[comp_of[rep]]
-            # (i) an A_{2n} component: a path, all bonds single, even size
+            # (i) an A_{2n} component: a path, all bonds single (so all
+            # roots of equal length), even size
             path = _path_order(cart, comp)
             if path is None or len(path) % 2 != 0:
-                continue
-            lengths = {form_value(breve_root.gram, base[i], base[i]) for i in comp}
-            if len(lengths) != 1:
                 continue
             # (ii) some power of tau stabilizes the component and acts
             # non-trivially on it
             stab_nontrivial = False
-            node = {i: tau_node(i) for i in range(len(base))}
-            cur = {i: i for i in range(len(base))}
+            cur = {i: i for i in range(len(node))}
             order = 1
             while True:
                 cur = {i: node[cur[i]] for i in cur}
@@ -274,7 +256,7 @@ class EchelonnageData:
                         stab_nontrivial = True
                     break
                 order += 1
-                if order > 2 * len(base) + 2:
+                if order > 2 * len(node) + 2:
                     break
             if not stab_nontrivial:
                 continue
@@ -319,8 +301,7 @@ class EchelonnageData:
         rs = self.sigma_breve.rs_root
         nodes = self.affine_nodes()
         comps = self._components
-        tau_char = self.lgd.tau_char
-        index = {b: i for i, b in enumerate(rs.base)}
+        p = self._tau_perm
         comp_of = {}
         for ci, comp in enumerate(comps):
             for i in comp:
@@ -329,16 +310,18 @@ class EchelonnageData:
         def tau_on_node(nd):
             kind, v = nd
             if kind == "fin":
-                return ("fin", index[tuple(Fraction(x)
-                                           for x in mat_vec(tau_char, rs.base[v]))])
-            theta = self._highest[v]
-            img = tuple(Fraction(x) for x in mat_vec(tau_char, theta))
-            rootset = set(rs.roots)
-            if img not in rootset:
+                return ("fin", p[v])
+            # tau sends the root with coordinates c to the one with
+            # c'[p(i)] = c[i]; the image of a highest root must be the
+            # highest root of one component
+            targets = {comp_of[p[i]] for i in comps[v]}
+            if len(targets) != 1:
                 raise TheoremViolation("tau does not permute highest roots")
-            # locate the component of the image
-            ci = comp_of[_support_rep(rs, img)]
-            if self._highest[ci] != img:
+            ci = targets.pop()
+            img = [0] * len(p)
+            for i, c in enumerate(rs.coords[self._highest[v]]):
+                img[p[i]] = c
+            if rs.coords[self._highest[ci]] != tuple(img):
                 raise TheoremViolation("tau image of a highest root is not highest")
             return ("aff", ci)
 
@@ -358,20 +341,10 @@ class EchelonnageData:
             orbits.append(tuple(sorted(orb)))
 
         # Sigma_0 keys: simple k <-> tau-orbit of finite Sigma_breve simples;
-        # affine c0 <-> tau-orbit of components
+        # affine c0 <-> tau-orbit of components, c0 its lowest member
         fin_orbit_key = {}
         for k, (orb, _orth) in enumerate(self.sigma0.rs_root.orbits):
             fin_orbit_key[frozenset(orb)] = ("fin", k)
-        comp_orbit_key = {}
-        for ci in range(len(comps)):
-            orbit_comps = set()
-            c = ci
-            while c not in orbit_comps:
-                orbit_comps.add(c)
-                theta = self._highest[c]
-                img = tuple(Fraction(x) for x in mat_vec(tau_char, theta))
-                c = comp_of[_support_rep(rs, img)]
-            comp_orbit_key[frozenset(orbit_comps)] = ("aff", min(orbit_comps))
 
         params = {}
         for orb in orbits:
@@ -381,7 +354,7 @@ class EchelonnageData:
             if "fin" in kinds:
                 key = fin_orbit_key[frozenset(nd[1] for nd in orb)]
             else:
-                key = comp_orbit_key[frozenset(nd[1] for nd in orb)]
+                key = orb[0]
             if key in overrides:
                 val = int(overrides.pop(key))
                 if val < 1:
@@ -440,14 +413,6 @@ def _path_order(cart, comp):
         prev = cur
         path.append(nxt[0])
     return path
-
-
-def _support_rep(rs, root):
-    """Index of some simple root in the support of a root."""
-    for i, c in enumerate(rs.coords[root]):
-        if c != 0:
-            return i
-    raise ValueError("zero root")
 
 
 def _highest_root(rs, comp):

@@ -5,6 +5,14 @@ base, living in an ambient space that carries an invariant positive form.
 The operations produce their output inside the fixed subspace: restriction
 is realized through the averaging map, so that norms and restrictions can be
 compared by literal vector equality (the duality theorem is an identity).
+
+An automorphism acts on a based system only through the permutation of
+simple-root indices it induces (`base_permutation`).  Orbits of the base
+come from those permutations, and an orbit is orthogonal exactly when the
+source Cartan matrix vanishes on each pair in it, since
+C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are
+compared by `dual_mismatch`, which carries one side across by the
+invariant form (`gram` or its inverse `gram_star`).
 """
 
 from __future__ import annotations
@@ -13,18 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .lattice import MalformedAction, ResourceCap
-from .linalg import (
-    frac_vec,
-    mat_det,
-    mat_mul,
-    mat_rational_inverse,
-    mat_transpose,
-    mat_vec,
-    vec_add,
-    vec_dot,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import frac_vec, mat_det, mat_vec, vec_add, vec_dot, vec_scale
 
 OP_TAGS = ("N", "Nprime", "res", "resprime")
 
@@ -58,12 +55,6 @@ def form_value(gram, u, v):
 def dual_vector(gram, v):
     """v^vee = 2v/(v|v) with respect to the form."""
     return vec_scale(Fraction(2) / form_value(gram, v, v), frac_vec(v))
-
-
-def reflect(gram, root, v):
-    """Reflection of v in the hyperplane orthogonal to `root`."""
-    c = Fraction(2) * form_value(gram, root, v) / form_value(gram, root, root)
-    return vec_sub(frac_vec(v), vec_scale(c, frac_vec(root)))
 
 
 def cartan_of_gram(base_gram):
@@ -205,31 +196,6 @@ class RootSystemV:
         out._index(coords)
         return out
 
-    def weyl_order(self, cap=2000000):
-        """Order of the Weyl group, by closure over reflection matrices."""
-        n = len(self.base[0])
-        mats = []
-        for b in self.base:
-            cols = []
-            for k in range(n):
-                e = tuple(Fraction(1 if i == k else 0) for i in range(n))
-                cols.append(reflect(self.gram, b, e))
-            mats.append(mat_transpose(cols))
-        seen = {tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in mats:
-                    p = mat_mul(g, h)
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-                        if len(seen) > cap:
-                            raise ResourceCap("Weyl closure exceeded cap")
-            frontier = nxt
-        return len(seen)
-
     def __eq__(self, other):
         return (isinstance(other, RootSystemV)
                 and self.base == other.base and set(self.roots) == set(other.roots))
@@ -242,7 +208,9 @@ class FoldedRootSystem(RootSystemV):
     """Output of one of the four operations, with its orbit bookkeeping.
 
     orbits: tuple of (orbit_indices, orthogonal) per folded base element,
-    where orbit_indices are positions in the source base (lowest first).
+    where orbit_indices are positions in the source base (lowest first),
+    read off the simple-root permutations of the group, and orthogonal says
+    that the source Cartan matrix is zero on every pair of the orbit.
     """
 
     def __init__(self, base, gram, op, orbits, source_base, label=""):
@@ -270,37 +238,34 @@ class FoldedRootSystem(RootSystemV):
         return "x".join(nm for _, _, nm in names)
 
 
+def base_permutation(rs, g):
+    """The simple-root index permutation p of a linear map g that permutes
+    the base of rs: g b_i = b_{p(i)}.  Images are compared as integer
+    vectors (the base scaled by its common denominator)."""
+    _den, base = _integral(rs.base)
+    index = {b: i for i, b in enumerate(base)}
+    try:
+        p = tuple(index[mat_vec(g, b)] for b in base)
+    except KeyError:
+        p = ()
+    if len(set(p)) != len(base):
+        raise MalformedAction("action does not preserve the base")
+    return p
+
+
 def base_orbits(rs, group):
-    """Orbits of the base under a matrix group, ordered by lowest index."""
-    index = {b: i for i, b in enumerate(rs.base)}
+    """Orbits of the base under a matrix group, as sorted index tuples
+    ordered by lowest index."""
+    perms = [base_permutation(rs, g) for g in group]
     seen = set()
     orbits = []
-    for i, b in enumerate(rs.base):
+    for i in range(len(rs.base)):
         if i in seen:
             continue
-        orb = set()
-        for g in group:
-            img = tuple(Fraction(x) for x in mat_vec(g, b))
-            if img not in index:
-                raise MalformedAction("action does not preserve the base")
-            orb.add(index[img])
-        seen |= orb
-        orbits.append(tuple(sorted(orb)))
+        orb = tuple(sorted({p[i] for p in perms}))
+        seen.update(orb)
+        orbits.append(orb)
     return tuple(orbits)
-
-
-def orbit_orthogonal(rs, group, alpha):
-    """Whether the orbit of a simple root is pairwise orthogonal under the
-    invariant form."""
-    alpha = frac_vec(alpha)
-    if alpha not in rs.base:
-        raise ValueError("alpha is not a simple root")
-    orb = sorted({tuple(Fraction(x) for x in mat_vec(g, alpha)) for g in group})
-    for i in range(len(orb)):
-        for j in range(i + 1, len(orb)):
-            if form_value(rs.gram, orb[i], orb[j]) != 0:
-                return False
-    return True
 
 
 def fold(rs, group, op):
@@ -311,15 +276,13 @@ def fold(rs, group, op):
     averaging identification)."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
-    orbits = base_orbits(rs, group)
+    cart = rs._cartan
     new_base = []
     meta = []
-    for orb in orbits:
+    for orb in base_orbits(rs, group):
         vecs = [rs.base[i] for i in orb]
-        orth = all(
-            form_value(rs.gram, vecs[i], vecs[j]) == 0
-            for i in range(len(vecs)) for j in range(i + 1, len(vecs))
-        )
+        # (b_i|b_j) = 0 exactly when C[i][j] = 2(b_i|b_j)/(b_i|b_i) = 0
+        orth = all(cart[i][j] == 0 for i in orb for j in orb if i < j)
         total = vecs[0]
         for v in vecs[1:]:
             total = vec_add(total, v)
@@ -338,35 +301,36 @@ def fold(rs, group, op):
                             label="%s_%s" % (op, rs.label))
 
 
-def fold_all(rs, group):
-    return {op: fold(rs, group, op) for op in OP_TAGS}
+def dual_mismatch(res_side, norm_side, carry):
+    """The parts, of ("base", "roots"), in which the dual of `res_side`,
+    carried across by the matrix `carry`, differs from `norm_side`.  Both
+    sides of one duality identity are built independently and compared as
+    exact vectors; an empty result means the identity holds."""
+    lhs = res_side.dual()
+    out = []
+    if tuple(mat_vec(carry, b) for b in lhs.base) != norm_side.base:
+        out.append("base")
+    if {mat_vec(carry, r) for r in lhs.roots} != set(norm_side.roots):
+        out.append("roots")
+    return tuple(out)
 
 
 def verify_duality(datum, group_char, group_cochar):
     """Check res(Phi^vee)^vee = N'(Phi) and res'(Phi^vee)^vee = N(Phi).
 
     Both sides are computed independently; the cocharacter side is carried
-    into the character space by the form identification.  Returns a report
-    dict with a list of mismatches (empty means the theorem holds here).
+    into the character space by the induced form (the inverse Gram matrix
+    `gram_star`, sending v to the vector representing <., v>).  Returns a
+    report dict with a list of mismatches (empty means the theorem holds
+    here).
     """
     char = datum.root_system()
     cochar = datum.coroot_system()
-    iota = _form_identification(datum)
-
     mismatches = []
     for res_op, norm_op in (("res", "Nprime"), ("resprime", "N")):
-        lhs = fold(cochar, group_cochar, res_op).dual()
-        lhs_base = tuple(mat_vec(iota, b) for b in lhs.base)
-        lhs_roots = {tuple(mat_vec(iota, r)) for r in lhs.roots}
-        rhs = fold(char, group_char, norm_op)
-        if lhs_base != rhs.base:
-            mismatches.append("%s(Phi^vee)^vee base != %s(Phi) base" % (res_op, norm_op))
-        if lhs_roots != set(rhs.roots):
-            mismatches.append("%s(Phi^vee)^vee roots != %s(Phi) roots" % (res_op, norm_op))
+        lhs = fold(cochar, group_cochar, res_op)
+        for part in dual_mismatch(lhs, fold(char, group_char, norm_op),
+                                  datum.gram_star()):
+            mismatches.append("%s(Phi^vee)^vee %s != %s(Phi) %s"
+                              % (res_op, part, norm_op, part))
     return {"datum": datum.label, "mismatches": mismatches, "ok": not mismatches}
-
-
-def _form_identification(datum):
-    """inverse Gram: carries X_* (x) Q into X^* (x) Q, sending v to the
-    vector representing <., v> under the invariant form."""
-    return mat_rational_inverse(datum.gram())

@@ -66,11 +66,6 @@ def group_closure(generators, cap=GROUP_CAP):
     return tuple(order)
 
 
-def orbit(v, group):
-    """The orbit of a vector under a list of matrices, sorted."""
-    return tuple(sorted({mat_vec(g, v) for g in group}))
-
-
 def average(v, group):
     """The average of v over its orbit (divides by orbit size, not group
     order); this is the map onto the fixed subspace."""

@@ -653,11 +653,6 @@ class AutomorphismAction:
             if datum.coroot_of(ga) != mat_vec(gstar, av):
                 raise MalformedAction("action breaks the root/coroot pairing")
 
-    def simple_permutation(self, g):
-        """The permutation of simple-root indices an element induces."""
-        idx = {a: i for i, a in enumerate(self.datum.simple_roots)}
-        return tuple(idx[mat_vec(g, a)] for a in self.datum.simple_roots)
-
     def order(self):
         return len(self.group)
 

@@ -1,8 +1,11 @@
 """The benchmark tracer still finds every layer it times.
 
 `benchmarks/tracer.py` wraps rootfold functions and methods by name, so a
-rename in `src/` would break `benchmarks/run.py --trace 1`.  The tracer
-patches the library globally, so it is installed in a child interpreter.
+rename in `src/` would break `benchmarks/run.py --trace 1`.  The wrappers
+also read some call arguments (the closure key takes `base, gram, label`),
+so the child runs the folding layers of one preset through them.  The
+tracer patches the library globally, so it is installed in a child
+interpreter.
 """
 
 import json
@@ -20,7 +23,8 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from tracer import TARGETS, Tracer
 
-Tracer().install()
+tracer = Tracer()
+tracer.install()
 unwrapped = []
 for name, mod, attr, _hot in TARGETS:
     obj = importlib.import_module("rootfold." + mod)
@@ -28,7 +32,18 @@ for name, mod, attr, _hot in TARGETS:
         obj = getattr(obj, part)
     if not hasattr(obj, "__wrapped__"):
         unwrapped.append(name)
-print(json.dumps({"targets": len(TARGETS), "unwrapped": unwrapped}))
+
+from rootfold import folding
+from rootfold.presets import load_preset
+
+lgd = load_preset("su3-ramified").lgd
+rep = folding.verify_duality(lgd.datum, lgd.inertia.group,
+                             lgd.inertia.cochar_group)
+lgd.echelonnage()
+summary = tracer.summary()
+print(json.dumps({"targets": len(TARGETS), "unwrapped": unwrapped,
+                  "duality_ok": rep["ok"], "calls": summary["calls"],
+                  "distinct": summary["distinct"]}))
 """
 
 
@@ -43,3 +58,8 @@ def test_tracer_wraps_every_target():
     out = json.loads(proc.stdout)
     assert out["targets"] > 0
     assert out["unwrapped"] == []
+    assert out["duality_ok"]
+    for name in ("folding.closure", "folding.fold", "folding.verify_duality",
+                 "echelonnage.build"):
+        assert out["calls"][name] > 0, name
+    assert out["distinct"]["folding.closure"] > 0

@@ -386,7 +386,7 @@ def test_errors():
 
 
 def test_convenience_surfaces():
-    from rootfold.characters import fixed_point_datum, twining_character
+    from rootfold.characters import FixedGroup, twining_character
     from rootfold.rootdata import invariant_inner_product, AutomorphismAction
     d = build_datum("A2", "simply_connected")
     m = diagram_automorphism(d, flip(2))
@@ -394,7 +394,7 @@ def test_convenience_surfaces():
     G = invariant_inner_product(d, act)
     assert G == d.gram()
     lgd = LocalGroupDatum(d, (m,), None, label="ram")
-    h = fixed_point_datum(lgd)
+    h = FixedGroup(lgd)
     assert h.sigma.rs_co.classify() == "A1"
     table = twining_character(d, lgd.inertia.cochar_generators[0], (1, 1))
     from fractions import Fraction as F

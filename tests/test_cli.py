@@ -68,6 +68,20 @@ def test_kl_output(capsys):
     assert payload["P"] == {"0": 1, "2": -1}
 
 
+def test_kl_pair_checked_exit_2(capsys):
+    # each side of --pair must be dominant and tau-fixed
+    cases = [
+        (("su3-unramified", "0,0|2,1"), "lambda (2,1) is not tau-fixed"),
+        (("su3-unramified", "2,1|1,1"), "nu (2,1) is not tau-fixed"),
+        (("split-a2", "0,0|2,-1"), "lambda (2,-1) is not dominant"),
+    ]
+    for (preset, pair), msg in cases:
+        code, out, err = run(capsys, "kl", "--preset", preset, "--pair", pair)
+        assert code == 2, pair
+        assert out == ""
+        assert err.strip() == "input error: --pair: " + msg, pair
+
+
 def test_geom_basis_output(capsys):
     code, out, _ = run(capsys, "geom-basis", "--preset", "su3-unramified",
                        "--lambda", "1,1")
@@ -175,6 +189,14 @@ def test_verify_deterministic_subset(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "VERIFY PASSED" in out1
+
+
+def test_verify_negative_bound_exit_2(capsys):
+    for option in ("--mu-bound", "--kl-bound"):
+        code, out, err = run(capsys, "verify", "split-a1", option, "-1")
+        assert code == 2, option
+        assert out == ""
+        assert err.strip() == "input error: %s must be at least 0, got -1" % option
 
 
 def test_datum_file_input(tmp_path, capsys):

@@ -5,21 +5,62 @@ from fractions import Fraction
 import pytest
 
 from rootfold.folding import (
+    OP_TAGS,
     RootSystemV,
+    dual_mismatch,
     dual_vector,
     fold,
-    fold_all,
-    orbit_orthogonal,
+    form_value,
     verify_duality,
 )
-from rootfold.lattice import average, group_closure
-from rootfold.linalg import identity_matrix, mat_vec, vec_scale
+from rootfold.lattice import ResourceCap, average, group_closure
+from rootfold.linalg import (
+    frac_vec,
+    identity_matrix,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    vec_scale,
+    vec_sub,
+)
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import AutomorphismAction, build_datum, diagram_automorphism
 
 
 def flip(r):
     return tuple(r - 1 - i for i in range(r))
+
+
+def reflect(gram, root, v):
+    """Reflection of v in the hyperplane orthogonal to `root`."""
+    c = Fraction(2) * form_value(gram, root, v) / form_value(gram, root, root)
+    return vec_sub(frac_vec(v), vec_scale(c, frac_vec(root)))
+
+
+def weyl_order(rs, cap=2000000):
+    """Order of the Weyl group, by closure over reflection matrices."""
+    n = len(rs.base[0])
+    mats = []
+    for b in rs.base:
+        cols = []
+        for k in range(n):
+            e = tuple(Fraction(1 if i == k else 0) for i in range(n))
+            cols.append(reflect(rs.gram, b, e))
+        mats.append(mat_transpose(cols))
+    seen = {tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in mats:
+                p = mat_mul(g, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+                    if len(seen) > cap:
+                        raise ResourceCap("Weyl closure exceeded cap")
+        frontier = nxt
+    return len(seen)
 
 
 def _setup(cartan, perm, iso="adjoint"):
@@ -68,7 +109,7 @@ def test_trivial_group_identity():
 def test_d4_triality():
     d, act = _setup("D4", (2, 1, 3, 0), iso="simply_connected")
     rs = RootSystemV.from_datum(d)
-    outs = fold_all(rs, act.group)
+    outs = {op: fold(rs, act.group, op) for op in OP_TAGS}
     for op, f in outs.items():
         assert f.type_label() == "G2"
         assert len(f.roots) == 12
@@ -81,11 +122,12 @@ def test_orbit_orthogonality():
     d, act = _setup("A4", flip(4))
     rs = RootSystemV.from_datum(d)
     # the outer orbit {e1-e2, e4-e5} is orthogonal, the middle pair is not
-    assert orbit_orthogonal(rs, act.group, d.simple_roots[0])
-    assert not orbit_orthogonal(rs, act.group, d.simple_roots[1])
-    with pytest.raises(ValueError):
-        orbit_orthogonal(rs, act.group, d.roots[0] if d.roots[0] not in d.simple_roots
-                         else (5, 5, 5, 5))
+    for op in OP_TAGS:
+        assert fold(rs, act.group, op).orbits == (((0, 3), True), ((1, 2), False))
+    # the same pattern on the coroot side
+    rs_co = RootSystemV.dual_from_datum(d)
+    assert fold(rs_co, act.cochar_group, "res").orbits == \
+        (((0, 3), True), ((1, 2), False))
 
 
 def test_averaging_lemma():
@@ -98,10 +140,12 @@ def test_averaging_lemma():
         d, act = _setup(cartan, perm, iso)
         rs = RootSystemV.from_datum(d)
         rs_co = RootSystemV.dual_from_datum(d)
-        iota = __import__("rootfold.folding", fromlist=["x"])._form_identification(d)
+        iota = d.gram_star()
+        orth_of = {i: orth for orb, orth in fold(rs, act.group, "N").orbits
+                   for i in orb}
         for i, (a, av) in enumerate(zip(d.simple_roots, d.simple_coroots)):
             orb = {mat_vec(g, a) for g in act.group}
-            orth = orbit_orthogonal(rs, act.group, a)
+            orth = orth_of[i]
             a_avg = average(a, act.group)
             av_avg = average(av, act.cochar_group)
             # realize the coroot average inside the character space
@@ -122,15 +166,26 @@ def test_duality_theorem():
             assert rep["ok"], (cartan, iso, rep)
 
 
+def test_dual_mismatch_reports_base():
+    # res(Phi^vee)^vee is N'(Phi); against N(Phi) the doubled middle orbit
+    # of the A4 flip shows up in the base
+    d, act = _setup("A4", flip(4))
+    lhs = fold(d.coroot_system(), act.cochar_group, "res")
+    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "Nprime"),
+                         d.gram_star()) == ()
+    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "N"),
+                         d.gram_star()) == ("base", "roots")
+
+
 def test_weyl_group_orders_match():
     d, act = _setup("A4", flip(4))
     rs = RootSystemV.from_datum(d)
-    orders = {fold(rs, act.group, op).weyl_order()
+    orders = {weyl_order(fold(rs, act.group, op))
               for op in ("res", "resprime", "N", "Nprime")}
     assert orders == {8}  # |W(B2)|
     d4, act4 = _setup("D4", (2, 1, 3, 0), iso="simply_connected")
     rs4 = RootSystemV.from_datum(d4)
-    assert fold(rs4, act4.group, "res").weyl_order() == 12  # |W(G2)|
+    assert weyl_order(fold(rs4, act4.group, "res")) == 12  # |W(G2)|
 
 
 def test_normalization_independence():
@@ -156,7 +211,6 @@ def test_folded_systems_are_root_systems():
         roots = set(f.roots)
         for b in f.base:
             for r in f.roots:
-                from rootfold.folding import reflect
                 assert tuple(reflect(f.gram, b, r)) in roots
         f.cartan()  # raises on non-integrality
 
@@ -168,14 +222,17 @@ def test_base_preservation_error():
     bad = ((0, -1), (-1, 0))  # sends simple roots to negatives
     with pytest.raises(MalformedAction):
         fold(rs, group_closure([bad]), "res")
+    collapse = ((1, 1), (0, 0))  # sends both simple roots to the first
+    assert rs.base == ((1, 0), (0, 1))
+    with pytest.raises(MalformedAction):
+        fold(rs, (collapse,), "res")
 
 
 # -- reference closure -------------------------------------------------------
 
 def reference_roots(base, gram):
     """Roots by Fraction reflection closure in the ambient space."""
-    from rootfold.folding import reflect
-    from rootfold.linalg import frac_vec, vec_neg
+    from rootfold.linalg import vec_neg
     base = tuple(frac_vec(b) for b in base)
     seen = set(base)
     frontier = list(base)
@@ -209,6 +266,30 @@ def assert_matches_reference(rs):
     assert dual.positive_roots() == reference_positive_roots(dual.base, dual_roots), rs
 
 
+def reference_orbits(rs, group):
+    """Orbits of the base by Fraction image-and-lookup, each with its
+    pairwise orthogonality under the invariant form."""
+    index = {b: i for i, b in enumerate(rs.base)}
+    seen = set()
+    out = []
+    for i, b in enumerate(rs.base):
+        if i in seen:
+            continue
+        orb = tuple(sorted({index[tuple(Fraction(x) for x in mat_vec(g, b))]
+                            for g in group}))
+        seen |= set(orb)
+        orth = all(form_value(rs.gram, rs.base[j], rs.base[k]) == 0
+                   for j in orb for k in orb if j < k)
+        out.append((orb, orth))
+    return tuple(out)
+
+
+def assert_fold_matches_reference(rs, group, op):
+    f = fold(rs, group, op)
+    assert f.orbits == reference_orbits(rs, group), (rs, op)
+    assert_matches_reference(f)
+
+
 def _preset_groups(lgd):
     inertia = (lgd.inertia.group, lgd.inertia.cochar_group)
     galois = (group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,)),
@@ -224,10 +305,18 @@ def test_closure_matches_reference(name):
     assert char is d.root_system() and cochar is d.coroot_system()
     assert_matches_reference(char)
     assert_matches_reference(cochar)
-    for g_char, g_cochar in _preset_groups(load_preset(name).lgd):
-        for op in ("res", "resprime", "N", "Nprime"):
-            assert_matches_reference(fold(char, g_char, op))
-            assert_matches_reference(fold(cochar, g_cochar, op))
+    lgd = load_preset(name).lgd
+    for g_char, g_cochar in _preset_groups(lgd):
+        for op in OP_TAGS:
+            assert_fold_matches_reference(char, g_char, op)
+            assert_fold_matches_reference(cochar, g_cochar, op)
+    # the tau-folds of Sigma_breve and Sigma_breve^vee
+    breve = lgd.echelonnage().sigma_breve
+    tau_char = group_closure([lgd.tau_char])
+    tau_cochar = group_closure([lgd.tau_cochar])
+    for op in OP_TAGS:
+        assert_fold_matches_reference(breve.rs_root, tau_char, op)
+        assert_fold_matches_reference(breve.rs_co, tau_cochar, op)
 
 
 def test_scaled_form_closure_matches_reference():
@@ -250,7 +339,6 @@ def test_dependent_base_rejected():
 
 def test_closure_cap(monkeypatch):
     import rootfold.folding as folding
-    from rootfold.lattice import ResourceCap
     monkeypatch.setattr(folding, "_CLOSURE_CAP", 5)
     d = build_datum("A3")
     with pytest.raises(ResourceCap):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import frac_vec, mat_mul, mat_transpose, mat_vec, vec_add, vec_dot
 from rootfold.rootdata import (
@@ -175,7 +176,7 @@ def test_automorphism_validation():
         diagram_automorphism(build_datum("B2"), (1, 0))
     m = diagram_automorphism(d, (1, 0))
     act = AutomorphismAction(d, [m])
-    assert act.simple_permutation(m) == (1, 0)
+    assert base_permutation(d.root_system(), m) == (1, 0)
     assert act.order() == 2
     u = unitary_dual_action(3)
     act3 = AutomorphismAction(gl_datum(3), [u])
