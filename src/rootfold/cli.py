@@ -62,6 +62,15 @@ def _parse_cochar(s, datum, option):
     return v
 
 
+def _check_dominant_tau_fixed(center, cls, what):
+    """Raise PresetError, naming `what` and the failed test, unless the
+    class is dominant and tau-fixed."""
+    h = center.chars.h
+    for test, prop in ((h.is_dominant, "dominant"), (h.is_tau_fixed, "tau-fixed")):
+        if not test(cls):
+            raise PresetError("%s %s is not %s" % (what, _fmt_class(cls), prop))
+
+
 def _emit(args, payload, tsv_rows=None, tsv_header=None):
     if getattr(args, "out", "json") == "tsv" and tsv_rows is not None:
         print("\t".join(tsv_header))
@@ -157,16 +166,15 @@ def cmd_adm(args):
 
 def cmd_kl(args):
     preset = _load_lgd(args)
-    nu_s, _, lam_s = args.pair.partition("|")
+    nu_s, sep, lam_s = args.pair.partition("|")
+    if not sep:
+        raise PresetError('--pair needs nu|lambda, separated by "|", got %r'
+                          % args.pair)
     nu = preset.lgd.coinv.project(_parse_cochar(nu_s, preset.datum, "--pair"))
     lam = preset.lgd.coinv.project(_parse_cochar(lam_s, preset.datum, "--pair"))
     center = CenterContext(preset.lgd, preset.overrides)
-    h = center.chars.h
     for side, cls in (("nu", nu), ("lambda", lam)):
-        if not h.is_dominant(cls):
-            raise PresetError("--pair: %s %s is not dominant" % (side, _fmt_class(cls)))
-        if not h.is_tau_fixed(cls):
-            raise PresetError("--pair: %s %s is not tau-fixed" % (side, _fmt_class(cls)))
+        _check_dominant_tau_fixed(center, cls, "--pair: " + side)
     eng = center.tau_engine
     w_nu = eng.max_double_coset(nu)
     w_lam = eng.max_double_coset(lam)
@@ -185,6 +193,7 @@ def cmd_geom_basis(args):
     preset = _load_lgd(args)
     lam = preset.lgd.coinv.project(_parse_cochar(args.lam, preset.datum, "--lambda"))
     center = CenterContext(preset.lgd, preset.overrides)
+    _check_dominant_tau_fixed(center, lam, "--lambda")
     C = center.geometric_basis(lam)
     terms = []
     kl_terms = {}

@@ -213,10 +213,9 @@ class FoldedRootSystem(RootSystemV):
     that the source Cartan matrix is zero on every pair of the orbit.
     """
 
-    def __init__(self, base, gram, op, orbits, source_base, label=""):
+    def __init__(self, base, gram, op, orbits, label=""):
         self.op = op
         self.orbits = orbits
-        self.source_base = source_base
         super().__init__(base, gram, label=label)
 
     def type_label(self):
@@ -297,7 +296,7 @@ def fold(rs, group, op):
             folded = avg if orth else vec_scale(2, avg)
         new_base.append(folded)
         meta.append((orb, orth))
-    return FoldedRootSystem(new_base, rs.gram, op, tuple(meta), rs.base,
+    return FoldedRootSystem(new_base, rs.gram, op, tuple(meta),
                             label="%s_%s" % (op, rs.label))
 
 

@@ -6,28 +6,38 @@ Ttilde_w = q^(-L(w)/2) T_w over Z[v, v^(-1)], v = q^(1/2):
     Ttilde_s^2 = (v_s - v_s^(-1)) Ttilde_s + 1,      v_s = v^L(s),
 
 so that the standard-basis relation T_s^2 = (q^L(s)-1) T_s + q^L(s) T_e
-holds after rescaling.  Kazhdan-Lusztig elements c_y = sum p_{x,y} Ttilde_x
-are computed over the Bruhat interval [e, y], numbered in length order: the
-rows of the bar involution come from the R-polynomial recursion
-bar(Ttilde_x) = (Ttilde_s - (v_s - v_s^(-1))) bar(Ttilde_{sx}) for a left
-descent s of x (Lusztig, Hecke algebras with unequal parameters, sections
-4-6), one step per element, and p_{x,y} by triangular solving down the
-columns of that table.  The polynomials P_{x,y} = v^(L(y)-L(x)) p_{x,y}
-specialize at v = 1 to the coefficients of the geometric basis of the
-Hecke-algebra center (the Knop/Lusztig character formula), which is also
-computed independently from twining characters.
+holds after rescaling.  The Kazhdan-Lusztig element c_y = sum p_{x,y}
+Ttilde_x satisfies c_y Ttilde_t = v_t c_y for every right descent t of y
+(Lusztig, Hecke algebras with unequal parameters, section 6), so p_{x,y} is
+determined by its values on the maximal representatives of the cosets x W_J,
+J the right descents of y: c_y lies in the module M_J = H c_{w_J}, with
+basis m_x = Ttilde_x c_{w_J} over the minimal representatives x.  The solve
+numbers the cosets below y in length order and builds the bar involution of
+M_J row by row from the R-polynomial recursion bar(m_x) = (Ttilde_s - (v_s -
+v_s^(-1))) bar(m_{sx}) for a left descent s of x, where Ttilde_s m_w is
+m_{sw} + (v_s - v_s^(-1)) m_w when sw < w, m_{sw} when sw > w is minimal,
+and v_s m_w when s fixes the coset w W_J (Deodhar's parabolic
+Kazhdan-Lusztig polynomials); then p_{x,y} comes by triangular solving down
+the columns of that table.  With J = () the module is H itself, which is
+how `bar_basis` reads bar(Ttilde_x).  The polynomials P_{x,y} =
+v^(L(y)-L(x)) p_{x,y}, constant on each coset x W_J, specialize at v = 1 to
+the coefficients of the geometric basis of the Hecke-algebra center (the
+Knop/Lusztig character formula), which is also computed independently from
+twining characters.
 """
 
 from __future__ import annotations
 
 from .echelonnage import TheoremViolation
+from .lattice import ResourceCap
 from .ring import LaurentPoly
 
-# Largest Bruhat interval whose bar rows are built (for the KL solve and for
-# `bar_basis`).  Measured `kl_table` on split-a2 (one Xeon core): n = 366,
-# 546, 762, 1014, 1302, 1626 elements took 1.6, 3.9, 7.3, 17.9, 31.3, 55.7 s
-# (404 MB peak at 1626), a fit of t ~ n^2.39; so a solve at the cap takes
-# about a minute.
+# Largest number of cosets x W_J whose bar rows are built: for the KL solve
+# J is the right descents of y, for `bar_basis` J = () and a coset is one
+# element.  Measured `kl_table` on split-a2 lambda = (k, k) (one Xeon core):
+# k = 8, 12, 16, 20, 23, with n = 217, 469, 817, 1261, 1657 cosets, took
+# 0.73, 3.6, 11.4, 32.1, 60.4 s (313 MB peak at 1657), a fit of t ~ n^2.2 to
+# n^2.4; so a solve at the cap takes about a minute.
 KL_INTERVAL_CAP = 1700
 
 
@@ -82,8 +92,8 @@ class HeckeElement:
 class HeckeAlgebra:
     """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine.
 
-    Caches (bar-involution rows by interval, KL tables, checked weights)
-    are per-instance dicts; confine an instance to one thread or guard
+    Caches (bar-involution rows of element intervals, KL tables, checked
+    weights) are per-instance dicts; confine an instance to one thread or guard
     access externally.  They hold index rows and plain dicts, never a
     HeckeElement, so no cache points back at the algebra and an instance is
     freed by reference counting alone."""
@@ -168,37 +178,74 @@ class HeckeAlgebra:
 
     # -- bar involution -----------------------------------------------------------
 
-    def _interval_rows(self, y_aff):
-        """The Bruhat interval [e, y_aff] of an element with trivial Omega
-        part, numbered 0..n-1 in length order, and the rows of the bar
-        involution on it: bar(Ttilde_{elems[j]}) = sum_i rows[j][i]
-        Ttilde_{elems[i]}.
+    def _interval_rows(self, y_min, J):
+        """The cosets x W_J below y_min W_J, as minimal representatives
+        numbered 0..n-1 in length order, and the rows of the bar involution
+        on the module M_J = H c_{w_J} with basis m_x = Ttilde_x c_{w_J}:
+        bar(m_{elems[j]}) = sum_i rows[j][i] m_{elems[i]}.
+
+        J is a tuple of wall keys whose parabolic subgroup W_J is finite
+        (the right descents of some element), y_min is minimal in y_min W_J,
+        and c_{w_J} is the canonical basis element of the longest element of
+        W_J, so that Ttilde_t c_{w_J} = v_t c_{w_J} for t in J.  With J = ()
+        the cosets are the elements of [e, y_min] and m_x = Ttilde_x.
+
+        The cosets come from {e W_J} by acting on the left with the letters
+        of a reduced word of y_min, read from the right.  For minimal w and a
+        wall s, either sw is minimal or sw = wt with t in J (Deodhar's lemma),
+        and then s fixes the coset.  The enumeration raises ResourceCap as
+        soon as it holds more than KL_INTERVAL_CAP cosets.
 
         Row j comes from the row of s x for the first wall s (in `s_aff`
         order, as in `normal_form`) that is a left descent of x = elems[j]:
-        bar(Ttilde_x) = (Ttilde_s - eps_s) bar(Ttilde_{sx}), and
-        (Ttilde_s - eps_s) Ttilde_w is Ttilde_{sw} when sw < w and
-        Ttilde_{sw} - eps_s Ttilde_w when sw > w (the R-polynomial
-        recursion).  By the lifting property sw stays in [e, y_aff], so the
-        products s w are looked up in a table indexed like the interval.
-        Every element is registered in `_bar_cache` (first interval wins)
-        with its row, for `bar_basis`."""
+        bar(m_x) = (Ttilde_s - eps_s) bar(m_{sx}), and (Ttilde_s - eps_s) m_w
+        is m_{sw} when sw < w, m_{sw} - eps_s m_w when sw > w is minimal, and
+        v_s^(-1) m_w when s fixes w W_J, where Ttilde_s acts by v_s (the
+        R-polynomial recursion).  By the lifting property s w W_J stays below
+        y_min W_J, so the products s w are looked up in a table indexed like
+        the cosets."""
         eng = self.engine
-        length = eng.length
-        elems = sorted(eng.lower_interval(y_aff, KL_INTERVAL_CAP),
-                       key=length)
+        mult = eng.multiply
+        right = [(t, eng._s_aff_map[t]) for t in J]
+
+        def fixer(sw, w):
+            """The wall t in J with sw = wt, or None."""
+            return next((t for t, r in right if mult(sw, r) == w), None)
+
+        word, _omega = eng.normal_form(y_min)
+        cosets = {eng.identity}
+        for key in reversed(word):
+            s = eng._s_aff_map[key]
+            for w in list(cosets):
+                sw = mult(s, w)
+                if sw not in cosets and fixer(sw, w) is None:
+                    cosets.add(sw)
+            if len(cosets) > KL_INTERVAL_CAP:
+                raise ResourceCap(
+                    "Bruhat interval exceeded cap %d cosets x W_J, J = {%s}"
+                    % (KL_INTERVAL_CAP, ",".join("%s%d" % t for t in J)))
+        elems = sorted(cosets, key=eng.length)
         index = {x: i for i, x in enumerate(elems)}
-        lengths = [length(x) for x in elems]
-        walls = [(s, self._eps(key)) for key, s in eng.s_aff]
+        lengths = [eng.length(x) for x in elems]
+        walls = [(key, s, self._eps(key)) for key, s in eng.s_aff]
         left = [[None] * len(elems) for _ in walls]
 
         def times(k, j):
-            """Index of s_k x_j; -1 when it leaves the interval, which
-            happens only when s_k x_j > x_j."""
+            """Index of s_k x_j W_J: j when s_k fixes the coset, -1 when it
+            leaves the interval, which happens only when s_k x_j > x_j."""
             i = left[k][j]
             if i is None:
-                i = left[k][j] = index.get(
-                    eng.multiply(walls[k][0], elems[j]), -1)
+                key, s, _eps = walls[k]
+                w = elems[j]
+                sw = mult(s, w)
+                i = index.get(sw)
+                if i is None:
+                    t = fixer(sw, w)
+                    if t is not None and self.weights[t] != self.weights[key]:
+                        raise TheoremViolation(
+                            "weight function is not well-defined")
+                    i = -1 if t is None else j
+                left[k][j] = i
             return i
 
         rows = [{0: LaurentPoly.one()}]
@@ -207,16 +254,18 @@ class HeckeAlgebra:
                 sx = times(k, j)
                 if sx >= 0 and lengths[sx] < lengths[j]:
                     break
-            eps = walls[k][1]
+            key, _s, eps = walls[k]
+            v_inv = LaurentPoly.v_power(-self.weights[key])
             row = {}
             for w, c in rows[sx].items():
                 sw = times(k, w)
+                if sw == w:
+                    _add_term(row, w, c * v_inv)
+                    continue
                 _add_term(row, sw, c)
                 if lengths[sw] > lengths[w]:
                     _add_term(row, w, -(c * eps))
             rows.append(row)
-        for j, x in enumerate(elems):
-            self._bar_cache.setdefault(x, (elems, rows, j))
         return elems, rows
 
     def bar_basis(self, x):
@@ -227,7 +276,9 @@ class HeckeAlgebra:
         _word, omega = eng.normal_form(x)
         x_aff = eng.multiply(x, eng.inverse(omega))
         if x_aff not in self._bar_cache:
-            self._interval_rows(x_aff)
+            elems, rows = self._interval_rows(x_aff, ())
+            for j, z in enumerate(elems):
+                self._bar_cache.setdefault(z, (elems, rows, j))
         elems, rows, j = self._bar_cache[x_aff]
         return HeckeElement(self, {eng.multiply(elems[i], omega): r
                                    for i, r in rows[j].items()})
@@ -240,18 +291,49 @@ class HeckeAlgebra:
 
     # -- Kazhdan-Lusztig ---------------------------------------------------------
 
-    def kl_table(self, y):
-        """{x: p_{x,y}} with c_y = sum_x p_{x,y} Ttilde_x bar-invariant,
-        p_{y,y} = 1 and deg p_{x,y} < 0 for x < y.
+    def _min_rep(self, x, J):
+        """The minimal representative of x W_J, by stripping right descents."""
+        eng = self.engine
+        n = eng.length(x)
+        while True:
+            for t in J:
+                xt = eng.multiply(x, eng._s_aff_map[t])
+                if eng.length(xt) < n:
+                    x, n = xt, n - 1
+                    break
+            else:
+                return x
 
-        Solved downwards over the numbered interval: p_x - bar(p_x) =
-        sum_{w > x} bar(p_w) r_{w,x}, read from the column of x."""
-        if y in self._kl_cache:
-            return self._kl_cache[y]
+    def _right_descents(self, y):
+        """(J, y_min, g) for y = y_aff omega: the walls J that are right
+        descents of y_aff, the minimal representative y_min of y_aff W_J,
+        and g = w_J omega, so that x_min g is the maximal representative
+        of x_min W_J, moved by omega."""
         eng = self.engine
         _word, omega = eng.normal_form(y)
         y_aff = eng.multiply(y, eng.inverse(omega))
-        elems, rows = self._interval_rows(y_aff)
+        n = eng.length(y_aff)
+        J = tuple(key for key, s in eng.s_aff
+                  if eng.length(eng.multiply(y_aff, s)) < n)
+        y_min = self._min_rep(y_aff, J)
+        return J, y_min, eng.multiply(eng.inverse(y_min), y)
+
+    def kl_table(self, y):
+        """{x_max: p_{x_max,y}} over the cosets x W_J below y, keyed by
+        their maximal representatives (moved by the Omega part of y), where
+        c_y = sum_x p_{x,y} Ttilde_x is bar-invariant, p_{y,y} = 1 and
+        deg p_{x,y} < 0 for x < y.
+
+        J is the set of right descents of y.  As c_y Ttilde_t = v_t c_y for
+        t in J, c_y = sum_x p_{x w_J, y} m_x over minimal x in the module
+        M_J of `_interval_rows`, so c_y is solved there, downwards over the
+        numbered cosets: p_x - bar(p_x) = sum_{w > x} bar(p_w) r_{w,x}, read
+        from the column of x."""
+        if y in self._kl_cache:
+            return self._kl_cache[y]
+        eng = self.engine
+        J, y_min, g = self._right_descents(y)
+        elems, rows = self._interval_rows(y_min, J)
         top = len(elems) - 1
         cols = [[] for _ in elems]
         for w, row in enumerate(rows):
@@ -271,29 +353,33 @@ class HeckeAlgebra:
             if not px.is_zero():
                 p[x] = px
                 pbar[x] = px.bar()
-        # verify: c_y is bar-invariant, bar(c_y) = sum_w bar(p_w) bar(Ttilde_w)
+        # verify: c_y is bar-invariant, bar(c_y) = sum_w bar(p_w) bar(m_w)
         c = {}
         for w, pw in pbar.items():
             for x, r in rows[w].items():
                 _add_term(c, x, pw * r)
         if c != p:
             raise TheoremViolation("canonical basis element is not bar-invariant")
-        table = {eng.multiply(elems[x], omega): q for x, q in p.items()}
+        table = {eng.multiply(x, g): p.get(i, LaurentPoly.zero())
+                 for i, x in enumerate(elems)}
         self._kl_cache[y] = table
         return table
 
     def kl_polynomial(self, x, y):
-        """P_{x,y}(v) = v^(L(y) - L(x)) p_{x,y}; requires x <= y."""
-        if not self.engine.bruhat_leq(x, y):
+        """P_{x,y}(v) = v^(L(y) - L(x)) p_{x,y}; requires x <= y.  P is
+        constant on the cosets x W_J of the right descents J of y, and equals
+        v^(L(y_min) - L(x_min)) p_{x_max,y} there."""
+        eng = self.engine
+        if not eng.bruhat_leq(x, y):
             raise UndefinedPair("x is not Bruhat-below y")
-        p = self.kl_table(y).get(x, LaurentPoly.zero())
-        P = p.shifted(self.weight(y) - self.weight(x))
+        J, y_min, g = self._right_descents(y)
+        x_aff = eng.multiply(x, eng.inverse(eng.omega_part(x)))
+        x_min = self._min_rep(x_aff, J)
+        p = self.kl_table(y)[eng.multiply(x_min, g)]
+        P = p.shifted(self.weight(y_min) - self.weight(x_min))
         if not p.is_zero() and P.min_degree() < 0:
             raise TheoremViolation("KL polynomial has negative v-degrees")
         return P
-
-    def canonical_basis_element(self, y):
-        return HeckeElement(self, self.kl_table(y))
 
 
 class CenterCoefficient(int):

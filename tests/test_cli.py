@@ -82,6 +82,28 @@ def test_kl_pair_checked_exit_2(capsys):
         assert err.strip() == "input error: --pair: " + msg, pair
 
 
+def test_kl_pair_without_separator_exit_2(capsys):
+    code, out, err = run(capsys, "kl", "--preset", "split-a2", "--pair", "0,0")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ('input error: --pair needs nu|lambda, separated by '
+                           '"|", got \'0,0\'')
+
+
+def test_geom_basis_lambda_checked_exit_2(capsys):
+    # --lambda gets the dominance and tau-fixedness checks of kl --pair
+    cases = [
+        (("su3-unramified", "2,1"), "(2,1) is not tau-fixed"),
+        (("split-a2", "2,-1"), "(2,-1) is not dominant"),
+    ]
+    for (preset, lam), msg in cases:
+        code, out, err = run(capsys, "geom-basis", "--preset", preset,
+                             "--lambda", lam)
+        assert code == 2, lam
+        assert out == ""
+        assert err.strip() == "input error: --lambda " + msg, lam
+
+
 def test_geom_basis_output(capsys):
     code, out, _ = run(capsys, "geom-basis", "--preset", "su3-unramified",
                        "--lambda", "1,1")

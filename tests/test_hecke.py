@@ -122,7 +122,7 @@ def test_kl_golden_su3():
     w_theta = eng.max_double_coset(theta)
     w_zero = eng.max_double_coset(L.zero())
     assert eng.length(w_theta) == 3 and eng.length(w_zero) == 1
-    tab = ctx.hecke.kl_table(w_theta)
+    tab = canonical_basis_element(ctx.hecke, w_theta).terms
     by_len = {}
     for x, p in tab.items():
         by_len.setdefault(eng.length(x), []).append(p)
@@ -160,8 +160,7 @@ def test_equal_parameter_classical_values():
     eng = ctx.tau_engine
     L = lgd.coinv
     w = eng.max_double_coset(L.project((1,)))
-    tab = ctx.hecke.kl_table(w)
-    for x, p in tab.items():
+    for x in eng.lower_interval(w):
         P = ctx.hecke.kl_polynomial(x, w)
         assert P.at_one() == 1
     # and the geometric basis is the classical one: C_lam = sum m_lam(nu) z_nu
@@ -175,7 +174,7 @@ def test_canonical_basis_bar_fixed_unitriangular():
     eng = ctx.tau_engine
     L = lgd.coinv
     w = eng.max_double_coset(L.project((1, 1)))
-    c = H.canonical_basis_element(w)
+    c = canonical_basis_element(H, w)
     assert H.bar(c) == c
     assert c.coefficient(w) == LaurentPoly.one()
     for x, p in c.terms.items():
@@ -292,6 +291,95 @@ def test_theorem_d_bridge_triality():
     assert a == BernsteinElement({lam: 1, L.zero(): 1})
 
 
+# -- references: the full-interval solve and the whole-word route -------------
+
+
+def canonical_basis_element(H, y):
+    """c_y = sum_x p_{x,y} Ttilde_x over x in [e, y], read through
+    `kl_polynomial` as p_{x,y} = v^(L(x) - L(y)) P_{x,y}."""
+    terms = {}
+    for x in H.engine.lower_interval(y):
+        terms[x] = H.kl_polynomial(x, y).shifted(H.weight(x) - H.weight(y))
+    return HeckeElement(H, terms)
+
+
+def full_interval_kl_table(H, y):
+    """{x: p_{x,y}} solved over every element of [e, y]: the bar rows of
+    the element interval (the J = () kernel) and the downward solve, as the
+    KL table was computed before the coset module."""
+    eng = H.engine
+    _word, omega = eng.normal_form(y)
+    y_aff = eng.multiply(y, eng.inverse(omega))
+    elems, rows = H._interval_rows(y_aff, ())
+    top = len(elems) - 1
+    p = {top: LaurentPoly.one()}
+    for x in range(top - 1, -1, -1):
+        f = LaurentPoly.zero()
+        for w, pw in p.items():
+            if w != x and x in rows[w]:
+                f = f + pw.bar() * rows[w][x]
+        assert f.bar() == -f and f.constant_term() == 0
+        if not f.negative_part().is_zero():
+            p[x] = f.negative_part()
+    c = {}
+    for w, pw in p.items():
+        for x, r in rows[w].items():
+            c[x] = c.get(x, LaurentPoly.zero()) + pw.bar() * r
+    assert {x: q for x, q in c.items() if not q.is_zero()} == p
+    return {eng.multiply(elems[x], omega): q for x, q in p.items()}
+
+
+def assert_cosets_match_full_interval(H, y, ref=None):
+    """The coset solve against a reference table {x: p_{x,y}} over [e, y]
+    (by default the full-interval solve): the whole polynomial P_{x,y} for
+    every x <= y, and the entries of `kl_table`, one per coset x W_J keyed
+    by its maximal representative."""
+    eng = H.engine
+    if ref is None:
+        ref = full_interval_kl_table(H, y)
+    interval = eng.lower_interval(y)
+    for x in interval:
+        expect = ref.get(x, LaurentPoly.zero()).shifted(H.weight(y) - H.weight(x))
+        assert H.kl_polynomial(x, y) == expect, x
+    omega_inv = eng.inverse(eng.omega_part(y))
+
+    def descents(x):
+        """The walls that are right descents of x omega^-1."""
+        xa = eng.multiply(x, omega_inv)
+        n = eng.length(xa)
+        return {k for k, s in eng.s_aff if eng.length(eng.multiply(xa, s)) < n}
+
+    J = descents(y)
+    maximal = {x for x in interval if J <= descents(x)}
+    table = H.kl_table(y)
+    assert set(table) == maximal
+    for x, q in table.items():
+        assert q == ref.get(x, LaurentPoly.zero()), x
+
+
+# the rungs of the benchmark's KL ladder
+LADDER = [
+    ("split-a2", (1, 1)),
+    ("split-a2", (2, 2)),
+    ("split-a2", (3, 3)),
+    ("split-a2", (4, 4)),
+    ("split-b2", (2, 2)),
+    ("split-a3", (1, 2, 1)),
+    ("su4-unramified", (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,vec", LADDER)
+def test_kl_cosets_match_full_interval_ladder(name, vec):
+    """The coset solve gives the same P_{x,y}(v) as the full-interval solve
+    for every x <= w_lambda, and one table entry per coset."""
+    lgd, center = _preset_center(name)
+    if name == "su4-unramified":
+        assert len(set(center.parameters.values())) > 1
+    y = center.tau_engine.max_double_coset(lgd.coinv.project(vec))
+    assert_cosets_match_full_interval(center.hecke, y)
+
+
 # -- the whole-word route, kept as the reference for the interval kernel -------
 
 
@@ -370,10 +458,10 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("name,vec", REFERENCE_CASES)
 def test_interval_kernel_matches_reference(name, vec):
-    """Full KL tables and every bar(Ttilde_x) on the interval agree with the
-    whole-word route, both on a fresh algebra (each x read from its own
-    interval, shortest first) and after the KL solve (x read from the
-    interval of y)."""
+    """The full-interval KL table, P_{x,y} from the coset solve for every x
+    <= y, and every bar(Ttilde_x) on the interval agree with the whole-word
+    route, both on a fresh algebra (each x read from its own interval,
+    shortest first) and after the KL solve."""
     centers = [(_order_four_center() if name == "res-su3"
                 else _preset_center(name)) for _ in range(2)]
     (lgd, fresh), (_lgd, solved) = centers
@@ -385,7 +473,8 @@ def test_interval_kernel_matches_reference(name, vec):
     y = eng.max_double_coset(lgd.coinv.project(vec))
     cache = {}
     ref = reference_kl_table(solved.hecke, y, cache)
-    assert solved.hecke.kl_table(y) == ref
+    assert full_interval_kl_table(solved.hecke, y) == ref
+    assert_cosets_match_full_interval(solved.hecke, y, ref)
     interval = sorted(eng.lower_interval(y), key=eng.length)
     assert len(interval) > 1
     for x in interval:
@@ -404,7 +493,7 @@ def test_kl_caches_hold_no_algebra_reference():
         lam = lgd.coinv.project((1, 1))
         center.geometric_basis_kl(lam)
         y = center.tau_engine.max_double_coset(lam)
-        c = center.hecke.canonical_basis_element(y)
+        c = canonical_basis_element(center.hecke, y)
         assert center.hecke.bar(c) == c
         del c
         refs = [weakref.ref(center.hecke), weakref.ref(center.tau_engine)]
@@ -415,18 +504,21 @@ def test_kl_caches_hold_no_algebra_reference():
 
 
 def test_kl_interval_cap_trips_while_enumerating(monkeypatch, capsys):
-    monkeypatch.setattr(hecke, "KL_INTERVAL_CAP", 40)
+    # split-a2 (2,2) has 19 cosets under w_lambda, so a cap of 10 trips
+    monkeypatch.setattr(hecke, "KL_INTERVAL_CAP", 10)
     lgd, center = _preset_center("split-a2")
     eng = center.tau_engine
     y = eng.max_double_coset(lgd.coinv.project((2, 2)))
     with pytest.raises(ResourceCap):
         center.hecke.kl_table(y)
-    # the enumeration stopped at the cap: no interval was stored
+    # the enumeration stopped at the cap: no interval or table was stored
     assert eng._interval == {}
+    assert center.hecke._kl_cache == {}
     code = cli.main(["kl", "--preset", "split-a2", "--pair", "0,0|2,2"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CAP
-    assert err.startswith("resource cap: Bruhat interval exceeded cap 40")
+    assert err.strip() == ("resource cap: Bruhat interval exceeded cap 10 "
+                           "cosets x W_J, J = {fin0,fin1}")
 
 
 # -- properties over small data --------------------------------------------------
@@ -459,7 +551,8 @@ def test_kl_route_properties(name, data):
     assert center.geometric_basis(lam) == center.geometric_basis_kl(lam)
     H = center.hecke
     y = center.tau_engine.max_double_coset(lam)
-    c = H.canonical_basis_element(y)
+    c = canonical_basis_element(H, y)
     assert H.bar(c) == c
     for x in c.terms:
         assert H.kl_polynomial(x, y).min_degree() >= 0
+    assert_cosets_match_full_interval(H, y)
