@@ -9,6 +9,10 @@ coordinates; no roots are closed here.  Elements are pairs (translation
 class, Weyl matrix); lengths come from the inversion formula, normal forms
 from descent peeling, and the Bruhat order from the subword recursion.
 Torsion classes are central and have length zero (they land in Omega).
+The finite Weyl group is never enumerated: w_0 is built by right-multiplying
+simple reflections while the length grows, and the longest element of
+W t_lambda W is w_0 t_mu, mu the dominant class of lambda, checked to have
+length l(w_0) + l(t_mu) (Iwahori-Matsumoto).
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     vec_dot,
-    vec_neg,
 )
 from .rootdata import _components
 
 ADM_CAP = 10 ** 6
-DOUBLE_COSET_CAP = 200000
 
 
 class AffineElement:
@@ -82,6 +84,7 @@ class ExtendedAffineWeyl:
         self._nf = {}
         self._bruhat = {}
         self._interval = {}
+        self._w0 = None
         self.e_mat = identity_matrix(coinv.rank)
         self._build_pairing()
         self._build_walls()
@@ -90,15 +93,16 @@ class ExtendedAffineWeyl:
     # -- root bookkeeping ---------------------------------------------------
 
     def _build_pairing(self):
-        # one row per root: pairing against the free basis of Lambda.  For a
-        # Frobenius-restricted engine the entries may be fractional; the
-        # pairing is integral on the fixed sublattice, checked on use.
+        # one row per positive root: pairing against the free basis of
+        # Lambda.  For a Frobenius-restricted engine the entries may be
+        # fractional; the pairing is integral on the fixed sublattice,
+        # checked on use.
         rows = {}
         f = self.coinv.free_rank
         basis = [self.coinv.element(tuple(1 if j == i else 0 for j in range(f)))
                  for i in range(f)]
         sections = [self.coinv.section_vector(b) for b in basis]
-        for r in self.positive_roots + tuple(vec_neg(r) for r in self.positive_roots):
+        for r in self.positive_roots:
             row = []
             for s in sections:
                 val = vec_dot(frac_vec(r), s)
@@ -311,41 +315,30 @@ class ExtendedAffineWeyl:
             else:
                 return cur
 
-    def enumerate_weyl(self, cap=DOUBLE_COSET_CAP):
-        """All finite Weyl matrices (only call on small groups)."""
-        seen = {self.e_mat}
-        frontier = [self.e_mat]
-        while frontier:
-            nxt = []
-            for h in frontier:
+    def _longest_weyl(self):
+        """w_0, built once: right-multiply by simple reflections while the
+        length grows."""
+        if self._w0 is None:
+            w0 = self.identity
+            grew = True
+            while grew:
+                grew = False
                 for m in self.simple_matrices:
-                    p = mat_mul(m, h)
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-                        if len(seen) > cap:
-                            raise ResourceCap("finite Weyl closure exceeded cap")
-            frontier = nxt
-        return tuple(seen)
+                    x = self.multiply(w0, AffineElement(self.coinv.zero(), m))
+                    if self.length(x) > self.length(w0):
+                        w0, grew = x, True
+            self._w0 = w0
+        return self._w0
 
     def max_double_coset(self, lam):
-        """The unique longest element of W t_lambda W."""
-        weyl = self.enumerate_weyl()
-        orbit = self.weyl_orbit_class(lam)
-        best = None
-        best_len = -1
-        ties = 0
-        for lam2 in orbit:
-            for w in weyl:
-                x = AffineElement(lam2, w)
-                lx = self.length(x)
-                if lx > best_len:
-                    best, best_len, ties = x, lx, 1
-                elif lx == best_len:
-                    ties += 1
-        if ties != 1:
-            raise TheoremViolation("longest double-coset element is not unique")
-        return best
+        """The longest element of W t_lambda W: w_0 t_mu for mu the dominant
+        class of lambda, of length l(w_0) + l(t_mu) (Iwahori-Matsumoto)."""
+        w0 = self._longest_weyl()
+        t_mu = self.translation(self.dominant_class(lam))
+        x = self.multiply(w0, t_mu)
+        if self.length(x) != self.length(w0) + self.length(t_mu):
+            raise TheoremViolation("w_0 t_mu is not longest in its double coset")
+        return x
 
 
 def datum_simple_reflection_cochar(datum, i):

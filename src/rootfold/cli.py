@@ -21,6 +21,7 @@ from .folding import fold
 from .hecke import CenterContext
 from .lattice import MalformedAction, ResourceCap
 from .presets import Preset, PresetError, load_preset, preset_names
+from .rootdata import UndeterminedAutomorphism
 from .testfn import test_function, z_v_star_1j
 from .verify import run_verify
 
@@ -95,7 +96,15 @@ def _load_lgd(args):
     raw["inertia"] = [{"perm": _parse_vec(p)} for p in (args.inertia or [])]
     if args.tau:
         raw["frobenius"] = {"perm": _parse_vec(args.tau)}
-    return Preset(args.type, raw)
+    try:
+        return Preset(args.type, raw)
+    except UndeterminedAutomorphism:
+        # the inertia permutations are resolved first
+        raise PresetError(
+            "%s: the lattice of this datum does not determine an automorphism "
+            "from a simple-root permutation; only a {\"matrix\": ...} "
+            "automorphism spec in a testfn --config file can carry one"
+            % ("--inertia" if args.inertia else "--tau")) from None
 
 
 def cmd_fold(args):

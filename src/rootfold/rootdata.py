@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .folding import RootSystemV
-from .lattice import MalformedAction, ResourceCap, group_closure
+from .folding import RootSystemV, cartan_closure
+from .lattice import MalformedAction, group_closure
 from .linalg import (
     frac_vec,
     gauss_solve,
@@ -29,12 +29,9 @@ from .linalg import (
     solve_integer,
     vec_add,
     vec_dot,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
-
-ROOT_CLOSURE_CAP = 100000
 
 
 def cartan_matrix(letter, n):
@@ -269,7 +266,30 @@ class BasedRootDatum:
             for i in range(n)
         )
         self._validate()
-        self.roots, self.coroots = self._generate_roots()
+        # Phi and Phi^vee from the one integer closure of the Cartan matrix:
+        # the root with coordinates c is sum c_j alpha_j, and its coroot is
+        # sum (2 c_j d_j / (beta|beta)) alpha_j^vee with d the symmetrizers
+        # and (beta|beta) = sum c_i c_j d_i C[i][j]; these are the coroot's
+        # coordinates, so the quotient is exact.  A root is positive when
+        # every coordinate is >= 0.
+        C = self.cartan
+        d = symmetrizers(C)
+        pairs = {}
+        for c in cartan_closure(C):
+            norm = sum(c[i] * c[j] * d[i] * C[i][j]
+                       for i in range(n) if c[i] for j in range(n) if c[j])
+            root = [0] * rank
+            coroot = [0] * rank
+            for j, cj in enumerate(c):
+                if cj:
+                    cvj = 2 * cj * d[j] // norm
+                    for k in range(rank):
+                        root[k] += cj * self.simple_roots[j][k]
+                        coroot[k] += cvj * self.simple_coroots[j][k]
+            pairs[tuple(root)] = (tuple(coroot), min(c) >= 0)
+        self.roots = tuple(sorted(pairs))
+        self.coroots = tuple(pairs[r][0] for r in self.roots)
+        self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         self._gram = None
         self._gram_star = None
@@ -296,32 +316,6 @@ class BasedRootDatum:
         if not is_positive_definite(sym):
             raise ValueError("Cartan matrix is not of finite type")
 
-    def _generate_roots(self):
-        pairs = set(zip(self.simple_roots, self.simple_coroots))
-        frontier = list(pairs)
-        while frontier:
-            nxt = []
-            for root, coroot in frontier:
-                for i in range(len(self.simple_roots)):
-                    r2 = self.reflect_char(i, root)
-                    c2 = self.reflect_cochar(i, coroot)
-                    if (r2, c2) not in pairs:
-                        pairs.add((r2, c2))
-                        nxt.append((r2, c2))
-                        if len(pairs) > ROOT_CLOSURE_CAP:
-                            raise ResourceCap("root closure exceeded cap")
-            frontier = nxt
-        pairs |= {(vec_neg(r), vec_neg(c)) for r, c in pairs}
-        ordered = sorted(pairs)
-        roots = tuple(r for r, _ in ordered)
-        coroots = tuple(c for _, c in ordered)
-        if len(set(roots)) != len(roots):
-            raise ValueError("root/coroot pairing is not a bijection")
-        for r in roots:
-            if vec_scale(2, r) in set(roots):
-                raise ValueError("root system is not reduced")
-        return roots, coroots
-
     # -- basic maps ---------------------------------------------------------
 
     def reflect_char(self, i, x):
@@ -334,29 +328,6 @@ class BasedRootDatum:
 
     def coroot_of(self, root):
         return self.coroots[self._root_index[tuple(root)]]
-
-    @property
-    def positive_roots(self):
-        if not hasattr(self, "_positive_roots"):
-            self._positive_roots = tuple(r for r in self.roots if self.is_positive_root(r))
-        return self._positive_roots
-
-    def is_positive_root(self, r):
-        coeffs = self.root_coefficients(r)
-        return all(c >= 0 for c in coeffs)
-
-    def root_coefficients(self, r):
-        """Coefficients of a root over the simple roots (exact, integral)."""
-        A = mat_transpose(self.simple_roots)
-        sol = gauss_solve(A, r)
-        if sol is None:
-            raise ValueError("vector not in the root span")
-        out = []
-        for c in sol:
-            if Fraction(c).denominator != 1:
-                raise ValueError("non-integral root coefficient")
-            out.append(int(c))
-        return tuple(out)
 
     def dual(self):
         """The dual datum: roots and coroots (and the two lattices) swapped."""
@@ -672,6 +643,12 @@ def invariant_inner_product(datum, action=None):
     return G
 
 
+class UndeterminedAutomorphism(MalformedAction):
+    """A simple-root permutation of a datum whose lattice is spanned by
+    neither the simple roots nor the simple coroots, so that the permutation
+    does not determine a lattice automorphism."""
+
+
 def diagram_automorphism(datum, perm):
     """Character-lattice matrix of a simple-root permutation.
 
@@ -697,5 +674,5 @@ def diagram_automorphism(datum, perm):
         target = mat_transpose(tuple(datum.simple_coroots[j] for j in perm))
         sol_star = mat_mul(tuple(map(tuple, target)), mat_rational_inverse(cosimples))
         return mat_transpose(mat_integer_inverse(mat_int(sol_star)))
-    raise MalformedAction("datum lattice does not determine the automorphism; "
-                          "provide an explicit matrix")
+    raise UndeterminedAutomorphism("datum lattice does not determine the "
+                                   "automorphism; give it as {\"matrix\": ...}")

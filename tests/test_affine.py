@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rootfold.affine import (
+    AffineElement,
     _orbit_longest_matrix,
     admissible_set,
     build_affine,
@@ -308,7 +309,7 @@ def test_tau_fixed_engine_su4():
     lgd = LocalGroupDatum(d, (), diagram_automorphism(d, flip(3)), label="su4")
     teng = build_tau_fixed(lgd)
     assert len(teng.s_aff) == 3  # C2 affine
-    assert len(teng.enumerate_weyl()) == 8
+    assert len(reference_weyl(teng)) == 8
     ball = _ball(teng, 3)
     for x, depth in ball.items():
         assert teng.length(x) == depth
@@ -385,3 +386,72 @@ def test_engines_match_reference_closure(name):
         assert eng.positive_roots == pos, name
         assert eng.components == comps, name
         assert [(k, (x.lam, x.w)) for k, x in eng.s_aff] == walls, name
+
+
+def reference_weyl(eng):
+    """The finite Weyl group of an engine as the closure of its simple
+    reflection matrices under left multiplication."""
+    seen = {eng.e_mat}
+    frontier = [eng.e_mat]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for m in eng.simple_matrices:
+                p = mat_mul(m, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return seen
+
+
+def reference_max_double_coset(eng, lam, weyl):
+    """The longest element of W t_lambda W by search: the length of every
+    t_lambda' w, lambda' in the Weyl orbit of lambda and w in `weyl`; the
+    longest must be unique."""
+    best, best_len, ties = None, -1, 0
+    for lam2 in eng.weyl_orbit_class(lam):
+        for w in weyl:
+            x = AffineElement(lam2, w)
+            lx = eng.length(x)
+            if lx > best_len:
+                best, best_len, ties = x, lx, 1
+            elif lx == best_len:
+                ties += 1
+    assert ties == 1, (eng.label, lam)
+    return best
+
+
+# Engines whose search over W_0 t_lambda W_0 is too slow for the suite: the
+# matrix closure of W(E6) alone takes about 8 s and the search 214 s, the
+# search over W(A6) 12 s.  Each has only lambda = 0 among the classes below,
+# so w_lambda = w_0, the one element of W_0 of length |Phi^+|.
+SEARCH_TOO_LARGE = {("e6-flip", "breve"), ("su7-unramified", "breve")}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_max_double_coset_matches_search(name):
+    lgd = load_preset(name).lgd
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    mus = lgd.datum.dominant_cochars_up_to(4)
+    for kind, eng in (("breve", beng), ("tau", teng)):
+        classes = {eng.dominant_class(c) for c in map(lgd.coinv.project, mus)
+                   if kind == "breve" or lgd.tau_endo(c) == c}
+        search = (name, kind) not in SEARCH_TOO_LARGE
+        weyl = reference_weyl(eng) if search else None
+        walls = [s for key, s in eng.s_aff if key[0] == "fin"]
+        for lam in sorted(classes, key=lambda c: (c.free, c.tors)):
+            x = eng.max_double_coset(lam)
+            if search:
+                assert x == reference_max_double_coset(eng, lam, weyl), \
+                    (name, kind, lam)
+            else:
+                assert lam == lgd.coinv.zero(), (name, kind, lam)
+                assert x.lam == lam and eng.length(x) == len(eng.positive_roots)
+            # every finite wall is a left and a right descent of x
+            for s in walls:
+                assert eng.length(eng.multiply(s, x)) < eng.length(x)
+                assert eng.length(eng.multiply(x, s)) < eng.length(x)
+            for lam2 in eng.weyl_orbit_class(lam):
+                assert eng.max_double_coset(lam2) == x, (name, kind, lam2)

@@ -228,3 +228,40 @@ def test_datum_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "echelonnage", "--datum", str(path))
     assert code == 0
     assert json.loads(out)["sigma_breve"] == "A2"
+
+
+def test_datum_not_finite_type_exit_2(tmp_path, capsys):
+    # simple roots 1 and -1 of Z: the affine A1 Cartan matrix
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "simple_roots": [[1], [-1]],
+                                "simple_coroots": [[2], [-2]]}))
+    code, out, err = run(capsys, "echelonnage", "--datum", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "input error: Cartan matrix is not of finite type"
+
+
+def test_datum_permutation_names_option_exit_2(tmp_path, capsys):
+    # the GL3 lattice is spanned by neither the simple roots nor the simple
+    # coroots, so a permutation does not determine an automorphism; the
+    # message names the option and the one input that carries a matrix
+    import rootfold.rootdata as rd
+    path = tmp_path / "gl3.json"
+    path.write_text(json.dumps(rd.gl_datum(3).to_json()))
+    tail = ("the lattice of this datum does not determine an automorphism "
+            "from a simple-root permutation; only a {\"matrix\": ...} "
+            "automorphism spec in a testfn --config file can carry one")
+    for extra, option in ((("--tau", "1,0"), "--tau"),
+                          (("--inertia", "1,0", "--tau", "1,0"), "--inertia")):
+        code, out, err = run(capsys, "echelonnage", "--datum", str(path), *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err.strip() == "input error: %s: %s" % (option, tail)
+    config = tmp_path / "u3.json"
+    config.write_text(json.dumps({
+        "datum": {"explicit": rd.gl_datum(3).to_json()},
+        "frobenius": {"matrix": [list(r) for r in rd.unitary_dual_action(3)]}}))
+    code, out, _ = run(capsys, "testfn", "--config", str(config),
+                       "--mu", "1,0,-1")
+    assert code == 0
+    assert json.loads(out)["kind"] == "z_V*1_J"

@@ -339,8 +339,11 @@ def test_dependent_base_rejected():
 
 def test_closure_cap(monkeypatch):
     import rootfold.folding as folding
-    monkeypatch.setattr(folding, "_CLOSURE_CAP", 5)
     d = build_datum("A3")
+    monkeypatch.setattr(folding, "_CLOSURE_CAP", 5)
+    # the cap bounds the one closure, so the datum's own roots as well
+    with pytest.raises(ResourceCap):
+        build_datum("A3")
     with pytest.raises(ResourceCap):
         RootSystemV.from_datum(d)
 

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
-from rootfold.linalg import frac_vec, mat_mul, mat_transpose, mat_vec, vec_add, vec_dot
+from rootfold.linalg import (
+    frac_vec,
+    gauss_solve,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    vec_add,
+    vec_dot,
+)
 from rootfold.rootdata import (
     AutomorphismAction,
     build_datum,
@@ -200,3 +208,66 @@ def test_json_round_trip():
     d2 = BasedRootDatum.from_json(d.to_json())
     assert d2.simple_roots == d.simple_roots
     assert d2.roots == d.roots
+
+
+def reference_roots(d):
+    """(roots, coroots, positive roots) of a datum the slow way: close the
+    (root, coroot) pairs of the base under the simple reflections on both
+    lattices, add the negatives, sort, and call a root positive when its
+    coefficients over the simple roots (by gauss_solve) are >= 0."""
+    n = len(d.simple_roots)
+    pairs = set(zip(d.simple_roots, d.simple_coroots))
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for i in range(n):
+                p = (d.reflect_char(i, root), d.reflect_cochar(i, coroot))
+                if p not in pairs:
+                    pairs.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    pairs |= {(tuple(-x for x in r), tuple(-x for x in c)) for r, c in pairs}
+    ordered = sorted(pairs)
+    roots = tuple(r for r, _ in ordered)
+    assert len(set(roots)) == len(roots)
+    A = mat_transpose(d.simple_roots)
+    positive = tuple(r for r in roots if all(x >= 0 for x in gauss_solve(A, r)))
+    return roots, tuple(c for _, c in ordered), positive
+
+
+# (letter, least rank, greatest rank or None for no limit)
+_FACTORS = (("A", 1, None), ("B", 2, None), ("C", 2, None), ("D", 3, None),
+            ("F", 4, 4), ("G", 2, 2))
+
+
+@st.composite
+def root_data(draw):
+    """A datum of a Cartan type of rank <= 5 (products included) with either
+    isogeny, or a GL_n datum with n <= 5."""
+    if draw(st.booleans()):
+        return gl_datum(draw(st.integers(1, 5)))
+    budget = 5
+    factors = []
+    while budget and (not factors or draw(st.booleans())):
+        letter, lo, hi = draw(st.sampled_from(
+            [f for f in _FACTORS if f[1] <= budget]))
+        rank = draw(st.integers(lo, min(hi or budget, budget)))
+        factors.append("%s%d" % (letter, rank))
+        budget -= rank
+    iso = draw(st.sampled_from(("adjoint", "simply_connected")))
+    return build_datum("x".join(factors), iso)
+
+
+@settings(max_examples=80, deadline=None)
+@given(root_data(), st.data())
+def test_roots_match_reflection_closure(d, data):
+    roots, coroots, positive = reference_roots(d)
+    assert d.roots == roots, d.label
+    assert d.coroots == coroots, d.label
+    assert d.positive_roots == positive, d.label
+    for r, c in zip(roots, coroots):
+        assert d.coroot_of(r) == c
+    mu = data.draw(st.lists(st.integers(-3, 3), min_size=d.rank,
+                            max_size=d.rank))
+    assert d.two_rho_pairing(mu) == sum(vec_dot(a, mu) for a in positive)
