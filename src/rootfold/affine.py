@@ -6,30 +6,27 @@ over (Sigma_breve or Sigma_0, as closed once by the echelonnage data), and
 integer matrices for the simple reflections of the finite Weyl group.  The
 positive roots, components and highest roots are read from the system's
 coordinates; no roots are closed here.  Elements are pairs (translation
-class, Weyl matrix); lengths come from the inversion formula, normal forms
-from descent peeling, and the Bruhat order from the subword recursion.
-Torsion classes are central and have length zero (they land in Omega).
-The finite Weyl group is never enumerated: w_0 is built by right-multiplying
-simple reflections while the length grows, and the longest element of
-W t_lambda W is w_0 t_mu, mu the dominant class of lambda, checked to have
-length l(w_0) + l(t_mu) (Iwahori-Matsumoto).
+class, Weyl matrix); lengths come from the inversion formula in int
+arithmetic, normal forms from descent peeling, and the Bruhat order from the
+subword recursion.  As 2rho^vee pairs > 0 with every positive root, w^-1
+alpha > 0 exactly when <alpha, w 2rho^vee> > 0: one sign vector per Weyl
+part (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116,
+1994).  Torsion classes are central and have length zero (they land in
+Omega).  The finite Weyl group is never enumerated: w_0 is built by
+right-multiplying simple reflections while the length grows, and the longest
+element of W t_lambda W is w_0 t_mu, mu the dominant class of lambda, checked
+to have length l(w_0) + l(t_mu) (Iwahori-Matsumoto).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .echelonnage import TheoremViolation, _highest_root
+from .folding import _integral
 from .lattice import ResourceCap
-from .linalg import (
-    frac_vec,
-    identity_matrix,
-    mat_integer_inverse,
-    mat_mul,
-    mat_transpose,
-    mat_vec,
-    vec_dot,
-)
+from .linalg import identity_matrix, mat_integer_inverse, mat_mul, vec_add, vec_dot
 from .rootdata import _components
 
 ADM_CAP = 10 ** 6
@@ -52,7 +49,7 @@ class AffineElement:
         return hash((self.lam, self.w))
 
     def __repr__(self):
-        return "AffineElement(%r)" % (self.lam,)
+        return "AffineElement(%r, %r)" % (self.lam, self.w)
 
 
 class ExtendedAffineWeyl:
@@ -60,11 +57,13 @@ class ExtendedAffineWeyl:
 
     `sigma` is the SigmaSystem the group is built over: `sigma.rs_root`
     gives the simple roots, the positive roots and the coordinates of every
-    root, and `sigma.base_classes` the coroot classes of the simple roots in
-    Lambda.  `simple_matrices` gives the corresponding reflections as
-    integer matrices on the ambient cocharacter lattice.
-    Caches (lengths, Bruhat pairs, normal forms) are per-instance dicts;
-    confine an instance to one thread or guard access externally.
+    root, `sigma.rs_co` the positive coroots, and `sigma.base_classes` the
+    coroot classes of the simple roots in Lambda.  `simple_matrices` gives
+    the corresponding reflections as integer matrices on the ambient
+    cocharacter lattice.  Each Weyl matrix is interned once per engine;
+    products of Weyl parts, inverses, induced maps, sign vectors, lengths,
+    normal forms and Bruhat pairs are per-instance tables filled on first
+    use.  Confine an instance to one thread or guard access externally.
     """
 
     def __init__(self, coinv, sigma, simple_matrices, label="",
@@ -73,19 +72,20 @@ class ExtendedAffineWeyl:
         self.sigma = sigma
         self.label = label
         self.base_roots = sigma.rs_root.base
-        self.simple_matrices = tuple(simple_matrices)
+        self._weyl = {}
+        self.simple_matrices = tuple(map(self._intern, simple_matrices))
         self.restrict_endo = restrict_endo
         self.positive_roots = sigma.rs_root.positive_roots()
-        self._positive_set = set(self.positive_roots)
         self._endos = {}
-        self._char = {}
         self._inv = {}
+        self._prod = {}
+        self._signs = {}
         self._len = {}
         self._nf = {}
         self._bruhat = {}
         self._interval = {}
         self._w0 = None
-        self.e_mat = identity_matrix(coinv.rank)
+        self.e_mat = self._intern(identity_matrix(coinv.rank))
         self._build_pairing()
         self._build_walls()
         self.identity = AffineElement(coinv.zero(), self.e_mat)
@@ -93,32 +93,35 @@ class ExtendedAffineWeyl:
     # -- root bookkeeping ---------------------------------------------------
 
     def _build_pairing(self):
-        # one row per positive root: pairing against the free basis of
-        # Lambda.  For a Frobenius-restricted engine the entries may be
-        # fractional; the pairing is integral on the fixed sublattice,
-        # checked on use.
-        rows = {}
-        f = self.coinv.free_rank
-        basis = [self.coinv.element(tuple(1 if j == i else 0 for j in range(f)))
-                 for i in range(f)]
-        sections = [self.coinv.section_vector(b) for b in basis]
-        for r in self.positive_roots:
-            row = []
-            for s in sections:
-                val = vec_dot(frac_vec(r), s)
-                if self.restrict_endo is None and val.denominator != 1:
-                    raise TheoremViolation(
-                        "echelonnage pairing is not integral on the lattice")
-                row.append(val)
-            rows[r] = tuple(row)
-        self._pairing_rows = rows
+        # int rows den * <alpha, b_i> over the free basis b_i of Lambda, the
+        # positive roots and 2rho^vee.  For a Frobenius-restricted engine den
+        # may exceed 1; the pairing is integral on the fixed sublattice.
+        coinv = self.coinv
+        f = coinv.free_rank
+        sections = [coinv.section_vector(coinv.element(
+            tuple(int(j == i) for j in range(f)))) for i in range(f)]
+        self._den, rows = _integral(
+            [[vec_dot(r, s) for s in sections] for r in self.positive_roots])
+        if self.restrict_endo is None and self._den != 1:
+            raise TheoremViolation(
+                "echelonnage pairing is not integral on the lattice")
+        self._rows = dict(zip(self.positive_roots, rows))
+        _d, self._roots_int = _integral(self.positive_roots)
+        rho2 = reduce(vec_add, self.sigma.rs_co.positive_roots(),
+                      (0,) * coinv.rank)
+        if any(vec_dot(b, rho2) <= 0 for b in self.base_roots):
+            raise TheoremViolation("2rho^vee is not regular dominant")
+        _d, (self._rho2,) = _integral([rho2])
 
     def pairing(self, root, lam):
-        """<root, lam>, an integer (the echelonnage integrality)."""
-        val = vec_dot(self._pairing_rows[tuple(root)], lam.free)
-        if val.denominator != 1:
+        """<root, lam> for a positive root: an integer (echelonnage)."""
+        return self._pair(self._rows[tuple(root)], lam)
+
+    def _pair(self, row, lam):
+        val, rem = divmod(sum(map(mul, row, lam.free)), self._den)
+        if rem:
             raise TheoremViolation("pairing is not integral at %r" % (lam,))
-        return int(val)
+        return val
 
     def _build_walls(self):
         rs = self.sigma.rs_root
@@ -153,25 +156,33 @@ class ExtendedAffineWeyl:
             m = self.simple_matrices[i]
             cls = self.endo(m)(cls)
             refl = mat_mul(mat_mul(m, refl), self.inverse_matrix(m))
-        return AffineElement(cls, refl)
+        return AffineElement(cls, self._intern(refl))
 
-    # -- matrix caches --------------------------------------------------------
+    # -- per-engine tables of Weyl matrices -------------------------------------
+
+    def _intern(self, m):
+        return self._weyl.setdefault(m, m)
 
     def endo(self, m):
-        if m not in self._endos:
-            self._endos[m] = self.coinv.endo_from_matrix(m)
-        return self._endos[m]
+        out = self._endos.get(m)
+        if out is None:
+            out = self._endos[m] = self.coinv.endo_from_matrix(m)
+        return out
 
     def inverse_matrix(self, m):
-        if m not in self._inv:
-            self._inv[m] = mat_integer_inverse(m)
-        return self._inv[m]
+        out = self._inv.get(m)
+        if out is None:
+            out = self._inv[m] = self._intern(mat_integer_inverse(m))
+        return out
 
-    def char_action(self, m):
-        """Action on the character side: inverse transpose."""
-        if m not in self._char:
-            self._char[m] = mat_transpose(self.inverse_matrix(m))
-        return self._char[m]
+    def _sign_vector(self, w):
+        """chi(w^-1 alpha < 0) for the positive roots alpha."""
+        out = self._signs.get(w)
+        if out is None:
+            u = [sum(map(mul, row, self._rho2)) for row in w]
+            out = self._signs[w] = tuple(int(sum(map(mul, r, u)) < 0)
+                                         for r in self._roots_int)
+        return out
 
     # -- group operations ------------------------------------------------------
 
@@ -181,32 +192,30 @@ class ExtendedAffineWeyl:
         return AffineElement(lam, self.e_mat)
 
     def multiply(self, x, y):
-        return AffineElement(x.lam + self.endo(x.w)(y.lam), mat_mul(x.w, y.w))
+        key = (x.w, y.w)
+        w = self._prod.get(key)
+        if w is None:
+            w = self._prod[key] = self._intern(mat_mul(x.w, y.w))
+        return AffineElement(x.lam + self.endo(x.w)(y.lam), w)
 
     def inverse(self, x):
         winv = self.inverse_matrix(x.w)
         return AffineElement(self.endo(winv)(-x.lam), winv)
 
     def length(self, x):
-        if x in self._len:
-            return self._len[x]
-        total = 0
-        winv_char = self.char_action(self.inverse_matrix(x.w))
-        for r in self.positive_roots:
-            val = self.pairing(r, x.lam)
-            pre = tuple(Fraction(q) for q in mat_vec(winv_char, r))
-            if pre in self._positive_set:
-                total += abs(val)
-            else:
-                total += abs(val - 1)
-        self._len[x] = total
+        total = self._len.get(x)
+        if total is None:
+            total = self._len[x] = sum(
+                abs(self._pair(row, x.lam) - sign)
+                for row, sign in zip(self._rows.values(), self._sign_vector(x.w)))
         return total
 
     def normal_form(self, x):
         """(reduced word of S_aff keys, omega element); the omega part has
         length zero and x = product(word) * omega."""
-        if x in self._nf:
-            return self._nf[x]
+        res = self._nf.get(x)
+        if res is not None:
+            return res
         word = []
         cur = x
         n = self.length(cur)
@@ -352,30 +361,21 @@ def datum_simple_reflection_cochar(datum, i):
 
 def _orbit_longest_matrix(orbit_indices, adjacency, matrices):
     """Longest element of the parabolic generated by an orbit of simple
-    reflections.  The orbit splits into singletons and adjacent pairs; a
-    diagram-automorphism orbit never contains a longer string."""
-    parts = []
+    reflections.  The orbit splits into singletons s_i and adjacent pairs
+    (longest element s_i s_j s_i); a diagram-automorphism orbit never
+    contains a longer string."""
+    out = None
     pool = list(orbit_indices)
     while pool:
         i = pool.pop(0)
-        cluster = [i]
-        for j in list(pool):
-            if adjacency(i, j):
-                cluster.append(j)
-                pool.remove(j)
-        if len(cluster) == 1:
-            parts.append(matrices[i])
-        elif len(cluster) == 2:
-            a, b = matrices[cluster[0]], matrices[cluster[1]]
-            if adjacency(cluster[0], cluster[1]):
-                parts.append(mat_mul(mat_mul(a, b), a))
-            else:
-                parts.append(mat_mul(a, b))
-        else:
+        near = [j for j in pool if adjacency(i, j)]
+        if len(near) > 1:
             raise TheoremViolation("orbit contains a string of length > 2")
-    out = parts[0]
-    for p in parts[1:]:
-        out = mat_mul(out, p)
+        part = matrices[i]
+        for j in near:
+            pool.remove(j)
+            part = mat_mul(mat_mul(part, matrices[j]), part)
+        out = part if out is None else mat_mul(out, part)
     return out
 
 

@@ -104,6 +104,24 @@ class RootSystemV:
     """
 
     def __init__(self, base, gram, label=""):
+        self._set_base(base, gram, label)
+        self._index(self._ambient(cartan_closure(self._cartan)))
+
+    @classmethod
+    def from_closure(cls, base, gram, cartan, coords, label=""):
+        """The system on `base` whose roots have the coordinates `coords`
+        (the closure of `cartan`, negatives included), without closing
+        again.  Raises TheoremViolation unless the form gives `cartan`."""
+        out = cls.__new__(cls)
+        out._set_base(base, gram, label)
+        if out._cartan != cartan:
+            from .echelonnage import TheoremViolation
+            raise TheoremViolation("%s: the form gives Cartan matrix %r, not %r"
+                                   % (label or "?", out._cartan, cartan))
+        out._index(out._ambient(coords))
+        return out
+
+    def _set_base(self, base, gram, label):
         self.base = tuple(frac_vec(b) for b in base)
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.label = label
@@ -113,7 +131,6 @@ class RootSystemV:
         if mat_det(self._base_gram) == 0:
             raise ValueError("the base is not linearly independent")
         self._cartan = cartan_of_gram(self._base_gram)
-        self._index(self._ambient(cartan_closure(self._cartan)))
 
     @classmethod
     def from_datum(cls, datum):

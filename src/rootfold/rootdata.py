@@ -275,17 +275,20 @@ class BasedRootDatum:
         C = self.cartan
         d = symmetrizers(C)
         pairs = {}
-        for c in cartan_closure(C):
+        self._closure = cartan_closure(C)
+        self._coclosure = set()
+        for c in self._closure:
             norm = sum(c[i] * c[j] * d[i] * C[i][j]
                        for i in range(n) if c[i] for j in range(n) if c[j])
             root = [0] * rank
             coroot = [0] * rank
+            cv = tuple(2 * cj * d[j] // norm for j, cj in enumerate(c))
             for j, cj in enumerate(c):
                 if cj:
-                    cvj = 2 * cj * d[j] // norm
                     for k in range(rank):
                         root[k] += cj * self.simple_roots[j][k]
-                        coroot[k] += cvj * self.simple_coroots[j][k]
+                        coroot[k] += cv[j] * self.simple_coroots[j][k]
+            self._coclosure.add(cv)
             pairs[tuple(root)] = (tuple(coroot), min(c) >= 0)
         self.roots = tuple(sorted(pairs))
         self.coroots = tuple(pairs[r][0] for r in self.roots)
@@ -293,10 +296,11 @@ class BasedRootDatum:
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         self._gram = None
         self._gram_star = None
-        # Phi and Phi^vee as RootSystemV, built on first use and never
-        # changed afterwards, so every consumer of this datum shares one
-        # closure of each.  Two threads racing on the first build each
-        # build the same value and one assignment wins; no lock is needed.
+        # Phi and Phi^vee as RootSystemV, built on first use from the
+        # coordinates above (the coroots' over the simple coroots) and never
+        # changed afterwards, so every consumer of this datum shares them.
+        # Two threads racing on the first build each build the same value
+        # and one assignment wins; no lock is needed.
         self._root_system = None
         self._coroot_system = None
 
@@ -384,13 +388,19 @@ class BasedRootDatum:
     def root_system(self):
         """(Phi, Delta) in X^* (x) Q with the invariant form, shared."""
         if self._root_system is None:
-            self._root_system = RootSystemV.from_datum(self)
+            self._root_system = RootSystemV.from_closure(
+                self.simple_roots, self.gram(), self.cartan, self._closure,
+                label=self.label)
         return self._root_system
 
     def coroot_system(self):
-        """(Phi^vee, Delta^vee) in X_* (x) Q with the induced form, shared."""
+        """(Phi^vee, Delta^vee) in X_* (x) Q with the induced form, shared;
+        its Cartan matrix is the transpose of the datum's."""
         if self._coroot_system is None:
-            self._coroot_system = RootSystemV.dual_from_datum(self)
+            self._coroot_system = RootSystemV.from_closure(
+                self.simple_coroots, self.gram_star(),
+                tuple(zip(*self.cartan)), self._coclosure,
+                label=self.label + "^" if self.label else "")
         return self._coroot_system
 
     # -- Weyl combinatorics on the cocharacter side -------------------------

@@ -1,12 +1,17 @@
 """Extended affine Weyl groups: lengths, Bruhat order, admissible sets."""
 
 import itertools
+import re
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootfold.affine import (
     AffineElement,
+    ExtendedAffineWeyl,
     _orbit_longest_matrix,
     admissible_set,
     build_affine,
@@ -15,8 +20,17 @@ from rootfold.affine import (
     extremal_elements,
     verify_extremal,
 )
-from rootfold.echelonnage import LocalGroupDatum
-from rootfold.linalg import frac_vec, gauss_solve, mat_mul, mat_transpose, mat_vec, vec_dot
+from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
+from rootfold.hecke import CenterContext
+from rootfold.linalg import (
+    frac_vec,
+    gauss_solve,
+    mat_integer_inverse,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    vec_dot,
+)
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
     _components,
@@ -333,7 +347,8 @@ def reference_engine_data(eng, sigma, gram):
         nxt = []
         for root, cls, refl in frontier:
             for m in eng.simple_matrices:
-                r2 = tuple(Fraction(x) for x in mat_vec(eng.char_action(m), root))
+                char = mat_transpose(mat_integer_inverse(m))
+                r2 = tuple(Fraction(x) for x in mat_vec(char, root))
                 if r2 not in triples:
                     t2 = (r2, eng.endo(m)(cls),
                           mat_mul(mat_mul(m, refl), eng.inverse_matrix(m)))
@@ -455,3 +470,178 @@ def test_max_double_coset_matches_search(name):
                 assert eng.length(eng.multiply(x, s)) < eng.length(x)
             for lam2 in eng.weyl_orbit_class(lam):
                 assert eng.max_double_coset(lam2) == x, (name, kind, lam2)
+
+
+# -- the Fraction length, kept as the reference for the int tables -------------
+
+
+def reference_length(eng, x):
+    """l(t_lambda w) by the inversion formula in Fractions: for each positive
+    root alpha, <alpha, lambda> against the section of the free basis, and
+    w^-1 alpha (the transpose of w on the character side) looked up among
+    the positive roots, one Fraction mat_vec per root."""
+    coinv = eng.coinv
+    f = coinv.free_rank
+    sections = [coinv.section_vector(coinv.element(
+        tuple(int(j == i) for j in range(f)))) for i in range(f)]
+    positive = set(eng.positive_roots)
+    total = 0
+    for r in eng.positive_roots:
+        val = vec_dot(tuple(vec_dot(frac_vec(r), s) for s in sections), x.lam.free)
+        if val.denominator != 1:
+            raise TheoremViolation("pairing is not integral at %r" % (x.lam,))
+        pre = tuple(Fraction(q) for q in mat_vec(mat_transpose(x.w), r))
+        total += abs(val) if pre in positive else abs(val - 1)
+    return total
+
+
+def assert_length_matches_reference(eng, elements, tag):
+    for x in elements:
+        assert eng.length(x) == reference_length(eng, x), (tag, eng.label, x)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_length_matches_reference_on_admissible_sets(name):
+    lgd = load_preset(name).lgd
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    for eng in (beng, teng):
+        w0 = eng.max_double_coset(lgd.coinv.zero())
+        walls = [s for _k, s in eng.s_aff]
+        assert_length_matches_reference(
+            eng, walls + [w0] + [eng.multiply(w0, s) for s in walls], name)
+    for mu in lgd.datum.dominant_cochars_up_to(4):
+        cls = lgd.coinv.project(mu)
+        assert_length_matches_reference(
+            beng, admissible_set(lgd, mu, engine=beng), (name, mu))
+        if lgd.tau_endo(cls) == cls:
+            adm = admissible_set(lgd, mu, engine=teng, use_relative_orbit=True)
+            assert_length_matches_reference(teng, adm, (name, mu))
+
+
+# the rungs of the benchmark's KL ladder
+KL_LADDER = [
+    ("split-a2", (1, 1)),
+    ("split-a2", (2, 2)),
+    ("split-a2", (3, 3)),
+    ("split-a2", (4, 4)),
+    ("split-b2", (2, 2)),
+    ("split-a3", (1, 2, 1)),
+    ("su4-unramified", (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,vec", KL_LADDER)
+def test_length_matches_reference_on_kl_cosets(name, vec):
+    preset = load_preset(name)
+    center = CenterContext(preset.lgd, preset.overrides)
+    H, eng = center.hecke, center.tau_engine
+    y = eng.max_double_coset(preset.lgd.coinv.project(vec))
+    J, y_min, _g = H._right_descents(y)
+    elems, _rows = H._interval_rows(y_min, J)
+    assert_length_matches_reference(eng, elems + list(H.kl_table(y)), name)
+
+
+# small data for the property: Cartan types with their diagram automorphisms
+_PROPERTY_TYPES = {
+    "A1": (), "A2": (flip(2),), "A3": (flip(3),), "A4": (flip(4),),
+    "B2": (), "C3": (), "G2": (), "D4": ((2, 1, 3, 0), (0, 1, 3, 2)),
+    "A1xA1": ((1, 0),), "A2xA2": ((2, 3, 0, 1),),
+}
+_PROPERTY_ENGINES = {}
+
+
+def _property_engines(key):
+    """(lgd, Sigma_breve engine, tau-fixed engine) for a preset name or a
+    (type, isogeny, automorphism, role) tuple, built once."""
+    if key not in _PROPERTY_ENGINES:
+        if isinstance(key, str):
+            lgd = load_preset(key).lgd
+        else:
+            cartan, iso, perm, role = key
+            d = build_datum(cartan, iso)
+            g = diagram_automorphism(d, perm) if perm else None
+            lgd = LocalGroupDatum(d, (g,) if role == "inertia" else (),
+                                  g if role == "frobenius" else None, label=cartan)
+        beng = build_affine(lgd)
+        _PROPERTY_ENGINES[key] = (lgd, beng, build_tau_fixed(lgd, beng))
+    return _PROPERTY_ENGINES[key]
+
+
+@st.composite
+def local_data(draw):
+    """A preset, or a small datum of either isogeny whose diagram
+    automorphism (if any) acts as inertia or as Frobenius."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(preset_names()))
+    cartan = draw(st.sampled_from(sorted(_PROPERTY_TYPES)))
+    iso = draw(st.sampled_from(("adjoint", "simply_connected")))
+    perm = draw(st.sampled_from((None,) + _PROPERTY_TYPES[cartan]))
+    role = draw(st.sampled_from(("inertia", "frobenius"))) if perm else None
+    return (cartan, iso, perm, role)
+
+
+@settings(max_examples=100, deadline=None)
+@given(local_data(), st.booleans(), st.data())
+def test_length_matches_reference_property(key, tau_level, data):
+    """t_lambda w for lambda in a box (summed over its tau-orbit on the
+    tau-fixed engine) and w a word in the simple reflections."""
+    lgd, beng, teng = _property_engines(key)
+    eng = teng if tau_level else beng
+    n = lgd.datum.rank
+    lam = lgd.coinv.project(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                               max_size=n)))
+    if tau_level:
+        acc, img = lam, lgd.tau_endo(lam)
+        while img != lam:
+            acc, img = acc + img, lgd.tau_endo(img)
+        lam = acc
+    word = data.draw(st.lists(st.sampled_from(eng.simple_matrices), max_size=10))
+    w = eng.e_mat
+    for m in word:
+        w = mat_mul(w, m)
+    x = AffineElement(lam, w)
+    assert eng.length(x) == reference_length(eng, x), (key, x)
+    for _k, s in eng.s_aff:
+        sx = eng.multiply(s, x)
+        assert eng.length(sx) == reference_length(eng, sx), (key, sx)
+
+
+def test_pairing_integrality_check_tau_fixed_su4():
+    """On the tau-fixed engine the pairing is integral only on tau-fixed
+    classes; at a class that tau moves, pairing and length both refuse."""
+    lgd = load_preset("su4-unramified").lgd
+    teng = build_tau_fixed(lgd)
+    lam = lgd.coinv.element((1, 0, 0))
+    assert lgd.tau_endo(lam) != lam
+    msg = "pairing is not integral at Coinv(free=(1, 0, 0))"
+    with pytest.raises(TheoremViolation, match=re.escape(msg)):
+        teng.pairing(teng.base_roots[0], lam)
+    with pytest.raises(TheoremViolation, match=re.escape(msg)):
+        teng.length(AffineElement(lam, teng.e_mat))
+    with pytest.raises(TheoremViolation, match=re.escape(msg)):
+        reference_length(teng, AffineElement(lam, teng.e_mat))
+    fixed = lgd.coinv.element((1, 0, 1))
+    assert lgd.tau_endo(fixed) == fixed
+    assert [teng.pairing(r, fixed) for r in teng.positive_roots] == [0, 1, 1, 2]
+
+
+def test_two_rho_check_refuses_a_non_dominant_sum():
+    """The sign vectors need 2rho^vee to pair > 0 with every simple root."""
+    lgd, beng = _engine("A2", "adjoint")
+    sigma = lgd.echelonnage().sigma_breve
+    negated = SimpleNamespace(positive_roots=lambda: tuple(
+        tuple(-x for x in r) for r in sigma.rs_co.positive_roots()))
+    bad = SimpleNamespace(rs_root=sigma.rs_root, rs_co=negated,
+                          base_classes=sigma.base_classes)
+    with pytest.raises(TheoremViolation, match="2rho"):
+        ExtendedAffineWeyl(lgd.coinv, bad, beng.simple_matrices)
+
+
+def test_affine_element_repr_shows_weyl_part():
+    lgd, eng = _engine("A2", "adjoint")
+    s0, s1 = eng.simple_matrices
+    x, y = AffineElement(lgd.coinv.zero(), s0), AffineElement(lgd.coinv.zero(), s1)
+    assert x != y and repr(x) != repr(y)
+    assert repr(x) == "AffineElement(%r, %r)" % (lgd.coinv.zero(), s0)
+    assert repr(eng.identity) == "AffineElement(Coinv(free=(0, 0)), ((1, 0), (0, 1)))"

@@ -13,6 +13,7 @@ from rootfold.folding import (
     form_value,
     verify_duality,
 )
+from rootfold.echelonnage import TheoremViolation
 from rootfold.lattice import ResourceCap, average, group_closure
 from rootfold.linalg import (
     frac_vec,
@@ -24,7 +25,12 @@ from rootfold.linalg import (
     vec_sub,
 )
 from rootfold.presets import load_preset, preset_names
-from rootfold.rootdata import AutomorphismAction, build_datum, diagram_automorphism
+from rootfold.rootdata import (
+    AutomorphismAction,
+    BasedRootDatum,
+    build_datum,
+    diagram_automorphism,
+)
 
 
 def flip(r):
@@ -317,6 +323,40 @@ def test_closure_matches_reference(name):
     for op in OP_TAGS:
         assert_fold_matches_reference(breve.rs_root, tau_char, op)
         assert_fold_matches_reference(breve.rs_co, tau_cochar, op)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_shared_systems_reuse_datum_closure(name, monkeypatch):
+    """root_system() and coroot_system() take the coordinates of the datum's
+    own closure: with cartan_closure disabled they still build, and they
+    equal the systems closed afresh from the base and the form."""
+    import rootfold.folding as folding
+    p = load_preset(name).datum
+    d = BasedRootDatum(p.simple_roots, p.simple_coroots, p.rank, label=p.label)
+    char, cochar = RootSystemV.from_datum(d), RootSystemV.dual_from_datum(d)
+
+    def closed_again(_cartan):
+        raise AssertionError("the datum's Cartan matrix was closed again")
+
+    monkeypatch.setattr(folding, "cartan_closure", closed_again)
+    for got, ref in ((d.root_system(), char), (d.coroot_system(), cochar)):
+        assert got == ref and got.roots == ref.roots, name
+        assert got.coords == ref.coords and got.label == ref.label, name
+        assert got.positive_roots() == ref.positive_roots(), name
+        assert got.cartan() == ref.cartan(), name
+    assert d.coroot_system().cartan() == mat_transpose(d.cartan)
+
+
+def test_shared_systems_reject_a_form_of_another_type():
+    """A form whose Cartan matrix is not the datum's is an internal fault."""
+    d = build_datum("B2")
+    d._gram = identity_matrix(2)
+    with pytest.raises(TheoremViolation, match="the form gives Cartan matrix"):
+        d.root_system()
+    d = build_datum("B2")
+    d._gram_star = identity_matrix(2)
+    with pytest.raises(TheoremViolation, match="the form gives Cartan matrix"):
+        d.coroot_system()
 
 
 def test_scaled_form_closure_matches_reference():
