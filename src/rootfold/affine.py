@@ -24,9 +24,9 @@ from functools import reduce
 from operator import mul
 
 from .echelonnage import TheoremViolation, _highest_root
-from .folding import _integral
 from .lattice import ResourceCap
-from .linalg import identity_matrix, mat_integer_inverse, mat_mul, vec_add, vec_dot
+from .linalg import (identity_matrix, integral_rows, mat_integer_inverse, mat_mul,
+                     vec_add, vec_dot)
 from .rootdata import _components
 
 ADM_CAP = 10 ** 6
@@ -100,18 +100,18 @@ class ExtendedAffineWeyl:
         f = coinv.free_rank
         sections = [coinv.section_vector(coinv.element(
             tuple(int(j == i) for j in range(f)))) for i in range(f)]
-        self._den, rows = _integral(
+        self._den, rows = integral_rows(
             [[vec_dot(r, s) for s in sections] for r in self.positive_roots])
         if self.restrict_endo is None and self._den != 1:
             raise TheoremViolation(
                 "echelonnage pairing is not integral on the lattice")
         self._rows = dict(zip(self.positive_roots, rows))
-        _d, self._roots_int = _integral(self.positive_roots)
+        _d, self._roots_int = integral_rows(self.positive_roots)
         rho2 = reduce(vec_add, self.sigma.rs_co.positive_roots(),
                       (0,) * coinv.rank)
         if any(vec_dot(b, rho2) <= 0 for b in self.base_roots):
             raise TheoremViolation("2rho^vee is not regular dominant")
-        _d, (self._rho2,) = _integral([rho2])
+        _d, (self._rho2,) = integral_rows([rho2])
 
     def pairing(self, root, lam):
         """<root, lam> for a positive root: an integer (echelonnage)."""
@@ -131,7 +131,7 @@ class ExtendedAffineWeyl:
         for k, m in enumerate(self.simple_matrices):
             walls.append((("fin", k), AffineElement(self.coinv.zero(), m)))
         for ci, comp in enumerate(self.components):
-            theta = rs.coords[_highest_root(rs, comp)]
+            theta = _highest_root(rs, comp)
             walls.append((("aff", ci), self._root_reflection(theta, cart)))
             if self.length(walls[-1][1]) != 1:
                 raise TheoremViolation("affine wall reflection has length != 1")

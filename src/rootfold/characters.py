@@ -15,16 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .echelonnage import TheoremViolation
-from .folding import _as_int, fold, form_value
+from .folding import _ratio, fold
 from .lattice import group_closure
 from .linalg import (
     frac_vec,
     gauss_solve,
     identity_matrix,
+    integral_rows,
     mat_mul,
     mat_transpose,
     mat_vec,
-    vec_add,
     vec_dot,
     vec_scale,
     vec_sub,
@@ -37,16 +37,26 @@ def freudenthal(rs, mu):
 
     Returns {c: multiplicity} over coefficient tuples c >= 0 with
     nu = mu - sum_i c_i rs.base[i], listing exactly the weights (positive
-    multiplicity).  All arithmetic is exact.  Weights are moved to the
-    dominant chamber in these coordinates: <nu, b_i^vee> is
-    <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan matrix C of rs, and
-    s_i adds that pairing to c_i.
+    multiplicity).  All arithmetic is exact and runs over base coordinates
+    in ints: with x = sum_i c_i b_i, every inner product in Freudenthal's
+    formula is a combination of (b_i|b_j), (mu|b_i) and (rho|b_i), each
+    scaled to an int by one common factor, which cancels in the quotient.
+    Weights are moved to the dominant chamber in these coordinates:
+    <nu, b_i^vee> is <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan matrix
+    C of rs, and s_i adds that pairing to c_i.
     """
-    base, gram, cart = rs.base, rs.gram, rs.cartan()
-    positives = [(p, rs.coords[p]) for p in rs.positive_roots()]
-    mu = frac_vec(mu)
-    top = tuple(_as_int(2 * form_value(gram, b, mu) / form_value(gram, b, b))
-                for b in base)
+    cart = rs.cartan()
+    positives = rs._positive_coords
+    mu_den, (mu_int,) = integral_rows([mu])
+    gram_mu = mat_vec(rs._gram_int, mu_int)
+    # 2K (b_i|b_j), 2K (mu|b_i) and 4K (mu+rho|b_i), K = den^2 gram_den mu_den
+    g = tuple(tuple(2 * mu_den * x for x in row) for row in rs._base_gram)
+    mb = tuple(2 * rs._den * vec_dot(b, gram_mu) for b in rs._base_int)
+    two_rho = [sum(col) for col in zip(*positives)]
+    mrb = tuple(2 * x + vec_dot(two_rho, row) for x, row in zip(mb, g))
+    top = tuple(_ratio(2 * x, g[i][i]) for i, x in enumerate(mb))
+    # per positive root alpha = sum_i a_i b_i: a, 2K (mu|alpha), 2K (b_i|alpha)
+    pos = [(a, vec_dot(a, mb), mat_vec(g, a)) for a in positives]
 
     def to_dominant(c, sign=1):
         """Coordinates of the dominant (sign=-1: antidominant) weight in
@@ -60,23 +70,9 @@ def freudenthal(rs, mu):
             else:
                 return c
 
-    bounds = to_dominant((0,) * len(base), sign=-1)
+    bounds = to_dominant((0,) * len(rs.base), sign=-1)
     if any(Fraction(b).denominator != 1 or b < 0 for b in bounds):
         raise ValueError("bad weight box")
-    rho = (Fraction(0),) * len(mu)
-    for p, _cp in positives:
-        rho = vec_add(rho, frac_vec(p))
-    rho = vec_scale(Fraction(1, 2), rho)
-
-    def B(u, v):
-        return form_value(gram, u, v)
-
-    def vec_of(c):
-        v = mu
-        for ci, b in zip(c, base):
-            if ci:
-                v = vec_sub(v, vec_scale(ci, b))
-        return v
 
     # dominant weights by increasing height
     import itertools
@@ -89,35 +85,35 @@ def freudenthal(rs, mu):
         representative."""
         return dominant_mult.get(to_dominant(c), 0)
 
-    norm_mu = B(vec_add(mu, rho), vec_add(mu, rho))
     for c in all_cs:
         if to_dominant(c) != c:
             continue
         if sum(c) == 0:
             dominant_mult[c] = 1
             continue
-        v = vec_of(c)
-        denom = norm_mu - B(vec_add(v, rho), vec_add(v, rho))
-        total = Fraction(0)
-        for p, cp in positives:
+        # 2K ((mu+rho|mu+rho) - (nu+rho|nu+rho)) = 2K (2 (mu+rho|x) - (x|x))
+        denom = vec_dot(c, mrb) - vec_dot(c, mat_vec(g, c))
+        total = 0
+        for a, a_mu, g_a in pos:
             k = 1
             while True:
-                c2 = tuple(ci - k * cpi for ci, cpi in zip(c, cp))
+                c2 = tuple(ci - k * ai for ci, ai in zip(c, a))
                 if any(x < 0 for x in c2):
                     break
                 m2 = lookup(c2)
                 if m2:
-                    total += B(vec_add(v, vec_scale(k, frac_vec(p))), frac_vec(p)) * m2
+                    # 2K (nu + k alpha|alpha), nu + k alpha = mu - sum c2_i b_i
+                    total += (a_mu - vec_dot(c2, g_a)) * m2
                 k += 1
         if denom == 0:
             if total != 0:
                 raise TheoremViolation("Freudenthal 0/0 with nonzero numerator")
             continue
-        m = 2 * total / denom
-        if m.denominator != 1 or m < 0:
+        m, rem = divmod(2 * total, denom)
+        if rem or m < 0:
             raise TheoremViolation("non-integral Freudenthal multiplicity")
         if m:
-            dominant_mult[c] = int(m)
+            dominant_mult[c] = m
 
     out = {}
     for c in all_cs:
@@ -204,14 +200,8 @@ class DualGroup:
             out = {tuple(v): m for _c, v, m in self.weight_table(mu).items()}
         else:
             folded = self._folded((g_cochar,))
-            tbl = freudenthal(folded, mu)
-            out = {}
-            for c, m in tbl.items():
-                v = frac_vec(mu)
-                for ci, b in zip(c, folded.base):
-                    if ci:
-                        v = vec_sub(v, vec_scale(ci, b))
-                out[tuple(v)] = m
+            tbl = WeightTable(folded.base, mu, freudenthal(folded, mu))
+            out = {tuple(v): m for _c, v, m in tbl.items()}
         self._trace_tables[key] = out
         return out
 

@@ -28,9 +28,8 @@ from .folding import (
     cartan_of_gram,
     dual_mismatch,
     fold,
-    form_value,
 )
-from .lattice import MalformedAction, coinvariants, group_closure
+from .lattice import MalformedAction, TheoremViolation, coinvariants, group_closure
 from .linalg import (
     frac_vec,
     gauss_solve,
@@ -38,15 +37,11 @@ from .linalg import (
     is_positive_definite,
     mat_integer_inverse,
     mat_transpose,
+    mat_vec,
     vec_dot,
-    vec_neg,
     vec_scale,
 )
 from .rootdata import AutomorphismAction, _components
-
-
-class TheoremViolation(RuntimeError):
-    """Two constructions that a theorem forces to agree came out different."""
 
 
 class UnparameterizedComponent(ValueError):
@@ -209,18 +204,14 @@ class EchelonnageData:
         halved = []
         for k, a in enumerate(sigma0_root.base):
             halved.append(vec_scale(Fraction(1, 2), a) if k in self.special else a)
-        rebuilt = RootSystemV(halved, sigma0_root.gram)
-        if tuple(rebuilt.base) != tuple(knop_root.base) or \
-                set(rebuilt.roots) != set(knop_root.roots):
+        if RootSystemV(halved, sigma0_root.gram) != knop_root:
             raise TheoremViolation("Knop system: halving construction disagrees "
                                    "with res_tau")
 
         # Macdonald system
-        union = sorted(set(sigma0_root.roots) | set(knop_root.roots))
-        self.sigma1 = tuple(union)
-        self.sigma1_nonreduced = any(
-            tuple(vec_scale(Fraction(1, 2), a)) in set(union) for a in union
-        )
+        union = set(sigma0_root.roots) | set(knop_root.roots)
+        self.sigma1 = tuple(sorted(union))
+        self.sigma1_nonreduced = any(tuple(x / 2 for x in a) in union for a in union)
 
         self.parameters = None  # computed on demand with optional overrides
         self._affine_nodes = None
@@ -270,21 +261,21 @@ class EchelonnageData:
 
     def affine_nodes(self):
         """Nodes of the affine diagram of Sigma_breve: ("fin", i) for simple
-        roots, ("aff", c) per component, with their wall gradient vectors."""
+        roots, ("aff", c) per component, with the coordinates of their wall
+        gradients over the base (e_i, and minus the highest root)."""
         if self._affine_nodes is not None:
             return self._affine_nodes
         rs = self.sigma_breve.rs_root
         cart = rs.cartan()
         comps = _components(cart)
-        nodes = {}
-        for i in range(len(rs.base)):
-            nodes[("fin", i)] = rs.base[i]
+        n = len(rs.base)
+        nodes = {("fin", i): tuple(int(i == j) for j in range(n)) for i in range(n)}
         self._components = comps
         self._highest = {}
         for ci, comp in enumerate(comps):
             theta = _highest_root(rs, comp)
             self._highest[ci] = theta
-            nodes[("aff", ci)] = vec_neg(theta)
+            nodes[("aff", ci)] = tuple(-x for x in theta)
         self._affine_nodes = nodes
         return nodes
 
@@ -319,9 +310,9 @@ class EchelonnageData:
                 raise TheoremViolation("tau does not permute highest roots")
             ci = targets.pop()
             img = [0] * len(p)
-            for i, c in enumerate(rs.coords[self._highest[v]]):
+            for i, c in enumerate(self._highest[v]):
                 img[p[i]] = c
-            if rs.coords[self._highest[ci]] != tuple(img):
+            if self._highest[ci] != tuple(img):
                 raise TheoremViolation("tau image of a highest root is not highest")
             return ("aff", ci)
 
@@ -361,8 +352,10 @@ class EchelonnageData:
                     raise ValueError("parameters must be >= 1")
                 params[key] = val
                 continue
+            # a positive multiple of the Gram matrix of the walls, in ints
             vecs = [nodes[nd] for nd in orb]
-            gram_sub = tuple(tuple(form_value(rs.gram, u, v) for v in vecs) for u in vecs)
+            gram_sub = tuple(tuple(vec_dot(u, mat_vec(rs._base_gram, v)) for v in vecs)
+                             for u in vecs)
             if not is_positive_definite(gram_sub):
                 raise UnparameterizedComponent(
                     "orbit %r generates an infinite parabolic; supply an override"
@@ -416,16 +409,16 @@ def _path_order(cart, comp):
 
 
 def _highest_root(rs, comp):
-    """Highest root of one component of a based system."""
+    """Coordinates over the base of the highest root of one component of a
+    based system."""
     best = None
     best_h = None
-    for r in rs.positive_roots():
-        c = rs.coords[r]
+    for c in rs._positive_coords:
         if any(c[i] != 0 for i in range(len(rs.base)) if i not in comp):
             continue
         h = sum(c)
         if best is None or h > best_h:
-            best, best_h = r, h
+            best, best_h = c, h
     return best
 
 

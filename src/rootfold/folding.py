@@ -5,62 +5,58 @@ base, living in an ambient space that carries an invariant positive form.
 The operations produce their output inside the fixed subspace: restriction
 is realized through the averaging map, so that norms and restrictions can be
 compared by literal vector equality (the duality theorem is an identity).
+The work runs in integer coordinates over the base (Casselman, "Machine
+calculations in Weyl groups", Invent. Math. 116, 1994): a system keeps its
+base and form as int rows over common denominators, and rationals are built
+only where a caller reads them.
 
 An automorphism acts on a based system only through the permutation of
 simple-root indices it induces (`base_permutation`).  Orbits of the base
 come from those permutations, and an orbit is orthogonal exactly when the
 source Cartan matrix vanishes on each pair in it, since
 C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are
-compared by `dual_mismatch`, which carries one side across by the
-invariant form (`gram` or its inverse `gram_star`).
+compared by `dual_mismatch`, which carries the dual base of one side across
+by the invariant form (`gram` or its inverse `gram_star`) and rebuilds the
+carried roots from their coroot coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 
-from .lattice import MalformedAction, ResourceCap
-from .linalg import frac_vec, mat_det, mat_vec, vec_add, vec_dot, vec_scale
+from .lattice import MalformedAction, ResourceCap, TheoremViolation
+from .linalg import frac_vec, integral_rows, mat_det, mat_vec, vec_dot
 
 OP_TAGS = ("N", "Nprime", "res", "resprime")
 
 _CLOSURE_CAP = 100000
 
 
-def _as_int(x):
-    """x as an int when it is integral, else unchanged."""
-    return int(x) if x.denominator == 1 else x
+def _ratio(a, b):
+    """a/b as an int when it is integral, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
-def _integral(rows):
-    """(d, d * rows) with d the least common denominator, so the scaled rows
-    are int."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    return den, tuple(tuple(int(x * den) for x in row) for row in rows)
+def _span(c, cols):
+    """sum_j c_j b_j for the vectors b_j whose components are `cols`."""
+    return tuple([sum(map(mul, c, col)) for col in cols])
 
 
-def _is_negative(c):
-    """Whether the first nonzero entry of a coordinate tuple is negative."""
-    return next(x for x in c if x) < 0
-
-
-def form_value(gram, u, v):
-    return vec_dot(frac_vec(u), mat_vec(gram, frac_vec(v)))
-
-
-def dual_vector(gram, v):
-    """v^vee = 2v/(v|v) with respect to the form."""
-    return vec_scale(Fraction(2) / form_value(gram, v, v), frac_vec(v))
+def _root_set(coords, rows):
+    """{+-sum_j c_j rows_j : c in coords} as int vectors."""
+    cols = tuple(zip(*rows))
+    spans = [_span(c, cols) for c in coords]
+    return set(spans) | {tuple([-x for x in v]) for v in spans}
 
 
 def cartan_of_gram(base_gram):
     """C[i][j] = 2(b_i|b_j)/(b_i|b_i) from the Gram matrix of a base, with
     int entries wherever they are integral."""
-    return tuple(tuple(_as_int(2 * gij / row[i]) for gij in row)
+    return tuple(tuple(_ratio(2 * gij, row[i]) for gij in row)
                  for i, row in enumerate(base_gram))
 
 
@@ -94,18 +90,21 @@ def cartan_closure(cartan):
 class RootSystemV:
     """A based root system given by exact vectors and an invariant form.
 
-    The closure runs in simple-root coordinates: with the Cartan matrix
-    C[i][j] = <b_j, b_i^vee> of the base, s_i sends c to
-    c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.5), in plain int arithmetic whenever C is integral.  Each root
-    is mapped to its ambient Fraction vector once.  `roots` is the sorted
-    tuple of ambient vectors and `coords[r]` the coordinates of the root r
-    over `base`.  A system is never changed after construction.
+    `_set_base` builds one integer representation: the base as a common
+    denominator `_den` and int rows `_base_int`, the form as `_gram_den` and
+    `_gram_int`, and `_base_gram[i][j]` = den^2 gram_den (b_i|b_j), which
+    gives the Cartan matrix C[i][j] = <b_j, b_i^vee>.  The closure runs in
+    simple-root coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.5).  `_coords` lists
+    the coordinates of the roots, ordered as their ambient vectors.  The
+    Fraction views are built on first use: `roots` (sorted), `coords[r]`
+    (the coordinates of r over `base`) and `positive_roots()`.  A system is
+    never changed after construction.
     """
 
     def __init__(self, base, gram, label=""):
         self._set_base(base, gram, label)
-        self._index(self._ambient(cartan_closure(self._cartan)))
+        self._index(cartan_closure(self._cartan))
 
     @classmethod
     def from_closure(cls, base, gram, cartan, coords, label=""):
@@ -115,19 +114,20 @@ class RootSystemV:
         out = cls.__new__(cls)
         out._set_base(base, gram, label)
         if out._cartan != cartan:
-            from .echelonnage import TheoremViolation
             raise TheoremViolation("%s: the form gives Cartan matrix %r, not %r"
                                    % (label or "?", out._cartan, cartan))
-        out._index(out._ambient(coords))
+        out._index(coords)
         return out
 
     def _set_base(self, base, gram, label):
         self.base = tuple(frac_vec(b) for b in base)
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self.gram = tuple(frac_vec(row) for row in gram)
         self.label = label
-        gram_base = [mat_vec(self.gram, b) for b in self.base]
+        self._den, self._base_int = integral_rows(self.base)
+        self._gram_den, self._gram_int = integral_rows(self.gram)
+        gram_base = [mat_vec(self._gram_int, b) for b in self._base_int]
         self._base_gram = tuple(tuple(vec_dot(u, gv) for gv in gram_base)
-                                for u in self.base)
+                                for u in self._base_int)
         if mat_det(self._base_gram) == 0:
             raise ValueError("the base is not linearly independent")
         self._cartan = cartan_of_gram(self._base_gram)
@@ -144,35 +144,40 @@ class RootSystemV:
         return cls(datum.simple_coroots, datum.gram_star(),
                    label=datum.label + "^" if datum.label else "")
 
-    def _ambient(self, coord_tuples):
-        """{ambient vector: coordinates} for a set of coordinate tuples that
-        holds the negative of each of its members."""
-        den, base = _integral(self.base)
-        out = {}
-        for c in coord_tuples:
-            if _is_negative(c):
-                continue
-            v = [0] * len(self.gram)
-            for cj, b in zip(c, base):
-                if cj:
-                    for k, bk in enumerate(b):
-                        v[k] += cj * bk
-            v = tuple(Fraction(x, den) for x in v)
-            out[v] = c
-            out[tuple(-x for x in v)] = tuple(-x for x in c)
-        return out
-
     def _index(self, coords):
-        """Install {root: coordinates} as `roots`, `coords` and positives."""
-        self.coords = coords
-        self.roots = tuple(sorted(coords))
-        self._positive = tuple(r for r in self.roots
-                               if all(x >= 0 for x in coords[r]))
+        """Install the roots whose coordinates over the base are the positive
+        members of `coords` and their negatives, ordered by ambient vector."""
+        cols = tuple(zip(*self._base_int))
+        zero = (0,) * len(self.base)
+        table = []
+        for c in coords:
+            if c > zero:
+                v = _span(c, cols)
+                table.append((v, c))
+                table.append((tuple([-x for x in v]), tuple([-x for x in c])))
+        table.sort()
+        self._coords = tuple(c for _v, c in table)
+        self._positive_coords = tuple(c for c in self._coords if c > zero)
+
+    @cached_property
+    def roots(self):
+        """The roots as ambient Fraction vectors, sorted."""
+        cols = tuple(zip(*self._base_int))
+        vectors = [_span(c, cols) for c in self._coords]
+        fracs = {x: Fraction(x, self._den) for x in set().union(*vectors)}
+        return tuple(tuple(map(fracs.__getitem__, v)) for v in vectors)
+
+    @cached_property
+    def coords(self):
+        """{root: its coordinates over `base`}."""
+        return dict(zip(self.roots, self._coords))
 
     def cartan(self):
-        """C[i][j] = <beta_j, beta_i^vee> = 2(b_i|b_j)/(b_i|b_i)."""
+        """C[i][j] = <beta_j, beta_i^vee> = 2(b_i|b_j)/(b_i|b_i).  Raises
+        TheoremViolation, naming the system, unless every entry is an int."""
         if any(isinstance(x, Fraction) for row in self._cartan for x in row):
-            raise ValueError("non-integral Cartan entry")
+            raise TheoremViolation("%s: non-integral Cartan entry in %r"
+                                   % (self.label or "?", self._cartan))
         return self._cartan
 
     def classify(self):
@@ -180,45 +185,44 @@ class RootSystemV:
         return classify_cartan(self.cartan())
 
     def positive_roots(self):
-        return self._positive
+        zero = (0,) * len(self.base)
+        return tuple(r for r, c in zip(self.roots, self._coords) if c > zero)
+
+    def _dual_parts(self):
+        """(L, rows, coords): the dual base b_j^vee = 2 b_j/(b_j|b_j) as int
+        rows over L, and the coordinates over it of the positive coroots.
+        The coroot of the root with coordinates c has coordinates
+        c_j (b_j|b_j)/(beta|beta), so positivity and support carry over."""
+        G = self._base_gram
+        L = lcm(*(G[j][j] for j in range(len(G))))
+        scale = 2 * self._den * self._gram_den * L
+        rows = tuple(tuple(scale // G[j][j] * x for x in b)
+                     for j, b in enumerate(self._base_int))
+        coords = []
+        for c in self._positive_coords:
+            norm = sum(ci * cj * G[i][j] for i, ci in enumerate(c) if ci
+                       for j, cj in enumerate(c) if cj)
+            coords.append(tuple(_ratio(cj * G[j][j], norm) for j, cj in enumerate(c)))
+        return L, rows, coords
 
     def dual(self):
-        """Pointwise dual system (same ambient space and form).
-
-        A root with coordinates c has coroot with coordinates
-        c_j (b_j|b_j)/(beta|beta) over the dual base, so positivity and
-        support carry over."""
+        """Pointwise dual system (same ambient space and form), built from
+        the dual base and the coroot coordinates of `_dual_parts`."""
+        den, rows, coords = self._dual_parts()
         out = RootSystemV.__new__(RootSystemV)
-        out.base = tuple(dual_vector(self.gram, b) for b in self.base)
-        out.gram = self.gram
-        out.label = self.label + "^"
-        G = self._base_gram
-        n = len(G)
-        out._base_gram = tuple(tuple(4 * G[i][j] / (G[i][i] * G[j][j])
-                                     for j in range(n)) for i in range(n))
-        out._cartan = tuple(zip(*self._cartan))
-        den, Gd = _integral(G)
-        coords = {}
-        for r, c in self.coords.items():
-            if _is_negative(c):
-                continue
-            # (beta|beta) = norm / den
-            norm = sum(ci * cj * Gd[i][j] for i, ci in enumerate(c) if ci
-                       for j, cj in enumerate(c) if cj)
-            scale = Fraction(2 * den, norm)
-            rv = tuple(scale * x for x in r)
-            cv = tuple(_as_int(Fraction(cj * Gd[j][j], norm)) for j, cj in enumerate(c))
-            coords[rv] = cv
-            coords[tuple(-x for x in rv)] = tuple(-x for x in cv)
+        out._set_base([[Fraction(x, den) for x in row] for row in rows],
+                      self.gram, self.label + "^")
         out._index(coords)
         return out
 
     def __eq__(self, other):
+        # on one base, equal root sets are equal coordinate sets
         return (isinstance(other, RootSystemV)
-                and self.base == other.base and set(self.roots) == set(other.roots))
+                and (self._den, self._base_int) == (other._den, other._base_int)
+                and set(self._coords) == set(other._coords))
 
     def __repr__(self):
-        return "RootSystemV(%s, %d roots)" % (self.label or "?", len(self.roots))
+        return "RootSystemV(%s, %d roots)" % (self.label or "?", len(self._coords))
 
 
 class FoldedRootSystem(RootSystemV):
@@ -256,9 +260,9 @@ class FoldedRootSystem(RootSystemV):
 
 def base_permutation(rs, g):
     """The simple-root index permutation p of a linear map g that permutes
-    the base of rs: g b_i = b_{p(i)}.  Images are compared as integer
-    vectors (the base scaled by its common denominator)."""
-    _den, base = _integral(rs.base)
+    the base of rs: g b_i = b_{p(i)}.  Images are compared as the int rows
+    of the base over its common denominator."""
+    base = rs._base_int
     index = {b: i for i, b in enumerate(base)}
     try:
         p = tuple(index[mat_vec(g, b)] for b in base)
@@ -289,29 +293,20 @@ def fold(rs, group, op):
 
     The result lives in the fixed subspace of the same ambient space;
     restriction is computed as the orbit average (the image of res under the
-    averaging identification)."""
+    averaging identification).  Orbit sums are taken on the int rows of the
+    base."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
     cart = rs._cartan
     new_base = []
     meta = []
     for orb in base_orbits(rs, group):
-        vecs = [rs.base[i] for i in orb]
         # (b_i|b_j) = 0 exactly when C[i][j] = 2(b_i|b_j)/(b_i|b_i) = 0
         orth = all(cart[i][j] == 0 for i in orb for j in orb if i < j)
-        total = vecs[0]
-        for v in vecs[1:]:
-            total = vec_add(total, v)
-        if op == "N":
-            folded = total
-        elif op == "Nprime":
-            folded = total if orth else vec_scale(2, total)
-        elif op == "res":
-            folded = vec_scale(Fraction(1, len(vecs)), total)
-        else:  # resprime
-            avg = vec_scale(Fraction(1, len(vecs)), total)
-            folded = avg if orth else vec_scale(2, avg)
-        new_base.append(folded)
+        total = [sum(col) for col in zip(*(rs._base_int[i] for i in orb))]
+        num = 1 if orth or op in ("N", "res") else 2
+        den = rs._den * (len(orb) if op in ("res", "resprime") else 1)
+        new_base.append(tuple(Fraction(num * x, den) for x in total))
         meta.append((orb, orth))
     return FoldedRootSystem(new_base, rs.gram, op, tuple(meta),
                             label="%s_%s" % (op, rs.label))
@@ -320,13 +315,18 @@ def fold(rs, group, op):
 def dual_mismatch(res_side, norm_side, carry):
     """The parts, of ("base", "roots"), in which the dual of `res_side`,
     carried across by the matrix `carry`, differs from `norm_side`.  Both
-    sides of one duality identity are built independently and compared as
-    exact vectors; an empty result means the identity holds."""
-    lhs = res_side.dual()
+    sides of one duality identity are built independently.  Only the dual
+    base is carried; the carried root with coroot coordinates c is
+    sum_j c_j carry(b_j^vee).  Both sides are compared as int vectors over
+    one denominator; an empty result means the identity holds."""
+    den, rows, coords = res_side._dual_parts()
+    carry_den, carry = integral_rows(carry)
+    lhs = tuple(tuple(norm_side._den * x for x in mat_vec(carry, row)) for row in rows)
+    rhs = tuple(tuple(carry_den * den * x for x in row) for row in norm_side._base_int)
     out = []
-    if tuple(mat_vec(carry, b) for b in lhs.base) != norm_side.base:
+    if lhs != rhs:
         out.append("base")
-    if {mat_vec(carry, r) for r in lhs.roots} != set(norm_side.roots):
+    if _root_set(coords, lhs) != _root_set(norm_side._positive_coords, rhs):
         out.append("roots")
     return tuple(out)
 

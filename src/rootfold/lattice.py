@@ -36,6 +36,10 @@ class ResourceCap(RuntimeError):
     """An enumeration exceeded its configured bound."""
 
 
+class TheoremViolation(RuntimeError):
+    """Two constructions that a theorem forces to agree came out different."""
+
+
 def group_closure(generators, cap=GROUP_CAP):
     """All elements of the group the matrices generate, by breadth-first
     multiplication.  Raises MalformedAction on a non-unimodular generator and

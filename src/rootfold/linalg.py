@@ -8,6 +8,7 @@ rest of the library depends on every identity being exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def vec_add(u, v):
@@ -37,7 +38,15 @@ def vec_is_zero(u):
 
 
 def frac_vec(u):
-    return tuple(Fraction(a) for a in u)
+    return tuple(a if type(a) is Fraction else Fraction(a) for a in u)
+
+
+def integral_rows(rows):
+    """(d, d * rows) with d the least common denominator of the int or
+    Fraction entries, so the scaled rows are int."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                    for row in rows)
 
 
 def int_vec(u):
@@ -131,24 +140,25 @@ def mat_rational_inverse(M):
 
 
 def mat_det(M):
-    """Exact determinant (fraction-free not needed at our sizes)."""
+    """Exact determinant, by fraction-free (Bareiss) elimination of the
+    matrix scaled to ints by the common denominator d of its entries."""
     n = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
+    d, a = integral_rows(M)
+    a = list(a)
+    sign = prev = 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
         if pr is None:
             return Fraction(0)
         if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det *= rows[c][c]
-        pv = rows[c][c]
+            a[c], a[pr] = a[pr], a[c]
+            sign = -sign
+        pv = a[c][c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            f = a[i][c]
+            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], a[c])]
+        prev = pv
+    return Fraction(sign * prev, d ** n)
 
 
 def is_positive_definite(M):

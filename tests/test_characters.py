@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootfold.characters import (
     CharacterContext,
@@ -30,6 +32,8 @@ from rootfold.linalg import (
 )
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from test_affine import KL_LADDER
+from test_folding import folding_data
 
 
 def flip(r):
@@ -145,13 +149,12 @@ def reference_freudenthal(base, positives, gram, mu):
     return {c: m for c, m in out.items() if m}
 
 
-@pytest.mark.parametrize("name", preset_names())
-def test_freudenthal_matches_reference(name):
-    # Phi^vee, Sigma_breve^vee and the Knop fold, on small dominant inputs
-    lgd = load_preset(name).lgd
+def assert_freudenthal_matches_reference(lgd, bound):
+    """Phi^vee, Sigma_breve^vee and the Knop fold, on the dominant inputs
+    up to `bound`."""
     h = FixedGroup(lgd)
     cases = []
-    for mu in lgd.datum.dominant_cochars_up_to(6, central_box=0):
+    for mu in lgd.datum.dominant_cochars_up_to(bound, central_box=0):
         cases.append((lgd.datum.coroot_system(), mu))
         lam = lgd.coinv.project(mu)
         if h.is_dominant(lam):
@@ -160,7 +163,38 @@ def test_freudenthal_matches_reference(name):
                 cases.append((h.knop_co, h.section(lam)))
     for rs, mu in cases:
         ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, mu)
-        assert freudenthal(rs, mu) == ref, (name, rs, mu)
+        assert freudenthal(rs, mu) == ref, (lgd.label, rs, mu)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_freudenthal_matches_reference(name):
+    assert_freudenthal_matches_reference(load_preset(name).lgd, 6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(folding_data(), st.booleans())
+def test_freudenthal_matches_reference_property(data, as_frobenius):
+    """Generated data: the drawn group acts as inertia, or its first
+    generator as Frobenius."""
+    d, act = data
+    if as_frobenius and act.generators:
+        lgd = LocalGroupDatum(d, (), act.generators[0])
+    else:
+        lgd = LocalGroupDatum(d, act.generators)
+    assert_freudenthal_matches_reference(lgd, 4)
+
+
+@pytest.mark.parametrize("name,vec", KL_LADDER)
+def test_freudenthal_matches_reference_on_kl_ladder(name, vec):
+    """The Sigma_breve^vee and Knop systems of the twining route on each
+    rung of the KL ladder, at its lambda."""
+    lgd = load_preset(name).lgd
+    h = FixedGroup(lgd)
+    lam = lgd.coinv.project(vec)
+    assert h.is_dominant(lam) and h.is_tau_fixed(lam)
+    for rs in (h.system, h.knop_co):
+        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, h.section(lam))
+        assert freudenthal(rs, h.section(lam)) == ref, (name, rs)
 
 
 def test_adjoint_zero_multiplicity():

@@ -265,3 +265,17 @@ def test_datum_permutation_names_option_exit_2(tmp_path, capsys):
                        "--mu", "1,0,-1")
     assert code == 0
     assert json.loads(out)["kind"] == "z_V*1_J"
+
+
+def test_non_integral_cartan_exit_1(monkeypatch, capsys):
+    """A folded system whose Cartan matrix has a Fraction entry is an
+    internal fault: exit 1 naming the system, not an input error."""
+    from fractions import Fraction
+
+    from rootfold.folding import FoldedRootSystem
+    bad = FoldedRootSystem(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), "N",
+                           (((0,), True), ((1,), True)), label="N_bad")
+    monkeypatch.setattr(cli, "fold", lambda rs, group, op: bad)
+    code, _out, err = run(capsys, "fold", "--preset", "split-a2")
+    assert code == cli.EXIT_THEOREM
+    assert err.startswith("theorem check failed: N_bad: non-integral Cartan entry")

@@ -1,16 +1,19 @@
 """The four folding operations and the duality theorem."""
 
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootfold.folding import (
     OP_TAGS,
+    FoldedRootSystem,
     RootSystemV,
     dual_mismatch,
-    dual_vector,
     fold,
-    form_value,
     verify_duality,
 )
 from rootfold.echelonnage import TheoremViolation
@@ -21,6 +24,7 @@ from rootfold.linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -31,10 +35,21 @@ from rootfold.rootdata import (
     build_datum,
     diagram_automorphism,
 )
+from test_rootdata import cartan_data
 
 
 def flip(r):
     return tuple(r - 1 - i for i in range(r))
+
+
+def form_value(gram, u, v):
+    """(u|v) in Fractions."""
+    return vec_dot(frac_vec(u), mat_vec(gram, frac_vec(v)))
+
+
+def dual_vector(gram, v):
+    """v^vee = 2v/(v|v) with respect to the form, in Fractions."""
+    return vec_scale(Fraction(2) / form_value(gram, v, v), frac_vec(v))
 
 
 def reflect(gram, root, v):
@@ -240,13 +255,15 @@ def reference_roots(base, gram):
     """Roots by Fraction reflection closure in the ambient space."""
     from rootfold.linalg import vec_neg
     base = tuple(frac_vec(b) for b in base)
+    # v - 2(b|v)/(b|b) b, with G b and (b|b) computed once per simple root
+    mirrors = [(b, mat_vec(gram, b), form_value(gram, b, b)) for b in base]
     seen = set(base)
     frontier = list(base)
     while frontier:
         nxt = []
         for v in frontier:
-            for b in base:
-                w = reflect(gram, b, v)
+            for b, gb, bb in mirrors:
+                w = vec_sub(v, vec_scale(2 * vec_dot(gb, v) / bb, b))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -255,21 +272,59 @@ def reference_roots(base, gram):
     return tuple(sorted(seen))
 
 
-def reference_positive_roots(base, roots):
-    """Roots with nonnegative coordinates, solved one by one over the base."""
-    from rootfold.linalg import frac_vec, gauss_solve, mat_transpose
+def reference_coords(base, roots):
+    """{root: its coordinates over the base}, solved one by one."""
+    from rootfold.linalg import gauss_solve
     A = mat_transpose(tuple(frac_vec(b) for b in base))
-    return tuple(sorted(r for r in roots if all(c >= 0 for c in gauss_solve(A, r))))
+    return {r: tuple(int(c) for c in gauss_solve(A, r)) for r in roots}
+
+
+def reference_positive_roots(coords):
+    """The roots with nonnegative coordinates, from `reference_coords`."""
+    return tuple(sorted(r for r, c in coords.items() if min(c) >= 0))
+
+
+def reference_cartan(base, gram):
+    """C[i][j] = 2(b_i|b_j)/(b_i|b_i) from the Fraction Gram matrix of the
+    base."""
+    G = [[form_value(gram, u, v) for v in base] for u in base]
+    C = [[2 * gij / row[i] for gij in row] for i, row in enumerate(G)]
+    return tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in C)
+
+
+def reference_dual(rs):
+    """The dual base and the sorted dual roots, pointwise 2r/(r|r)."""
+    return (tuple(dual_vector(rs.gram, b) for b in rs.base),
+            tuple(sorted(dual_vector(rs.gram, r) for r in rs.roots)))
+
+
+def reference_dual_mismatch(res_side, norm_side, carry):
+    """dual_mismatch with the pointwise Fraction dual and one mat_vec of the
+    carry per root."""
+    base, roots = reference_dual(res_side)
+    out = []
+    if tuple(mat_vec(carry, b) for b in base) != norm_side.base:
+        out.append("base")
+    if {mat_vec(carry, r) for r in roots} != set(norm_side.roots):
+        out.append("roots")
+    return tuple(out)
 
 
 def assert_matches_reference(rs):
     roots = reference_roots(rs.base, rs.gram)
-    assert rs.roots == roots, rs
-    assert rs.positive_roots() == reference_positive_roots(rs.base, roots), rs
+    coords = reference_coords(rs.base, roots)
+    assert rs.roots == roots and rs.coords == coords, rs
+    assert rs.positive_roots() == reference_positive_roots(coords), rs
+    cartan = rs.cartan()
+    assert cartan == reference_cartan(rs.base, rs.gram), rs
+    assert all(type(x) is int for row in cartan for x in row), rs
     dual = rs.dual()
-    dual_roots = tuple(sorted(dual_vector(rs.gram, r) for r in roots))
-    assert dual.roots == dual_roots, rs
-    assert dual.positive_roots() == reference_positive_roots(dual.base, dual_roots), rs
+    dual_base, dual_roots = reference_dual(rs)
+    dual_coords = reference_coords(dual_base, dual_roots)
+    assert dual.base == dual_base and dual.roots == dual_roots, rs
+    assert dual.coords == dual_coords, rs
+    assert dual.positive_roots() == reference_positive_roots(dual_coords), rs
+    assert dual.cartan() == mat_transpose(cartan), rs
 
 
 def reference_orbits(rs, group):
@@ -292,8 +347,14 @@ def reference_orbits(rs, group):
 
 def assert_fold_matches_reference(rs, group, op):
     f = fold(rs, group, op)
-    assert f.orbits == reference_orbits(rs, group), (rs, op)
+    orbits = reference_orbits(rs, group)
+    assert f.orbits == orbits, (rs, op)
     assert_matches_reference(f)
+    # the labelling rule applied to the reference Cartan matrix and orbits
+    cartan = reference_cartan(f.base, f.gram)
+    ref = SimpleNamespace(op=op, orbits=orbits, cartan=lambda: cartan)
+    assert f.type_label() == FoldedRootSystem.type_label(ref), (rs, op)
+    return f
 
 
 def _preset_groups(lgd):
@@ -413,3 +474,68 @@ def test_shared_systems_first_build_race():
            reference_roots(d.simple_coroots, d.gram_star()))
     assert got == [ref] * 8
     assert d.root_system() is d.root_system()
+
+
+# -- the int systems against the Fraction references, on generated data ------
+
+def diagram_automorphisms(cartan):
+    """Every permutation of the nodes that preserves the Cartan matrix."""
+    n = len(cartan)
+    return [p for p in itertools.permutations(range(n))
+            if all(cartan[i][j] == cartan[p[i]][p[j]] for i in range(n) for j in range(n))]
+
+
+@st.composite
+def folding_data(draw):
+    """A datum from `cartan_data` with the group generated by a drawn set of
+    its diagram automorphisms, so that every subgroup can come up."""
+    d = draw(cartan_data())
+    perms = draw(st.lists(st.sampled_from(diagram_automorphisms(d.cartan)), max_size=3))
+    return d, AutomorphismAction(d, [diagram_automorphism(d, p) for p in perms])
+
+
+@settings(max_examples=20, deadline=None)
+@given(folding_data())
+def test_int_systems_match_references_property(data):
+    """Roots, coordinates, positives, Cartan matrix, orbits, type label and
+    dual of Phi, Phi^vee and their four folds; dual_mismatch, in both
+    directions, on the two pairs of the duality theorem and the two pairs
+    that differ from it by the doubling."""
+    d, act = data
+    char, cochar = d.root_system(), d.coroot_system()
+    assert_matches_reference(char)
+    assert_matches_reference(cochar)
+    folds = {op: (assert_fold_matches_reference(char, act.group, op),
+                  assert_fold_matches_reference(cochar, act.cochar_group, op))
+             for op in OP_TAGS}
+    for res_op, norm_op in (("res", "Nprime"), ("resprime", "N"),
+                            ("res", "N"), ("resprime", "Nprime")):
+        for res, norm, carry in ((folds[res_op][1], folds[norm_op][0], d.gram_star()),
+                                 (folds[res_op][0], folds[norm_op][1], d.gram())):
+            assert dual_mismatch(res, norm, carry) == \
+                reference_dual_mismatch(res, norm, carry), (d.label, res_op, norm_op)
+
+
+def test_dual_mismatch_compares_roots_on_their_own():
+    """A norm side with the right base but one +- pair of roots missing
+    differs in "roots" only, which a comparison of bases cannot see."""
+    d, act = _setup("A4", flip(4))
+    lhs = fold(d.coroot_system(), act.cochar_group, "res")
+    norm = fold(d.root_system(), act.group, "Nprime")
+    c = max(norm.coords.values())  # the highest root, not simple
+    short = RootSystemV.from_closure(norm.base, norm.gram, norm.cartan(),
+                                     set(norm.coords.values()) - {c, tuple(-x for x in c)},
+                                     label=norm.label)
+    assert short.base == norm.base and len(short.roots) == len(norm.roots) - 2
+    assert dual_mismatch(lhs, norm, d.gram_star()) == ()
+    assert dual_mismatch(lhs, short, d.gram_star()) == ("roots",)
+    assert reference_dual_mismatch(lhs, short, d.gram_star()) == ("roots",)
+
+
+def test_non_integral_cartan_is_a_theorem_violation():
+    """(b1|b1) = 2, (b2|b2) = 1/2, (b1|b2) = -1/2: the reflections close up,
+    but C[0][1] = -1/2, an internal fault that names the system."""
+    rs = RootSystemV(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), label="bad")
+    assert rs._cartan == ((2, Fraction(-1, 2)), (-2, 2))
+    with pytest.raises(TheoremViolation, match="bad: non-integral Cartan entry"):
+        rs.cartan()

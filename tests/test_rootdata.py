@@ -242,11 +242,9 @@ _FACTORS = (("A", 1, None), ("B", 2, None), ("C", 2, None), ("D", 3, None),
 
 
 @st.composite
-def root_data(draw):
+def cartan_data(draw):
     """A datum of a Cartan type of rank <= 5 (products included) with either
-    isogeny, or a GL_n datum with n <= 5."""
-    if draw(st.booleans()):
-        return gl_datum(draw(st.integers(1, 5)))
+    isogeny."""
     budget = 5
     factors = []
     while budget and (not factors or draw(st.booleans())):
@@ -257,6 +255,14 @@ def root_data(draw):
         budget -= rank
     iso = draw(st.sampled_from(("adjoint", "simply_connected")))
     return build_datum("x".join(factors), iso)
+
+
+@st.composite
+def root_data(draw):
+    """A datum from `cartan_data`, or a GL_n datum with n <= 5."""
+    if draw(st.booleans()):
+        return gl_datum(draw(st.integers(1, 5)))
+    return draw(cartan_data())
 
 
 @settings(max_examples=80, deadline=None)
