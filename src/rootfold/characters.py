@@ -18,12 +18,11 @@ from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
 from .lattice import group_closure
 from .linalg import (
+    coordinates,
     frac_vec,
-    gauss_solve,
     identity_matrix,
     integral_rows,
     mat_mul,
-    mat_transpose,
     mat_vec,
     vec_dot,
     vec_scale,
@@ -460,8 +459,9 @@ def weight_multiplicity(datum, mu, nu):
     if not all(vec_dot(frac_vec(mu), frac_vec(cv)) >= 0 for cv in datum.simple_coroots):
         raise ValueError("mu must be dominant")
     tbl = freudenthal(system, mu)
-    diff = vec_sub(frac_vec(mu), frac_vec(nu))
-    coords = gauss_solve(mat_transpose(system.base), diff)
-    if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
+    # mu - nu = sum c_i b_i with b_i = _base_int[i] / _den
+    coords = coordinates(system._base_int)(
+        tuple(system._den * x for x in vec_sub(frac_vec(mu), frac_vec(nu))))
+    if coords is None or min(coords, default=0) < 0:
         return 0
-    return tbl.get(tuple(int(c) for c in coords), 0)
+    return tbl.get(coords, 0)

@@ -31,11 +31,10 @@ from .folding import (
 )
 from .lattice import MalformedAction, TheoremViolation, coinvariants, group_closure
 from .linalg import (
-    frac_vec,
-    gauss_solve,
+    coordinates,
     identity_matrix,
     is_positive_definite,
-    mat_integer_inverse,
+    mat_mul,
     mat_transpose,
     mat_vec,
     vec_dot,
@@ -59,12 +58,10 @@ class LocalGroupDatum:
         self.tau_char = tuple(map(tuple, frobenius)) if frobenius is not None \
             else identity_matrix(n)
         # tau must itself be a pinned automorphism
-        AutomorphismAction(datum, [self.tau_char])
-        self.tau_cochar = mat_transpose(mat_integer_inverse(self.tau_char))
+        (self.tau_cochar,) = AutomorphismAction(datum, [self.tau_char]).cochar_generators
         inertia_set = set(self.inertia.group)
-        tau_inv = mat_integer_inverse(self.tau_char)
+        tau_inv = mat_transpose(self.tau_cochar)
         for g in self.inertia.group:
-            from .linalg import mat_mul
             if mat_mul(mat_mul(self.tau_char, g), tau_inv) not in inertia_set:
                 raise MalformedAction("frobenius does not normalize the inertia action")
         self.coinv = coinvariants(n, self.inertia.cochar_generators)
@@ -77,7 +74,6 @@ class LocalGroupDatum:
         return self._ech
 
     def tau_order(self):
-        from .linalg import mat_mul
         n = self.datum.rank
         p = self.tau_char
         k = 1
@@ -105,6 +101,7 @@ class SigmaSystem:
         self.rs_co = rs_co
         self.base_classes = tuple(base_classes)
         self.name = name
+        self._class_coords = coordinates(c.free for c in self.base_classes)
         for root, coroot in zip(rs_root.base, rs_co.base):
             if vec_dot(root, coroot) != 2:
                 raise TheoremViolation("%s: <root, coroot> != 2 on the base" % name)
@@ -128,15 +125,12 @@ class SigmaSystem:
         mu - lam is a nonnegative integral combination of `base_classes`
         (torsion coordinates included)."""
         diff = mu - lam
-        cols = tuple(frac_vec(c.free) for c in self.base_classes)
-        if not cols:
-            return diff.is_zero()
-        sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
-        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+        sol = self._class_coords(diff.free)
+        if sol is None or min(sol, default=0) < 0:
             return False
         acc = diff.lattice.zero()
         for c, cls in zip(sol, self.base_classes):
-            acc = acc + cls.scale(int(c))
+            acc = acc + cls.scale(c)
         return acc == diff
 
 

@@ -50,7 +50,7 @@ def group_closure(generators, cap=GROUP_CAP):
     for g in generators:
         try:
             mat_integer_inverse(g)
-        except ValueError:
+        except ArithmeticError:
             raise MalformedAction("generator is not invertible over Z")
     seen = {identity_matrix(n)}
     frontier = [identity_matrix(n)]

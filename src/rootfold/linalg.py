@@ -3,6 +3,12 @@
 Everything here works on immutable tuples (vectors are tuples, matrices are
 tuples of row tuples) with int or Fraction entries.  No floats anywhere: the
 rest of the library depends on every identity being exact.
+
+Determinants, inverses and coordinates over a base all come from one
+fraction-free elimination, `adjugate`; `coordinates` turns it into a
+reusable int solver for a fixed base.  Singular, non-unimodular or
+dependent input raises ArithmeticError: callers that take such matrices
+from the user turn it into their own input error.
 """
 
 from __future__ import annotations
@@ -19,10 +25,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
 def vec_scale(c, u):
     return tuple(c * a for a in u)
 
@@ -31,10 +33,6 @@ def vec_dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_is_zero(u):
-    return all(a == 0 for a in u)
 
 
 def frac_vec(u):
@@ -47,17 +45,6 @@ def integral_rows(rows):
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row)
                     for row in rows)
-
-
-def int_vec(u):
-    """Cast a rational vector with integer entries back to ints."""
-    out = []
-    for a in u:
-        f = Fraction(a)
-        if f.denominator != 1:
-            raise ValueError("entry %r is not an integer" % (a,))
-        out.append(int(f))
-    return tuple(out)
 
 
 def identity_matrix(n):
@@ -81,84 +68,92 @@ def mat_sub(A, B):
     return tuple(vec_sub(r, s) for r, s in zip(A, B))
 
 
-def mat_int(M):
-    return tuple(int_vec(row) for row in M)
+def adjugate(M):
+    """(det M, adj M) of a square int or Fraction matrix; (0, None) when M
+    is singular.
 
-
-def gauss_solve(A, b):
-    """Solve A x = b over Q.  Returns a Fraction tuple, or None if unsolvable.
-
-    When the solution space is positive-dimensional an arbitrary (but
-    deterministic) solution is returned.
+    This is the one elimination of the library: fraction-free (Bareiss)
+    Gauss-Jordan on the int matrix [A | I], A = d M for d the common
+    denominator of M's entries.  After the step on column c every entry
+    is, up to sign, a minor of [A | I] of order c + 1, so each division by
+    the previous pivot is exact.  At the end the left block is det(A) I and
+    the right block is adj(A), both up to the sign of the row swaps; then
+    det M = det(A) / d^n and adj M = adj(A) / d^(n-1).  An int M gives int
+    results.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x)
-
-
-def mat_rational_inverse(M):
-    """Inverse of a square matrix over Q, or None if singular."""
     n = len(M)
-    rows = [[Fraction(x) for x in M[i]] + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)]
+    d, a = integral_rows(M)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = prev = 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
         if pr is None:
-            return None
-        rows[c], rows[pr] = rows[pr], rows[c]
-        pv = rows[c][c]
-        rows[c] = [x / pv for x in rows[c]]
+            return 0, None
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        piv = rows[c]
+        pv = piv[c]
         for i in range(n):
-            if i != c and rows[i][c] != 0:
+            if i != c:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], piv)]
+        prev = pv
+    if d == 1:
+        return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+    return (Fraction(sign * prev, d ** n),
+            tuple(tuple(Fraction(sign * x, d ** (n - 1)) for x in row[n:])
+                  for row in rows))
 
 
 def mat_det(M):
-    """Exact determinant, by fraction-free (Bareiss) elimination of the
-    matrix scaled to ints by the common denominator d of its entries."""
-    n = len(M)
-    d, a = integral_rows(M)
-    a = list(a)
-    sign = prev = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        pv = a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c]
-            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], a[c])]
-        prev = pv
-    return Fraction(sign * prev, d ** n)
+    """Exact determinant (an int for an int matrix)."""
+    return adjugate(M)[0]
+
+
+def mat_rational_inverse(M):
+    """Inverse of a square matrix over Q, as adj M / det M."""
+    det, adj = adjugate(M)
+    if adj is None:
+        raise ArithmeticError("matrix is singular")
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+
+
+def mat_integer_inverse(U):
+    """Inverse of a unimodular int matrix: det U = +-1, so U^-1 = det U adj U."""
+    det, adj = adjugate(U)
+    if det not in (1, -1):
+        raise ArithmeticError("matrix is not unimodular")
+    return adj if det == 1 else tuple(tuple(-x for x in row) for row in adj)
+
+
+def coordinates(rows):
+    """Solver for coordinates over linearly independent int rows B.
+
+    Returns solve(v): the int tuple x with sum_i x_i B_i == v, or None when
+    v is not such an integral combination.  The left inverse adj(G) B over
+    det(G), G = B B^T, is built once; each query is one int mat-vec, a
+    divisibility check by det(G) and a check that x really gives v (v may lie
+    outside the span).  Raises ArithmeticError when the rows are dependent.
+    """
+    B = tuple(map(tuple, rows))
+    det, adj = adjugate(tuple(tuple(vec_dot(r, s) for s in B) for r in B))
+    if adj is None:
+        raise ArithmeticError("rows are linearly dependent")
+    left = mat_mul(adj, B)
+
+    def solve(v):
+        x = []
+        for row in left:
+            q, r = divmod(vec_dot(row, v), det)
+            if r:
+                return None
+            x.append(q)
+        if any(vk != sum(xi * b[k] for xi, b in zip(x, B)) for k, vk in enumerate(v)):
+            return None
+        return tuple(x)
+
+    return solve
 
 
 def is_positive_definite(M):
@@ -169,14 +164,6 @@ def is_positive_definite(M):
         if mat_det(minor) <= 0:
             return False
     return True
-
-
-def mat_integer_inverse(U):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = mat_rational_inverse(U)
-    if inv is None:
-        raise ValueError("matrix is singular")
-    return mat_int(inv)
 
 
 def smith_normal_form(M):
@@ -285,7 +272,7 @@ def hermite_row_basis(vectors):
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot).  The result is a canonical invariant of the lattice itself.
     """
-    rows = [list(v) for v in vectors if not vec_is_zero(v)]
+    rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return ()
     n = len(rows[0])

@@ -15,12 +15,11 @@ from fractions import Fraction
 from .folding import RootSystemV, cartan_closure
 from .lattice import MalformedAction, group_closure
 from .linalg import (
+    coordinates,
     frac_vec,
-    gauss_solve,
     identity_matrix,
     is_positive_definite,
     kernel_basis,
-    mat_int,
     mat_integer_inverse,
     mat_mul,
     mat_rational_inverse,
@@ -294,6 +293,8 @@ class BasedRootDatum:
         self.coroots = tuple(pairs[r][0] for r in self.roots)
         self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
         self._root_index = {r: k for k, r in enumerate(self.roots)}
+        # int coordinates over the simple coroots, for the dominance order
+        self._coroot_coords = coordinates(self.simple_coroots)
         self._gram = None
         self._gram_star = None
         # Phi and Phi^vee as RootSystemV, built on first use from the
@@ -449,31 +450,17 @@ class BasedRootDatum:
         coroots (equivalently of simple coroots)."""
         if len(nu) != len(mu):
             raise ValueError("rank mismatch")
-        diff = vec_sub(mu, nu)
-        A = mat_transpose(self.simple_coroots)
-        sol = gauss_solve(A, diff)
-        if sol is None:
-            return False
-        if any(Fraction(c).denominator != 1 or c < 0 for c in sol):
-            return False
-        return mat_vec(A, sol) == tuple(map(Fraction, diff))
+        c = self._coroot_coords(vec_sub(mu, nu))
+        return c is not None and min(c, default=0) >= 0
 
     def weight_set(self, mu):
         """The saturated set Wt(mu) = {nu : w nu <= mu for all w}."""
         mu = tuple(mu)
         if not self.is_dominant_cochar(mu):
             raise ValueError("mu must be dominant")
-        lowest = self.antidominant_cochar(mu)
-        diff = vec_sub(mu, lowest)
-        A = mat_transpose(self.simple_coroots)
-        sol = gauss_solve(A, diff)
-        if sol is None:
-            raise ValueError("mu - w0(mu) is not in the coroot span")
-        bounds = []
-        for c in sol:
-            if Fraction(c).denominator != 1 or c < 0:
-                raise ValueError("bad dominance box")
-            bounds.append(int(c))
+        bounds = self._coroot_coords(vec_sub(mu, self.antidominant_cochar(mu)))
+        if bounds is None or min(bounds, default=0) < 0:
+            raise ValueError("bad dominance box")
         out = []
         for cs in itertools.product(*(range(b + 1) for b in bounds)):
             nu = mu
@@ -498,13 +485,9 @@ class BasedRootDatum:
         simples = self.simple_roots
         r = len(simples)
         central = kernel_basis(tuple(simples)) if simples else identity_matrix(n)
-        two_rho = tuple(sum(a[k] for a in self.positive_roots) for k in range(n))
-        # heights n_i of 2rho over the simple roots
-        if r:
-            sol = gauss_solve(mat_transpose(simples), two_rho)
-            heights = tuple(int(c) for c in sol)
-        else:
-            heights = ()
+        # heights of 2rho over the simple roots: the column sums of the
+        # positive roots' coordinates
+        heights = tuple(map(sum, zip(*(c for c in self._closure if min(c) >= 0))))
         out = set()
         for m in itertools.product(*(range(bound + 1) for _ in range(r))):
             if sum(h * mi for h, mi in zip(heights, m)) > bound:
@@ -606,24 +589,20 @@ class AutomorphismAction:
     def __init__(self, datum, generators, cap=10080):
         self.datum = datum
         self.generators = tuple(tuple(map(tuple, g)) for g in generators)
-        for g in self.generators:
-            self._validate(g)
+        self.cochar_generators = tuple(map(self._validate, self.generators))
         self.group = group_closure(self.generators, cap) or (identity_matrix(datum.rank),)
-        self.cochar_generators = tuple(self._cochar(g) for g in self.generators)
-        self.cochar_group = tuple(self._cochar(g) for g in self.group)
+        self.cochar_group = tuple(map(self._cochar_of, self.group))
 
     @staticmethod
     def _cochar_of(g):
         return mat_transpose(mat_integer_inverse(g))
 
-    def _cochar(self, g):
-        return self._cochar_of(g)
-
     def _validate(self, g):
+        """The cocharacter matrix of generator g, once g is checked."""
         datum = self.datum
         try:
             gstar = self._cochar_of(g)
-        except ValueError:
+        except ArithmeticError:
             raise MalformedAction("generator is not invertible over Z")
         simple_set = set(datum.simple_roots)
         for a in datum.simple_roots:
@@ -633,6 +612,7 @@ class AutomorphismAction:
             ga = mat_vec(g, a)
             if datum.coroot_of(ga) != mat_vec(gstar, av):
                 raise MalformedAction("action breaks the root/coroot pairing")
+        return gstar
 
     def order(self):
         return len(self.group)
@@ -673,16 +653,20 @@ def diagram_automorphism(datum, perm):
         for k, l in enumerate(perm):
             if datum.cartan[i][k] != datum.cartan[j][l]:
                 raise MalformedAction("permutation is not a diagram automorphism")
-    simples = mat_transpose(datum.simple_roots)
     if len(datum.simple_roots) == n:
-        # columns alpha_i -> alpha_{perm(i)}
-        target = mat_transpose(tuple(datum.simple_roots[j] for j in perm))
-        sol = mat_mul(tuple(map(tuple, target)), mat_rational_inverse(simples))
-        return mat_int(sol)
-    cosimples = mat_transpose(datum.simple_coroots)
-    if len(datum.simple_coroots) == n:
-        target = mat_transpose(tuple(datum.simple_coroots[j] for j in perm))
-        sol_star = mat_mul(tuple(map(tuple, target)), mat_rational_inverse(cosimples))
-        return mat_transpose(mat_integer_inverse(mat_int(sol_star)))
-    raise UndeterminedAutomorphism("datum lattice does not determine the "
-                                   "automorphism; give it as {\"matrix\": ...}")
+        # g alpha_i = alpha_perm(i): g = T S^-1, with the simple roots as the
+        # columns of S and their images as the columns of T
+        g = mat_mul(mat_transpose(tuple(datum.simple_roots[j] for j in perm)),
+                    mat_rational_inverse(mat_transpose(datum.simple_roots)))
+    elif len(datum.simple_coroots) == n:
+        # the same on the coroots gives g*, and g is its inverse transpose
+        g = mat_transpose(mat_mul(
+            mat_transpose(datum.simple_coroots),
+            mat_rational_inverse(mat_transpose(tuple(datum.simple_coroots[j]
+                                                     for j in perm)))))
+    else:
+        raise UndeterminedAutomorphism("datum lattice does not determine the "
+                                       "automorphism; give it as {\"matrix\": ...}")
+    if any(x.denominator != 1 for row in g for x in row):
+        raise MalformedAction("permutation does not preserve the lattice")
+    return tuple(tuple(int(x) for x in row) for row in g)

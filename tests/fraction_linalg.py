@@ -1,0 +1,69 @@
+"""Fraction Gaussian elimination: the reference for `rootfold.linalg`.
+
+The library decides determinants, inverses and coordinates over a base with
+one fraction-free integer elimination (`linalg.adjugate` and
+`linalg.coordinates`).  The tests check it against these plain Fraction
+eliminations, and use `gauss_solve` wherever they need coordinates of their
+own.
+"""
+
+from fractions import Fraction
+
+
+def gauss_solve(A, b):
+    """Solve A x = b over Q.  Returns a Fraction tuple, or None if unsolvable.
+
+    When the solution space is positive-dimensional an arbitrary (but
+    deterministic) solution is returned.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if rows[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)
+
+
+def gauss_jordan(M):
+    """(det M, M^-1) over Q by Fraction Gauss-Jordan; (0, None) when M is
+    singular.  The determinant is the signed product of the pivots."""
+    n = len(M)
+    rows = [[Fraction(x) for x in M[i]] + [Fraction(int(j == i)) for j in range(n)]
+            for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0), None
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        rows[c] = [x / pv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det, tuple(tuple(rows[i][n:]) for i in range(n))

@@ -162,7 +162,8 @@ def test_criterion_5_theorem_d():
 def test_criterion_6_twining_matrix_oracle():
     t0 = time.time()
     from sl3_oracle import _pinned_involution, _sl3_weight_basis
-    from rootfold.linalg import gauss_solve, mat_transpose
+    from fraction_linalg import gauss_solve
+    from rootfold.linalg import mat_transpose
     d = build_datum("A2", "simply_connected")
     lgd = LocalGroupDatum(d, (), diagram_automorphism(d, flip(2)), label="su3")
     ctx = CharacterContext(lgd)

@@ -24,7 +24,6 @@ from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
 from rootfold.hecke import CenterContext
 from rootfold.linalg import (
     frac_vec,
-    gauss_solve,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
@@ -39,6 +38,7 @@ from rootfold.rootdata import (
     gl_datum,
     unitary_dual_action,
 )
+from fraction_linalg import gauss_solve
 
 
 def flip(r):

@@ -21,7 +21,6 @@ from rootfold.characters import (
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import (
     frac_vec,
-    gauss_solve,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -32,6 +31,7 @@ from rootfold.linalg import (
 )
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from fraction_linalg import gauss_solve
 from test_affine import KL_LADDER
 from test_folding import folding_data
 

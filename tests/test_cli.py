@@ -267,6 +267,19 @@ def test_datum_permutation_names_option_exit_2(tmp_path, capsys):
     assert json.loads(out)["kind"] == "z_V*1_J"
 
 
+def test_non_unimodular_matrix_exit_2(tmp_path, capsys):
+    """A {"matrix": ...} automorphism of determinant 2 in a testfn --config
+    file is bad input: exit 2 with the automorphism's message."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({
+        "datum": {"cartan_type": "A2", "isogeny": "simply_connected"},
+        "frobenius": {"matrix": [[2, 0], [0, 1]]}}))
+    code, out, err = run(capsys, "testfn", "--config", str(config), "--mu", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "input error: generator is not invertible over Z"
+
+
 def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     """A folded system whose Cartan matrix has a Fraction entry is an
     internal fault: exit 1 naming the system, not an input error."""

@@ -251,9 +251,12 @@ def test_base_preservation_error():
 
 # -- reference closure -------------------------------------------------------
 
+def vec_neg(u):
+    return tuple(-a for a in u)
+
+
 def reference_roots(base, gram):
     """Roots by Fraction reflection closure in the ambient space."""
-    from rootfold.linalg import vec_neg
     base = tuple(frac_vec(b) for b in base)
     # v - 2(b|v)/(b|b) b, with G b and (b|b) computed once per simple root
     mirrors = [(b, mat_vec(gram, b), form_value(gram, b, b)) for b in base]
@@ -274,7 +277,7 @@ def reference_roots(base, gram):
 
 def reference_coords(base, roots):
     """{root: its coordinates over the base}, solved one by one."""
-    from rootfold.linalg import gauss_solve
+    from fraction_linalg import gauss_solve
     A = mat_transpose(tuple(frac_vec(b) for b in base))
     return {r: tuple(int(c) for c in gauss_solve(A, r)) for r in roots}
 

@@ -95,7 +95,8 @@ def test_invariants_vs_coinvariants_rank():
         assert len(inv) == L.free_rank
         # averaging is a bijection between the two rational spaces:
         # sections of the free basis must span the invariant subspace
-        from rootfold.linalg import gauss_solve, mat_transpose
+        from fraction_linalg import gauss_solve
+        from rootfold.linalg import mat_transpose
         secs = [L.section_vector(L.element(tuple(1 if j == i else 0
                                                  for j in range(L.free_rank))))
                 for i in range(L.free_rank)]

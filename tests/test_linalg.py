@@ -1,13 +1,21 @@
-"""Exact linear algebra: transform identities and canonical forms."""
+"""Exact linear algebra: transform identities and canonical forms, and the
+one fraction-free elimination against the Fraction references."""
 
+import itertools
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import (
-    gauss_solve,
+    adjugate,
+    coordinates,
+    frac_vec,
     hermite_row_basis,
+    identity_matrix,
     is_positive_definite,
     kernel_basis,
     lattice_member,
@@ -15,10 +23,17 @@ from rootfold.linalg import (
     mat_integer_inverse,
     mat_mul,
     mat_rational_inverse,
+    mat_transpose,
     mat_vec,
     smith_normal_form,
     solve_integer,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
+from rootfold.presets import load_preset, preset_names
+from fraction_linalg import gauss_jordan, gauss_solve
+from test_rootdata import cartan_data
 
 small_mat = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -87,3 +102,174 @@ def test_rational_inverse_and_definite():
 
 def test_gauss_solve_none():
     assert gauss_solve(((1, 0), (1, 0)), (1, 2)) is None
+
+
+def test_integer_inverse_rejects_non_unimodular():
+    with pytest.raises(ArithmeticError) as exc:
+        mat_integer_inverse(((2, 0), (0, 1)))
+    assert not isinstance(exc.value, ValueError)
+    with pytest.raises(ArithmeticError):
+        mat_integer_inverse(((1, 2), (2, 4)))
+    with pytest.raises(ArithmeticError):
+        mat_rational_inverse(((1, 2), (2, 4)))
+    with pytest.raises(ArithmeticError):
+        coordinates(((1, 2, 0), (2, 4, 0)))
+
+
+# -- adjugate and coordinates against Fraction elimination -----------------
+
+@st.composite
+def square_int_matrices(draw):
+    """A square int matrix of size <= 6; about one in three is made singular
+    by setting a row to a combination of two others (or to zero)."""
+    n = draw(st.integers(0, 6))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+            for _ in range(n)]
+    if n and draw(st.integers(0, 2)) == 0:
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y if i not in (j, k) else 0
+                   for x, y in zip(rows[j], rows[k])]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_int_matrices(), st.integers(1, 4))
+def test_adjugate_matches_fraction_gauss_jordan(M, d):
+    n = len(M)
+    det, adj = adjugate(M)
+    ref_det, ref_inv = gauss_jordan(M)
+    assert type(det) is int and det == ref_det
+    if ref_inv is None:
+        assert adj is None
+        with pytest.raises(ArithmeticError):
+            mat_rational_inverse(M)
+    else:
+        assert all(type(x) is int for row in adj for x in row)
+        assert mat_mul(adj, M) == mat_mul(M, adj) == tuple(
+            tuple(det * x for x in row) for row in identity_matrix(n))
+        assert mat_rational_inverse(M) == ref_inv
+        if det in (1, -1):
+            assert mat_integer_inverse(M) == ref_inv
+    # a rational matrix M / d: det / d^n and adj / d^(n-1)
+    Md = tuple(tuple(Fraction(x, d) for x in row) for row in M)
+    det_d, adj_d = adjugate(Md)
+    assert det_d == Fraction(ref_det, d ** n) == gauss_jordan(Md)[0]
+    if adj is None:
+        assert adj_d is None
+    else:
+        assert adj_d == tuple(tuple(Fraction(x, d ** (n - 1)) for x in row)
+                              for row in adj)
+
+
+def _reference_coordinates(rows, v):
+    """Integer coordinates of v over `rows` by gauss_solve, or None."""
+    sol = gauss_solve(mat_transpose(rows), v) if rows else (
+        () if not any(v) else None)
+    if sol is None or any(Fraction(c).denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+@st.composite
+def independent_rows(draw):
+    """(k, n, rows): k <= n linearly independent int rows of length n <= 5."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    rows = tuple(tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+                 for _ in range(k))
+    assume(gauss_jordan(tuple(tuple(sum(a * b for a, b in zip(r, s)) for s in rows)
+                              for r in rows))[1] is not None)
+    return k, n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_rows(), st.data())
+def test_coordinates_match_gauss_solve(krows, data):
+    k, n, rows = krows
+    solve = coordinates(rows)
+    ints = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    # in the lattice: x itself comes back
+    x = tuple(data.draw(ints))
+    v = tuple(sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(n))
+    assert solve(v) == x == _reference_coordinates(rows, v)
+    # in the span, not in the lattice: over rows with the first one scaled
+    # by q, the first coordinate of v becomes x_0 / q
+    q = data.draw(st.integers(2, 3))
+    if k and x[0] % q:
+        scaled = (tuple(q * a for a in rows[0]),) + rows[1:]
+        assert gauss_solve(mat_transpose(scaled), v) is not None
+        assert coordinates(scaled)(v) is None
+        assert _reference_coordinates(scaled, v) is None
+    # anywhere: outside the span when k < n (for almost every draw)
+    w = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    assert solve(w) == _reference_coordinates(rows, w)
+
+
+# -- the dominance order, Wt(mu) and the class cone against gauss_solve ------
+
+def _reference_dominance_leq(datum, nu, mu):
+    diff = vec_sub(mu, nu)
+    A = mat_transpose(datum.simple_coroots)
+    sol = gauss_solve(A, diff) if A else ()
+    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+        return False
+    return mat_vec(A, sol) == frac_vec(diff) if A else not any(diff)
+
+
+def _reference_weight_set(datum, mu):
+    A = mat_transpose(datum.simple_coroots)
+    diff = vec_sub(mu, datum.antidominant_cochar(mu))
+    bounds = [int(c) for c in gauss_solve(A, diff)] if A else []
+    out = []
+    for cs in itertools.product(*(range(b + 1) for b in bounds)):
+        nu = mu
+        for c, acov in zip(cs, datum.simple_coroots):
+            nu = vec_sub(nu, vec_scale(c, acov))
+        if _reference_dominance_leq(datum, datum.dominant_cochar(nu), mu):
+            out.append(nu)
+    return tuple(sorted(out))
+
+
+def _reference_class_leq(sigma, lam, mu):
+    diff = mu - lam
+    cols = tuple(frac_vec(c.free) for c in sigma.base_classes)
+    if not cols:
+        return diff.is_zero()
+    sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
+    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+        return False
+    acc = diff.lattice.zero()
+    for c, cls in zip(sol, sigma.base_classes):
+        acc = acc + cls.scale(int(c))
+    return acc == diff
+
+
+def assert_orders_match_references(lgd, bound):
+    datum = lgd.datum
+    mus = datum.dominant_cochars_up_to(bound)
+    # pairs of dominant mu, and each mu against its shifts by simple coroots
+    # and by unit vectors (off the coroot lattice on most data)
+    for mu in mus:
+        assert datum.weight_set(mu) == _reference_weight_set(datum, mu)
+        others = list(mus) + [vec_sub(mu, c) for c in datum.simple_coroots] + [
+            vec_add(mu, e) for e in identity_matrix(datum.rank)]
+        for nu in others:
+            assert datum.dominance_leq(nu, mu) == _reference_dominance_leq(datum, nu, mu)
+    ech = lgd.echelonnage()
+    classes = sorted({lgd.coinv.project(mu) for mu in mus}, key=repr)
+    for sigma in (ech.sigma_breve, ech.sigma0):
+        for lam in classes:
+            for mu in classes:
+                assert sigma.class_leq(lam, mu) == _reference_class_leq(sigma, lam, mu)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_orders_match_references_on_presets(name):
+    assert_orders_match_references(load_preset(name).lgd, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cartan_data())
+def test_orders_match_references_property(datum):
+    assert_orders_match_references(LocalGroupDatum(datum), 3)

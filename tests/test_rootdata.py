@@ -8,7 +8,6 @@ from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
     frac_vec,
-    gauss_solve,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -23,6 +22,7 @@ from rootfold.rootdata import (
     parse_cartan_type,
     unitary_dual_action,
 )
+from fraction_linalg import gauss_solve
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30, "A6": 42,
