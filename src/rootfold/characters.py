@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
-from .lattice import group_closure
 from .linalg import (
     coordinates,
     frac_vec,
@@ -145,14 +144,16 @@ class WeightTable:
 class DualGroup:
     """The dual group of the datum: root system Phi^vee in X_* (x) Q.
 
-    Weight tables, folds and trace tables are memoized in per-instance
-    dicts; confine an instance to one thread or guard access externally."""
+    Weight tables and trace tables are memoized in per-instance dicts;
+    confine an instance to one thread or guard access externally.  The
+    folds of Phi^vee that the trace tables read are memoized by
+    `folding.fold` on the datum's shared system, so every instance on one
+    datum builds each fold once."""
 
     def __init__(self, datum):
         self.datum = datum
         self.system = datum.coroot_system()
         self._tables = {}
-        self._folds = {}
         self._trace_tables = {}
 
     def weight_table(self, mu):
@@ -173,13 +174,6 @@ class DualGroup:
     def dimension(self, mu):
         return self.weight_table(mu).dimension()
 
-    def _folded(self, matrices):
-        key = tuple(sorted(matrices))
-        if key not in self._folds:
-            grp = group_closure(list(matrices))
-            self._folds[key] = fold(self.system, grp, "Nprime")
-        return self._folds[key]
-
     def trace_table(self, g_cochar, mu):
         """{nu: tr(g | V_mu(nu))} over the g-fixed weights nu, for a pinned
         automorphism g fixing mu, with the extension of V_mu acting
@@ -198,7 +192,7 @@ class DualGroup:
         if g_cochar == identity_matrix(n):
             out = {tuple(v): m for _c, v, m in self.weight_table(mu).items()}
         else:
-            folded = self._folded((g_cochar,))
+            folded = fold(self.system, (g_cochar,), "Nprime")
             tbl = WeightTable(folded.base, mu, freudenthal(folded, mu))
             out = {tuple(v): m for _c, v, m in tbl.items()}
         self._trace_tables[key] = out

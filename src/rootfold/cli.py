@@ -110,13 +110,12 @@ def _load_lgd(args):
 def cmd_fold(args):
     preset = _load_lgd(args)
     lgd = preset.lgd
-    from .lattice import group_closure
-    group = group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,))
+    gens = lgd.inertia.generators + (lgd.tau_char,)
     rs = preset.datum.root_system()
     rows = []
     payload = {}
     for op in ("res", "resprime", "N", "Nprime"):
-        f = fold(rs, group, op)
+        f = fold(rs, gens, op)
         label = f.type_label()
         payload[op] = {
             "type": label,

@@ -29,7 +29,7 @@ from .folding import (
     dual_mismatch,
     fold,
 )
-from .lattice import MalformedAction, TheoremViolation, coinvariants, group_closure
+from .lattice import MalformedAction, TheoremViolation, coinvariants
 from .linalg import (
     coordinates,
     identity_matrix,
@@ -40,7 +40,7 @@ from .linalg import (
     vec_dot,
     vec_scale,
 )
-from .rootdata import AutomorphismAction, _components
+from .rootdata import AutomorphismAction, _components, pinned_cochar
 
 
 class UnparameterizedComponent(ValueError):
@@ -58,7 +58,7 @@ class LocalGroupDatum:
         self.tau_char = tuple(map(tuple, frobenius)) if frobenius is not None \
             else identity_matrix(n)
         # tau must itself be a pinned automorphism
-        (self.tau_cochar,) = AutomorphismAction(datum, [self.tau_char]).cochar_generators
+        self.tau_cochar = pinned_cochar(datum, self.tau_char)
         inertia_set = set(self.inertia.group)
         tau_inv = mat_transpose(self.tau_cochar)
         for g in self.inertia.group:
@@ -141,8 +141,8 @@ class EchelonnageData:
         gram_star = datum.gram_star()
         char = datum.root_system()
         cochar = datum.coroot_system()
-        I_char = lgd.inertia.group
-        I_cochar = lgd.inertia.cochar_group
+        I_char = lgd.inertia.generators
+        I_cochar = lgd.inertia.cochar_generators
 
         # Sigma_breve: res_I(Phi^vee) = Sigma^vee and N'_I(Phi) = Sigma
         breve_co = fold(cochar, I_cochar, "res")
@@ -157,13 +157,13 @@ class EchelonnageData:
 
         # induced tau action on Sigma_breve, as a permutation of its simple
         # roots (raises MalformedAction unless tau permutes them)
-        tau_grp_char = group_closure([lgd.tau_char])
-        tau_grp_cochar = group_closure([lgd.tau_cochar])
+        tau_char = (lgd.tau_char,)
+        tau_cochar = (lgd.tau_cochar,)
         self._tau_perm = base_permutation(breve_root, lgd.tau_char)
 
         # Sigma_0: N_tau(Sigma^vee) = Sigma_0^vee and res'_tau(Sigma) = Sigma_0
-        sigma0_co = fold(breve_co, tau_grp_cochar, "N")
-        sigma0_root = fold(breve_root, tau_grp_char, "resprime")
+        sigma0_co = fold(breve_co, tau_cochar, "N")
+        sigma0_root = fold(breve_root, tau_char, "resprime")
         if dual_mismatch(sigma0_co, sigma0_root, gram_star):
             raise TheoremViolation("Sigma_0: the two characterizations disagree")
         classes0 = []
@@ -176,8 +176,8 @@ class EchelonnageData:
         self.sigma0 = SigmaSystem(sigma0_root, sigma0_co, classes0, "Sigma_0")
 
         # Knop system: res_tau(Sigma_breve), with its dual N'_tau(Sigma^vee)
-        knop_root = fold(breve_root, tau_grp_char, "res")
-        knop_co = fold(breve_co, tau_grp_cochar, "Nprime")
+        knop_root = fold(breve_root, tau_char, "res")
+        knop_co = fold(breve_co, tau_cochar, "Nprime")
         # duality the other way around: res on the root side, N' on coroots
         if dual_mismatch(knop_root, knop_co, datum.gram()):
             raise TheoremViolation("Knop system: res_tau dual does not match "

@@ -11,13 +11,14 @@ base and form as int rows over common denominators, and rationals are built
 only where a caller reads them.
 
 An automorphism acts on a based system only through the permutation of
-simple-root indices it induces (`base_permutation`).  Orbits of the base
-come from those permutations, and an orbit is orthogonal exactly when the
-source Cartan matrix vanishes on each pair in it, since
-C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are
-compared by `dual_mismatch`, which carries the dual base of one side across
-by the invariant form (`gram` or its inverse `gram_star`) and rebuilds the
-carried roots from their coroot coordinates.
+simple-root indices it induces (`base_permutation`), so the operations take
+generators of a group and read its orbits on the base as the connected
+components of their permutations; each fold is built once per source system.
+An orbit is orthogonal exactly when the source Cartan matrix vanishes on
+each pair in it, since C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a
+duality identity are compared by `dual_mismatch`, which carries the dual
+base of one side across by the invariant form (`gram` or its inverse
+`gram_star`) and rebuilds the carried roots from their coroot coordinates.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ class RootSystemV:
         self.base = tuple(frac_vec(b) for b in base)
         self.gram = tuple(frac_vec(row) for row in gram)
         self.label = label
+        self._folds = {}
         self._den, self._base_int = integral_rows(self.base)
         self._gram_den, self._gram_int = integral_rows(self.gram)
         gram_base = [mat_vec(self._gram_int, b) for b in self._base_int]
@@ -230,8 +232,8 @@ class FoldedRootSystem(RootSystemV):
 
     orbits: tuple of (orbit_indices, orthogonal) per folded base element,
     where orbit_indices are positions in the source base (lowest first),
-    read off the simple-root permutations of the group, and orthogonal says
-    that the source Cartan matrix is zero on every pair of the orbit.
+    read off the simple-root permutations of the generators, and orthogonal
+    says that the source Cartan matrix is zero on every pair of the orbit.
     """
 
     def __init__(self, base, gram, op, orbits, label=""):
@@ -273,34 +275,38 @@ def base_permutation(rs, g):
     return p
 
 
-def base_orbits(rs, group):
-    """Orbits of the base under a matrix group, as sorted index tuples
-    ordered by lowest index."""
-    perms = [base_permutation(rs, g) for g in group]
-    seen = set()
-    orbits = []
-    for i in range(len(rs.base)):
-        if i in seen:
-            continue
-        orb = tuple(sorted({p[i] for p in perms}))
-        seen.update(orb)
-        orbits.append(orb)
-    return tuple(orbits)
+def base_orbits(rs, generators):
+    """Orbits of the base under the group the matrices generate, as sorted
+    index tuples ordered by lowest index: the connected components of the
+    links i - p(i) of their permutations (a whole group generates itself)."""
+    from .rootdata import _components
+    n = len(rs.base)
+    links = [[0] * n for _ in range(n)]
+    for g in generators:
+        for i, j in enumerate(base_permutation(rs, g)):
+            links[i][j] = links[j][i] = 1
+    return tuple(map(tuple, _components(links)))
 
 
-def fold(rs, group, op):
-    """Apply one of N, Nprime, res, resprime to a based system.
+def fold(rs, generators, op):
+    """Apply one of N, Nprime, res, resprime to a based system, under the
+    group the matrices `generators` generate.
 
     The result lives in the fixed subspace of the same ambient space;
     restriction is computed as the orbit average (the image of res under the
     averaging identification).  Orbit sums are taken on the int rows of the
-    base."""
+    base.  The result depends on the group only through its orbits, so it
+    is memoized on `rs`, keyed by the operation and the orbits."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
+    orbits = base_orbits(rs, generators)
+    key = (op, orbits)
+    if key in rs._folds:
+        return rs._folds[key]
     cart = rs._cartan
     new_base = []
     meta = []
-    for orb in base_orbits(rs, group):
+    for orb in orbits:
         # (b_i|b_j) = 0 exactly when C[i][j] = 2(b_i|b_j)/(b_i|b_i) = 0
         orth = all(cart[i][j] == 0 for i in orb for j in orb if i < j)
         total = [sum(col) for col in zip(*(rs._base_int[i] for i in orb))]
@@ -308,8 +314,9 @@ def fold(rs, group, op):
         den = rs._den * (len(orb) if op in ("res", "resprime") else 1)
         new_base.append(tuple(Fraction(num * x, den) for x in total))
         meta.append((orb, orth))
-    return FoldedRootSystem(new_base, rs.gram, op, tuple(meta),
-                            label="%s_%s" % (op, rs.label))
+    out = rs._folds[key] = FoldedRootSystem(new_base, rs.gram, op, tuple(meta),
+                                            label="%s_%s" % (op, rs.label))
+    return out
 
 
 def dual_mismatch(res_side, norm_side, carry):
@@ -331,8 +338,9 @@ def dual_mismatch(res_side, norm_side, carry):
     return tuple(out)
 
 
-def verify_duality(datum, group_char, group_cochar):
-    """Check res(Phi^vee)^vee = N'(Phi) and res'(Phi^vee)^vee = N(Phi).
+def verify_duality(datum, gens_char, gens_cochar):
+    """Check res(Phi^vee)^vee = N'(Phi) and res'(Phi^vee)^vee = N(Phi) for
+    the group generated by `gens_char`, acting on X_* by `gens_cochar`.
 
     Both sides are computed independently; the cocharacter side is carried
     into the character space by the induced form (the inverse Gram matrix
@@ -344,8 +352,8 @@ def verify_duality(datum, group_char, group_cochar):
     cochar = datum.coroot_system()
     mismatches = []
     for res_op, norm_op in (("res", "Nprime"), ("resprime", "N")):
-        lhs = fold(cochar, group_cochar, res_op)
-        for part in dual_mismatch(lhs, fold(char, group_char, norm_op),
+        lhs = fold(cochar, gens_cochar, res_op)
+        for part in dual_mismatch(lhs, fold(char, gens_char, norm_op),
                                   datum.gram_star()):
             mismatches.append("%s(Phi^vee)^vee %s != %s(Phi) %s"
                               % (res_op, part, norm_op, part))

@@ -40,10 +40,10 @@ class TheoremViolation(RuntimeError):
     """Two constructions that a theorem forces to agree came out different."""
 
 
-def group_closure(generators, cap=GROUP_CAP):
+def group_closure(generators):
     """All elements of the group the matrices generate, by breadth-first
     multiplication.  Raises MalformedAction on a non-unimodular generator and
-    ResourceCap past `cap` elements."""
+    ResourceCap past `GROUP_CAP` elements."""
     if not generators:
         return ()
     n = len(generators[0])
@@ -64,8 +64,9 @@ def group_closure(generators, cap=GROUP_CAP):
                     seen.add(prod)
                     nxt.append(prod)
                     order.append(prod)
-                    if len(seen) > cap:
-                        raise ResourceCap("group closure exceeded %d elements" % cap)
+                    if len(seen) > GROUP_CAP:
+                        raise ResourceCap("group closure exceeded %d elements"
+                                          % GROUP_CAP)
         frontier = nxt
     return tuple(order)
 
@@ -168,10 +169,10 @@ class CoinvariantLattice:
     integer vector of free coordinates and a residue per torsion factor.
     """
 
-    def __init__(self, rank, generators, cap=GROUP_CAP):
+    def __init__(self, rank, generators):
         self.rank = rank
         self.generators = tuple(tuple(map(tuple, g)) for g in generators)
-        self.group = group_closure(self.generators, cap) or (identity_matrix(rank),)
+        self.group = group_closure(self.generators) or (identity_matrix(rank),)
         eye = identity_matrix(rank)
         cols = []
         for g in self.generators:
@@ -304,9 +305,9 @@ class QuotientSubgroup:
         return hash(self.basis)
 
 
-def coinvariants(rank, generators, cap=GROUP_CAP):
+def coinvariants(rank, generators):
     """Coinvariant lattice of a finite integer action, in SNF coordinates."""
-    return CoinvariantLattice(rank, generators, cap)
+    return CoinvariantLattice(rank, generators)
 
 
 def action_to_json(rank, generators):

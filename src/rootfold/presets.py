@@ -12,11 +12,11 @@ import os
 
 from .echelonnage import LocalGroupDatum
 from .rootdata import (
-    AutomorphismAction,
     BasedRootDatum,
     build_datum,
     diagram_automorphism,
     gl_datum,
+    pinned_cochar,
     unitary_dual_action,
 )
 
@@ -60,7 +60,7 @@ def _resolve_automorphism(datum, spec):
         return unitary_dual_action(datum.rank)
     if "matrix" in spec:
         m = tuple(tuple(int(x) for x in row) for row in spec["matrix"])
-        AutomorphismAction(datum, [m])  # validate
+        pinned_cochar(datum, m)  # validate
         return m
     raise PresetError("automorphism spec must give perm, matrix, or unitary_dual")
 

@@ -578,41 +578,42 @@ def unitary_dual_action(n):
     return tuple(tuple(row) for row in g)
 
 
+def pinned_cochar(datum, g):
+    """The cocharacter matrix g^{-T} of a character-lattice matrix g, once g
+    is checked to be a pinned automorphism of the datum: invertible over Z,
+    permuting the simple roots and matching the root/coroot bijection."""
+    try:
+        gstar = mat_transpose(mat_integer_inverse(g))
+    except ArithmeticError:
+        raise MalformedAction("generator is not invertible over Z")
+    simple_set = set(datum.simple_roots)
+    for a in datum.simple_roots:
+        if mat_vec(g, a) not in simple_set:
+            raise MalformedAction("action does not permute the simple roots")
+    for a, av in zip(datum.simple_roots, datum.simple_coroots):
+        ga = mat_vec(g, a)
+        if datum.coroot_of(ga) != mat_vec(gstar, av):
+            raise MalformedAction("action breaks the root/coroot pairing")
+    return gstar
+
+
 class AutomorphismAction:
     """A finite group acting on a based root datum by pinned automorphisms.
 
     Generators are integer matrices on the character lattice; the induced
-    cocharacter action is the inverse transpose.  Each element must permute
-    the simple roots and match the root/coroot bijection.
+    cocharacter action is the inverse transpose.  Each generator must permute
+    the simple roots and match the root/coroot bijection.  Since g -> g^{-T}
+    is an isomorphism, closing the cocharacter generators lists the
+    cocharacter group in the order of `group`.
     """
 
-    def __init__(self, datum, generators, cap=10080):
+    def __init__(self, datum, generators):
         self.datum = datum
         self.generators = tuple(tuple(map(tuple, g)) for g in generators)
-        self.cochar_generators = tuple(map(self._validate, self.generators))
-        self.group = group_closure(self.generators, cap) or (identity_matrix(datum.rank),)
-        self.cochar_group = tuple(map(self._cochar_of, self.group))
-
-    @staticmethod
-    def _cochar_of(g):
-        return mat_transpose(mat_integer_inverse(g))
-
-    def _validate(self, g):
-        """The cocharacter matrix of generator g, once g is checked."""
-        datum = self.datum
-        try:
-            gstar = self._cochar_of(g)
-        except ArithmeticError:
-            raise MalformedAction("generator is not invertible over Z")
-        simple_set = set(datum.simple_roots)
-        for a in datum.simple_roots:
-            if mat_vec(g, a) not in simple_set:
-                raise MalformedAction("action does not permute the simple roots")
-        for a, av in zip(datum.simple_roots, datum.simple_coroots):
-            ga = mat_vec(g, a)
-            if datum.coroot_of(ga) != mat_vec(gstar, av):
-                raise MalformedAction("action breaks the root/coroot pairing")
-        return gstar
+        self.cochar_generators = tuple(pinned_cochar(datum, g) for g in self.generators)
+        eye = (identity_matrix(datum.rank),)
+        self.group = group_closure(self.generators) or eye
+        self.cochar_group = group_closure(self.cochar_generators) or eye
 
     def order(self):
         return len(self.group)

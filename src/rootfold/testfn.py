@@ -16,13 +16,13 @@ from .lattice import MalformedAction
 from .linalg import identity_matrix, mat_integer_inverse, mat_mul
 
 
-def z_v_star_1j(center, mu, cross_check=True):
+def z_v_star_1j(center, mu):
     """Z_{V_mu} * 1_J = sum over tau-fixed dominant lambda of
     tr(tau | H_mu(lambda)) C_{lambda,J}.
 
-    With cross_check the element is recomputed directly from the twisted
-    character of V_mu^I (its dominant coefficients are the z-coordinates)
-    and the two assemblies must agree."""
+    The element is recomputed directly from the twisted character of V_mu^I
+    (its dominant coefficients are the z-coordinates) and the two assemblies
+    must agree."""
     chars = center.chars
     traces = chars.tau_traces_on_H(mu)
     total = BernsteinElement({})
@@ -30,21 +30,20 @@ def z_v_star_1j(center, mu, cross_check=True):
         t = traces[lam]
         if t:
             total = total + center.geometric_basis(lam).scale(t)
-    if cross_check:
-        tw = chars.twisted_invariants_character(mu)
-        direct = {}
-        h = chars.h
-        for nu, val in tw.items():
-            if h.is_dominant(nu):
-                direct[nu] = val
-            else:
-                dom = center.tau_engine.dominant_class(nu)
-                if tw.get(dom, 0) != val:
-                    raise TheoremViolation("twisted character is not "
-                                           "Weyl-invariant")
-        if total != BernsteinElement(direct):
-            raise TheoremViolation("geometric-basis assembly disagrees with "
-                                   "the direct twisted character")
+    tw = chars.twisted_invariants_character(mu)
+    direct = {}
+    h = chars.h
+    for nu, val in tw.items():
+        if h.is_dominant(nu):
+            direct[nu] = val
+        else:
+            dom = center.tau_engine.dominant_class(nu)
+            if tw.get(dom, 0) != val:
+                raise TheoremViolation("twisted character is not "
+                                       "Weyl-invariant")
+    if total != BernsteinElement(direct):
+        raise TheoremViolation("geometric-basis assembly disagrees with "
+                               "the direct twisted character")
     return total
 
 
@@ -127,7 +126,7 @@ def ramified_descent_check(cfg, mu):
             "ok": not mismatches}
 
 
-def test_function(cfg, mu, overrides_small=None, cross_check=True):
+def test_function(cfg, mu):
     """Expansion (test function) of Z_{V_mu,j} * 1_J over the E_j0-group.
 
     Route one follows the descent formula: E_j-level multiplicity traces and
@@ -136,7 +135,7 @@ def test_function(cfg, mu, overrides_small=None, cross_check=True):
     (dominant representatives).  Route two assembles the element directly
     from the E_j-level twisted character pushed down to the coarser lattice;
     the two must agree."""
-    center_small = CenterContext(cfg.lgd_small, overrides_small)
+    center_small = CenterContext(cfg.lgd_small)
     center_big = CenterContext(cfg.lgd_big)
     chars = center_small.chars
     mu = tuple(mu)
@@ -182,15 +181,14 @@ def test_function(cfg, mu, overrides_small=None, cross_check=True):
                 kdom = center_big.tau_engine.dominant_class(kbar)
                 coeffs[kdom] = coeffs.get(kdom, 0) + c_nu * t
     route1 = BernsteinElement(coeffs)
-    if cross_check:
-        tw = chars.twisted_invariants_character(mu)
-        direct = {}
-        for nu, val in tw.items():
-            kbar = cfg.project(nu)
-            if center_big.tau_engine.is_dominant_class(kbar) and \
-                    center_big.chars.h.is_tau_fixed(kbar):
-                direct[kbar] = direct.get(kbar, 0) + val
-        if route1 != BernsteinElement(direct):
-            raise TheoremViolation("test function: descent assembly "
-                                   "disagrees with the direct character")
+    tw = chars.twisted_invariants_character(mu)
+    direct = {}
+    for nu, val in tw.items():
+        kbar = cfg.project(nu)
+        if center_big.tau_engine.is_dominant_class(kbar) and \
+                center_big.chars.h.is_tau_fixed(kbar):
+            direct[kbar] = direct.get(kbar, 0) + val
+    if route1 != BernsteinElement(direct):
+        raise TheoremViolation("test function: descent assembly "
+                               "disagrees with the direct character")
     return route1

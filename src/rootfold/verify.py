@@ -22,10 +22,9 @@ def _fmt_mu(mu):
 
 
 class Verifier:
-    def __init__(self, mu_bound=4, kl_bound=4, central_box=1):
+    def __init__(self, mu_bound=4, kl_bound=4):
         self.mu_bound = mu_bound
         self.kl_bound = kl_bound
-        self.central_box = central_box
         self.lines = []
         self.failed = False
         self.capped = False
@@ -46,8 +45,7 @@ class Verifier:
             center = self._theorem_b(name, preset)
             # one enumeration of the dominant cocharacters, shared by C, D
             # and the branching and test-function checks
-            mus = preset.datum.dominant_cochars_up_to(self.mu_bound,
-                                                      self.central_box)
+            mus = preset.datum.dominant_cochars_up_to(self.mu_bound)
             self._theorem_c(name, preset, center, mus)
             self._theorem_d(name, preset, center, mus)
             branch_mus = self._branching_mus(preset, mus)
@@ -63,13 +61,9 @@ class Verifier:
 
     def _theorem_a(self, name, preset):
         lgd = preset.lgd
-        groups = [("inertia", lgd.inertia.group, lgd.inertia.cochar_group)]
-        from .lattice import group_closure
-        full_char = group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,))
-        full_cochar = group_closure(tuple(lgd.inertia.cochar_generators)
-                                    + (lgd.tau_cochar,))
-        groups.append(("galois", full_char, full_cochar))
-        for tag, gch, gco in groups:
+        inertia = (lgd.inertia.generators, lgd.inertia.cochar_generators)
+        galois = (inertia[0] + (lgd.tau_char,), inertia[1] + (lgd.tau_cochar,))
+        for tag, (gch, gco) in (("inertia", inertia), ("galois", galois)):
             rep = verify_duality(preset.datum, gch, gco)
             self.record("theorem-A(%s)" % tag, name, rep["ok"],
                         ";".join(rep["mismatches"]))
@@ -131,8 +125,7 @@ class Verifier:
         seen = set()
         h = center.chars.h
         if self.kl_bound != self.mu_bound:
-            mus = preset.datum.dominant_cochars_up_to(self.kl_bound,
-                                                      self.central_box)
+            mus = preset.datum.dominant_cochars_up_to(self.kl_bound)
         for mu in mus:
             lam = lgd.coinv.project(mu)
             if lam in seen:

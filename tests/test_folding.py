@@ -12,6 +12,8 @@ from rootfold.folding import (
     OP_TAGS,
     FoldedRootSystem,
     RootSystemV,
+    base_orbits,
+    base_permutation,
     dual_mismatch,
     fold,
     verify_duality,
@@ -21,6 +23,7 @@ from rootfold.lattice import ResourceCap, average, group_closure
 from rootfold.linalg import (
     frac_vec,
     identity_matrix,
+    mat_integer_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -28,7 +31,7 @@ from rootfold.linalg import (
     vec_scale,
     vec_sub,
 )
-from rootfold.presets import load_preset, preset_names
+from rootfold.presets import Preset, _load_raw, load_preset, preset_names
 from rootfold.rootdata import (
     AutomorphismAction,
     BasedRootDatum,
@@ -360,11 +363,43 @@ def assert_fold_matches_reference(rs, group, op):
     return f
 
 
-def _preset_groups(lgd):
-    inertia = (lgd.inertia.group, lgd.inertia.cochar_group)
-    galois = (group_closure(tuple(lgd.inertia.generators) + (lgd.tau_char,)),
-              group_closure(tuple(lgd.inertia.cochar_generators) + (lgd.tau_cochar,)))
-    return inertia, galois
+def full_group_orbits(rs, group):
+    """Orbits of the base read off every element of a whole group: the
+    orbit of i is {p(i)} over the permutations p of all the elements."""
+    perms = [base_permutation(rs, g) for g in group]
+    seen = set()
+    orbits = []
+    for i in range(len(rs.base)):
+        if i in seen:
+            continue
+        orb = tuple(sorted({p[i] for p in perms}))
+        seen.update(orb)
+        orbits.append(orb)
+    return tuple(orbits)
+
+
+def assert_cochar_group_is_inverse_transpose(act):
+    """The closure of the cocharacter generators lists g^{-T} for the k-th
+    element g of the character group at the same position k."""
+    assert len(act.cochar_group) == len(act.group)
+    for g, gstar in zip(act.group, act.cochar_group):
+        assert gstar == mat_transpose(mat_integer_inverse(g)), act.datum.label
+
+
+def _preset_actions(lgd):
+    """(source system, generators, whole group) of the inertia and Galois
+    actions on Phi and Phi^vee, and of tau on Sigma_breve and its dual."""
+    d = lgd.datum
+    inertia = lgd.inertia
+    galois = (inertia.generators + (lgd.tau_char,),
+              inertia.cochar_generators + (lgd.tau_cochar,))
+    breve = lgd.echelonnage().sigma_breve
+    return ((d.root_system(), inertia.generators, inertia.group),
+            (d.coroot_system(), inertia.cochar_generators, inertia.cochar_group),
+            (d.root_system(), galois[0], group_closure(galois[0])),
+            (d.coroot_system(), galois[1], group_closure(galois[1])),
+            (breve.rs_root, (lgd.tau_char,), group_closure([lgd.tau_char])),
+            (breve.rs_co, (lgd.tau_cochar,), group_closure([lgd.tau_cochar])))
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -375,18 +410,48 @@ def test_closure_matches_reference(name):
     assert char is d.root_system() and cochar is d.coroot_system()
     assert_matches_reference(char)
     assert_matches_reference(cochar)
-    lgd = load_preset(name).lgd
-    for g_char, g_cochar in _preset_groups(lgd):
+    for rs, _gens, group in _preset_actions(load_preset(name).lgd):
         for op in OP_TAGS:
-            assert_fold_matches_reference(char, g_char, op)
-            assert_fold_matches_reference(cochar, g_cochar, op)
-    # the tau-folds of Sigma_breve and Sigma_breve^vee
-    breve = lgd.echelonnage().sigma_breve
-    tau_char = group_closure([lgd.tau_char])
-    tau_cochar = group_closure([lgd.tau_cochar])
-    for op in OP_TAGS:
-        assert_fold_matches_reference(breve.rs_root, tau_char, op)
-        assert_fold_matches_reference(breve.rs_co, tau_cochar, op)
+            assert_fold_matches_reference(rs, group, op)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_generator_orbits_match_full_group(name):
+    """Folding by generators reads the orbits of the whole group, and
+    returns the very fold that the whole group gives."""
+    lgd = load_preset(name).lgd
+    for rs, gens, group in _preset_actions(lgd):
+        assert base_orbits(rs, gens) == full_group_orbits(rs, group), (name, rs)
+        for op in OP_TAGS:
+            assert fold(rs, gens, op) is fold(rs, group, op), (name, rs, op)
+    assert_cochar_group_is_inverse_transpose(lgd.inertia)
+    galois = lgd.inertia.generators + (lgd.tau_char,)
+    assert_cochar_group_is_inverse_transpose(AutomorphismAction(lgd.datum, galois))
+
+
+def test_sigma_breve_folds_built_once(monkeypatch):
+    """theorem-A(inertia) and echelonnage() both fold Phi by N' and Phi^vee
+    by res under the inertia; on a fresh preset each fold is built once."""
+    from rootfold.verify import Verifier
+    built = []
+    orig = FoldedRootSystem.__init__
+
+    def counted(self, base, gram, op, orbits, label=""):
+        built.append(label)
+        orig(self, base, gram, op, orbits, label=label)
+
+    monkeypatch.setattr(FoldedRootSystem, "__init__", counted)
+    preset = Preset("su3-ramified", _load_raw("su3-ramified"))
+    Verifier()._theorem_a("su3-ramified", preset)
+    d = preset.datum
+    # tau is trivial here, so theorem-A(galois) reuses the inertia folds
+    assert sorted(built) == ["N_GL3", "Nprime_GL3", "res_GL3^", "resprime_GL3^"]
+    breve = preset.lgd.echelonnage().sigma_breve
+    # echelonnage() adds only the four tau-folds of Sigma_breve
+    assert len(built) == len(set(built)) == 8, built
+    inertia = preset.lgd.inertia
+    assert breve.rs_root is fold(d.root_system(), inertia.generators, "Nprime")
+    assert breve.rs_co is fold(d.coroot_system(), inertia.cochar_generators, "res")
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -453,14 +518,17 @@ def test_closure_cap(monkeypatch):
 
 
 def test_shared_systems_first_build_race():
-    # threads racing on the first build may each build; all see equal systems
+    # threads racing on the first build of the systems and their memoized
+    # folds may each build; all see equal systems
     import sys
     import threading
     d = build_datum("D4")
+    triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
     got = []
 
     def worker():
-        got.append((d.root_system().roots, d.coroot_system().roots))
+        folds = tuple(fold(d.root_system(), triality, op).roots for op in OP_TAGS)
+        got.append((d.root_system().roots, d.coroot_system().roots, folds))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     old = sys.getswitchinterval()
@@ -474,9 +542,12 @@ def test_shared_systems_first_build_race():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     ref = (reference_roots(d.simple_roots, d.gram()),
-           reference_roots(d.simple_coroots, d.gram_star()))
+           reference_roots(d.simple_coroots, d.gram_star()),
+           tuple(reference_roots(fold(d.root_system(), triality, op).base, d.gram())
+                 for op in OP_TAGS))
     assert got == [ref] * 8
     assert d.root_system() is d.root_system()
+    assert fold(d.root_system(), triality, "N") is fold(d.root_system(), triality, "N")
 
 
 # -- the int systems against the Fraction references, on generated data ------
@@ -517,6 +588,17 @@ def test_int_systems_match_references_property(data):
                                  (folds[res_op][0], folds[norm_op][1], d.gram())):
             assert dual_mismatch(res, norm, carry) == \
                 reference_dual_mismatch(res, norm, carry), (d.label, res_op, norm_op)
+
+
+@settings(max_examples=20, deadline=None)
+@given(folding_data())
+def test_generator_orbits_match_full_group_property(data):
+    d, act = data
+    assert_cochar_group_is_inverse_transpose(act)
+    for rs, gens, group in ((d.root_system(), act.generators, act.group),
+                            (d.coroot_system(), act.cochar_generators,
+                             act.cochar_group)):
+        assert base_orbits(rs, gens) == full_group_orbits(rs, group), d.label
 
 
 def test_dual_mismatch_compares_roots_on_their_own():

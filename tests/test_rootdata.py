@@ -191,6 +191,18 @@ def test_automorphism_validation():
     assert act3.order() == 2
 
 
+def test_automorphism_group_cap(monkeypatch):
+    """The closure of an action stops at lattice.GROUP_CAP, read when the
+    action is built."""
+    import rootfold.lattice as lattice
+    d = build_datum("D4", "simply_connected")
+    gens = [diagram_automorphism(d, p) for p in ((2, 1, 3, 0), (0, 1, 3, 2))]
+    assert AutomorphismAction(d, gens).order() == 6
+    monkeypatch.setattr(lattice, "GROUP_CAP", 5)
+    with pytest.raises(lattice.ResourceCap, match="group closure exceeded 5 elements"):
+        AutomorphismAction(d, gens)
+
+
 def test_dominant_enumeration():
     d = build_datum("A2", "adjoint")
     mus = d.dominant_cochars_up_to(4)
