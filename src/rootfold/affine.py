@@ -63,7 +63,13 @@ class ExtendedAffineWeyl:
     cocharacter lattice.  Each Weyl matrix is interned once per engine;
     products of Weyl parts, inverses, induced maps, sign vectors, lengths,
     normal forms and Bruhat pairs are per-instance tables filled on first
-    use.  Confine an instance to one thread or guard access externally.
+    use.  A Weyl part acts on the classes of Lambda through its compact int
+    tables (`lattice.QuotientEndo`), and the product table keeps that
+    action beside each product, so `multiply` is one lookup and one fused
+    `shift` (x.lam + x.w(y.lam)).  The pairings of the positive roots with
+    Lambda are int rows over one denominator
+    (`CoinvariantLattice.section_pairing`).  Confine an instance to one
+    thread or guard access externally.
     """
 
     def __init__(self, coinv, sigma, simple_matrices, label="",
@@ -97,11 +103,7 @@ class ExtendedAffineWeyl:
         # positive roots and 2rho^vee.  For a Frobenius-restricted engine den
         # may exceed 1; the pairing is integral on the fixed sublattice.
         coinv = self.coinv
-        f = coinv.free_rank
-        sections = [coinv.section_vector(coinv.element(
-            tuple(int(j == i) for j in range(f)))) for i in range(f)]
-        self._den, rows = integral_rows(
-            [[vec_dot(r, s) for s in sections] for r in self.positive_roots])
+        self._den, rows = coinv.section_pairing(self.positive_roots)
         if self.restrict_endo is None and self._den != 1:
             raise TheoremViolation(
                 "echelonnage pairing is not integral on the lattice")
@@ -193,10 +195,12 @@ class ExtendedAffineWeyl:
 
     def multiply(self, x, y):
         key = (x.w, y.w)
-        w = self._prod.get(key)
-        if w is None:
-            w = self._prod[key] = self._intern(mat_mul(x.w, y.w))
-        return AffineElement(x.lam + self.endo(x.w)(y.lam), w)
+        prod = self._prod.get(key)
+        if prod is None:
+            prod = self._prod[key] = (self._intern(mat_mul(x.w, y.w)),
+                                      self.endo(x.w))
+        w, act = prod
+        return AffineElement(act.shift(x.lam, y.lam), w)
 
     def inverse(self, x):
         winv = self.inverse_matrix(x.w)

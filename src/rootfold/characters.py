@@ -13,6 +13,7 @@ peeling characters from the top.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
@@ -260,13 +261,13 @@ class FixedGroup:
             self._knop_classes.append(total)
         self._hw_cache = {}
         self._tw_cache = {}
+        _den, self._base_rows = self.coinv.section_pairing(self.sigma.base)
 
     def section(self, lam):
         return self.coinv.section_vector(lam)
 
     def is_dominant(self, lam):
-        sec = self.section(lam)
-        return all(vec_dot(b, sec) >= 0 for b in self.sigma.base)
+        return all(sum(map(mul, row, lam.free)) >= 0 for row in self._base_rows)
 
     def is_tau_fixed(self, lam):
         return self.lgd.tau_endo(lam) == lam

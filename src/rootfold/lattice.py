@@ -4,16 +4,29 @@ Provides invariants, coinvariants (with torsion, in Smith normal form
 coordinates), the averaging map onto the fixed subspace, and subgroups of
 coinvariant lattices.  Every object is immutable after construction and all
 arithmetic is exact.
+
+A coinvariant class has one integer representation: a tuple of free
+coordinates and a tuple of residues, each reduced modulo its torsion factor.
+Only this module knows how that tuple pair sits in the full Smith normal
+form coordinates.  An induced endomorphism is stored as compact int tables
+on (free, tors), built once, so applying it is one int mat-vec and one `%`
+per torsion coordinate; pairings of ambient vectors with the free
+coordinates come from `CoinvariantLattice.section_pairing` as int rows over
+one denominator.  Results of this arithmetic are already reduced ints and
+skip the validating constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .linalg import (
+    exact_int,
     frac_vec,
     hermite_row_basis,
     identity_matrix,
+    integral_rows,
     kernel_basis,
     lattice_member,
     mat_integer_inverse,
@@ -22,6 +35,7 @@ from .linalg import (
     mat_vec,
     smith_normal_form,
     vec_add,
+    vec_dot,
     vec_scale,
 )
 
@@ -93,14 +107,17 @@ def invariants(rank, generators):
 
 
 class CoinvariantElement:
-    """Element of a coinvariant lattice: free coordinates plus residues."""
+    """Element of a coinvariant lattice: free coordinates plus residues.
+
+    The public constructor checks and reduces its input; `_element` builds
+    one from int tuples that are already reduced."""
 
     __slots__ = ("lattice", "free", "tors")
 
     def __init__(self, lattice, free, tors):
         self.lattice = lattice
-        self.free = tuple(int(x) for x in free)
-        self.tors = tuple(t % d for t, d in zip(tors, lattice.torsion))
+        self.free = tuple(exact_int(x) for x in free)
+        self.tors = tuple(exact_int(t) % d for t, d in zip(tors, lattice.torsion))
 
     def __eq__(self, other):
         return (isinstance(other, CoinvariantElement)
@@ -110,17 +127,16 @@ class CoinvariantElement:
         return hash((self.free, self.tors))
 
     def __add__(self, other):
-        return CoinvariantElement(self.lattice,
-                                  vec_add(self.free, other.free),
-                                  tuple(a + b for a, b in zip(self.tors, other.tors)))
+        return _element(self.lattice, tuple(map(add, self.free, other.free)),
+                        tuple((a + b) % d for a, b, d in
+                              zip(self.tors, other.tors, self.lattice.torsion)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CoinvariantElement(self.lattice,
-                                  tuple(-x for x in self.free),
-                                  tuple(-t for t in self.tors))
+        return _element(self.lattice, tuple(-x for x in self.free),
+                        tuple(-t % d for t, d in zip(self.tors, self.lattice.torsion)))
 
     def scale(self, c):
         return CoinvariantElement(self.lattice,
@@ -140,20 +156,52 @@ class CoinvariantElement:
         return "Coinv(free=%r)" % (self.free,)
 
 
-class QuotientEndo:
-    """An endomorphism of a coinvariant lattice induced by an ambient matrix."""
+def _element(lattice, free, tors):
+    """A CoinvariantElement from int tuples already reduced: no checks."""
+    e = object.__new__(CoinvariantElement)
+    e.lattice = lattice
+    e.free = free
+    e.tors = tors
+    return e
 
-    __slots__ = ("lattice", "matrix")
+
+class QuotientEndo:
+    """An endomorphism of a coinvariant lattice induced by an ambient matrix.
+
+    `matrix` is the action on the full SNF coordinates.  It is applied
+    through two compact tables built once here: an int row over the free
+    coordinates for each free output (the descent check in
+    `endo_from_matrix` proves that torsion inputs never reach a free
+    output), and an int row over free + tors with its modulus for each
+    torsion output."""
+
+    __slots__ = ("lattice", "matrix", "_free", "_tors")
 
     def __init__(self, lattice, matrix):
         self.lattice = lattice
-        self.matrix = matrix  # acts on full SNF coordinates
+        self.matrix = matrix
+        free = lattice._free_rows
+        both = free + lattice._tors_rows
+        self._free = tuple(tuple(matrix[i][j] for j in free) for i in free)
+        self._tors = tuple((tuple(matrix[i][j] for j in both), d)
+                           for i, d in zip(lattice._tors_rows, lattice.torsion))
 
     def __call__(self, e):
-        L = self.lattice
-        y = L._full_coords(e)
-        z = mat_vec(self.matrix, y)
-        return L._from_full(z)
+        f = e.free
+        x = f + e.tors
+        return _element(self.lattice,
+                        tuple([sum(map(mul, row, f)) for row in self._free]),
+                        tuple([sum(map(mul, row, x)) % d for row, d in self._tors]))
+
+    def shift(self, base, e):
+        """base + self(e), in one pass."""
+        f = e.free
+        x = f + e.tors
+        return _element(self.lattice,
+                        tuple([b + sum(map(mul, row, f))
+                               for b, row in zip(base.free, self._free)]),
+                        tuple([(b + sum(map(mul, row, x))) % d
+                               for b, (row, d) in zip(base.tors, self._tors)]))
 
     def __eq__(self, other):
         return isinstance(other, QuotientEndo) and self.matrix == other.matrix
@@ -212,11 +260,6 @@ class CoinvariantLattice:
             y[i] = u
         return tuple(y)
 
-    def _from_full(self, y):
-        free = tuple(y[i] for i in self._free_rows)
-        tors = tuple(y[i] for i in self._tors_rows)
-        return CoinvariantElement(self, free, tors)
-
     def lift(self, e):
         """Canonical integer preimage of a coinvariant element."""
         return mat_vec(self._Uinv, self._full_coords(e))
@@ -226,7 +269,7 @@ class CoinvariantLattice:
         return CoinvariantElement(self, free, tors)
 
     def zero(self):
-        return CoinvariantElement(self, (0,) * self.free_rank, (0,) * len(self.torsion))
+        return _element(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def _build_section(self):
         cols = []
@@ -246,6 +289,14 @@ class CoinvariantLattice:
         for c, col in zip(e.free, self._section):
             v = vec_add(v, vec_scale(Fraction(c), col))
         return v
+
+    def section_pairing(self, vectors):
+        """(den, rows) with rows[k][i] = den * <vectors[k], section of the
+        i-th free basis class> all ints, den > 0 their least common
+        denominator: <v, section_vector(e)> is
+        sum(row * e.free) / den."""
+        return integral_rows([[vec_dot(v, s) for s in self._section]
+                              for v in vectors])
 
     # -- induced maps ------------------------------------------------------
 

@@ -35,6 +35,14 @@ def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def exact_int(x):
+    """x as an int; raises ArithmeticError when x is not integral."""
+    n = int(x)
+    if n != x:
+        raise ArithmeticError("non-integral value %r" % (x,))
+    return n
+
+
 def frac_vec(u):
     return tuple(a if type(a) is Fraction else Fraction(a) for a in u)
 

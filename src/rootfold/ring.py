@@ -4,9 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import exact_int
+
 
 class LaurentPoly:
-    """Laurent polynomial in v with integer coefficients, exponents in Z."""
+    """Laurent polynomial in v with integer coefficients, exponents in Z.
+
+    The public constructor checks its input and drops zero coefficients;
+    arithmetic builds its results with `_poly`, from int dicts that hold no
+    zero.  A constant polynomial equals and hashes like its int."""
 
     __slots__ = ("coeffs",)
 
@@ -14,7 +20,7 @@ class LaurentPoly:
         c = {}
         for e, a in (coeffs or {}).items():
             if a != 0:
-                c[int(e)] = int(a)
+                c[exact_int(e)] = exact_int(a)
         self.coeffs = c
 
     @classmethod
@@ -35,20 +41,27 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        c = self.coeffs
+        if c.keys() <= {0}:
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
         c = dict(self.coeffs)
         for e, a in other.coeffs.items():
-            c[e] = c.get(e, 0) + a
-        return LaurentPoly(c)
+            s = c.get(e, 0) + a
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return _poly(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -a for e, a in self.coeffs.items()})
+        return _poly({e: -a for e, a in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -60,13 +73,13 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: a * other for e, a in self.coeffs.items()})
+            other = LaurentPoly({0: other})
         c = {}
         for e1, a1 in self.coeffs.items():
             for e2, a2 in other.coeffs.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + a1 * a2
-        return LaurentPoly(c)
+        return _poly({e: a for e, a in c.items() if a})
 
     __rmul__ = __mul__
 
@@ -75,7 +88,7 @@ class LaurentPoly:
 
     def bar(self):
         """The involution v -> v^(-1)."""
-        return LaurentPoly({-e: a for e, a in self.coeffs.items()})
+        return _poly({-e: a for e, a in self.coeffs.items()})
 
     def max_degree(self):
         return max(self.coeffs) if self.coeffs else None
@@ -85,7 +98,7 @@ class LaurentPoly:
 
     def negative_part(self):
         """Terms of strictly negative degree."""
-        return LaurentPoly({e: a for e, a in self.coeffs.items() if e < 0})
+        return _poly({e: a for e, a in self.coeffs.items() if e < 0})
 
     def constant_term(self):
         return self.coeffs.get(0, 0)
@@ -100,7 +113,7 @@ class LaurentPoly:
         return total
 
     def shifted(self, k):
-        return LaurentPoly({e + k: a for e, a in self.coeffs.items()})
+        return _poly({e + k: a for e, a in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -123,3 +136,9 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): a for e, a in sorted(self.coeffs.items())}
 
+
+def _poly(coeffs):
+    """A LaurentPoly from an int dict with no zero coefficient: no checks."""
+    p = object.__new__(LaurentPoly)
+    p.coeffs = coeffs
+    return p

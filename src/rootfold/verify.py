@@ -205,6 +205,8 @@ class Verifier:
                     "checked %d mu" % len(mus) + ";".join(details))
         if preset.tower_small is not None:
             cfg = preset.tower_config(j=1)
+            cfg0 = preset.tower_config(j=1, degenerate=True)
+            center0 = CenterContext(cfg0.lgd_big)
             ok = True
             det = []
             for mu in mus[: 3]:
@@ -213,9 +215,7 @@ class Verifier:
                     ok = False
                     det.append("descent mu=%s" % _fmt_mu(mu))
                 test_function(cfg, mu)  # cross-checked internally
-                cfg0 = preset.tower_config(j=1, degenerate=True)
-                if test_function(cfg0, mu) != z_v_star_1j(
-                        CenterContext(cfg0.lgd_big), mu):
+                if test_function(cfg0, mu) != z_v_star_1j(center0, mu):
                     ok = False
                     det.append("degenerate mu=%s" % _fmt_mu(mu))
             self.record("tower", name, ok, ";".join(det))

@@ -22,12 +22,14 @@ from rootfold.affine import (
 )
 from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
 from rootfold.hecke import CenterContext
+from rootfold.lattice import CoinvariantElement
 from rootfold.linalg import (
     frac_vec,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
+    vec_add,
     vec_dot,
 )
 from rootfold.presets import load_preset, preset_names
@@ -553,14 +555,19 @@ _PROPERTY_ENGINES = {}
 
 def _property_engines(key):
     """(lgd, Sigma_breve engine, tau-fixed engine) for a preset name or a
-    (type, isogeny, automorphism, role) tuple, built once."""
+    (type, isogeny, automorphism, role) tuple, built once.  Type "GLn" is
+    gl_datum(n), whose automorphism is the unitary swap."""
     if key not in _PROPERTY_ENGINES:
         if isinstance(key, str):
             lgd = load_preset(key).lgd
         else:
             cartan, iso, perm, role = key
-            d = build_datum(cartan, iso)
-            g = diagram_automorphism(d, perm) if perm else None
+            if cartan.startswith("GL"):
+                d = gl_datum(int(cartan[2:]))
+                g = unitary_dual_action(d.rank) if perm else None
+            else:
+                d = build_datum(cartan, iso)
+                g = diagram_automorphism(d, perm) if perm else None
             lgd = LocalGroupDatum(d, (g,) if role == "inertia" else (),
                                   g if role == "frobenius" else None, label=cartan)
         beng = build_affine(lgd)
@@ -570,10 +577,16 @@ def _property_engines(key):
 
 @st.composite
 def local_data(draw):
-    """A preset, or a small datum of either isogeny whose diagram
-    automorphism (if any) acts as inertia or as Frobenius."""
+    """A preset, or a small datum of either isogeny, or gl_n, whose
+    automorphism (a diagram automorphism; for gl_n the unitary swap), if
+    any, acts as inertia or as Frobenius."""
     if draw(st.booleans()):
         return draw(st.sampled_from(preset_names()))
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.integers(2, 4))
+        swap = draw(st.sampled_from((None, "unitary")))
+        role = draw(st.sampled_from(("inertia", "frobenius"))) if swap else None
+        return ("GL%d" % n, None, swap, role)
     cartan = draw(st.sampled_from(sorted(_PROPERTY_TYPES)))
     iso = draw(st.sampled_from(("adjoint", "simply_connected")))
     perm = draw(st.sampled_from((None,) + _PROPERTY_TYPES[cartan]))
@@ -605,6 +618,108 @@ def test_length_matches_reference_property(key, tau_level, data):
     for _k, s in eng.s_aff:
         sx = eng.multiply(s, x)
         assert eng.length(sx) == reference_length(eng, sx), (key, sx)
+
+
+# -- the full-coordinate endomorphism, kept as the reference for the tables ----
+
+
+def reference_endo(coinv, m, e):
+    """m applied to a class through the full Smith normal form coordinates:
+    U m U^-1 on the full vector of e (dead coordinates 0), read back
+    through the validating constructor, which reduces the torsion."""
+    A = mat_mul(mat_mul(coinv._U, m), coinv._Uinv)
+    y = [0] * coinv.rank
+    for i, t in zip(coinv._tors_rows, e.tors):
+        y[i] = t
+    for i, u in zip(coinv._free_rows, e.free):
+        y[i] = u
+    z = mat_vec(A, tuple(y))
+    return CoinvariantElement(coinv, tuple(z[i] for i in coinv._free_rows),
+                              tuple(z[i] for i in coinv._tors_rows))
+
+
+def reference_add(a, b):
+    return CoinvariantElement(a.lattice, vec_add(a.free, b.free),
+                              vec_add(a.tors, b.tors))
+
+
+def assert_reduced(e):
+    assert all(type(x) is int for x in e.free + e.tors), e
+    assert all(0 <= t < d for t, d in zip(e.tors, e.lattice.torsion)), e
+
+
+# the data whose coinvariant lattice has torsion, drawn beside local_data
+_TORSION_KEYS = ("su3-ramified", ("GL3", None, "unitary", "inertia"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(local_data(), st.sampled_from(_TORSION_KEYS)), st.booleans(),
+       st.data())
+def test_compact_action_matches_full_coordinates_property(key, tau_level, data):
+    """endo(m)(e), shift, multiply and inverse against the full-coordinate
+    endomorphism, for classes of random ambient vectors and Weyl parts that
+    are words in the simple reflections.  A Weyl part fixes every torsion
+    coordinate on these data, so the tables are also checked on c times a
+    Weyl part, which descends as well and moves the torsion."""
+    lgd, beng, teng = _property_engines(key)
+    eng = teng if tau_level else beng
+    coinv, n = lgd.coinv, lgd.datum.rank
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    word = st.lists(st.sampled_from(eng.simple_matrices), max_size=6)
+
+    def element():
+        w = eng.e_mat
+        for m in data.draw(word):
+            w = mat_mul(w, m)
+        return AffineElement(coinv.project(data.draw(vec)), w)
+
+    x, y = element(), element()
+    c = data.draw(st.integers(-3, 3))
+    scaled = tuple(tuple(c * a for a in row) for row in x.w)
+    image = reference_endo(coinv, x.w, y.lam)
+    shifted = reference_add(x.lam, image)
+    neg = CoinvariantElement(coinv, tuple(-a for a in x.lam.free),
+                             tuple(-t for t in x.lam.tors))
+    winv = mat_integer_inverse(x.w)
+    pairs = [
+        (eng.endo(x.w)(y.lam), image),
+        (eng.endo(x.w).shift(x.lam, y.lam), shifted),
+        (coinv.endo_from_matrix(scaled)(y.lam), reference_endo(coinv, scaled, y.lam)),
+        (coinv.endo_from_matrix(scaled).shift(x.lam, y.lam),
+         reference_add(x.lam, reference_endo(coinv, scaled, y.lam))),
+        (x.lam + y.lam, reference_add(x.lam, y.lam)),
+        (-x.lam, neg),
+    ]
+    for got, want in pairs:
+        assert got == want, (key, x, y, c)
+        assert_reduced(got)
+    prod, inv = eng.multiply(x, y), eng.inverse(x)
+    assert prod == AffineElement(shifted, mat_mul(x.w, y.w)), (key, x, y)
+    assert inv == AffineElement(reference_endo(coinv, winv, neg), winv), (key, x)
+    assert_reduced(prod.lam)
+    assert_reduced(inv.lam)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_compact_action_matches_full_coordinates_on_presets(name):
+    """Every simple reflection of both engines on the classes of the unit
+    vectors and of their sum and negatives."""
+    lgd = load_preset(name).lgd
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    coinv, n = lgd.coinv, lgd.datum.rank
+    vectors = [tuple(c * int(i == j) for j in range(n))
+               for i in range(n) for c in (1, -1)] + [(1,) * n]
+    classes = [coinv.project(v) for v in vectors]
+    for eng in (beng, teng):
+        for m in eng.simple_matrices:
+            endo = eng.endo(m)
+            for a in classes:
+                for b in classes[:3]:
+                    image = reference_endo(coinv, m, a)
+                    assert endo(a) == image, (name, m, a)
+                    assert endo.shift(b, a) == reference_add(b, image), (name, m, a)
+                    assert_reduced(endo.shift(b, a))
 
 
 def test_pairing_integrality_check_tau_fixed_su4():

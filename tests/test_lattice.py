@@ -162,3 +162,27 @@ def test_action_json_round_trip():
     import pytest as _pytest
     with _pytest.raises(MalformedAction):
         action_from_json({"rank": 2, "generators": [[[1, 0, 0], [0, 1, 0]]]})
+
+
+def test_non_integral_coordinates_raise():
+    L = coinvariants(3, [unitary_dual_action(3)])
+    for free, tors in (((Fraction(1, 2),), (0,)), ((1.7,), (0,)),
+                       ((1,), (Fraction(1, 2),))):
+        with pytest.raises(ArithmeticError):
+            L.element(free, tors)
+    e = L.element((Fraction(4, 2),), (3.0,))
+    assert e == L.element((2,), (1,))
+    assert all(type(x) is int for x in e.free + e.tors)
+
+
+def test_section_pairing_matches_section_vector():
+    L = coinvariants(3, [unitary_dual_action(3)])
+    vectors = [(1, 0, 0), (Fraction(1, 2), 1, -1), (0, 0, 3)]
+    den, rows = L.section_pairing(vectors)
+    assert den > 0 and all(type(x) is int for row in rows for x in row)
+    for x in [(1, 0, 0), (2, -1, 3), (0, 1, 0)]:
+        e = L.project(x)
+        sec = L.section_vector(e)
+        for v, row in zip(vectors, rows):
+            pairing = sum(a * b for a, b in zip(v, sec))
+            assert pairing == Fraction(sum(a * b for a, b in zip(row, e.free)), den)
