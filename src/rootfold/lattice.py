@@ -19,6 +19,7 @@ skip the validating constructor.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 
 from .linalg import (
@@ -35,7 +36,6 @@ from .linalg import (
     mat_vec,
     smith_normal_form,
     vec_add,
-    vec_dot,
     vec_scale,
 )
 
@@ -272,6 +272,8 @@ class CoinvariantLattice:
         return _element(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def _build_section(self):
+        """The section as (den, int columns): column i is den times the
+        group-average of the lift of the i-th free basis class."""
         cols = []
         for i in self._free_rows:
             basis_elt = CoinvariantElement(
@@ -280,23 +282,29 @@ class CoinvariantLattice:
                 (0,) * len(self.torsion),
             )
             cols.append(average(self.lift(basis_elt), self.group))
-        return tuple(cols)
+        return integral_rows(cols)
 
     def section_vector(self, e):
         """Rational ambient vector realizing the free part on the fixed
         subspace: the group-average of any lift.  Torsion maps to 0."""
-        v = (Fraction(0),) * self.rank
-        for c, col in zip(e.free, self._section):
-            v = vec_add(v, vec_scale(Fraction(c), col))
-        return v
+        den, cols = self._section
+        v = [0] * self.rank
+        for c, col in zip(e.free, cols):
+            for k, x in enumerate(col):
+                v[k] += c * x
+        return tuple(Fraction(x, den) for x in v)
 
     def section_pairing(self, vectors):
         """(den, rows) with rows[k][i] = den * <vectors[k], section of the
         i-th free basis class> all ints, den > 0 their least common
         denominator: <v, section_vector(e)> is
         sum(row * e.free) / den."""
-        return integral_rows([[vec_dot(v, s) for s in self._section]
-                              for v in vectors])
+        sden, cols = self._section
+        vden, vrows = integral_rows(vectors)
+        den = sden * vden
+        rows = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in vrows)
+        g = gcd(den, *(x for row in rows for x in row))
+        return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
     # -- induced maps ------------------------------------------------------
 

@@ -251,6 +251,23 @@ def classify_cartan(C):
     return "x".join(nm for _, _, nm in names)
 
 
+def _budget_walk(heights, bound):
+    """Every m in N^len(heights) with sum(h * m) <= bound, depth first."""
+    m = [0] * len(heights)
+
+    def walk(i, left):
+        if i == len(heights):
+            if left >= 0:
+                yield tuple(m)
+            return
+        for x in range(left // heights[i] + 1):
+            m[i] = x
+            yield from walk(i + 1, left - x * heights[i])
+        m[i] = 0
+
+    return walk(0, bound)
+
+
 class BasedRootDatum:
     """A based root datum with explicit integer root and coroot vectors."""
 
@@ -454,20 +471,32 @@ class BasedRootDatum:
         return c is not None and min(c, default=0) >= 0
 
     def weight_set(self, mu):
-        """The saturated set Wt(mu) = {nu : w nu <= mu for all w}."""
+        """The saturated set Wt(mu) = {nu : w nu <= mu for all w}: the
+        W-orbits of the dominant lambda <= mu.
+
+        Those are found by walking down from mu, subtracting positive
+        coroots while staying dominant.  The walk reaches every one of them:
+        a saturated chain of dominant weights runs from lambda up to mu, and
+        each cover in it is a positive coroot (Stembridge, "The partial
+        order of dominant weights", Adv. Math. 136, 1998)."""
         mu = tuple(mu)
         if not self.is_dominant_cochar(mu):
             raise ValueError("mu must be dominant")
-        bounds = self._coroot_coords(vec_sub(mu, self.antidominant_cochar(mu)))
-        if bounds is None or min(bounds, default=0) < 0:
-            raise ValueError("bad dominance box")
-        out = []
-        for cs in itertools.product(*(range(b + 1) for b in bounds)):
-            nu = mu
-            for c, acov in zip(cs, self.simple_coroots):
-                nu = vec_sub(nu, vec_scale(c, acov))
-            if self.dominance_leq(self.dominant_cochar(nu), mu):
-                out.append(nu)
+        positive_coroots = tuple(self.coroot_of(a) for a in self.positive_roots)
+        seen = {mu}
+        frontier = [mu]
+        while frontier:
+            nxt = []
+            for lam in frontier:
+                for b in positive_coroots:
+                    nu = vec_sub(lam, b)
+                    if nu not in seen and self.is_dominant_cochar(nu):
+                        seen.add(nu)
+                        nxt.append(nu)
+            frontier = nxt
+        out = set()
+        for lam in seen:
+            out.update(self.weyl_orbit_cochar(lam))
         return tuple(sorted(out))
 
     def two_rho_pairing(self, mu):
@@ -477,9 +506,12 @@ class BasedRootDatum:
     def dominant_cochars_up_to(self, bound, central_box=1):
         """All dominant cocharacters mu with <2rho, mu> <= bound.
 
-        Central directions (the coroot-pairing kernel) are unbounded, so their
-        coordinates are restricted to [-central_box, central_box]; everything
-        downstream is invariant under central translation.
+        With m_i = <alpha_i, mu> and h the heights of 2rho over the simple
+        roots, <2rho, mu> = sum h_i m_i, so the m are walked depth first
+        over the budget left: m_i runs over 0..left // h_i.  Central
+        directions (the coroot-pairing kernel) are unbounded, so their
+        coordinates are restricted to [-central_box, central_box];
+        everything downstream is invariant under central translation.
         """
         n = self.rank
         simples = self.simple_roots
@@ -489,11 +521,9 @@ class BasedRootDatum:
         # positive roots' coordinates
         heights = tuple(map(sum, zip(*(c for c in self._closure if min(c) >= 0))))
         out = set()
-        for m in itertools.product(*(range(bound + 1) for _ in range(r))):
-            if sum(h * mi for h, mi in zip(heights, m)) > bound:
-                continue
+        for m in _budget_walk(heights, bound):
             # solve <alpha_i, mu> = m_i over X_*
-            part = solve_integer(tuple(simples), tuple(m)) if r else (0,) * n
+            part = solve_integer(tuple(simples), m) if r else (0,) * n
             if part is None:
                 continue
             for cs in itertools.product(range(-central_box, central_box + 1),

@@ -10,6 +10,8 @@ at the level of graded twisted characters.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .echelonnage import LocalGroupDatum, TheoremViolation
 from .hecke import BernsteinElement, CenterContext
 from .lattice import MalformedAction
@@ -50,7 +52,8 @@ def z_v_star_1j(center, mu):
 class FieldTowerConfig:
     """Galois data for a tower: the E_j0-level group has inertia I and
     Frobenius tau, the totally ramified step E_j keeps tau and shrinks the
-    inertia to a subgroup."""
+    inertia to a subgroup.  The centres of the two levels are built once,
+    on first use."""
 
     def __init__(self, datum, inertia_big, inertia_small, frobenius=None,
                  label="tower"):
@@ -64,6 +67,14 @@ class FieldTowerConfig:
             if g not in big:
                 raise MalformedAction("E_j inertia is not contained in the "
                                       "E_j0 inertia")
+
+    @cached_property
+    def center_small(self):
+        return CenterContext(self.lgd_small)
+
+    @cached_property
+    def center_big(self):
+        return CenterContext(self.lgd_big)
 
     def coset_representatives(self):
         """Representatives of I_big / I_small (cocharacter matrices),
@@ -135,8 +146,8 @@ def test_function(cfg, mu):
     (dominant representatives).  Route two assembles the element directly
     from the E_j-level twisted character pushed down to the coarser lattice;
     the two must agree."""
-    center_small = CenterContext(cfg.lgd_small)
-    center_big = CenterContext(cfg.lgd_big)
+    center_small = cfg.center_small
+    center_big = cfg.center_big
     chars = center_small.chars
     mu = tuple(mu)
     traces = chars.tau_traces_on_H(mu)

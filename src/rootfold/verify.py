@@ -206,7 +206,7 @@ class Verifier:
         if preset.tower_small is not None:
             cfg = preset.tower_config(j=1)
             cfg0 = preset.tower_config(j=1, degenerate=True)
-            center0 = CenterContext(cfg0.lgd_big)
+            center0 = cfg0.center_big
             ok = True
             det = []
             for mu in mus[: 3]:

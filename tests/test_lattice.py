@@ -11,7 +11,9 @@ from rootfold.lattice import (
     group_closure,
     invariants,
 )
-from rootfold.linalg import identity_matrix, mat_vec
+from rootfold.hecke import CenterContext
+from rootfold.linalg import identity_matrix, integral_rows, mat_vec, vec_add, vec_dot, vec_scale
+from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, unitary_dual_action
 
 SWAP = ((0, 1), (1, 0))
@@ -186,3 +188,45 @@ def test_section_pairing_matches_section_vector():
         for v, row in zip(vectors, rows):
             pairing = sum(a * b for a, b in zip(v, sec))
             assert pairing == Fraction(sum(a * b for a, b in zip(row, e.free)), den)
+
+
+def reference_section(L):
+    """The Fraction section columns: the group average of the lift of each
+    free basis class."""
+    n = L.free_rank
+    return [average(L.lift(L.element(tuple(int(j == i) for j in range(n)))), L.group)
+            for i in range(n)]
+
+
+def reference_section_pairing(L, vectors):
+    """section_pairing with one Fraction dot product per (vector, free
+    coordinate), normalised by integral_rows."""
+    cols = reference_section(L)
+    return integral_rows([[vec_dot(v, s) for s in cols] for v in vectors])
+
+
+def reference_section_vector(L, e):
+    v = (Fraction(0),) * L.rank
+    for c, col in zip(e.free, reference_section(L)):
+        v = vec_add(v, vec_scale(Fraction(c), col))
+    return v
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_section_pairing_matches_fraction_reference(name):
+    """The pairing rows of both affine engines and of the FixedGroup, and
+    the section vectors of a few classes, equal the Fraction route's."""
+    center = CenterContext(load_preset(name).lgd)
+    for eng in (center.breve_engine, center.tau_engine):
+        roots = eng.positive_roots
+        assert eng.coinv.section_pairing(roots) == (
+            reference_section_pairing(eng.coinv, roots))
+        assert (eng._den, tuple(eng._rows[r] for r in roots)) == (
+            reference_section_pairing(eng.coinv, roots))
+    h = center.chars.h
+    assert h.coinv.section_pairing(h.sigma.base) == (
+        reference_section_pairing(h.coinv, h.sigma.base))
+    L = h.coinv
+    for x in identity_matrix(L.rank) + (tuple(range(-1, L.rank - 1)),):
+        e = L.project(x)
+        assert L.section_vector(e) == reference_section_vector(L, e)

@@ -1,7 +1,6 @@
 """Exact linear algebra: transform identities and canonical forms, and the
 one fraction-free elimination against the Fraction references."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -28,12 +27,11 @@ from rootfold.linalg import (
     smith_normal_form,
     solve_integer,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 from rootfold.presets import load_preset, preset_names
 from fraction_linalg import gauss_jordan, gauss_solve
-from test_rootdata import cartan_data
+from test_rootdata import cartan_data, reference_dominance_leq, reference_weight_set
 
 small_mat = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -208,29 +206,6 @@ def test_coordinates_match_gauss_solve(krows, data):
 
 # -- the dominance order, Wt(mu) and the class cone against gauss_solve ------
 
-def _reference_dominance_leq(datum, nu, mu):
-    diff = vec_sub(mu, nu)
-    A = mat_transpose(datum.simple_coroots)
-    sol = gauss_solve(A, diff) if A else ()
-    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
-        return False
-    return mat_vec(A, sol) == frac_vec(diff) if A else not any(diff)
-
-
-def _reference_weight_set(datum, mu):
-    A = mat_transpose(datum.simple_coroots)
-    diff = vec_sub(mu, datum.antidominant_cochar(mu))
-    bounds = [int(c) for c in gauss_solve(A, diff)] if A else []
-    out = []
-    for cs in itertools.product(*(range(b + 1) for b in bounds)):
-        nu = mu
-        for c, acov in zip(cs, datum.simple_coroots):
-            nu = vec_sub(nu, vec_scale(c, acov))
-        if _reference_dominance_leq(datum, datum.dominant_cochar(nu), mu):
-            out.append(nu)
-    return tuple(sorted(out))
-
-
 def _reference_class_leq(sigma, lam, mu):
     diff = mu - lam
     cols = tuple(frac_vec(c.free) for c in sigma.base_classes)
@@ -251,11 +226,11 @@ def assert_orders_match_references(lgd, bound):
     # pairs of dominant mu, and each mu against its shifts by simple coroots
     # and by unit vectors (off the coroot lattice on most data)
     for mu in mus:
-        assert datum.weight_set(mu) == _reference_weight_set(datum, mu)
+        assert datum.weight_set(mu) == reference_weight_set(datum, mu)
         others = list(mus) + [vec_sub(mu, c) for c in datum.simple_coroots] + [
             vec_add(mu, e) for e in identity_matrix(datum.rank)]
         for nu in others:
-            assert datum.dominance_leq(nu, mu) == _reference_dominance_leq(datum, nu, mu)
+            assert datum.dominance_leq(nu, mu) == reference_dominance_leq(datum, nu, mu)
     ech = lgd.echelonnage()
     classes = sorted({lgd.coinv.project(mu) for mu in mus}, key=repr)
     for sigma in (ech.sigma_breve, ech.sigma0):

@@ -1,5 +1,7 @@
 """Root data: construction, classification, orders, weight sets."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,18 @@ from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
     frac_vec,
+    identity_matrix,
+    kernel_basis,
     mat_mul,
     mat_transpose,
     mat_vec,
+    solve_integer,
     vec_add,
     vec_dot,
+    vec_scale,
+    vec_sub,
 )
+from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
     AutomorphismAction,
     build_datum,
@@ -289,3 +297,114 @@ def test_roots_match_reflection_closure(d, data):
     mu = data.draw(st.lists(st.integers(-3, 3), min_size=d.rank,
                             max_size=d.rank))
     assert d.two_rho_pairing(mu) == sum(vec_dot(a, mu) for a in positive)
+
+
+# -- the walks against the boxes they replace ---------------------------------
+
+def reference_dominant_cochars(d, bound, central_box=1):
+    """`dominant_cochars_up_to` by the box: every m in [0, bound]^r with
+    sum h_i m_i <= bound, for h the coordinates of 2rho over the simple
+    roots (by gauss_solve), solved for mu over X_* and translated by every
+    central vector in the box."""
+    simples = d.simple_roots
+    r = len(simples)
+    central = kernel_basis(tuple(simples)) if simples else identity_matrix(d.rank)
+    two_rho = tuple(map(sum, zip(*d.positive_roots))) or (0,) * d.rank
+    heights = gauss_solve(mat_transpose(simples), two_rho) if r else ()
+    assert all(h.denominator == 1 for h in heights)
+    heights = tuple(map(int, heights))
+    out = set()
+    for m in itertools.product(range(bound + 1), repeat=r):
+        if sum(h * mi for h, mi in zip(heights, m)) > bound:
+            continue
+        part = solve_integer(tuple(simples), m) if r else (0,) * d.rank
+        if part is None:
+            continue
+        for cs in itertools.product(range(-central_box, central_box + 1),
+                                    repeat=len(central)):
+            mu = part
+            for c, z in zip(cs, central):
+                mu = vec_add(mu, vec_scale(c, z))
+            if d.is_dominant_cochar(mu):
+                out.add(tuple(mu))
+    return tuple(sorted(out))
+
+
+def reference_dominance_leq(d, nu, mu):
+    """nu <= mu by gauss_solve over the simple coroots."""
+    diff = vec_sub(mu, nu)
+    A = mat_transpose(d.simple_coroots)
+    sol = gauss_solve(A, diff) if A else ()
+    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+        return False
+    return mat_vec(A, sol) == frac_vec(diff) if A else not any(diff)
+
+
+def reference_weight_set(d, mu):
+    """Wt(mu) by the box: every nu = mu - sum c_i alpha_i^vee with
+    0 <= c <= the coordinates of mu - w_0 mu, kept when its dominant
+    conjugate is <= mu."""
+    A = mat_transpose(d.simple_coroots)
+    diff = vec_sub(mu, d.antidominant_cochar(mu))
+    bounds = [int(c) for c in gauss_solve(A, diff)] if A else []
+    out = []
+    for cs in itertools.product(*(range(b + 1) for b in bounds)):
+        nu = tuple(mu)
+        for c, acov in zip(cs, d.simple_coroots):
+            nu = vec_sub(nu, vec_scale(c, acov))
+        if reference_dominance_leq(d, d.dominant_cochar(nu), mu):
+            out.append(nu)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_walks_match_boxes_on_presets(name):
+    """Bounds 0..8 with central_box 0 and 1, and Wt(mu) for every mu with
+    <2rho, mu> <= 6.  The box runs once at bound 8; a lower bound keeps the
+    part of it with <2rho, mu> <= bound."""
+    d = load_preset(name).datum
+    for central_box in (0, 1):
+        box = reference_dominant_cochars(d, 8, central_box)
+        for bound in range(9):
+            expect = tuple(mu for mu in box if d.two_rho_pairing(mu) <= bound)
+            assert d.dominant_cochars_up_to(bound, central_box) == expect, \
+                (bound, central_box)
+    for mu in reference_dominant_cochars(d, 6):
+        assert d.weight_set(mu) == reference_weight_set(d, mu), mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_data(), st.integers(0, 5), st.integers(0, 1))
+def test_walks_match_boxes_property(d, bound, central_box):
+    mus = d.dominant_cochars_up_to(bound, central_box)
+    assert mus == reference_dominant_cochars(d, bound, central_box), d.label
+    for mu in mus:
+        assert d.weight_set(mu) == reference_weight_set(d, mu), (d.label, mu)
+
+
+def test_weight_set_walks_below_simple_coroot_steps():
+    """In A2 (adjoint) the only dominant weight below the highest coroot
+    theta^vee = alpha_1^vee + alpha_2^vee is 0, and theta^vee - alpha_i^vee
+    is not dominant for either i: the walk down needs theta^vee itself."""
+    d = build_datum("A2", "adjoint")
+    theta = vec_add(*d.simple_coroots)
+    assert d.weight_set(theta) == tuple(sorted(d.weyl_orbit_cochar(theta) + ((0, 0),)))
+    with pytest.raises(ValueError, match="mu must be dominant"):
+        d.weight_set(vec_scale(-1, theta))
+
+
+# <2rho, mu> <= 16 with no central translation: the box's hit counts (the
+# box itself walks 17^r points here, about 30 s on each rank-6 preset)
+BOUND16_HITS = {"e6-flip": 3, "su6-ramified": 3, "su6-unramified": 3,
+                "su7-ramified": 2, "su7-unramified": 2}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND16_HITS))
+def test_dominant_cochars_at_bound_16(name):
+    d = load_preset(name).datum
+    mus = d.dominant_cochars_up_to(16, central_box=0)
+    assert len(mus) == BOUND16_HITS[name]
+    assert mus == tuple(sorted(set(mus)))
+    assert all(d.is_dominant_cochar(mu) and d.two_rho_pairing(mu) <= 16
+               for mu in mus)
+    assert mus[0] == (0,) * d.rank

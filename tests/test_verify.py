@@ -1,6 +1,9 @@
 """The verification driver: shared per-preset inputs."""
 
-from rootfold import presets
+import hashlib
+import time
+
+from rootfold import cli, presets
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.hecke import CenterContext
 from rootfold.rootdata import BasedRootDatum
@@ -39,9 +42,10 @@ def test_distinct_kl_bound_enumerates_its_own_cochars(monkeypatch):
 def test_tower_data_built_once_per_preset(monkeypatch):
     """tower-su3 checks two mu.  The preset builds one LocalGroupDatum and
     one CenterContext; the tower check builds the ramified and the
-    degenerate configuration (two data each) and the degenerate centre
-    once, and each of the four test_function calls builds the centres of
-    its two levels."""
+    degenerate configuration (two data each), and each configuration builds
+    the centres of its two levels once, on first use, for all four
+    test_function calls; the degenerate z_v_star_1j reads the degenerate
+    configuration's E_j0 centre."""
     monkeypatch.setattr(presets, "_CACHE", {})
     built = {LocalGroupDatum: 0, CenterContext: 0}
     for cls in built:
@@ -52,4 +56,29 @@ def test_tower_data_built_once_per_preset(monkeypatch):
     code, lines = run_verify(["tower-su3"])
     assert code == 0
     assert "PASS test-function preset=tower-su3 checked 2 mu" in lines
-    assert built == {LocalGroupDatum: 1 + 2 + 2, CenterContext: 1 + 1 + 4 * 2}
+    assert built == {LocalGroupDatum: 1 + 2 + 2, CenterContext: 1 + 2 + 2}
+
+
+def test_verify_at_deeper_bounds(monkeypatch, capsys):
+    """`rootfold verify e6-flip su7-ramified --mu-bound 12 --kl-bound 4` in
+    process.  Enumerating the dominant cocharacters by a box took about 10 s
+    here; the walk takes milliseconds, so a second is a wide margin."""
+    spent = []
+    orig = BasedRootDatum.dominant_cochars_up_to
+
+    def timed(self, bound, central_box=1):
+        t = time.perf_counter()
+        out = orig(self, bound, central_box)
+        spent.append(time.perf_counter() - t)
+        return out
+
+    monkeypatch.setattr(BasedRootDatum, "dominant_cochars_up_to", timed)
+    code = cli.main(["verify", "e6-flip", "su7-ramified", "--mu-bound", "12",
+                     "--kl-bound", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS theorem-C preset=su7-ramified checked 2 mu" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fea600c14b47c8744067df5c84e48b82c23be2908f291b1fa0f6c0df39db9247")
+    assert len(spent) == 2  # one per preset; neither runs theorem D
+    assert sum(spent) < 1.0, spent
