@@ -24,7 +24,7 @@ from functools import reduce
 from operator import mul
 
 from .echelonnage import TheoremViolation, _highest_root
-from .lattice import ResourceCap
+from .lattice import ResourceCap, closure
 from .linalg import (identity_matrix, integral_rows, mat_integer_inverse, mat_mul,
                      vec_add, vec_dot)
 from .rootdata import _components
@@ -302,18 +302,9 @@ class ExtendedAffineWeyl:
 
     def weyl_orbit_class(self, lam):
         """Orbit of a lattice class under the finite Weyl group."""
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for m in self.simple_matrices:
-                    c2 = self.endo(m)(c)
-                    if c2 not in seen:
-                        seen.add(c2)
-                        nxt.append(c2)
-            frontier = nxt
-        return tuple(sorted(seen, key=lambda c: (c.free, c.tors)))
+        endos = [self.endo(m) for m in self.simple_matrices]
+        return tuple(sorted(closure([lam], lambda c: (e(c) for e in endos)),
+                            key=lambda c: (c.free, c.tors)))
 
     def is_dominant_class(self, lam):
         return all(self.pairing(r, lam) >= 0 for r in self.base_roots)

@@ -13,10 +13,11 @@ peeling characters from the top.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, ge, mul, sub
 
 from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
+from .lattice import closure
 from .linalg import (
     coordinates,
     frac_vec,
@@ -36,90 +37,86 @@ def freudenthal(rs, mu):
 
     Returns {c: multiplicity} over coefficient tuples c >= 0 with
     nu = mu - sum_i c_i rs.base[i], listing exactly the weights (positive
-    multiplicity).  All arithmetic is exact and runs over base coordinates
-    in ints: with x = sum_i c_i b_i, every inner product in Freudenthal's
-    formula is a combination of (b_i|b_j), (mu|b_i) and (rho|b_i), each
-    scaled to an int by one common factor, which cancels in the quotient.
-    Weights are moved to the dominant chamber in these coordinates:
-    <nu, b_i^vee> is <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan matrix
-    C of rs, and s_i adds that pairing to c_i.
+    multiplicity) by increasing height sum(c), then by c.  All arithmetic
+    is exact and runs over base coordinates in ints: with
+    x = sum_i c_i b_i, every inner product in Freudenthal's formula is a
+    combination of (b_i|b_j), (mu|b_i) and (rho|b_i), each scaled to an int
+    by one common factor, which cancels in the quotient.  Dominance is read
+    from <nu, b_i^vee> = <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan
+    matrix C of rs.
+
+    The dominant weights are found by walking down from mu by positive
+    roots alpha while staying dominant, which lowers <nu, b_i^vee> by the
+    precomputed <alpha, b_i^vee>.  The walk reaches every dominant
+    lambda <= mu: a saturated chain of dominant weights runs from lambda up
+    to mu, and each cover in it is a positive root (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136, 1998).  Their
+    multiplicities are computed by increasing height, and each is given to
+    the whole Weyl orbit of its weight (s_i adds <nu, b_i^vee> to c_i), so
+    every weight that Freudenthal's sum reads has its multiplicity already:
+    its dominant representative is higher, of lower height.
     """
     cart = rs.cartan()
-    positives = rs._positive_coords
     mu_den, (mu_int,) = integral_rows([mu])
     gram_mu = mat_vec(rs._gram_int, mu_int)
     # 2K (b_i|b_j), 2K (mu|b_i) and 4K (mu+rho|b_i), K = den^2 gram_den mu_den
     g = tuple(tuple(2 * mu_den * x for x in row) for row in rs._base_gram)
     mb = tuple(2 * rs._den * vec_dot(b, gram_mu) for b in rs._base_int)
-    two_rho = [sum(col) for col in zip(*positives)]
+    two_rho = [sum(col) for col in zip(*rs._positive_coords)]
     mrb = tuple(2 * x + vec_dot(two_rho, row) for x, row in zip(mb, g))
     top = tuple(_ratio(2 * x, g[i][i]) for i, x in enumerate(mb))
-    # per positive root alpha = sum_i a_i b_i: a, 2K (mu|alpha), 2K (b_i|alpha)
-    pos = [(a, vec_dot(a, mb), mat_vec(g, a)) for a in positives]
+    if any(not isinstance(t, int) or t < 0 for t in top):
+        raise ValueError("mu must be a dominant weight")
+    # per positive root alpha = sum_i a_i b_i: a, <alpha, b_i^vee>,
+    # 2K (mu|alpha) and 2K (b_i|alpha)
+    pos = [(a, tuple(sum(map(mul, a, row)) for row in cart), vec_dot(a, mb),
+            mat_vec(g, a)) for a in rs._positive_coords]
 
-    def to_dominant(c, sign=1):
-        """Coordinates of the dominant (sign=-1: antidominant) weight in
-        the Weyl orbit of the weight with coordinates c."""
-        while True:
-            for i, (t, row) in enumerate(zip(top, cart)):
-                p = t - sum(cj * cij for cj, cij in zip(c, row))
-                if sign * p < 0:
-                    c = c[:i] + (c[i] + p,) + c[i + 1:]
-                    break
-            else:
-                return c
+    def pairing(c):
+        return [t - sum(map(mul, c, row)) for t, row in zip(top, cart)]
 
-    bounds = to_dominant((0,) * len(rs.base), sign=-1)
-    if any(Fraction(b).denominator != 1 or b < 0 for b in bounds):
-        raise ValueError("bad weight box")
+    def down(c):
+        p = pairing(c)
+        for a, a_co, _a_mu, _g_a in pos:
+            if all(map(ge, p, a_co)):
+                yield tuple(map(add, c, a))
 
-    # dominant weights by increasing height
-    import itertools
-    all_cs = sorted(itertools.product(*(range(int(b) + 1) for b in bounds)),
-                    key=lambda c: (sum(c), c))
-    dominant_mult = {}
+    def reflections(c):
+        for i, p in enumerate(pairing(c)):
+            if p:
+                yield c[:i] + (c[i] + p,) + c[i + 1:]
 
-    def lookup(c):
-        """Multiplicity at an arbitrary box point, via its dominant
-        representative."""
-        return dominant_mult.get(to_dominant(c), 0)
+    def height_order(cs):
+        return sorted(cs, key=lambda c: (sum(c), c))
 
-    for c in all_cs:
-        if to_dominant(c) != c:
-            continue
-        if sum(c) == 0:
-            dominant_mult[c] = 1
-            continue
-        # 2K ((mu+rho|mu+rho) - (nu+rho|nu+rho)) = 2K (2 (mu+rho|x) - (x|x))
-        denom = vec_dot(c, mrb) - vec_dot(c, mat_vec(g, c))
-        total = 0
-        for a, a_mu, g_a in pos:
-            k = 1
-            while True:
-                c2 = tuple(ci - k * ai for ci, ai in zip(c, a))
-                if any(x < 0 for x in c2):
-                    break
-                m2 = lookup(c2)
-                if m2:
-                    # 2K (nu + k alpha|alpha), nu + k alpha = mu - sum c2_i b_i
-                    total += (a_mu - vec_dot(c2, g_a)) * m2
-                k += 1
-        if denom == 0:
-            if total != 0:
-                raise TheoremViolation("Freudenthal 0/0 with nonzero numerator")
-            continue
-        m, rem = divmod(2 * total, denom)
-        if rem or m < 0:
-            raise TheoremViolation("non-integral Freudenthal multiplicity")
+    zero = (0,) * len(rs.base)
+    mult = {}
+    for c in height_order(closure([zero], down)):
+        if c == zero:
+            m = 1
+        else:
+            # 2K ((mu+rho|mu+rho) - (nu+rho|nu+rho)) = 2K (2 (mu+rho|x) - (x|x))
+            denom = vec_dot(c, mrb) - vec_dot(c, mat_vec(g, c))
+            total = 0
+            for a, _a_co, a_mu, g_a in pos:
+                c2 = tuple(map(sub, c, a))
+                while min(c2) >= 0:
+                    m2 = mult.get(c2)
+                    if m2:
+                        # 2K (nu + k alpha|alpha), nu + k alpha = mu - sum c2_i b_i
+                        total += (a_mu - vec_dot(c2, g_a)) * m2
+                    c2 = tuple(map(sub, c2, a))
+            if denom == 0:
+                if total != 0:
+                    raise TheoremViolation("Freudenthal 0/0 with nonzero numerator")
+                continue
+            m, rem = divmod(2 * total, denom)
+            if rem or m < 0:
+                raise TheoremViolation("non-integral Freudenthal multiplicity")
         if m:
-            dominant_mult[c] = m
-
-    out = {}
-    for c in all_cs:
-        m = lookup(c)
-        if m:
-            out[c] = m
-    return out
+            for w in closure([c], reflections):
+                mult[w] = m
+    return {c: mult[c] for c in height_order(mult)}
 
 
 class WeightTable:
@@ -341,13 +338,9 @@ class CharacterContext:
 
     def _check_mu(self, mu):
         mu = tuple(mu)
-        if not self.lgd.datum.is_dominant_cochar(mu):
-            raise ValueError("mu must be dominant")
-        for g in self.lgd.inertia.cochar_group:
-            if mat_vec(g, mu) != mu:
-                raise ValueError("mu must be fixed by the inertia action")
-        if tuple(mat_vec(self.lgd.tau_cochar, mu)) != mu:
-            raise ValueError("mu must be fixed by the Frobenius")
+        failed = self.lgd.mu_defect(mu)
+        if failed:
+            raise ValueError("mu must be %s" % failed)
         return mu
 
     def twisted_invariants_character(self, mu, outer=None):

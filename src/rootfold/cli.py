@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .affine import admissible_set, extremal_elements
-from .echelonnage import TheoremViolation, UnparameterizedComponent
+from .echelonnage import TheoremViolation
 from .folding import fold
 from .hecke import CenterContext
 from .lattice import MalformedAction, ResourceCap
@@ -70,6 +70,14 @@ def _check_dominant_tau_fixed(center, cls, what):
     for test, prop in ((h.is_dominant, "dominant"), (h.is_tau_fixed, "tau-fixed")):
         if not test(cls):
             raise PresetError("%s %s is not %s" % (what, _fmt_class(cls), prop))
+
+
+def _check_mu(lgd, mu):
+    """Raise PresetError, naming --mu and the failed test, unless mu is
+    dominant and fixed by the inertia and the Frobenius of `lgd`."""
+    failed = lgd.mu_defect(mu)
+    if failed:
+        raise PresetError("--mu (%s) is not %s" % (_fmt_vec(mu), failed))
 
 
 def _emit(args, payload, tsv_rows=None, tsv_header=None):
@@ -132,8 +140,7 @@ def cmd_fold(args):
 def cmd_echelonnage(args):
     preset = _load_lgd(args)
     ech = preset.lgd.echelonnage()
-    ech.parameter_function(preset.overrides)
-    payload = ech.report()
+    payload = ech.report(ech.parameter_function(preset.overrides))
     _emit(args, payload,
           [(k, v) for k, v in sorted(payload.items())], ("field", "value"))
     return EXIT_OK
@@ -223,6 +230,7 @@ def cmd_geom_basis(args):
 def cmd_branch(args):
     preset = _load_lgd(args)
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
+    _check_mu(preset.lgd, mu)
     from .characters import CharacterContext
     chars = CharacterContext(preset.lgd)
     br = chars.branching(mu)
@@ -251,11 +259,13 @@ def cmd_testfn(args):
         if args.j != 1:
             raise PresetError("--j %d needs tower data, and preset %s has no "
                               "tower data" % (args.j, preset.name))
+        _check_mu(preset.lgd, mu)
         center = CenterContext(preset.lgd, preset.overrides)
         z = z_v_star_1j(center, mu)
         label = "z_V*1_J"
     else:
         cfg = preset.tower_config(j=args.j, degenerate=args.degenerate)
+        _check_mu(cfg.lgd_small, mu)
         z = test_function(cfg, mu)
         label = "test function (j=%d%s)" % (args.j, ", degenerate" if args.degenerate else "")
     payload = {
@@ -362,7 +372,7 @@ def main(argv=None):
         # the reader closed the pipe (e.g. `| head`): drop the rest quietly
         sys.stdout = open(os.devnull, "w")
         return EXIT_OK
-    except (PresetError, MalformedAction, UnparameterizedComponent, ValueError) as exc:
+    except (PresetError, MalformedAction, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except TheoremViolation as exc:

@@ -29,7 +29,7 @@ from .folding import (
     dual_mismatch,
     fold,
 )
-from .lattice import MalformedAction, TheoremViolation, coinvariants
+from .lattice import MalformedAction, TheoremViolation, closure, coinvariants
 from .linalg import (
     coordinates,
     identity_matrix,
@@ -41,10 +41,6 @@ from .linalg import (
     vec_scale,
 )
 from .rootdata import AutomorphismAction, _components, pinned_cochar
-
-
-class UnparameterizedComponent(ValueError):
-    """No default parameter applies and no override was supplied."""
 
 
 class LocalGroupDatum:
@@ -67,6 +63,17 @@ class LocalGroupDatum:
         self.coinv = coinvariants(n, self.inertia.cochar_generators)
         self.tau_endo = self.coinv.endo_from_matrix(self.tau_cochar)
         self._ech = None
+
+    def mu_defect(self, mu):
+        """The first of "dominant", "fixed by the inertia" and "fixed by the
+        Frobenius" that the cocharacter mu (a tuple) is not, or None."""
+        if not self.datum.is_dominant_cochar(mu):
+            return "dominant"
+        if any(mat_vec(g, mu) != mu for g in self.inertia.cochar_group):
+            return "fixed by the inertia"
+        if mat_vec(self.tau_cochar, mu) != mu:
+            return "fixed by the Frobenius"
+        return None
 
     def echelonnage(self):
         if self._ech is None:
@@ -207,7 +214,6 @@ class EchelonnageData:
         self.sigma1 = tuple(sorted(union))
         self.sigma1_nonreduced = any(tuple(x / 2 for x in a) in union for a in union)
 
-        self.parameters = None  # computed on demand with optional overrides
         self._affine_nodes = None
 
     # -- special roots -----------------------------------------------------
@@ -280,8 +286,8 @@ class EchelonnageData:
 
         Default: L(w_pi) = length of the longest element of the finite
         parabolic generated by the tau-orbit pi of affine walls of
-        Sigma_breve.  Overrides (same keys) replace defaults; a non-finite
-        orbit parabolic without an override raises."""
+        Sigma_breve.  Overrides (same keys) replace defaults.  That
+        parabolic is always finite; TheoremViolation if it is not."""
         overrides = dict(overrides or {})
         rs = self.sigma_breve.rs_root
         nodes = self.affine_nodes()
@@ -311,19 +317,13 @@ class EchelonnageData:
             return ("aff", ci)
 
         # orbits of nodes under tau
-        remaining = set(nodes)
+        placed = set()
         orbits = []
-        for nd in sorted(remaining):
-            if nd not in remaining:
-                continue
-            orb = [nd]
-            cur = tau_on_node(nd)
-            while cur != nd:
-                orb.append(cur)
-                cur = tau_on_node(cur)
-            for x in orb:
-                remaining.discard(x)
-            orbits.append(tuple(sorted(orb)))
+        for nd in sorted(nodes):
+            if nd not in placed:
+                orb = tuple(sorted(closure([nd], lambda x: (tau_on_node(x),))))
+                placed.update(orb)
+                orbits.append(orb)
 
         # Sigma_0 keys: simple k <-> tau-orbit of finite Sigma_breve simples;
         # affine c0 <-> tau-orbit of components, c0 its lowest member
@@ -350,21 +350,23 @@ class EchelonnageData:
             vecs = [nodes[nd] for nd in orb]
             gram_sub = tuple(tuple(vec_dot(u, mat_vec(rs._base_gram, v)) for v in vecs)
                              for u in vecs)
+            # tau never mixes finite and affine walls, an orbit of finite
+            # walls is a set of distinct simple roots and an orbit of affine
+            # walls has one -theta per component, pairwise orthogonal: the
+            # Gram matrix is always positive definite
             if not is_positive_definite(gram_sub):
-                raise UnparameterizedComponent(
-                    "orbit %r generates an infinite parabolic; supply an override"
-                    % (orb,))
+                raise TheoremViolation("orbit %r generates an infinite parabolic"
+                                       % (orb,))
             params[key] = _parabolic_length(gram_sub)
         if overrides:
             raise ValueError("unknown override keys: %r" % sorted(overrides))
-        self.parameters = params
         return params
 
     # -- reporting -----------------------------------------------------------
 
-    def report(self):
-        params = self.parameters if self.parameters is not None \
-            else self.parameter_function()
+    def report(self, params):
+        """The systems, the special roots and the parameters `params` (a
+        result of `parameter_function`)."""
         return {
             "sigma_breve": self.sigma_breve.type_label(),
             "sigma0": self.sigma0.type_label(),

@@ -28,7 +28,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .lattice import MalformedAction, ResourceCap, TheoremViolation
+from .lattice import MalformedAction, ResourceCap, TheoremViolation, closure
 from .linalg import frac_vec, integral_rows, mat_det, mat_vec, vec_dot
 
 OP_TAGS = ("N", "Nprime", "res", "resprime")
@@ -67,25 +67,21 @@ def cartan_closure(cartan):
     s_i(c) = c - (sum_j c_j C[i][j]) e_i, closed under negation."""
     n = len(cartan)
     rows = tuple(enumerate(cartan))
+
+    def reflections(c):
+        for i, row in rows:
+            p = sum(map(mul, c, row))
+            if p:
+                yield c[:i] + (c[i] - p,) + c[i + 1:]
+
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = simple
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i, row in rows:
-                p = sum(cj * cij for cj, cij in zip(c, row))
-                if not p:
-                    continue
-                w = c[:i] + (c[i] - p,) + c[i + 1:]
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > _CLOSURE_CAP:
-                        raise ResourceCap("root closure exceeded cap")
-        frontier = nxt
-    seen |= {tuple(-x for x in c) for c in seen}
-    return seen
+    roots = set()
+    for c in closure(simple, reflections):
+        roots.add(c)
+        if len(roots) > _CLOSURE_CAP:
+            raise ResourceCap("root closure exceeded cap")
+    roots |= {tuple(-x for x in c) for c in roots}
+    return roots
 
 
 class RootSystemV:

@@ -54,34 +54,43 @@ class TheoremViolation(RuntimeError):
     """Two constructions that a theorem forces to agree came out different."""
 
 
+def closure(seeds, step):
+    """Yield the seeds in their order, then every element that `step`
+    reaches from them, breadth first: each element once, in the order it
+    was found.  `step(x)` returns the neighbours of x."""
+    seen = set()
+    queue = []
+    for x in seeds:
+        if x not in seen:
+            seen.add(x)
+            queue.append(x)
+            yield x
+    # the queue grows while it is read
+    for x in queue:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                yield y
+
+
 def group_closure(generators):
     """All elements of the group the matrices generate, by breadth-first
     multiplication.  Raises MalformedAction on a non-unimodular generator and
     ResourceCap past `GROUP_CAP` elements."""
     if not generators:
         return ()
-    n = len(generators[0])
     for g in generators:
         try:
             mat_integer_inverse(g)
         except ArithmeticError:
             raise MalformedAction("generator is not invertible over Z")
-    seen = {identity_matrix(n)}
-    frontier = [identity_matrix(n)]
-    order = [identity_matrix(n)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                prod = mat_mul(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    order.append(prod)
-                    if len(seen) > GROUP_CAP:
-                        raise ResourceCap("group closure exceeded %d elements"
-                                          % GROUP_CAP)
-        frontier = nxt
+    order = []
+    for h in closure([identity_matrix(len(generators[0]))],
+                     lambda h: (mat_mul(g, h) for g in generators)):
+        order.append(h)
+        if len(order) > GROUP_CAP:
+            raise ResourceCap("group closure exceeded %d elements" % GROUP_CAP)
     return tuple(order)
 
 

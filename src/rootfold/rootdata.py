@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .folding import RootSystemV, cartan_closure
-from .lattice import MalformedAction, group_closure
+from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
     coordinates,
     frac_vec,
@@ -137,23 +137,16 @@ def symmetrizers(C):
 
 
 def _components(C):
+    """The connected components of the Dynkin diagram of C, each sorted,
+    in the order of their lowest nodes."""
     n = len(C)
-    seen = set()
+    placed = set()
     comps = []
     for s in range(n):
-        if s in seen:
-            continue
-        comp = []
-        todo = [s]
-        seen.add(s)
-        while todo:
-            i = todo.pop()
-            comp.append(i)
-            for j in range(n):
-                if j not in seen and C[i][j] != 0:
-                    seen.add(j)
-                    todo.append(j)
-        comps.append(sorted(comp))
+        if s not in placed:
+            comp = sorted(closure([s], lambda i: (j for j in range(n) if C[i][j] != 0)))
+            placed.update(comp)
+            comps.append(comp)
     return comps
 
 
@@ -424,19 +417,10 @@ class BasedRootDatum:
     # -- Weyl combinatorics on the cocharacter side -------------------------
 
     def weyl_orbit_cochar(self, v):
-        v = tuple(v)
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(len(self.simple_roots)):
-                    w = self.reflect_cochar(i, u)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(closure([tuple(v)], self._reflections_cochar)))
+
+    def _reflections_cochar(self, v):
+        return (self.reflect_cochar(i, v) for i in range(len(self.simple_roots)))
 
     def is_dominant_cochar(self, v):
         return all(vec_dot(a, v) >= 0 for a in self.simple_roots)
@@ -483,21 +467,14 @@ class BasedRootDatum:
         if not self.is_dominant_cochar(mu):
             raise ValueError("mu must be dominant")
         positive_coroots = tuple(self.coroot_of(a) for a in self.positive_roots)
-        seen = {mu}
-        frontier = [mu]
-        while frontier:
-            nxt = []
-            for lam in frontier:
-                for b in positive_coroots:
-                    nu = vec_sub(lam, b)
-                    if nu not in seen and self.is_dominant_cochar(nu):
-                        seen.add(nu)
-                        nxt.append(nu)
-            frontier = nxt
-        out = set()
-        for lam in seen:
-            out.update(self.weyl_orbit_cochar(lam))
-        return tuple(sorted(out))
+
+        def down(lam):
+            for b in positive_coroots:
+                nu = vec_sub(lam, b)
+                if self.is_dominant_cochar(nu):
+                    yield nu
+
+        return tuple(sorted(closure(closure([mu], down), self._reflections_cochar)))
 
     def two_rho_pairing(self, mu):
         """<2 rho, mu> = sum over positive roots of <alpha, mu>."""

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .echelonnage import LocalGroupDatum, TheoremViolation
+from .echelonnage import TheoremViolation
 from .hecke import BernsteinElement, CenterContext
-from .lattice import MalformedAction
+from .lattice import MalformedAction, closure
 from .linalg import identity_matrix, mat_integer_inverse, mat_mul
 
 
@@ -50,26 +50,31 @@ def z_v_star_1j(center, mu):
 
 
 class FieldTowerConfig:
-    """Galois data for a tower: the E_j0-level group has inertia I and
-    Frobenius tau, the totally ramified step E_j keeps tau and shrinks the
-    inertia to a subgroup.  The centres of the two levels are built once,
-    on first use."""
+    """Galois data for a tower: the E_j0-level group `lgd_big` has inertia I
+    and Frobenius tau, the totally ramified step E_j (`lgd_small`) keeps tau
+    and shrinks the inertia to a subgroup.  Both levels share one datum.
+    The centres of the two levels are built once, on first use; a
+    degenerate tower passes one object for both levels, which then share
+    one centre."""
 
-    def __init__(self, datum, inertia_big, inertia_small, frobenius=None,
-                 label="tower"):
+    def __init__(self, lgd_big, lgd_small, label="tower"):
         self.label = label
-        self.lgd_big = LocalGroupDatum(datum, inertia_big, frobenius,
-                                       label=label + "/E_j0")
-        self.lgd_small = LocalGroupDatum(datum, inertia_small, frobenius,
-                                         label=label + "/E_j")
-        big = set(self.lgd_big.inertia.cochar_group)
-        for g in self.lgd_small.inertia.cochar_group:
+        self.lgd_big = lgd_big
+        self.lgd_small = lgd_small
+        if lgd_small.datum is not lgd_big.datum \
+                or lgd_small.tau_char != lgd_big.tau_char:
+            raise MalformedAction("the two levels of a tower must share the "
+                                  "datum and the Frobenius")
+        big = set(lgd_big.inertia.cochar_group)
+        for g in lgd_small.inertia.cochar_group:
             if g not in big:
                 raise MalformedAction("E_j inertia is not contained in the "
                                       "E_j0 inertia")
 
     @cached_property
     def center_small(self):
+        if self.lgd_small is self.lgd_big:
+            return self.center_big
         return CenterContext(self.lgd_small)
 
     @cached_property
@@ -104,8 +109,8 @@ def ramified_descent_check(cfg, mu):
     blocks contribute through conjugated operators h^{-1} tau^r s h running
     over coset representatives h of I_Ej0 / I_Ej."""
     lgd_big, lgd_small = cfg.lgd_big, cfg.lgd_small
-    from .characters import DualGroup, graded_trace
-    dual = DualGroup(lgd_big.datum)
+    from .characters import graded_trace
+    dual = cfg.center_big.chars.dual
     mu = tuple(mu)
     n = lgd_big.tau_order()
     coinv = lgd_big.coinv
@@ -160,18 +165,8 @@ def test_function(cfg, mu):
         pool = set(small_orbit)
         classes = []
         while pool:
-            seed = sorted(pool, key=lambda c: (c.free, c.tors))[0]
-            orb = {seed}
-            frontier = [seed]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for e in big_endos:
-                        c2 = e(c)
-                        if c2 not in orb:
-                            orb.add(c2)
-                            nxt.append(c2)
-                frontier = nxt
+            seed = min(pool, key=lambda c: (c.free, c.tors))
+            orb = set(closure([seed], lambda c: (e(c) for e in big_endos)))
             if not orb <= pool:
                 raise TheoremViolation("W_{E_j0} does not preserve the "
                                        "W_{E_j}-orbit")

@@ -19,8 +19,10 @@ from rootfold.characters import (
     weight_multiplicity,
 )
 from rootfold.echelonnage import LocalGroupDatum
+from rootfold.folding import _ratio
 from rootfold.linalg import (
     frac_vec,
+    integral_rows,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -149,9 +151,73 @@ def reference_freudenthal(base, positives, gram, mu):
     return {c: m for c, m in out.items() if m}
 
 
-def assert_freudenthal_matches_reference(lgd, bound):
-    """Phi^vee, Sigma_breve^vee and the Knop fold, on the dominant inputs
-    up to `bound`."""
+def box_freudenthal(rs, mu):
+    """Freudenthal's recursion over the whole box of coordinates c with
+    0 <= c <= the coordinates of the lowest weight w_0 mu, in the int
+    arithmetic of `freudenthal`: each box point is reflected to the
+    dominant chamber, and the result is listed in box order by height."""
+    cart = rs.cartan()
+    positives = rs._positive_coords
+    mu_den, (mu_int,) = integral_rows([mu])
+    gram_mu = mat_vec(rs._gram_int, mu_int)
+    g = tuple(tuple(2 * mu_den * x for x in row) for row in rs._base_gram)
+    mb = tuple(2 * rs._den * vec_dot(b, gram_mu) for b in rs._base_int)
+    two_rho = [sum(col) for col in zip(*positives)]
+    mrb = tuple(2 * x + vec_dot(two_rho, row) for x, row in zip(mb, g))
+    top = tuple(_ratio(2 * x, g[i][i]) for i, x in enumerate(mb))
+    pos = [(a, vec_dot(a, mb), mat_vec(g, a)) for a in positives]
+
+    def to_dominant(c, sign=1):
+        """The dominant (sign=-1: antidominant) weight in the Weyl orbit of
+        the weight with coordinates c."""
+        while True:
+            for i, (t, row) in enumerate(zip(top, cart)):
+                p = t - sum(cj * cij for cj, cij in zip(c, row))
+                if sign * p < 0:
+                    c = c[:i] + (c[i] + p,) + c[i + 1:]
+                    break
+            else:
+                return c
+
+    bounds = to_dominant((0,) * len(rs.base), sign=-1)
+    assert all(Fraction(b).denominator == 1 and b >= 0 for b in bounds)
+    all_cs = sorted(itertools.product(*(range(int(b) + 1) for b in bounds)),
+                    key=lambda c: (sum(c), c))
+    dominant_mult = {}
+    for c in all_cs:
+        if to_dominant(c) != c:
+            continue
+        if sum(c) == 0:
+            dominant_mult[c] = 1
+            continue
+        denom = vec_dot(c, mrb) - vec_dot(c, mat_vec(g, c))
+        total = 0
+        for a, a_mu, g_a in pos:
+            k = 1
+            while True:
+                c2 = tuple(ci - k * ai for ci, ai in zip(c, a))
+                if any(x < 0 for x in c2):
+                    break
+                m2 = dominant_mult.get(to_dominant(c2), 0)
+                if m2:
+                    total += (a_mu - vec_dot(c2, g_a)) * m2
+                k += 1
+        if denom:
+            m, rem = divmod(2 * total, denom)
+            assert not rem and m >= 0
+            if m:
+                dominant_mult[c] = m
+    out = {}
+    for c in all_cs:
+        m = dominant_mult.get(to_dominant(c), 0)
+        if m:
+            out[c] = m
+    return out
+
+
+def freudenthal_cases(lgd, bound):
+    """(system, mu) for Phi^vee, Sigma_breve^vee and the Knop fold, on the
+    dominant inputs up to `bound`."""
     h = FixedGroup(lgd)
     cases = []
     for mu in lgd.datum.dominant_cochars_up_to(bound, central_box=0):
@@ -161,9 +227,20 @@ def assert_freudenthal_matches_reference(lgd, bound):
             cases.append((h.system, h.section(lam)))
             if h.is_tau_fixed(lam):
                 cases.append((h.knop_co, h.section(lam)))
-    for rs, mu in cases:
+    return cases
+
+
+def assert_freudenthal_matches_reference(lgd, bound):
+    for rs, mu in freudenthal_cases(lgd, bound):
         ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, mu)
         assert freudenthal(rs, mu) == ref, (lgd.label, rs, mu)
+
+
+def assert_freudenthal_matches_box(lgd, bound):
+    """The same dict in the same order as the box recursion."""
+    for rs, mu in freudenthal_cases(lgd, bound):
+        assert list(freudenthal(rs, mu).items()) == \
+            list(box_freudenthal(rs, mu).items()), (lgd.label, rs, mu)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -171,17 +248,37 @@ def test_freudenthal_matches_reference(name):
     assert_freudenthal_matches_reference(load_preset(name).lgd, 6)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_freudenthal_matches_box(name):
+    assert_freudenthal_matches_box(load_preset(name).lgd, 8)
+
+
+def _drawn_lgd(data, as_frobenius):
+    """The drawn group acts as inertia, or its first generator as
+    Frobenius."""
+    d, act = data
+    if as_frobenius and act.generators:
+        return LocalGroupDatum(d, (), act.generators[0])
+    return LocalGroupDatum(d, act.generators)
+
+
 @settings(max_examples=20, deadline=None)
 @given(folding_data(), st.booleans())
 def test_freudenthal_matches_reference_property(data, as_frobenius):
-    """Generated data: the drawn group acts as inertia, or its first
-    generator as Frobenius."""
-    d, act = data
-    if as_frobenius and act.generators:
-        lgd = LocalGroupDatum(d, (), act.generators[0])
-    else:
-        lgd = LocalGroupDatum(d, act.generators)
-    assert_freudenthal_matches_reference(lgd, 4)
+    assert_freudenthal_matches_reference(_drawn_lgd(data, as_frobenius), 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(folding_data(), st.booleans())
+def test_freudenthal_matches_box_property(data, as_frobenius):
+    assert_freudenthal_matches_box(_drawn_lgd(data, as_frobenius), 8)
+
+
+def test_freudenthal_rejects_a_weight_that_is_not_dominant():
+    rs = build_datum("A2", "adjoint").coroot_system()
+    for mu in ((-1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="mu must be a dominant weight"):
+            freudenthal(rs, mu)
 
 
 @pytest.mark.parametrize("name,vec", KL_LADDER)

@@ -104,6 +104,34 @@ def test_geom_basis_lambda_checked_exit_2(capsys):
         assert err.strip() == "input error: --lambda " + msg, lam
 
 
+def test_mu_checked_exit_2(capsys):
+    # branch and testfn check --mu at the level they compute at: the preset's
+    # datum, or the E_j level of a tower (for tower-su3 no inertia and the
+    # Frobenius flip; with --degenerate the E_j0 level, inertia and flip)
+    cases = [
+        (("branch", "su3-ramified", "0,1,0"), "(0,1,0) is not dominant"),
+        (("branch", "su3-ramified", "1,0,0"), "(1,0,0) is not fixed by the inertia"),
+        (("branch", "su3-unramified", "2,1"), "(2,1) is not fixed by the Frobenius"),
+        (("testfn", "split-a2", "2,-1"), "(2,-1) is not dominant"),
+        (("testfn", "su3-ramified", "1,0,0"), "(1,0,0) is not fixed by the inertia"),
+        (("testfn", "su3-unramified", "2,1"), "(2,1) is not fixed by the Frobenius"),
+        (("testfn", "tower-su3", "2,-1"), "(2,-1) is not dominant"),
+        (("testfn", "tower-su3", "2,1"), "(2,1) is not fixed by the Frobenius"),
+        (("testfn", "tower-su3", "2,1", "--degenerate"),
+         "(2,1) is not fixed by the inertia"),
+    ]
+    for (cmd, preset, mu, *rest), msg in cases:
+        code, out, err = run(capsys, cmd, "--preset", preset, "--mu", mu, *rest)
+        assert code == 2, (cmd, preset, mu)
+        assert out == ""
+        assert err.strip() == "input error: --mu " + msg, (cmd, preset, mu)
+    # at j = 2 the Frobenius of the E_j level is trivial
+    code, out, _ = run(capsys, "testfn", "--preset", "tower-su3", "--mu", "2,1",
+                       "--j", "2")
+    assert code == 0
+    assert json.loads(out)["kind"] == "test function (j=2)"
+
+
 def test_geom_basis_output(capsys):
     code, out, _ = run(capsys, "geom-basis", "--preset", "su3-unramified",
                        "--lambda", "1,1")
@@ -292,3 +320,18 @@ def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     code, _out, err = run(capsys, "fold", "--preset", "split-a2")
     assert code == cli.EXIT_THEOREM
     assert err.startswith("theorem check failed: N_bad: non-integral Cartan entry")
+
+
+def test_unparameterized_orbit_is_a_theorem_failure(monkeypatch, capsys):
+    # every tau-orbit of affine walls generates a finite parabolic, so a
+    # failed positivity test is an internal fault (exit 1), not an input error
+    from rootfold import echelonnage
+    monkeypatch.setattr(echelonnage, "is_positive_definite", lambda gram: False)
+    code, out, err = run(capsys, "echelonnage", "--preset", "su3-unramified")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("theorem check failed: orbit ")
+    assert err.strip().endswith("generates an infinite parabolic")
+    code, out, _ = run(capsys, "verify", "su3-unramified")
+    assert code == 1
+    assert "FAIL internal-consistency preset=su3-unramified orbit " in out

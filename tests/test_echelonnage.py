@@ -189,3 +189,15 @@ def test_component_swap_with_flip_order_four():
     assert ech2.sigma0.type_label() == "A2"
     assert ech2.special == frozenset()
     assert set(ech2.parameter_function().values()) == {2}
+
+
+def test_report_shows_the_parameters_it_is_given():
+    """Two centres on one datum share its echelonnage; each report shows the
+    parameters it is handed, whichever centre was built last."""
+    from rootfold.hecke import CenterContext
+    lgd = _lgd("A2", "simply_connected", tau_perm=flip(2), label="su3")
+    first = CenterContext(lgd, {("fin", 0): 5})
+    second = CenterContext(lgd)
+    ech = lgd.echelonnage()
+    assert ech.report(first.parameters)["parameters"] == {"aff:0": 1, "fin:0": 5}
+    assert ech.report(second.parameters)["parameters"] == {"aff:0": 1, "fin:0": 3}

@@ -7,6 +7,7 @@ import pytest
 from rootfold.lattice import (
     MalformedAction,
     average,
+    closure,
     coinvariants,
     group_closure,
     invariants,
@@ -123,6 +124,23 @@ def test_average_examples():
     avg = average(d4.simple_roots[0], grp3)
     total = tuple(sum(v[i] for v in orbit) for i in range(4))
     assert avg == tuple(Fraction(t, 3) for t in total)
+
+
+def test_closure_is_breadth_first_in_the_order_found():
+    # x -> x + 3, x + 5 on Z/10 from the seeds 0, 4 (0 given twice)
+    out = list(closure([0, 4, 0], lambda x: ((x + 3) % 10, (x + 5) % 10)))
+    assert out == [0, 4, 3, 5, 7, 9, 6, 8, 2, 1]
+    # a step that reaches nothing new leaves the seeds
+    assert list(closure([(1,), (2,)], lambda x: [x])) == [(1,), (2,)]
+
+
+def test_group_closure_order():
+    """The identity, then the products g h, h in the order found and g in
+    the order given: the dihedral group of order 6 on the A2 lattice."""
+    r = ((0, -1), (1, -1))
+    assert group_closure([SWAP, r]) == (
+        ((1, 0), (0, 1)), SWAP, r, ((-1, 0), (-1, 1)), ((1, -1), (0, -1)),
+        ((-1, 1), (-1, 0)))
 
 
 def test_malformed_action():

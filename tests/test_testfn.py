@@ -60,18 +60,24 @@ def test_tower_config_validation():
     d = build_datum("A2", "simply_connected")
     m = diagram_automorphism(d, flip(2))
     with pytest.raises(MalformedAction):
-        FieldTowerConfig(d, (), (m,), m)  # small group not inside big
+        # small group not inside big
+        FieldTowerConfig(LocalGroupDatum(d, (), m), LocalGroupDatum(d, (m,), m))
+    with pytest.raises(MalformedAction):
+        # the levels differ in the Frobenius
+        FieldTowerConfig(LocalGroupDatum(d, (m,), m), LocalGroupDatum(d, (), None))
 
 
 def test_ramified_descent():
     d = build_datum("A2", "simply_connected")
     m = diagram_automorphism(d, flip(2))
-    cfg = FieldTowerConfig(d, (m,), (), m, label="tower-su3")
+    big = LocalGroupDatum(d, (m,), m)
+    cfg = FieldTowerConfig(big, LocalGroupDatum(d, (), m), label="tower-su3")
     for mu in [(0, 0), (1, 1), (2, 2)]:
         rep = ramified_descent_check(cfg, mu)
         assert rep["ok"], rep
     # degenerate tower: identity check
-    cfg0 = FieldTowerConfig(d, (m,), (m,), m, label="degenerate")
+    cfg0 = FieldTowerConfig(big, big, label="degenerate")
+    assert cfg0.center_small is cfg0.center_big
     rep = ramified_descent_check(cfg0, (1, 1))
     assert rep["ok"]
 
@@ -79,7 +85,8 @@ def test_ramified_descent():
 def test_ramified_descent_u3():
     d = gl_datum(3)
     u = unitary_dual_action(3)
-    cfg = FieldTowerConfig(d, (u,), (), None, label="u3-tower")
+    cfg = FieldTowerConfig(LocalGroupDatum(d, (u,)), LocalGroupDatum(d, ()),
+                           label="u3-tower")
     for mu in [(1, 0, -1), (1, 0, 0)]:
         rep = ramified_descent_check(cfg, mu)
         assert rep["ok"], rep

@@ -4,6 +4,7 @@ import hashlib
 import time
 
 from rootfold import cli, presets
+from rootfold.characters import DualGroup
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.hecke import CenterContext
 from rootfold.rootdata import BasedRootDatum
@@ -41,13 +42,16 @@ def test_distinct_kl_bound_enumerates_its_own_cochars(monkeypatch):
 
 def test_tower_data_built_once_per_preset(monkeypatch):
     """tower-su3 checks two mu.  The preset builds one LocalGroupDatum and
-    one CenterContext; the tower check builds the ramified and the
-    degenerate configuration (two data each), and each configuration builds
-    the centres of its two levels once, on first use, for all four
-    test_function calls; the degenerate z_v_star_1j reads the degenerate
-    configuration's E_j0 centre."""
+    one CenterContext.  The ramified configuration at j = 1 takes the
+    preset's datum as its E_j0 level and builds one datum for E_j; the
+    degenerate configuration passes the preset's datum for both levels,
+    which share one centre.  Each configuration builds its centres once, on
+    first use, for all four test_function calls; the degenerate
+    z_v_star_1j reads the degenerate configuration's centre, and the
+    descent check reads the dual group of the ramified E_j0 centre.  So
+    every DualGroup is the one of a CenterContext."""
     monkeypatch.setattr(presets, "_CACHE", {})
-    built = {LocalGroupDatum: 0, CenterContext: 0}
+    built = {LocalGroupDatum: 0, CenterContext: 0, DualGroup: 0}
     for cls in built:
         def counted(self, *args, _cls=cls, _orig=cls.__init__, **kwargs):
             built[_cls] += 1
@@ -56,7 +60,8 @@ def test_tower_data_built_once_per_preset(monkeypatch):
     code, lines = run_verify(["tower-su3"])
     assert code == 0
     assert "PASS test-function preset=tower-su3 checked 2 mu" in lines
-    assert built == {LocalGroupDatum: 1 + 2 + 2, CenterContext: 1 + 2 + 2}
+    assert built == {LocalGroupDatum: 1 + 1, CenterContext: 1 + 2 + 1,
+                     DualGroup: 1 + 2 + 1}
 
 
 def test_verify_at_deeper_bounds(monkeypatch, capsys):
