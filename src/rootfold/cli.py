@@ -193,6 +193,9 @@ def cmd_kl(args):
     eng = center.tau_engine
     w_nu = eng.max_double_coset(nu)
     w_lam = eng.max_double_coset(lam)
+    if not eng.bruhat_leq(w_nu, w_lam):
+        raise PresetError("--pair: w_nu is not Bruhat-below w_lambda for nu %s, "
+                          "lambda %s" % (_fmt_class(nu), _fmt_class(lam)))
     P = center.hecke.kl_polynomial(w_nu, w_lam)
     payload = {
         "nu": _fmt_class(nu), "lambda": _fmt_class(lam),

@@ -24,6 +24,20 @@ v^(L(y)-L(x)) p_{x,y}, constant on each coset x W_J, specialize at v = 1 to
 the coefficients of the geometric basis of the Hecke-algebra center (the
 Knop/Lusztig character formula), which is also computed independently from
 twining characters.
+
+Inside the solve a polynomial is one int (Kronecker substitution; see
+Harvey, J. Symbolic Comput. 44, 2009): sum a_e v^e is held as sum a_e
+2^(K (e + b)) with balanced base-2^K digits, K = `KL_DIGIT_BITS`, and a bias
+b read off the weighted lengths that the coset enumeration records, so that
+powers of v are shifts and the sums of products are int products
+(`_PackedRows`).  The digits are the coefficients only while each
+coefficient is below 2^(K-1) in size, and a carry would hide an overflow
+from the decoded digits, so every row and every solved p carries a one-norm
+bound and the solve checks its sums against 2^(K-2) before forming them,
+raising ArithmeticError past it.  `kl_polynomial` reads P from the coset
+table: for y maximal in y W_J, x <= y iff x_min <= y_min (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.5.1), so a pair outside the Bruhat
+order is exactly a missing key.
 """
 
 from __future__ import annotations
@@ -34,15 +48,86 @@ from .ring import LaurentPoly
 
 # Largest number of cosets x W_J whose bar rows are built: for the KL solve
 # J is the right descents of y, for `bar_basis` J = () and a coset is one
-# element.  Measured `kl_table` on split-a2 lambda = (k, k) (one Xeon core):
-# k = 8, 12, 16, 20, 23, with n = 217, 469, 817, 1261, 1657 cosets, took
-# 0.73, 3.6, 11.4, 32.1, 60.4 s (313 MB peak at 1657), a fit of t ~ n^2.2 to
-# n^2.4; so a solve at the cap takes about a minute.
-KL_INTERVAL_CAP = 1700
+# element.  Measured `kl_table` on split-a2 lambda = (k, k) with the packed
+# solve, one fresh process per k (2-core Xeon, CPython 3.11): k = 8, 12, 16,
+# 20, 23, 26, 29, 32, 35 with n = 217, 469, 817, 1261, 1657, 2107, 2611,
+# 3169, 3781 cosets took 0.09, 0.45, 1.57, 3.14, 7.39, 11.2, 23.0, 33.5,
+# 57.9 s, with peak RSS 241 MB at 1657 and 1.29 GB at 3781 (the dict solve
+# it replaced took 7.45 s at 817 and 28.9 s at 1657 on the same host); so a
+# solve at the cap takes about a minute.
+KL_INTERVAL_CAP = 3800
+
+# Bits K of one digit of a packed polynomial (see `_PackedRows`).
+KL_DIGIT_BITS = 64
 
 
 class UndefinedPair(ValueError):
     """Kazhdan-Lusztig polynomial requested outside the Bruhat order."""
+
+
+def _digits(n, bits):
+    """{i: d} for the nonzero balanced base-2^bits digits of n, so that
+    n = sum d 2^(bits i) with -2^(bits-1) <= d < 2^(bits-1)."""
+    out = {}
+    if not n:
+        return out
+    i = ((n & -n).bit_length() - 1) // bits
+    n >>= bits * i
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    while n:
+        d = n & mask
+        if d:
+            if d >= half:
+                d -= mask + 1
+            out[i] = d
+            n -= d
+        n >>= bits
+        i += 1
+    return out
+
+
+class _PackedRows:
+    """The cosets of `HeckeAlgebra._interval_rows` and their bar rows, each
+    entry one int.
+
+    A Laurent polynomial sum a_e v^e is packed as the int sum a_e 2^(K (e +
+    b)) for a bias b >= -(lowest exponent), K = `KL_DIGIT_BITS`.  The entry
+    r_{j,i} has |e| <= L_j - L_i (L the weighted lengths of the cosets), and
+    is packed with bias L_j - L_i.  The digits are balanced, so they are the
+    coefficients as long as each |a_e| < 2^(K-1); `norms[j]` bounds the
+    one-norm of every entry of row j, and `tighten` replaces that bound by
+    the largest one-norm read from the digits (once per row: `exact`).
+
+    elems: the minimal representatives in length order; weighted: their
+    weighted lengths L; rows[j]: {i: packed r_{j,i}}."""
+
+    __slots__ = ("elems", "weighted", "rows", "norms", "exact", "bits")
+
+    def __init__(self, elems, weighted):
+        self.elems = elems
+        self.weighted = weighted
+        self.rows = []
+        self.norms = []
+        self.exact = set()
+        self.bits = KL_DIGIT_BITS
+
+    def tighten(self, j):
+        """The exact largest one-norm of the entries of row j, stored as its
+        bound."""
+        if j in self.exact:
+            return self.norms[j]
+        self.exact.add(j)
+        self.norms[j] = max((sum(map(abs, _digits(r, self.bits).values()))
+                             for r in self.rows[j].values()), default=0)
+        return self.norms[j]
+
+    def row(self, j):
+        """Row j as {i: LaurentPoly}."""
+        L = self.weighted
+        return {i: LaurentPoly({e - L[j] + L[i]: d
+                                for e, d in _digits(r, self.bits).items()})
+                for i, r in self.rows[j].items()}
 
 
 def _add_term(terms, x, c):
@@ -92,11 +177,11 @@ class HeckeElement:
 class HeckeAlgebra:
     """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine.
 
-    Caches (bar-involution rows of element intervals, KL tables, checked
-    weights) are per-instance dicts; confine an instance to one thread or guard
-    access externally.  They hold index rows and plain dicts, never a
-    HeckeElement, so no cache points back at the algebra and an instance is
-    freed by reference counting alone."""
+    Caches (packed bar-involution rows of element intervals, KL tables with
+    their P values, checked weights) are per-instance dicts; confine an
+    instance to one thread or guard access externally.  They hold index rows,
+    ints and plain dicts, never a HeckeElement, so no cache points back at the
+    algebra and an instance is freed by reference counting alone."""
 
     def __init__(self, engine, weights):
         self.engine = engine
@@ -182,7 +267,8 @@ class HeckeAlgebra:
         """The cosets x W_J below y_min W_J, as minimal representatives
         numbered 0..n-1 in length order, and the rows of the bar involution
         on the module M_J = H c_{w_J} with basis m_x = Ttilde_x c_{w_J}:
-        bar(m_{elems[j]}) = sum_i rows[j][i] m_{elems[i]}.
+        bar(m_{elems[j]}) = sum_i rows[j][i] m_{elems[i]}, packed
+        (`_PackedRows`).
 
         J is a tuple of wall keys whose parabolic subgroup W_J is finite
         (the right descents of some element), y_min is minimal in y_min W_J,
@@ -193,8 +279,12 @@ class HeckeAlgebra:
         The cosets come from {e W_J} by acting on the left with the letters
         of a reduced word of y_min, read from the right.  For minimal w and a
         wall s, either sw is minimal or sw = wt with t in J (Deodhar's lemma),
-        and then s fixes the coset.  The enumeration raises ResourceCap as
-        soon as it holds more than KL_INTERVAL_CAP cosets.
+        and then s fixes the coset.  The cosets found after each letter are a
+        lower interval of the quotient (Bjorner-Brenti, Combinatorics of
+        Coxeter Groups, section 2.5), so a new coset s w lies above w: its
+        length is l(w) + 1 and its weighted length L(w) + L(s).  The
+        enumeration raises ResourceCap as soon as it holds more than
+        KL_INTERVAL_CAP cosets.
 
         Row j comes from the row of s x for the first wall s (in `s_aff`
         order, as in `normal_form`) that is a left descent of x = elems[j]:
@@ -203,9 +293,16 @@ class HeckeAlgebra:
         v_s^(-1) m_w when s fixes w W_J, where Ttilde_s acts by v_s (the
         R-polynomial recursion).  By the lifting property s w W_J stays below
         y_min W_J, so the products s w are looked up in a table indexed like
-        the cosets."""
+        the cosets.  The biases of `_PackedRows` absorb the powers of v: with
+        m = 2^(2 K L(s)), an entry c of the row of s x goes to the new row as
+        c at s w and (1 - m) c at w when sw > w, as m c at s w when sw < w,
+        and as c at w when s fixes w W_J.  So an entry of the new row is c +
+        eps_s c' for entries c, c' of the old one, and its one-norm is at most
+        3 times the old row's bound; a row whose bound passes 2^(K/2) has its
+        exact bound read from its digits."""
         eng = self.engine
         mult = eng.multiply
+        weights = self.weights
         right = [(t, eng._s_aff_map[t]) for t in J]
 
         def fixer(sw, w):
@@ -213,21 +310,26 @@ class HeckeAlgebra:
             return next((t for t, r in right if mult(sw, r) == w), None)
 
         word, _omega = eng.normal_form(y_min)
-        cosets = {eng.identity}
+        # minimal representative -> (length, weighted length)
+        cosets = {eng.identity: (0, 0)}
         for key in reversed(word):
             s = eng._s_aff_map[key]
-            for w in list(cosets):
+            step = weights[key]
+            for w, (n, L) in list(cosets.items()):
                 sw = mult(s, w)
                 if sw not in cosets and fixer(sw, w) is None:
-                    cosets.add(sw)
+                    cosets[sw] = (n + 1, L + step)
             if len(cosets) > KL_INTERVAL_CAP:
                 raise ResourceCap(
                     "Bruhat interval exceeded cap %d cosets x W_J, J = {%s}"
                     % (KL_INTERVAL_CAP, ",".join("%s%d" % t for t in J)))
-        elems = sorted(cosets, key=eng.length)
+        elems = sorted(cosets, key=lambda x: cosets[x][0])
         index = {x: i for i, x in enumerate(elems)}
-        lengths = [eng.length(x) for x in elems]
-        walls = [(key, s, self._eps(key)) for key, s in eng.s_aff]
+        lengths = [cosets[x][0] for x in elems]
+        weighted = [cosets[x][1] for x in elems]
+        packed = _PackedRows(elems, weighted)
+        bits = packed.bits
+        walls = [(key, s, 2 * bits * weights[key]) for key, s in eng.s_aff]
         left = [[None] * len(elems) for _ in walls]
 
         def times(k, j):
@@ -235,38 +337,54 @@ class HeckeAlgebra:
             leaves the interval, which happens only when s_k x_j > x_j."""
             i = left[k][j]
             if i is None:
-                key, s, _eps = walls[k]
+                key, s, _shift = walls[k]
                 w = elems[j]
                 sw = mult(s, w)
                 i = index.get(sw)
                 if i is None:
                     t = fixer(sw, w)
-                    if t is not None and self.weights[t] != self.weights[key]:
+                    if t is not None and weights[t] != weights[key]:
                         raise TheoremViolation(
                             "weight function is not well-defined")
                     i = -1 if t is None else j
+                elif weighted[i] - weighted[j] != (
+                        weights[key] if lengths[i] > lengths[j] else -weights[key]):
+                    raise TheoremViolation("weight function is not well-defined")
                 left[k][j] = i
             return i
 
-        rows = [{0: LaurentPoly.one()}]
+        rows, norms = packed.rows, packed.norms
+        limit = 1 << (bits - 2)
+        loose = 1 << (bits // 2)
+        rows.append({0: 1})
+        norms.append(1)
         for j in range(1, len(elems)):
             for k in range(len(walls)):
                 sx = times(k, j)
                 if sx >= 0 and lengths[sx] < lengths[j]:
                     break
-            key, _s, eps = walls[k]
-            v_inv = LaurentPoly.v_power(-self.weights[key])
+            bound = 3 * norms[sx]
+            if bound >= limit:
+                bound = 3 * packed.tighten(sx)
+            if bound >= limit:
+                raise ArithmeticError(
+                    "bar row coefficients may pass the %d-bit digits" % bits)
+            shift = walls[k][2]
             row = {}
             for w, c in rows[sx].items():
                 sw = times(k, w)
                 if sw == w:
-                    _add_term(row, w, c * v_inv)
-                    continue
-                _add_term(row, sw, c)
-                if lengths[sw] > lengths[w]:
-                    _add_term(row, w, -(c * eps))
-            rows.append(row)
-        return elems, rows
+                    row[w] = row.get(w, 0) + c
+                elif lengths[sw] > lengths[w]:
+                    row[sw] = row.get(sw, 0) + c
+                    row[w] = row.get(w, 0) + c - (c << shift)
+                else:
+                    row[sw] = row.get(sw, 0) + (c << shift)
+            rows.append({i: r for i, r in row.items() if r})
+            norms.append(bound)
+            if bound > loose:
+                packed.tighten(j)
+        return packed
 
     def bar_basis(self, x):
         """bar(Ttilde_x) = Ttilde_{x^-1}^{-1}, expanded in the Ttilde basis.
@@ -276,12 +394,12 @@ class HeckeAlgebra:
         _word, omega = eng.normal_form(x)
         x_aff = eng.multiply(x, eng.inverse(omega))
         if x_aff not in self._bar_cache:
-            elems, rows = self._interval_rows(x_aff, ())
-            for j, z in enumerate(elems):
-                self._bar_cache.setdefault(z, (elems, rows, j))
-        elems, rows, j = self._bar_cache[x_aff]
-        return HeckeElement(self, {eng.multiply(elems[i], omega): r
-                                   for i, r in rows[j].items()})
+            packed = self._interval_rows(x_aff, ())
+            for j, z in enumerate(packed.elems):
+                self._bar_cache.setdefault(z, (packed, j))
+        packed, j = self._bar_cache[x_aff]
+        return HeckeElement(self, {eng.multiply(packed.elems[i], omega): r
+                                   for i, r in packed.row(j).items()})
 
     def bar(self, elt):
         out = HeckeElement(self, {})
@@ -328,57 +446,104 @@ class HeckeAlgebra:
         t in J, c_y = sum_x p_{x w_J, y} m_x over minimal x in the module
         M_J of `_interval_rows`, so c_y is solved there, downwards over the
         numbered cosets: p_x - bar(p_x) = sum_{w > x} bar(p_w) r_{w,x}, read
-        from the column of x."""
-        if y in self._kl_cache:
-            return self._kl_cache[y]
+        from the column of x.  With B = L(y_min) and bar(p_w) packed with
+        bias 0, the product bar(p_w) r_{w,x} has bias L(w) - L(x); shifted by
+        K (B - L(w)) digits' bits, every term of the sum has the bias B - L(x)
+        of p_x - bar(p_x), and p_x is its balanced part below v^0.  Every sum
+        the solve forms is bounded by G = sum ||p_w||_1 times the row bound
+        of w over the solved w, which is kept below 2^(K-2) (the row bounds
+        are made exact first if it is not), or ArithmeticError is raised.
+        The values P_{x,y} = v^(L(y_min) - L(x_min)) p_{x,y} are cached
+        beside the table for `kl_polynomial`."""
+        entry = self._kl_cache.get(y)
+        if entry is not None:
+            return entry[0]
         eng = self.engine
         J, y_min, g = self._right_descents(y)
-        elems, rows = self._interval_rows(y_min, J)
+        packed = self._interval_rows(y_min, J)
+        elems, weighted, rows, norms = (packed.elems, packed.weighted,
+                                        packed.rows, packed.norms)
+        bits = packed.bits
+        limit = 1 << (bits - 2)
         top = len(elems) - 1
+        lift = [bits * (weighted[top] - L) for L in weighted]
         cols = [[] for _ in elems]
         for w, row in enumerate(rows):
             for x, r in row.items():
                 if x != w:
                     cols[x].append((w, r))
-        p = {top: LaurentPoly.one()}
-        pbar = {top: LaurentPoly.one()}
+        p = {top: 1}
+        pbar = {top: 1}
+        size = {top: 1}
+        polys = {top: (LaurentPoly.one(), LaurentPoly.one())}
+        G = norms[top]
         for x in range(top - 1, -1, -1):
-            f = LaurentPoly.zero()
+            f = 0
             for w, r in cols[x]:
-                if w in pbar:
-                    f = f + pbar[w] * r
-            if f.bar() != -f or f.constant_term() != 0:
+                pw = pbar.get(w)
+                if pw is not None:
+                    f += (pw * r) << lift[w]
+            if not f:
+                continue
+            b = weighted[top] - weighted[x]
+            shift = lift[x]
+            one = 1 << shift
+            px = f & (one - 1)
+            if px >= one >> 1:
+                px -= one
+            digits = _digits(px, bits)
+            pb = sum(d << bits * (b - i) for i, d in digits.items())
+            if f != px - (pb << shift):
                 raise TheoremViolation("bar self-consistency failed in KL solve")
-            px = f.negative_part()
-            if not px.is_zero():
-                p[x] = px
-                pbar[x] = px.bar()
+            p[x] = px
+            pbar[x] = pb
+            size[x] = sum(map(abs, digits.values()))
+            G += size[x] * norms[x]
+            if G >= limit:
+                G = sum(n * packed.tighten(w) for w, n in size.items())
+                if G >= limit:
+                    raise ArithmeticError(
+                        "KL coefficients may pass the %d-bit digits" % bits)
+            px_poly = LaurentPoly({i - b: d for i, d in digits.items()})
+            P = px_poly.shifted(b)
+            if P.min_degree() < 0:
+                raise TheoremViolation("KL polynomial has negative v-degrees")
+            polys[x] = (px_poly, P)
         # verify: c_y is bar-invariant, bar(c_y) = sum_w bar(p_w) bar(m_w)
         c = {}
         for w, pw in pbar.items():
             for x, r in rows[w].items():
-                _add_term(c, x, pw * r)
-        if c != p:
+                c[x] = c.get(x, 0) + ((pw * r) << lift[w])
+        if {x: cx for x, cx in c.items() if cx} != p:
             raise TheoremViolation("canonical basis element is not bar-invariant")
-        table = {eng.multiply(x, g): p.get(i, LaurentPoly.zero())
-                 for i, x in enumerate(elems)}
-        self._kl_cache[y] = table
+        table, values = {}, {}
+        for i, x in enumerate(elems):
+            key = eng.multiply(x, g)
+            table[key], values[key] = polys.get(
+                i, (LaurentPoly.zero(), LaurentPoly.zero()))
+        omega_inv = eng.inverse(eng.omega_part(y))
+        self._kl_cache[y] = (table, values, J, omega_inv, g)
         return table
 
     def kl_polynomial(self, x, y):
-        """P_{x,y}(v) = v^(L(y) - L(x)) p_{x,y}; requires x <= y.  P is
-        constant on the cosets x W_J of the right descents J of y, and equals
-        v^(L(y_min) - L(x_min)) p_{x_max,y} there."""
-        eng = self.engine
-        if not eng.bruhat_leq(x, y):
-            raise UndefinedPair("x is not Bruhat-below y")
-        J, y_min, g = self._right_descents(y)
-        x_aff = eng.multiply(x, eng.inverse(eng.omega_part(x)))
-        x_min = self._min_rep(x_aff, J)
-        p = self.kl_table(y)[eng.multiply(x_min, g)]
-        P = p.shifted(self.weight(y_min) - self.weight(x_min))
-        if not p.is_zero() and P.min_degree() < 0:
-            raise TheoremViolation("KL polynomial has negative v-degrees")
+        """P_{x,y}(v) = v^(L(y) - L(x)) p_{x,y}; raises UndefinedPair unless
+        x <= y.  P is constant on the cosets x W_J of the right descents J of
+        y and is read from the values cached by `kl_table`, keyed like its
+        table: x itself when it is a key (a maximal representative), else
+        x_min g.  As y_aff is maximal in y_aff W_J, x <= y exactly when x has
+        the Omega part of y and x_min <= y_min (Bjorner-Brenti, Prop.
+        2.5.1), that is, exactly when the key exists; an element of another
+        Omega coset keeps its Omega part through x_min g and is never a
+        key."""
+        self.kl_table(y)
+        _table, values, J, omega_inv, g = self._kl_cache[y]
+        P = values.get(x)
+        if P is None:
+            eng = self.engine
+            x_min = self._min_rep(eng.multiply(x, omega_inv), J)
+            P = values.get(eng.multiply(x_min, g))
+            if P is None:
+                raise UndefinedPair("x is not Bruhat-below y")
         return P
 
 

@@ -111,28 +111,25 @@ def parse_cartan_type(s):
 def symmetrizers(C):
     """Minimal positive integers d with d_i C[i][j] = d_j C[j][i]; d_i is half
     the squared length of alpha_i when short roots have squared length 2."""
-    n = len(C)
-    d = [0] * n
-    comps = _components(C)
-    for comp in comps:
-        d[comp[0]] = 1
-        todo = [comp[0]]
-        seen = {comp[0]}
-        while todo:
-            i = todo.pop()
-            for j in comp:
-                if j not in seen and C[i][j] != 0:
-                    # d_j / d_i = C[i][j] / C[j][i]
-                    val = Fraction(d[i]) * Fraction(C[i][j], C[j][i])
-                    d[j] = val
-                    seen.add(j)
-                    todo.append(j)
-        scale = min(Fraction(d[i]) for i in comp)
+    d = [0] * len(C)
+    for comp in _components(C):
+        order = list(closure([comp[0]], lambda i: (j for j in comp if C[i][j])))
+        d[order[0]] = 1
+        for k, j in enumerate(order[1:], 1):
+            # from a node met before j: d_j / d_i = C[i][j] / C[j][i]; when
+            # that is not integral, scale the component's values so far
+            i = next(i for i in order[:k] if C[i][j])
+            num, den = d[i] * C[i][j], C[j][i]
+            if num % den:
+                for m in order[:k]:
+                    d[m] *= abs(den)
+                num *= abs(den)
+            d[j] = num // den
+        low = min(d[i] for i in comp)
+        if any(d[i] % low for i in comp):
+            raise ValueError("non-integral symmetrizer")
         for i in comp:
-            q = Fraction(d[i]) / scale
-            if q.denominator != 1:
-                raise ValueError("non-integral symmetrizer")
-            d[i] = int(q)
+            d[i] //= low
     return tuple(d)
 
 

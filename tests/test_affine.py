@@ -540,7 +540,7 @@ def test_length_matches_reference_on_kl_cosets(name, vec):
     H, eng = center.hecke, center.tau_engine
     y = eng.max_double_coset(preset.lgd.coinv.project(vec))
     J, y_min, _g = H._right_descents(y)
-    elems, _rows = H._interval_rows(y_min, J)
+    elems = H._interval_rows(y_min, J).elems
     assert_length_matches_reference(eng, elems + list(H.kl_table(y)), name)
 
 

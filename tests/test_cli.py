@@ -82,6 +82,15 @@ def test_kl_pair_checked_exit_2(capsys):
         assert err.strip() == "input error: --pair: " + msg, pair
 
 
+def test_kl_pair_not_below_exit_2(capsys):
+    # P_{w_nu, w_lambda} needs w_nu <= w_lambda; the check names the option
+    code, out, err = run(capsys, "kl", "--preset", "split-a2", "--pair=2,2|1,1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: --pair: w_nu is not Bruhat-below "
+                           "w_lambda for nu (2,2), lambda (1,1)")
+
+
 def test_kl_pair_without_separator_exit_2(capsys):
     code, out, err = run(capsys, "kl", "--preset", "split-a2", "--pair", "0,0")
     assert code == 2

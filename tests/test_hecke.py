@@ -22,6 +22,8 @@ from rootfold.presets import load_preset
 from rootfold.ring import LaurentPoly
 from rootfold.rootdata import build_datum, diagram_automorphism
 
+from kl_reference import decoded_rows, dict_interval_rows, dict_kl_table
+
 v = LaurentPoly.v_power
 
 
@@ -310,7 +312,7 @@ def full_interval_kl_table(H, y):
     eng = H.engine
     _word, omega = eng.normal_form(y)
     y_aff = eng.multiply(y, eng.inverse(omega))
-    elems, rows = H._interval_rows(y_aff, ())
+    elems, rows = decoded_rows(H, y_aff, ())
     top = len(elems) - 1
     p = {top: LaurentPoly.one()}
     for x in range(top - 1, -1, -1):
@@ -496,6 +498,7 @@ def test_kl_caches_hold_no_algebra_reference():
         c = canonical_basis_element(center.hecke, y)
         assert center.hecke.bar(c) == c
         del c
+        assert center.hecke._kl_cache and center.hecke._bar_cache
         refs = [weakref.ref(center.hecke), weakref.ref(center.tau_engine)]
         del center
         assert [r() for r in refs] == [None, None]
@@ -556,3 +559,114 @@ def test_kl_route_properties(name, data):
     for x in c.terms:
         assert H.kl_polynomial(x, y).min_degree() >= 0
     assert_cosets_match_full_interval(H, y)
+    assert H.kl_table(y) == dict_kl_table(H, y)
+
+
+# -- the packed solve against the dict reference ---------------------------------
+
+
+def _by_element(elems, rows):
+    """Rows keyed by coset representatives, not by their numbering."""
+    return {elems[j]: {elems[i]: r for i, r in row.items()}
+            for j, row in enumerate(rows)}
+
+
+@pytest.mark.parametrize("name,vec", LADDER + [("split-a2", (8, 8))])
+def test_packed_kl_solve_matches_dict_reference(name, vec):
+    """The packed bar rows, decoded, and the packed KL table equal the
+    dict-arithmetic rows and table, on every ladder rung and on split-a2
+    (8,8) with its 217 cosets."""
+    lgd, center = _preset_center(name)
+    H = center.hecke
+    y = center.tau_engine.max_double_coset(lgd.coinv.project(vec))
+    J, y_min, _g = H._right_descents(y)
+    elems, rows = decoded_rows(H, y_min, J)
+    ref_elems, ref_rows = dict_interval_rows(H, y_min, J)
+    if vec == (8, 8):
+        assert len(elems) == 217
+    assert _by_element(elems, rows) == _by_element(ref_elems, ref_rows)
+    assert H.kl_table(y) == dict_kl_table(H, y)
+
+
+@pytest.mark.parametrize("name,vec", [("split-a2", (4, 4)),
+                                      ("su4-unramified", (2, 2, 2))])
+def test_packed_solve_digit_width_guard(monkeypatch, name, vec):
+    """With digits too narrow for the coefficients the solve raises
+    ArithmeticError; it never returns a table other than the reference.
+    Wide enough digits give the reference table.  (su4-unramified has KL
+    coefficients up to 3, which 2-bit digits cannot hold.)"""
+    outcomes = {}
+    for bits in (2, 3, 6, 8, 12, 16, 24):
+        monkeypatch.setattr(hecke, "KL_DIGIT_BITS", 64)
+        lgd, center = _preset_center(name)
+        H = center.hecke
+        y = center.tau_engine.max_double_coset(lgd.coinv.project(vec))
+        ref = dict_kl_table(H, y)
+        monkeypatch.setattr(hecke, "KL_DIGIT_BITS", bits)
+        try:
+            table = H.kl_table(y)
+        except ArithmeticError:
+            outcomes[bits] = "raised"
+        else:
+            assert table == ref, bits
+            outcomes[bits] = "reference"
+    assert outcomes[2] == outcomes[6] == "raised", outcomes
+    assert outcomes[24] == "reference", outcomes
+
+
+@pytest.mark.parametrize("name", ["split-gl2", "su3-unramified"])
+def test_kl_polynomial_defined_exactly_below(name):
+    """kl_polynomial(x, y) raises UndefinedPair exactly when x is not
+    Bruhat-below y, for x over the affine parts of the intervals below
+    every w_lambda, times every Omega element those reach."""
+    center, lams = _property_center(name)
+    H, eng = center.hecke, center.tau_engine
+    ys = [eng.max_double_coset(lam) for lam in lams]
+    omegas = {eng.omega_part(y) for y in ys} | {eng.identity}
+    affine = {eng.multiply(x, eng.inverse(eng.omega_part(x)))
+              for y in ys for x in eng.lower_interval(y)}
+    seen = set()
+    for y in ys:
+        for x_aff in affine:
+            for omega in omegas:
+                x = eng.multiply(x_aff, omega)
+                below = eng.bruhat_leq(x, y)
+                if below:
+                    assert H.kl_polynomial(x, y).min_degree() >= 0
+                else:
+                    with pytest.raises(UndefinedPair):
+                        H.kl_polynomial(x, y)
+                seen.add((below, omega == eng.omega_part(y)))
+    expect = {(True, True), (False, True)}
+    if name == "split-gl2":
+        expect.add((False, False))
+    assert seen == expect
+
+
+def test_kl_polynomial_reads_the_coset_table(monkeypatch):
+    """The KL route makes no Bruhat test and computes no weight, and once
+    the table of y is built, kl_polynomial makes no normal form either."""
+    lgd, center = _preset_center("su3-unramified")
+    H, eng = center.hecke, center.tau_engine
+    lam = lgd.coinv.project((3, 3))
+    y = eng.max_double_coset(lam)
+    interval = eng.lower_interval(y)
+    calls = []
+
+    def count(obj, name):
+        orig = getattr(obj, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(obj, name, wrapper)
+
+    for obj, name in ((eng, "bruhat_leq"), (H, "weight")):
+        count(obj, name)
+    center.geometric_basis_kl(lam)
+    assert calls == []
+    for obj, name in ((eng, "omega_part"), (eng, "normal_form")):
+        count(obj, name)
+    values = {x: H.kl_polynomial(x, y) for x in interval}
+    assert calls == []
+    assert set(values) == interval

@@ -1,6 +1,7 @@
 """Root data: construction, classification, orders, weight sets."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,10 @@ from rootfold.rootdata import (
     AutomorphismAction,
     build_datum,
     diagram_automorphism,
+    _standard_cartans,
     gl_datum,
     parse_cartan_type,
+    symmetrizers,
     unitary_dual_action,
 )
 from fraction_linalg import gauss_solve
@@ -408,3 +411,53 @@ def test_dominant_cochars_at_bound_16(name):
     assert all(d.is_dominant_cochar(mu) and d.two_rho_pairing(mu) <= 16
                for mu in mus)
     assert mus[0] == (0,) * d.rank
+
+
+def reference_symmetrizers(C):
+    """The Fraction walk `symmetrizers` replaced: each component by its own
+    depth-first todo/seen loop, d_j = d_i C[i][j] / C[j][i], normalised by
+    the smallest value."""
+    n = len(C)
+    d = [0] * n
+    placed = set()
+    for s in range(n):
+        if s in placed:
+            continue
+        comp = [s]
+        placed.add(s)
+        d[s] = Fraction(1)
+        todo = [s]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if j not in placed and C[i][j] != 0:
+                    d[j] = d[i] * Fraction(C[i][j], C[j][i])
+                    placed.add(j)
+                    comp.append(j)
+                    todo.append(j)
+        scale = min(d[i] for i in comp)
+        for i in comp:
+            q = d[i] / scale
+            if q.denominator != 1:
+                raise ValueError("non-integral symmetrizer")
+            d[i] = int(q)
+    return tuple(d)
+
+
+def test_symmetrizers_match_fraction_reference():
+    """Every standard Cartan matrix up to rank 6, and block sums of two of
+    rank <= 4 with their nodes shuffled, so components interleave."""
+    cartans = [C for r in range(1, 7) for C in _standard_cartans(r).values()]
+    small = [C for C in cartans if len(C) <= 4]
+    for A, B in itertools.product(small, repeat=2):
+        n = len(A) + len(B)
+        M = [[0] * n for _ in range(n)]
+        for off, X in ((0, A), (len(A), B)):
+            for i, row in enumerate(X):
+                M[off + i][off:off + len(X)] = row
+        p = list(range(n))[::-1][::2] + list(range(n))[::-1][1::2]
+        cartans.append([[M[p[i]][p[j]] for j in range(n)] for i in range(n)])
+    for C in cartans:
+        assert symmetrizers(C) == reference_symmetrizers(C), C
+    with pytest.raises(ValueError, match="non-integral symmetrizer"):
+        symmetrizers([[2, -3], [-2, 2]])
