@@ -15,15 +15,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .affine import admissible_set, extremal_elements
-from .echelonnage import TheoremViolation
-from .folding import fold
-from .hecke import CenterContext
-from .lattice import MalformedAction, ResourceCap
+# each cmd_* imports the modules only it needs, so a one-shot query loads
+# (and, without bytecode caches, compiles) no more of rootfold than it uses
+from .lattice import MalformedAction, ResourceCap, TheoremViolation
 from .presets import Preset, PresetError, load_preset, preset_names
 from .rootdata import UndeterminedAutomorphism
-from .testfn import test_function, z_v_star_1j
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
@@ -116,6 +112,7 @@ def _load_lgd(args):
 
 
 def cmd_fold(args):
+    from .folding import fold
     preset = _load_lgd(args)
     lgd = preset.lgd
     gens = lgd.inertia.generators + (lgd.tau_char,)
@@ -152,7 +149,7 @@ def cmd_adm(args):
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if not preset.datum.is_dominant_cochar(mu):
         raise PresetError("mu must be dominant")
-    from .affine import build_affine
+    from .affine import admissible_set, build_affine, extremal_elements
     engine = build_affine(lgd)
     adm = admissible_set(lgd, mu, engine=engine)
     extremal = extremal_elements(engine, adm)
@@ -180,6 +177,7 @@ def cmd_adm(args):
 
 
 def cmd_kl(args):
+    from .hecke import CenterContext
     preset = _load_lgd(args)
     nu_s, sep, lam_s = args.pair.partition("|")
     if not sep:
@@ -208,6 +206,7 @@ def cmd_kl(args):
 
 
 def cmd_geom_basis(args):
+    from .hecke import CenterContext
     preset = _load_lgd(args)
     lam = preset.lgd.coinv.project(_parse_cochar(args.lam, preset.datum, "--lambda"))
     center = CenterContext(preset.lgd, preset.overrides)
@@ -249,6 +248,8 @@ def cmd_branch(args):
 
 
 def cmd_testfn(args):
+    from .hecke import CenterContext
+    from .testfn import test_function, z_v_star_1j
     if args.j < 1:
         raise PresetError("--j must be at least 1, got %d" % args.j)
     if args.config:
@@ -284,6 +285,7 @@ def cmd_verify(args):
     for option, bound in (("--mu-bound", args.mu_bound), ("--kl-bound", args.kl_bound)):
         if bound < 0:
             raise PresetError("%s must be at least 0, got %d" % (option, bound))
+    from .verify import run_verify
     names = args.preset_list or None
     code, lines = run_verify(names, mu_bound=args.mu_bound, kl_bound=args.kl_bound)
     print("\n".join(lines))

@@ -61,10 +61,28 @@ def cartan_of_gram(base_gram):
                  for i, row in enumerate(base_gram))
 
 
+# Cartan matrix -> the frozenset of its roots' coordinates.  The values are
+# immutable, so two threads racing on one key only compute it twice.
+_CLOSURES = {}
+
+
 def cartan_closure(cartan):
     """All roots of the system with Cartan matrix C[i][j] = <b_j, b_i^vee>,
-    as coordinate tuples over its base: the orbit of the simple roots under
-    s_i(c) = c - (sum_j c_j C[i][j]) e_i, closed under negation."""
+    as a frozenset of coordinate tuples over its base.  The coordinates
+    depend on C alone, so each matrix is closed once and kept in
+    `_CLOSURES`; the `_CLOSURE_CAP` check applies to every request."""
+    key = tuple(map(tuple, cartan))
+    roots = _CLOSURES.get(key)
+    if roots is None:
+        roots = _CLOSURES[key] = _close_cartan(key)
+    if len(roots) > _CLOSURE_CAP:
+        raise ResourceCap("root closure exceeded cap")
+    return roots
+
+
+def _close_cartan(cartan):
+    """The orbit of the simple roots under s_i(c) = c - (sum_j c_j C[i][j])
+    e_i, closed under negation; stops at `_CLOSURE_CAP` roots."""
     n = len(cartan)
     rows = tuple(enumerate(cartan))
 
@@ -81,7 +99,7 @@ def cartan_closure(cartan):
         if len(roots) > _CLOSURE_CAP:
             raise ResourceCap("root closure exceeded cap")
     roots |= {tuple(-x for x in c) for c in roots}
-    return roots
+    return frozenset(roots)
 
 
 class RootSystemV:

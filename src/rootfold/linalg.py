@@ -6,33 +6,46 @@ rest of the library depends on every identity being exact.
 
 Determinants, inverses and coordinates over a base all come from one
 fraction-free elimination, `adjugate`; `coordinates` turns it into a
-reusable int solver for a fixed base.  Singular, non-unimodular or
-dependent input raises ArithmeticError: callers that take such matrices
-from the user turn it into their own input error.
+reusable int solver for a fixed base, and `integer_solver` does the same
+for the integral solutions of a fixed int matrix from one Smith normal
+form.  Singular, non-unimodular or dependent input raises ArithmeticError:
+callers that take such matrices from the user turn it into their own input
+error.  The vector and matrix kernels run on `map` over `operator`
+functions and list comprehensions, not generator expressions; `vec_dot`,
+`mat_vec` and `mat_mul` raise ValueError("dimension mismatch") on unequal
+lengths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(c, u):
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def vec_dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def _check_rows(M, n):
+    """Raise ValueError("dimension mismatch") unless every row of M has n
+    entries."""
+    if any(map(n.__ne__, map(len, M))):
+        raise ValueError("dimension mismatch")
 
 
 def exact_int(x):
@@ -44,28 +57,31 @@ def exact_int(x):
 
 
 def frac_vec(u):
-    return tuple(a if type(a) is Fraction else Fraction(a) for a in u)
+    return tuple([a if type(a) is Fraction else Fraction(a) for a in u])
 
 
 def integral_rows(rows):
     """(d, d * rows) with d the least common denominator of the int or
     Fraction entries, so the scaled rows are int."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                    for row in rows)
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row])
+                     for row in rows])
 
 
 def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
 
 
 def mat_vec(M, v):
-    return tuple(vec_dot(row, v) for row in M)
+    _check_rows(M, len(v))
+    return tuple([sum(map(mul, row, v)) for row in M])
 
 
 def mat_mul(A, B):
+    """A B; every row of A must have len(B) entries."""
+    _check_rows(A, len(B))
     Bt = tuple(zip(*B))
-    return tuple(tuple(vec_dot(row, col) for col in Bt) for row in A)
+    return tuple([tuple([sum(map(mul, row, col)) for col in Bt]) for row in A])
 
 
 def mat_transpose(M):
@@ -73,7 +89,7 @@ def mat_transpose(M):
 
 
 def mat_sub(A, B):
-    return tuple(vec_sub(r, s) for r, s in zip(A, B))
+    return tuple(map(vec_sub, A, B))
 
 
 def adjugate(M):
@@ -108,23 +124,15 @@ def adjugate(M):
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], piv)]
         prev = pv
     if d == 1:
-        return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+        return sign * prev, tuple([tuple([sign * x for x in row[n:]]) for row in rows])
     return (Fraction(sign * prev, d ** n),
-            tuple(tuple(Fraction(sign * x, d ** (n - 1)) for x in row[n:])
-                  for row in rows))
+            tuple([tuple([Fraction(sign * x, d ** (n - 1)) for x in row[n:]])
+                   for row in rows]))
 
 
 def mat_det(M):
     """Exact determinant (an int for an int matrix)."""
     return adjugate(M)[0]
-
-
-def mat_rational_inverse(M):
-    """Inverse of a square matrix over Q, as adj M / det M."""
-    det, adj = adjugate(M)
-    if adj is None:
-        raise ArithmeticError("matrix is singular")
-    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def mat_integer_inverse(U):
@@ -330,37 +338,41 @@ def lattice_member(basis, v):
     return all(a == 0 for a in v)
 
 
-def kernel_basis(M):
-    """Integer basis of {x : M x = 0}, via the SNF column transform."""
-    if not M or not M[0]:
-        n = len(M[0]) if M else 0
-        return tuple(identity_matrix(n))
-    D, _U, V = smith_normal_form(M)
-    m = len(M)
-    n = len(M[0])
-    cols = []
-    for j in range(n):
-        dj = D[j][j] if j < m else 0
-        if dj == 0:
-            cols.append(tuple(V[i][j] for i in range(n)))
-    return tuple(cols)
+def integer_solver(M):
+    """(solve, kernel) for an int matrix M (m x n), from one Smith normal form
+    U M V = D, in the pattern of `coordinates`.
 
-
-def solve_integer(M, b):
-    """One integer solution of M x = b, or None if none exists."""
+    solve(b) is one int solution x of M x = b, or None when there is none:
+    with c = U b, it needs c_i = 0 where D has no pivot and d_i | c_i where it
+    has one, and then x = V y for y_i = c_i / d_i (0 beyond the pivots).
+    kernel is an int basis of {x : M x = 0}: the columns of V that meet no
+    pivot.  Both read the one transform, so a caller solving many right-hand
+    sides against one matrix pays for one Smith form.
+    """
     m = len(M)
     n = len(M[0]) if m else 0
     D, U, V = smith_normal_form(M)
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
+    piv = [i for i in range(min(m, n)) if D[i][i]]
+    pivots = tuple((U[i], D[i][i]) for i in piv)
+    vanishing = tuple(U[i] for i in range(m) if i not in piv)
+    basis = tuple(tuple(row[i] for i in piv) for row in V)
+    kernel = tuple(tuple(row[j] for row in V) for j in range(n) if j not in piv)
+
+    def solve(b):
+        _check_rows(U, len(b))
+        if any(sum(map(mul, row, b)) for row in vanishing):
+            return None
+        y = []
+        for row, d in pivots:
+            q, r = divmod(sum(map(mul, row, b)), d)
+            if r:
                 return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < n:
-                y[i] = c[i] // d
-    return mat_vec(V, tuple(y))
+            y.append(q)
+        return mat_vec(basis, y)
+
+    return solve, kernel
+
+
+def kernel_basis(M):
+    """Integer basis of {x : M x = 0}, via the SNF column transform."""
+    return integer_solver(M)[1]

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from .folding import RootSystemV, cartan_closure
 from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
+    adjugate,
     coordinates,
     frac_vec,
     identity_matrix,
+    integer_solver,
     is_positive_definite,
     kernel_basis,
     mat_integer_inverse,
     mat_mul,
-    mat_rational_inverse,
     mat_transpose,
     mat_vec,
-    solve_integer,
     vec_add,
     vec_dot,
     vec_scale,
@@ -241,6 +242,11 @@ def classify_cartan(C):
     return "x".join(nm for _, _, nm in names)
 
 
+def _divided(M, den):
+    """The int matrix M over the int den, as Fractions."""
+    return tuple(tuple([Fraction(x, den) for x in row]) for row in M)
+
+
 def _budget_walk(heights, bound):
     """Every m in N^len(heights) with sum(h * m) <= bound, depth first."""
     m = [0] * len(heights)
@@ -324,7 +330,7 @@ class BasedRootDatum:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
         # finite type: symmetrized form positive definite on the root span
         d = symmetrizers(self.cartan)
-        sym = tuple(tuple(Fraction(d[i] * self.cartan[i][j]) for j in range(n)) for i in range(n))
+        sym = tuple(tuple(d[i] * self.cartan[i][j] for j in range(n)) for i in range(n))
         if not is_positive_definite(sym):
             raise ValueError("Cartan matrix is not of finite type")
 
@@ -351,44 +357,54 @@ class BasedRootDatum:
 
     # -- invariant form -----------------------------------------------------
 
-    def gram(self):
-        """W x Aut-invariant form on X^* (x) Q: short roots of each component
-        have squared length 2; the coroot-kernel complement is orthogonal and
-        carries the standard form averaged over nothing (it is canonical)."""
-        if self._gram is not None:
-            return self._gram
+    @cached_property
+    def _form_basis(self):
+        """(B, G_basis): the int matrix B whose columns are the simple roots
+        followed by a kernel basis of the coroot pairing, and the int Gram
+        matrix of the form on those columns, (a_i | a_j) = d_i C[i][j] on the
+        roots and the standard dot product on the kernel, the two blocks
+        orthogonal."""
         n = self.rank
         d = symmetrizers(self.cartan)
-        # basis: simple roots then a kernel basis of the coroot pairing
         span = list(self.simple_roots)
-        pairing_rows = tuple(self.simple_coroots)
-        if pairing_rows:
-            comp = list(kernel_basis(pairing_rows))
+        if self.simple_coroots:
+            comp = list(kernel_basis(self.simple_coroots))
         else:
             comp = list(identity_matrix(n))
         basis = span + comp
         if len(basis) != n:
             raise ValueError("simple roots are not linearly independent")
         r = len(span)
-        G_basis = [[Fraction(0)] * n for _ in range(n)]
+        G_basis = [[0] * n for _ in range(n)]
         for i in range(r):
             for j in range(r):
-                # (a_i | a_j) = d_i * C[i][j]
-                G_basis[i][j] = Fraction(d[i] * self.cartan[i][j])
+                G_basis[i][j] = d[i] * self.cartan[i][j]
         for i in range(len(comp)):
             for j in range(len(comp)):
-                G_basis[r + i][r + j] = Fraction(vec_dot(comp[i], comp[j]))
-        # convert to standard coordinates: G = (B^-1)^T G_basis (B^-1)
-        B = mat_transpose(tuple(frac_vec(v) for v in basis))  # columns are basis
-        Binv = mat_rational_inverse(B)
-        G = mat_mul(mat_transpose(Binv), mat_mul(tuple(map(tuple, G_basis)), Binv))
-        self._gram = tuple(tuple(x) for x in G)
+                G_basis[r + i][r + j] = vec_dot(comp[i], comp[j])
+        return mat_transpose(basis), tuple(map(tuple, G_basis))
+
+    def gram(self):
+        """W x Aut-invariant form on X^* (x) Q: short roots of each component
+        have squared length 2; the coroot-kernel complement is orthogonal and
+        carries the standard form averaged over nothing (it is canonical).
+        In standard coordinates it is B^-T G_basis B^-1 =
+        adj(B)^T G_basis adj(B) / det(B)^2 (see `_form_basis`), one int
+        product and one division."""
+        if self._gram is None:
+            B, G_basis = self._form_basis
+            det, adj = adjugate(B)
+            self._gram = _divided(mat_mul(mat_transpose(adj), mat_mul(G_basis, adj)),
+                                  det * det)
         return self._gram
 
     def gram_star(self):
-        """Induced invariant form on X_* (x) Q (the inverse Gram matrix)."""
+        """Induced invariant form on X_* (x) Q, the inverse Gram matrix
+        B G_basis^-1 B^T = B adj(G_basis) B^T / det(G_basis)."""
         if self._gram_star is None:
-            self._gram_star = mat_rational_inverse(self.gram())
+            B, G_basis = self._form_basis
+            det, adj = adjugate(G_basis)
+            self._gram_star = _divided(mat_mul(B, mat_mul(adj, mat_transpose(B))), det)
         return self._gram_star
 
     # -- the root systems Phi and Phi^vee ---------------------------------------
@@ -477,6 +493,17 @@ class BasedRootDatum:
         """<2 rho, mu> = sum over positive roots of <alpha, mu>."""
         return sum(vec_dot(a, mu) for a in self.positive_roots)
 
+    @cached_property
+    def _simple_solver(self):
+        """(solve, central): solve(m) is one mu in X_* with <alpha_i, mu> =
+        m_i (None when there is none) and central an int basis of the
+        coroot-pairing kernel, both from one Smith form of the simple roots
+        (`linalg.integer_solver`)."""
+        if self.simple_roots:
+            return integer_solver(self.simple_roots)
+        zero = (0,) * self.rank
+        return (lambda m: zero), identity_matrix(self.rank)
+
     def dominant_cochars_up_to(self, bound, central_box=1):
         """All dominant cocharacters mu with <2rho, mu> <= bound.
 
@@ -487,17 +514,14 @@ class BasedRootDatum:
         coordinates are restricted to [-central_box, central_box];
         everything downstream is invariant under central translation.
         """
-        n = self.rank
-        simples = self.simple_roots
-        r = len(simples)
-        central = kernel_basis(tuple(simples)) if simples else identity_matrix(n)
+        solve, central = self._simple_solver
         # heights of 2rho over the simple roots: the column sums of the
         # positive roots' coordinates
         heights = tuple(map(sum, zip(*(c for c in self._closure if min(c) >= 0))))
         out = set()
         for m in _budget_walk(heights, bound):
             # solve <alpha_i, mu> = m_i over X_*
-            part = solve_integer(tuple(simples), m) if r else (0,) * n
+            part = solve(m)
             if part is None:
                 continue
             for cs in itertools.product(range(-central_box, central_box + 1),
@@ -659,19 +683,23 @@ def diagram_automorphism(datum, perm):
             if datum.cartan[i][k] != datum.cartan[j][l]:
                 raise MalformedAction("permutation is not a diagram automorphism")
     if len(datum.simple_roots) == n:
-        # g alpha_i = alpha_perm(i): g = T S^-1, with the simple roots as the
-        # columns of S and their images as the columns of T
-        g = mat_mul(mat_transpose(tuple(datum.simple_roots[j] for j in perm)),
-                    mat_rational_inverse(mat_transpose(datum.simple_roots)))
+        # g alpha_i = alpha_perm(i): g = T S^-1 = T adj(S) / det(S), with the
+        # simple roots as the columns of S and their images as the columns
+        # of T
+        S = mat_transpose(datum.simple_roots)
+        T = mat_transpose(tuple(datum.simple_roots[j] for j in perm))
+        det, adj = adjugate(S)
+        g = mat_mul(T, adj)
     elif len(datum.simple_coroots) == n:
-        # the same on the coroots gives g*, and g is its inverse transpose
-        g = mat_transpose(mat_mul(
-            mat_transpose(datum.simple_coroots),
-            mat_rational_inverse(mat_transpose(tuple(datum.simple_coroots[j]
-                                                     for j in perm)))))
+        # the same on the coroots gives g* = S T^-1, and g is its inverse
+        # transpose (S adj(T) / det(T))^T
+        S = mat_transpose(datum.simple_coroots)
+        T = mat_transpose(tuple(datum.simple_coroots[j] for j in perm))
+        det, adj = adjugate(T)
+        g = mat_transpose(mat_mul(S, adj))
     else:
         raise UndeterminedAutomorphism("datum lattice does not determine the "
                                        "automorphism; give it as {\"matrix\": ...}")
-    if any(x.denominator != 1 for row in g for x in row):
+    if any(x % det for row in g for x in row):
         raise MalformedAction("permutation does not preserve the lattice")
-    return tuple(tuple(int(x) for x in row) for row in g)
+    return tuple(tuple([x // det for x in row]) for row in g)

@@ -4,7 +4,8 @@ The library decides determinants, inverses and coordinates over a base with
 one fraction-free integer elimination (`linalg.adjugate` and
 `linalg.coordinates`).  The tests check it against these plain Fraction
 eliminations, and use `gauss_solve` wherever they need coordinates of their
-own.
+own.  `solve_integer` is the per-call Smith-form solver that
+`linalg.integer_solver` replaced.
 """
 
 from fractions import Fraction
@@ -67,3 +68,26 @@ def gauss_jordan(M):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det, tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def solve_integer(M, b):
+    """One integer solution of M x = b, or None if none exists, from a Smith
+    normal form computed on every call: the reference for
+    `linalg.integer_solver`, which builds the form once per matrix."""
+    from rootfold.linalg import mat_vec, smith_normal_form
+    m = len(M)
+    n = len(M[0]) if m else 0
+    D, U, V = smith_normal_form(M)
+    c = mat_vec(U, b)
+    y = [0] * n
+    for i in range(m):
+        d = D[i][i] if i < n else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            if i < n:
+                y[i] = c[i] // d
+    return mat_vec(V, tuple(y))

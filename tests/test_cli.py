@@ -322,10 +322,12 @@ def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     internal fault: exit 1 naming the system, not an input error."""
     from fractions import Fraction
 
+    from rootfold import folding
     from rootfold.folding import FoldedRootSystem
     bad = FoldedRootSystem(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), "N",
                            (((0,), True), ((1,), True)), label="N_bad")
-    monkeypatch.setattr(cli, "fold", lambda rs, group, op: bad)
+    # cmd_fold imports fold from rootfold.folding when it runs
+    monkeypatch.setattr(folding, "fold", lambda rs, group, op: bad)
     code, _out, err = run(capsys, "fold", "--preset", "split-a2")
     assert code == cli.EXIT_THEOREM
     assert err.startswith("theorem check failed: N_bad: non-integral Cartan entry")

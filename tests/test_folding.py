@@ -517,6 +517,40 @@ def test_closure_cap(monkeypatch):
         RootSystemV.from_datum(d)
 
 
+def test_one_closure_per_cartan_matrix(monkeypatch):
+    """One run_verify() over cold presets asks for 366 root closures of only
+    18 distinct Cartan matrices, and closes each matrix once; every request
+    returns the same frozenset."""
+    import rootfold.echelonnage as echelonnage
+    import rootfold.folding as folding
+    import rootfold.presets as presets
+    import rootfold.rootdata as rootdata
+    from rootfold.verify import run_verify
+    monkeypatch.setattr(folding, "_CLOSURES", {})
+    monkeypatch.setattr(presets, "_CACHE", {})
+    requested, computed = [], []
+    request, close = folding.cartan_closure, folding._close_cartan
+
+    def counted_request(cartan):
+        out = request(cartan)
+        requested.append((tuple(map(tuple, cartan)), out))
+        return out
+
+    def counted_close(cartan):
+        computed.append(cartan)
+        return close(cartan)
+
+    for module in (folding, rootdata, echelonnage):
+        monkeypatch.setattr(module, "cartan_closure", counted_request)
+    monkeypatch.setattr(folding, "_close_cartan", counted_close)
+    code, _lines = run_verify()
+    assert code == 0
+    assert (len(requested), len(computed)) == (366, 18)
+    assert len(set(computed)) == len(computed) == len(folding._CLOSURES)
+    for cartan, roots in requested:
+        assert type(roots) is frozenset and roots is folding._CLOSURES[cartan]
+
+
 def test_shared_systems_first_build_race():
     # threads racing on the first build of the systems and their memoized
     # folds may each build; all see equal systems

@@ -15,22 +15,24 @@ from rootfold.linalg import (
     frac_vec,
     hermite_row_basis,
     identity_matrix,
+    integer_solver,
     is_positive_definite,
     kernel_basis,
     lattice_member,
     mat_det,
     mat_integer_inverse,
     mat_mul,
-    mat_rational_inverse,
     mat_transpose,
     mat_vec,
     smith_normal_form,
-    solve_integer,
     vec_add,
+    vec_dot,
+    vec_scale,
     vec_sub,
 )
 from rootfold.presets import load_preset, preset_names
-from fraction_linalg import gauss_jordan, gauss_solve
+from rootfold.rootdata import _budget_walk
+from fraction_linalg import gauss_jordan, gauss_solve, solve_integer
 from test_rootdata import cartan_data, reference_dominance_leq, reference_weight_set
 
 small_mat = st.integers(1, 4).flatmap(
@@ -80,6 +82,61 @@ def test_kernel_and_solve(rows):
     assert mat_vec(M, sol) == b
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_mat, st.data())
+def test_integer_solver_matches_per_call_reference(rows, data):
+    """One Smith form per matrix gives the solutions and the kernel that a
+    Smith form per call gives."""
+    M = tuple(tuple(r) for r in rows)
+    m, n = len(M), len(M[0])
+    solve, kernel = integer_solver(M)
+    D, _U, V = smith_normal_form(M)
+    assert kernel == tuple(tuple(V[i][j] for i in range(n)) for j in range(n)
+                           if (D[j][j] if j < m else 0) == 0)
+    assert kernel_basis(M) == kernel
+    ints = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    for _ in range(3):
+        b = mat_vec(M, tuple(data.draw(ints)))
+        assert solve(b) == solve_integer(M, b) is not None
+    for _ in range(3):
+        b = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)))
+        assert solve(b) == solve_integer(M, b)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_integer_solver_on_presets(name):
+    """The simple-root solver of every preset against the per-call Smith
+    form, on every m of the budget walk at bound 8 (so bounds 0..8)."""
+    d = load_preset(name).datum
+    solve, central = d._simple_solver
+    heights = tuple(map(sum, zip(*(c for c in d._closure if min(c) >= 0))))
+    for m in _budget_walk(heights, 8):
+        assert solve(m) == solve_integer(d.simple_roots, m), m
+    assert central == kernel_basis(d.simple_roots)
+
+
+def test_kernels_reject_mismatched_lengths():
+    """vec_dot, mat_vec and mat_mul check every length, a ragged row of
+    mat_mul's left factor and a right factor with no column included, and
+    still take Fractions."""
+    for call in (lambda: vec_dot((1, 2), (1, 2, 3)),
+                 lambda: vec_dot((1, 2, 3), (1, 2)),
+                 lambda: mat_vec(((1, 2), (3, 4)), (1, 2, 3)),
+                 lambda: mat_vec(((1, 2), (3, 4, 5)), (1, 2)),
+                 lambda: mat_mul(((1, 2, 3),), ((1, 0), (0, 1))),
+                 lambda: mat_mul(((1, 0), (0, 1, 2)), ((1, 0), (0, 1))),
+                 lambda: mat_mul(((1, 0, 2), (0, 1)), ((1, 0), (0, 1), (1, 1))),
+                 lambda: mat_mul(((1, 2, 3),), ((), ()))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+    h = Fraction(1, 2)
+    assert vec_dot((h, 1), (2, h)) == Fraction(3, 2)
+    assert mat_vec(((h, 0), (0, 3)), (4, h)) == (2, Fraction(3, 2))
+    assert mat_mul(((h, 0), (0, 1)), ((2, 0), (0, h))) == ((1, 0), (0, h))
+    assert (vec_add((h, 1), (h, 2)), vec_sub((h, 1), (h, 2)), vec_scale(h, (2, 1))) \
+        == ((1, 3), (0, -1), (1, h))
+
+
 def test_hermite_canonical():
     # the same lattice from different generators
     b1 = hermite_row_basis([(2, 0), (0, 2), (1, 1)])
@@ -91,8 +148,8 @@ def test_hermite_canonical():
 
 def test_rational_inverse_and_definite():
     M = ((2, -1), (-1, 2))
-    inv = mat_rational_inverse(M)
-    assert mat_mul(M, inv) == ((1, 0), (0, 1))
+    det, adj = adjugate(M)
+    assert mat_mul(M, adj) == ((det, 0), (0, det)) == ((3, 0), (0, 3))
     assert is_positive_definite(M)
     assert not is_positive_definite(((1, 2), (2, 1)))
     assert mat_integer_inverse(((1, 1), (0, 1))) == ((1, -1), (0, 1))
@@ -108,8 +165,7 @@ def test_integer_inverse_rejects_non_unimodular():
     assert not isinstance(exc.value, ValueError)
     with pytest.raises(ArithmeticError):
         mat_integer_inverse(((1, 2), (2, 4)))
-    with pytest.raises(ArithmeticError):
-        mat_rational_inverse(((1, 2), (2, 4)))
+    assert adjugate(((1, 2), (2, 4))) == (0, None)
     with pytest.raises(ArithmeticError):
         coordinates(((1, 2, 0), (2, 4, 0)))
 
@@ -140,13 +196,11 @@ def test_adjugate_matches_fraction_gauss_jordan(M, d):
     assert type(det) is int and det == ref_det
     if ref_inv is None:
         assert adj is None
-        with pytest.raises(ArithmeticError):
-            mat_rational_inverse(M)
     else:
         assert all(type(x) is int for row in adj for x in row)
         assert mat_mul(adj, M) == mat_mul(M, adj) == tuple(
             tuple(det * x for x in row) for row in identity_matrix(n))
-        assert mat_rational_inverse(M) == ref_inv
+        assert tuple(tuple(Fraction(x, det) for x in row) for row in adj) == ref_inv
         if det in (1, -1):
             assert mat_integer_inverse(M) == ref_inv
     # a rational matrix M / d: det / d^n and adj / d^(n-1)

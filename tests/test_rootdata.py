@@ -16,7 +16,6 @@ from rootfold.linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    solve_integer,
     vec_add,
     vec_dot,
     vec_scale,
@@ -31,9 +30,10 @@ from rootfold.rootdata import (
     gl_datum,
     parse_cartan_type,
     symmetrizers,
+    UndeterminedAutomorphism,
     unitary_dual_action,
 )
-from fraction_linalg import gauss_solve
+from fraction_linalg import gauss_jordan, gauss_solve, solve_integer
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30, "A6": 42,
@@ -461,3 +461,81 @@ def test_symmetrizers_match_fraction_reference():
         assert symmetrizers(C) == reference_symmetrizers(C), C
     with pytest.raises(ValueError, match="non-integral symmetrizer"):
         symmetrizers([[2, -3], [-2, 2]])
+
+
+# -- the invariant form and diagram automorphisms against Fraction inverses ----
+
+def reference_gram(d):
+    """The form as `gram` built it before: B^-T G_basis B^-1 with B^-1 from
+    the Fraction Gauss-Jordan and two Fraction products."""
+    d_sym = symmetrizers(d.cartan)
+    n, r = d.rank, len(d.simple_roots)
+    comp = list(kernel_basis(d.simple_coroots)) if r else list(identity_matrix(n))
+    basis = list(d.simple_roots) + comp
+    G_basis = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(r):
+        for j in range(r):
+            G_basis[i][j] = Fraction(d_sym[i] * d.cartan[i][j])
+    for i, u in enumerate(comp):
+        for j, v in enumerate(comp):
+            G_basis[r + i][r + j] = Fraction(vec_dot(u, v))
+    Binv = gauss_jordan(mat_transpose(tuple(frac_vec(v) for v in basis)))[1]
+    return mat_mul(mat_transpose(Binv), mat_mul(tuple(map(tuple, G_basis)), Binv))
+
+
+def reference_automorphism_matrix(d, perm):
+    """The lattice matrix of a diagram automorphism by a Fraction inverse
+    (T S^-1 on the simple roots, or the inverse transpose of S T^-1 on the
+    simple coroots), or None when it is not integral."""
+    if len(d.simple_roots) == d.rank:
+        S = mat_transpose(d.simple_roots)
+        T = mat_transpose(tuple(d.simple_roots[j] for j in perm))
+        g = mat_mul(T, gauss_jordan(S)[1])
+    else:
+        S = mat_transpose(d.simple_coroots)
+        T = mat_transpose(tuple(d.simple_coroots[j] for j in perm))
+        g = mat_transpose(mat_mul(S, gauss_jordan(T)[1]))
+    if any(x.denominator != 1 for row in g for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in g)
+
+
+def diagram_permutations(C):
+    """Every simple-root permutation that preserves the Cartan matrix."""
+    n = len(C)
+    return [p for p in itertools.permutations(range(n))
+            if all(C[i][k] == C[p[i]][p[k]] for i in range(n) for k in range(n))]
+
+
+def assert_form_matches_reference(d, perms):
+    G = d.gram()
+    assert G == reference_gram(d), d.label
+    assert all(type(x) is Fraction for row in G for x in row)
+    G_star = d.gram_star()
+    assert G_star == gauss_jordan(G)[1], d.label
+    assert all(type(x) is Fraction for row in G_star for x in row)
+    for perm in perms:
+        if len(d.simple_roots) != d.rank and len(d.simple_coroots) != d.rank:
+            with pytest.raises(UndeterminedAutomorphism):
+                diagram_automorphism(d, perm)
+            continue
+        ref = reference_automorphism_matrix(d, perm)
+        if ref is None:
+            with pytest.raises(MalformedAction, match="does not preserve the lattice"):
+                diagram_automorphism(d, perm)
+        else:
+            assert diagram_automorphism(d, perm) == ref, (d.label, perm)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_form_and_automorphisms_match_fraction_reference(name):
+    d = load_preset(name).datum
+    assert_form_matches_reference(d, diagram_permutations(d.cartan))
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_data(), st.data())
+def test_form_and_automorphisms_property(d, data):
+    perms = diagram_permutations(d.cartan)
+    assert_form_matches_reference(d, data.draw(st.lists(st.sampled_from(perms),
+                                                        max_size=3)))
