@@ -1,5 +1,5 @@
-"""Extended affine Weyl groups W~ = X_*(T)_I x| W, Bruhat order, admissible
-sets, and the extremal-elements theorem.
+"""Extended affine Weyl groups W~ = X_*(T)_I x| W, Bruhat intervals,
+admissible sets, and the extremal-elements theorem.
 
 An engine is built from a coinvariant lattice, the Sigma system it lives
 over (Sigma_breve or Sigma_0, as closed once by the echelonnage data), and
@@ -7,8 +7,9 @@ integer matrices for the simple reflections of the finite Weyl group.  The
 positive roots, components and highest roots are read from the system's
 coordinates; no roots are closed here.  Elements are pairs (translation
 class, Weyl matrix); lengths come from the inversion formula in int
-arithmetic, normal forms from descent peeling, and the Bruhat order from the
-subword recursion.  As 2rho^vee pairs > 0 with every positive root, w^-1
+arithmetic, normal forms from descent peeling, and the Bruhat order from one
+place: the lower interval [e, y], the subword products of a reduced word of
+y, cached per engine.  As 2rho^vee pairs > 0 with every positive root, w^-1
 alpha > 0 exactly when <alpha, w 2rho^vee> > 0: one sign vector per Weyl
 part (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116,
 1994).  Torsion classes are central and have length zero (they land in
@@ -62,12 +63,12 @@ class ExtendedAffineWeyl:
     the corresponding reflections as integer matrices on the ambient
     cocharacter lattice.  Each Weyl matrix is interned once per engine;
     products of Weyl parts, inverses, induced maps, sign vectors, lengths,
-    normal forms and Bruhat pairs are per-instance tables filled on first
-    use.  A Weyl part acts on the classes of Lambda through its compact int
-    tables (`lattice.QuotientEndo`), and the product table keeps that
-    action beside each product, so `multiply` is one lookup and one fused
-    `shift` (x.lam + x.w(y.lam)).  The pairings of the positive roots with
-    Lambda are int rows over one denominator
+    normal forms and lower Bruhat intervals are per-instance tables filled
+    on first use.  A Weyl part acts on the classes of Lambda through its
+    compact int tables (`lattice.QuotientEndo`), and the product table keeps
+    that action beside each product, so `multiply` is one lookup and one
+    fused `shift` (x.lam + x.w(y.lam)).  The pairings of the positive roots
+    with Lambda are int rows over one denominator
     (`CoinvariantLattice.section_pairing`).  Confine an instance to one
     thread or guard access externally.
     """
@@ -88,7 +89,6 @@ class ExtendedAffineWeyl:
         self._signs = {}
         self._len = {}
         self._nf = {}
-        self._bruhat = {}
         self._interval = {}
         self._w0 = None
         self.e_mat = self._intern(identity_matrix(coinv.rank))
@@ -249,35 +249,6 @@ class ExtendedAffineWeyl:
 
     # -- Bruhat order -----------------------------------------------------------
 
-    def bruhat_leq(self, x, y):
-        """x <= y; elements in different Omega cosets are incomparable."""
-        ox = self.omega_part(x)
-        oy = self.omega_part(y)
-        if ox != oy:
-            return False
-        oinv = self.inverse(ox)
-        return self._leq_aff(self.multiply(x, oinv), self.multiply(y, oinv))
-
-    def _leq_aff(self, u, v):
-        if u == v:
-            return True
-        lu, lv = self.length(u), self.length(v)
-        if lu > lv or lv == 0:
-            return False
-        key = (u, v)
-        if key in self._bruhat:
-            return self._bruhat[key]
-        word, _ = self.normal_form(v)
-        s = self._s_aff_map[word[0]]
-        sv = self.multiply(s, v)
-        su = self.multiply(s, u)
-        if self.length(su) < lu:
-            out = self._leq_aff(su, sv)
-        else:
-            out = self._leq_aff(u, sv)
-        self._bruhat[key] = out
-        return out
-
     def lower_interval(self, y, cap=ADM_CAP):
         """All x <= y, via subword products of a reduced word of y.  Raises
         ResourceCap as soon as the enumeration passes `cap` elements."""
@@ -431,14 +402,17 @@ def admissible_set(lgd, mu, engine=None, use_relative_orbit=False):
 
 
 def extremal_elements(engine, elements):
-    """Bruhat-maximal members of a finite set of elements."""
-    elems = list(elements)
-    out = []
-    for x in elems:
-        if any(x != y and engine.bruhat_leq(x, y) for y in elems):
-            continue
-        out.append(x)
-    return frozenset(out)
+    """Bruhat-maximal members of a finite set of elements.
+
+    An element strictly below y is shorter than y, so in order of decreasing
+    length x is maximal exactly when no maximal element kept before it has
+    x in its lower interval; one interval per maximal element is read."""
+    kept = []
+    for x in sorted(elements, key=lambda x: (-engine.length(x), x.lam.free,
+                                             x.lam.tors, x.w)):
+        if not any(x in engine.lower_interval(y) for y in kept):
+            kept.append(x)
+    return frozenset(kept)
 
 
 def verify_extremal(lgd, mu, engine=None):

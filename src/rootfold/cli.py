@@ -148,7 +148,7 @@ def cmd_adm(args):
     lgd = preset.lgd
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if not preset.datum.is_dominant_cochar(mu):
-        raise PresetError("mu must be dominant")
+        raise PresetError("--mu (%s) is not dominant" % _fmt_vec(mu))
     from .affine import admissible_set, build_affine, extremal_elements
     engine = build_affine(lgd)
     adm = admissible_set(lgd, mu, engine=engine)
@@ -189,11 +189,14 @@ def cmd_kl(args):
     for side, cls in (("nu", nu), ("lambda", lam)):
         _check_dominant_tau_fixed(center, cls, "--pair: " + side)
     eng = center.tau_engine
-    w_nu = eng.max_double_coset(nu)
-    w_lam = eng.max_double_coset(lam)
-    if not eng.bruhat_leq(w_nu, w_lam):
+    # for dominant classes, w_nu <= w_lambda exactly when nu <= lambda in the
+    # coroot-class order of Sigma_0; checked here, before the KL table of
+    # w_lambda is paid for
+    if not eng.sigma.class_leq(nu, lam):
         raise PresetError("--pair: w_nu is not Bruhat-below w_lambda for nu %s, "
                           "lambda %s" % (_fmt_class(nu), _fmt_class(lam)))
+    w_nu = eng.max_double_coset(nu)
+    w_lam = eng.max_double_coset(lam)
     P = center.hecke.kl_polynomial(w_nu, w_lam)
     payload = {
         "nu": _fmt_class(nu), "lambda": _fmt_class(lam),

@@ -445,15 +445,16 @@ class HeckeAlgebra:
         J is the set of right descents of y.  As c_y Ttilde_t = v_t c_y for
         t in J, c_y = sum_x p_{x w_J, y} m_x over minimal x in the module
         M_J of `_interval_rows`, so c_y is solved there, downwards over the
-        numbered cosets: p_x - bar(p_x) = sum_{w > x} bar(p_w) r_{w,x}, read
-        from the column of x.  With B = L(y_min) and bar(p_w) packed with
-        bias 0, the product bar(p_w) r_{w,x} has bias L(w) - L(x); shifted by
-        K (B - L(w)) digits' bits, every term of the sum has the bias B - L(x)
-        of p_x - bar(p_x), and p_x is its balanced part below v^0.  Every sum
-        the solve forms is bounded by G = sum ||p_w||_1 times the row bound
-        of w over the solved w, which is kept below 2^(K-2) (the row bounds
-        are made exact first if it is not), or ArithmeticError is raised.
-        The values P_{x,y} = v^(L(y_min) - L(x_min)) p_{x,y} are cached
+        numbered cosets: p_x - bar(p_x) = sum_{w > x} bar(p_w) r_{w,x}, each
+        solved row w scattered into the sums of the x it reaches.  With B =
+        L(y_min) and bar(p_w) packed with bias 0, the product bar(p_w)
+        r_{w,x} has bias L(w) - L(x); shifted by K (B - L(w)) digits' bits,
+        every term of the sum has the bias B - L(x) of p_x - bar(p_x), and
+        p_x is its balanced part below v^0.  Every sum the solve forms is
+        bounded by G = sum ||p_w||_1 times the row bound of w over the
+        solved w, which is kept below 2^(K-2) (the row bounds are made exact
+        first if it is not) before row w is scattered, or ArithmeticError is
+        raised.  The values P_{x,y} = v^(L(y_min) - L(x_min)) p_{x,y} are cached
         beside the table for `kl_polynomial`."""
         entry = self._kl_cache.get(y)
         if entry is not None:
@@ -467,22 +468,22 @@ class HeckeAlgebra:
         limit = 1 << (bits - 2)
         top = len(elems) - 1
         lift = [bits * (weighted[top] - L) for L in weighted]
-        cols = [[] for _ in elems]
-        for w, row in enumerate(rows):
-            for x, r in row.items():
+        # sums[x]: the terms bar(p_w) r_{w,x} of the solved w > x
+        sums = {}
+
+        def scatter(w, pw):
+            for x, r in rows[w].items():
                 if x != w:
-                    cols[x].append((w, r))
+                    sums[x] = sums.get(x, 0) + ((pw * r) << lift[w])
+
         p = {top: 1}
         pbar = {top: 1}
         size = {top: 1}
         polys = {top: (LaurentPoly.one(), LaurentPoly.one())}
         G = norms[top]
+        scatter(top, 1)
         for x in range(top - 1, -1, -1):
-            f = 0
-            for w, r in cols[x]:
-                pw = pbar.get(w)
-                if pw is not None:
-                    f += (pw * r) << lift[w]
+            f = sums.pop(x, 0)
             if not f:
                 continue
             b = weighted[top] - weighted[x]
@@ -504,6 +505,7 @@ class HeckeAlgebra:
                 if G >= limit:
                     raise ArithmeticError(
                         "KL coefficients may pass the %d-bit digits" % bits)
+            scatter(x, pb)
             px_poly = LaurentPoly({i - b: d for i, d in digits.items()})
             P = px_poly.shifted(b)
             if P.min_degree() < 0:

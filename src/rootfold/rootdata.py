@@ -305,6 +305,7 @@ class BasedRootDatum:
         self.roots = tuple(sorted(pairs))
         self.coroots = tuple(pairs[r][0] for r in self.roots)
         self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
+        self._positive_coroots = tuple(pairs[r][0] for r in self.positive_roots)
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         # int coordinates over the simple coroots, for the dominance order
         self._coroot_coords = coordinates(self.simple_coroots)
@@ -317,6 +318,9 @@ class BasedRootDatum:
         # and one assignment wins; no lock is needed.
         self._root_system = None
         self._coroot_system = None
+        # Wt(mu) per dominant mu, walked once; the values are immutable
+        # tuples, so a race on a first walk only walks twice.
+        self._weight_sets = {}
 
     # -- construction ------------------------------------------------------
 
@@ -475,19 +479,23 @@ class BasedRootDatum:
         coroots while staying dominant.  The walk reaches every one of them:
         a saturated chain of dominant weights runs from lambda up to mu, and
         each cover in it is a positive coroot (Stembridge, "The partial
-        order of dominant weights", Adv. Math. 136, 1998)."""
+        order of dominant weights", Adv. Math. 136, 1998).  The result is
+        kept per mu."""
         mu = tuple(mu)
-        if not self.is_dominant_cochar(mu):
-            raise ValueError("mu must be dominant")
-        positive_coroots = tuple(self.coroot_of(a) for a in self.positive_roots)
+        out = self._weight_sets.get(mu)
+        if out is None:
+            if not self.is_dominant_cochar(mu):
+                raise ValueError("mu must be dominant")
+            out = self._weight_sets[mu] = tuple(sorted(closure(
+                closure([mu], self._dominant_below), self._reflections_cochar)))
+        return out
 
-        def down(lam):
-            for b in positive_coroots:
-                nu = vec_sub(lam, b)
-                if self.is_dominant_cochar(nu):
-                    yield nu
-
-        return tuple(sorted(closure(closure([mu], down), self._reflections_cochar)))
+    def _dominant_below(self, lam):
+        """The dominant lam - beta^vee over the positive coroots beta^vee."""
+        for b in self._positive_coroots:
+            nu = vec_sub(lam, b)
+            if self.is_dominant_cochar(nu):
+                yield nu
 
     def two_rho_pairing(self, mu):
         """<2 rho, mu> = sum over positive roots of <alpha, mu>."""

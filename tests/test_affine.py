@@ -40,6 +40,7 @@ from rootfold.rootdata import (
     gl_datum,
     unitary_dual_action,
 )
+from bruhat_reference import bruhat_leq, pairwise_extremal_elements
 from fraction_linalg import gauss_solve
 
 
@@ -171,18 +172,20 @@ def test_bruhat_vs_subword_oracle():
     elems = sorted(ball, key=lambda e: ball[e])[:14]
     for x in elems:
         for y in elems:
-            assert eng.bruhat_leq(x, y) == oracle_leq(x, y), (x, y)
+            below = x in eng.lower_interval(y)
+            assert below == oracle_leq(x, y) == bruhat_leq(eng, x, y), (x, y)
 
 
 def test_bruhat_basics():
     lgd, eng = _engine("A2", "simply_connected")
     s = [x for _k, x in eng.s_aff]
     x = eng.multiply(s[0], eng.multiply(s[1], s[0]))
-    assert eng.bruhat_leq(eng.identity, x)
-    assert eng.bruhat_leq(s[0], x)
-    assert eng.bruhat_leq(s[1], x)
-    assert not eng.bruhat_leq(x, s[0])
-    assert not eng.bruhat_leq(s[2], x)
+    below = eng.lower_interval(x)
+    assert eng.identity in below
+    assert s[0] in below
+    assert s[1] in below
+    assert x not in eng.lower_interval(s[0])
+    assert s[2] not in below
 
 
 def test_length_subadditive():
@@ -270,8 +273,8 @@ def test_conjugation_lemma():
             if eng.length(sxs) != eng.length(x):
                 continue
             for nu in nus:
-                if eng.bruhat_leq(x, eng.translation(nu)):
-                    ok = any(eng.bruhat_leq(sxs, eng.translation(nu2))
+                if bruhat_leq(eng, x, eng.translation(nu)):
+                    ok = any(bruhat_leq(eng, sxs, eng.translation(nu2))
                              for nu2 in eng.weyl_orbit_class(nu))
                     assert ok, (x, s, nu)
 
@@ -760,3 +763,71 @@ def test_affine_element_repr_shows_weyl_part():
     assert x != y and repr(x) != repr(y)
     assert repr(x) == "AffineElement(%r, %r)" % (lgd.coinv.zero(), s0)
     assert repr(eng.identity) == "AffineElement(Coinv(free=(0, 0)), ((1, 0), (0, 1)))"
+
+
+# -- the recursive Bruhat order, kept as the reference for the intervals -------
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_extremal_elements_match_pairwise_reference(name):
+    """For every mu with <2rho, mu> <= 6, on the Sigma-breve engine and, for
+    tau-fixed mu, on the tau-fixed one: the maximal translations of the
+    images of Wt(mu) and the maximal elements of Adm(mu) against the
+    pairwise reference, and the lower interval of each maximal element of
+    Adm(mu) against the recursion over Adm(mu)."""
+    lgd = load_preset(name).lgd
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    for mu in lgd.datum.dominant_cochars_up_to(6):
+        mubar = lgd.coinv.project(mu)
+        images = {lgd.coinv.project(lam) for lam in lgd.datum.weight_set(mu)}
+        engines = [(beng, images, False)]
+        if lgd.tau_endo(mubar) == mubar:
+            engines.append((teng, {c for c in images if lgd.tau_endo(c) == c}, True))
+        for eng, classes, relative in engines:
+            translations = {eng.translation(c) for c in classes}
+            assert extremal_elements(eng, translations) == \
+                pairwise_extremal_elements(eng, translations), (name, mu, relative)
+            adm = admissible_set(lgd, mu, engine=eng, use_relative_orbit=relative)
+            maximal = extremal_elements(eng, adm)
+            assert maximal == pairwise_extremal_elements(eng, adm), \
+                (name, mu, relative)
+            for y in maximal:
+                assert eng.lower_interval(y) == {
+                    x for x in adm if bruhat_leq(eng, x, y)}, (name, mu, y)
+
+
+# presets whose engines have several Omega cosets among the w_lambda below,
+# beside su3-unramified, whose Omega is trivial
+_OMEGA_PRESETS = {"split-gl2": 9, "su3-ramified": 2, "su4-ramified": 2,
+                  "su3-unramified": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_OMEGA_PRESETS)), st.booleans(), st.data())
+def test_extremal_elements_match_pairwise_reference_property(key, tau_level,
+                                                             data):
+    """Random subsets of the lower intervals of a few w_lambda, <2rho, lambda>
+    <= 6, drawn from several Omega cosets: the maximal elements against the
+    pairwise reference, and interval membership against the recursion on
+    every pair."""
+    lgd, beng, teng = _property_engines(key)
+    eng = teng if tau_level else beng
+    classes = {eng.dominant_class(lgd.coinv.project(m))
+               for m in lgd.datum.dominant_cochars_up_to(6)}
+    tops = sorted((eng.max_double_coset(c) for c in classes
+                   if not tau_level or lgd.tau_endo(c) == c),
+                  key=lambda y: (y.lam.free, y.lam.tors))
+    assert len({eng.omega_part(y) for y in tops}) >= _OMEGA_PRESETS[key]
+    chosen = data.draw(st.lists(st.sampled_from(tops), min_size=1, max_size=3,
+                                unique=True))
+    elems = set()
+    for y in chosen:
+        interval = sorted(eng.lower_interval(y), key=lambda x: (
+            eng.length(x), x.lam.free, x.lam.tors, x.w))
+        elems.update(data.draw(st.lists(st.sampled_from(interval), max_size=8)))
+    assert extremal_elements(eng, elems) == \
+        pairwise_extremal_elements(eng, elems), (key, tau_level)
+    for x in elems:
+        for y in elems:
+            assert (x in eng.lower_interval(y)) == bruhat_leq(eng, x, y), (x, y)

@@ -89,6 +89,13 @@ def test_kl_pair_not_below_exit_2(capsys):
     assert out == ""
     assert err.strip() == ("input error: --pair: w_nu is not Bruhat-below "
                            "w_lambda for nu (2,2), lambda (1,1)")
+    # the pair is checked before the cosets below w_lambda are enumerated,
+    # which for lambda = (36,36) would pass KL_INTERVAL_CAP
+    code, out, err = run(capsys, "kl", "--preset", "split-a2", "--pair=37,37|36,36")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: --pair: w_nu is not Bruhat-below "
+                           "w_lambda for nu (37,37), lambda (36,36)")
 
 
 def test_kl_pair_without_separator_exit_2(capsys):
@@ -116,8 +123,11 @@ def test_geom_basis_lambda_checked_exit_2(capsys):
 def test_mu_checked_exit_2(capsys):
     # branch and testfn check --mu at the level they compute at: the preset's
     # datum, or the E_j level of a tower (for tower-su3 no inertia and the
-    # Frobenius flip; with --degenerate the E_j0 level, inertia and flip)
+    # Frobenius flip; with --degenerate the E_j0 level, inertia and flip);
+    # adm needs only dominance
     cases = [
+        (("adm", "split-a2", "2,-1"), "(2,-1) is not dominant"),
+        (("adm", "su4-unramified", "0,-1,2"), "(0,-1,2) is not dominant"),
         (("branch", "su3-ramified", "0,1,0"), "(0,1,0) is not dominant"),
         (("branch", "su3-ramified", "1,0,0"), "(1,0,0) is not fixed by the inertia"),
         (("branch", "su3-unramified", "2,1"), "(2,1) is not fixed by the Frobenius"),
@@ -134,6 +144,9 @@ def test_mu_checked_exit_2(capsys):
         assert code == 2, (cmd, preset, mu)
         assert out == ""
         assert err.strip() == "input error: --mu " + msg, (cmd, preset, mu)
+    code, out, _ = run(capsys, "adm", "--preset", "su3-unramified", "--mu", "2,1")
+    assert code == 0
+    assert json.loads(out)["mu"] == [2, 1]
     # at j = 2 the Frobenius of the E_j level is trivial
     code, out, _ = run(capsys, "testfn", "--preset", "tower-su3", "--mu", "2,1",
                        "--j", "2")

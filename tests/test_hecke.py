@@ -18,10 +18,11 @@ from rootfold.hecke import (
     evaluate_bernstein,
 )
 from rootfold.lattice import ResourceCap
-from rootfold.presets import load_preset
+from rootfold.presets import load_preset, preset_names
 from rootfold.ring import LaurentPoly
 from rootfold.rootdata import build_datum, diagram_automorphism
 
+from bruhat_reference import bruhat_leq
 from kl_reference import decoded_rows, dict_interval_rows, dict_kl_table
 
 v = LaurentPoly.v_power
@@ -264,7 +265,7 @@ def test_theorem_d_bridge_order_four_tau():
 
 def test_theorem_d_bridge_beyond_envelope_su3():
     # larger SU(3) weights: longer intervals with the (3, 1) parameters
-    from rootfold.presets import load_preset
+    from rootfold.presets import load_preset, preset_names
     preset = load_preset("su3-unramified")
     ctx = CenterContext(preset.lgd, preset.overrides)
     L = preset.lgd.coinv
@@ -282,7 +283,7 @@ def test_theorem_d_bridge_beyond_envelope_su3():
 def test_theorem_d_bridge_triality():
     # order-3 Frobenius: the twining route against the Kazhdan-Lusztig route
     # on the affine G2 algebra with parameters (3, 1, 1)
-    from rootfold.presets import load_preset
+    from rootfold.presets import load_preset, preset_names
     preset = load_preset("d4-triality")
     ctx = CenterContext(preset.lgd, preset.overrides)
     assert ctx.parameters == {("fin", 0): 3, ("fin", 1): 1, ("aff", 0): 1}
@@ -630,7 +631,7 @@ def test_kl_polynomial_defined_exactly_below(name):
         for x_aff in affine:
             for omega in omegas:
                 x = eng.multiply(x_aff, omega)
-                below = eng.bruhat_leq(x, y)
+                below = bruhat_leq(eng, x, y)
                 if below:
                     assert H.kl_polynomial(x, y).min_degree() >= 0
                 else:
@@ -643,9 +644,28 @@ def test_kl_polynomial_defined_exactly_below(name):
     assert seen == expect
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_dominance_order_is_bruhat_order_on_w_lambda(name):
+    """For dominant tau-fixed classes nu, lambda with <2rho, .> <= 10
+    upstairs, w_nu <= w_lambda (the recursive reference) exactly when
+    nu <= lambda in the coroot-class order of Sigma_0, the check that
+    `rootfold kl --pair` makes before it builds a table."""
+    lgd, center = _preset_center(name)
+    eng, h = center.tau_engine, center.chars.h
+    classes = {lgd.coinv.project(mu) for mu in lgd.datum.dominant_cochars_up_to(10)}
+    classes = sorted((c for c in classes if h.is_tau_fixed(c) and h.is_dominant(c)),
+                     key=lambda c: (c.free, c.tors))
+    w = {c: eng.max_double_coset(c) for c in classes}
+    for nu in classes:
+        for lam in classes:
+            assert eng.sigma.class_leq(nu, lam) == bruhat_leq(eng, w[nu], w[lam]), \
+                (name, nu, lam)
+
+
 def test_kl_polynomial_reads_the_coset_table(monkeypatch):
-    """The KL route makes no Bruhat test and computes no weight, and once
-    the table of y is built, kl_polynomial makes no normal form either."""
+    """The KL route reads no Bruhat interval and computes no weight, and
+    once the table of y is built, kl_polynomial makes no normal form
+    either."""
     lgd, center = _preset_center("su3-unramified")
     H, eng = center.hecke, center.tau_engine
     lam = lgd.coinv.project((3, 3))
@@ -661,7 +681,7 @@ def test_kl_polynomial_reads_the_coset_table(monkeypatch):
             return orig(*args)
         monkeypatch.setattr(obj, name, wrapper)
 
-    for obj, name in ((eng, "bruhat_leq"), (H, "weight")):
+    for obj, name in ((eng, "lower_interval"), (H, "weight")):
         count(obj, name)
     center.geometric_basis_kl(lam)
     assert calls == []

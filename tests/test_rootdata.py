@@ -24,6 +24,7 @@ from rootfold.linalg import (
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
     AutomorphismAction,
+    BasedRootDatum,
     build_datum,
     diagram_automorphism,
     _standard_cartans,
@@ -394,6 +395,37 @@ def test_weight_set_walks_below_simple_coroot_steps():
     assert d.weight_set(theta) == tuple(sorted(d.weyl_orbit_cochar(theta) + ((0, 0),)))
     with pytest.raises(ValueError, match="mu must be dominant"):
         d.weight_set(vec_scale(-1, theta))
+
+
+def test_weight_set_walked_once_per_datum_and_mu(monkeypatch):
+    """One run_verify() asks 114 times for Wt(mu) and walks it once per
+    (datum, mu), 68 times.  Value-equal data of different presets (A3 in
+    su4-ramified and su4-unramified, for one) are separate objects; by
+    value the 68 pairs are 60.  The presets are loaded afresh, as in a new
+    process."""
+    from rootfold import presets, rootdata
+    from rootfold.verify import run_verify
+    asked, walked = [], []
+    weight_set, closure = BasedRootDatum.weight_set, rootdata.closure
+
+    def counted_weight_set(self, mu):
+        asked.append((self, tuple(mu)))
+        return weight_set(self, mu)
+
+    def counted_closure(seeds, step):
+        if getattr(step, "__func__", None) is BasedRootDatum._dominant_below:
+            (mu,) = seeds
+            walked.append((step.__self__, mu))
+        return closure(seeds, step)
+
+    monkeypatch.setattr(BasedRootDatum, "weight_set", counted_weight_set)
+    monkeypatch.setattr(rootdata, "closure", counted_closure)
+    monkeypatch.setattr(presets, "_CACHE", {})
+    assert run_verify()[0] == 0
+    assert len(asked) == 114
+    assert len(walked) == 68
+    assert {(id(d), mu) for d, mu in walked} == {(id(d), mu) for d, mu in asked}
+    assert len({(d.simple_roots, d.simple_coroots, mu) for d, mu in walked}) == 60
 
 
 # <2rho, mu> <= 16 with no central translation: the box's hit counts (the
