@@ -21,13 +21,11 @@ to have length l(w_0) + l(t_mu) (Iwahori-Matsumoto).
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import mul
 
 from .echelonnage import TheoremViolation, _highest_root
 from .lattice import ResourceCap, closure
-from .linalg import (identity_matrix, integral_rows, mat_integer_inverse, mat_mul,
-                     vec_add, vec_dot)
+from .linalg import identity_matrix, mat_integer_inverse, mat_mul, vec_dot
 from .rootdata import _components
 
 ADM_CAP = 10 ** 6
@@ -69,8 +67,8 @@ class ExtendedAffineWeyl:
     that action beside each product, so `multiply` is one lookup and one
     fused `shift` (x.lam + x.w(y.lam)).  The pairings of the positive roots
     with Lambda are int rows over one denominator
-    (`CoinvariantLattice.section_pairing`).  Confine an instance to one
-    thread or guard access externally.
+    (`CoinvariantLattice.section_pairing`), read from the system's int
+    rows.  Confine an instance to one thread or guard access externally.
     """
 
     def __init__(self, coinv, sigma, simple_matrices, label="",
@@ -78,11 +76,9 @@ class ExtendedAffineWeyl:
         self.coinv = coinv
         self.sigma = sigma
         self.label = label
-        self.base_roots = sigma.rs_root.base
         self._weyl = {}
         self.simple_matrices = tuple(map(self._intern, simple_matrices))
         self.restrict_endo = restrict_endo
-        self.positive_roots = sigma.rs_root.positive_roots()
         self._endos = {}
         self._inv = {}
         self._prod = {}
@@ -100,26 +96,25 @@ class ExtendedAffineWeyl:
 
     def _build_pairing(self):
         # int rows den * <alpha, b_i> over the free basis b_i of Lambda, the
-        # positive roots and 2rho^vee.  For a Frobenius-restricted engine den
-        # may exceed 1; the pairing is integral on the fixed sublattice.
-        coinv = self.coinv
-        self._den, rows = coinv.section_pairing(self.positive_roots)
+        # positive roots and 2rho^vee (the last two up to a positive factor,
+        # which no sign sees).  For a Frobenius-restricted engine den may
+        # exceed 1; the pairing is integral on the fixed sublattice.
+        rs, co = self.sigma.rs_root, self.sigma.rs_co
+        pos = rs._positive_coords
+        self._roots_int = rs._vectors(pos, rs._den)
+        self._den, self._rows = self.coinv.section_pairing(rs._den, self._roots_int)
         if self.restrict_endo is None and self._den != 1:
             raise TheoremViolation(
                 "echelonnage pairing is not integral on the lattice")
-        self._rows = dict(zip(self.positive_roots, rows))
-        _d, self._roots_int = integral_rows(self.positive_roots)
-        rho2 = reduce(vec_add, self.sigma.rs_co.positive_roots(),
-                      (0,) * coinv.rank)
-        if any(vec_dot(b, rho2) <= 0 for b in self.base_roots):
+        self._base_rows = tuple(self._rows[pos.index(e)]
+                                for e in identity_matrix(len(rs._base_int)))
+        # the sum of the positive coroots spans the sum of their coordinates
+        (self._rho2,) = co._vectors([tuple(map(sum, zip(*co._positive_coords)))], co._den)
+        if any(vec_dot(b, self._rho2) <= 0 for b in rs._base_int):
             raise TheoremViolation("2rho^vee is not regular dominant")
-        _d, (self._rho2,) = integral_rows([rho2])
-
-    def pairing(self, root, lam):
-        """<root, lam> for a positive root: an integer (echelonnage)."""
-        return self._pair(self._rows[tuple(root)], lam)
 
     def _pair(self, row, lam):
+        """<alpha, lam> from the row of alpha: an integer (echelonnage)."""
         val, rem = divmod(sum(map(mul, row, lam.free)), self._den)
         if rem:
             raise TheoremViolation("pairing is not integral at %r" % (lam,))
@@ -211,7 +206,7 @@ class ExtendedAffineWeyl:
         if total is None:
             total = self._len[x] = sum(
                 abs(self._pair(row, x.lam) - sign)
-                for row, sign in zip(self._rows.values(), self._sign_vector(x.w)))
+                for row, sign in zip(self._rows, self._sign_vector(x.w)))
         return total
 
     def normal_form(self, x):
@@ -278,13 +273,13 @@ class ExtendedAffineWeyl:
                             key=lambda c: (c.free, c.tors)))
 
     def is_dominant_class(self, lam):
-        return all(self.pairing(r, lam) >= 0 for r in self.base_roots)
+        return all(self._pair(row, lam) >= 0 for row in self._base_rows)
 
     def dominant_class(self, lam):
         cur = lam
         while True:
-            for k, r in enumerate(self.base_roots):
-                if self.pairing(r, cur) < 0:
+            for k, row in enumerate(self._base_rows):
+                if self._pair(row, cur) < 0:
                     cur = self.endo(self.simple_matrices[k])(cur)
                     break
             else:

@@ -12,7 +12,6 @@ peeling characters from the top.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, ge, mul, sub
 
 from .echelonnage import TheoremViolation
@@ -20,9 +19,7 @@ from .folding import _ratio, fold
 from .lattice import closure
 from .linalg import (
     coordinates,
-    frac_vec,
     identity_matrix,
-    integral_rows,
     mat_mul,
     mat_vec,
     vec_dot,
@@ -31,14 +28,14 @@ from .linalg import (
 )
 
 
-def freudenthal(rs, mu):
-    """Weight multiplicities of the irrep with highest weight mu for the
-    root system rs (a RootSystemV).
+def freudenthal(rs, mu, den=1):
+    """Weight multiplicities of the irrep with highest weight mu / den (mu
+    an int vector) for the root system rs (a RootSystemV).
 
     Returns {c: multiplicity} over coefficient tuples c >= 0 with
-    nu = mu - sum_i c_i rs.base[i], listing exactly the weights (positive
-    multiplicity) by increasing height sum(c), then by c.  All arithmetic
-    is exact and runs over base coordinates in ints: with
+    nu = mu / den - sum_i c_i rs.base[i], listing exactly the weights
+    (positive multiplicity) by increasing height sum(c), then by c.  All
+    arithmetic is exact and runs over base coordinates in ints: with
     x = sum_i c_i b_i, every inner product in Freudenthal's formula is a
     combination of (b_i|b_j), (mu|b_i) and (rho|b_i), each scaled to an int
     by one common factor, which cancels in the quotient.  Dominance is read
@@ -57,10 +54,9 @@ def freudenthal(rs, mu):
     its dominant representative is higher, of lower height.
     """
     cart = rs.cartan()
-    mu_den, (mu_int,) = integral_rows([mu])
-    gram_mu = mat_vec(rs._gram_int, mu_int)
-    # 2K (b_i|b_j), 2K (mu|b_i) and 4K (mu+rho|b_i), K = den^2 gram_den mu_den
-    g = tuple(tuple(2 * mu_den * x for x in row) for row in rs._base_gram)
+    gram_mu = mat_vec(rs._gram_int, mu)
+    # 2K (b_i|b_j), 2K (mu|b_i) and 4K (mu+rho|b_i), K = rs._den^2 gram_den den
+    g = tuple(tuple(2 * den * x for x in row) for row in rs._base_gram)
     mb = tuple(2 * rs._den * vec_dot(b, gram_mu) for b in rs._base_int)
     two_rho = [sum(col) for col in zip(*rs._positive_coords)]
     mrb = tuple(2 * x + vec_dot(two_rho, row) for x, row in zip(mb, g))
@@ -89,7 +85,7 @@ def freudenthal(rs, mu):
     def height_order(cs):
         return sorted(cs, key=lambda c: (sum(c), c))
 
-    zero = (0,) * len(rs.base)
+    zero = (0,) * len(rs._base_int)
     mult = {}
     for c in height_order(closure([zero], down)):
         if c == zero:
@@ -120,11 +116,12 @@ def freudenthal(rs, mu):
 
 
 class WeightTable:
-    """Weights of one irrep: coefficient tuples, vectors, multiplicities."""
+    """Weights of one irrep: coefficient tuples, int vectors, multiplicities
+    (the base of `rs`, simple coroots or an N' fold of them, is in X_*)."""
 
-    def __init__(self, base, mu, table):
-        self.base = base
-        self.mu = frac_vec(mu)
+    def __init__(self, rs, mu, table):
+        self.base = rs._base_int
+        self.mu = tuple(mu)
         self.table = table  # c -> mult
 
     def items(self):
@@ -160,12 +157,13 @@ class DualGroup:
             if not self.datum.is_dominant_cochar(mu):
                 raise ValueError("mu must be dominant")
             tbl = freudenthal(self.system, mu)
-            self._tables[mu] = WeightTable(self.system.base, mu, tbl)
+            self._tables[mu] = WeightTable(self.system, mu, tbl)
         return self._tables[mu]
 
     def weight_multiplicity(self, mu, nu):
+        nu = tuple(nu)
         for _c, v, m in self.weight_table(mu).items():
-            if v == frac_vec(nu):
+            if v == nu:
                 return m
         return 0
 
@@ -186,22 +184,21 @@ class DualGroup:
             return self._trace_tables[key]
         if tuple(mat_vec(g_cochar, mu)) != mu:
             raise ValueError("g does not fix mu")
-        n = self.datum.rank
-        if g_cochar == identity_matrix(n):
-            out = {tuple(v): m for _c, v, m in self.weight_table(mu).items()}
+        if g_cochar == identity_matrix(self.datum.rank):
+            tbl = self.weight_table(mu)
         else:
             folded = fold(self.system, (g_cochar,), "Nprime")
-            tbl = WeightTable(folded.base, mu, freudenthal(folded, mu))
-            out = {tuple(v): m for _c, v, m in tbl.items()}
+            tbl = WeightTable(folded, mu, freudenthal(folded, mu))
+        out = {v: m for _c, v, m in tbl.items()}
         self._trace_tables[key] = out
         return out
 
     def trace(self, g_cochar, mu, nu):
         """tr(g | V_mu(nu)); nu must be fixed by g."""
-        nu = frac_vec(nu)
-        if tuple(frac_vec(mat_vec(g_cochar, nu))) != nu:
+        nu = tuple(nu)
+        if mat_vec(g_cochar, nu) != nu:
             raise ValueError("g does not fix nu")
-        return self.trace_table(g_cochar, tuple(mu)).get(tuple(nu), 0)
+        return self.trace_table(g_cochar, tuple(mu)).get(nu, 0)
 
 
 def graded_trace(dual, mu, ops, coinv, d):
@@ -210,25 +207,24 @@ def graded_trace(dual, mu, ops, coinv, d):
 
     `ops` are pinned automorphisms fixing mu; every graded value must be an
     integer."""
-    weights = [tuple(int(x) for x in v)
-               for _c, v, _m in dual.weight_table(mu).items()]
+    weights = [v for _c, v, _m in dual.weight_table(mu).items()]
     acc = {}
     for h in ops:
         traces = dual.trace_table(h, mu)
         for nu in weights:
-            if tuple(mat_vec(h, nu)) != nu:
+            if mat_vec(h, nu) != nu:
                 continue
-            tr = traces.get(tuple(frac_vec(nu)), 0)
+            tr = traces.get(nu, 0)
             if tr:
                 key = coinv.project(nu)
                 acc[key] = acc.get(key, 0) + tr
     out = {}
     for key, val in acc.items():
-        q = Fraction(val, d)
-        if q.denominator != 1:
+        q, r = divmod(val, d)
+        if r:
             raise TheoremViolation("non-integral graded trace")
         if q:
-            out[key] = int(q)
+            out[key] = q
     return out
 
 
@@ -258,10 +254,8 @@ class FixedGroup:
             self._knop_classes.append(total)
         self._hw_cache = {}
         self._tw_cache = {}
-        _den, self._base_rows = self.coinv.section_pairing(self.sigma.base)
-
-    def section(self, lam):
-        return self.coinv.section_vector(lam)
+        rs = self.sigma.rs_root
+        _den, self._base_rows = self.coinv.section_pairing(rs._den, rs._base_int)
 
     def is_dominant(self, lam):
         return all(sum(map(mul, row, lam.free)) >= 0 for row in self._base_rows)
@@ -276,7 +270,8 @@ class FixedGroup:
             return self._hw_cache[lam]
         if not self.is_dominant(lam):
             raise ValueError("lambda must be dominant")
-        tbl = freudenthal(self.system, self.section(lam))
+        den, v = self.coinv.section(lam)
+        tbl = freudenthal(self.system, v, den)
         out = {}
         for c, m in tbl.items():
             nu = lam
@@ -297,7 +292,8 @@ class FixedGroup:
             raise ValueError("lambda must be dominant")
         if not self.is_tau_fixed(lam):
             raise ValueError("lambda must be tau-fixed")
-        tbl = freudenthal(self.knop_co, self.section(lam))
+        den, v = self.coinv.section(lam)
+        tbl = freudenthal(self.knop_co, v, den)
         out = {}
         for c, m in tbl.items():
             nu = lam
@@ -444,12 +440,12 @@ def weight_multiplicity(datum, mu, nu):
     """dim V_mu(nu) for the connected group with the given root datum
     (weights on the character side)."""
     system = datum.root_system()
-    if not all(vec_dot(frac_vec(mu), frac_vec(cv)) >= 0 for cv in datum.simple_coroots):
+    if not all(vec_dot(mu, cv) >= 0 for cv in datum.simple_coroots):
         raise ValueError("mu must be dominant")
     tbl = freudenthal(system, mu)
     # mu - nu = sum c_i b_i with b_i = _base_int[i] / _den
     coords = coordinates(system._base_int)(
-        tuple(system._den * x for x in vec_sub(frac_vec(mu), frac_vec(nu))))
+        tuple(system._den * x for x in vec_sub(mu, nu)))
     if coords is None or min(coords, default=0) < 0:
         return 0
     return tbl.get(coords, 0)

@@ -19,7 +19,7 @@ from fractions import Fraction
 # (and, without bytecode caches, compiles) no more of rootfold than it uses
 from .lattice import MalformedAction, ResourceCap, TheoremViolation
 from .presets import Preset, PresetError, load_preset, preset_names
-from .rootdata import UndeterminedAutomorphism
+from .rootdata import NotAPermutation, UndeterminedAutomorphism
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
@@ -76,6 +76,25 @@ def _check_mu(lgd, mu):
         raise PresetError("--mu (%s) is not %s" % (_fmt_vec(mu), failed))
 
 
+def _read_json(option, path, keys):
+    """The JSON object with the top-level `keys` in the file given to
+    `option`; otherwise PresetError naming the option and the file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise PresetError("%s %s: %s" % (option, path, exc.strerror)) from None
+    except ValueError as exc:
+        raise PresetError("%s %s: not JSON: %s" % (option, path, exc)) from None
+    if not isinstance(data, dict):
+        raise PresetError("%s %s: expected a JSON object, got %s"
+                          % (option, path, type(data).__name__))
+    for key in keys:
+        if key not in data:
+            raise PresetError("%s %s: missing key %r" % (option, path, key))
+    return data
+
+
 def _emit(args, payload, tsv_rows=None, tsv_header=None):
     if getattr(args, "out", "json") == "tsv" and tsv_rows is not None:
         print("\t".join(tsv_header))
@@ -91,8 +110,8 @@ def _load_lgd(args):
     if args.preset:
         return load_preset(args.preset)
     if getattr(args, "datum", None):
-        with open(args.datum) as fh:
-            raw = {"datum": {"explicit": json.load(fh)}}
+        raw = {"datum": {"explicit": _read_json(
+            "--datum", args.datum, ("rank", "simple_roots", "simple_coroots"))}}
     elif args.type:
         raw = {"datum": {"cartan_type": args.type, "isogeny": args.isogeny}}
     else:
@@ -102,6 +121,9 @@ def _load_lgd(args):
         raw["frobenius"] = {"perm": _parse_vec(args.tau)}
     try:
         return Preset(args.type, raw)
+    except NotAPermutation as exc:
+        option = "--inertia" if {"perm": exc.perm} in raw["inertia"] else "--tau"
+        raise PresetError("%s %s" % (option, exc)) from None
     except UndeterminedAutomorphism:
         # the inertia permutations are resolved first
         raise PresetError(
@@ -256,8 +278,7 @@ def cmd_testfn(args):
     if args.j < 1:
         raise PresetError("--j must be at least 1, got %d" % args.j)
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        raw = _read_json("--config", args.config, ("datum",))
         preset = Preset(raw.get("name", "config"), raw)
     else:
         preset = load_preset(args.preset)

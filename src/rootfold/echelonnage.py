@@ -19,7 +19,7 @@ elsewhere).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .folding import (
     RootSystemV,
@@ -38,7 +38,6 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     vec_dot,
-    vec_scale,
 )
 from .rootdata import AutomorphismAction, _components, pinned_cochar
 
@@ -93,9 +92,8 @@ class LocalGroupDatum:
 class SigmaSystem:
     """A folded system on both sides of the duality, with lattice classes.
 
-    For the k-th simple root, `base[k]` is the root vector in X^* (x) Q,
-    `cobase[k]` the coroot vector in X_* (x) Q and `base_classes[k]` the
-    coroot class in X_*(T)_I.  The two folded systems are built
+    For the k-th simple root, `base_classes[k]` is the class of its coroot
+    in X_*(T)_I.  The two folded systems are built
     independently; `EchelonnageData` checks that the dual of the res-side
     system, carried across by the invariant form, is the norm-side system
     (`folding.dual_mismatch`).  Each side's `orbits` record which simple
@@ -109,23 +107,14 @@ class SigmaSystem:
         self.base_classes = tuple(base_classes)
         self.name = name
         self._class_coords = coordinates(c.free for c in self.base_classes)
-        for root, coroot in zip(rs_root.base, rs_co.base):
-            if vec_dot(root, coroot) != 2:
+        # <root, coroot> = 2 on the base, over the two denominators
+        two = 2 * rs_root._den * rs_co._den
+        for root, coroot in zip(rs_root._base_int, rs_co._base_int):
+            if vec_dot(root, coroot) != two:
                 raise TheoremViolation("%s: <root, coroot> != 2 on the base" % name)
-
-    @property
-    def base(self):
-        return self.rs_root.base
-
-    @property
-    def cobase(self):
-        return self.rs_co.base
 
     def type_label(self):
         return self.rs_root.type_label()
-
-    def classify(self):
-        return self.rs_root.classify()
 
     def class_leq(self, lam, mu):
         """lam <= mu in the cone of the coroot classes inside X_*(T)_I:
@@ -145,7 +134,7 @@ class EchelonnageData:
     def __init__(self, lgd):
         self.lgd = lgd
         datum = lgd.datum
-        gram_star = datum.gram_star()
+        gram_star = datum._gram_star_pair
         char = datum.root_system()
         cochar = datum.coroot_system()
         I_char = lgd.inertia.generators
@@ -186,7 +175,7 @@ class EchelonnageData:
         knop_root = fold(breve_root, tau_char, "res")
         knop_co = fold(breve_co, tau_cochar, "Nprime")
         # duality the other way around: res on the root side, N' on coroots
-        if dual_mismatch(knop_root, knop_co, datum.gram()):
+        if dual_mismatch(knop_root, knop_co, datum._gram_pair):
             raise TheoremViolation("Knop system: res_tau dual does not match "
                                    "N'_tau of the coroots")
         self.sigma0_tilde_root = knop_root
@@ -202,17 +191,20 @@ class EchelonnageData:
                                        "orbit orthogonality")
 
         # halving construction of the Knop system must match res_tau
-        halved = []
-        for k, a in enumerate(sigma0_root.base):
-            halved.append(vec_scale(Fraction(1, 2), a) if k in self.special else a)
-        if RootSystemV(halved, sigma0_root.gram) != knop_root:
+        halved = tuple(a if k in self.special else tuple(2 * x for x in a)
+                       for k, a in enumerate(sigma0_root._base_int))
+        if RootSystemV._closed((2 * sigma0_root._den, halved),
+                               (sigma0_root._gram_den, sigma0_root._gram_int)) != knop_root:
             raise TheoremViolation("Knop system: halving construction disagrees "
                                    "with res_tau")
 
-        # Macdonald system
-        union = set(sigma0_root.roots) | set(knop_root.roots)
-        self.sigma1 = tuple(sorted(union))
-        self.sigma1_nonreduced = any(tuple(x / 2 for x in a) in union for a in union)
+        # Macdonald system (den, int vectors); a/2 in it iff it meets its double
+        den = lcm(sigma0_root._den, knop_root._den)
+        union = frozenset(sigma0_root._vectors(sigma0_root._coords, den)
+                          + knop_root._vectors(knop_root._coords, den))
+        self.sigma1 = den, union
+        self.sigma1_nonreduced = not union.isdisjoint(
+            tuple(2 * x for x in a) for a in union)
 
         self._affine_nodes = None
 
@@ -268,7 +260,7 @@ class EchelonnageData:
         rs = self.sigma_breve.rs_root
         cart = rs.cartan()
         comps = _components(cart)
-        n = len(rs.base)
+        n = len(rs._base_int)
         nodes = {("fin", i): tuple(int(i == j) for j in range(n)) for i in range(n)}
         self._components = comps
         self._highest = {}
@@ -410,7 +402,7 @@ def _highest_root(rs, comp):
     best = None
     best_h = None
     for c in rs._positive_coords:
-        if any(c[i] != 0 for i in range(len(rs.base)) if i not in comp):
+        if any(c[i] != 0 for i in range(len(c)) if i not in comp):
             continue
         h = sum(c)
         if best is None or h > best_h:

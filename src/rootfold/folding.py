@@ -7,8 +7,8 @@ is realized through the averaging map, so that norms and restrictions can be
 compared by literal vector equality (the duality theorem is an identity).
 The work runs in integer coordinates over the base (Casselman, "Machine
 calculations in Weyl groups", Invent. Math. 116, 1994): a system keeps its
-base and form as int rows over common denominators, and rationals are built
-only where a caller reads them.
+base and form as int rows over common denominators, converts rational input
+once, and builds Fractions only where a caller reads them.
 
 An automorphism acts on a based system only through the permutation of
 simple-root indices it induces (`base_permutation`), so the operations take
@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 
 from .lattice import MalformedAction, ResourceCap, TheoremViolation, closure
-from .linalg import frac_vec, integral_rows, mat_det, mat_vec, vec_dot
+from .linalg import fraction_rows, integral_rows, lowest_terms, mat_det, mat_vec, vec_dot
 
 OP_TAGS = ("N", "Nprime", "res", "resprime")
 
@@ -105,27 +105,35 @@ def _close_cartan(cartan):
 class RootSystemV:
     """A based root system given by exact vectors and an invariant form.
 
-    `_set_base` builds one integer representation: the base as a common
-    denominator `_den` and int rows `_base_int`, the form as `_gram_den` and
-    `_gram_int`, and `_base_gram[i][j]` = den^2 gram_den (b_i|b_j), which
-    gives the Cartan matrix C[i][j] = <b_j, b_i^vee>.  The closure runs in
-    simple-root coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.5).  `_coords` lists
-    the coordinates of the roots, ordered as their ambient vectors.  The
-    Fraction views are built on first use: `roots` (sorted), `coords[r]`
-    (the coordinates of r over `base`) and `positive_roots()`.  A system is
-    never changed after construction.
+    A system stores only ints: the base as a least common denominator `_den`
+    and int rows `_base_int`, the form as `_gram_den` and `_gram_int`, and
+    `_base_gram[i][j]` = den^2 gram_den (b_i|b_j), which gives the Cartan
+    matrix C[i][j] = <b_j, b_i^vee>.  The closure runs in simple-root
+    coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.5).  `_coords` lists the coordinates of the
+    roots, ordered as their ambient vectors.  `__init__` converts rational
+    input; builds inside the library pass `(den, int rows)` pairs.  Fraction
+    views are built on first read: `base`, `gram`, `roots` (sorted),
+    `coords[r]` and `positive_roots()`.  A system is never changed.
     """
 
     def __init__(self, base, gram, label=""):
-        self._set_base(base, gram, label)
+        self._set_base(integral_rows(base), integral_rows(gram), label)
         self._index(cartan_closure(self._cartan))
 
     @classmethod
+    def _closed(cls, base, gram, label=""):
+        """`__init__` on `(den, int rows)` pairs for the base and the form."""
+        out = cls.__new__(cls)
+        out._set_base(base, gram, label)
+        out._index(cartan_closure(out._cartan))
+        return out
+
+    @classmethod
     def from_closure(cls, base, gram, cartan, coords, label=""):
-        """The system on `base` whose roots have the coordinates `coords`
-        (the closure of `cartan`, negatives included), without closing
-        again.  Raises TheoremViolation unless the form gives `cartan`."""
+        """The system on the `(den, int rows)` pairs `base` and `gram` whose
+        roots have the coordinates `coords` (the closure of `cartan`), not
+        closed again.  Raises TheoremViolation unless the form gives `cartan`."""
         out = cls.__new__(cls)
         out._set_base(base, gram, label)
         if out._cartan != cartan:
@@ -135,12 +143,10 @@ class RootSystemV:
         return out
 
     def _set_base(self, base, gram, label):
-        self.base = tuple(frac_vec(b) for b in base)
-        self.gram = tuple(frac_vec(row) for row in gram)
         self.label = label
         self._folds = {}
-        self._den, self._base_int = integral_rows(self.base)
-        self._gram_den, self._gram_int = integral_rows(self.gram)
+        self._den, self._base_int = lowest_terms(*base)
+        self._gram_den, self._gram_int = lowest_terms(*gram)
         gram_base = [mat_vec(self._gram_int, b) for b in self._base_int]
         self._base_gram = tuple(tuple(vec_dot(u, gv) for gv in gram_base)
                                 for u in self._base_int)
@@ -148,40 +154,34 @@ class RootSystemV:
             raise ValueError("the base is not linearly independent")
         self._cartan = cartan_of_gram(self._base_gram)
 
-    @classmethod
-    def from_datum(cls, datum):
-        """The character-side system (Phi, Delta) of a based root datum."""
-        return cls(datum.simple_roots, datum.gram(), label=datum.label)
-
-    @classmethod
-    def dual_from_datum(cls, datum):
-        """The cocharacter-side system (Phi^vee, Delta^vee) with the induced
-        form (inverse Gram)."""
-        return cls(datum.simple_coroots, datum.gram_star(),
-                   label=datum.label + "^" if datum.label else "")
-
     def _index(self, coords):
         """Install the roots whose coordinates over the base are the positive
         members of `coords` and their negatives, ordered by ambient vector."""
-        cols = tuple(zip(*self._base_int))
-        zero = (0,) * len(self.base)
-        table = []
-        for c in coords:
-            if c > zero:
-                v = _span(c, cols)
-                table.append((v, c))
-                table.append((tuple([-x for x in v]), tuple([-x for x in c])))
-        table.sort()
+        zero = (0,) * len(self._base_int)
+        pos = [c for c in coords if c > zero]
+        signed = pos + [tuple([-x for x in c]) for c in pos]
+        table = sorted(zip(self._vectors(signed, self._den), signed))
         self._coords = tuple(c for _v, c in table)
         self._positive_coords = tuple(c for c in self._coords if c > zero)
+
+    def _vectors(self, coords, den):
+        """The int vectors over den (a multiple of `_den`) with `coords`."""
+        k = den // self._den
+        cols = tuple(tuple(k * x for x in col) for col in zip(*self._base_int))
+        return [_span(c, cols) for c in coords]
+
+    @cached_property
+    def base(self):
+        return fraction_rows(self._den, self._base_int)
+
+    @cached_property
+    def gram(self):
+        return fraction_rows(self._gram_den, self._gram_int)
 
     @cached_property
     def roots(self):
         """The roots as ambient Fraction vectors, sorted."""
-        cols = tuple(zip(*self._base_int))
-        vectors = [_span(c, cols) for c in self._coords]
-        fracs = {x: Fraction(x, self._den) for x in set().union(*vectors)}
-        return tuple(tuple(map(fracs.__getitem__, v)) for v in vectors)
+        return fraction_rows(self._den, self._vectors(self._coords, self._den))
 
     @cached_property
     def coords(self):
@@ -201,7 +201,7 @@ class RootSystemV:
         return classify_cartan(self.cartan())
 
     def positive_roots(self):
-        zero = (0,) * len(self.base)
+        zero = (0,) * len(self._base_int)
         return tuple(r for r, c in zip(self.roots, self._coords) if c > zero)
 
     def _dual_parts(self):
@@ -222,14 +222,13 @@ class RootSystemV:
         return L, rows, coords
 
     def dual(self):
-        """Pointwise dual system (same ambient space and form), built from
-        the dual base and the coroot coordinates of `_dual_parts`."""
+        """Pointwise dual system (same ambient space and form, transposed
+        Cartan matrix), from the dual base and coroot coordinates of
+        `_dual_parts`."""
         den, rows, coords = self._dual_parts()
-        out = RootSystemV.__new__(RootSystemV)
-        out._set_base([[Fraction(x, den) for x in row] for row in rows],
-                      self.gram, self.label + "^")
-        out._index(coords)
-        return out
+        return RootSystemV.from_closure((den, rows), (self._gram_den, self._gram_int),
+                                        tuple(zip(*self._cartan)), coords,
+                                        self.label + "^")
 
     def __eq__(self, other):
         # on one base, equal root sets are equal coordinate sets
@@ -294,7 +293,7 @@ def base_orbits(rs, generators):
     index tuples ordered by lowest index: the connected components of the
     links i - p(i) of their permutations (a whole group generates itself)."""
     from .rootdata import _components
-    n = len(rs.base)
+    n = len(rs._base_int)
     links = [[0] * n for _ in range(n)]
     for g in generators:
         for i, j in enumerate(base_permutation(rs, g)):
@@ -309,7 +308,8 @@ def fold(rs, generators, op):
     The result lives in the fixed subspace of the same ambient space;
     restriction is computed as the orbit average (the image of res under the
     averaging identification).  Orbit sums are taken on the int rows of the
-    base.  The result depends on the group only through its orbits, so it
+    base, over the denominator times k, the lcm of the averaged orbits'
+    sizes.  The result depends on the group only through its orbits, so it
     is memoized on `rs`, keyed by the operation and the orbits."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
@@ -318,30 +318,33 @@ def fold(rs, generators, op):
     if key in rs._folds:
         return rs._folds[key]
     cart = rs._cartan
-    new_base = []
+    sizes = [len(orb) if op in ("res", "resprime") else 1 for orb in orbits]
+    k = lcm(*sizes)
+    rows = []
     meta = []
-    for orb in orbits:
+    for orb, size in zip(orbits, sizes):
         # (b_i|b_j) = 0 exactly when C[i][j] = 2(b_i|b_j)/(b_i|b_i) = 0
         orth = all(cart[i][j] == 0 for i in orb for j in orb if i < j)
         total = [sum(col) for col in zip(*(rs._base_int[i] for i in orb))]
-        num = 1 if orth or op in ("N", "res") else 2
-        den = rs._den * (len(orb) if op in ("res", "resprime") else 1)
-        new_base.append(tuple(Fraction(num * x, den) for x in total))
+        num = (1 if orth or op in ("N", "res") else 2) * (k // size)
+        rows.append(tuple(num * x for x in total))
         meta.append((orb, orth))
-    out = rs._folds[key] = FoldedRootSystem(new_base, rs.gram, op, tuple(meta),
-                                            label="%s_%s" % (op, rs.label))
+    out = rs._folds[key] = FoldedRootSystem._closed(
+        (rs._den * k, rows), (rs._gram_den, rs._gram_int), "%s_%s" % (op, rs.label))
+    out.op, out.orbits = op, tuple(meta)
     return out
 
 
 def dual_mismatch(res_side, norm_side, carry):
     """The parts, of ("base", "roots"), in which the dual of `res_side`,
-    carried across by the matrix `carry`, differs from `norm_side`.  Both
-    sides of one duality identity are built independently.  Only the dual
-    base is carried; the carried root with coroot coordinates c is
-    sum_j c_j carry(b_j^vee).  Both sides are compared as int vectors over
-    one denominator; an empty result means the identity holds."""
+    carried across by the `(den, int rows)` matrix `carry`, differs from
+    `norm_side`.  Both sides of one duality identity are built
+    independently.  Only the dual base is carried; the carried root with
+    coroot coordinates c is sum_j c_j carry(b_j^vee).  Both sides are
+    compared as int vectors over one denominator; an empty result means the
+    identity holds."""
     den, rows, coords = res_side._dual_parts()
-    carry_den, carry = integral_rows(carry)
+    carry_den, carry = carry
     lhs = tuple(tuple(norm_side._den * x for x in mat_vec(carry, row)) for row in rows)
     rhs = tuple(tuple(carry_den * den * x for x in row) for row in norm_side._base_int)
     out = []
@@ -358,7 +361,7 @@ def verify_duality(datum, gens_char, gens_cochar):
 
     Both sides are computed independently; the cocharacter side is carried
     into the character space by the induced form (the inverse Gram matrix
-    `gram_star`, sending v to the vector representing <., v>).  Returns a
+    `gram_star()`, sending v to the vector representing <., v>).  Returns a
     report dict with a list of mismatches (empty means the theorem holds
     here).
     """
@@ -368,7 +371,7 @@ def verify_duality(datum, gens_char, gens_cochar):
     for res_op, norm_op in (("res", "Nprime"), ("resprime", "N")):
         lhs = fold(cochar, gens_cochar, res_op)
         for part in dual_mismatch(lhs, fold(char, gens_char, norm_op),
-                                  datum.gram_star()):
+                                  datum._gram_star_pair):
             mismatches.append("%s(Phi^vee)^vee %s != %s(Phi) %s"
                               % (res_op, part, norm_op, part))
     return {"datum": datum.label, "mismatches": mismatches, "ok": not mismatches}

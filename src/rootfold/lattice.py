@@ -10,33 +10,30 @@ coordinates and a tuple of residues, each reduced modulo its torsion factor.
 Only this module knows how that tuple pair sits in the full Smith normal
 form coordinates.  An induced endomorphism is stored as compact int tables
 on (free, tors), built once, so applying it is one int mat-vec and one `%`
-per torsion coordinate; pairings of ambient vectors with the free
-coordinates come from `CoinvariantLattice.section_pairing` as int rows over
-one denominator.  Results of this arithmetic are already reduced ints and
-skip the validating constructor.
+per torsion coordinate; the section over the free coordinates, and its
+pairings with ambient vectors (`CoinvariantLattice.section_pairing`), are
+int rows over one denominator.  Results of this arithmetic are already
+reduced ints and skip the validating constructor.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import add, mul
 
 from .linalg import (
     exact_int,
-    frac_vec,
+    fraction_rows,
     hermite_row_basis,
     identity_matrix,
-    integral_rows,
     kernel_basis,
     lattice_member,
+    lowest_terms,
     mat_integer_inverse,
     mat_mul,
     mat_sub,
     mat_vec,
     smith_normal_form,
-    vec_add,
-    vec_scale,
 )
 
 GROUP_CAP = 10080
@@ -95,13 +92,11 @@ def group_closure(generators):
 
 
 def average(v, group):
-    """The average of v over its orbit (divides by orbit size, not group
-    order); this is the map onto the fixed subspace."""
-    orb = {mat_vec(g, frac_vec(v)) for g in group} or {frac_vec(v)}
-    total = (Fraction(0),) * len(v)
-    for u in orb:
-        total = vec_add(total, u)
-    return vec_scale(Fraction(1, len(orb)), total)
+    """The average of the int vector v over its orbit (divided by the orbit
+    size, not the group order), the map onto the fixed subspace, as
+    (orbit size, orbit sum): the average is the sum over the size."""
+    orb = {mat_vec(g, v) for g in group} or {tuple(v)}
+    return len(orb), tuple(map(sum, zip(*orb)))
 
 
 def invariants(rank, generators):
@@ -283,37 +278,35 @@ class CoinvariantLattice:
     def _build_section(self):
         """The section as (den, int columns): column i is den times the
         group-average of the lift of the i-th free basis class."""
-        cols = []
-        for i in self._free_rows:
-            basis_elt = CoinvariantElement(
-                self,
-                tuple(1 if j == i else 0 for j in self._free_rows),
-                (0,) * len(self.torsion),
-            )
-            cols.append(average(self.lift(basis_elt), self.group))
-        return integral_rows(cols)
+        zero = (0,) * len(self.torsion)
+        avgs = [average(self.lift(_element(self, free, zero)), self.group)
+                for free in identity_matrix(self.free_rank)]
+        den = lcm(*(size for size, _total in avgs))
+        return lowest_terms(den, [tuple(den // size * x for x in total)
+                                  for size, total in avgs])
 
-    def section_vector(self, e):
-        """Rational ambient vector realizing the free part on the fixed
-        subspace: the group-average of any lift.  Torsion maps to 0."""
+    def section(self, e):
+        """(den, den v), v the group-average of any lift of e: the vector
+        realizing its free part on the fixed subspace (torsion maps to 0)."""
         den, cols = self._section
         v = [0] * self.rank
         for c, col in zip(e.free, cols):
             for k, x in enumerate(col):
                 v[k] += c * x
-        return tuple(Fraction(x, den) for x in v)
+        return den, tuple(v)
 
-    def section_pairing(self, vectors):
-        """(den, rows) with rows[k][i] = den * <vectors[k], section of the
-        i-th free basis class> all ints, den > 0 their least common
-        denominator: <v, section_vector(e)> is
-        sum(row * e.free) / den."""
+    def section_vector(self, e):
+        """`section` as a Fraction vector."""
+        den, v = self.section(e)
+        return fraction_rows(den, (v,))[0]
+
+    def section_pairing(self, vden, vrows):
+        """(den, rows) with rows[k][i] = den * <vrows[k] / vden, section of
+        the i-th free basis class> all ints, den > 0 their least common
+        denominator: <v, section_vector(e)> is sum(row * e.free) / den."""
         sden, cols = self._section
-        vden, vrows = integral_rows(vectors)
-        den = sden * vden
-        rows = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in vrows)
-        g = gcd(den, *(x for row in rows for x in row))
-        return den // g, tuple(tuple(x // g for x in row) for row in rows)
+        return lowest_terms(sden * vden, [[sum(map(mul, v, col)) for col in cols]
+                                          for v in vrows])
 
     # -- induced maps ------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Everything here works on immutable tuples (vectors are tuples, matrices are
 tuples of row tuples) with int or Fraction entries.  No floats anywhere: the
-rest of the library depends on every identity being exact.
+rest of the library depends on every identity being exact.  A rational
+matrix is carried as (den, int rows): `integral_rows` builds that form,
+`lowest_terms` normalises it and `fraction_rows` undoes it.
 
 Determinants, inverses and coordinates over a base all come from one
 fraction-free elimination, `adjugate`; `coordinates` turns it into a
@@ -19,7 +21,7 @@ lengths.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 
@@ -56,16 +58,24 @@ def exact_int(x):
     return n
 
 
-def frac_vec(u):
-    return tuple([a if type(a) is Fraction else Fraction(a) for a in u])
-
-
 def integral_rows(rows):
     """(d, d * rows) with d the least common denominator of the int or
     Fraction entries, so the scaled rows are int."""
     d = lcm(*[x.denominator for row in rows for x in row])
     return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row])
                      for row in rows])
+
+
+def lowest_terms(den, rows):
+    """(den, rows) divided by the gcd of den > 0 and every entry, so that
+    den is the least common denominator, as `integral_rows` gives it."""
+    g = gcd(den, *[x for row in rows for x in row])
+    return den // g, tuple([tuple([x // g for x in row]) for row in rows])
+
+
+def fraction_rows(den, rows):
+    """The int rows over the int den as Fraction rows."""
+    return tuple([tuple([Fraction(x, den) for x in row]) for row in rows])
 
 
 def identity_matrix(n):

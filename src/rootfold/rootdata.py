@@ -10,7 +10,6 @@ Bourbaki numbering, stored as C[i][j] = <alpha_j, alpha_i^vee>.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 
 from .folding import RootSystemV, cartan_closure
@@ -18,7 +17,7 @@ from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
     adjugate,
     coordinates,
-    frac_vec,
+    fraction_rows,
     identity_matrix,
     integer_solver,
     is_positive_definite,
@@ -242,11 +241,6 @@ def classify_cartan(C):
     return "x".join(nm for _, _, nm in names)
 
 
-def _divided(M, den):
-    """The int matrix M over the int den, as Fractions."""
-    return tuple(tuple([Fraction(x, den) for x in row]) for row in M)
-
-
 def _budget_walk(heights, bound):
     """Every m in N^len(heights) with sum(h * m) <= bound, depth first."""
     m = [0] * len(heights)
@@ -309,8 +303,6 @@ class BasedRootDatum:
         self._root_index = {r: k for k, r in enumerate(self.roots)}
         # int coordinates over the simple coroots, for the dominance order
         self._coroot_coords = coordinates(self.simple_coroots)
-        self._gram = None
-        self._gram_star = None
         # Phi and Phi^vee as RootSystemV, built on first use from the
         # coordinates above (the coroots' over the simple coroots) and never
         # changed afterwards, so every consumer of this datum shares them.
@@ -388,28 +380,34 @@ class BasedRootDatum:
                 G_basis[r + i][r + j] = vec_dot(comp[i], comp[j])
         return mat_transpose(basis), tuple(map(tuple, G_basis))
 
+    @cached_property
+    def _gram_pair(self):
+        """W x Aut-invariant form on X^* (x) Q as (den, int rows): short roots
+        of each component have squared length 2; the coroot-kernel
+        complement is orthogonal and carries the standard form averaged over
+        nothing (it is canonical).  In standard coordinates it is
+        B^-T G_basis B^-1 = adj(B)^T G_basis adj(B) / det(B)^2 (see
+        `_form_basis`)."""
+        B, G_basis = self._form_basis
+        det, adj = adjugate(B)
+        return det * det, mat_mul(mat_transpose(adj), mat_mul(G_basis, adj))
+
+    @cached_property
+    def _gram_star_pair(self):
+        """Induced invariant form on X_* (x) Q, the inverse Gram matrix
+        B G_basis^-1 B^T = B adj(G_basis) B^T / det(G_basis), as a
+        (den, int rows) pair."""
+        B, G_basis = self._form_basis
+        det, adj = adjugate(G_basis)
+        return det, mat_mul(B, mat_mul(adj, mat_transpose(B)))
+
     def gram(self):
-        """W x Aut-invariant form on X^* (x) Q: short roots of each component
-        have squared length 2; the coroot-kernel complement is orthogonal and
-        carries the standard form averaged over nothing (it is canonical).
-        In standard coordinates it is B^-T G_basis B^-1 =
-        adj(B)^T G_basis adj(B) / det(B)^2 (see `_form_basis`), one int
-        product and one division."""
-        if self._gram is None:
-            B, G_basis = self._form_basis
-            det, adj = adjugate(B)
-            self._gram = _divided(mat_mul(mat_transpose(adj), mat_mul(G_basis, adj)),
-                                  det * det)
-        return self._gram
+        """The invariant form `_gram_pair` as Fraction rows."""
+        return fraction_rows(*self._gram_pair)
 
     def gram_star(self):
-        """Induced invariant form on X_* (x) Q, the inverse Gram matrix
-        B G_basis^-1 B^T = B adj(G_basis) B^T / det(G_basis)."""
-        if self._gram_star is None:
-            B, G_basis = self._form_basis
-            det, adj = adjugate(G_basis)
-            self._gram_star = _divided(mat_mul(B, mat_mul(adj, mat_transpose(B))), det)
-        return self._gram_star
+        """The induced form `_gram_star_pair` as Fraction rows."""
+        return fraction_rows(*self._gram_star_pair)
 
     # -- the root systems Phi and Phi^vee ---------------------------------------
 
@@ -417,7 +415,7 @@ class BasedRootDatum:
         """(Phi, Delta) in X^* (x) Q with the invariant form, shared."""
         if self._root_system is None:
             self._root_system = RootSystemV.from_closure(
-                self.simple_roots, self.gram(), self.cartan, self._closure,
+                (1, self.simple_roots), self._gram_pair, self.cartan, self._closure,
                 label=self.label)
         return self._root_system
 
@@ -426,7 +424,7 @@ class BasedRootDatum:
         its Cartan matrix is the transpose of the datum's."""
         if self._coroot_system is None:
             self._coroot_system = RootSystemV.from_closure(
-                self.simple_coroots, self.gram_star(),
+                (1, self.simple_coroots), self._gram_star_pair,
                 tuple(zip(*self.cartan)), self._coclosure,
                 label=self.label + "^" if self.label else "")
         return self._coroot_system
@@ -655,25 +653,19 @@ class AutomorphismAction:
         return len(self.group)
 
 
-def invariant_inner_product(datum, action=None):
-    """The canonical W x Aut-invariant form on X^* (x) Q as a Gram matrix,
-    normalized so short roots of each component have squared length 2.
-
-    When an action is given it is validated to preserve the form (diagram
-    automorphisms always do, since they preserve the Cartan matrix)."""
-    G = datum.gram()
-    if action is not None:
-        for g in action.group:
-            gf = tuple(frac_vec(row) for row in g)
-            if mat_mul(mat_transpose(gf), mat_mul(G, gf)) != G:
-                raise MalformedAction("action does not preserve the form")
-    return G
-
-
 class UndeterminedAutomorphism(MalformedAction):
     """A simple-root permutation of a datum whose lattice is spanned by
     neither the simple roots nor the simple coroots, so that the permutation
     does not determine a lattice automorphism."""
+
+
+class NotAPermutation(MalformedAction):
+    """A simple-root `perm` that does not permute the indices 0..r-1."""
+
+    def __init__(self, perm, count):
+        super().__init__("%s is not a permutation of 0..%d, the indices of the "
+                         "%d simple roots" % (",".join(map(str, perm)), count - 1, count))
+        self.perm = perm
 
 
 def diagram_automorphism(datum, perm):
@@ -684,8 +676,8 @@ def diagram_automorphism(datum, perm):
     own matrices.
     """
     n = datum.rank
-    if len(perm) != len(datum.simple_roots):
-        raise MalformedAction("permutation length mismatch")
+    if sorted(perm) != list(range(len(datum.simple_roots))):
+        raise NotAPermutation(perm, len(datum.simple_roots))
     for i, j in enumerate(perm):
         for k, l in enumerate(perm):
             if datum.cartan[i][k] != datum.cartan[j][l]:

@@ -81,19 +81,16 @@ class Verifier:
             ech.sigma0_tilde_root.type_label(), sorted(ech.special),
             sorted(("%s:%d" % k, v) for k, v in params.items()))
         self.record("theorem-B", name, True, detail)
-        # split case: Sigma_breve = Phi (Prasad-Raghunathan)
+        # split case: Sigma_breve = Phi (Prasad-Raghunathan), base and roots
         if len(lgd.inertia.group) == 1:
-            char = preset.datum.root_system()
-            ok = set(ech.sigma_breve.rs_root.roots) == set(char.roots)
+            ok = ech.sigma_breve.rs_root == preset.datum.root_system()
             self.record("theorem-B(split)", name, ok)
         # Macdonald: halved members of Sigma_1 are exactly the special roots
-        halves = set()
-        from fractions import Fraction
-        from .linalg import vec_scale
-        s1 = set(ech.sigma1)
-        for k, a in enumerate(ech.sigma0.rs_root.base):
-            if tuple(vec_scale(Fraction(1, 2), a)) in s1:
-                halves.add(k)
+        den, s1 = ech.sigma1
+        doubles = {tuple(2 * x for x in a) for a in s1}
+        rs0 = ech.sigma0.rs_root
+        halves = {k for k, b in enumerate(rs0._base_int)
+                  if tuple(den // rs0._den * x for x in b) in doubles}
         self.record("theorem-B(macdonald)", name, halves == set(ech.special))
         ok = coroot_identity_check(lgd)
         self.record("coroot-identity", name, ok)

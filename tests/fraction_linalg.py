@@ -6,9 +6,19 @@ one fraction-free integer elimination (`linalg.adjugate` and
 eliminations, and use `gauss_solve` wherever they need coordinates of their
 own.  `solve_integer` is the per-call Smith-form solver that
 `linalg.integer_solver` replaced.
+
+`average`, `weight_items` and `reference_base` are the Fraction routes that
+the int representation of the Sigma systems replaced: the orbit average,
+the weights of a `WeightTable`, and the int representation `RootSystemV`
+used to derive from Fraction input.
 """
 
 from fractions import Fraction
+
+
+def frac_vec(u):
+    """The vector u with Fraction entries."""
+    return tuple(a if type(a) is Fraction else Fraction(a) for a in u)
 
 
 def gauss_solve(A, b):
@@ -91,3 +101,38 @@ def solve_integer(M, b):
             if i < n:
                 y[i] = c[i] // d
     return mat_vec(V, tuple(y))
+
+
+def average(v, group):
+    """The average of v over its orbit as a Fraction vector."""
+    from rootfold.linalg import mat_vec, vec_add, vec_scale
+    orb = {mat_vec(g, frac_vec(v)) for g in group} or {frac_vec(v)}
+    total = (Fraction(0),) * len(v)
+    for u in orb:
+        total = vec_add(total, u)
+    return vec_scale(Fraction(1, len(orb)), total)
+
+
+def weight_items(base, mu, table):
+    """(c, mu - sum_i c_i base[i], multiplicity) over a weight table, in
+    Fraction vectors."""
+    from rootfold.linalg import vec_scale, vec_sub
+    for c, m in table.items():
+        v = frac_vec(mu)
+        for ci, b in zip(c, base):
+            if ci:
+                v = vec_sub(v, vec_scale(ci, frac_vec(b)))
+        yield c, v, m
+
+
+def reference_base(base, gram):
+    """(den, base rows, gram den, gram rows, base Gram, Cartan matrix) of
+    the Fraction base and form, each rational matrix over its least common
+    denominator and the base Gram matrix den^2 gram_den (b_i|b_j)."""
+    from rootfold.folding import cartan_of_gram
+    from rootfold.linalg import integral_rows, mat_vec, vec_dot
+    den, rows = integral_rows([frac_vec(b) for b in base])
+    gram_den, gram_rows = integral_rows([frac_vec(r) for r in gram])
+    base_gram = tuple(tuple(vec_dot(u, mat_vec(gram_rows, v)) for v in rows)
+                      for u in rows)
+    return den, rows, gram_den, gram_rows, base_gram, cartan_of_gram(base_gram)

@@ -14,14 +14,15 @@ import pytest
 from rootfold.affine import verify_extremal
 from rootfold.characters import CharacterContext
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.folding import RootSystemV, fold, verify_duality
+from rootfold.folding import fold, verify_duality
 from rootfold.hecke import CenterContext
-from rootfold.linalg import vec_scale
+from rootfold.linalg import fraction_rows, vec_scale
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import AutomorphismAction, build_datum, diagram_automorphism
 from rootfold.testfn import ramified_descent_check, z_v_star_1j
 from rootfold.testfn import test_function as tower_expansion
 from rootfold.verify import run_verify
+from test_folding import from_datum
 
 # sha256 of the default `rootfold verify` report (lines joined by newlines);
 # the same value is `report_sha256` in benchmarks/golden.json
@@ -85,7 +86,7 @@ def test_criterion_2_a2n_example():
     for n in (1, 2, 3):
         d = build_datum("A%d" % (2 * n), "adjoint")
         act = AutomorphismAction(d, [diagram_automorphism(d, flip(2 * n))])
-        rs = RootSystemV.from_datum(d)
+        rs = from_datum(d)
         got = tuple(fold(rs, act.group, op).type_label()
                     for op in ("res", "resprime", "N", "Nprime"))
         ok = ok and got == ("B%d" % n, "C%d" % n, "B%d" % n, "C%d" % n)
@@ -104,7 +105,7 @@ def test_criterion_3_theorem_b():
         params = ech.parameter_function(dict(preset.overrides))
         # Macdonald union and reduced parts (Sigma_1,red = Knop system,
         # discarding halves instead gives Sigma_0)
-        s1 = set(ech.sigma1)
+        s1 = set(fraction_rows(*ech.sigma1))
         union = set(ech.sigma0.rs_root.roots) | set(ech.sigma0_tilde_root.roots)
         ok = ok and s1 == union
         red_lower = {a for a in s1
@@ -114,7 +115,7 @@ def test_criterion_3_theorem_b():
         ok = ok and red_upper == set(ech.sigma0.rs_root.roots)
         if len(lgd.inertia.group) == 1:
             ok = ok and set(ech.sigma_breve.rs_root.roots) == set(
-                RootSystemV.from_datum(preset.datum).roots)
+                from_datum(preset.datum).roots)
         if name in ("su3-unramified", "su5-unramified"):
             special = next(iter(ech.special))
             ok = ok and params[("fin", special)] == 3

@@ -21,10 +21,11 @@ from rootfold.affine import (
     verify_extremal,
 )
 from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
+from rootfold.folding import RootSystemV
 from rootfold.hecke import CenterContext
 from rootfold.lattice import CoinvariantElement
 from rootfold.linalg import (
-    frac_vec,
+    fraction_rows,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
@@ -41,7 +42,7 @@ from rootfold.rootdata import (
     unitary_dual_action,
 )
 from bruhat_reference import bruhat_leq, pairwise_extremal_elements
-from fraction_linalg import gauss_solve
+from fraction_linalg import frac_vec, gauss_solve
 
 
 def flip(r):
@@ -342,7 +343,7 @@ def reference_engine_data(eng, sigma, gram):
     and the highest root of each component by a gauss_solve per positive
     root.  Returns (positive roots, components, affine walls as
     (key, (class, matrix)))."""
-    base = tuple(frac_vec(b) for b in sigma.base)
+    base = sigma.rs_root.base
     triples = {}
     frontier = []
     for t in zip(base, sigma.base_classes, eng.simple_matrices):
@@ -396,14 +397,14 @@ def test_engines_match_reference_closure(name):
     beng = build_affine(lgd)
     teng = build_tau_fixed(lgd, beng)
     # the tau-level simple matrices, with adjacency read off the form
-    breve_base = ech.sigma_breve.base
+    breve_base = ech.sigma_breve.rs_root.base
     mats = [_orbit_longest_matrix(
         orb, lambda i, j: vec_dot(breve_base[i], mat_vec(gram, breve_base[j])) != 0,
         beng.simple_matrices) for orb, _orth in ech.sigma0.rs_root.orbits]
     assert list(teng.simple_matrices) == mats, name
     for eng, sigma in ((beng, ech.sigma_breve), (teng, ech.sigma0)):
         pos, comps, walls = reference_engine_data(eng, sigma, gram)
-        assert eng.positive_roots == pos, name
+        assert fraction_rows(sigma.rs_root._den, eng._roots_int) == pos, name
         assert eng.components == comps, name
         assert [(k, (x.lam, x.w)) for k, x in eng.s_aff] == walls, name
 
@@ -468,7 +469,7 @@ def test_max_double_coset_matches_search(name):
                     (name, kind, lam)
             else:
                 assert lam == lgd.coinv.zero(), (name, kind, lam)
-                assert x.lam == lam and eng.length(x) == len(eng.positive_roots)
+                assert x.lam == lam and eng.length(x) == len(eng._rows)
             # every finite wall is a left and a right descent of x
             for s in walls:
                 assert eng.length(eng.multiply(s, x)) < eng.length(x)
@@ -489,9 +490,10 @@ def reference_length(eng, x):
     f = coinv.free_rank
     sections = [coinv.section_vector(coinv.element(
         tuple(int(j == i) for j in range(f)))) for i in range(f)]
-    positive = set(eng.positive_roots)
+    roots = eng.sigma.rs_root.positive_roots()
+    positive = set(roots)
     total = 0
-    for r in eng.positive_roots:
+    for r in roots:
         val = vec_dot(tuple(vec_dot(frac_vec(r), s) for s in sections), x.lam.free)
         if val.denominator != 1:
             raise TheoremViolation("pairing is not integral at %r" % (x.lam,))
@@ -734,22 +736,24 @@ def test_pairing_integrality_check_tau_fixed_su4():
     assert lgd.tau_endo(lam) != lam
     msg = "pairing is not integral at Coinv(free=(1, 0, 0))"
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
-        teng.pairing(teng.base_roots[0], lam)
+        teng._pair(teng._base_rows[0], lam)
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
         teng.length(AffineElement(lam, teng.e_mat))
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
         reference_length(teng, AffineElement(lam, teng.e_mat))
     fixed = lgd.coinv.element((1, 0, 1))
     assert lgd.tau_endo(fixed) == fixed
-    assert [teng.pairing(r, fixed) for r in teng.positive_roots] == [0, 1, 1, 2]
+    assert [teng._pair(row, fixed) for row in teng._rows] == [0, 1, 1, 2]
 
 
 def test_two_rho_check_refuses_a_non_dominant_sum():
     """The sign vectors need 2rho^vee to pair > 0 with every simple root."""
     lgd, beng = _engine("A2", "adjoint")
     sigma = lgd.echelonnage().sigma_breve
-    negated = SimpleNamespace(positive_roots=lambda: tuple(
-        tuple(-x for x in r) for r in sigma.rs_co.positive_roots()))
+    # the coroot system on the negated base: its positive coroots, and so
+    # their sum, are the negatives of those of Sigma_breve^vee
+    co = sigma.rs_co
+    negated = RootSystemV(tuple(tuple(-x for x in b) for b in co.base), co.gram)
     bad = SimpleNamespace(rs_root=sigma.rs_root, rs_co=negated,
                           base_classes=sigma.base_classes)
     with pytest.raises(TheoremViolation, match="2rho"):

@@ -4,6 +4,8 @@
 rename in `src/` would break `benchmarks/run.py --trace 1`.  The wrappers
 also read some call arguments (the closure key takes `base, gram, label`),
 so the child runs the folding layers of one preset through them.  The
+library builds its systems from int rows, so `folding.closure` (the
+rational `RootSystemV.__init__`) is called once explicitly.  The
 tracer patches the library globally, so it is installed in a child
 interpreter.
 """
@@ -40,6 +42,7 @@ lgd = load_preset("su3-ramified").lgd
 rep = folding.verify_duality(lgd.datum, lgd.inertia.group,
                              lgd.inertia.cochar_group)
 lgd.echelonnage()
+folding.RootSystemV(lgd.datum.simple_roots, lgd.datum.gram())
 summary = tracer.summary()
 print(json.dumps({"targets": len(TARGETS), "unwrapped": unwrapped,
                   "duality_ok": rep["ok"], "calls": summary["calls"],

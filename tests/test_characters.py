@@ -21,7 +21,7 @@ from rootfold.characters import (
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.folding import _ratio
 from rootfold.linalg import (
-    frac_vec,
+    fraction_rows,
     integral_rows,
     mat_mul,
     mat_transpose,
@@ -33,7 +33,7 @@ from rootfold.linalg import (
 )
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
-from fraction_linalg import gauss_solve
+from fraction_linalg import frac_vec, gauss_solve
 from test_affine import KL_LADDER
 from test_folding import folding_data
 
@@ -216,31 +216,35 @@ def box_freudenthal(rs, mu):
 
 
 def freudenthal_cases(lgd, bound):
-    """(system, mu) for Phi^vee, Sigma_breve^vee and the Knop fold, on the
-    dominant inputs up to `bound`."""
+    """(system, mu, den) for Phi^vee, Sigma_breve^vee and the Knop fold, on
+    the dominant inputs up to `bound`: the highest weight mu / den, mu an
+    int vector (the section of a class for the last two)."""
     h = FixedGroup(lgd)
     cases = []
     for mu in lgd.datum.dominant_cochars_up_to(bound, central_box=0):
-        cases.append((lgd.datum.coroot_system(), mu))
+        cases.append((lgd.datum.coroot_system(), mu, 1))
         lam = lgd.coinv.project(mu)
         if h.is_dominant(lam):
-            cases.append((h.system, h.section(lam)))
+            den, v = lgd.coinv.section(lam)
+            cases.append((h.system, v, den))
             if h.is_tau_fixed(lam):
-                cases.append((h.knop_co, h.section(lam)))
+                cases.append((h.knop_co, v, den))
     return cases
 
 
 def assert_freudenthal_matches_reference(lgd, bound):
-    for rs, mu in freudenthal_cases(lgd, bound):
-        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, mu)
-        assert freudenthal(rs, mu) == ref, (lgd.label, rs, mu)
+    for rs, mu, den in freudenthal_cases(lgd, bound):
+        q = fraction_rows(den, (mu,))[0]
+        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, q)
+        assert freudenthal(rs, mu, den) == ref, (lgd.label, rs, q)
 
 
 def assert_freudenthal_matches_box(lgd, bound):
     """The same dict in the same order as the box recursion."""
-    for rs, mu in freudenthal_cases(lgd, bound):
-        assert list(freudenthal(rs, mu).items()) == \
-            list(box_freudenthal(rs, mu).items()), (lgd.label, rs, mu)
+    for rs, mu, den in freudenthal_cases(lgd, bound):
+        q = fraction_rows(den, (mu,))[0]
+        assert list(freudenthal(rs, mu, den).items()) == \
+            list(box_freudenthal(rs, q).items()), (lgd.label, rs, q)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -289,9 +293,11 @@ def test_freudenthal_matches_reference_on_kl_ladder(name, vec):
     h = FixedGroup(lgd)
     lam = lgd.coinv.project(vec)
     assert h.is_dominant(lam) and h.is_tau_fixed(lam)
+    den, v = lgd.coinv.section(lam)
     for rs in (h.system, h.knop_co):
-        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram, h.section(lam))
-        assert freudenthal(rs, h.section(lam)) == ref, (name, rs)
+        ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram,
+                                    lgd.coinv.section_vector(lam))
+        assert freudenthal(rs, v, den) == ref, (name, rs)
 
 
 def test_adjoint_zero_multiplicity():
@@ -518,12 +524,8 @@ def test_errors():
 
 def test_convenience_surfaces():
     from rootfold.characters import FixedGroup, twining_character
-    from rootfold.rootdata import invariant_inner_product, AutomorphismAction
     d = build_datum("A2", "simply_connected")
     m = diagram_automorphism(d, flip(2))
-    act = AutomorphismAction(d, [m])
-    G = invariant_inner_product(d, act)
-    assert G == d.gram()
     lgd = LocalGroupDatum(d, (m,), None, label="ram")
     h = FixedGroup(lgd)
     assert h.sigma.rs_co.classify() == "A1"

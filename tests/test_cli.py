@@ -221,10 +221,23 @@ def test_broken_pipe_exits_quietly(monkeypatch, capsys):
 
 
 def test_malformed_permutation_exit_2(capsys):
-    code, _out, err = run(capsys, "echelonnage", "--type", "A2",
-                          "--tau", "0,0")
-    assert code == 2
-    assert "error" in err
+    # anything but a permutation of 0..r-1 is refused before it indexes the
+    # simple roots; negative indices do not wrap
+    cases = [
+        (("echelonnage", "--type", "A2", "--tau", "0,0"), "--tau", "0,0", 2),
+        (("fold", "--type", "A2", "--tau", "2,3"), "--tau", "2,3", 2),
+        (("fold", "--type", "A2", "--tau=-1,0"), "--tau", "-1,0", 2),
+        (("fold", "--type", "A2", "--inertia", "0,1,2"), "--inertia", "0,1,2", 2),
+        (("fold", "--type", "A3", "--inertia", "2,1,0", "--tau", "1,0"),
+         "--tau", "1,0", 3),
+    ]
+    for argv, option, value, count in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.strip() == (
+            "input error: %s %s is not a permutation of 0..%d, the indices of "
+            "the %d simple roots" % (option, value, count - 1, count)), argv
     code, _out, err = run(capsys, "adm", "--preset", "split-a1", "--mu", "-1")
     assert code == 2
 
@@ -278,6 +291,32 @@ def test_datum_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "echelonnage", "--datum", str(path))
     assert code == 0
     assert json.loads(out)["sigma_breve"] == "A2"
+
+
+def test_input_files_exit_2(tmp_path, monkeypatch, capsys):
+    """An input file that is missing, not a JSON object or short of a key
+    is bad input: exit 2 naming the option, the file and the key."""
+    files = {"rank_only.json": {"rank": 2}, "list.json": [1, 2],
+             "no_datum.json": {"name": "x"}}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "broken.json").write_text("{")
+    cases = [
+        (("fold", "--datum", "missing.json"), "--datum missing.json: No such file or directory"),
+        (("fold", "--datum", "rank_only.json"), "--datum rank_only.json: missing key 'simple_roots'"),
+        (("fold", "--datum", "list.json"), "--datum list.json: expected a JSON object, got list"),
+        (("fold", "--datum", "broken.json"), "--datum broken.json: not JSON: "),
+        (("testfn", "--config", "missing.json", "--mu", "0,0"),
+         "--config missing.json: No such file or directory"),
+        (("testfn", "--config", "no_datum.json", "--mu", "0,0"),
+         "--config no_datum.json: missing key 'datum'"),
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("input error: " + message), (argv, err)
 
 
 def test_datum_not_finite_type_exit_2(tmp_path, capsys):

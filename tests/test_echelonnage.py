@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.folding import RootSystemV
-from rootfold.linalg import vec_scale
+from rootfold.linalg import fraction_rows, vec_scale
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from test_folding import from_datum
 
 
 def flip(r):
@@ -24,7 +24,7 @@ def _lgd(cartan, iso, inertia_perms=(), tau_perm=None, label=""):
 def test_split_prs():
     lgd = _lgd("B2", "simply_connected", label="split")
     ech = lgd.echelonnage()
-    char = RootSystemV.from_datum(lgd.datum)
+    char = from_datum(lgd.datum)
     assert set(ech.sigma_breve.rs_root.roots) == set(char.roots)
     assert ech.special == frozenset()
     assert set(ech.parameter_function().values()) == {1}
@@ -42,7 +42,7 @@ def test_su3_unramified():
     assert ech.parameter_function() == {("fin", 0): 3, ("aff", 0): 1}
     # Knop root is half the Sigma_0 root
     assert ech.sigma0_tilde_root.base[0] == vec_scale(Fraction(1, 2),
-                                                      ech.sigma0.base[0])
+                                                      ech.sigma0.rs_root.base[0])
 
 
 def test_su5_unramified():
@@ -128,7 +128,7 @@ def test_macdonald_membership():
                  ("A3", "adjoint", (), flip(3))):
         lgd = _lgd(args[0], args[1], args[2], args[3], label="m")
         ech = lgd.echelonnage()
-        s1 = set(ech.sigma1)
+        s1 = set(fraction_rows(*ech.sigma1))
         for k, a in enumerate(ech.sigma0.rs_root.base):
             assert ((tuple(vec_scale(Fraction(1, 2), a)) in s1)
                     == (k in ech.special))
@@ -136,7 +136,7 @@ def test_macdonald_membership():
     # system, discarding halves gives Sigma_0
     lgd = _lgd("A2", "simply_connected", (), flip(2), label="m2")
     ech = lgd.echelonnage()
-    s1 = set(ech.sigma1)
+    s1 = set(fraction_rows(*ech.sigma1))
     red_lower = {a for a in s1 if tuple(vec_scale(Fraction(1, 2), a)) not in s1}
     red_upper = {a for a in s1 if tuple(vec_scale(2, a)) not in s1}
     assert red_lower == set(ech.sigma0_tilde_root.roots)

@@ -19,9 +19,9 @@ from rootfold.folding import (
     verify_duality,
 )
 from rootfold.echelonnage import TheoremViolation
-from rootfold.lattice import ResourceCap, average, group_closure
+from rootfold.lattice import ResourceCap, group_closure
 from rootfold.linalg import (
-    frac_vec,
+    fraction_rows,
     identity_matrix,
     mat_integer_inverse,
     mat_mul,
@@ -38,7 +38,19 @@ from rootfold.rootdata import (
     build_datum,
     diagram_automorphism,
 )
+from fraction_linalg import average, frac_vec
 from test_rootdata import cartan_data
+
+
+def from_datum(d):
+    """Phi of the datum, closed afresh from its simple roots and its form."""
+    return RootSystemV(d.simple_roots, d.gram(), label=d.label)
+
+
+def dual_from_datum(d):
+    """Phi^vee of the datum, closed afresh from its simple coroots and the
+    induced form."""
+    return RootSystemV(d.simple_coroots, d.gram_star(), label=d.label + "^" if d.label else "")
 
 
 def flip(r):
@@ -98,7 +110,7 @@ def test_a2n_flip_example():
     # the A_{2n} example: res/res'/N/N' give B_n/C_n/B_n/C_n
     for n in (1, 2, 3):
         d, act = _setup("A%d" % (2 * n), flip(2 * n))
-        rs = RootSystemV.from_datum(d)
+        rs = from_datum(d)
         got = {op: fold(rs, act.group, op).type_label()
                for op in ("res", "resprime", "N", "Nprime")}
         assert got == {"res": "B%d" % n, "resprime": "C%d" % n,
@@ -108,7 +120,7 @@ def test_a2n_flip_example():
 def test_a4_flip_bases():
     # explicit middle-orbit doubling: N' doubles exactly the middle fold
     d, act = _setup("A4", flip(4))
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     N = fold(rs, act.group, "N")
     Np = fold(rs, act.group, "Nprime")
     res = fold(rs, act.group, "res")
@@ -122,7 +134,7 @@ def test_a4_flip_bases():
 
 def test_trivial_group_identity():
     d = build_datum("B2")
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     triv = (identity_matrix(2),)
     for op in ("res", "resprime", "N", "Nprime"):
         f = fold(rs, triv, op)
@@ -132,7 +144,7 @@ def test_trivial_group_identity():
 
 def test_d4_triality():
     d, act = _setup("D4", (2, 1, 3, 0), iso="simply_connected")
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     outs = {op: fold(rs, act.group, op) for op in OP_TAGS}
     for op, f in outs.items():
         assert f.type_label() == "G2"
@@ -144,12 +156,12 @@ def test_d4_triality():
 
 def test_orbit_orthogonality():
     d, act = _setup("A4", flip(4))
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     # the outer orbit {e1-e2, e4-e5} is orthogonal, the middle pair is not
     for op in OP_TAGS:
         assert fold(rs, act.group, op).orbits == (((0, 3), True), ((1, 2), False))
     # the same pattern on the coroot side
-    rs_co = RootSystemV.dual_from_datum(d)
+    rs_co = dual_from_datum(d)
     assert fold(rs_co, act.cochar_group, "res").orbits == \
         (((0, 3), True), ((1, 2), False))
 
@@ -162,8 +174,8 @@ def test_averaging_lemma():
                                                         "adjoint")]
     for cartan, perm, iso in cases:
         d, act = _setup(cartan, perm, iso)
-        rs = RootSystemV.from_datum(d)
-        rs_co = RootSystemV.dual_from_datum(d)
+        rs = from_datum(d)
+        rs_co = dual_from_datum(d)
         iota = d.gram_star()
         orth_of = {i: orth for orb, orth in fold(rs, act.group, "N").orbits
                    for i in orb}
@@ -196,19 +208,19 @@ def test_dual_mismatch_reports_base():
     d, act = _setup("A4", flip(4))
     lhs = fold(d.coroot_system(), act.cochar_group, "res")
     assert dual_mismatch(lhs, fold(d.root_system(), act.group, "Nprime"),
-                         d.gram_star()) == ()
+                         d._gram_star_pair) == ()
     assert dual_mismatch(lhs, fold(d.root_system(), act.group, "N"),
-                         d.gram_star()) == ("base", "roots")
+                         d._gram_star_pair) == ("base", "roots")
 
 
 def test_weyl_group_orders_match():
     d, act = _setup("A4", flip(4))
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     orders = {weyl_order(fold(rs, act.group, op))
               for op in ("res", "resprime", "N", "Nprime")}
     assert orders == {8}  # |W(B2)|
     d4, act4 = _setup("D4", (2, 1, 3, 0), iso="simply_connected")
-    rs4 = RootSystemV.from_datum(d4)
+    rs4 = from_datum(d4)
     assert weyl_order(fold(rs4, act4.group, "res")) == 12  # |W(G2)|
 
 
@@ -216,7 +228,7 @@ def test_normalization_independence():
     # rescaling the invariant form must not change the classification or
     # the orthogonality pattern
     d, act = _setup("A4", flip(4))
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     scaled = RootSystemV(d.simple_roots,
                          tuple(tuple(5 * x for x in row) for row in d.gram()))
     for op in ("res", "resprime", "N", "Nprime"):
@@ -229,7 +241,7 @@ def test_normalization_independence():
 def test_folded_systems_are_root_systems():
     # reflection closure and Cartan integrality, checked constructively
     d, act = _setup("A6", flip(6), iso="simply_connected")
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     for op in ("res", "resprime", "N", "Nprime"):
         f = fold(rs, act.group, op)
         roots = set(f.roots)
@@ -242,7 +254,7 @@ def test_folded_systems_are_root_systems():
 def test_base_preservation_error():
     from rootfold.lattice import MalformedAction
     d = build_datum("A2", "adjoint")
-    rs = RootSystemV.from_datum(d)
+    rs = from_datum(d)
     bad = ((0, -1), (-1, 0))  # sends simple roots to negatives
     with pytest.raises(MalformedAction):
         fold(rs, group_closure([bad]), "res")
@@ -431,16 +443,17 @@ def test_generator_orbits_match_full_group(name):
 
 def test_sigma_breve_folds_built_once(monkeypatch):
     """theorem-A(inertia) and echelonnage() both fold Phi by N' and Phi^vee
-    by res under the inertia; on a fresh preset each fold is built once."""
+    by res under the inertia; on a fresh preset each fold is built once
+    (`fold` builds from int rows, through `FoldedRootSystem._closed`)."""
     from rootfold.verify import Verifier
     built = []
-    orig = FoldedRootSystem.__init__
+    orig = FoldedRootSystem._closed
 
-    def counted(self, base, gram, op, orbits, label=""):
+    def counted(cls, base, gram, label=""):
         built.append(label)
-        orig(self, base, gram, op, orbits, label=label)
+        return orig(base, gram, label)
 
-    monkeypatch.setattr(FoldedRootSystem, "__init__", counted)
+    monkeypatch.setattr(FoldedRootSystem, "_closed", classmethod(counted))
     preset = Preset("su3-ramified", _load_raw("su3-ramified"))
     Verifier()._theorem_a("su3-ramified", preset)
     d = preset.datum
@@ -462,7 +475,7 @@ def test_shared_systems_reuse_datum_closure(name, monkeypatch):
     import rootfold.folding as folding
     p = load_preset(name).datum
     d = BasedRootDatum(p.simple_roots, p.simple_coroots, p.rank, label=p.label)
-    char, cochar = RootSystemV.from_datum(d), RootSystemV.dual_from_datum(d)
+    char, cochar = from_datum(d), dual_from_datum(d)
 
     def closed_again(_cartan):
         raise AssertionError("the datum's Cartan matrix was closed again")
@@ -479,11 +492,11 @@ def test_shared_systems_reuse_datum_closure(name, monkeypatch):
 def test_shared_systems_reject_a_form_of_another_type():
     """A form whose Cartan matrix is not the datum's is an internal fault."""
     d = build_datum("B2")
-    d._gram = identity_matrix(2)
+    d._gram_pair = (1, identity_matrix(2))
     with pytest.raises(TheoremViolation, match="the form gives Cartan matrix"):
         d.root_system()
     d = build_datum("B2")
-    d._gram_star = identity_matrix(2)
+    d._gram_star_pair = (1, identity_matrix(2))
     with pytest.raises(TheoremViolation, match="the form gives Cartan matrix"):
         d.coroot_system()
 
@@ -514,7 +527,7 @@ def test_closure_cap(monkeypatch):
     with pytest.raises(ResourceCap):
         build_datum("A3")
     with pytest.raises(ResourceCap):
-        RootSystemV.from_datum(d)
+        from_datum(d)
 
 
 def test_one_closure_per_cartan_matrix(monkeypatch):
@@ -618,10 +631,11 @@ def test_int_systems_match_references_property(data):
              for op in OP_TAGS}
     for res_op, norm_op in (("res", "Nprime"), ("resprime", "N"),
                             ("res", "N"), ("resprime", "Nprime")):
-        for res, norm, carry in ((folds[res_op][1], folds[norm_op][0], d.gram_star()),
-                                 (folds[res_op][0], folds[norm_op][1], d.gram())):
+        for res, norm, carry in ((folds[res_op][1], folds[norm_op][0], d._gram_star_pair),
+                                 (folds[res_op][0], folds[norm_op][1], d._gram_pair)):
             assert dual_mismatch(res, norm, carry) == \
-                reference_dual_mismatch(res, norm, carry), (d.label, res_op, norm_op)
+                reference_dual_mismatch(res, norm, fraction_rows(*carry)), \
+                (d.label, res_op, norm_op)
 
 
 @settings(max_examples=20, deadline=None)
@@ -642,12 +656,13 @@ def test_dual_mismatch_compares_roots_on_their_own():
     lhs = fold(d.coroot_system(), act.cochar_group, "res")
     norm = fold(d.root_system(), act.group, "Nprime")
     c = max(norm.coords.values())  # the highest root, not simple
-    short = RootSystemV.from_closure(norm.base, norm.gram, norm.cartan(),
+    short = RootSystemV.from_closure((norm._den, norm._base_int),
+                                     (norm._gram_den, norm._gram_int), norm.cartan(),
                                      set(norm.coords.values()) - {c, tuple(-x for x in c)},
                                      label=norm.label)
     assert short.base == norm.base and len(short.roots) == len(norm.roots) - 2
-    assert dual_mismatch(lhs, norm, d.gram_star()) == ()
-    assert dual_mismatch(lhs, short, d.gram_star()) == ("roots",)
+    assert dual_mismatch(lhs, norm, d._gram_star_pair) == ()
+    assert dual_mismatch(lhs, short, d._gram_star_pair) == ("roots",)
     assert reference_dual_mismatch(lhs, short, d.gram_star()) == ("roots",)
 
 

@@ -12,7 +12,6 @@ from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import (
     adjugate,
     coordinates,
-    frac_vec,
     hermite_row_basis,
     identity_matrix,
     integer_solver,
@@ -32,7 +31,7 @@ from rootfold.linalg import (
 )
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import _budget_walk
-from fraction_linalg import gauss_jordan, gauss_solve, solve_integer
+from fraction_linalg import frac_vec, gauss_jordan, gauss_solve, solve_integer
 from test_rootdata import cartan_data, reference_dominance_leq, reference_weight_set
 
 small_mat = st.integers(1, 4).flatmap(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
-    frac_vec,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -34,7 +33,7 @@ from rootfold.rootdata import (
     UndeterminedAutomorphism,
     unitary_dual_action,
 )
-from fraction_linalg import gauss_jordan, gauss_solve, solve_integer
+from fraction_linalg import frac_vec, gauss_jordan, gauss_solve, solve_integer
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30, "A6": 42,
@@ -189,8 +188,10 @@ def test_weyl_orbits():
 
 def test_automorphism_validation():
     d = build_datum("A2", "adjoint")
-    with pytest.raises(MalformedAction):
-        diagram_automorphism(d, (0, 0))
+    for perm in ((0, 0), (2, 3), (-1, 0), (0, 1, 2), (1,)):
+        with pytest.raises(MalformedAction, match="is not a permutation of 0..1, "
+                           "the indices of the 2 simple roots"):
+            diagram_automorphism(d, perm)
     with pytest.raises(MalformedAction):
         # not a diagram automorphism of B2
         diagram_automorphism(build_datum("B2"), (1, 0))
