@@ -28,19 +28,35 @@ from .linalg import (
 )
 
 
+# (system value, mu, den) -> the Freudenthal table; the tables are never
+# changed, so two threads racing on one key only compute it twice.
+_TABLES = {}
+
+
 def freudenthal(rs, mu, den=1):
     """Weight multiplicities of the irrep with highest weight mu / den (mu
     an int vector) for the root system rs (a RootSystemV).
 
     Returns {c: multiplicity} over coefficient tuples c >= 0 with
     nu = mu / den - sum_i c_i rs.base[i], listing exactly the weights
-    (positive multiplicity) by increasing height sum(c), then by c.  All
-    arithmetic is exact and runs over base coordinates in ints: with
-    x = sum_i c_i b_i, every inner product in Freudenthal's formula is a
-    combination of (b_i|b_j), (mu|b_i) and (rho|b_i), each scaled to an int
-    by one common factor, which cancels in the quotient.  Dominance is read
-    from <nu, b_i^vee> = <mu, b_i^vee> - sum_j c_j C[i][j] for the Cartan
-    matrix C of rs.
+    (positive multiplicity) by increasing height sum(c), then by c.  The
+    table depends on rs only through its value `rs._value`, so it is built
+    once per process for each (value, mu, den) and kept in `_TABLES`; the
+    dict returned is shared, and read-only to callers."""
+    key = (rs._value, tuple(mu), den)
+    out = _TABLES.get(key)
+    if out is None:
+        out = _TABLES.setdefault(key, _freudenthal(rs, mu, den))
+    return out
+
+
+def _freudenthal(rs, mu, den):
+    """The table of `freudenthal`.  All arithmetic is exact and runs over
+    base coordinates in ints: with x = sum_i c_i b_i, every inner product
+    in Freudenthal's formula is a combination of (b_i|b_j), (mu|b_i) and
+    (rho|b_i), each scaled to an int by one common factor, which cancels in
+    the quotient.  Dominance is read from <nu, b_i^vee> = <mu, b_i^vee> -
+    sum_j c_j C[i][j] for the Cartan matrix C of rs.
 
     The dominant weights are found by walking down from mu by positive
     roots alpha while staying dominant, which lowers <nu, b_i^vee> by the
@@ -139,26 +155,22 @@ class WeightTable:
 class DualGroup:
     """The dual group of the datum: root system Phi^vee in X_* (x) Q.
 
-    Weight tables and trace tables are memoized in per-instance dicts;
-    confine an instance to one thread or guard access externally.  The
-    folds of Phi^vee that the trace tables read are memoized by
-    `folding.fold` on the datum's shared system, so every instance on one
-    datum builds each fold once."""
+    Trace tables are memoized in a per-instance dict; confine an instance
+    to one thread or guard access externally.  The folds of Phi^vee and the
+    Freudenthal tables that the weight and trace tables read are built once
+    per process for each value (`folding.fold`, `freudenthal`), so they are
+    shared by every instance and every value-equal datum."""
 
     def __init__(self, datum):
         self.datum = datum
         self.system = datum.coroot_system()
-        self._tables = {}
         self._trace_tables = {}
 
     def weight_table(self, mu):
         mu = tuple(mu)
-        if mu not in self._tables:
-            if not self.datum.is_dominant_cochar(mu):
-                raise ValueError("mu must be dominant")
-            tbl = freudenthal(self.system, mu)
-            self._tables[mu] = WeightTable(self.system, mu, tbl)
-        return self._tables[mu]
+        if not self.datum.is_dominant_cochar(mu):
+            raise ValueError("mu must be dominant")
+        return WeightTable(self.system, mu, freudenthal(self.system, mu))
 
     def weight_multiplicity(self, mu, nu):
         nu = tuple(nu)

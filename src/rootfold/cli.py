@@ -17,6 +17,7 @@ from fractions import Fraction
 
 # each cmd_* imports the modules only it needs, so a one-shot query loads
 # (and, without bytecode caches, compiles) no more of rootfold than it uses
+from .jsoninput import MalformedInput
 from .lattice import MalformedAction, ResourceCap, TheoremViolation
 from .presets import Preset, PresetError, load_preset, preset_names
 from .rootdata import NotAPermutation, UndeterminedAutomorphism
@@ -76,9 +77,12 @@ def _check_mu(lgd, mu):
         raise PresetError("--mu (%s) is not %s" % (_fmt_vec(mu), failed))
 
 
-def _read_json(option, path, keys):
-    """The JSON object with the top-level `keys` in the file given to
-    `option`; otherwise PresetError naming the option and the file."""
+def _read_json(option, path, keys, build):
+    """build(data) for the JSON object `data`, with the top-level `keys`, in
+    the file given to `option`.  PresetError naming the option and the file
+    when the file does not read or holds no such object, or when `build`
+    meets a value of the wrong type or shape in it (MalformedInput, which
+    names the key)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -92,7 +96,10 @@ def _read_json(option, path, keys):
     for key in keys:
         if key not in data:
             raise PresetError("%s %s: missing key %r" % (option, path, key))
-    return data
+    try:
+        return build(data)
+    except MalformedInput as exc:
+        raise PresetError("%s %s: %s" % (option, path, exc)) from None
 
 
 def _emit(args, payload, tsv_rows=None, tsv_header=None):
@@ -110,13 +117,19 @@ def _load_lgd(args):
     if args.preset:
         return load_preset(args.preset)
     if getattr(args, "datum", None):
-        raw = {"datum": {"explicit": _read_json(
-            "--datum", args.datum, ("rank", "simple_roots", "simple_coroots"))}}
-    elif args.type:
-        raw = {"datum": {"cartan_type": args.type, "isogeny": args.isogeny}}
-    else:
-        raise PresetError("give --preset, --type, or --datum")
-    raw["inertia"] = [{"perm": _parse_vec(p)} for p in (args.inertia or [])]
+        return _read_json("--datum", args.datum,
+                          ("rank", "simple_roots", "simple_coroots"),
+                          lambda data: _build_lgd(args, {"explicit": data}))
+    if args.type:
+        return _build_lgd(args, {"cartan_type": args.type, "isogeny": args.isogeny})
+    raise PresetError("give --preset, --type, or --datum")
+
+
+def _build_lgd(args, datum):
+    """The preset on the datum spec `datum` with the --inertia/--tau
+    permutations."""
+    raw = {"datum": datum,
+           "inertia": [{"perm": _parse_vec(p)} for p in (args.inertia or [])]}
     if args.tau:
         raw["frobenius"] = {"perm": _parse_vec(args.tau)}
     try:
@@ -278,8 +291,8 @@ def cmd_testfn(args):
     if args.j < 1:
         raise PresetError("--j must be at least 1, got %d" % args.j)
     if args.config:
-        raw = _read_json("--config", args.config, ("datum",))
-        preset = Preset(raw.get("name", "config"), raw)
+        preset = _read_json("--config", args.config, ("datum",),
+                            lambda raw: Preset(raw.get("name", "config"), raw))
     else:
         preset = load_preset(args.preset)
     mu = _parse_cochar(args.mu, preset.datum, "--mu")

@@ -13,12 +13,13 @@ once, and builds Fractions only where a caller reads them.
 An automorphism acts on a based system only through the permutation of
 simple-root indices it induces (`base_permutation`), so the operations take
 generators of a group and read its orbits on the base as the connected
-components of their permutations; each fold is built once per source system.
-An orbit is orthogonal exactly when the source Cartan matrix vanishes on
-each pair in it, since C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a
-duality identity are compared by `dual_mismatch`, which carries the dual
-base of one side across by the invariant form (`gram` or its inverse
-`gram_star`) and rebuilds the carried roots from their coroot coordinates.
+components of their permutations; each fold is built once per process for
+each value of its source system.  An orbit is orthogonal exactly when the
+source Cartan matrix vanishes on each pair in it, since C[i][j] =
+2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are compared by
+`dual_mismatch`, which carries the dual base of one side across by the
+invariant form (`gram` or its inverse `gram_star`) and rebuilds the carried
+roots from their coroot coordinates.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ def cartan_of_gram(base_gram):
                  for i, row in enumerate(base_gram))
 
 
-# Cartan matrix -> the frozenset of its roots' coordinates.  The values are
-# immutable, so two threads racing on one key only compute it twice.
+# Cartan matrix -> the frozenset of its roots' coordinates, and (source
+# system value, op, orbits) -> its fold.  The values are never changed, so
+# two threads racing on one key only compute it twice.
 _CLOSURES = {}
+_FOLDS = {}
 
 
 def cartan_closure(cartan):
@@ -111,10 +114,12 @@ class RootSystemV:
     matrix C[i][j] = <b_j, b_i^vee>.  The closure runs in simple-root
     coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection
     Groups and Coxeter Groups, 1.5).  `_coords` lists the coordinates of the
-    roots, ordered as their ambient vectors.  `__init__` converts rational
-    input; builds inside the library pass `(den, int rows)` pairs.  Fraction
-    views are built on first read: `base`, `gram`, `roots` (sorted),
-    `coords[r]` and `positive_roots()`.  A system is never changed.
+    roots, ordered as their ambient vectors.  `_value`, the tuple (_den,
+    _base_int, _gram_den, _gram_int), determines the system.  `__init__`
+    converts rational input; builds inside the library pass `(den, int
+    rows)` pairs.  Fraction views are built on first read: `base`, `gram`,
+    `roots` (sorted), `coords[r]` and `positive_roots()`.  A system is
+    never changed.
     """
 
     def __init__(self, base, gram, label=""):
@@ -144,9 +149,9 @@ class RootSystemV:
 
     def _set_base(self, base, gram, label):
         self.label = label
-        self._folds = {}
         self._den, self._base_int = lowest_terms(*base)
         self._gram_den, self._gram_int = lowest_terms(*gram)
+        self._value = (self._den, self._base_int, self._gram_den, self._gram_int)
         gram_base = [mat_vec(self._gram_int, b) for b in self._base_int]
         self._base_gram = tuple(tuple(vec_dot(u, gv) for gv in gram_base)
                                 for u in self._base_int)
@@ -309,14 +314,17 @@ def fold(rs, generators, op):
     restriction is computed as the orbit average (the image of res under the
     averaging identification).  Orbit sums are taken on the int rows of the
     base, over the denominator times k, the lcm of the averaged orbits'
-    sizes.  The result depends on the group only through its orbits, so it
-    is memoized on `rs`, keyed by the operation and the orbits."""
+    sizes.  The result depends on the source only through its value and on
+    the group only through its orbits, so it is built once per process for
+    each (value, operation, orbits) and kept in `_FOLDS`; value-equal
+    sources share it, whatever their labels."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
     orbits = base_orbits(rs, generators)
-    key = (op, orbits)
-    if key in rs._folds:
-        return rs._folds[key]
+    key = (rs._value, op, orbits)
+    out = _FOLDS.get(key)
+    if out is not None:
+        return out
     cart = rs._cartan
     sizes = [len(orb) if op in ("res", "resprime") else 1 for orb in orbits]
     k = lcm(*sizes)
@@ -329,10 +337,10 @@ def fold(rs, generators, op):
         num = (1 if orth or op in ("N", "res") else 2) * (k // size)
         rows.append(tuple(num * x for x in total))
         meta.append((orb, orth))
-    out = rs._folds[key] = FoldedRootSystem._closed(
+    out = FoldedRootSystem._closed(
         (rs._den * k, rows), (rs._gram_den, rs._gram_int), "%s_%s" % (op, rs.label))
     out.op, out.orbits = op, tuple(meta)
-    return out
+    return _FOLDS.setdefault(key, out)
 
 
 def dual_mismatch(res_side, norm_side, carry):

@@ -11,6 +11,7 @@ import json
 import os
 
 from .echelonnage import LocalGroupDatum
+from .jsoninput import MalformedInput, json_field, json_int_rows, json_ints
 from .rootdata import (
     BasedRootDatum,
     build_datum,
@@ -41,37 +42,52 @@ def _load_raw(name):
         return json.load(fh)
 
 
-def _build_base_datum(spec):
+# The raw preset is JSON: every value read below is checked for its type
+# and shape first (MalformedInput names the key).
+
+def _build_base_datum(raw):
+    spec = json_field(raw, "datum", dict)
     if "cartan_type" in spec:
-        return build_datum(spec["cartan_type"], spec.get("isogeny", "adjoint"))
+        return build_datum(json_field(spec, "cartan_type", str),
+                           json_field(spec, "isogeny", str, "adjoint"))
     if "gl" in spec:
-        return gl_datum(int(spec["gl"]))
+        n = json_field(spec, "gl", int)
+        if n < 1:
+            raise MalformedInput("gl", "expected a positive integer, got %d" % n)
+        return gl_datum(n)
     if "explicit" in spec:
-        return BasedRootDatum.from_json(spec["explicit"])
+        return BasedRootDatum.from_json(json_field(spec, "explicit", dict))
     raise PresetError("datum spec must give cartan_type, gl, or explicit")
 
 
-def _resolve_automorphism(datum, spec):
+def _resolve_automorphism(datum, spec, key):
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise MalformedInput(key, "expected an automorphism object, got %s"
+                             % type(spec).__name__)
     if "perm" in spec:
-        return diagram_automorphism(datum, tuple(int(i) for i in spec["perm"]))
+        return diagram_automorphism(datum, json_ints(spec, "perm"))
     if "unitary_dual" in spec:
         return unitary_dual_action(datum.rank)
     if "matrix" in spec:
-        m = tuple(tuple(int(x) for x in row) for row in spec["matrix"])
+        m = json_int_rows(spec, "matrix", datum.rank)
+        if len(m) != datum.rank:
+            raise MalformedInput("matrix", "%d rows, expected %d (the rank)"
+                                 % (len(m), datum.rank))
         pinned_cochar(datum, m)  # validate
         return m
     raise PresetError("automorphism spec must give perm, matrix, or unitary_dual")
 
 
 def _parse_overrides(raw):
+    overrides = json_field(raw, "overrides", dict, {})
     out = {}
-    for key, val in (raw or {}).items():
+    for key in overrides:
         kind, _, idx = key.partition(":")
-        if kind not in ("fin", "aff"):
+        if kind not in ("fin", "aff") or not idx.isdigit():
             raise PresetError("override keys look like fin:0 or aff:0")
-        out[(kind, int(idx))] = int(val)
+        out[(kind, int(idx))] = json_field(overrides, key, int)
     return out
 
 
@@ -79,17 +95,18 @@ class Preset:
     def __init__(self, name, raw):
         self.name = name
         self.description = raw.get("description", "")
-        self.datum = _build_base_datum(raw["datum"])
-        gens = tuple(_resolve_automorphism(self.datum, g)
-                     for g in raw.get("inertia", []))
-        frob = _resolve_automorphism(self.datum, raw.get("frobenius"))
+        self.datum = _build_base_datum(raw)
+        gens = tuple(_resolve_automorphism(self.datum, g, "inertia")
+                     for g in json_field(raw, "inertia", list, []))
+        frob = _resolve_automorphism(self.datum, raw.get("frobenius"), "frobenius")
         self.lgd = LocalGroupDatum(self.datum, gens, frob, label=name)
-        self.overrides = _parse_overrides(raw.get("overrides"))
+        self.overrides = _parse_overrides(raw)
         self.kl_check = bool(raw.get("kl_check", False))
         self.raw = raw
         if "tower_small_inertia" in raw:
-            self.tower_small = tuple(_resolve_automorphism(self.datum, g)
-                                     for g in raw["tower_small_inertia"])
+            self.tower_small = tuple(
+                _resolve_automorphism(self.datum, g, "tower_small_inertia")
+                for g in json_field(raw, "tower_small_inertia", list))
         else:
             self.tower_small = None
 

@@ -13,6 +13,7 @@ import itertools
 from functools import cached_property
 
 from .folding import RootSystemV, cartan_closure
+from .jsoninput import MalformedInput, json_field, json_int_rows
 from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
     adjugate,
@@ -258,13 +259,39 @@ def _budget_walk(heights, bound):
     return walk(0, bound)
 
 
-class BasedRootDatum:
-    """A based root datum with explicit integer root and coroot vectors."""
+# (simple roots, simple coroots, rank, label) -> the one datum with them.
+# A datum is never changed after its build, so threads racing on a first
+# build each build the same value and `setdefault` keeps one.
+_DATA = {}
 
-    def __init__(self, simple_roots, simple_coroots, rank, label=""):
+
+class BasedRootDatum:
+    """A based root datum with explicit integer root and coroot vectors.
+
+    Data are interned: the constructor returns the one object built for its
+    arguments (`_DATA`), so value-equal data share Phi, Phi^vee, their folds
+    and every memo below."""
+
+    def __new__(cls, simple_roots, simple_coroots, rank, label=""):
+        key = (tuple(map(tuple, simple_roots)), tuple(map(tuple, simple_coroots)),
+               rank, label)
+        out = _DATA.get(key)
+        if out is None:
+            out = super().__new__(cls)
+            out._build(*key)
+            out = _DATA.setdefault(key, out)
+        return out
+
+    def __reduce__(self):
+        # unpickling and copying go through the constructor, so they return
+        # the interned datum
+        return BasedRootDatum, (self.simple_roots, self.simple_coroots, self.rank,
+                                self.label)
+
+    def _build(self, simple_roots, simple_coroots, rank, label):
         self.rank = rank
-        self.simple_roots = tuple(map(tuple, simple_roots))
-        self.simple_coroots = tuple(map(tuple, simple_coroots))
+        self.simple_roots = simple_roots
+        self.simple_coroots = simple_coroots
         self.label = label
         n = len(self.simple_roots)
         self.cartan = tuple(
@@ -551,12 +578,17 @@ class BasedRootDatum:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            tuple(tuple(int(x) for x in v) for v in data["simple_roots"]),
-            tuple(tuple(int(x) for x in v) for v in data["simple_coroots"]),
-            int(data["rank"]),
-            label=data.get("label", ""),
-        )
+        """The datum of a `to_json` object; MalformedInput, naming the key,
+        for a value of the wrong type or shape."""
+        rank = json_field(data, "rank", int)
+        if rank < 1:
+            raise MalformedInput("rank", "expected a positive integer, got %d" % rank)
+        roots = json_int_rows(data, "simple_roots", rank)
+        coroots = json_int_rows(data, "simple_coroots", rank)
+        if len(coroots) != len(roots):
+            raise MalformedInput("simple_coroots", "%d rows, expected %d (one per "
+                                 "simple root)" % (len(coroots), len(roots)))
+        return cls(roots, coroots, rank, label=json_field(data, "label", str, ""))
 
 
 def build_datum(cartan_type, isogeny="adjoint"):

@@ -285,6 +285,27 @@ def test_freudenthal_rejects_a_weight_that_is_not_dominant():
             freudenthal(rs, mu)
 
 
+def test_freudenthal_table_shared_by_value(fresh_tables):
+    """Value-equal systems share one table per (mu, den), whatever their
+    labels; another mu, den or form is another table, and a weight that is
+    not dominant leaves nothing behind."""
+    from rootfold import characters
+    from rootfold.folding import RootSystemV
+    rs = build_datum("B2", "adjoint").coroot_system()
+    twin = RootSystemV(rs.base, rs.gram, label="twin")
+    table = freudenthal(rs, (1, 1))
+    assert freudenthal(twin, [1, 1]) is table
+    halved = freudenthal(rs, (2, 2), 2)
+    assert halved == table and halved is not table
+    assert freudenthal(rs, (2, 2)) != table
+    scaled = RootSystemV(rs.base, tuple(tuple(3 * x for x in row) for row in rs.gram))
+    assert freudenthal(scaled, (1, 1)) == table
+    assert freudenthal(scaled, (1, 1)) is not table
+    with pytest.raises(ValueError):
+        freudenthal(rs, (-1, 0))
+    assert len(characters._TABLES) == 4
+
+
 @pytest.mark.parametrize("name,vec", KL_LADDER)
 def test_freudenthal_matches_reference_on_kl_ladder(name, vec):
     """The Sigma_breve^vee and Knop systems of the twining route on each

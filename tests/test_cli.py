@@ -319,6 +319,45 @@ def test_input_files_exit_2(tmp_path, monkeypatch, capsys):
         assert err.startswith("input error: " + message), (argv, err)
 
 
+def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
+    """A value of the wrong type or shape inside an input file is bad input:
+    exit 2 naming the option, the file and the key, not a traceback."""
+    a2 = {"rank": 2, "simple_roots": [[1, 0], [0, 1]],
+          "simple_coroots": [[2, -1], [-1, 2]]}
+    files = {
+        "int_datum.json": {"datum": 5},
+        "int_roots.json": dict(a2, simple_roots=5),
+        "ragged.json": dict(a2, simple_coroots=[[2, -1], [-1]]),
+        "bool_entry.json": {"datum": {"explicit": dict(a2, simple_roots=[[1, 0], [0, True]])}},
+        "short_matrix.json": {"datum": {"cartan_type": "A2"},
+                              "frobenius": {"matrix": [[0, 1]]}},
+        "str_override.json": {"datum": {"cartan_type": "A2"}, "overrides": {"fin:0": "2"}},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    cases = [
+        (("testfn", "--config", "int_datum.json", "--mu", "0,0"),
+         "--config int_datum.json: key 'datum': expected an object, got int"),
+        (("fold", "--datum", "int_roots.json"),
+         "--datum int_roots.json: key 'simple_roots': expected a list, got int"),
+        (("fold", "--datum", "ragged.json"),
+         "--datum ragged.json: key 'simple_coroots': row 1 has 1 entries, "
+         "expected 2 (the rank)"),
+        (("testfn", "--config", "bool_entry.json", "--mu", "0,0"),
+         "--config bool_entry.json: key 'simple_roots': row 1 is not a list of integers"),
+        (("testfn", "--config", "short_matrix.json", "--mu", "0,0"),
+         "--config short_matrix.json: key 'matrix': 1 rows, expected 2 (the rank)"),
+        (("testfn", "--config", "str_override.json", "--mu", "0,0"),
+         "--config str_override.json: key 'fin:0': expected an integer, got str"),
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.strip() == "input error: " + message, (argv, err)
+
+
 def test_datum_not_finite_type_exit_2(tmp_path, capsys):
     # simple roots 1 and -1 of Z: the affine A1 Cartan matrix
     path = tmp_path / "datum.json"

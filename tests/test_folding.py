@@ -441,10 +441,11 @@ def test_generator_orbits_match_full_group(name):
     assert_cochar_group_is_inverse_transpose(AutomorphismAction(lgd.datum, galois))
 
 
-def test_sigma_breve_folds_built_once(monkeypatch):
+def test_sigma_breve_folds_built_once(monkeypatch, fresh_tables):
     """theorem-A(inertia) and echelonnage() both fold Phi by N' and Phi^vee
-    by res under the inertia; on a fresh preset each fold is built once
-    (`fold` builds from int rows, through `FoldedRootSystem._closed`)."""
+    by res under the inertia; on a fresh preset, from empty process-wide
+    tables, each fold is built once (`fold` builds from int rows, through
+    `FoldedRootSystem._closed`)."""
     from rootfold.verify import Verifier
     built = []
     orig = FoldedRootSystem._closed
@@ -489,8 +490,9 @@ def test_shared_systems_reuse_datum_closure(name, monkeypatch):
     assert d.coroot_system().cartan() == mat_transpose(d.cartan)
 
 
-def test_shared_systems_reject_a_form_of_another_type():
-    """A form whose Cartan matrix is not the datum's is an internal fault."""
+def test_shared_systems_reject_a_form_of_another_type(fresh_tables):
+    """A form whose Cartan matrix is not the datum's is an internal fault.
+    The patched data stay in tables that end with the test."""
     d = build_datum("B2")
     d._gram_pair = (1, identity_matrix(2))
     with pytest.raises(TheoremViolation, match="the form gives Cartan matrix"):
@@ -519,28 +521,29 @@ def test_dependent_base_rejected():
         RootSystemV(((1, 0), (0, 1), (1, 1)), eye)
 
 
-def test_closure_cap(monkeypatch):
+def test_closure_cap(monkeypatch, fresh_tables):
     import rootfold.folding as folding
+    import rootfold.rootdata as rootdata
     d = build_datum("A3")
     monkeypatch.setattr(folding, "_CLOSURE_CAP", 5)
-    # the cap bounds the one closure, so the datum's own roots as well
+    # the cap bounds the one closure, so the roots of a datum built afresh
+    # (not the interned one) as well
+    monkeypatch.setattr(rootdata, "_DATA", {})
     with pytest.raises(ResourceCap):
         build_datum("A3")
     with pytest.raises(ResourceCap):
         from_datum(d)
 
 
-def test_one_closure_per_cartan_matrix(monkeypatch):
-    """One run_verify() over cold presets asks for 366 root closures of only
-    18 distinct Cartan matrices, and closes each matrix once; every request
-    returns the same frozenset."""
+def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
+    """One run_verify() from empty process-wide tables asks for 307 root
+    closures of only 18 distinct Cartan matrices, and closes each matrix
+    once; every request returns the same frozenset.  (Before data and folds
+    were shared by value it asked 366 times: 4 more data and 55 more folds.)"""
     import rootfold.echelonnage as echelonnage
     import rootfold.folding as folding
-    import rootfold.presets as presets
     import rootfold.rootdata as rootdata
     from rootfold.verify import run_verify
-    monkeypatch.setattr(folding, "_CLOSURES", {})
-    monkeypatch.setattr(presets, "_CACHE", {})
     requested, computed = [], []
     request, close = folding.cartan_closure, folding._close_cartan
 
@@ -558,24 +561,28 @@ def test_one_closure_per_cartan_matrix(monkeypatch):
     monkeypatch.setattr(folding, "_close_cartan", counted_close)
     code, _lines = run_verify()
     assert code == 0
-    assert (len(requested), len(computed)) == (366, 18)
+    assert (len(requested), len(computed)) == (307, 18)
     assert len(set(computed)) == len(computed) == len(folding._CLOSURES)
     for cartan, roots in requested:
         assert type(roots) is frozenset and roots is folding._CLOSURES[cartan]
 
 
-def test_shared_systems_first_build_race():
-    # threads racing on the first build of the systems and their memoized
-    # folds may each build; all see equal systems
+def test_shared_systems_first_build_race(fresh_tables):
+    # threads racing, from empty process-wide tables, on the first build of
+    # a datum, its systems, their folds and a Freudenthal table may each
+    # build; all see equal systems, and the process-wide tables hand every
+    # thread the one datum, fold and table they keep
     import sys
     import threading
-    d = build_datum("D4")
-    triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
+    from rootfold.characters import freudenthal
     got = []
 
     def worker():
-        folds = tuple(fold(d.root_system(), triality, op).roots for op in OP_TAGS)
-        got.append((d.root_system().roots, d.coroot_system().roots, folds))
+        d = build_datum("D4")
+        triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
+        folds = tuple(fold(d.root_system(), triality, op) for op in OP_TAGS)
+        table = freudenthal(d.coroot_system(), (1, 1, 1, 1))
+        got.append((d, folds, table, d.root_system().roots, d.coroot_system().roots))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     old = sys.getswitchinterval()
@@ -588,13 +595,21 @@ def test_shared_systems_first_build_race():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    ref = (reference_roots(d.simple_roots, d.gram()),
-           reference_roots(d.simple_coroots, d.gram_star()),
-           tuple(reference_roots(fold(d.root_system(), triality, op).base, d.gram())
-                 for op in OP_TAGS))
-    assert got == [ref] * 8
+    assert len(got) == 8
+    d, folds, table = got[0][:3]
+    for other in got:
+        assert other[0] is d
+        assert all(f is g for f, g in zip(other[1], folds))
+        assert other[2] is table
+    assert all(other[3:] == (reference_roots(d.simple_roots, d.gram()),
+                             reference_roots(d.simple_coroots, d.gram_star()))
+               for other in got)
+    triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
+    assert [f.roots for f in folds] == [
+        reference_roots(fold(d.root_system(), triality, op).base, d.gram())
+        for op in OP_TAGS]
     assert d.root_system() is d.root_system()
-    assert fold(d.root_system(), triality, "N") is fold(d.root_system(), triality, "N")
+    assert sum(table.values()) == 2 ** 12  # dim V_rho = 2^|positive roots|
 
 
 # -- the int systems against the Fraction references, on generated data ------

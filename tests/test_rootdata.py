@@ -1,6 +1,8 @@
 """Root data: construction, classification, orders, weight sets."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,27 @@ def test_json_round_trip():
     assert d2.roots == d.roots
 
 
+def test_value_equal_data_are_one_object(fresh_tables):
+    """Data built separately with equal constructor arguments (simple roots,
+    simple coroots, rank and label) are one interned object, whatever the
+    route; the presets that share a datum value share the object, and with
+    it Phi, Phi^vee and the weight sets."""
+    d = build_datum("A3")
+    assert build_datum("A3") is d
+    assert BasedRootDatum([list(r) for r in d.simple_roots], d.simple_coroots,
+                          d.rank, label=d.label) is d
+    assert BasedRootDatum.from_json(d.to_json()) is d
+    assert gl_datum(3) is gl_datum(3) is BasedRootDatum.from_json(gl_datum(3).to_json())
+    assert copy.deepcopy(d) is d and pickle.loads(pickle.dumps(d)) is d
+    assert d.dual().dual() is not d  # the labels differ: A3(adjoint)^^
+    assert build_datum("A3", "simply_connected") is not d
+    ram, unram = load_preset("su4-ramified").datum, load_preset("su4-unramified").datum
+    assert ram is unram is d
+    assert load_preset("su3-unramified").datum is load_preset("tower-su3").datum
+    assert ram.root_system() is unram.root_system()
+    assert ram.weight_set((1, 0, 1)) is unram.weight_set((1, 0, 1))
+
+
 def reference_roots(d):
     """(roots, coroots, positive roots) of a datum the slow way: close the
     (root, coroot) pairs of the base under the simple reflections on both
@@ -398,13 +421,13 @@ def test_weight_set_walks_below_simple_coroot_steps():
         d.weight_set(vec_scale(-1, theta))
 
 
-def test_weight_set_walked_once_per_datum_and_mu(monkeypatch):
+def test_weight_set_walked_once_per_datum_and_mu(monkeypatch, fresh_tables):
     """One run_verify() asks 114 times for Wt(mu) and walks it once per
-    (datum, mu), 68 times.  Value-equal data of different presets (A3 in
-    su4-ramified and su4-unramified, for one) are separate objects; by
-    value the 68 pairs are 60.  The presets are loaded afresh, as in a new
-    process."""
-    from rootfold import presets, rootdata
+    (datum, mu), 60 times.  Value-equal data of different presets (A3 in
+    su4-ramified and su4-unramified, for one) are one interned object, so
+    the walks are also once per (datum value, mu).  The run starts from
+    empty process-wide tables, as in a new process."""
+    from rootfold import rootdata
     from rootfold.verify import run_verify
     asked, walked = [], []
     weight_set, closure = BasedRootDatum.weight_set, rootdata.closure
@@ -421,10 +444,9 @@ def test_weight_set_walked_once_per_datum_and_mu(monkeypatch):
 
     monkeypatch.setattr(BasedRootDatum, "weight_set", counted_weight_set)
     monkeypatch.setattr(rootdata, "closure", counted_closure)
-    monkeypatch.setattr(presets, "_CACHE", {})
     assert run_verify()[0] == 0
     assert len(asked) == 114
-    assert len(walked) == 68
+    assert len(walked) == 60
     assert {(id(d), mu) for d, mu in walked} == {(id(d), mu) for d, mu in asked}
     assert len({(d.simple_roots, d.simple_coroots, mu) for d, mu in walked}) == 60
 

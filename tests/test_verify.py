@@ -3,9 +3,10 @@
 import hashlib
 import time
 
-from rootfold import cli, presets
+from rootfold import characters, cli, folding, presets, rootdata
 from rootfold.characters import DualGroup
 from rootfold.echelonnage import LocalGroupDatum
+from rootfold.folding import FoldedRootSystem
 from rootfold.hecke import CenterContext
 from rootfold.rootdata import BasedRootDatum
 from rootfold.verify import run_verify
@@ -62,6 +63,68 @@ def test_tower_data_built_once_per_preset(monkeypatch):
     assert "PASS test-function preset=tower-su3 checked 2 mu" in lines
     assert built == {LocalGroupDatum: 1 + 1, CenterContext: 1 + 2 + 1,
                      DualGroup: 1 + 2 + 1}
+
+
+def _count_builds(monkeypatch):
+    """Record every datum, fold and Freudenthal table built from here on."""
+    built = {"datum": [], "fold": [], "freudenthal": []}
+    build, closed = BasedRootDatum._build, FoldedRootSystem._closed.__func__
+    table = characters._freudenthal
+
+    def counted_build(self, *args):
+        built["datum"].append(args)
+        build(self, *args)
+
+    def counted_closed(cls, base, gram, label=""):
+        out = closed(cls, base, gram, label)
+        built["fold"].append(out)
+        return out
+
+    def counted_table(rs, mu, den):
+        built["freudenthal"].append((rs._value, tuple(mu), den))
+        return table(rs, mu, den)
+
+    monkeypatch.setattr(BasedRootDatum, "_build", counted_build)
+    monkeypatch.setattr(FoldedRootSystem, "_closed", classmethod(counted_closed))
+    monkeypatch.setattr(characters, "_freudenthal", counted_table)
+    return built
+
+
+def test_one_build_per_value(monkeypatch, fresh_tables):
+    """One run_verify() from empty process-wide tables builds 15 data, 144
+    folds and 61 Freudenthal tables: one per value.  Before data were
+    interned and the fold and Freudenthal memos keyed by value, it built 19,
+    199 and 176."""
+    built = _count_builds(monkeypatch)
+    code, lines = run_verify()
+    assert code == 0
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith(
+        "3d4ee35357afd704")
+    assert {k: len(v) for k, v in built.items()} == \
+        {"datum": 15, "fold": 144, "freudenthal": 61}
+    assert len(set(built["datum"])) == 15  # 19 presets on 15 datum values
+    assert len({(f._value, f.op, f.orbits) for f in built["fold"]}) == 144
+    assert len(set(built["freudenthal"])) == 61
+    assert [len(t) for t in (rootdata._DATA, folding._FOLDS, characters._TABLES)] \
+        == [15, 144, 61]
+
+
+def test_tower_nprime_fold_built_once(monkeypatch, fresh_tables):
+    """In tower-su3, the N' fold of Phi^vee by tau (base (2,2)) is read by
+    the trace tables of the dual group and is also the Knop system of the
+    E_j level, Sigma_breve^vee folded by tau, whose inertia is trivial.  The
+    two sources are value-equal, so the fold is built once and shared."""
+    built = _count_builds(monkeypatch)
+    code, _lines = run_verify(["tower-su3"])
+    assert code == 0
+    preset = presets.load_preset("tower-su3")
+    form = preset.datum.coroot_system()._value[2:]
+    nprime = [f for f in built["fold"] if f.op == "Nprime"
+              and f._base_int == ((2, 2),) and f._value[2:] == form]
+    assert len(nprime) == 1
+    small = preset.tower_config().lgd_small
+    assert small.echelonnage().sigma0_tilde_co is folding.fold(
+        preset.datum.coroot_system(), (preset.lgd.tau_cochar,), "Nprime") is nprime[0]
 
 
 def test_verify_at_deeper_bounds(monkeypatch, capsys):
