@@ -49,9 +49,12 @@ def json_ints(data, key):
     return tuple(value)
 
 
-def json_int_rows(data, key, width):
-    """data[key] as int tuples: a list of lists of `width` integers each."""
+def json_int_rows(data, key, width, count=None):
+    """data[key] as int tuples: a list of lists of `width` integers each,
+    and of `count` lists when a count is given."""
     rows = json_field(data, key, list)
+    if count is not None and len(rows) != count:
+        raise MalformedInput(key, "%d rows, expected %d" % (len(rows), count))
     for i, row in enumerate(rows):
         if not _is_int_list(row):
             raise MalformedInput(key, "row %d is not a list of integers" % i)

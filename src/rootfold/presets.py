@@ -71,10 +71,7 @@ def _resolve_automorphism(datum, spec, key):
     if "unitary_dual" in spec:
         return unitary_dual_action(datum.rank)
     if "matrix" in spec:
-        m = json_int_rows(spec, "matrix", datum.rank)
-        if len(m) != datum.rank:
-            raise MalformedInput("matrix", "%d rows, expected %d (the rank)"
-                                 % (len(m), datum.rank))
+        m = json_int_rows(spec, "matrix", datum.rank, datum.rank)
         pinned_cochar(datum, m)  # validate
         return m
     raise PresetError("automorphism spec must give perm, matrix, or unitary_dual")

@@ -584,10 +584,7 @@ class BasedRootDatum:
         if rank < 1:
             raise MalformedInput("rank", "expected a positive integer, got %d" % rank)
         roots = json_int_rows(data, "simple_roots", rank)
-        coroots = json_int_rows(data, "simple_coroots", rank)
-        if len(coroots) != len(roots):
-            raise MalformedInput("simple_coroots", "%d rows, expected %d (one per "
-                                 "simple root)" % (len(coroots), len(roots)))
+        coroots = json_int_rows(data, "simple_coroots", rank, len(roots))
         return cls(roots, coroots, rank, label=json_field(data, "label", str, ""))
 
 

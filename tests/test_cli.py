@@ -328,6 +328,7 @@ def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
         "int_datum.json": {"datum": 5},
         "int_roots.json": dict(a2, simple_roots=5),
         "ragged.json": dict(a2, simple_coroots=[[2, -1], [-1]]),
+        "short_coroots.json": dict(a2, simple_coroots=[[2, -1]]),
         "bool_entry.json": {"datum": {"explicit": dict(a2, simple_roots=[[1, 0], [0, True]])}},
         "short_matrix.json": {"datum": {"cartan_type": "A2"},
                               "frobenius": {"matrix": [[0, 1]]}},
@@ -343,10 +344,12 @@ def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
         (("fold", "--datum", "ragged.json"),
          "--datum ragged.json: key 'simple_coroots': row 1 has 1 entries, "
          "expected 2 (the rank)"),
+        (("fold", "--datum", "short_coroots.json"),
+         "--datum short_coroots.json: key 'simple_coroots': 1 rows, expected 2"),
         (("testfn", "--config", "bool_entry.json", "--mu", "0,0"),
          "--config bool_entry.json: key 'simple_roots': row 1 is not a list of integers"),
         (("testfn", "--config", "short_matrix.json", "--mu", "0,0"),
-         "--config short_matrix.json: key 'matrix': 1 rows, expected 2 (the rank)"),
+         "--config short_matrix.json: key 'matrix': 1 rows, expected 2"),
         (("testfn", "--config", "str_override.json", "--mu", "0,0"),
          "--config str_override.json: key 'fin:0': expected an integer, got str"),
     ]

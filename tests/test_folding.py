@@ -469,14 +469,16 @@ def test_sigma_breve_folds_built_once(monkeypatch, fresh_tables):
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_shared_systems_reuse_datum_closure(name, monkeypatch):
+def test_shared_systems_reuse_datum_closure(name, monkeypatch, fresh_tables):
     """root_system() and coroot_system() take the coordinates of the datum's
     own closure: with cartan_closure disabled they still build, and they
-    equal the systems closed afresh from the base and the form."""
+    equal the systems closed afresh from the base and the form.  From empty
+    tables the datum has built neither system yet, so both are built here."""
     import rootfold.folding as folding
     p = load_preset(name).datum
     d = BasedRootDatum(p.simple_roots, p.simple_coroots, p.rank, label=p.label)
     char, cochar = from_datum(d), dual_from_datum(d)
+    assert d._root_system is None and d._coroot_system is None, name
 
     def closed_again(_cartan):
         raise AssertionError("the datum's Cartan matrix was closed again")
