@@ -110,7 +110,7 @@ class Verifier:
                 all_ok = False
                 details.append("mu=%s:%s" % (_fmt_mu(mu), rep["mismatches"]))
         self.record("theorem-C", name, all_ok,
-                    "checked %d mu" % len(mus) + (";".join(details)))
+                    ";".join(["checked %d mu" % len(mus)] + details))
 
     # -- Theorem D ---------------------------------------------------------
 
@@ -145,7 +145,7 @@ class Verifier:
                 all_ok = False
                 bad.append(repr(lam))
         self.record("theorem-D", name, all_ok,
-                    "checked %d lambda" % len(lams) + ";".join(bad))
+                    ";".join(["checked %d lambda" % len(lams)] + bad))
 
     # -- branching / decomposition ------------------------------------------
 
@@ -175,7 +175,7 @@ class Verifier:
                 all_ok = False
                 details.append("mu=%s" % _fmt_mu(mu))
         self.record("branching", name, all_ok,
-                    "checked %d mu" % len(mus) + ";".join(details))
+                    ";".join(["checked %d mu" % len(mus)] + details))
 
     # -- test functions -------------------------------------------------------
 
@@ -199,7 +199,7 @@ class Verifier:
                         all_ok = False
                         details.append("gaitsgory mu=%s" % _fmt_mu(mu))
         self.record("test-function", name, all_ok,
-                    "checked %d mu" % len(mus) + ";".join(details))
+                    ";".join(["checked %d mu" % len(mus)] + details))
         if preset.tower_small is not None:
             cfg = preset.tower_config(j=1)
             cfg0 = preset.tower_config(j=1, degenerate=True)

@@ -1,4 +1,5 @@
-"""The recursive Bruhat order: the reference for `rootfold.affine`.
+"""The recursive Bruhat order and the admissible-set unions: the references
+for `rootfold.affine`.
 
 The library reads the Bruhat order from one place, the subword interval
 `ExtendedAffineWeyl.lower_interval`, and finds maximal elements by one pass in
@@ -6,9 +7,15 @@ decreasing length against those intervals.  These functions are the
 recursion that the engine ran before, with its memo of Bruhat pairs kept per
 engine here, and the pairwise `extremal_elements` that used it; the tests
 compare interval membership and the length-ordered pass against them.
+
+`verify_extremal` compares the two definitions of Adm(mu) through their
+maximal translations.  `verify_extremal_by_union` is the check it replaced:
+it builds both definitions as unions of lower intervals and compares the sets.
 """
 
 import weakref
+
+from rootfold.affine import admissible_set, extremal_elements
 
 # engine -> {(u, v): u <= v} for affine parts u, v
 _MEMO = weakref.WeakKeyDictionary()
@@ -55,3 +62,43 @@ def pairwise_extremal_elements(eng, elements):
             continue
         out.append(x)
     return frozenset(out)
+
+
+def downward_closure(eng, elements):
+    """Everything Bruhat-below some member of a finite set: the union of the
+    lower intervals."""
+    out = set()
+    for y in elements:
+        out |= eng.lower_interval(y)
+    return frozenset(out)
+
+
+def relative_admissible_set(eng, cls):
+    """Adm from the relative orbit (definition (adm)): the union of the lower
+    intervals of the translations by the W-orbit of the class cls."""
+    return downward_closure(
+        eng, [eng.translation(c) for c in eng.weyl_orbit_class(cls)])
+
+
+def verify_extremal_by_union(lgd, mu, engine):
+    """`rootfold.affine.verify_extremal` with part (c) checked on the sets:
+    Adm(mu) by the absolute orbit against Adm(mu) by the relative orbit."""
+    datum = lgd.datum
+    coinv = lgd.coinv
+    mubar = coinv.project(mu)
+    report = {"mu": list(mu), "mismatches": []}
+    images = sorted({coinv.project(lam) for lam in datum.weight_set(mu)},
+                    key=lambda c: (c.free, c.tors))
+    for lam in images:
+        if not engine.sigma.class_leq(engine.dominant_class(lam), mubar):
+            report["mismatches"].append("dominance bridge fails at %r" % (lam,))
+    maximal = extremal_elements(engine, {engine.translation(c) for c in images})
+    expected = {engine.translation(c) for c in engine.weyl_orbit_class(mubar)}
+    if maximal != expected:
+        report["mismatches"].append("maximal translations differ from the orbit")
+    adm0 = admissible_set(lgd, mu, engine=engine)
+    if adm0 != relative_admissible_set(engine, mubar):
+        report["mismatches"].append("the two admissible-set definitions differ")
+    report["ok"] = not report["mismatches"]
+    report["extremal"] = len(maximal)
+    return report

@@ -35,13 +35,20 @@ from rootfold.linalg import (
 )
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
+    BasedRootDatum,
     _components,
     build_datum,
     diagram_automorphism,
     gl_datum,
     unitary_dual_action,
 )
-from bruhat_reference import bruhat_leq, pairwise_extremal_elements
+from bruhat_reference import (
+    bruhat_leq,
+    downward_closure,
+    pairwise_extremal_elements,
+    relative_admissible_set,
+    verify_extremal_by_union,
+)
 from fraction_linalg import frac_vec, gauss_solve
 
 
@@ -209,8 +216,7 @@ def test_admissible_split_a1_adjoint():
     assert len(ext) == 2
     assert all(eng.length(x) == 2 for x in ext)
     # both definitions agree
-    adm2 = admissible_set(lgd, (2,), engine=eng, use_relative_orbit=True)
-    assert adm == adm2
+    assert adm == relative_admissible_set(eng, lgd.coinv.project((2,)))
 
 
 def test_admissible_gl2_omega():
@@ -257,6 +263,53 @@ def test_a4_flip_extreme_coweights():
     eng = build_affine(lgd)
     rep = verify_extremal(lgd, (1, 0, 0, 1), eng)
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_verify_extremal_matches_union_reference(name):
+    """Part (c) by the maximal translations against part (c) by the two
+    admissible sets, for every mu with <2rho, mu> <= 4."""
+    lgd = load_preset(name).lgd
+    eng = build_affine(lgd)
+    keys = ("ok", "mismatches", "extremal")
+    for mu in lgd.datum.dominant_cochars_up_to(4):
+        rep = verify_extremal(lgd, mu, eng)
+        ref = verify_extremal_by_union(lgd, mu, eng)
+        assert [rep[k] for k in keys] == [ref[k] for k in keys], (name, mu)
+
+
+@pytest.mark.parametrize("name", ["split-gl2", "split-a2", "su3-ramified",
+                                  "su4-unramified"])
+def test_verify_extremal_sees_a_dropped_translation(name, monkeypatch):
+    """Negative control for part (c): with the cocharacters over one class of
+    the relative orbit left out of the absolute orbit, the maxima of the
+    translations differ from the orbit's, the two downward closures differ,
+    and both the library and the union reference report it."""
+    lgd = load_preset(name).lgd
+    eng = build_affine(lgd)
+    orig = BasedRootDatum.weyl_orbit_cochar
+    dropped = []
+
+    def damaged_orbit(self, v):
+        return tuple(m for m in orig(self, v)
+                     if lgd.coinv.project(m) not in dropped)
+
+    monkeypatch.setattr(BasedRootDatum, "weyl_orbit_cochar", damaged_orbit)
+    for mu in lgd.datum.dominant_cochars_up_to(2):
+        mubar = lgd.coinv.project(mu)
+        relative = {eng.translation(c) for c in eng.weyl_orbit_class(mubar)}
+        for cls in eng.weyl_orbit_class(mubar):
+            dropped[:] = [cls]
+            absolute = {eng.translation(lgd.coinv.project(m))
+                        for m in lgd.datum.weyl_orbit_cochar(mu)}
+            assert eng.translation(cls) not in absolute
+            assert extremal_elements(eng, absolute) != \
+                extremal_elements(eng, relative), (name, mu, cls)
+            assert downward_closure(eng, absolute) != \
+                relative_admissible_set(eng, mubar), (name, mu, cls)
+            for check in (verify_extremal, verify_extremal_by_union):
+                assert check(lgd, mu, eng)["mismatches"] == [
+                    "the two admissible-set definitions differ"], (name, mu, cls)
 
 
 def test_conjugation_lemma():
@@ -522,8 +575,8 @@ def test_length_matches_reference_on_admissible_sets(name):
         assert_length_matches_reference(
             beng, admissible_set(lgd, mu, engine=beng), (name, mu))
         if lgd.tau_endo(cls) == cls:
-            adm = admissible_set(lgd, mu, engine=teng, use_relative_orbit=True)
-            assert_length_matches_reference(teng, adm, (name, mu))
+            assert_length_matches_reference(
+                teng, relative_admissible_set(teng, cls), (name, mu))
 
 
 # the rungs of the benchmark's KL ladder
@@ -792,7 +845,8 @@ def test_extremal_elements_match_pairwise_reference(name):
             translations = {eng.translation(c) for c in classes}
             assert extremal_elements(eng, translations) == \
                 pairwise_extremal_elements(eng, translations), (name, mu, relative)
-            adm = admissible_set(lgd, mu, engine=eng, use_relative_orbit=relative)
+            adm = relative_admissible_set(eng, mubar) if relative \
+                else admissible_set(lgd, mu, engine=eng)
             maximal = extremal_elements(eng, adm)
             assert maximal == pairwise_extremal_elements(eng, adm), \
                 (name, mu, relative)

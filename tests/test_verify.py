@@ -150,3 +150,20 @@ def test_verify_at_deeper_bounds(monkeypatch, capsys):
         "fea600c14b47c8744067df5c84e48b82c23be2908f291b1fa0f6c0df39db9247")
     assert len(spent) == 2  # one per preset; neither runs theorem D
     assert sum(spent) < 1.0, spent
+
+
+def test_fail_line_separates_count_from_details(monkeypatch):
+    from rootfold import verify
+
+    def failing(lgd, mu, engine):
+        bad = mu != (0,)
+        return {"ok": not bad, "extremal": 1, "mismatches":
+                ["maximal translations differ from the orbit"] if bad else []}
+
+    monkeypatch.setattr(verify, "verify_extremal", failing)
+    code, lines = run_verify(["split-a1"])
+    assert code == 1
+    assert "FAIL theorem-C preset=split-a1 checked 3 mu;" \
+        "mu=1:['maximal translations differ from the orbit'];" \
+        "mu=2:['maximal translations differ from the orbit']" in lines
+    assert "PASS branching preset=split-a1 checked 3 mu" in lines
