@@ -235,33 +235,27 @@ class ExtendedAffineWeyl:
         self._nf[x] = res
         return res
 
-    def from_normal_form(self, word, omega):
-        out = omega
-        for key in reversed(word):
-            out = self.multiply(self._s_aff_map[key], out)
-        return out
-
     def omega_part(self, x):
         return self.normal_form(x)[1]
 
     # -- Bruhat order -----------------------------------------------------------
 
-    def lower_interval(self, y, cap=ADM_CAP):
+    def lower_interval(self, y):
         """All x <= y, via subword products of a reduced word of y.  Raises
-        ResourceCap as soon as the enumeration passes `cap` elements."""
+        ResourceCap as soon as the enumeration passes `ADM_CAP` elements."""
         word, omega = self.normal_form(y)
         key = (word, omega)
         if key in self._interval:
             out = self._interval[key]
-            if len(out) > cap:
-                raise ResourceCap("Bruhat interval exceeded cap %d" % cap)
+            if len(out) > ADM_CAP:
+                raise ResourceCap("Bruhat interval exceeded cap %d" % ADM_CAP)
             return out
         elems = {self.identity}
         for k in word:
             s = self._s_aff_map[k]
             elems |= {self.multiply(x, s) for x in elems}
-            if len(elems) > cap:
-                raise ResourceCap("Bruhat interval exceeded cap %d" % cap)
+            if len(elems) > ADM_CAP:
+                raise ResourceCap("Bruhat interval exceeded cap %d" % ADM_CAP)
         out = frozenset(self.multiply(x, omega) for x in elems)
         self._interval[key] = out
         return out
@@ -359,11 +353,11 @@ def build_affine(lgd):
     return ExtendedAffineWeyl(lgd.coinv, sig, mats, label="W(%s)" % lgd.label)
 
 
-def build_tau_fixed(lgd, breve_engine=None):
-    """The F-level engine W~^tau = (X_*(T)_I)^tau x| W_0 over Sigma_0."""
+def build_tau_fixed(lgd, breve_engine):
+    """The F-level engine W~^tau = (X_*(T)_I)^tau x| W_0 over Sigma_0, its
+    simple reflections the orbit-longest elements of `breve_engine`, the
+    engine of `build_affine(lgd)`."""
     ech = lgd.echelonnage()
-    if breve_engine is None:
-        breve_engine = build_affine(lgd)
     sig0 = ech.sigma0
     cart = ech.sigma_breve.rs_root.cartan()
 
@@ -377,11 +371,10 @@ def build_tau_fixed(lgd, breve_engine=None):
                               restrict_endo=lgd.tau_endo)
 
 
-def admissible_set(lgd, mu, engine=None):
+def admissible_set(lgd, mu, engine):
     """Adm({mu}) by the absolute Weyl orbit of mu (definition (adm0)), for
-    `rootfold adm` only: all x <= t_lambda, lambda in the image of the orbit."""
-    if engine is None:
-        engine = build_affine(lgd)
+    `rootfold adm` only: all x <= t_lambda in `engine`, the engine of
+    `build_affine(lgd)`, lambda in the image of the orbit."""
     classes = {lgd.coinv.project(m) for m in lgd.datum.weyl_orbit_cochar(mu)}
     out = set()
     for cls in sorted(classes, key=lambda c: (c.free, c.tors)):
@@ -405,17 +398,16 @@ def extremal_elements(engine, elements):
     return frozenset(kept)
 
 
-def verify_extremal(lgd, mu, engine=None):
+def verify_extremal(lgd, mu, engine):
     """The extremal-elements theorem for one dominant mu.
 
     Checks (a) the dominance bridge: every lambda in Wt(mu) has image <= the
     image of mu in the Sigma-breve coroot order; (b) the Bruhat-maximal
     translations of the image of Wt(mu) are exactly the relative orbit of
-    the image of mu; (c) both definitions of Adm(mu) have the same maxima.
-    Returns a report dict; "ok" is True when everything holds."""
+    the image of mu; (c) both definitions of Adm(mu) have the same maxima,
+    in `engine`, the engine of `build_affine(lgd)`.  Returns a report dict;
+    "ok" is True when everything holds."""
     datum = lgd.datum
-    if engine is None:
-        engine = build_affine(lgd)
     if not datum.is_dominant_cochar(mu):
         raise ValueError("mu must be dominant")
     coinv = lgd.coinv

@@ -18,7 +18,6 @@ from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
 from .lattice import closure
 from .linalg import (
-    coordinates,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -148,9 +147,6 @@ class WeightTable:
                     v = vec_sub(v, vec_scale(ci, b))
             yield c, v, m
 
-    def dimension(self):
-        return sum(self.table.values())
-
 
 class DualGroup:
     """The dual group of the datum: root system Phi^vee in X_* (x) Q.
@@ -173,14 +169,8 @@ class DualGroup:
         return WeightTable(self.system, mu, freudenthal(self.system, mu))
 
     def weight_multiplicity(self, mu, nu):
-        nu = tuple(nu)
-        for _c, v, m in self.weight_table(mu).items():
-            if v == nu:
-                return m
-        return 0
-
-    def dimension(self, mu):
-        return self.weight_table(mu).dimension()
+        """dim V_mu(nu), the trace of the identity."""
+        return self.trace_table(identity_matrix(self.datum.rank), mu).get(tuple(nu), 0)
 
     def trace_table(self, g_cochar, mu):
         """{nu: tr(g | V_mu(nu))} over the g-fixed weights nu, for a pinned
@@ -204,13 +194,6 @@ class DualGroup:
         out = {v: m for _c, v, m in tbl.items()}
         self._trace_tables[key] = out
         return out
-
-    def trace(self, g_cochar, mu, nu):
-        """tr(g | V_mu(nu)); nu must be fixed by g."""
-        nu = tuple(nu)
-        if mat_vec(g_cochar, nu) != nu:
-            raise ValueError("g does not fix nu")
-        return self.trace_table(g_cochar, tuple(mu)).get(nu, 0)
 
 
 def graded_trace(dual, mu, ops, coinv, d):
@@ -420,11 +403,6 @@ class CharacterContext:
                                              self.h.twisted_hw_character, False)
         return self._tau_cache[mu]
 
-    def tau_trace_on_H(self, mu, lam):
-        if not self.h.is_tau_fixed(lam):
-            raise ValueError("lambda must be tau-fixed")
-        return self.tau_traces_on_H(mu).get(lam, 0)
-
     def weight_equality_check(self, mu):
         """Image of Wt(mu) equals Wt(mu-bar) of the fixed group."""
         mu = self._check_mu(mu)
@@ -441,23 +419,3 @@ class CharacterContext:
         rhs = sum(self.invariants_character(mu).values())
         return lhs == rhs
 
-
-def twining_character(datum, sigma_cochar, mu):
-    """{nu: tr(sigma | V_mu(nu))} over sigma-fixed weights of the dual-group
-    module V_mu, for a splitting-preserving automorphism fixing mu."""
-    return DualGroup(datum).trace_table(sigma_cochar, tuple(mu))
-
-
-def weight_multiplicity(datum, mu, nu):
-    """dim V_mu(nu) for the connected group with the given root datum
-    (weights on the character side)."""
-    system = datum.root_system()
-    if not all(vec_dot(mu, cv) >= 0 for cv in datum.simple_coroots):
-        raise ValueError("mu must be dominant")
-    tbl = freudenthal(system, mu)
-    # mu - nu = sum c_i b_i with b_i = _base_int[i] / _den
-    coords = coordinates(system._base_int)(
-        tuple(system._den * x for x in vec_sub(mu, nu)))
-    if coords is None or min(coords, default=0) < 0:
-        return 0
-    return tbl.get(coords, 0)

@@ -31,8 +31,8 @@ from .folding import (
 )
 from .lattice import MalformedAction, TheoremViolation, closure, coinvariants
 from .linalg import (
-    coordinates,
     identity_matrix,
+    integer_solver,
     is_positive_definite,
     mat_mul,
     mat_transpose,
@@ -106,7 +106,13 @@ class SigmaSystem:
         self.rs_co = rs_co
         self.base_classes = tuple(base_classes)
         self.name = name
-        self._class_coords = coordinates(c.free for c in self.base_classes)
+        # int coordinates over the free parts of the classes, the columns
+        # of the matrix solved; with no classes every difference solves to
+        # (), and class_leq's check below keeps only the zero one
+        self._class_coords, dependent = integer_solver(
+            mat_transpose([c.free for c in self.base_classes]))
+        if dependent:
+            raise ArithmeticError("rows are linearly dependent")
         # <root, coroot> = 2 on the base, over the two denominators
         two = 2 * rs_root._den * rs_co._den
         for root, coroot in zip(rs_root._base_int, rs_co._base_int):

@@ -201,10 +201,6 @@ class RootSystemV:
                                    % (self.label or "?", self._cartan))
         return self._cartan
 
-    def classify(self):
-        from .rootdata import classify_cartan
-        return classify_cartan(self.cartan())
-
     def positive_roots(self):
         zero = (0,) * len(self._base_int)
         return tuple(r for r, c in zip(self.roots, self._coords) if c > zero)
@@ -225,15 +221,6 @@ class RootSystemV:
                        for j, cj in enumerate(c) if cj)
             coords.append(tuple(_ratio(cj * G[j][j], norm) for j, cj in enumerate(c)))
         return L, rows, coords
-
-    def dual(self):
-        """Pointwise dual system (same ambient space and form, transposed
-        Cartan matrix), from the dual base and coroot coordinates of
-        `_dual_parts`."""
-        den, rows, coords = self._dual_parts()
-        return RootSystemV.from_closure((den, rows), (self._gram_den, self._gram_int),
-                                        tuple(zip(*self._cartan)), coords,
-                                        self.label + "^")
 
     def __eq__(self, other):
         # on one base, equal root sets are equal coordinate sets

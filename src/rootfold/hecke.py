@@ -130,58 +130,14 @@ class _PackedRows:
                 for i, r in self.rows[j].items()}
 
 
-def _add_term(terms, x, c):
-    """terms[x] += c, dropping the entry when the sum is zero."""
-    s = terms[x] + c if x in terms else c
-    if s.is_zero():
-        terms.pop(x, None)
-    else:
-        terms[x] = s
-
-
-class HeckeElement:
-    """Finite Z[v,v^-1]-combination of normalized basis elements Ttilde_w."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
-        t = {}
-        for x, c in (terms or {}).items():
-            if not c.is_zero():
-                t[x] = c
-        self.terms = t
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for x, c in other.terms.items():
-            _add_term(t, x, c)
-        return HeckeElement(self.algebra, t)
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly({0: -1}))
-
-    def scale(self, poly):
-        return HeckeElement(self.algebra, {x: c * poly for x, c in self.terms.items()})
-
-    def coefficient(self, x):
-        return self.terms.get(x, LaurentPoly.zero())
-
-    def __repr__(self):
-        return "HeckeElement(%d terms)" % len(self.terms)
-
-
 class HeckeAlgebra:
     """H(W~^tau, S_aff^tau, L) over an extended affine Weyl engine.
 
     Caches (packed bar-involution rows of element intervals, KL tables with
-    their P values, checked weights) are per-instance dicts; confine an
-    instance to one thread or guard access externally.  They hold index rows,
-    ints and plain dicts, never a HeckeElement, so no cache points back at the
-    algebra and an instance is freed by reference counting alone."""
+    their P values) are per-instance dicts; confine an instance to one thread
+    or guard access externally.  They hold index rows, ints and plain dicts,
+    so no cache points back at the algebra and an instance is freed by
+    reference counting alone."""
 
     def __init__(self, engine, weights):
         self.engine = engine
@@ -193,73 +149,6 @@ class HeckeAlgebra:
                 raise ValueError("parameters must be >= 1")
         self._bar_cache = {}
         self._kl_cache = {}
-        self._weight_check = set()
-
-    # -- weights --------------------------------------------------------------
-
-    def weight(self, x):
-        """L(x) = sum of L(s) over a reduced word (Omega contributes 0)."""
-        word, _omega = self.engine.normal_form(x)
-        return sum(self.weights[k] for k in word)
-
-    def _eps(self, key):
-        L = self.weights[key]
-        return LaurentPoly({L: 1, -L: -1})
-
-    # -- basis elements ---------------------------------------------------------
-
-    def one(self):
-        return HeckeElement(self, {self.engine.identity: LaurentPoly.one()})
-
-    def t_normalized(self, x):
-        return HeckeElement(self, {x: LaurentPoly.one()})
-
-    def t_standard(self, x):
-        """Standard basis T_x = v^L(x) Ttilde_x."""
-        return HeckeElement(self, {x: LaurentPoly.v_power(self.weight(x))})
-
-    # -- multiplication -----------------------------------------------------------
-
-    def _mult_gen(self, elt, key):
-        """Multiply by Ttilde_s on the right."""
-        eng = self.engine
-        s = eng._s_aff_map[key]
-        out = {}
-        for x, c in elt.terms.items():
-            xs = eng.multiply(x, s)
-            _add_term(out, xs, c)
-            if eng.length(xs) < eng.length(x):
-                _add_term(out, x, c * self._eps(key))
-        return HeckeElement(self, out)
-
-    def _mult_omega(self, elt, omega):
-        eng = self.engine
-        return HeckeElement(self, {eng.multiply(x, omega): c
-                                   for x, c in elt.terms.items()})
-
-    def multiply(self, a, b):
-        """Product in H, expanding b through its normal form letters."""
-        out = HeckeElement(self, {})
-        eng = self.engine
-        for y, c in b.terms.items():
-            word, omega = eng.normal_form(y)
-            self._check_weight_consistency(y, word)
-            acc = a.scale(c)
-            for key in word:
-                acc = self._mult_gen(acc, key)
-            acc = self._mult_omega(acc, omega)
-            out = out + acc
-        return out
-
-    def _check_weight_consistency(self, y, word):
-        """L must be constant across reduced words (checked against the
-        descent-peeled word of y^-1 reversed, a different reduced word)."""
-        if y in self._weight_check:
-            return
-        self._weight_check.add(y)
-        alt, _ = self.engine.normal_form(self.engine.inverse(y))
-        if sum(self.weights[k] for k in word) != sum(self.weights[k] for k in alt):
-            raise TheoremViolation("weight function is not well-defined")
 
     # -- bar involution -----------------------------------------------------------
 
@@ -387,9 +276,11 @@ class HeckeAlgebra:
         return packed
 
     def bar_basis(self, x):
-        """bar(Ttilde_x) = Ttilde_{x^-1}^{-1}, expanded in the Ttilde basis.
+        """bar(Ttilde_x) = Ttilde_{x^-1}^{-1} as {z: coefficient of Ttilde_z}.
         For x = x_aff omega the row of x_aff is read from the interval rows
-        of the first interval that contained it, else of [e, x_aff]."""
+        of the first interval that contained it, else of [e, x_aff].  No
+        library path calls it; `benchmarks/tracer.py` wraps it by name, and
+        the tests compare it with the whole-word reference."""
         eng = self.engine
         _word, omega = eng.normal_form(x)
         x_aff = eng.multiply(x, eng.inverse(omega))
@@ -398,14 +289,8 @@ class HeckeAlgebra:
             for j, z in enumerate(packed.elems):
                 self._bar_cache.setdefault(z, (packed, j))
         packed, j = self._bar_cache[x_aff]
-        return HeckeElement(self, {eng.multiply(packed.elems[i], omega): r
-                                   for i, r in packed.row(j).items()})
-
-    def bar(self, elt):
-        out = HeckeElement(self, {})
-        for x, c in elt.terms.items():
-            out = out + self.bar_basis(x).scale(c.bar())
-        return out
+        return {eng.multiply(packed.elems[i], omega): r
+                for i, r in packed.row(j).items()}
 
     # -- Kazhdan-Lusztig ---------------------------------------------------------
 
@@ -579,9 +464,6 @@ class BernsteinElement:
     def scale(self, val):
         return BernsteinElement({k: v * val for k, v in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         return isinstance(other, BernsteinElement) and self.coeffs == other.coeffs
 
@@ -643,31 +525,3 @@ class CenterContext:
             w_nu = eng.max_double_coset(nu)
             coeffs[nu] = self.hecke.kl_polynomial(w_nu, w_lam).at_one()
         return BernsteinElement(coeffs)
-
-    def geometric_basis_checked(self, lam):
-        """Both routes; raises if the Knop/Lusztig bridge fails."""
-        a = self.geometric_basis(lam)
-        b = self.geometric_basis_kl(lam)
-        if a != b:
-            raise TheoremViolation("twining and KL routes disagree for %r" % (lam,))
-        return a
-
-
-def evaluate_bernstein(center, elt, point):
-    """The scalar by which `elt` acts on a J-fixed line with Satake-type
-    parameter `point`: sum_nu c_nu sum_{nu' in W_0 nu} point(nu').
-
-    `point` maps tau-fixed weight classes to scalars and must be defined on
-    the whole W_0-orbit of every support weight."""
-    eng = center.tau_engine
-    total = 0
-    for nu, c in elt.coeffs.items():
-        orbit_total = 0
-        for nu2 in eng.weyl_orbit_class(nu):
-            try:
-                orbit_total = orbit_total + point(nu2)
-            except KeyError:
-                raise ValueError("evaluation map is not defined on the "
-                                 "W_0-orbit of %r" % (nu,))
-        total = total + c * orbit_total
-    return total

@@ -1,8 +1,8 @@
 """Integer lattices with finite group actions.
 
-Provides invariants, coinvariants (with torsion, in Smith normal form
-coordinates), the averaging map onto the fixed subspace, and subgroups of
-coinvariant lattices.  Every object is immutable after construction and all
+Provides coinvariants (with torsion, in Smith normal form coordinates), the
+averaging map onto the fixed subspace, and subgroups of coinvariant
+lattices.  Every object is immutable after construction and all
 arithmetic is exact.
 
 A coinvariant class has one integer representation: a tuple of free
@@ -26,8 +26,6 @@ from .linalg import (
     fraction_rows,
     hermite_row_basis,
     identity_matrix,
-    kernel_basis,
-    lattice_member,
     lowest_terms,
     mat_integer_inverse,
     mat_mul,
@@ -99,17 +97,6 @@ def average(v, group):
     return len(orb), tuple(map(sum, zip(*orb)))
 
 
-def invariants(rank, generators):
-    """Canonical integer basis of the fixed sublattice {x : gx = x for all g}."""
-    if not generators:
-        return tuple(identity_matrix(rank))
-    stacked = []
-    eye = identity_matrix(rank)
-    for g in generators:
-        stacked.extend(mat_sub(g, eye))
-    return hermite_row_basis(kernel_basis(tuple(stacked)))
-
-
 class CoinvariantElement:
     """Element of a coinvariant lattice: free coordinates plus residues.
 
@@ -146,13 +133,6 @@ class CoinvariantElement:
         return CoinvariantElement(self.lattice,
                                   tuple(c * x for x in self.free),
                                   tuple(c * t for t in self.tors))
-
-    def is_zero(self):
-        return all(x == 0 for x in self.free) and all(t == 0 for t in self.tors)
-
-    def flat(self):
-        """Free coordinates; torsion discarded (the ♭ map)."""
-        return self.free
 
     def __repr__(self):
         if self.tors:
@@ -352,12 +332,6 @@ class QuotientSubgroup:
         if not rows:
             rows = [(0,) * n] if n else [()]
         self.basis = hermite_row_basis(rows)
-
-    def __contains__(self, e):
-        v = tuple(e.free) + tuple(e.tors)
-        if not self.basis:
-            return all(a == 0 for a in v)
-        return lattice_member(self.basis, v)
 
     def __eq__(self, other):
         return isinstance(other, QuotientSubgroup) and self.basis == other.basis

@@ -6,10 +6,9 @@ rest of the library depends on every identity being exact.  A rational
 matrix is carried as (den, int rows): `integral_rows` builds that form,
 `lowest_terms` normalises it and `fraction_rows` undoes it.
 
-Determinants, inverses and coordinates over a base all come from one
-fraction-free elimination, `adjugate`; `coordinates` turns it into a
-reusable int solver for a fixed base, and `integer_solver` does the same
-for the integral solutions of a fixed int matrix from one Smith normal
+Determinants and inverses come from one fraction-free elimination,
+`adjugate`; `integer_solver` gives a reusable int solver for the integral
+solutions of a fixed int matrix, and its kernel, from one Smith normal
 form.  Singular, non-unimodular or dependent input raises ArithmeticError:
 callers that take such matrices from the user turn it into their own input
 error.  The vector and matrix kernels run on `map` over `operator`
@@ -151,35 +150,6 @@ def mat_integer_inverse(U):
     if det not in (1, -1):
         raise ArithmeticError("matrix is not unimodular")
     return adj if det == 1 else tuple(tuple(-x for x in row) for row in adj)
-
-
-def coordinates(rows):
-    """Solver for coordinates over linearly independent int rows B.
-
-    Returns solve(v): the int tuple x with sum_i x_i B_i == v, or None when
-    v is not such an integral combination.  The left inverse adj(G) B over
-    det(G), G = B B^T, is built once; each query is one int mat-vec, a
-    divisibility check by det(G) and a check that x really gives v (v may lie
-    outside the span).  Raises ArithmeticError when the rows are dependent.
-    """
-    B = tuple(map(tuple, rows))
-    det, adj = adjugate(tuple(tuple(vec_dot(r, s) for s in B) for r in B))
-    if adj is None:
-        raise ArithmeticError("rows are linearly dependent")
-    left = mat_mul(adj, B)
-
-    def solve(v):
-        x = []
-        for row in left:
-            q, r = divmod(vec_dot(row, v), det)
-            if r:
-                return None
-            x.append(q)
-        if any(vk != sum(xi * b[k] for xi, b in zip(x, B)) for k, vk in enumerate(v)):
-            return None
-        return tuple(x)
-
-    return solve
 
 
 def is_positive_definite(M):
@@ -334,23 +304,9 @@ def hermite_row_basis(vectors):
     return tuple(tuple(r) for r in basis)
 
 
-def lattice_member(basis, v):
-    """Whether integer vector v lies in the lattice spanned by HNF `basis`."""
-    n = len(v)
-    v = list(v)
-    for row in basis:
-        c = next(k for k in range(n) if row[k] != 0)
-        if v[c] % row[c] == 0:
-            q = v[c] // row[c]
-            if q:
-                for k in range(n):
-                    v[k] -= q * row[k]
-    return all(a == 0 for a in v)
-
-
 def integer_solver(M):
     """(solve, kernel) for an int matrix M (m x n), from one Smith normal form
-    U M V = D, in the pattern of `coordinates`.
+    U M V = D.
 
     solve(b) is one int solution x of M x = b, or None when there is none:
     with c = U b, it needs c_i = 0 where D has no pivot and d_i | c_i where it

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import exact_int
 
 
@@ -90,9 +88,6 @@ class LaurentPoly:
         """The involution v -> v^(-1)."""
         return _poly({-e: a for e, a in self.coeffs.items()})
 
-    def max_degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else None
 
@@ -105,12 +100,6 @@ class LaurentPoly:
 
     def at_one(self):
         return sum(self.coeffs.values())
-
-    def evaluate(self, x):
-        total = Fraction(0)
-        for e, a in self.coeffs.items():
-            total += a * Fraction(x) ** e
-        return total
 
     def shifted(self, k):
         return _poly({e + k: a for e, a in self.coeffs.items()})

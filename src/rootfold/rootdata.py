@@ -17,7 +17,6 @@ from .jsoninput import MalformedInput, json_field, json_int_rows
 from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
     adjugate,
-    coordinates,
     fraction_rows,
     identity_matrix,
     integer_solver,
@@ -328,8 +327,13 @@ class BasedRootDatum:
         self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
         self._positive_coroots = tuple(pairs[r][0] for r in self.positive_roots)
         self._root_index = {r: k for k, r in enumerate(self.roots)}
-        # int coordinates over the simple coroots, for the dominance order
-        self._coroot_coords = coordinates(self.simple_coroots)
+        # int coordinates over the simple coroots, for the dominance order:
+        # the columns of the rank x r matrix solved are the simple coroots
+        # (rank empty rows when there are none)
+        self._coroot_coords, dependent = integer_solver(
+            mat_transpose(self.simple_coroots) or ((),) * self.rank)
+        if dependent:
+            raise ArithmeticError("rows are linearly dependent")
         # Phi and Phi^vee as RootSystemV, built on first use from the
         # coordinates above (the coroots' over the simple coroots) and never
         # changed afterwards, so every consumer of this datum shares them.
@@ -374,9 +378,6 @@ class BasedRootDatum:
         """The dual datum: roots and coroots (and the two lattices) swapped."""
         return BasedRootDatum(self.simple_coroots, self.simple_roots, self.rank,
                               label=self.label + "^" if self.label else "")
-
-    def classify(self):
-        return classify_cartan(self.cartan)
 
     # -- invariant form -----------------------------------------------------
 
@@ -677,9 +678,6 @@ class AutomorphismAction:
         eye = (identity_matrix(datum.rank),)
         self.group = group_closure(self.generators) or eye
         self.cochar_group = group_closure(self.cochar_generators) or eye
-
-    def order(self):
-        return len(self.group)
 
 
 class UndeterminedAutomorphism(MalformedAction):

@@ -74,8 +74,9 @@ class Verifier:
         lgd = preset.lgd
         # construction is self-checking (norm vs restriction on both levels,
         # the Knop halving construction, and the special-root coincidence)
-        ech = lgd.echelonnage()
-        params = ech.parameter_function(preset.overrides)
+        center = CenterContext(lgd, preset.overrides)
+        ech = center.ech
+        params = center.parameters
         detail = "sigma=%s sigma0=%s knop=%s special=%s L=%s" % (
             ech.sigma_breve.type_label(), ech.sigma0.type_label(),
             ech.sigma0_tilde_root.type_label(), sorted(ech.special),
@@ -94,7 +95,6 @@ class Verifier:
         self.record("theorem-B(macdonald)", name, halves == set(ech.special))
         ok = coroot_identity_check(lgd)
         self.record("coroot-identity", name, ok)
-        center = CenterContext(lgd, preset.overrides)
         return center
 
     # -- Theorem C ---------------------------------------------------------

@@ -1,10 +1,10 @@
 """Fraction Gaussian elimination: the reference for `rootfold.linalg`.
 
-The library decides determinants, inverses and coordinates over a base with
-one fraction-free integer elimination (`linalg.adjugate` and
-`linalg.coordinates`).  The tests check it against these plain Fraction
-eliminations, and use `gauss_solve` wherever they need coordinates of their
-own.  `solve_integer` is the per-call Smith-form solver that
+The library decides determinants and inverses with one fraction-free
+integer elimination (`linalg.adjugate`) and coordinates over a base with
+one Smith form (`linalg.integer_solver`).  The tests check them against
+these plain Fraction eliminations, and use `gauss_solve` wherever they need
+coordinates of their own.  `solve_integer` is the per-call Smith-form solver that
 `linalg.integer_solver` replaced.
 
 `average`, `weight_items` and `reference_base` are the Fraction routes that

@@ -1,17 +1,149 @@
-"""Dict-arithmetic Kazhdan-Lusztig solve: the reference for `rootfold.hecke`.
+"""Dict-arithmetic Hecke algebra and Kazhdan-Lusztig solve: the reference
+for `rootfold.hecke`.
 
 The library holds the bar rows and the KL solve on packed ints
-(`hecke._PackedRows`).  These functions are the same coset enumeration,
-R-polynomial recursion and downward solve with every coefficient a
-`LaurentPoly` dict, as `HeckeAlgebra` computed them before; the tests compare
-whole tables against them.  `decoded_rows` is the one way the tests read the
-library's packed rows.
+(`hecke._PackedRows`).  `dict_interval_rows` and `dict_kl_table` are the
+same coset enumeration, R-polynomial recursion and downward solve with every
+coefficient a `LaurentPoly` dict, as `HeckeAlgebra` computed them before; the
+tests compare whole tables against them.  `decoded_rows` is the one way the
+tests read the library's packed rows.  `HeckeElement` and `HeckeReference`
+are the element arithmetic of the algebra (products through normal-form
+letters, the bar involution through `HeckeAlgebra.bar_basis`), which the
+library does not need: it reads P_{x,y} and the geometric basis from the KL
+tables alone.
 """
 
 from rootfold.echelonnage import TheoremViolation
-from rootfold.hecke import KL_INTERVAL_CAP, _add_term
+from rootfold.hecke import KL_INTERVAL_CAP
 from rootfold.lattice import ResourceCap
 from rootfold.ring import LaurentPoly
+
+
+def _add_term(terms, x, c):
+    """terms[x] += c, dropping the entry when the sum is zero."""
+    s = terms[x] + c if x in terms else c
+    if s.is_zero():
+        terms.pop(x, None)
+    else:
+        terms[x] = s
+
+
+def eps(H, key):
+    """v_s - v_s^(-1) for the wall `key` of H."""
+    L = H.weights[key]
+    return LaurentPoly({L: 1, -L: -1})
+
+
+class HeckeElement:
+    """Finite Z[v,v^-1]-combination of normalized basis elements Ttilde_w."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra, terms=None):
+        self.algebra = algebra
+        t = {}
+        for x, c in (terms or {}).items():
+            if not c.is_zero():
+                t[x] = c
+        self.terms = t
+
+    def __eq__(self, other):
+        return isinstance(other, HeckeElement) and self.terms == other.terms
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for x, c in other.terms.items():
+            _add_term(t, x, c)
+        return HeckeElement(self.algebra, t)
+
+    def __sub__(self, other):
+        return self + other.scale(LaurentPoly({0: -1}))
+
+    def scale(self, poly):
+        return HeckeElement(self.algebra, {x: c * poly for x, c in self.terms.items()})
+
+    def coefficient(self, x):
+        return self.terms.get(x, LaurentPoly.zero())
+
+    def __repr__(self):
+        return "HeckeElement(%d terms)" % len(self.terms)
+
+
+class HeckeReference:
+    """Element arithmetic in the algebra of a `HeckeAlgebra` H, on the
+    normalized basis: Ttilde_s^2 = (v_s - v_s^(-1)) Ttilde_s + 1."""
+
+    def __init__(self, H):
+        self.hecke = H
+        self.engine = H.engine
+        self.weights = H.weights
+        self._weight_check = set()
+
+    def weight(self, x):
+        """L(x) = sum of L(s) over a reduced word (Omega contributes 0)."""
+        word, _omega = self.engine.normal_form(x)
+        return sum(self.weights[k] for k in word)
+
+    def one(self):
+        return HeckeElement(self, {self.engine.identity: LaurentPoly.one()})
+
+    def t_normalized(self, x):
+        return HeckeElement(self, {x: LaurentPoly.one()})
+
+    def t_standard(self, x):
+        """Standard basis T_x = v^L(x) Ttilde_x."""
+        return HeckeElement(self, {x: LaurentPoly.v_power(self.weight(x))})
+
+    def _mult_gen(self, elt, key):
+        """Multiply by Ttilde_s on the right."""
+        eng = self.engine
+        s = eng._s_aff_map[key]
+        out = {}
+        for x, c in elt.terms.items():
+            xs = eng.multiply(x, s)
+            _add_term(out, xs, c)
+            if eng.length(xs) < eng.length(x):
+                _add_term(out, x, c * eps(self, key))
+        return HeckeElement(self, out)
+
+    def _mult_omega(self, elt, omega):
+        eng = self.engine
+        return HeckeElement(self, {eng.multiply(x, omega): c
+                                   for x, c in elt.terms.items()})
+
+    def multiply(self, a, b):
+        """Product in H, expanding b through its normal form letters."""
+        out = HeckeElement(self, {})
+        eng = self.engine
+        for y, c in b.terms.items():
+            word, omega = eng.normal_form(y)
+            self._check_weight_consistency(y, word)
+            acc = a.scale(c)
+            for key in word:
+                acc = self._mult_gen(acc, key)
+            acc = self._mult_omega(acc, omega)
+            out = out + acc
+        return out
+
+    def _check_weight_consistency(self, y, word):
+        """L must be constant across reduced words (checked against the
+        descent-peeled word of y^-1 reversed, a different reduced word)."""
+        if y in self._weight_check:
+            return
+        self._weight_check.add(y)
+        alt, _ = self.engine.normal_form(self.engine.inverse(y))
+        if sum(self.weights[k] for k in word) != sum(self.weights[k] for k in alt):
+            raise TheoremViolation("weight function is not well-defined")
+
+    def bar_basis(self, x):
+        """bar(Ttilde_x) as an element, from `HeckeAlgebra.bar_basis`."""
+        return HeckeElement(self, self.hecke.bar_basis(x))
+
+    def bar(self, elt):
+        out = HeckeElement(self, {})
+        for x, c in elt.terms.items():
+            out = out + self.bar_basis(x).scale(c.bar())
+        return out
 
 
 def decoded_rows(H, y_min, J):
@@ -44,13 +176,13 @@ def dict_interval_rows(H, y_min, J):
     elems = sorted(cosets, key=eng.length)
     index = {x: i for i, x in enumerate(elems)}
     lengths = [eng.length(x) for x in elems]
-    walls = [(key, s, H._eps(key)) for key, s in eng.s_aff]
+    walls = [(key, s, eps(H, key)) for key, s in eng.s_aff]
     left = [[None] * len(elems) for _ in walls]
 
     def times(k, j):
         i = left[k][j]
         if i is None:
-            key, s, _eps = walls[k]
+            key, s, _eps_s = walls[k]
             w = elems[j]
             sw = mult(s, w)
             i = index.get(sw)
@@ -68,7 +200,7 @@ def dict_interval_rows(H, y_min, J):
             sx = times(k, j)
             if sx >= 0 and lengths[sx] < lengths[j]:
                 break
-        key, _s, eps = walls[k]
+        key, _s, eps_s = walls[k]
         v_inv = LaurentPoly.v_power(-H.weights[key])
         row = {}
         for w, c in rows[sx].items():
@@ -78,7 +210,7 @@ def dict_interval_rows(H, y_min, J):
                 continue
             _add_term(row, sw, c)
             if lengths[sw] > lengths[w]:
-                _add_term(row, w, -(c * eps))
+                _add_term(row, w, -(c * eps_s))
         rows.append(row)
     return elems, rows
 

@@ -15,8 +15,8 @@ from rootfold.characters import (
     CharacterContext,
     DualGroup,
     FixedGroup,
+    WeightTable,
     freudenthal,
-    weight_multiplicity,
 )
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.folding import _ratio
@@ -32,7 +32,13 @@ from rootfold.linalg import (
     vec_sub,
 )
 from rootfold.presets import load_preset, preset_names
-from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from rootfold.rootdata import (
+    build_datum,
+    classify_cartan,
+    diagram_automorphism,
+    gl_datum,
+    unitary_dual_action,
+)
 from fraction_linalg import frac_vec, gauss_solve
 from test_affine import KL_LADDER
 from test_folding import folding_data
@@ -46,15 +52,18 @@ def flip(r):
 
 def test_sl2_strings():
     d = build_datum("A1", "simply_connected")
+    system = d.root_system()
+    assert system._den == 1  # the weights of the table are lattice vectors
     # V_m for sl2: weights m, m-2, ..., -m each with multiplicity one
     for m in range(5):
         mu = tuple(m * x for x in d.simple_roots[0])
+        mults = {nu: c for _c, nu, c in
+                 WeightTable(system, mu, freudenthal(system, mu)).items()}
         # mu = m*alpha has the full string m, m-1, ..., -m in alpha units
         for k in range(-m - 1, m + 2):
             nu = tuple(k * x for x in d.simple_roots[0])
             expect = 1 if abs(k) <= m else 0
-            got = weight_multiplicity(d, mu, nu)
-            assert got == expect, (m, k)
+            assert mults.get(nu, 0) == expect, (m, k)
 
 
 def _weyl_dimension(datum, mu):
@@ -89,7 +98,7 @@ def _weyl_dimension(datum, mu):
 def test_freudenthal_dimensions(cartan, iso, mu, dim):
     d = build_datum(cartan, iso)
     dual = DualGroup(d)
-    total = dual.dimension(mu)
+    total = sum(dual.weight_table(mu).table.values())
     expect = _weyl_dimension(d, mu)
     assert total == expect
     if dim is not None:
@@ -391,7 +400,7 @@ def test_twining_vs_matrix_model():
             img = tuple(x for row in T(m) for x in row)
             sol = gauss_solve(mat_transpose(flat), img)
             trace += sol[k]
-        got = ctx.dual.trace(tau, mu, wt)
+        got = ctx.dual.trace_table(tau, mu).get(wt, 0)
         assert trace == got, (wt, trace, got)
     # and the fixed-space dimension matches the averaging formula applied to
     # the datum with the flip in the inertia position
@@ -435,11 +444,11 @@ def test_fixed_point_datum_matches_sigma():
     ctx = CharacterContext(lgd)
     # H's roots are Sigma_breve^vee: rank 1 system here
     assert len(ctx.h.system.base) == 1
-    assert ctx.h.sigma.rs_co.classify() == "A1"
+    assert classify_cartan(ctx.h.sigma.rs_co.cartan()) == "A1"
     d2 = build_datum("D4", "simply_connected")
     lgd2 = LocalGroupDatum(d2, (diagram_automorphism(d2, (2, 1, 3, 0)),), None)
     ctx2 = CharacterContext(lgd2)
-    assert ctx2.h.sigma.rs_co.classify() == "G2"
+    assert classify_cartan(ctx2.h.sigma.rs_co.cartan()) == "G2"
 
 
 def test_disconnected_hw_characters():
@@ -472,7 +481,6 @@ def test_branching_su3_ramified():
     assert ctx.weight_equality_check(mu)
     # tau trivial: traces equal dimensions
     assert ctx.tau_traces_on_H(mu) == br
-    assert ctx.tau_trace_on_H(mu, mubar) == 1
 
 
 def test_tau_traces_su3_unramified():
@@ -483,7 +491,6 @@ def test_tau_traces_su3_unramified():
     L = lgd.coinv
     tr = ctx.tau_traces_on_H(mu)
     assert tr == {L.project((1, 1)): 1}
-    assert ctx.tau_trace_on_H(mu, L.zero()) == 0
     br = ctx.branching(mu)
     assert br == {L.project((1, 1)): 1}
     assert ctx.weight_equality_check(mu)
@@ -497,7 +504,7 @@ def test_trace_specializes_to_dimension():
     mu = (1, 0, 1)
     table = ctx.dual.weight_table(mu)
     for _c, nu, m in table.items():
-        assert ctx.dual.trace(identity_matrix(3), mu, nu) == m
+        assert ctx.dual.trace_table(identity_matrix(3), mu).get(nu, 0) == m
 
 
 def test_twisted_character_w0_invariance():
@@ -505,8 +512,8 @@ def test_twisted_character_w0_invariance():
     lgd = LocalGroupDatum(d, (), diagram_automorphism(d, flip(3)), label="su4")
     ctx = CharacterContext(lgd)
     tw = ctx.twisted_invariants_character((1, 0, 1))
-    from rootfold.affine import build_tau_fixed
-    teng = build_tau_fixed(lgd)
+    from rootfold.affine import build_affine, build_tau_fixed
+    teng = build_tau_fixed(lgd, build_affine(lgd))
     for nu, val in tw.items():
         for nu2 in teng.weyl_orbit_class(nu):
             assert tw.get(nu2, 0) == val
@@ -544,13 +551,13 @@ def test_errors():
 
 
 def test_convenience_surfaces():
-    from rootfold.characters import FixedGroup, twining_character
+    from rootfold.characters import FixedGroup
     d = build_datum("A2", "simply_connected")
     m = diagram_automorphism(d, flip(2))
     lgd = LocalGroupDatum(d, (m,), None, label="ram")
     h = FixedGroup(lgd)
-    assert h.sigma.rs_co.classify() == "A1"
-    table = twining_character(d, lgd.inertia.cochar_generators[0], (1, 1))
+    assert classify_cartan(h.sigma.rs_co.cartan()) == "A1"
+    table = DualGroup(d).trace_table(lgd.inertia.cochar_generators[0], (1, 1))
     from fractions import Fraction as F
     assert table[(F(1), F(1))] == 1
     assert (F(0), F(0)) not in table

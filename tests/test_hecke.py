@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 
 from rootfold import cli, hecke
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.hecke import (
-    BernsteinElement,
-    CenterContext,
-    HeckeElement,
-    UndefinedPair,
-    evaluate_bernstein,
-)
+from rootfold.hecke import BernsteinElement, CenterContext, UndefinedPair
 from rootfold.lattice import ResourceCap
 from rootfold.presets import load_preset, preset_names
 from rootfold.ring import LaurentPoly
 from rootfold.rootdata import build_datum, diagram_automorphism
 
 from bruhat_reference import bruhat_leq
-from kl_reference import decoded_rows, dict_interval_rows, dict_kl_table
+from kl_reference import (
+    HeckeElement,
+    HeckeReference,
+    decoded_rows,
+    dict_interval_rows,
+    dict_kl_table,
+    eps,
+)
 
 v = LaurentPoly.v_power
 
@@ -47,7 +48,7 @@ def _su4_center():
 def test_standard_relation():
     # T_s^2 = (q^L(s) - 1) T_s + q^L(s) with L = 3 on the special node
     lgd, ctx = _su3_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     assert ctx.parameters == {("fin", 0): 3, ("aff", 0): 1}
     for key, s in ctx.tau_engine.s_aff:
         L = ctx.parameters[key]
@@ -59,7 +60,7 @@ def test_standard_relation():
 
 def test_unit_and_associativity():
     lgd, ctx = _su3_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     eng = ctx.tau_engine
     gens = [s for _k, s in eng.s_aff]
     rng = random.Random(7)
@@ -77,7 +78,7 @@ def test_unit_and_associativity():
 
 def test_specialization_at_one_is_group_algebra():
     lgd, ctx = _su3_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     eng = ctx.tau_engine
     gens = [s for _k, s in eng.s_aff]
     rng = random.Random(3)
@@ -99,7 +100,7 @@ def test_specialization_at_one_is_group_algebra():
 
 def test_bar_involution():
     lgd, ctx = _su3_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     eng = ctx.tau_engine
     gens = [s for _k, s in eng.s_aff]
     samples = [eng.identity, gens[0], gens[1],
@@ -125,7 +126,7 @@ def test_kl_golden_su3():
     w_theta = eng.max_double_coset(theta)
     w_zero = eng.max_double_coset(L.zero())
     assert eng.length(w_theta) == 3 and eng.length(w_zero) == 1
-    tab = canonical_basis_element(ctx.hecke, w_theta).terms
+    tab = canonical_basis_element(HeckeReference(ctx.hecke), w_theta).terms
     by_len = {}
     for x, p in tab.items():
         by_len.setdefault(eng.length(x), []).append(p)
@@ -167,13 +168,14 @@ def test_equal_parameter_classical_values():
         P = ctx.hecke.kl_polynomial(x, w)
         assert P.at_one() == 1
     # and the geometric basis is the classical one: C_lam = sum m_lam(nu) z_nu
-    C = ctx.geometric_basis_checked(L.project((1,)))
+    C = ctx.geometric_basis(L.project((1,)))
+    assert C == ctx.geometric_basis_kl(L.project((1,)))
     assert C == BernsteinElement({L.project((1,)): 1, L.zero(): 1})
 
 
 def test_canonical_basis_bar_fixed_unitriangular():
     lgd, ctx = _su3_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     eng = ctx.tau_engine
     L = lgd.coinv
     w = eng.max_double_coset(L.project((1, 1)))
@@ -182,7 +184,7 @@ def test_canonical_basis_bar_fixed_unitriangular():
     assert c.coefficient(w) == LaurentPoly.one()
     for x, p in c.terms.items():
         if x != w:
-            assert p.max_degree() < 0
+            assert max(p.coeffs) < 0
 
 
 def test_theorem_d_bridge():
@@ -214,27 +216,9 @@ def test_geometric_basis_top_coefficient():
         assert ctx.chars.h.class_leq(nu, lam)
 
 
-def test_evaluate_bernstein():
-    lgd, ctx = _su3_center()
-    L = lgd.coinv
-    theta = L.project((1, 1))
-    C = ctx.geometric_basis(theta)
-    one = lambda nu: 1
-    assert evaluate_bernstein(ctx, C, one) == 2
-    z0 = BernsteinElement({L.zero(): 1})
-    assert evaluate_bernstein(ctx, z0, one) == 1
-    # linearity
-    a = C + z0.scale(3)
-    assert evaluate_bernstein(ctx, a, one) == 5
-    # W_0-inconsistent (partial) evaluation maps are rejected
-    partial = {theta: 1}
-    with pytest.raises(ValueError):
-        evaluate_bernstein(ctx, C, partial.__getitem__)
-
-
 def test_weight_function_well_defined():
     lgd, ctx = _su4_center()
-    H = ctx.hecke
+    H = HeckeReference(ctx.hecke)
     eng = ctx.tau_engine
     gens = [s for _k, s in eng.s_aff]
     rng = random.Random(11)
@@ -297,13 +281,14 @@ def test_theorem_d_bridge_triality():
 # -- references: the full-interval solve and the whole-word route -------------
 
 
-def canonical_basis_element(H, y):
-    """c_y = sum_x p_{x,y} Ttilde_x over x in [e, y], read through
-    `kl_polynomial` as p_{x,y} = v^(L(x) - L(y)) P_{x,y}."""
+def canonical_basis_element(R, y):
+    """c_y = sum_x p_{x,y} Ttilde_x over x in [e, y] in the reference
+    arithmetic R, read through `kl_polynomial` as p_{x,y} = v^(L(x) - L(y))
+    P_{x,y}."""
     terms = {}
-    for x in H.engine.lower_interval(y):
-        terms[x] = H.kl_polynomial(x, y).shifted(H.weight(x) - H.weight(y))
-    return HeckeElement(H, terms)
+    for x in R.engine.lower_interval(y):
+        terms[x] = R.hecke.kl_polynomial(x, y).shifted(R.weight(x) - R.weight(y))
+    return HeckeElement(R, terms)
 
 
 def full_interval_kl_table(H, y):
@@ -340,9 +325,10 @@ def assert_cosets_match_full_interval(H, y, ref=None):
     eng = H.engine
     if ref is None:
         ref = full_interval_kl_table(H, y)
+    weight = HeckeReference(H).weight
     interval = eng.lower_interval(y)
     for x in interval:
-        expect = ref.get(x, LaurentPoly.zero()).shifted(H.weight(y) - H.weight(x))
+        expect = ref.get(x, LaurentPoly.zero()).shifted(weight(y) - weight(x))
         assert H.kl_polynomial(x, y) == expect, x
     omega_inv = eng.inverse(eng.omega_part(y))
 
@@ -395,7 +381,7 @@ def _left_mult_gen(H, elt, key):
         sx = eng.multiply(s, x)
         out = out + HeckeElement(H, {sx: c})
         if eng.length(sx) < eng.length(x):
-            out = out + HeckeElement(H, {x: c * H._eps(key)})
+            out = out + HeckeElement(H, {x: c * eps(H, key)})
     return out
 
 
@@ -407,7 +393,7 @@ def reference_bar_basis(H, x, cache):
         word, omega = H.engine.normal_form(x)
         out = HeckeElement(H, {omega: LaurentPoly.one()})
         for key in reversed(word):
-            out = _left_mult_gen(H, out, key) + out.scale(-H._eps(key))
+            out = _left_mult_gen(H, out, key) + out.scale(-eps(H, key))
         cache[x] = out
     return cache[x]
 
@@ -482,8 +468,8 @@ def test_interval_kernel_matches_reference(name, vec):
     assert len(interval) > 1
     for x in interval:
         expect = reference_bar_basis(solved.hecke, x, cache)
-        assert solved.hecke.bar_basis(x) == expect
-        assert fresh.hecke.bar_basis(x) == expect
+        assert solved.hecke.bar_basis(x) == expect.terms
+        assert fresh.hecke.bar_basis(x) == expect.terms
 
 
 def test_kl_caches_hold_no_algebra_reference():
@@ -496,9 +482,10 @@ def test_kl_caches_hold_no_algebra_reference():
         lam = lgd.coinv.project((1, 1))
         center.geometric_basis_kl(lam)
         y = center.tau_engine.max_double_coset(lam)
-        c = canonical_basis_element(center.hecke, y)
-        assert center.hecke.bar(c) == c
-        del c
+        R = HeckeReference(center.hecke)
+        c = canonical_basis_element(R, y)
+        assert R.bar(c) == c
+        del c, R
         assert center.hecke._kl_cache and center.hecke._bar_cache
         refs = [weakref.ref(center.hecke), weakref.ref(center.tau_engine)]
         del center
@@ -554,9 +541,10 @@ def test_kl_route_properties(name, data):
     lam = data.draw(st.sampled_from(lams))
     assert center.geometric_basis(lam) == center.geometric_basis_kl(lam)
     H = center.hecke
+    R = HeckeReference(H)
     y = center.tau_engine.max_double_coset(lam)
-    c = canonical_basis_element(H, y)
-    assert H.bar(c) == c
+    c = canonical_basis_element(R, y)
+    assert R.bar(c) == c
     for x in c.terms:
         assert H.kl_polynomial(x, y).min_degree() >= 0
     assert_cosets_match_full_interval(H, y)
@@ -663,9 +651,8 @@ def test_dominance_order_is_bruhat_order_on_w_lambda(name):
 
 
 def test_kl_polynomial_reads_the_coset_table(monkeypatch):
-    """The KL route reads no Bruhat interval and computes no weight, and
-    once the table of y is built, kl_polynomial makes no normal form
-    either."""
+    """The KL route reads no Bruhat interval, and once the table of y is
+    built, kl_polynomial makes no normal form either."""
     lgd, center = _preset_center("su3-unramified")
     H, eng = center.hecke, center.tau_engine
     lam = lgd.coinv.project((3, 3))
@@ -681,8 +668,7 @@ def test_kl_polynomial_reads_the_coset_table(monkeypatch):
             return orig(*args)
         monkeypatch.setattr(obj, name, wrapper)
 
-    for obj, name in ((eng, "lower_interval"), (H, "weight")):
-        count(obj, name)
+    count(eng, "lower_interval")
     center.geometric_basis_kl(lam)
     assert calls == []
     for obj, name in ((eng, "omega_part"), (eng, "normal_form")):

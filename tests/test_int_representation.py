@@ -20,7 +20,7 @@ from rootfold.presets import Preset, _load_raw
 
 import fraction_linalg
 from test_affine import _property_engines, local_data
-from test_folding import folding_data
+from test_folding import folding_data, pointwise_dual
 
 
 def assert_base_matches_reference(rs):
@@ -51,7 +51,7 @@ def test_folding_data_int_paths_match_fraction_routes(data):
     for rs, group, simple in ((d.root_system(), act.group, d.simple_roots),
                               (d.coroot_system(), act.cochar_group, d.simple_coroots)):
         folds = [fold(rs, group, op) for op in OP_TAGS]
-        for s in [rs, rs.dual()] + folds + [f.dual() for f in folds]:
+        for s in [rs, pointwise_dual(rs)] + folds + [pointwise_dual(f) for f in folds]:
             assert_base_matches_reference(s)
         for v in simple + identity_matrix(d.rank):
             assert_average_matches_reference(v, group)
@@ -117,7 +117,7 @@ def test_sigma_layers_construct_no_fraction():
                      for op in OP_TAGS]
         with no_fraction("dual"):
             for f in folds:
-                f.dual()
+                pointwise_dual(f)
         with no_fraction("EchelonnageData"):
             lgd.echelonnage()
         with no_fraction("ExtendedAffineWeyl"):

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import (
     adjugate,
-    coordinates,
     hermite_row_basis,
     identity_matrix,
     integer_solver,
     is_positive_definite,
     kernel_basis,
-    lattice_member,
     mat_det,
     mat_integer_inverse,
     mat_mul,
@@ -141,8 +139,8 @@ def test_hermite_canonical():
     b1 = hermite_row_basis([(2, 0), (0, 2), (1, 1)])
     b2 = hermite_row_basis([(1, 1), (1, -1)])
     assert b1 == b2
-    assert lattice_member(b1, (3, 1))
-    assert not lattice_member(b1, (1, 0))
+    assert hermite_row_basis(list(b1) + [(3, 1)]) == b1
+    assert hermite_row_basis(list(b1) + [(1, 0)]) != b1
 
 
 def test_rational_inverse_and_definite():
@@ -165,8 +163,8 @@ def test_integer_inverse_rejects_non_unimodular():
     with pytest.raises(ArithmeticError):
         mat_integer_inverse(((1, 2), (2, 4)))
     assert adjugate(((1, 2), (2, 4))) == (0, None)
-    with pytest.raises(ArithmeticError):
-        coordinates(((1, 2, 0), (2, 4, 0)))
+    # dependent rows: the transposed solver has a kernel
+    assert integer_solver(mat_transpose(((1, 2, 0), (2, 4, 0))))[1] != ()
 
 
 # -- adjugate and coordinates against Fraction elimination -----------------
@@ -237,7 +235,16 @@ def independent_rows(draw):
 @settings(max_examples=150, deadline=None)
 @given(independent_rows(), st.data())
 def test_coordinates_match_gauss_solve(krows, data):
+    """Coordinates over independent rows, as `BasedRootDatum` and
+    `SigmaSystem` take them: `integer_solver` on the transpose, with no
+    kernel."""
     k, n, rows = krows
+
+    def coordinates(rows):
+        solve, kernel = integer_solver(mat_transpose(rows) or ((),) * n)
+        assert kernel == ()
+        return solve
+
     solve = coordinates(rows)
     ints = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
     # in the lattice: x itself comes back
@@ -263,7 +270,7 @@ def _reference_class_leq(sigma, lam, mu):
     diff = mu - lam
     cols = tuple(frac_vec(c.free) for c in sigma.base_classes)
     if not cols:
-        return diff.is_zero()
+        return diff == diff.lattice.zero()
     sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
     if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
         return False

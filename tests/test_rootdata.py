@@ -27,6 +27,7 @@ from rootfold.rootdata import (
     AutomorphismAction,
     BasedRootDatum,
     build_datum,
+    classify_cartan,
     diagram_automorphism,
     _standard_cartans,
     gl_datum,
@@ -69,21 +70,21 @@ def test_pairing_and_closure():
 
 def test_classification():
     for t in ("A1", "A2", "B2", "C2", "B3", "C3", "D4", "D5", "E6", "F4", "G2"):
-        assert build_datum(t).classify() == t
-    assert build_datum("A2xA2").classify() == "A2xA2"
-    assert build_datum("A1xB2").classify() == "A1xB2"
+        assert classify_cartan(build_datum(t).cartan) == t
+    assert classify_cartan(build_datum("A2xA2").cartan) == "A2xA2"
+    assert classify_cartan(build_datum("A1xB2").cartan) == "A1xB2"
     # deterministic factor order
-    assert build_datum("B2xA1").classify() == "A1xB2"
-    assert gl_datum(3).classify() == "A2"
+    assert classify_cartan(build_datum("B2xA1").cartan) == "A1xB2"
+    assert classify_cartan(gl_datum(3).cartan) == "A2"
 
 
 def test_duals():
-    assert build_datum("B3").dual().classify() == "C3"
-    assert build_datum("C3").dual().classify() == "B3"
-    assert build_datum("F4").dual().classify() == "F4"
-    assert build_datum("A4").dual().classify() == "A4"
+    assert classify_cartan(build_datum("B3").dual().cartan) == "C3"
+    assert classify_cartan(build_datum("C3").dual().cartan) == "B3"
+    assert classify_cartan(build_datum("F4").dual().cartan) == "F4"
+    assert classify_cartan(build_datum("A4").dual().cartan) == "A4"
     # B2 dual is C2 with matched base order (first root short after dualizing)
-    assert build_datum("B2").dual().classify() == "C2"
+    assert classify_cartan(build_datum("B2").dual().cartan) == "C2"
 
 
 def test_bad_types():
@@ -200,10 +201,10 @@ def test_automorphism_validation():
     m = diagram_automorphism(d, (1, 0))
     act = AutomorphismAction(d, [m])
     assert base_permutation(d.root_system(), m) == (1, 0)
-    assert act.order() == 2
+    assert len(act.group) == 2
     u = unitary_dual_action(3)
     act3 = AutomorphismAction(gl_datum(3), [u])
-    assert act3.order() == 2
+    assert len(act3.group) == 2
 
 
 def test_automorphism_group_cap(monkeypatch):
@@ -212,7 +213,7 @@ def test_automorphism_group_cap(monkeypatch):
     import rootfold.lattice as lattice
     d = build_datum("D4", "simply_connected")
     gens = [diagram_automorphism(d, p) for p in ((2, 1, 3, 0), (0, 1, 3, 2))]
-    assert AutomorphismAction(d, gens).order() == 6
+    assert len(AutomorphismAction(d, gens).group) == 6
     monkeypatch.setattr(lattice, "GROUP_CAP", 5)
     with pytest.raises(lattice.ResourceCap, match="group closure exceeded 5 elements"):
         AutomorphismAction(d, gens)

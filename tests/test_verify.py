@@ -5,7 +5,7 @@ import time
 
 from rootfold import characters, cli, folding, presets, rootdata
 from rootfold.characters import DualGroup
-from rootfold.echelonnage import LocalGroupDatum
+from rootfold.echelonnage import EchelonnageData, LocalGroupDatum
 from rootfold.folding import FoldedRootSystem
 from rootfold.hecke import CenterContext
 from rootfold.rootdata import BasedRootDatum
@@ -66,10 +66,14 @@ def test_tower_data_built_once_per_preset(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Record every datum, fold and Freudenthal table built from here on."""
-    built = {"datum": [], "fold": [], "freudenthal": []}
+    """Record every datum, fold, Freudenthal table, CenterContext and
+    parameter function built from here on."""
+    built = {"datum": [], "fold": [], "freudenthal": [], "center": [],
+             "parameters": []}
     build, closed = BasedRootDatum._build, FoldedRootSystem._closed.__func__
     table = characters._freudenthal
+    center_init = CenterContext.__init__
+    parameters = EchelonnageData.parameter_function
 
     def counted_build(self, *args):
         built["datum"].append(args)
@@ -84,7 +88,17 @@ def _count_builds(monkeypatch):
         built["freudenthal"].append((rs._value, tuple(mu), den))
         return table(rs, mu, den)
 
+    def counted_center(self, lgd, overrides=None):
+        built["center"].append(lgd.label)
+        center_init(self, lgd, overrides)
+
+    def counted_parameters(self, overrides=None):
+        built["parameters"].append(self.lgd.label)
+        return parameters(self, overrides)
+
     monkeypatch.setattr(BasedRootDatum, "_build", counted_build)
+    monkeypatch.setattr(CenterContext, "__init__", counted_center)
+    monkeypatch.setattr(EchelonnageData, "parameter_function", counted_parameters)
     monkeypatch.setattr(FoldedRootSystem, "_closed", classmethod(counted_closed))
     monkeypatch.setattr(characters, "_freudenthal", counted_table)
     return built
@@ -94,14 +108,18 @@ def test_one_build_per_value(monkeypatch, fresh_tables):
     """One run_verify() from empty process-wide tables builds 15 data, 144
     folds and 61 Freudenthal tables: one per value.  Before data were
     interned and the fold and Freudenthal memos keyed by value, it built 19,
-    199 and 176."""
+    199 and 176.  The parameter function is computed once per CenterContext
+    (22: one per preset and three for the tower), not once more by theorem
+    B (41)."""
     built = _count_builds(monkeypatch)
     code, lines = run_verify()
     assert code == 0
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith(
         "3d4ee35357afd704")
     assert {k: len(v) for k, v in built.items()} == \
-        {"datum": 15, "fold": 144, "freudenthal": 61}
+        {"datum": 15, "fold": 144, "freudenthal": 61, "center": 22,
+         "parameters": 22}
+    assert built["parameters"] == built["center"]
     assert len(set(built["datum"])) == 15  # 19 presets on 15 datum values
     assert len({(f._value, f.op, f.orbits) for f in built["fold"]}) == 144
     assert len(set(built["freudenthal"])) == 61
