@@ -8,8 +8,9 @@ positive roots, components and highest roots are read from the system's
 coordinates; no roots are closed here.  Elements are pairs (translation
 class, Weyl matrix); lengths come from the inversion formula in int
 arithmetic, normal forms from descent peeling, and the Bruhat order from one
-place: the lower interval [e, y], the subword products of a reduced word of
-y, cached per engine.  As 2rho^vee pairs > 0 with every positive root, w^-1
+walk, `coset_walk`: the cosets x W_J below y W_J, reached from e by the
+letters of a reduced word of y; with J = () it is the lower interval [e, y],
+cached per engine.  As 2rho^vee pairs > 0 with every positive root, w^-1
 alpha > 0 exactly when <alpha, w 2rho^vee> > 0: one sign vector per Weyl
 part (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116,
 1994).  Torsion classes are central and have length zero (they land in
@@ -240,24 +241,54 @@ class ExtendedAffineWeyl:
 
     # -- Bruhat order -----------------------------------------------------------
 
+    def coset_fixer(self, J):
+        """The function (sw, w) -> the wall t in J with sw = wt, or None: for
+        w minimal in w W_J and a wall s, either sw is minimal or sw = wt with
+        t in J, and then s fixes the coset (Deodhar's lemma)."""
+        mult = self.multiply
+        right = [(t, self._s_aff_map[t]) for t in J]
+        return lambda sw, w: next((t for t, r in right if mult(sw, r) == w), None)
+
+    def coset_walk(self, y, J, cap):
+        """The minimal representatives of the cosets x W_J below y' W_J, for
+        y = y' omega with omega of length zero and y' minimal in y' W_J, as
+        {x: (length, key, w)} in the order found: x = s_key w (key and w are
+        None for e).  With J = () they are the elements of [e, y'].
+
+        Starts from {e} and multiplies on the left by the letters of a
+        reduced word of y', read from the right; a letter that fixes a coset
+        adds nothing.  The cosets found after each letter are a lower
+        interval of the quotient (Bjorner-Brenti, Combinatorics of Coxeter
+        Groups, section 2.5), so a new coset s w lies above w and has length
+        l(w) + 1.  Raises ResourceCap as soon as it holds more than `cap`
+        cosets."""
+        word, _omega = self.normal_form(y)
+        mult = self.multiply
+        fixer = self.coset_fixer(J)
+        found = {self.identity: (0, None, None)}
+        for key in reversed(word):
+            s = self._s_aff_map[key]
+            for w, (n, _key, _w) in list(found.items()):
+                sw = mult(s, w)
+                if sw not in found and fixer(sw, w) is None:
+                    found[sw] = (n + 1, key, w)
+            if len(found) > cap:
+                msg = "Bruhat interval exceeded cap %d" % cap
+                if J:
+                    msg += " cosets x W_J, J = {%s}" % ",".join("%s%d" % t for t in J)
+                raise ResourceCap(msg)
+        return found
+
     def lower_interval(self, y):
-        """All x <= y, via subword products of a reduced word of y.  Raises
-        ResourceCap as soon as the enumeration passes `ADM_CAP` elements."""
-        word, omega = self.normal_form(y)
-        key = (word, omega)
-        if key in self._interval:
-            out = self._interval[key]
-            if len(out) > ADM_CAP:
-                raise ResourceCap("Bruhat interval exceeded cap %d" % ADM_CAP)
-            return out
-        elems = {self.identity}
-        for k in word:
-            s = self._s_aff_map[k]
-            elems |= {self.multiply(x, s) for x in elems}
-            if len(elems) > ADM_CAP:
-                raise ResourceCap("Bruhat interval exceeded cap %d" % ADM_CAP)
-        out = frozenset(self.multiply(x, omega) for x in elems)
-        self._interval[key] = out
+        """All x <= y: the walk [e, y'] of `coset_walk` times the Omega part
+        of y, cached per engine.  Raises ResourceCap as soon as the walk
+        passes `ADM_CAP` elements."""
+        key = self.normal_form(y)
+        out = self._interval.get(key)
+        if out is None:
+            walk = self.coset_walk(y, (), ADM_CAP)
+            out = self._interval[key] = frozenset(
+                self.multiply(x, key[1]) for x in walk)
         return out
 
     # -- finite Weyl helpers ------------------------------------------------------
@@ -439,7 +470,6 @@ def coroot_identity_check(lgd):
     """Image of Z Phi^vee in X_*(T)_I equals Z Sigma_breve^vee (torsion
     coordinates included)."""
     coinv = lgd.coinv
-    ech = lgd.echelonnage()
-    lhs = coinv.subgroup([coinv.project(cv) for cv in lgd.datum.simple_coroots])
-    rhs = coinv.subgroup(list(ech.sigma_breve.base_classes))
-    return lhs == rhs
+    return coinv.same_subgroup(
+        [coinv.project(cv) for cv in lgd.datum.simple_coroots],
+        lgd.echelonnage().sigma_breve.base_classes)

@@ -28,7 +28,7 @@ twining characters.
 Inside the solve a polynomial is one int (Kronecker substitution; see
 Harvey, J. Symbolic Comput. 44, 2009): sum a_e v^e is held as sum a_e
 2^(K (e + b)) with balanced base-2^K digits, K = `KL_DIGIT_BITS`, and a bias
-b read off the weighted lengths that the coset enumeration records, so that
+b read off the weighted lengths of the cosets (from the engine's walk), so that
 powers of v are shifts and the sums of products are int products
 (`_PackedRows`).  The digits are the coefficients only while each
 coefficient is below 2^(K-1) in size, and a carry would hide an overflow
@@ -43,7 +43,6 @@ order is exactly a missing key.
 from __future__ import annotations
 
 from .echelonnage import TheoremViolation
-from .lattice import ResourceCap
 from .ring import LaurentPoly
 
 # Largest number of cosets x W_J whose bar rows are built: for the KL solve
@@ -165,15 +164,10 @@ class HeckeAlgebra:
         W_J, so that Ttilde_t c_{w_J} = v_t c_{w_J} for t in J.  With J = ()
         the cosets are the elements of [e, y_min] and m_x = Ttilde_x.
 
-        The cosets come from {e W_J} by acting on the left with the letters
-        of a reduced word of y_min, read from the right.  For minimal w and a
-        wall s, either sw is minimal or sw = wt with t in J (Deodhar's lemma),
-        and then s fixes the coset.  The cosets found after each letter are a
-        lower interval of the quotient (Bjorner-Brenti, Combinatorics of
-        Coxeter Groups, section 2.5), so a new coset s w lies above w: its
-        length is l(w) + 1 and its weighted length L(w) + L(s).  The
-        enumeration raises ResourceCap as soon as it holds more than
-        KL_INTERVAL_CAP cosets.
+        The cosets, their lengths and the letter each was found by come from
+        the engine's `coset_walk`, which raises ResourceCap as soon as it
+        holds more than KL_INTERVAL_CAP cosets.  A coset s w found from w
+        lies above w, so its weighted length is L(w) + L(s).
 
         Row j comes from the row of s x for the first wall s (in `s_aff`
         order, as in `normal_form`) that is a left descent of x = elems[j]:
@@ -192,30 +186,15 @@ class HeckeAlgebra:
         eng = self.engine
         mult = eng.multiply
         weights = self.weights
-        right = [(t, eng._s_aff_map[t]) for t in J]
-
-        def fixer(sw, w):
-            """The wall t in J with sw = wt, or None."""
-            return next((t for t, r in right if mult(sw, r) == w), None)
-
-        word, _omega = eng.normal_form(y_min)
-        # minimal representative -> (length, weighted length)
-        cosets = {eng.identity: (0, 0)}
-        for key in reversed(word):
-            s = eng._s_aff_map[key]
-            step = weights[key]
-            for w, (n, L) in list(cosets.items()):
-                sw = mult(s, w)
-                if sw not in cosets and fixer(sw, w) is None:
-                    cosets[sw] = (n + 1, L + step)
-            if len(cosets) > KL_INTERVAL_CAP:
-                raise ResourceCap(
-                    "Bruhat interval exceeded cap %d cosets x W_J, J = {%s}"
-                    % (KL_INTERVAL_CAP, ",".join("%s%d" % t for t in J)))
-        elems = sorted(cosets, key=lambda x: cosets[x][0])
+        fixer = eng.coset_fixer(J)
+        found = eng.coset_walk(y_min, J, KL_INTERVAL_CAP)
+        weighted_of = {}
+        for x, (_n, key, w) in found.items():
+            weighted_of[x] = 0 if w is None else weighted_of[w] + weights[key]
+        elems = sorted(found, key=lambda x: found[x][0])
         index = {x: i for i, x in enumerate(elems)}
-        lengths = [cosets[x][0] for x in elems]
-        weighted = [cosets[x][1] for x in elems]
+        lengths = [found[x][0] for x in elems]
+        weighted = [weighted_of[x] for x in elems]
         packed = _PackedRows(elems, weighted)
         bits = packed.bits
         walls = [(key, s, 2 * bits * weights[key]) for key, s in eng.s_aff]

@@ -1,7 +1,7 @@
 """Integer lattices with finite group actions.
 
 Provides coinvariants (with torsion, in Smith normal form coordinates), the
-averaging map onto the fixed subspace, and subgroups of coinvariant
+averaging map onto the fixed subspace, and subgroup equality in coinvariant
 lattices.  Every object is immutable after construction and all
 arithmetic is exact.
 
@@ -24,12 +24,13 @@ from operator import add, mul
 from .linalg import (
     exact_int,
     fraction_rows,
-    hermite_row_basis,
     identity_matrix,
+    integer_solver,
     lowest_terms,
     mat_integer_inverse,
     mat_mul,
     mat_sub,
+    mat_transpose,
     mat_vec,
     smith_normal_form,
 )
@@ -311,33 +312,22 @@ class CoinvariantLattice:
 
     # -- subgroups ---------------------------------------------------------
 
-    def subgroup(self, elements):
-        """Canonical form of the subgroup the elements generate."""
-        return QuotientSubgroup(self, elements)
+    def same_subgroup(self, a, b):
+        """True when the elements a and the elements b generate the same
+        subgroup: each lies in the subgroup of the other (`_contains`)."""
+        return self._contains(a, b) and self._contains(b, a)
 
-
-class QuotientSubgroup:
-    """Subgroup of a coinvariant lattice, canonicalized by Hermite form of
-    lifted generators together with the torsion relations."""
-
-    def __init__(self, lattice, elements):
-        self.lattice = lattice
-        n = lattice.free_rank + len(lattice.torsion)
-        rows = []
-        for e in elements:
-            rows.append(tuple(e.free) + tuple(e.tors))
-        for k, d in enumerate(lattice.torsion):
-            rows.append((0,) * lattice.free_rank
-                        + tuple(d if j == k else 0 for j in range(len(lattice.torsion))))
-        if not rows:
-            rows = [(0,) * n] if n else [()]
-        self.basis = hermite_row_basis(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientSubgroup) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
+    def _contains(self, gens, elements):
+        """True when every element lies in the subgroup the gens generate:
+        its (free, tors) vector is an integral combination of theirs and of
+        the torsion relation rows d_k e_k, one Smith form for all of them
+        (`linalg.integer_solver`)."""
+        f, t = self.free_rank, len(self.torsion)
+        rows = [e.free + e.tors for e in gens]
+        rows += [(0,) * (f + k) + (d,) + (0,) * (t - k - 1)
+                 for k, d in enumerate(self.torsion)]
+        solve = integer_solver(mat_transpose(rows) or ((),) * (f + t))[0]
+        return all(solve(e.free + e.tors) is not None for e in elements)
 
 
 def coinvariants(rank, generators):

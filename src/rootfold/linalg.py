@@ -262,48 +262,6 @@ def smith_normal_form(M):
     return D, tuple(tuple(row) for row in U), tuple(tuple(row) for row in V)
 
 
-def hermite_row_basis(vectors):
-    """Canonical basis (row-style Hermite form) of the lattice the rows span.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot).  The result is a canonical invariant of the lattice itself.
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return ()
-    n = len(rows[0])
-    basis = []
-    for c in range(n):
-        pool = [r for r in rows if r[c] != 0]
-        if not pool:
-            continue
-        # gcd-eliminate column c: shrink until a single row carries the pivot
-        while len(pool) > 1:
-            pool.sort(key=lambda r: abs(r[c]))
-            piv = pool[0]
-            for r in pool[1:]:
-                q = r[c] // piv[c]
-                if q:
-                    for k in range(n):
-                        r[k] -= q * piv[k]
-            pool = [piv] + [r for r in pool[1:] if r[c] != 0]
-        piv = pool[0]
-        if piv[c] < 0:
-            for k in range(n):
-                piv[k] = -piv[k]
-        basis.append(piv)
-        rows = [r for r in rows if r is not piv and any(r)]
-    # reduce entries above each pivot into [0, pivot) for canonicity
-    for i in range(len(basis)):
-        c = next(k for k in range(n) if basis[i][k] != 0)
-        for j in range(i):
-            q = basis[j][c] // basis[i][c]
-            if q:
-                for k in range(n):
-                    basis[j][k] -= q * basis[i][k]
-    return tuple(tuple(r) for r in basis)
-
-
 def integer_solver(M):
     """(solve, kernel) for an int matrix M (m x n), from one Smith normal form
     U M V = D.
@@ -338,7 +296,3 @@ def integer_solver(M):
 
     return solve, kernel
 
-
-def kernel_basis(M):
-    """Integer basis of {x : M x = 0}, via the SNF column transform."""
-    return integer_solver(M)[1]

@@ -21,7 +21,6 @@ from .linalg import (
     identity_matrix,
     integer_solver,
     is_positive_definite,
-    kernel_basis,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
@@ -327,13 +326,6 @@ class BasedRootDatum:
         self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
         self._positive_coroots = tuple(pairs[r][0] for r in self.positive_roots)
         self._root_index = {r: k for k, r in enumerate(self.roots)}
-        # int coordinates over the simple coroots, for the dominance order:
-        # the columns of the rank x r matrix solved are the simple coroots
-        # (rank empty rows when there are none)
-        self._coroot_coords, dependent = integer_solver(
-            mat_transpose(self.simple_coroots) or ((),) * self.rank)
-        if dependent:
-            raise ArithmeticError("rows are linearly dependent")
         # Phi and Phi^vee as RootSystemV, built on first use from the
         # coordinates above (the coroots' over the simple coroots) and never
         # changed afterwards, so every consumer of this datum shares them.
@@ -363,10 +355,6 @@ class BasedRootDatum:
 
     # -- basic maps ---------------------------------------------------------
 
-    def reflect_char(self, i, x):
-        """s_i on the character side: x - <x, a_i^vee> a_i."""
-        return vec_sub(x, vec_scale(vec_dot(x, self.simple_coroots[i]), self.simple_roots[i]))
-
     def reflect_cochar(self, i, y):
         """s_i on the cocharacter side: y - <a_i, y> a_i^vee."""
         return vec_sub(y, vec_scale(vec_dot(self.simple_roots[i], y), self.simple_coroots[i]))
@@ -392,7 +380,7 @@ class BasedRootDatum:
         d = symmetrizers(self.cartan)
         span = list(self.simple_roots)
         if self.simple_coroots:
-            comp = list(kernel_basis(self.simple_coroots))
+            comp = list(integer_solver(self.simple_coroots)[1])
         else:
             comp = list(identity_matrix(n))
         basis = span + comp
@@ -467,35 +455,6 @@ class BasedRootDatum:
 
     def is_dominant_cochar(self, v):
         return all(vec_dot(a, v) >= 0 for a in self.simple_roots)
-
-    def dominant_cochar(self, v):
-        """The unique dominant element of the Weyl orbit of v."""
-        v = tuple(v)
-        while True:
-            for i in range(len(self.simple_roots)):
-                if vec_dot(self.simple_roots[i], v) < 0:
-                    v = self.reflect_cochar(i, v)
-                    break
-            else:
-                return v
-
-    def antidominant_cochar(self, v):
-        v = tuple(v)
-        while True:
-            for i in range(len(self.simple_roots)):
-                if vec_dot(self.simple_roots[i], v) > 0:
-                    v = self.reflect_cochar(i, v)
-                    break
-            else:
-                return v
-
-    def dominance_leq(self, nu, mu):
-        """nu <= mu iff mu - nu is a nonnegative integral sum of positive
-        coroots (equivalently of simple coroots)."""
-        if len(nu) != len(mu):
-            raise ValueError("rank mismatch")
-        c = self._coroot_coords(vec_sub(mu, nu))
-        return c is not None and min(c, default=0) >= 0
 
     def weight_set(self, mu):
         """The saturated set Wt(mu) = {nu : w nu <= mu for all w}: the

@@ -12,7 +12,6 @@ from .echelonnage import TheoremViolation
 from .folding import verify_duality
 from .hecke import CenterContext
 from .lattice import ResourceCap
-from .linalg import mat_vec
 from .presets import load_preset, preset_names
 from .testfn import ramified_descent_check, test_function, z_v_star_1j
 
@@ -150,13 +149,7 @@ class Verifier:
     # -- branching / decomposition ------------------------------------------
 
     def _branching_mus(self, preset, mus):
-        lgd = preset.lgd
-        out = []
-        for mu in mus:
-            if all(mat_vec(g, mu) == tuple(mu) for g in lgd.inertia.cochar_group) \
-                    and tuple(mat_vec(lgd.tau_cochar, mu)) == tuple(mu):
-                out.append(mu)
-        return out
+        return [mu for mu in mus if preset.lgd.mu_defect(mu) is None]
 
     def _branching(self, name, preset, center, mus):
         lgd = preset.lgd

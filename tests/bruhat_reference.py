@@ -1,12 +1,15 @@
-"""The recursive Bruhat order and the admissible-set unions: the references
-for `rootfold.affine`.
+"""The recursive Bruhat order, the subword intervals and the admissible-set
+unions: the references for `rootfold.affine`.
 
-The library reads the Bruhat order from one place, the subword interval
-`ExtendedAffineWeyl.lower_interval`, and finds maximal elements by one pass in
-decreasing length against those intervals.  These functions are the
-recursion that the engine ran before, with its memo of Bruhat pairs kept per
-engine here, and the pairwise `extremal_elements` that used it; the tests
-compare interval membership and the length-ordered pass against them.
+The library reads the Bruhat order from one walk,
+`ExtendedAffineWeyl.coset_walk`, which `lower_interval` reads with J = (),
+and finds maximal elements by one pass in decreasing length against those
+intervals.  `subword_interval` is the enumeration `lower_interval` ran
+before: the subword products of a reduced word.  `bruhat_leq` is the
+recursion that the engine ran before that, with its memo of Bruhat pairs
+kept per engine here, and `pairwise_extremal_elements` the maximal elements
+by it; the tests compare intervals, interval membership and the
+length-ordered pass against them.
 
 `verify_extremal` compares the two definitions of Adm(mu) through their
 maximal translations.  `verify_extremal_by_union` is the check it replaced:
@@ -51,6 +54,17 @@ def _leq_aff(eng, u, v):
         out = _leq_aff(eng, u, sv)
     memo[key] = out
     return out
+
+
+def subword_interval(eng, y):
+    """[e, y] as the subword products of a reduced word of y's affine part,
+    each times the Omega part of y."""
+    word, omega = eng.normal_form(y)
+    elems = {eng.identity}
+    for k in word:
+        s = eng._s_aff_map[k]
+        elems |= {eng.multiply(x, s) for x in elems}
+    return frozenset(eng.multiply(x, omega) for x in elems)
 
 
 def pairwise_extremal_elements(eng, elements):

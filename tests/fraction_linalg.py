@@ -7,6 +7,10 @@ these plain Fraction eliminations, and use `gauss_solve` wherever they need
 coordinates of their own.  `solve_integer` is the per-call Smith-form solver that
 `linalg.integer_solver` replaced.
 
+`hermite_row_basis` is the canonical basis by which the library once
+compared subgroups; `CoinvariantLattice.same_subgroup`, which solves with
+`linalg.integer_solver` instead, is checked against it.
+
 `average`, `weight_items` and `reference_base` are the Fraction routes that
 the int representation of the Sigma systems replaced: the orbit average,
 the weights of a `WeightTable`, and the int representation `RootSystemV`
@@ -101,6 +105,48 @@ def solve_integer(M, b):
             if i < n:
                 y[i] = c[i] // d
     return mat_vec(V, tuple(y))
+
+
+def hermite_row_basis(vectors):
+    """Canonical basis (row-style Hermite form) of the lattice the rows span.
+
+    Pivots are positive, entries above each pivot are reduced into
+    [0, pivot).  The result is a canonical invariant of the lattice itself.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return ()
+    n = len(rows[0])
+    basis = []
+    for c in range(n):
+        pool = [r for r in rows if r[c] != 0]
+        if not pool:
+            continue
+        # gcd-eliminate column c: shrink until a single row carries the pivot
+        while len(pool) > 1:
+            pool.sort(key=lambda r: abs(r[c]))
+            piv = pool[0]
+            for r in pool[1:]:
+                q = r[c] // piv[c]
+                if q:
+                    for k in range(n):
+                        r[k] -= q * piv[k]
+            pool = [piv] + [r for r in pool[1:] if r[c] != 0]
+        piv = pool[0]
+        if piv[c] < 0:
+            for k in range(n):
+                piv[k] = -piv[k]
+        basis.append(piv)
+        rows = [r for r in rows if r is not piv and any(r)]
+    # reduce entries above each pivot into [0, pivot) for canonicity
+    for i in range(len(basis)):
+        c = next(k for k in range(n) if basis[i][k] != 0)
+        for j in range(i):
+            q = basis[j][c] // basis[i][c]
+            if q:
+                for k in range(n):
+                    basis[j][k] -= q * basis[i][k]
+    return tuple(tuple(r) for r in basis)
 
 
 def average(v, group):

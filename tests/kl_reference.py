@@ -5,12 +5,13 @@ The library holds the bar rows and the KL solve on packed ints
 (`hecke._PackedRows`).  `dict_interval_rows` and `dict_kl_table` are the
 same coset enumeration, R-polynomial recursion and downward solve with every
 coefficient a `LaurentPoly` dict, as `HeckeAlgebra` computed them before; the
-tests compare whole tables against them.  `decoded_rows` is the one way the
-tests read the library's packed rows.  `HeckeElement` and `HeckeReference`
-are the element arithmetic of the algebra (products through normal-form
-letters, the bar involution through `HeckeAlgebra.bar_basis`), which the
-library does not need: it reads P_{x,y} and the geometric basis from the KL
-tables alone.
+tests compare whole tables against them.  Their enumeration, `dict_cosets`,
+is also the reference for the engine's `coset_walk` on a nonempty J.
+`decoded_rows` is the one way the tests read the library's packed rows.
+`HeckeElement` and `HeckeReference` are the element arithmetic of the
+algebra (products through normal-form letters, the bar involution through
+`HeckeAlgebra.bar_basis`), which the library does not need: it reads
+P_{x,y} and the geometric basis from the KL tables alone.
 """
 
 from rootfold.echelonnage import TheoremViolation
@@ -153,27 +154,39 @@ def decoded_rows(H, y_min, J):
     return packed.elems, [packed.row(j) for j in range(len(packed.elems))]
 
 
-def dict_interval_rows(H, y_min, J):
-    """(elems, rows) of the cosets x W_J below y_min W_J and the bar rows of
-    M_J, rows[j] = {i: LaurentPoly}, by `_add_term` on dicts."""
-    eng = H.engine
-    mult = eng.multiply
+def _fixer(eng, J):
+    """(sw, w) -> the wall t in J with sw = wt, or None."""
     right = [(t, eng._s_aff_map[t]) for t in J]
+    return lambda sw, w: next((t for t, r in right if eng.multiply(sw, r) == w),
+                              None)
 
-    def fixer(sw, w):
-        return next((t for t, r in right if mult(sw, r) == w), None)
 
+def dict_cosets(eng, y_min, J):
+    """The set of minimal representatives of the cosets x W_J below
+    y_min W_J: from {e}, the products s w over the letters s of a reduced
+    word of y_min read from the right, except where s fixes the coset w W_J
+    (sw = wt for t in J)."""
+    fixer = _fixer(eng, J)
     word, _omega = eng.normal_form(y_min)
     cosets = {eng.identity}
     for key in reversed(word):
         s = eng._s_aff_map[key]
         for w in list(cosets):
-            sw = mult(s, w)
+            sw = eng.multiply(s, w)
             if sw not in cosets and fixer(sw, w) is None:
                 cosets.add(sw)
         if len(cosets) > KL_INTERVAL_CAP:
             raise ResourceCap("Bruhat interval exceeded cap")
-    elems = sorted(cosets, key=eng.length)
+    return cosets
+
+
+def dict_interval_rows(H, y_min, J):
+    """(elems, rows) of the cosets x W_J below y_min W_J and the bar rows of
+    M_J, rows[j] = {i: LaurentPoly}, by `_add_term` on dicts."""
+    eng = H.engine
+    mult = eng.multiply
+    fixer = _fixer(eng, J)
+    elems = sorted(dict_cosets(eng, y_min, J), key=eng.length)
     index = {x: i for i, x in enumerate(elems)}
     lengths = [eng.length(x) for x in elems]
     walls = [(key, s, eps(H, key)) for key, s in eng.s_aff]

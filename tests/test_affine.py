@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfold.affine import (
+    ADM_CAP,
     AffineElement,
     ExtendedAffineWeyl,
     _orbit_longest_matrix,
@@ -22,7 +23,7 @@ from rootfold.affine import (
 )
 from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
 from rootfold.folding import RootSystemV
-from rootfold.hecke import CenterContext
+from rootfold.hecke import KL_INTERVAL_CAP, CenterContext, HeckeAlgebra
 from rootfold.lattice import CoinvariantElement
 from rootfold.linalg import (
     fraction_rows,
@@ -47,9 +48,11 @@ from bruhat_reference import (
     downward_closure,
     pairwise_extremal_elements,
     relative_admissible_set,
+    subword_interval,
     verify_extremal_by_union,
 )
 from fraction_linalg import frac_vec, gauss_solve
+from kl_reference import dict_cosets
 
 
 def flip(r):
@@ -371,9 +374,8 @@ def test_tau_fixed_engine_su3():
     # fixed-coroot-lattice identity at the tau level:
     # Z Sigma_0^vee = (Z Sigma_breve^vee)^tau
     ech = lgd.echelonnage()
-    sub0 = lgd.coinv.subgroup(list(ech.sigma0.base_classes))
+    sub0 = list(ech.sigma0.base_classes)
     fixed_gens = []
-    breve_sub = lgd.coinv.subgroup(list(ech.sigma_breve.base_classes))
     for cls in ech.sigma_breve.base_classes:
         acc = cls
         img = lgd.tau_endo(cls)
@@ -382,7 +384,7 @@ def test_tau_fixed_engine_su3():
             img = lgd.tau_endo(img)
         fixed_gens.append(acc)
     for g in fixed_gens:  # g lies in Z Sigma_0^vee
-        assert lgd.coinv.subgroup(list(ech.sigma0.base_classes) + [g]) == sub0
+        assert lgd.coinv.same_subgroup(sub0 + [g], sub0)
 
 
 def test_tau_fixed_engine_su4():
@@ -684,6 +686,47 @@ def test_length_matches_reference_property(key, tau_level, data):
     for _k, s in eng.s_aff:
         sx = eng.multiply(s, x)
         assert eng.length(sx) == reference_length(eng, sx), (key, sx)
+
+
+def assert_walk_records(eng, found):
+    """Each coset of a walk has its length and came from its recorded coset
+    by its recorded letter, one step shorter."""
+    for x, (n, key, w) in found.items():
+        assert n == eng.length(x), x
+        if w is None:
+            assert x == eng.identity
+        else:
+            assert eng.multiply(eng._s_aff_map[key], w) == x, x
+            assert found[w][0] == n - 1, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_data(), st.booleans(), st.data())
+def test_coset_walk_matches_references_property(key, tau_level, data):
+    """The walk with J = () against the subword interval, for y a word of at
+    most 8 walls times the Omega part of some w_lambda; and with J the right
+    descents of w_lambda, <2rho, lambda> <= 4, against the set enumeration of
+    the KL reference."""
+    lgd, beng, teng = _property_engines(key)
+    eng = teng if tau_level else beng
+    classes = sorted({lgd.coinv.project(m)
+                      for m in lgd.datum.dominant_cochars_up_to(4)},
+                     key=lambda c: (c.free, c.tors))
+    if tau_level:
+        classes = [c for c in classes if lgd.tau_endo(c) == c]
+    w_lam = eng.max_double_coset(data.draw(st.sampled_from(classes)))
+    y = eng.omega_part(w_lam)
+    for s in data.draw(st.lists(st.sampled_from([s for _k, s in eng.s_aff]),
+                                max_size=8)):
+        y = eng.multiply(s, y)
+    found = eng.coset_walk(y, (), ADM_CAP)
+    assert_walk_records(eng, found)
+    assert eng.lower_interval(y) == subword_interval(eng, y), (key, y)
+    H = HeckeAlgebra(eng, {k: 1 for k, _s in eng.s_aff})
+    J, y_min, _g = H._right_descents(w_lam)
+    found = eng.coset_walk(y_min, J, KL_INTERVAL_CAP)
+    assert_walk_records(eng, found)
+    assert set(found) == dict_cosets(eng, y_min, J), (key, w_lam)
 
 
 # -- the full-coordinate endomorphism, kept as the reference for the tables ----

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootfold.lattice import (
     MalformedAction,
@@ -13,10 +15,9 @@ from rootfold.lattice import (
 )
 from rootfold.hecke import CenterContext
 from rootfold.linalg import (
-    hermite_row_basis,
     identity_matrix,
+    integer_solver,
     integral_rows,
-    kernel_basis,
     mat_sub,
     mat_vec,
     vec_add,
@@ -26,6 +27,7 @@ from rootfold.linalg import (
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, unitary_dual_action
 import fraction_linalg
+from fraction_linalg import hermite_row_basis
 
 SWAP = ((0, 1), (1, 0))
 
@@ -39,7 +41,7 @@ def invariants(rank, generators):
     eye = identity_matrix(rank)
     for g in generators:
         stacked.extend(mat_sub(g, eye))
-    return hermite_row_basis(kernel_basis(tuple(stacked)))
+    return hermite_row_basis(integer_solver(tuple(stacked))[1])
 
 
 def test_trivial_action():
@@ -185,13 +187,61 @@ def test_subgroups():
     L = coinvariants(3, [unitary_dual_action(3)])
     a = L.project((1, 0, 0))
     b = L.project((0, 1, 0))
-    s1 = L.subgroup([a, b])
-    s2 = L.subgroup([b, a, a + b])
-    assert s1 == s2
-    assert L.subgroup([a, b, a + a]) == s1
-    zero_only = L.subgroup([])
-    assert L.subgroup([L.zero()]) == zero_only
-    assert (L.subgroup([a]) == zero_only) == (a == L.zero())
+    assert L.same_subgroup([a, b], [b, a, a + b])
+    assert L.same_subgroup([a, b, a + a], [a, b])
+    assert L.same_subgroup([L.zero()], [])
+    assert L.same_subgroup([a], []) == (a == L.zero())
+    # b is the torsion class: 2b = 0, so it lies in no subgroup of 2a's
+    assert not L.same_subgroup([a + a], [a])
+    assert not L.same_subgroup([a], [a, b])
+    assert L.same_subgroup([a + b, b], [a, b + b + b])
+
+
+def reference_same_subgroup(L, a, b):
+    """Equal Hermite forms of the (free, tors) rows of a and of b, each
+    with the torsion relation rows d_k e_k."""
+    f, t = L.free_rank, len(L.torsion)
+    relations = [(0,) * (f + k) + (d,) + (0,) * (t - k - 1)
+                 for k, d in enumerate(L.torsion)]
+
+    def basis(elems):
+        return hermite_row_basis([e.free + e.tors for e in elems] + relations)
+
+    return basis(a) == basis(b)
+
+
+# Z + Z/2 (the GL3 lattice with the unitary swap), Z^2 (su4-ramified), Z/3
+# (an order-3 rotation of Z^2) and (Z/2)^2 (-1 on Z^2)
+_SUBGROUP_LATTICES = {
+    "gl3-unitary": lambda: coinvariants(3, [unitary_dual_action(3)]),
+    "su4-ramified": lambda: load_preset("su4-ramified").lgd.coinv,
+    "rotation-3": lambda: coinvariants(2, [((0, -1), (1, -1))]),
+    "minus-one": lambda: coinvariants(2, [((-1, 0), (0, -1))]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SUBGROUP_LATTICES)), st.data())
+def test_same_subgroup_matches_hermite_reference_property(name, data):
+    """Random generators a, and b drawn from the integral combinations of a
+    (all of a again, or only some combinations, or one more element): the
+    solver's mutual inclusion against equal Hermite forms."""
+    L = _SUBGROUP_LATTICES[name]()
+    vec = st.lists(st.integers(-3, 3), min_size=L.rank, max_size=L.rank)
+    a = [L.project(v) for v in data.draw(st.lists(vec, max_size=3))]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a))
+    b = []
+    for cs in data.draw(st.lists(coeffs, max_size=3)):
+        e = L.zero()
+        for c, g in zip(cs, a):
+            e = e + g.scale(c)
+        b.append(e)
+    if data.draw(st.booleans()):
+        b += a
+    if data.draw(st.booleans()):
+        b.append(L.project(data.draw(vec)))
+    assert L.same_subgroup(a, b) == L.same_subgroup(b, a) \
+        == reference_same_subgroup(L, a, b), (name, a, b)
 
 
 def test_action_json_round_trip():

@@ -13,7 +13,7 @@ from rootfold.folding import base_permutation
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
     identity_matrix,
-    kernel_basis,
+    integer_solver,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -61,7 +61,7 @@ def test_pairing_and_closure():
         for r, c in zip(d.roots, d.coroots):
             assert vec_dot(r, c) == 2
             for i in range(len(d.simple_roots)):
-                assert d.reflect_char(i, r) in roots
+                assert reflect_char(d, i, r) in roots
         for r in d.roots:
             for c in d.coroots:
                 val = vec_dot(r, c)
@@ -113,7 +113,7 @@ def test_invariant_form():
         n = d.rank
         for k in range(n):
             e = tuple(1 if j == k else 0 for j in range(n))
-            ref.append(d.reflect_char(i, e))
+            ref.append(reflect_char(d, i, e))
         S = mat_transpose(ref)
         assert mat_mul(mat_transpose(S), mat_mul(G, S)) == G
     # A2xA2 with the factor swap: block-equal form, swap-invariant
@@ -121,40 +121,6 @@ def test_invariant_form():
     swap = diagram_automorphism(d2, (2, 3, 0, 1))
     G2 = d2.gram()
     assert mat_mul(mat_transpose(swap), mat_mul(G2, swap)) == G2
-
-
-def test_dominance_basics():
-    d = build_datum("A2", "adjoint")
-    a1, a2 = d.simple_coroots
-    zero = (0, 0)
-    assert d.dominance_leq(zero, vec_add(a1, a2))
-    assert d.dominance_leq(a1, a1)
-    assert not d.dominance_leq(a1, a2)
-    assert not d.dominance_leq(vec_add(a1, a1), vec_add(a1, a2))
-    # exhaustive nonnegative-combination oracle on a box
-    import itertools
-    for target in itertools.product(range(-2, 3), repeat=2):
-        expect = False
-        for c1 in range(0, 5):
-            for c2 in range(0, 5):
-                comb = vec_add(tuple(c1 * x for x in a1), tuple(c2 * x for x in a2))
-                if comb == tuple(target):
-                    expect = True
-        assert d.dominance_leq(zero, target) == expect, target
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3,
-                max_size=3))
-def test_dominance_partial_order(vs):
-    d = build_datum("A2", "simply_connected")
-    x, y, z = [tuple(v) for v in vs]
-    leq = d.dominance_leq
-    assert leq(x, x)
-    if leq(x, y) and leq(y, x):
-        assert x == y
-    if leq(x, y) and leq(y, z):
-        assert leq(x, z)
 
 
 def test_weight_sets():
@@ -171,7 +137,7 @@ def test_weight_sets():
     mu = (1, 1)
     ws3 = d2.weight_set(mu)
     for nu in ws3:
-        assert d2.dominance_leq(d2.dominant_cochar(nu), mu)
+        assert dominance_leq(d2, dominant_cochar(d2, nu), mu)
         for w in ws3:
             pass
     for nu in d2.weyl_orbit_cochar((1, 1)):
@@ -184,9 +150,9 @@ def test_weyl_orbits():
     reg = (3, 2)  # strictly dominant, hence regular
     assert all(vec_dot(a, reg) > 0 for a in d.simple_roots)
     assert len(d.weyl_orbit_cochar(reg)) == 8
-    dom = d.dominant_cochar((-1, -1))
+    dom = dominant_cochar(d, (-1, -1))
     assert d.is_dominant_cochar(dom)
-    assert d.dominant_cochar(dom) == dom
+    assert dominant_cochar(d, dom) == dom
 
 
 def test_automorphism_validation():
@@ -271,7 +237,7 @@ def reference_roots(d):
         nxt = []
         for root, coroot in frontier:
             for i in range(n):
-                p = (d.reflect_char(i, root), d.reflect_cochar(i, coroot))
+                p = (reflect_char(d, i, root), d.reflect_cochar(i, coroot))
                 if p not in pairs:
                     pairs.add(p)
                     nxt.append(p)
@@ -337,7 +303,7 @@ def reference_dominant_cochars(d, bound, central_box=1):
     central vector in the box."""
     simples = d.simple_roots
     r = len(simples)
-    central = kernel_basis(tuple(simples)) if simples else identity_matrix(d.rank)
+    central = integer_solver(tuple(simples))[1] if simples else identity_matrix(d.rank)
     two_rho = tuple(map(sum, zip(*d.positive_roots))) or (0,) * d.rank
     heights = gauss_solve(mat_transpose(simples), two_rho) if r else ()
     assert all(h.denominator == 1 for h in heights)
@@ -359,6 +325,43 @@ def reference_dominant_cochars(d, bound, central_box=1):
     return tuple(sorted(out))
 
 
+# -- the datum's Weyl-group helpers, which only the tests use ----------------
+
+def reflect_char(d, i, x):
+    """s_i on the character side: x - <x, a_i^vee> a_i."""
+    return vec_sub(x, vec_scale(vec_dot(x, d.simple_coroots[i]), d.simple_roots[i]))
+
+
+def _conjugate_cochar(d, v, sign):
+    """Reflect v by s_i while sign * <a_i, v> < 0 for some i."""
+    v = tuple(v)
+    while True:
+        for i, a in enumerate(d.simple_roots):
+            if sign * vec_dot(a, v) < 0:
+                v = d.reflect_cochar(i, v)
+                break
+        else:
+            return v
+
+
+def dominant_cochar(d, v):
+    """The unique dominant element of the Weyl orbit of v."""
+    return _conjugate_cochar(d, v, 1)
+
+
+def antidominant_cochar(d, v):
+    """The unique antidominant element of the Weyl orbit of v."""
+    return _conjugate_cochar(d, v, -1)
+
+
+def dominance_leq(d, nu, mu):
+    """nu <= mu iff mu - nu is a nonnegative integral sum of simple coroots:
+    its int coordinates over them, by one Smith form."""
+    solve = integer_solver(mat_transpose(d.simple_coroots) or ((),) * d.rank)[0]
+    c = solve(vec_sub(mu, nu))
+    return c is not None and min(c, default=0) >= 0
+
+
 def reference_dominance_leq(d, nu, mu):
     """nu <= mu by gauss_solve over the simple coroots."""
     diff = vec_sub(mu, nu)
@@ -374,14 +377,14 @@ def reference_weight_set(d, mu):
     0 <= c <= the coordinates of mu - w_0 mu, kept when its dominant
     conjugate is <= mu."""
     A = mat_transpose(d.simple_coroots)
-    diff = vec_sub(mu, d.antidominant_cochar(mu))
+    diff = vec_sub(mu, antidominant_cochar(d, mu))
     bounds = [int(c) for c in gauss_solve(A, diff)] if A else []
     out = []
     for cs in itertools.product(*(range(b + 1) for b in bounds)):
         nu = tuple(mu)
         for c, acov in zip(cs, d.simple_coroots):
             nu = vec_sub(nu, vec_scale(c, acov))
-        if reference_dominance_leq(d, d.dominant_cochar(nu), mu):
+        if reference_dominance_leq(d, dominant_cochar(d, nu), mu):
             out.append(nu)
     return tuple(sorted(out))
 
@@ -526,7 +529,7 @@ def reference_gram(d):
     the Fraction Gauss-Jordan and two Fraction products."""
     d_sym = symmetrizers(d.cartan)
     n, r = d.rank, len(d.simple_roots)
-    comp = list(kernel_basis(d.simple_coroots)) if r else list(identity_matrix(n))
+    comp = list(integer_solver(d.simple_coroots)[1]) if r else list(identity_matrix(n))
     basis = list(d.simple_roots) + comp
     G_basis = [[Fraction(0)] * n for _ in range(n)]
     for i in range(r):
