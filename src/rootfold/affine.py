@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from operator import mul
 
-from .echelonnage import TheoremViolation, _highest_root
+from .echelonnage import TheoremViolation
 from .lattice import ResourceCap, closure
 from .linalg import identity_matrix, mat_integer_inverse, mat_mul, vec_dot
-from .rootdata import _components
 
 ADM_CAP = 10 ** 6
 
@@ -126,12 +125,10 @@ class ExtendedAffineWeyl:
     def _build_walls(self):
         rs = self.sigma.rs_root
         cart = rs.cartan()
-        self.components = _components(cart)
         walls = []
         for k, m in enumerate(self.simple_matrices):
             walls.append((("fin", k), AffineElement(self.coinv.zero(), m)))
-        for ci, comp in enumerate(self.components):
-            theta = _highest_root(rs, comp)
+        for ci, theta in enumerate(rs.highest_roots):
             walls.append((("aff", ci), self._root_reflection(theta, cart)))
             if self.length(walls[-1][1]) != 1:
                 raise TheoremViolation("affine wall reflection has length != 1")

@@ -39,7 +39,7 @@ from .linalg import (
     mat_vec,
     vec_dot,
 )
-from .rootdata import AutomorphismAction, _components, pinned_cochar
+from .rootdata import AutomorphismAction, pinned_cochar
 
 
 class LocalGroupDatum:
@@ -212,70 +212,35 @@ class EchelonnageData:
         self.sigma1_nonreduced = not union.isdisjoint(
             tuple(2 * x for x in a) for a in union)
 
-        self._affine_nodes = None
-
     # -- special roots -----------------------------------------------------
 
     def _special_roots(self, breve_root, sigma0_root):
-        cart = breve_root.cartan()
-        comps = _components(cart)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for i in comp:
-                comp_of[i] = ci
+        comp_of = breve_root.component_of
         node = self._tau_perm
         special = set()
         for k, (orb, _orth) in enumerate(sigma0_root.orbits):
             rep = orb[0]
-            comp = comps[comp_of[rep]]
-            # (i) an A_{2n} component: a path, all bonds single (so all
-            # roots of equal length), even size
-            path = _path_order(cart, comp)
-            if path is None or len(path) % 2 != 0:
+            ci = comp_of[rep]
+            comp = breve_root.components[ci]
+            # (i) an A_{2n} component
+            if len(comp) % 2 or breve_root.component_types[ci][0] != "A":
                 continue
-            # (ii) some power of tau stabilizes the component and acts
-            # non-trivially on it
-            stab_nontrivial = False
-            cur = {i: i for i in range(len(node))}
-            order = 1
-            while True:
-                cur = {i: node[cur[i]] for i in cur}
-                if comp_of[cur[rep]] == comp_of[rep]:
-                    if any(cur[i] != i for i in comp):
-                        stab_nontrivial = True
-                    break
-                order += 1
-                if order > 2 * len(node) + 2:
-                    break
-            if not stab_nontrivial:
+            # (ii) the first power of tau that maps the component to itself
+            # acts non-trivially on it; tau permutes the nodes, so some
+            # power maps rep back into its component
+            cur = node
+            while comp_of[cur[rep]] != ci:
+                cur = tuple(node[i] for i in cur)
+            if all(cur[i] == i for i in comp):
                 continue
             # (iii) rep is one of the two middle simple roots of the path
+            path = _path_order(breve_root.cartan(), comp)
             m = len(path) // 2
             if rep in (path[m - 1], path[m]):
                 special.add(k)
         return frozenset(special)
 
     # -- parameters ---------------------------------------------------------
-
-    def affine_nodes(self):
-        """Nodes of the affine diagram of Sigma_breve: ("fin", i) for simple
-        roots, ("aff", c) per component, with the coordinates of their wall
-        gradients over the base (e_i, and minus the highest root)."""
-        if self._affine_nodes is not None:
-            return self._affine_nodes
-        rs = self.sigma_breve.rs_root
-        cart = rs.cartan()
-        comps = _components(cart)
-        n = len(rs._base_int)
-        nodes = {("fin", i): tuple(int(i == j) for j in range(n)) for i in range(n)}
-        self._components = comps
-        self._highest = {}
-        for ci, comp in enumerate(comps):
-            theta = _highest_root(rs, comp)
-            self._highest[ci] = theta
-            nodes[("aff", ci)] = tuple(-x for x in theta)
-        self._affine_nodes = nodes
-        return nodes
 
     def parameter_function(self, overrides=None):
         """L on the simple affine reflections of Sigma_0, keyed by
@@ -288,13 +253,17 @@ class EchelonnageData:
         parabolic is always finite; TheoremViolation if it is not."""
         overrides = dict(overrides or {})
         rs = self.sigma_breve.rs_root
-        nodes = self.affine_nodes()
-        comps = self._components
+        # the nodes of the affine diagram of Sigma_breve, ("fin", i) per
+        # simple root and ("aff", c) per component, with the coordinates of
+        # their wall gradients over the base: e_i and minus the highest root
+        n = len(rs._base_int)
+        nodes = {("fin", i): tuple(int(i == j) for j in range(n)) for i in range(n)}
+        for ci, theta in enumerate(rs.highest_roots):
+            nodes[("aff", ci)] = tuple(-x for x in theta)
+        comps = rs.components
+        comp_of = rs.component_of
+        highest = rs.highest_roots
         p = self._tau_perm
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for i in comp:
-                comp_of[i] = ci
 
         def tau_on_node(nd):
             kind, v = nd
@@ -308,9 +277,9 @@ class EchelonnageData:
                 raise TheoremViolation("tau does not permute highest roots")
             ci = targets.pop()
             img = [0] * len(p)
-            for i, c in enumerate(self._highest[v]):
+            for i, c in enumerate(highest[v]):
                 img[p[i]] = c
-            if self._highest[ci] != tuple(img):
+            if highest[ci] != tuple(img):
                 raise TheoremViolation("tau image of a highest root is not highest")
             return ("aff", ci)
 
@@ -376,44 +345,13 @@ class EchelonnageData:
 
 
 def _path_order(cart, comp):
-    """Order a component's nodes along a path; None unless it is a
-    single-bonded path (type A)."""
-    deg = {}
-    for i in comp:
-        nbrs = [j for j in comp if j != i and cart[i][j] != 0]
-        for j in nbrs:
-            if cart[i][j] * cart[j][i] != 1:
-                return None
-        deg[i] = nbrs
-    if len(comp) == 1:
-        return list(comp)
-    ends = [i for i in comp if len(deg[i]) == 1]
-    if len(ends) != 2 or any(len(deg[i]) > 2 for i in comp):
-        return None
-    path = [min(ends)]
-    prev = None
+    """The nodes of a type-A component of rank >= 2 along its path, from
+    its lowest end."""
+    links = {i: [j for j in comp if j != i and cart[i][j]] for i in comp}
+    path = [min(i for i in comp if len(links[i]) == 1)]
     while len(path) < len(comp):
-        cur = path[-1]
-        nxt = [j for j in deg[cur] if j != prev]
-        if len(nxt) != 1:
-            return None
-        prev = cur
-        path.append(nxt[0])
+        path.append(next(j for j in links[path[-1]] if j not in path))
     return path
-
-
-def _highest_root(rs, comp):
-    """Coordinates over the base of the highest root of one component of a
-    based system."""
-    best = None
-    best_h = None
-    for c in rs._positive_coords:
-        if any(c[i] != 0 for i in range(len(c)) if i not in comp):
-            continue
-        h = sum(c)
-        if best is None or h > best_h:
-            best, best_h = c, h
-    return best
 
 
 def _parabolic_length(gram_sub):

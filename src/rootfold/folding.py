@@ -105,6 +105,50 @@ def _close_cartan(cartan):
     return frozenset(roots)
 
 
+def _components(C):
+    """The connected components of the Dynkin diagram of C (nodes i, j
+    linked when C[i][j] != 0), each a sorted tuple, in the order of their
+    lowest nodes."""
+    n = len(C)
+    placed = set()
+    comps = []
+    for s in range(n):
+        if s not in placed:
+            comp = tuple(sorted(closure([s], lambda i: (j for j in range(n) if C[i][j] != 0))))
+            placed.update(comp)
+            comps.append(comp)
+    return tuple(comps)
+
+
+def component_type(comp, cartan, coords, lengths):
+    """The type of the irreducible finite root system on the nodes `comp`,
+    given the Cartan matrix, the coordinates over the base of all the roots
+    and the squared lengths of the simple roots (up to a factor).  The rank
+    r, the number of roots supported on `comp` and the number of its short
+    simple roots name the type (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Plates I-IX); D_3 = A_3 is named A3.  A rank-2 double-bond
+    component is B2 when its first simple root is the long one, C2
+    otherwise."""
+    r = len(comp)
+    if r == 2 and cartan[comp[0]][comp[1]] * cartan[comp[1]][comp[0]] == 2:
+        return "B2" if lengths[comp[0]] > lengths[comp[1]] else "C2"
+    count = sum(1 for c in coords if any(c[i] for i in comp))
+    low = min(lengths[i] for i in comp)
+    short = sum(1 for i in comp if lengths[i] == low)
+    for letter, n, s in (("A", r * (r + 1), r), ("B", 2 * r * r, 1), ("C", 2 * r * r, r - 1),
+                         ("D", 2 * r * (r - 1) if r >= 4 else None, r),
+                         ("E", {6: 72, 7: 126, 8: 240}.get(r), r),
+                         ("F", 48 if r == 4 else None, 2), ("G", 12 if r == 2 else None, 1)):
+        if (count, short) == (n, s):
+            return "%s%d" % (letter, r)
+    raise ValueError("not a finite-type Cartan matrix")
+
+
+def join_types(names):
+    """The factors `names` sorted by (rank, letter) and joined with "x"."""
+    return "x".join(sorted(names, key=lambda nm: (int(nm[1:]), nm)))
+
+
 class RootSystemV:
     """A based root system given by exact vectors and an invariant form.
 
@@ -118,8 +162,10 @@ class RootSystemV:
     _base_int, _gram_den, _gram_int), determines the system.  `__init__`
     converts rational input; builds inside the library pass `(den, int
     rows)` pairs.  Fraction views are built on first read: `base`, `gram`,
-    `roots` (sorted), `coords[r]` and `positive_roots()`.  A system is
-    never changed.
+    `roots` (sorted), `coords[r]` and `positive_roots()`.  So are the
+    Dynkin components and what `folding`, `echelonnage` and `affine` read
+    of them: `components`, `component_of`, `component_types` and
+    `highest_roots`.  A system is never changed.
     """
 
     def __init__(self, base, gram, label=""):
@@ -205,6 +251,37 @@ class RootSystemV:
         zero = (0,) * len(self._base_int)
         return tuple(r for r, c in zip(self.roots, self._coords) if c > zero)
 
+    @cached_property
+    def components(self):
+        """The connected components of the Dynkin diagram, as `_components`."""
+        return _components(self._cartan)
+
+    @cached_property
+    def component_types(self):
+        """The type of each of `components`, by `component_type`."""
+        cart = self.cartan()
+        lengths = [row[i] for i, row in enumerate(self._base_gram)]
+        return tuple(component_type(comp, cart, self._coords, lengths)
+                     for comp in self.components)
+
+    @cached_property
+    def component_of(self):
+        """{simple-root index: the position of its component in `components`}."""
+        return {i: k for k, comp in enumerate(self.components) for i in comp}
+
+    @cached_property
+    def highest_roots(self):
+        """The coordinates over the base of the highest root of each
+        component, in the order of `components`.  A positive root is
+        supported on one component, the one of its first nonzero
+        coordinate."""
+        best = {}
+        for c in self._positive_coords:
+            k = self.component_of[next(i for i, x in enumerate(c) if x)]
+            if k not in best or sum(c) > sum(best[k]):
+                best[k] = c
+        return tuple(best[k] for k in range(len(self.components)))
+
     def _dual_parts(self):
         """(L, rows, coords): the dual base b_j^vee = 2 b_j/(b_j|b_j) as int
         rows over L, and the coordinates over it of the positive coroots.
@@ -250,19 +327,12 @@ class FoldedRootSystem(RootSystemV):
         """Cartan type, refined for rank-1 components: an orbit that was not
         pairwise orthogonal yields B1 under the non-doubling operations
         (N, res) and C1 under the doubling ones (Nprime, resprime)."""
-        from .rootdata import _components, classify_cartan
-        comps = _components(self.cartan())
         names = []
-        for comp in comps:
+        for comp, name in zip(self.components, self.component_types):
             if len(comp) == 1 and not self.orbits[comp[0]][1]:
-                letter = "B" if self.op in ("N", "res") else "C"
-                names.append((1, letter, letter + "1"))
-            else:
-                sub = tuple(tuple(self.cartan()[i][j] for j in comp) for i in comp)
-                lbl = classify_cartan(sub)
-                names.append((len(comp), lbl[0], lbl))
-        names.sort()
-        return "x".join(nm for _, _, nm in names)
+                name = "B1" if self.op in ("N", "res") else "C1"
+            names.append(name)
+        return join_types(names)
 
 
 def base_permutation(rs, g):
@@ -284,13 +354,12 @@ def base_orbits(rs, generators):
     """Orbits of the base under the group the matrices generate, as sorted
     index tuples ordered by lowest index: the connected components of the
     links i - p(i) of their permutations (a whole group generates itself)."""
-    from .rootdata import _components
     n = len(rs._base_int)
     links = [[0] * n for _ in range(n)]
     for g in generators:
         for i, j in enumerate(base_permutation(rs, g)):
             links[i][j] = links[j][i] = 1
-    return tuple(map(tuple, _components(links)))
+    return _components(links)
 
 
 def fold(rs, generators, op):

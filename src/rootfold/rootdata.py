@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .folding import RootSystemV, cartan_closure
+from .folding import RootSystemV, _components, cartan_closure, component_type, join_types
 from .jsoninput import MalformedInput, json_field, json_int_rows
 from .lattice import MalformedAction, closure, group_closure
 from .linalg import (
@@ -110,6 +110,8 @@ def parse_cartan_type(s):
 def symmetrizers(C):
     """Minimal positive integers d with d_i C[i][j] = d_j C[j][i]; d_i is half
     the squared length of alpha_i when short roots have squared length 2."""
+    if any((C[i][j] == 0) != (C[j][i] == 0) for i in range(len(C)) for j in range(i)):
+        raise ValueError("Cartan entries C[i][j] and C[j][i] must vanish together")
     d = [0] * len(C)
     for comp in _components(C):
         order = list(closure([comp[0]], lambda i: (j for j in comp if C[i][j])))
@@ -132,112 +134,21 @@ def symmetrizers(C):
     return tuple(d)
 
 
-def _components(C):
-    """The connected components of the Dynkin diagram of C, each sorted,
-    in the order of their lowest nodes."""
-    n = len(C)
-    placed = set()
-    comps = []
-    for s in range(n):
-        if s not in placed:
-            comp = sorted(closure([s], lambda i: (j for j in range(n) if C[i][j] != 0)))
-            placed.update(comp)
-            comps.append(comp)
-    return comps
-
-
-_STANDARD_TYPES = {}
-
-
-def _standard_cartans(rank):
-    """All standard Cartan matrices of the given rank, keyed by type string."""
-    if rank in _STANDARD_TYPES:
-        return _STANDARD_TYPES[rank]
-    out = {}
-    out["A%d" % rank] = cartan_matrix("A", rank)
-    if rank >= 2:
-        out["B%d" % rank] = cartan_matrix("B", rank)
-        out["C%d" % rank] = cartan_matrix("C", rank)
-    if rank >= 4:
-        out["D%d" % rank] = cartan_matrix("D", rank)
-    if rank in (6, 7, 8):
-        out["E%d" % rank] = cartan_matrix("E", rank)
-    if rank == 4:
-        out["F4"] = cartan_matrix("F", 4)
-    if rank == 2:
-        out["G2"] = cartan_matrix("G", 2)
-    _STANDARD_TYPES[rank] = out
-    return out
-
-
-def _cartan_isomorphic(C1, C2):
-    """Whether two Cartan matrices agree up to simultaneous permutation."""
-    n = len(C1)
-    if len(C2) != n:
-        return False
-
-    def signature(C, i):
-        return tuple(sorted((C[i][j], C[j][i]) for j in range(n) if j != i and C[i][j] != 0))
-
-    sig1 = [signature(C1, i) for i in range(n)]
-    sig2 = [signature(C2, i) for i in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-
-    assignment = [None] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if j in assignment[:i]:
-                continue
-            if sig1[i] != sig2[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if C1[i][k] != C2[j][assignment[k]] or C1[k][i] != C2[assignment[k]][j]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                if backtrack(i + 1):
-                    return True
-                assignment[i] = None
-        return False
-
-    return backtrack(0)
-
-
 def classify_cartan(C):
-    """Cartan type of a generalized Cartan matrix of finite type.
+    """Cartan type of a generalized Cartan matrix of finite type, its
+    components named by `folding.component_type` from the roots of
+    `cartan_closure(C)` and the symmetrizers.
 
-    Returns factors sorted by (rank, letter), joined with "x".  A rank-2
-    double-bond component is B2 when its first simple root (lowest index) is
-    the long one, C2 otherwise; rank-1 components are reported as A1.
-    """
-    comps = _components(C)
+    Returns factors sorted by (rank, letter), joined with "x"; rank-1
+    components are reported as A1.  Raises ValueError, before any closure,
+    unless the symmetrized matrix is symmetric and positive definite."""
+    n = len(C)
     d = symmetrizers(C)
-    names = []
-    for comp in comps:
-        sub = tuple(tuple(C[i][j] for j in comp) for i in comp)
-        r = len(comp)
-        if r == 1:
-            names.append((1, "A", "A1"))
-            continue
-        label = None
-        if r == 2 and sub[0][1] * sub[1][0] == 2:
-            label = "B2" if d[comp[0]] > d[comp[1]] else "C2"
-        else:
-            for cand, mat in sorted(_standard_cartans(r).items()):
-                if _cartan_isomorphic(sub, mat):
-                    label = cand
-                    break
-        if label is None:
-            raise ValueError("not a finite-type Cartan matrix")
-        names.append((r, label[0], label))
-    names.sort()
-    return "x".join(nm for _, _, nm in names)
+    sym = [[d[i] * C[i][j] for j in range(n)] for i in range(n)]
+    if sym != [list(col) for col in zip(*sym)] or not is_positive_definite(sym):
+        raise ValueError("not a finite-type Cartan matrix")
+    roots = cartan_closure(C)
+    return join_types(component_type(comp, C, roots, d) for comp in _components(C))
 
 
 def _budget_walk(heights, bound):
@@ -304,7 +215,7 @@ class BasedRootDatum:
         # coordinates, so the quotient is exact.  A root is positive when
         # every coordinate is >= 0.
         C = self.cartan
-        d = symmetrizers(C)
+        d = self._symmetrizers
         pairs = {}
         self._closure = cartan_closure(C)
         self._coclosure = set()
@@ -347,8 +258,9 @@ class BasedRootDatum:
             for j in range(n):
                 if i != j and self.cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-        # finite type: symmetrized form positive definite on the root span
-        d = symmetrizers(self.cartan)
+        # finite type: symmetrized form positive definite on the root span;
+        # the symmetrizers are kept for the closure and the invariant form
+        self._symmetrizers = d = symmetrizers(self.cartan)
         sym = tuple(tuple(d[i] * self.cartan[i][j] for j in range(n)) for i in range(n))
         if not is_positive_definite(sym):
             raise ValueError("Cartan matrix is not of finite type")
@@ -377,7 +289,7 @@ class BasedRootDatum:
         roots and the standard dot product on the kernel, the two blocks
         orthogonal."""
         n = self.rank
-        d = symmetrizers(self.cartan)
+        d = self._symmetrizers
         span = list(self.simple_roots)
         if self.simple_coroots:
             comp = list(integer_solver(self.simple_coroots)[1])

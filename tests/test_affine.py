@@ -22,7 +22,7 @@ from rootfold.affine import (
     verify_extremal,
 )
 from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
-from rootfold.folding import RootSystemV
+from rootfold.folding import RootSystemV, _components
 from rootfold.hecke import KL_INTERVAL_CAP, CenterContext, HeckeAlgebra
 from rootfold.lattice import CoinvariantElement
 from rootfold.linalg import (
@@ -37,7 +37,6 @@ from rootfold.linalg import (
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
     BasedRootDatum,
-    _components,
     build_datum,
     diagram_automorphism,
     gl_datum,
@@ -468,7 +467,7 @@ def test_engines_match_reference_closure(name):
     for eng, sigma in ((beng, ech.sigma_breve), (teng, ech.sigma0)):
         pos, comps, walls = reference_engine_data(eng, sigma, gram)
         assert fraction_rows(sigma.rs_root._den, eng._roots_int) == pos, name
-        assert eng.components == comps, name
+        assert sigma.rs_root.components == comps, name
         assert [(k, (x.lam, x.w)) for k, x in eng.s_aff] == walls, name
 
 

@@ -372,6 +372,19 @@ def test_datum_not_finite_type_exit_2(tmp_path, capsys):
     assert err.strip() == "input error: Cartan matrix is not of finite type"
 
 
+def test_datum_one_sided_zero_cartan_entry_exit_2(tmp_path, capsys):
+    # <alpha_2, alpha_1^vee> = 0 but <alpha_1, alpha_2^vee> = -1: no
+    # symmetrizer exists, and the input is refused before one is sought
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 2, "simple_roots": [[1, 0], [0, 1]],
+                                "simple_coroots": [[2, 0], [-1, 2]]}))
+    code, out, err = run(capsys, "fold", "--datum", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: Cartan entries C[i][j] and C[j][i] "
+                           "must vanish together")
+
+
 def test_datum_permutation_names_option_exit_2(tmp_path, capsys):
     # the GL3 lattice is spanned by neither the simple roots nor the simple
     # coroots, so a permutation does not determine an automorphism; the

@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from rootfold.folding import (
     OP_TAGS,
+    _components,
     FoldedRootSystem,
     RootSystemV,
     base_orbits,
@@ -36,6 +36,7 @@ from rootfold.rootdata import (
     AutomorphismAction,
     BasedRootDatum,
     build_datum,
+    classify_cartan,
     diagram_automorphism,
 )
 from fraction_linalg import average, frac_vec
@@ -152,6 +153,29 @@ def test_d4_triality():
     # orbits pairwise orthogonal, so N = N' and res = res'
     assert outs["N"].base == outs["Nprime"].base
     assert outs["res"].base == outs["resprime"].base
+
+
+# The classical folding table above rank 3, where no golden reaches: the
+# labels of (N, N', res, res') on the adjoint datum under the diagram
+# automorphism `perm`, as `rootfold fold --type T --tau perm` prints them.
+CLASSICAL_FOLDS = {
+    ("A5", (4, 3, 2, 1, 0)): ("B3", "B3", "C3", "C3"),
+    ("A4", (3, 2, 1, 0)): ("B2", "C2", "B2", "C2"),
+    ("D5", (0, 1, 2, 4, 3)): ("C4", "C4", "B4", "B4"),
+    ("E6", (5, 1, 4, 3, 2, 0)): ("F4",) * 4,
+    ("D4", (3, 1, 0, 2)): ("G2",) * 4,
+    ("E7", ()): ("E7",) * 4,
+    ("E8", ()): ("E8",) * 4,
+}
+
+
+@pytest.mark.parametrize("cartan_type, perm", sorted(CLASSICAL_FOLDS))
+def test_classical_folding_table(cartan_type, perm):
+    d = build_datum(cartan_type)
+    gens = (diagram_automorphism(d, perm),) if perm else ()
+    rs = d.root_system()
+    got = tuple(fold(rs, gens, op).type_label() for op in OP_TAGS)
+    assert got == CLASSICAL_FOLDS[cartan_type, perm]
 
 
 def test_orbit_orthogonality():
@@ -378,10 +402,24 @@ def assert_fold_matches_reference(rs, group, op):
     assert f.orbits == orbits, (rs, op)
     assert_matches_reference(f)
     # the labelling rule applied to the reference Cartan matrix and orbits
-    cartan = reference_cartan(f.base, f.gram)
-    ref = SimpleNamespace(op=op, orbits=orbits, cartan=lambda: cartan)
-    assert f.type_label() == FoldedRootSystem.type_label(ref), (rs, op)
+    assert f.type_label() == reference_type_label(
+        op, orbits, reference_cartan(f.base, f.gram)), (rs, op)
     return f
+
+
+def reference_type_label(op, orbits, cartan):
+    """`FoldedRootSystem.type_label` on a Cartan matrix: each component's
+    submatrix classified on its own, except that a rank-1 component from a
+    non-orthogonal orbit is B1 under N and res and C1 under N' and res'."""
+    names = []
+    for comp in _components(cartan):
+        if len(comp) == 1 and not orbits[comp[0]][1]:
+            letter = "B" if op in ("N", "res") else "C"
+            names.append((1, letter, letter + "1"))
+        else:
+            lbl = classify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
+            names.append((len(comp), lbl[0], lbl))
+    return "x".join(nm for _, _, nm in sorted(names))
 
 
 def full_group_orbits(rs, group):

@@ -23,13 +23,14 @@ from rootfold.linalg import (
     vec_sub,
 )
 from rootfold.presets import load_preset, preset_names
+from rootfold import rootdata
 from rootfold.rootdata import (
     AutomorphismAction,
     BasedRootDatum,
     build_datum,
+    cartan_matrix,
     classify_cartan,
     diagram_automorphism,
-    _standard_cartans,
     gl_datum,
     parse_cartan_type,
     symmetrizers,
@@ -85,6 +86,158 @@ def test_duals():
     assert classify_cartan(build_datum("A4").dual().cartan) == "A4"
     # B2 dual is C2 with matched base order (first root short after dualizing)
     assert classify_cartan(build_datum("B2").dual().cartan) == "C2"
+
+
+# -- the type lookup against the isomorphism search it replaced ---------------
+
+def _standard_cartans(rank):
+    """All standard Cartan matrices of the given rank, keyed by type string."""
+    out = {"A%d" % rank: cartan_matrix("A", rank)}
+    if rank >= 2:
+        out["B%d" % rank] = cartan_matrix("B", rank)
+        out["C%d" % rank] = cartan_matrix("C", rank)
+    if rank >= 4:
+        out["D%d" % rank] = cartan_matrix("D", rank)
+    if rank in (6, 7, 8):
+        out["E%d" % rank] = cartan_matrix("E", rank)
+    if rank == 4:
+        out["F4"] = cartan_matrix("F", 4)
+    if rank == 2:
+        out["G2"] = cartan_matrix("G", 2)
+    return out
+
+
+def _cartan_isomorphic(C1, C2):
+    """Whether two Cartan matrices agree up to simultaneous permutation."""
+    n = len(C1)
+    if len(C2) != n:
+        return False
+
+    def signature(C, i):
+        return tuple(sorted((C[i][j], C[j][i]) for j in range(n) if j != i and C[i][j] != 0))
+
+    sig1 = [signature(C1, i) for i in range(n)]
+    sig2 = [signature(C2, i) for i in range(n)]
+    if sorted(sig1) != sorted(sig2):
+        return False
+
+    assignment = [None] * n
+
+    def backtrack(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if j in assignment[:i] or sig1[i] != sig2[j]:
+                continue
+            if all(C1[i][k] == C2[j][assignment[k]] and C1[k][i] == C2[assignment[k]][j]
+                   for k in range(i)):
+                assignment[i] = j
+                if backtrack(i + 1):
+                    return True
+                assignment[i] = None
+        return False
+
+    return backtrack(0)
+
+
+def reference_classify_cartan(C):
+    """The isomorphism search `classify_cartan` replaced: each component's
+    submatrix is matched, up to a simultaneous permutation, against every
+    standard Cartan matrix of its rank in name order, except that rank 1 is
+    A1 and a rank-2 double bond is B2 when its first simple root is long."""
+    d = symmetrizers(C)
+    names = []
+    for comp in rootdata._components(C):
+        sub = tuple(tuple(C[i][j] for j in comp) for i in comp)
+        r = len(comp)
+        if r == 1:
+            names.append((1, "A", "A1"))
+            continue
+        label = None
+        if r == 2 and sub[0][1] * sub[1][0] == 2:
+            label = "B2" if d[comp[0]] > d[comp[1]] else "C2"
+        else:
+            for cand, mat in sorted(_standard_cartans(r).items()):
+                if _cartan_isomorphic(sub, mat):
+                    label = cand
+                    break
+        if label is None:
+            raise ValueError("not a finite-type Cartan matrix")
+        names.append((r, label[0], label))
+    names.sort()
+    return "x".join(nm for _, _, nm in names)
+
+
+# (letter, least rank, greatest rank or None for no limit); D3 is A3
+_IRREDUCIBLE = (("A", 1, None), ("B", 2, None), ("C", 2, None), ("D", 3, None),
+                ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
+
+
+@st.composite
+def permuted_cartans(draw, budget=8):
+    """The Cartan matrix of a product of irreducible types of total rank
+    <= `budget`, its nodes relabelled by a random permutation."""
+    blocks = []
+    while budget and (not blocks or draw(st.booleans())):
+        letter, lo, hi = draw(st.sampled_from(
+            [f for f in _IRREDUCIBLE if f[1] <= budget]))
+        rank = draw(st.integers(lo, min(hi or budget, budget)))
+        blocks.append(cartan_matrix(letter, rank))
+        budget -= rank
+    n = sum(map(len, blocks))
+    M = [[0] * n for _ in range(n)]
+    off = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[off + i][off:off + len(B)] = row
+        off += len(B)
+    p = draw(st.permutations(range(n)))
+    return tuple(tuple(M[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+
+def assert_classify_matches_reference(C):
+    assert classify_cartan(C) == reference_classify_cartan(C), C
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_cartans())
+def test_classify_matches_isomorphism_search(C):
+    assert_classify_matches_reference(C)
+
+
+def count_only_type(comp, cartan, coords, lengths):
+    """`folding.component_type` without the short-root count: the first
+    type of the rank whose number of roots matches."""
+    r = len(comp)
+    if r == 2 and cartan[comp[0]][comp[1]] * cartan[comp[1]][comp[0]] == 2:
+        return "B2" if lengths[comp[0]] > lengths[comp[1]] else "C2"
+    count = sum(1 for c in coords if any(c[i] for i in comp))
+    for letter, n in (("A", r * (r + 1)), ("B", 2 * r * r), ("C", 2 * r * r),
+                      ("D", 2 * r * (r - 1) if r >= 4 else None),
+                      ("E", {6: 72, 7: 126, 8: 240}.get(r)),
+                      ("F", 48 if r == 4 else None), ("G", 12 if r == 2 else None)):
+        if count == n:
+            return "%s%d" % (letter, r)
+
+
+def test_classify_negative_control(monkeypatch):
+    """With the short-root count ignored, C3 is named B3 and the reference
+    check fails."""
+    monkeypatch.setattr(rootdata, "component_type", count_only_type)
+    with pytest.raises(AssertionError):
+        assert_classify_matches_reference(cartan_matrix("C", 3))
+    assert classify_cartan(cartan_matrix("C", 3)) == "B3"
+
+
+@pytest.mark.parametrize("C", [((2, -2), (-2, 2)), ((2, -3), (-3, 2))],
+                         ids=["affine-A1", "hyperbolic"])
+def test_classify_rejects_infinite_type_before_closing(monkeypatch, C):
+    def no_closure(C):
+        raise AssertionError("closure of an infinite-type matrix")
+
+    monkeypatch.setattr(rootdata, "cartan_closure", no_closure)
+    with pytest.raises(ValueError, match="not a finite-type Cartan matrix"):
+        classify_cartan(C)
 
 
 def test_bad_types():
