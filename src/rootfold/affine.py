@@ -293,8 +293,7 @@ class ExtendedAffineWeyl:
     def weyl_orbit_class(self, lam):
         """Orbit of a lattice class under the finite Weyl group."""
         endos = [self.endo(m) for m in self.simple_matrices]
-        return tuple(sorted(closure([lam], lambda c: (e(c) for e in endos)),
-                            key=lambda c: (c.free, c.tors)))
+        return tuple(sorted(closure([lam], lambda c: (e(c) for e in endos))))
 
     def is_dominant_class(self, lam):
         return all(self._pair(row, lam) >= 0 for row in self._base_rows)
@@ -405,7 +404,7 @@ def admissible_set(lgd, mu, engine):
     `build_affine(lgd)`, lambda in the image of the orbit."""
     classes = {lgd.coinv.project(m) for m in lgd.datum.weyl_orbit_cochar(mu)}
     out = set()
-    for cls in sorted(classes, key=lambda c: (c.free, c.tors)):
+    for cls in sorted(classes):
         out |= engine.lower_interval(engine.translation(cls))
         if len(out) > ADM_CAP:
             raise ResourceCap("admissible set exceeded cap")
@@ -419,8 +418,7 @@ def extremal_elements(engine, elements):
     length x is maximal exactly when no maximal element kept before it has
     x in its lower interval; one interval per maximal element is read."""
     kept = []
-    for x in sorted(elements, key=lambda x: (-engine.length(x), x.lam.free,
-                                             x.lam.tors, x.w)):
+    for x in sorted(elements, key=lambda x: (-engine.length(x), x.lam, x.w)):
         if not any(x in engine.lower_interval(y) for y in kept):
             kept.append(x)
     return frozenset(kept)
@@ -442,8 +440,7 @@ def verify_extremal(lgd, mu, engine):
     mubar = coinv.project(mu)
     report = {"mu": list(mu), "mismatches": []}
     weights = datum.weight_set(mu)
-    images = sorted({coinv.project(lam) for lam in weights},
-                    key=lambda c: (c.free, c.tors))
+    images = sorted({coinv.project(lam) for lam in weights})
     for lam in images:
         if not engine.sigma.class_leq(engine.dominant_class(lam), mubar):
             report["mismatches"].append("dominance bridge fails at %r" % (lam,))

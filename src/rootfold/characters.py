@@ -17,14 +17,7 @@ from operator import add, ge, mul, sub
 from .echelonnage import TheoremViolation
 from .folding import _ratio, fold
 from .lattice import closure
-from .linalg import (
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    vec_dot,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import identity_matrix, mat_mul, mat_vec, vec_dot
 
 
 # (system value, mu, den) -> the Freudenthal table; the tables are never
@@ -140,12 +133,10 @@ class WeightTable:
         self.table = table  # c -> mult
 
     def items(self):
+        """(c, mu - sum_i c_i base[i], multiplicity) per weight, in ints."""
+        cols = [tuple(b[k] for b in self.base) for k in range(len(self.mu))]
         for c, m in self.table.items():
-            v = self.mu
-            for ci, b in zip(c, self.base):
-                if ci:
-                    v = vec_sub(v, vec_scale(ci, b))
-            yield c, v, m
+            yield c, tuple([x - sum(map(mul, col, c)) for x, col in zip(self.mu, cols)]), m
 
 
 class DualGroup:
@@ -236,17 +227,9 @@ class FixedGroup:
         ech = lgd.echelonnage()
         self.sigma = ech.sigma_breve
         self.system = ech.sigma_breve.rs_co
-        # Knop-side fold for the tau-twisted character of V_{lambda,1}
-        self.knop_co = ech.sigma0_tilde_co
-        self._knop_classes = []
-        for (orb, orth) in self.knop_co.orbits:
-            total = None
-            for i in orb:
-                c = self.sigma.base_classes[i]
-                total = c if total is None else total + c
-            if not orth:
-                total = total.scale(2)
-            self._knop_classes.append(total)
+        # Knop system for the tau-twisted character of V_{lambda,1}
+        self.knop = ech.sigma0_tilde
+        self.knop_co = ech.sigma0_tilde.rs_co
         self._hw_cache = {}
         self._tw_cache = {}
         rs = self.sigma.rs_root
@@ -261,53 +244,40 @@ class FixedGroup:
     def hw_character(self, lam):
         """T-hat^I-character of the irreducible V_lambda of H: maps weight
         classes to dimensions."""
-        if lam in self._hw_cache:
-            return self._hw_cache[lam]
-        if not self.is_dominant(lam):
-            raise ValueError("lambda must be dominant")
-        den, v = self.coinv.section(lam)
-        tbl = freudenthal(self.system, v, den)
-        out = {}
-        for c, m in tbl.items():
-            nu = lam
-            for ci, cls in zip(c, self.sigma.base_classes):
-                if ci:
-                    nu = nu - cls.scale(ci)
-            out[nu] = m
-        self._hw_cache[lam] = out
-        return out
+        return self._character(lam, self.sigma, self._hw_cache, False)
 
     def twisted_hw_character(self, lam):
         """tau-twisted character of V_{lambda,1}: maps tau-fixed weight
         classes to tr(tau | V_lambda(nu)), via the twisted Weyl character
         formula for the Knop-folded group."""
-        if lam in self._tw_cache:
-            return self._tw_cache[lam]
+        return self._character(lam, self.knop, self._tw_cache, True)
+
+    def _character(self, lam, sigma, cache, twisted):
+        """{lam - sum_k c_k class_k: multiplicity} over the Freudenthal
+        table of `sigma.rs_co` at the section of the dominant lam, memoized
+        in `cache`; a twisted character needs a tau-fixed lam, and every
+        weight of it must be tau-fixed."""
+        out = cache.get(lam)
+        if out is not None:
+            return out
         if not self.is_dominant(lam):
             raise ValueError("lambda must be dominant")
-        if not self.is_tau_fixed(lam):
+        if twisted and not self.is_tau_fixed(lam):
             raise ValueError("lambda must be tau-fixed")
         den, v = self.coinv.section(lam)
-        tbl = freudenthal(self.knop_co, v, den)
+        lower = sigma.lower
         out = {}
-        for c, m in tbl.items():
-            nu = lam
-            for ci, cls in zip(c, self._knop_classes):
-                if ci:
-                    nu = nu - cls.scale(ci)
-            if not self.is_tau_fixed(nu):
+        for c, m in freudenthal(sigma.rs_co, v, den).items():
+            nu = lower(lam, c)
+            if twisted and not self.is_tau_fixed(nu):
                 raise TheoremViolation("twisted character hit a non-fixed weight")
             out[nu] = m
-        self._tw_cache[lam] = out
+        cache[lam] = out
         return out
 
     def weight_set(self, lam):
         """Wt(lambda) for the disconnected group (the gate-lifted support)."""
         return frozenset(self.hw_character(lam))
-
-    def class_leq(self, lam, mu):
-        """lam <= mu in the Sigma_breve^vee cone inside X_*(T)_I."""
-        return self.sigma.class_leq(lam, mu)
 
 
 class CharacterContext:
@@ -368,8 +338,9 @@ class CharacterContext:
                 raise TheoremViolation("peel-off failed to terminate")
             support = list(remaining)
             maximal = [k for k in support
-                       if not any(k2 != k and self.h.class_leq(k, k2) for k2 in support)]
-            for k in sorted(maximal, key=lambda c: (c.free, c.tors)):
+                       if not any(k2 != k and self.h.sigma.class_leq(k, k2)
+                                   for k2 in support)]
+            for k in sorted(maximal):
                 a = remaining.get(k, 0)
                 if not a:
                     continue

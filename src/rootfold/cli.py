@@ -189,11 +189,8 @@ def cmd_adm(args):
     adm = admissible_set(lgd, mu, engine=engine)
     extremal = extremal_elements(engine, adm)
     items = []
-    omegas = {}
     for x in adm:
         word, omega = engine.normal_form(x)
-        okey = (omega.lam.free, omega.lam.tors)
-        omegas.setdefault(okey, omega)
         items.append({
             "translation": _fmt_class(x.lam),
             "omega": _fmt_class(omega.lam),
@@ -276,7 +273,7 @@ def cmd_branch(args):
     br = chars.branching(mu)
     tr = chars.tau_traces_on_H(mu)
     rows = []
-    for lam in sorted(br, key=lambda c: (c.free, c.tors)):
+    for lam in sorted(br):
         trace = tr.get(lam, 0) if chars.h.is_tau_fixed(lam) else 0
         rows.append((_fmt_class(lam), br[lam], trace))
     payload = {"mu": list(mu),

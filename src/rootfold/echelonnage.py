@@ -20,6 +20,7 @@ elsewhere).
 from __future__ import annotations
 
 from math import lcm
+from operator import sub
 
 from .folding import (
     RootSystemV,
@@ -93,19 +94,21 @@ class SigmaSystem:
     """A folded system on both sides of the duality, with lattice classes.
 
     For the k-th simple root, `base_classes[k]` is the class of its coroot
-    in X_*(T)_I.  The two folded systems are built
-    independently; `EchelonnageData` checks that the dual of the res-side
-    system, carried across by the invariant form, is the norm-side system
-    (`folding.dual_mismatch`).  Each side's `orbits` record which simple
-    roots of the source system were folded into its k-th simple root, as
-    the automorphisms permute them.
+    in X_*(T)_I, the lattice `coinv`, and `lower(lam, c)` is
+    lam - sum_k c_k base_classes[k] (`CoinvariantLattice.lowering`).  The two
+    folded systems are built independently; `EchelonnageData` checks that
+    the dual of the res-side system, carried across by the invariant form,
+    is the norm-side system (`folding.dual_mismatch`).  Each side's
+    `orbits` record which simple roots of the source system were folded
+    into its k-th simple root, as the automorphisms permute them.
     """
 
-    def __init__(self, rs_root, rs_co, base_classes, name):
+    def __init__(self, rs_root, rs_co, coinv, base_classes, name):
         self.rs_root = rs_root
         self.rs_co = rs_co
         self.base_classes = tuple(base_classes)
         self.name = name
+        self.lower = coinv.lowering(self.base_classes)
         # int coordinates over the free parts of the classes, the columns
         # of the matrix solved; with no classes every difference solves to
         # (), and class_leq's check below keeps only the zero one
@@ -126,14 +129,22 @@ class SigmaSystem:
         """lam <= mu in the cone of the coroot classes inside X_*(T)_I:
         mu - lam is a nonnegative integral combination of `base_classes`
         (torsion coordinates included)."""
-        diff = mu - lam
-        sol = self._class_coords(diff.free)
+        sol = self._class_coords(tuple(map(sub, mu.free, lam.free)))
         if sol is None or min(sol, default=0) < 0:
             return False
-        acc = diff.lattice.zero()
-        for c, cls in zip(sol, self.base_classes):
-            acc = acc + cls.scale(c)
-        return acc == diff
+        return self.lower(mu, sol) == lam
+
+
+def _orbit_classes(co_fold, classes):
+    """The classes of the simple coroots of a fold of a coroot system, from
+    the classes of the source's simple coroots: the orbit sum, doubled for
+    a non-orthogonal orbit under N' (the rule by which `folding.fold` sums
+    the base)."""
+    out = []
+    for orb, orth in co_fold.orbits:
+        total = sum((classes[i] for i in orb[1:]), classes[orb[0]])
+        out.append(total + total if not orth and co_fold.op == "Nprime" else total)
+    return out
 
 
 class EchelonnageData:
@@ -151,11 +162,11 @@ class EchelonnageData:
         breve_root = fold(char, I_char, "Nprime")
         if dual_mismatch(breve_co, breve_root, gram_star):
             raise TheoremViolation("Sigma_breve: the two characterizations disagree")
-        classes = []
-        for orb, _orth in breve_co.orbits:
-            rep = datum.simple_coroots[orb[0]]
-            classes.append(lgd.coinv.project(rep))
-        self.sigma_breve = SigmaSystem(breve_root, breve_co, classes, "Sigma_breve")
+        # the class of a representative coroot of each orbit
+        classes = [lgd.coinv.project(datum.simple_coroots[orb[0]])
+                   for orb, _orth in breve_co.orbits]
+        self.sigma_breve = SigmaSystem(breve_root, breve_co, lgd.coinv, classes,
+                                       "Sigma_breve")
 
         # induced tau action on Sigma_breve, as a permutation of its simple
         # roots (raises MalformedAction unless tau permutes them)
@@ -168,14 +179,9 @@ class EchelonnageData:
         sigma0_root = fold(breve_root, tau_char, "resprime")
         if dual_mismatch(sigma0_co, sigma0_root, gram_star):
             raise TheoremViolation("Sigma_0: the two characterizations disagree")
-        classes0 = []
-        for orb, _orth in sigma0_co.orbits:
-            total = None
-            for i in orb:
-                c = self.sigma_breve.base_classes[i]
-                total = c if total is None else total + c
-            classes0.append(total)
-        self.sigma0 = SigmaSystem(sigma0_root, sigma0_co, classes0, "Sigma_0")
+        self.sigma0 = SigmaSystem(
+            sigma0_root, sigma0_co, lgd.coinv,
+            _orbit_classes(sigma0_co, self.sigma_breve.base_classes), "Sigma_0")
 
         # Knop system: res_tau(Sigma_breve), with its dual N'_tau(Sigma^vee)
         knop_root = fold(breve_root, tau_char, "res")
@@ -184,8 +190,9 @@ class EchelonnageData:
         if dual_mismatch(knop_root, knop_co, datum._gram_pair):
             raise TheoremViolation("Knop system: res_tau dual does not match "
                                    "N'_tau of the coroots")
-        self.sigma0_tilde_root = knop_root
-        self.sigma0_tilde_co = knop_co
+        self.sigma0_tilde = SigmaSystem(
+            knop_root, knop_co, lgd.coinv,
+            _orbit_classes(knop_co, self.sigma_breve.base_classes), "Sigma_0_tilde")
 
         # special roots by the A_{2n} middle-orbit criterion
         self.special = self._special_roots(breve_root, sigma0_root)
@@ -337,7 +344,7 @@ class EchelonnageData:
         return {
             "sigma_breve": self.sigma_breve.type_label(),
             "sigma0": self.sigma0.type_label(),
-            "sigma0_tilde": self.sigma0_tilde_root.type_label(),
+            "sigma0_tilde": self.sigma0_tilde.type_label(),
             "sigma1_nonreduced": self.sigma1_nonreduced,
             "special": sorted(self.special),
             "parameters": {"%s:%d" % k: v for k, v in sorted(params.items())},

@@ -447,7 +447,7 @@ class BernsteinElement:
         return isinstance(other, BernsteinElement) and self.coeffs == other.coeffs
 
     def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].free, kv[0].tors))
+        return sorted(self.coeffs.items())
 
     def __repr__(self):
         return "BernsteinElement(%r)" % {
@@ -479,16 +479,14 @@ class CenterContext:
         h = self.chars.h
         out = [nu for nu in h.weight_set(lam)
                if h.is_tau_fixed(nu) and h.is_dominant(nu)]
-        return sorted(out, key=lambda c: (c.free, c.tors))
+        return sorted(out)
 
     # -- geometric basis -----------------------------------------------------------
 
     def geometric_basis(self, lam):
-        """C_lambda in the z-basis, coefficients tr(tau | V_{lambda,1}(nu))."""
-        h = self.chars.h
-        if not (h.is_dominant(lam) and h.is_tau_fixed(lam)):
-            raise ValueError("lambda must be dominant and tau-fixed")
-        tw = h.twisted_hw_character(lam)
+        """C_lambda in the z-basis, coefficients tr(tau | V_{lambda,1}(nu)),
+        for a dominant tau-fixed lambda (`twisted_hw_character` checks it)."""
+        tw = self.chars.h.twisted_hw_character(lam)
         coeffs = {nu: tw.get(nu, 0)
                   for nu in self.dominant_tau_fixed_weights(lam)}
         if coeffs.get(lam) != 1:

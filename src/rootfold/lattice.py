@@ -10,10 +10,12 @@ coordinates and a tuple of residues, each reduced modulo its torsion factor.
 Only this module knows how that tuple pair sits in the full Smith normal
 form coordinates.  An induced endomorphism is stored as compact int tables
 on (free, tors), built once, so applying it is one int mat-vec and one `%`
-per torsion coordinate; the section over the free coordinates, and its
-pairings with ambient vectors (`CoinvariantLattice.section_pairing`), are
-int rows over one denominator.  Results of this arithmetic are already
-reduced ints and skip the validating constructor.
+per torsion coordinate; so is lam - sum_i c_i classes_i for a fixed tuple
+of classes (`CoinvariantLattice.lowering`).  The section over the free
+coordinates, and its pairings with ambient vectors
+(`CoinvariantLattice.section_pairing`), are int rows over one denominator.
+Results of this arithmetic are already reduced ints and skip the
+validating constructor.  Classes sort by (free, tors).
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ class CoinvariantElement:
 
     def __hash__(self):
         return hash((self.free, self.tors))
+
+    def __lt__(self, other):
+        """The class order: by free coordinates, then residues.  Every
+        listing of classes (reports, peel-offs, orbit seeds) sorts by it."""
+        return (self.free, self.tors) < (other.free, other.tors)
 
     def __add__(self, other):
         return _element(self.lattice, tuple(map(add, self.free, other.free)),
@@ -257,24 +264,21 @@ class CoinvariantLattice:
         return _element(self, (0,) * self.free_rank, (0,) * len(self.torsion))
 
     def _build_section(self):
-        """The section as (den, int columns): column i is den times the
-        group-average of the lift of the i-th free basis class."""
+        """The section as (den, int rows), one row per ambient coordinate:
+        column i is den times the group-average of the lift of the i-th
+        free basis class."""
         zero = (0,) * len(self.torsion)
         avgs = [average(self.lift(_element(self, free, zero)), self.group)
                 for free in identity_matrix(self.free_rank)]
         den = lcm(*(size for size, _total in avgs))
-        return lowest_terms(den, [tuple(den // size * x for x in total)
-                                  for size, total in avgs])
+        return lowest_terms(den, [tuple(den // size * total[k] for size, total in avgs)
+                                  for k in range(self.rank)])
 
     def section(self, e):
         """(den, den v), v the group-average of any lift of e: the vector
         realizing its free part on the fixed subspace (torsion maps to 0)."""
-        den, cols = self._section
-        v = [0] * self.rank
-        for c, col in zip(e.free, cols):
-            for k, x in enumerate(col):
-                v[k] += c * x
-        return den, tuple(v)
+        den, rows = self._section
+        return den, tuple([sum(map(mul, row, e.free)) for row in rows])
 
     def section_vector(self, e):
         """`section` as a Fraction vector."""
@@ -285,11 +289,29 @@ class CoinvariantLattice:
         """(den, rows) with rows[k][i] = den * <vrows[k] / vden, section of
         the i-th free basis class> all ints, den > 0 their least common
         denominator: <v, section_vector(e)> is sum(row * e.free) / den."""
-        sden, cols = self._section
+        sden, rows = self._section
+        cols = tuple(zip(*rows))
         return lowest_terms(sden * vden, [[sum(map(mul, v, col)) for col in cols]
                                           for v in vrows])
 
     # -- induced maps ------------------------------------------------------
+
+    def lowering(self, classes):
+        """The map (lam, c) -> lam - sum_i c_i classes[i] for int c, from
+        int tables built once, as in `QuotientEndo`: per free coordinate the
+        row of the classes' free parts, per torsion coordinate the row of
+        their residues and its modulus.  It returns reduced elements."""
+        free = tuple(tuple(cls.free[j] for cls in classes)
+                     for j in range(self.free_rank))
+        tors = tuple((tuple(cls.tors[k] for cls in classes), d)
+                     for k, d in enumerate(self.torsion))
+
+        def lower(lam, c):
+            return _element(self, tuple([x - sum(map(mul, row, c))
+                                         for x, row in zip(lam.free, free)]),
+                            tuple([(t - sum(map(mul, row, c))) % d
+                                   for t, (row, d) in zip(lam.tors, tors)]))
+        return lower
 
     def endo_from_matrix(self, M):
         """The endomorphism induced by an ambient matrix commuting with the

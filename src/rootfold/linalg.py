@@ -153,12 +153,22 @@ def mat_integer_inverse(U):
 
 
 def is_positive_definite(M):
-    """Sylvester criterion for a symmetric rational matrix."""
-    n = len(M)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(M[i][j] for j in range(k)) for i in range(k))
-        if mat_det(minor) <= 0:
+    """Sylvester's criterion for a symmetric rational matrix, by one
+    fraction-free elimination of A = d M (d > 0 the common denominator)
+    without row swaps: the pivot of step k is the leading principal minor
+    of A of order k + 1, so M is positive definite exactly when no pivot is
+    <= 0, and the elimination stops at the first one that is."""
+    _d, a = integral_rows(M)
+    rows = [list(row) for row in a]
+    prev = 1
+    for c, piv in enumerate(rows):
+        pv = piv[c]
+        if pv <= 0:
             return False
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], piv)]
+        prev = pv
     return True
 
 

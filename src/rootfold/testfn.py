@@ -28,7 +28,7 @@ def z_v_star_1j(center, mu):
     chars = center.chars
     traces = chars.tau_traces_on_H(mu)
     total = BernsteinElement({})
-    for lam in sorted(traces, key=lambda c: (c.free, c.tors)):
+    for lam in sorted(traces):
         t = traces[lam]
         if t:
             total = total + center.geometric_basis(lam).scale(t)
@@ -165,7 +165,7 @@ def test_function(cfg, mu):
         pool = set(small_orbit)
         classes = []
         while pool:
-            seed = min(pool, key=lambda c: (c.free, c.tors))
+            seed = min(pool)
             orb = set(closure([seed], lambda c: (e(c) for e in big_endos)))
             if not orb <= pool:
                 raise TheoremViolation("W_{E_j0} does not preserve the "
@@ -175,7 +175,7 @@ def test_function(cfg, mu):
         return classes
 
     coeffs = {}
-    for lam in sorted(traces, key=lambda c: (c.free, c.tors)):
+    for lam in sorted(traces):
         t = traces[lam]
         if not t:
             continue

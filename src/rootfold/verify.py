@@ -78,7 +78,7 @@ class Verifier:
         params = center.parameters
         detail = "sigma=%s sigma0=%s knop=%s special=%s L=%s" % (
             ech.sigma_breve.type_label(), ech.sigma0.type_label(),
-            ech.sigma0_tilde_root.type_label(), sorted(ech.special),
+            ech.sigma0_tilde.type_label(), sorted(ech.special),
             sorted(("%s:%d" % k, v) for k, v in params.items()))
         self.record("theorem-B", name, True, detail)
         # split case: Sigma_breve = Phi (Prasad-Raghunathan), base and roots
@@ -101,14 +101,12 @@ class Verifier:
     def _theorem_c(self, name, preset, center, mus):
         lgd = preset.lgd
         engine = center.breve_engine
-        all_ok = True
         details = []
         for mu in mus:
             rep = verify_extremal(lgd, mu, engine)
             if not rep["ok"]:
-                all_ok = False
                 details.append("mu=%s:%s" % (_fmt_mu(mu), rep["mismatches"]))
-        self.record("theorem-C", name, all_ok,
+        self.record("theorem-C", name, not details,
                     ";".join(["checked %d mu" % len(mus)] + details))
 
     # -- Theorem D ---------------------------------------------------------
@@ -116,34 +114,19 @@ class Verifier:
     def _kl_lambdas(self, preset, center, mus):
         """Dominant tau-fixed images of the cocharacters up to kl_bound;
         `mus` are those up to mu_bound, reused when the bounds agree."""
-        lgd = preset.lgd
-        out = []
-        seen = set()
         h = center.chars.h
         if self.kl_bound != self.mu_bound:
             mus = preset.datum.dominant_cochars_up_to(self.kl_bound)
-        for mu in mus:
-            lam = lgd.coinv.project(mu)
-            if lam in seen:
-                continue
-            seen.add(lam)
-            if h.is_tau_fixed(lam) and h.is_dominant(lam):
-                out.append(lam)
-        return sorted(out, key=lambda c: (c.free, c.tors))
+        return sorted({lam for lam in map(preset.lgd.coinv.project, mus)
+                       if h.is_tau_fixed(lam) and h.is_dominant(lam)})
 
     def _theorem_d(self, name, preset, center, mus):
         if not preset.kl_check:
             return
         lams = self._kl_lambdas(preset, center, mus)
-        all_ok = True
-        bad = []
-        for lam in lams:
-            a = center.geometric_basis(lam)
-            b = center.geometric_basis_kl(lam)
-            if a != b:
-                all_ok = False
-                bad.append(repr(lam))
-        self.record("theorem-D", name, all_ok,
+        bad = [repr(lam) for lam in lams
+               if center.geometric_basis(lam) != center.geometric_basis_kl(lam)]
+        self.record("theorem-D", name, not bad,
                     ";".join(["checked %d lambda" % len(lams)] + bad))
 
     # -- branching / decomposition ------------------------------------------
@@ -154,7 +137,6 @@ class Verifier:
     def _branching(self, name, preset, center, mus):
         lgd = preset.lgd
         chars = center.chars
-        all_ok = True
         details = []
         for mu in mus:
             mubar = lgd.coinv.project(mu)
@@ -165,23 +147,19 @@ class Verifier:
                   and chars.dimension_bookkeeping(mu)
                   and chars.weight_equality_check(mu))
             if not ok:
-                all_ok = False
                 details.append("mu=%s" % _fmt_mu(mu))
-        self.record("branching", name, all_ok,
+        self.record("branching", name, not details,
                     ";".join(["checked %d mu" % len(mus)] + details))
 
     # -- test functions -------------------------------------------------------
 
     def _test_functions(self, name, preset, center, mus):
         lgd = preset.lgd
-        chars = center.chars
-        all_ok = True
         details = []
         for mu in mus:
             z = z_v_star_1j(center, mu)  # internally cross-checked
             mubar = lgd.coinv.project(mu)
             if z.coeffs.get(mubar) != 1:
-                all_ok = False
                 details.append("top-coeff mu=%s" % _fmt_mu(mu))
             if len(lgd.inertia.group) == 1 and lgd.tau_order() == 1:
                 # split: Gaitsgory form, coefficients = weight multiplicities
@@ -189,26 +167,22 @@ class Verifier:
                     lift = lgd.coinv.lift(nu)
                     m = center.chars.dual.weight_multiplicity(mu, lift)
                     if c != m:
-                        all_ok = False
                         details.append("gaitsgory mu=%s" % _fmt_mu(mu))
-        self.record("test-function", name, all_ok,
+        self.record("test-function", name, not details,
                     ";".join(["checked %d mu" % len(mus)] + details))
         if preset.tower_small is not None:
             cfg = preset.tower_config(j=1)
             cfg0 = preset.tower_config(j=1, degenerate=True)
             center0 = cfg0.center_big
-            ok = True
             det = []
             for mu in mus[: 3]:
                 rep = ramified_descent_check(cfg, mu)
                 if not rep["ok"]:
-                    ok = False
                     det.append("descent mu=%s" % _fmt_mu(mu))
                 test_function(cfg, mu)  # cross-checked internally
                 if test_function(cfg0, mu) != z_v_star_1j(center0, mu):
-                    ok = False
                     det.append("degenerate mu=%s" % _fmt_mu(mu))
-            self.record("tower", name, ok, ";".join(det))
+            self.record("tower", name, not det, ";".join(det))
 
 
 def run_verify(names=None, mu_bound=4, kl_bound=4):

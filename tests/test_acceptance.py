@@ -106,12 +106,12 @@ def test_criterion_3_theorem_b():
         # Macdonald union and reduced parts (Sigma_1,red = Knop system,
         # discarding halves instead gives Sigma_0)
         s1 = set(fraction_rows(*ech.sigma1))
-        union = set(ech.sigma0.rs_root.roots) | set(ech.sigma0_tilde_root.roots)
+        union = set(ech.sigma0.rs_root.roots) | set(ech.sigma0_tilde.rs_root.roots)
         ok = ok and s1 == union
         red_lower = {a for a in s1
                      if tuple(vec_scale(Fraction(1, 2), a)) not in s1}
         red_upper = {a for a in s1 if tuple(vec_scale(2, a)) not in s1}
-        ok = ok and red_lower == set(ech.sigma0_tilde_root.roots)
+        ok = ok and red_lower == set(ech.sigma0_tilde.rs_root.roots)
         ok = ok and red_upper == set(ech.sigma0.rs_root.roots)
         if len(lgd.inertia.group) == 1:
             ok = ok and set(ech.sigma_breve.rs_root.roots) == set(

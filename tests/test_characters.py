@@ -41,7 +41,9 @@ from rootfold.rootdata import (
 )
 from fraction_linalg import frac_vec, gauss_solve
 from test_affine import KL_LADDER
+from test_echelonnage import reference_orbit_classes
 from test_folding import folding_data
+from test_lattice import reference_lower
 
 
 def flip(r):
@@ -561,3 +563,29 @@ def test_convenience_surfaces():
     from fractions import Fraction as F
     assert table[(F(1), F(1))] == 1
     assert (F(0), F(0)) not in table
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_fixed_group_characters_match_coefficient_loop(name):
+    """Both characters of H against Freudenthal expanded one coefficient at
+    a time: over the Sigma_breve classes for `hw_character`, over the Knop
+    classes of the per-orbit loop for `twisted_hw_character`, at every
+    dominant class (tau-fixed for the twisted one) from mu with
+    <2rho, mu> <= 4."""
+    preset = load_preset(name)
+    lgd = preset.lgd
+    h = FixedGroup(lgd)
+    breve = lgd.echelonnage().sigma_breve.base_classes
+    knop = reference_orbit_classes(breve, h.knop_co, True)
+    for mu in preset.datum.dominant_cochars_up_to(4):
+        lam = lgd.coinv.project(mu)
+        if not h.is_dominant(lam):
+            continue
+        den, v = lgd.coinv.section(lam)
+        assert h.hw_character(lam) == {
+            reference_lower(lam, breve, c): m
+            for c, m in freudenthal(h.system, v, den).items()}
+        if h.is_tau_fixed(lam):
+            assert h.twisted_hw_character(lam) == {
+                reference_lower(lam, knop, c): m
+                for c, m in freudenthal(h.knop_co, v, den).items()}

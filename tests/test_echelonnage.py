@@ -6,6 +6,7 @@ import pytest
 
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import fraction_rows, vec_scale
+from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
 from test_folding import from_datum
 
@@ -35,21 +36,21 @@ def test_su3_unramified():
     ech = lgd.echelonnage()
     assert ech.sigma_breve.type_label() == "A2"
     assert ech.sigma0.type_label() == "C1"
-    assert ech.sigma0_tilde_root.type_label() == "B1"
+    assert ech.sigma0_tilde.type_label() == "B1"
     assert ech.sigma1_nonreduced
     assert ech.special == frozenset({0})
     # the paper's parameter values: L(s_a) = 3, L(s_0) = 1
     assert ech.parameter_function() == {("fin", 0): 3, ("aff", 0): 1}
     # Knop root is half the Sigma_0 root
-    assert ech.sigma0_tilde_root.base[0] == vec_scale(Fraction(1, 2),
-                                                      ech.sigma0.rs_root.base[0])
+    assert ech.sigma0_tilde.rs_root.base[0] == vec_scale(Fraction(1, 2),
+                                                         ech.sigma0.rs_root.base[0])
 
 
 def test_su5_unramified():
     lgd = _lgd("A4", "simply_connected", tau_perm=flip(4), label="su5")
     ech = lgd.echelonnage()
     assert ech.sigma0.type_label() == "C2"
-    assert ech.sigma0_tilde_root.type_label() == "B2"
+    assert ech.sigma0_tilde.type_label() == "B2"
     assert ech.special == frozenset({1})
     p = ech.parameter_function()
     assert p[("aff", 0)] == 1
@@ -90,7 +91,7 @@ def test_triality_and_e6():
     ech = lgd.echelonnage()
     assert ech.sigma_breve.type_label() == "D4"
     assert ech.sigma0.type_label() == "G2"
-    assert ech.sigma0_tilde_root.type_label() == "G2"
+    assert ech.sigma0_tilde.type_label() == "G2"
     p = ech.parameter_function()
     assert sorted(p.values()) == [1, 1, 3]
     lgd6 = _lgd("E6", "adjoint", tau_perm=(5, 1, 4, 3, 2, 0), label="2e6")
@@ -139,7 +140,7 @@ def test_macdonald_membership():
     s1 = set(fraction_rows(*ech.sigma1))
     red_lower = {a for a in s1 if tuple(vec_scale(Fraction(1, 2), a)) not in s1}
     red_upper = {a for a in s1 if tuple(vec_scale(2, a)) not in s1}
-    assert red_lower == set(ech.sigma0_tilde_root.roots)
+    assert red_lower == set(ech.sigma0_tilde.rs_root.roots)
     assert red_upper == set(ech.sigma0.rs_root.roots)
 
 
@@ -178,7 +179,7 @@ def test_component_swap_with_flip_order_four():
     ech = lgd.echelonnage()
     assert ech.sigma_breve.type_label() == "A2xA2"
     assert ech.sigma0.type_label() == "C1"
-    assert ech.sigma0_tilde_root.type_label() == "B1"
+    assert ech.sigma0_tilde.type_label() == "B1"
     assert ech.special == frozenset({0})
     assert ech.parameter_function() == {("fin", 0): 6, ("aff", 0): 2}
     # plain swap: the stabilizer acts trivially, nothing is special and the
@@ -201,3 +202,27 @@ def test_report_shows_the_parameters_it_is_given():
     ech = lgd.echelonnage()
     assert ech.report(first.parameters)["parameters"] == {"aff:0": 1, "fin:0": 5}
     assert ech.report(second.parameters)["parameters"] == {"aff:0": 1, "fin:0": 3}
+
+
+def reference_orbit_classes(breve_classes, co_fold, double):
+    """The classes of a fold of Sigma_breve^vee by the per-orbit loops that
+    built them before one helper did: the orbit sum, and for the Knop
+    system (`double`) twice that on a non-orthogonal orbit, via `scale`."""
+    out = []
+    for orb, orth in co_fold.orbits:
+        total = None
+        for i in orb:
+            total = breve_classes[i] if total is None else total + breve_classes[i]
+        out.append(total.scale(2) if double and not orth else total)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_folded_classes_match_orbit_loops(name):
+    """Sigma_0 (the N fold) and the Knop system (the N' fold): their
+    classes by the orbit rule equal the per-orbit loops'."""
+    ech = load_preset(name).lgd.echelonnage()
+    breve = ech.sigma_breve.base_classes
+    for sigma, double in ((ech.sigma0, False), (ech.sigma0_tilde, True)):
+        assert sigma.base_classes == reference_orbit_classes(breve, sigma.rs_co, double)
+    assert ech.sigma0.rs_co.op == "N" and ech.sigma0_tilde.rs_co.op == "Nprime"

@@ -213,7 +213,7 @@ def test_geometric_basis_top_coefficient():
         assert c.to_tuple() == (1, c)
     # unitriangular over z with respect to the dominance order
     for nu in C.coeffs:
-        assert ctx.chars.h.class_leq(nu, lam)
+        assert ctx.chars.h.sigma.class_leq(nu, lam)
 
 
 def test_weight_function_well_defined():
@@ -676,3 +676,19 @@ def test_kl_polynomial_reads_the_coset_table(monkeypatch):
     values = {x: H.kl_polynomial(x, y) for x in interval}
     assert calls == []
     assert set(values) == interval
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_theorem_d_on_every_preset(name):
+    """Theorem D on all presets, not only where `kl_check` puts it in the
+    `verify` report: the twining and KL routes give the same geometric basis
+    element at every dominant tau-fixed class from mu with <2rho, mu> <= 4."""
+    preset = load_preset(name)
+    center = CenterContext(preset.lgd, preset.overrides)
+    h = center.chars.h
+    lams = sorted({lam for lam in map(preset.lgd.coinv.project,
+                                      preset.datum.dominant_cochars_up_to(4))
+                   if h.is_dominant(lam) and h.is_tau_fixed(lam)})
+    assert lams
+    for lam in lams:
+        assert center.geometric_basis(lam) == center.geometric_basis_kl(lam), lam

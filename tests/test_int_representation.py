@@ -66,7 +66,7 @@ def test_local_data_int_paths_match_fraction_routes(key):
     lgd, _beng, _teng = _property_engines(key)
     ech = lgd.echelonnage()
     for rs in (ech.sigma_breve.rs_root, ech.sigma_breve.rs_co, ech.sigma0.rs_root,
-               ech.sigma0.rs_co, ech.sigma0_tilde_root, ech.sigma0_tilde_co):
+               ech.sigma0.rs_co, ech.sigma0_tilde.rs_root, ech.sigma0_tilde.rs_co):
         assert_base_matches_reference(rs)
     L = lgd.coinv
     for e in identity_matrix(L.free_rank):

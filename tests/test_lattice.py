@@ -1,6 +1,8 @@
 """Coinvariants, invariants, averaging: examples and well-definedness."""
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from rootfold.lattice import (
     MalformedAction,
+    _element,
     average,
     closure,
     coinvariants,
@@ -320,3 +323,80 @@ def test_section_pairing_matches_fraction_reference(name):
     for x in identity_matrix(L.rank) + (tuple(range(-1, L.rank - 1)),):
         e = L.project(x)
         assert L.section_vector(e) == reference_section_vector(L, e)
+
+
+# -- lam - sum c_i class_i: the int map against the per-coefficient loop ----
+
+SIGMA_SYSTEMS = ("sigma_breve", "sigma0", "sigma0_tilde")
+
+
+def reference_lower(lam, classes, c):
+    """lam - sum_i c_i classes[i], one coefficient at a time through the
+    checking constructor (`scale`): the loop the characters of the fixed
+    group ran before they expanded in ints."""
+    nu = lam
+    for ci, cls in zip(c, classes):
+        if ci:
+            nu = nu - cls.scale(ci)
+    return nu
+
+
+def unreduced_lowering(L, classes):
+    """`CoinvariantLattice.lowering` without the `% d` on the residues: the
+    negative control, which a lattice with torsion must catch."""
+    free = tuple(tuple(cls.free[j] for cls in classes) for j in range(L.free_rank))
+    tors = tuple(tuple(cls.tors[k] for cls in classes) for k in range(len(L.torsion)))
+
+    def lower(lam, c):
+        return _element(L, tuple([x - sum(map(mul, row, c))
+                                  for x, row in zip(lam.free, free)]),
+                        tuple([t - sum(map(mul, row, c))
+                               for t, row in zip(lam.tors, tors)]))
+    return lower
+
+
+def _lowering_draw(data, name, which):
+    lgd = load_preset(name).lgd
+    sigma = getattr(lgd.echelonnage(), which)
+    L = lgd.coinv
+    lam = L.project(data.draw(st.lists(st.integers(-3, 3), min_size=L.rank,
+                                       max_size=L.rank)))
+    n = len(sigma.base_classes)
+    c = tuple(data.draw(st.lists(st.integers(-4, 6), min_size=n, max_size=n)))
+    return sigma, lam, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(preset_names()), st.sampled_from(SIGMA_SYSTEMS), st.data())
+def test_lowering_matches_reference_property(name, which, data):
+    """Every preset's three Sigma systems, at a drawn class and coefficient
+    tuple: the int map of `SigmaSystem.lower` against the loop."""
+    sigma, lam, c = _lowering_draw(data, name, which)
+    assert sigma.lower(lam, c) == reference_lower(lam, sigma.base_classes, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIGMA_SYSTEMS), st.data())
+def test_lowering_matches_reference_with_torsion(which, data):
+    """su3-ramified, the one preset whose lattice has torsion, (2,): the
+    property above, drawn there every time."""
+    sigma, lam, c = _lowering_draw(data, "su3-ramified", which)
+    assert load_preset("su3-ramified").lgd.coinv.torsion == (2,)
+    assert sigma.lower(lam, c) == reference_lower(lam, sigma.base_classes, c)
+
+
+def test_unreduced_lowering_fails_with_torsion():
+    """The negative control: without `% d` the map leaves residues outside
+    0..d-1, which the reference never does.  It fails on su3-ramified and
+    passes on a preset without torsion."""
+    for name, caught in (("su3-ramified", True), ("su4-unramified", False)):
+        lgd = load_preset(name).lgd
+        L = lgd.coinv
+        lams = [L.project(x) for x in identity_matrix(L.rank)]
+        for which in SIGMA_SYSTEMS:
+            classes = getattr(lgd.echelonnage(), which).base_classes
+            bad = unreduced_lowering(L, classes)
+            cs = list(itertools.product(range(-2, 3), repeat=len(classes)))
+            wrong = [(lam, c) for lam in lams for c in cs
+                     if bad(lam, c) != reference_lower(lam, classes, c)]
+            assert bool(wrong) == caught, (name, which)

@@ -160,6 +160,70 @@ def test_rational_inverse_and_definite():
     assert mat_integer_inverse(((1, 1), (0, 1))) == ((1, -1), (0, 1))
 
 
+def reference_is_positive_definite(M):
+    """Sylvester's criterion minor by minor, one determinant per leading
+    principal minor: the loop `is_positive_definite` ran before it became
+    one elimination."""
+    n = len(M)
+    return all(mat_det(tuple(tuple(M[i][j] for j in range(k)) for i in range(k))) > 0
+               for k in range(1, n + 1))
+
+
+def _gram(rows, n):
+    """rows^T rows, n x n: positive semidefinite, of rank len(rows) at most."""
+    return tuple(tuple(sum(r[i] * r[j] for r in rows) for j in range(n))
+                 for i in range(n))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(kind, M) for a symmetric int matrix M of order 1..5: "definite" is
+    A^T A + I, "semidefinite" B^T B for B with fewer rows than columns
+    (singular), "singular-lead" a random symmetric matrix whose leading
+    k x k block is such a B^T B, and "random" any symmetric matrix (mostly
+    indefinite)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("definite", "semidefinite", "singular-lead",
+                                 "random")))
+
+    def rows(k, m):
+        return [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+                for _ in range(k)]
+
+    if kind == "definite":
+        G = _gram(rows(n, n), n)
+        return kind, tuple(tuple(x + (i == j) for j, x in enumerate(row))
+                           for i, row in enumerate(G))
+    if kind == "semidefinite":
+        return kind, _gram(rows(draw(st.integers(0, n - 1)), n), n)
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(st.integers(-4, 4))
+    if kind == "singular-lead":
+        k = draw(st.integers(1, n))
+        lead = _gram(rows(draw(st.integers(0, k - 1)), k), k)
+        for i in range(k):
+            M[i][:k] = lead[i]
+    return kind, tuple(map(tuple, M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.integers(1, 6))
+def test_is_positive_definite_matches_sylvester_property(kind_m, d):
+    """One elimination against one determinant per leading minor, on int
+    matrices and on the same matrices over d (Fraction entries)."""
+    kind, M = kind_m
+    expect = reference_is_positive_definite(M)
+    assert is_positive_definite(M) == expect
+    assert is_positive_definite(tuple(tuple(Fraction(x, d) for x in row)
+                                      for row in M)) == expect
+    if kind == "definite":
+        assert expect
+    elif kind != "random":
+        assert not expect
+
+
 def test_gauss_solve_none():
     assert gauss_solve(((1, 0), (1, 0)), (1, 2)) is None
 

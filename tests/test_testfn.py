@@ -53,7 +53,7 @@ def test_top_coefficient_everywhere():
         assert z.coeffs[mubar] == 1, name
         # support bound: everything below mu in the Sigma-order
         for nu in z.coeffs:
-            assert ctx.chars.h.class_leq(nu, mubar)
+            assert ctx.chars.h.sigma.class_leq(nu, mubar)
 
 
 def test_tower_config_validation():

@@ -141,7 +141,7 @@ def test_tower_nprime_fold_built_once(monkeypatch, fresh_tables):
               and f._base_int == ((2, 2),) and f._value[2:] == form]
     assert len(nprime) == 1
     small = preset.tower_config().lgd_small
-    assert small.echelonnage().sigma0_tilde_co is folding.fold(
+    assert small.echelonnage().sigma0_tilde.rs_co is folding.fold(
         preset.datum.coroot_system(), (preset.lgd.tau_cochar,), "Nprime") is nprime[0]
 
 
