@@ -123,22 +123,6 @@ def _freudenthal(rs, mu, den):
     return {c: mult[c] for c in height_order(mult)}
 
 
-class WeightTable:
-    """Weights of one irrep: coefficient tuples, int vectors, multiplicities
-    (the base of `rs`, simple coroots or an N' fold of them, is in X_*)."""
-
-    def __init__(self, rs, mu, table):
-        self.base = rs._base_int
-        self.mu = tuple(mu)
-        self.table = table  # c -> mult
-
-    def items(self):
-        """(c, mu - sum_i c_i base[i], multiplicity) per weight, in ints."""
-        cols = [tuple(b[k] for b in self.base) for k in range(len(self.mu))]
-        for c, m in self.table.items():
-            yield c, tuple([x - sum(map(mul, col, c)) for x, col in zip(self.mu, cols)]), m
-
-
 class DualGroup:
     """The dual group of the datum: root system Phi^vee in X_* (x) Q.
 
@@ -154,14 +138,16 @@ class DualGroup:
         self._trace_tables = {}
 
     def weight_table(self, mu):
+        """{nu: dim V_mu(nu)} over the weights of V_mu, for a dominant mu:
+        the trace table of the identity."""
         mu = tuple(mu)
         if not self.datum.is_dominant_cochar(mu):
             raise ValueError("mu must be dominant")
-        return WeightTable(self.system, mu, freudenthal(self.system, mu))
+        return self.trace_table(identity_matrix(self.datum.rank), mu)
 
     def weight_multiplicity(self, mu, nu):
-        """dim V_mu(nu), the trace of the identity."""
-        return self.trace_table(identity_matrix(self.datum.rank), mu).get(tuple(nu), 0)
+        """dim V_mu(nu)."""
+        return self.weight_table(mu).get(tuple(nu), 0)
 
     def trace_table(self, g_cochar, mu):
         """{nu: tr(g | V_mu(nu))} over the g-fixed weights nu, for a pinned
@@ -170,19 +156,23 @@ class DualGroup:
 
         By the twisted Weyl character formula these traces are the weight
         multiplicities of the highest-weight module of the g-folded group;
-        g-fixed weights outside its support have trace 0 and are omitted."""
+        g-fixed weights outside its support have trace 0 and are omitted.
+        The weights are mu - sum_i c_i base[i] in ints over the base of
+        Phi^vee or of its N' fold, listed in the order of the Freudenthal
+        table."""
         mu = tuple(mu)
         key = (g_cochar, mu)
-        if key in self._trace_tables:
-            return self._trace_tables[key]
+        out = self._trace_tables.get(key)
+        if out is not None:
+            return out
         if tuple(mat_vec(g_cochar, mu)) != mu:
             raise ValueError("g does not fix mu")
-        if g_cochar == identity_matrix(self.datum.rank):
-            tbl = self.weight_table(mu)
-        else:
-            folded = fold(self.system, (g_cochar,), "Nprime")
-            tbl = WeightTable(folded, mu, freudenthal(folded, mu))
-        out = {v: m for _c, v, m in tbl.items()}
+        rs = self.system
+        if g_cochar != identity_matrix(self.datum.rank):
+            rs = fold(rs, (g_cochar,), "Nprime")
+        cols = tuple(zip(*rs._base_int))
+        out = {tuple([x - sum(map(mul, col, c)) for x, col in zip(mu, cols)]): m
+               for c, m in freudenthal(rs, mu).items()}
         self._trace_tables[key] = out
         return out
 
@@ -193,7 +183,7 @@ def graded_trace(dual, mu, ops, coinv, d):
 
     `ops` are pinned automorphisms fixing mu; every graded value must be an
     integer."""
-    weights = [v for _c, v, _m in dual.weight_table(mu).items()]
+    weights = dual.weight_table(mu)
     acc = {}
     for h in ops:
         traces = dual.trace_table(h, mu)

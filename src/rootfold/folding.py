@@ -316,12 +316,8 @@ class FoldedRootSystem(RootSystemV):
     where orbit_indices are positions in the source base (lowest first),
     read off the simple-root permutations of the generators, and orthogonal
     says that the source Cartan matrix is zero on every pair of the orbit.
+    `fold` builds every instance and sets `op` and `orbits`.
     """
-
-    def __init__(self, base, gram, op, orbits, label=""):
-        self.op = op
-        self.orbits = orbits
-        super().__init__(base, gram, label=label)
 
     def type_label(self):
         """Cartan type, refined for rank-1 components: an orbit that was not

@@ -130,17 +130,9 @@ class CoinvariantElement:
                         tuple((a + b) % d for a, b, d in
                               zip(self.tors, other.tors, self.lattice.torsion)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return _element(self.lattice, tuple(-x for x in self.free),
                         tuple(-t % d for t, d in zip(self.tors, self.lattice.torsion)))
-
-    def scale(self, c):
-        return CoinvariantElement(self.lattice,
-                                  tuple(c * x for x in self.free),
-                                  tuple(c * t for t in self.tors))
 
     def __repr__(self):
         if self.tors:
@@ -194,12 +186,6 @@ class QuotientEndo:
                                for b, row in zip(base.free, self._free)]),
                         tuple([(b + sum(map(mul, row, x))) % d
                                for b, (row, d) in zip(base.tors, self._tors)]))
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientEndo) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
 
 class CoinvariantLattice:
@@ -255,10 +241,6 @@ class CoinvariantLattice:
     def lift(self, e):
         """Canonical integer preimage of a coinvariant element."""
         return mat_vec(self._Uinv, self._full_coords(e))
-
-    def element(self, free, tors=()):
-        tors = tuple(tors) or (0,) * len(self.torsion)
-        return CoinvariantElement(self, free, tors)
 
     def zero(self):
         return _element(self, (0,) * self.free_rank, (0,) * len(self.torsion))

@@ -108,8 +108,11 @@ def parse_cartan_type(s):
 
 
 def symmetrizers(C):
-    """Minimal positive integers d with d_i C[i][j] = d_j C[j][i]; d_i is half
-    the squared length of alpha_i when short roots have squared length 2."""
+    """Minimal positive integers d with d_i C[i][j] = d_j C[j][i] for a
+    Cartan matrix C of finite type; d_i is half the squared length of
+    alpha_i when short roots have squared length 2.  Raises ValueError
+    unless the symmetrized matrix d_i C[i][j] is symmetric and positive
+    definite, which is what finite type means."""
     if any((C[i][j] == 0) != (C[j][i] == 0) for i in range(len(C)) for j in range(i)):
         raise ValueError("Cartan entries C[i][j] and C[j][i] must vanish together")
     d = [0] * len(C)
@@ -126,11 +129,15 @@ def symmetrizers(C):
                     d[m] *= abs(den)
                 num *= abs(den)
             d[j] = num // den
+        # the least symmetrizer of a finite-type component is 1
         low = min(d[i] for i in comp)
         if any(d[i] % low for i in comp):
-            raise ValueError("non-integral symmetrizer")
+            raise ValueError("Cartan matrix is not of finite type")
         for i in comp:
             d[i] //= low
+    sym = [[d[i] * x for x in row] for i, row in enumerate(C)]
+    if sym != [list(col) for col in zip(*sym)] or not is_positive_definite(sym):
+        raise ValueError("Cartan matrix is not of finite type")
     return tuple(d)
 
 
@@ -141,12 +148,8 @@ def classify_cartan(C):
 
     Returns factors sorted by (rank, letter), joined with "x"; rank-1
     components are reported as A1.  Raises ValueError, before any closure,
-    unless the symmetrized matrix is symmetric and positive definite."""
-    n = len(C)
+    unless C is of finite type (`symmetrizers`)."""
     d = symmetrizers(C)
-    sym = [[d[i] * C[i][j] for j in range(n)] for i in range(n)]
-    if sym != [list(col) for col in zip(*sym)] or not is_positive_definite(sym):
-        raise ValueError("not a finite-type Cartan matrix")
     roots = cartan_closure(C)
     return join_types(component_type(comp, C, roots, d) for comp in _components(C))
 
@@ -258,12 +261,9 @@ class BasedRootDatum:
             for j in range(n):
                 if i != j and self.cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-        # finite type: symmetrized form positive definite on the root span;
-        # the symmetrizers are kept for the closure and the invariant form
-        self._symmetrizers = d = symmetrizers(self.cartan)
-        sym = tuple(tuple(d[i] * self.cartan[i][j] for j in range(n)) for i in range(n))
-        if not is_positive_definite(sym):
-            raise ValueError("Cartan matrix is not of finite type")
+        # finite type; the symmetrizers are kept for the closure and the
+        # invariant form
+        self._symmetrizers = symmetrizers(self.cartan)
 
     # -- basic maps ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ compared subgroups; `CoinvariantLattice.same_subgroup`, which solves with
 
 `average`, `weight_items` and `reference_base` are the Fraction routes that
 the int representation of the Sigma systems replaced: the orbit average,
-the weights of a `WeightTable`, and the int representation `RootSystemV`
+the weights of a trace table, and the int representation `RootSystemV`
 used to derive from Fraction input.
 """
 

@@ -225,7 +225,7 @@ def test_criterion_8_test_functions():
     mu = (1, 1)
     z = z_v_star_1j(center, mu)
     L = preset.lgd.coinv
-    for _c, nu, m in center.chars.dual.weight_table(mu).items():
+    for nu, m in center.chars.dual.weight_table(mu).items():
         cls = L.project(tuple(int(x) for x in nu))
         if center.chars.h.is_dominant(cls):
             ok = ok and z.coeffs.get(cls) == m

@@ -27,6 +27,7 @@ from rootfold.hecke import KL_INTERVAL_CAP, CenterContext, HeckeAlgebra
 from rootfold.lattice import CoinvariantElement
 from rootfold.linalg import (
     fraction_rows,
+    identity_matrix,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
@@ -52,6 +53,7 @@ from bruhat_reference import (
 )
 from fraction_linalg import frac_vec, gauss_solve
 from kl_reference import dict_cosets
+from test_lattice import free_class
 
 
 def flip(r):
@@ -149,7 +151,7 @@ def test_normal_form_round_trip():
     # translations by classes (with torsion)
     for free in (-2, -1, 0, 1, 2):
         for tor in (0, 1):
-            cls = lgd.coinv.element((free,), (tor,))
+            cls = CoinvariantElement(lgd.coinv, (free,), (tor,))
             t = eng.translation(cls)
             word, omega = eng.normal_form(t)
             assert from_normal_form(eng, word, omega) == t
@@ -159,7 +161,7 @@ def test_torsion_is_central_length_zero():
     d = gl_datum(3)
     lgd = LocalGroupDatum(d, (unitary_dual_action(3),), None, label="u3")
     eng = build_affine(lgd)
-    tors = lgd.coinv.element((0,), (1,))
+    tors = CoinvariantElement(lgd.coinv, (0,), (1,))
     t = eng.translation(tors)
     assert eng.length(t) == 0
     for m in eng.simple_matrices:
@@ -550,8 +552,7 @@ def reference_length(eng, x):
     the positive roots, one Fraction mat_vec per root."""
     coinv = eng.coinv
     f = coinv.free_rank
-    sections = [coinv.section_vector(coinv.element(
-        tuple(int(j == i) for j in range(f)))) for i in range(f)]
+    sections = [coinv.section_vector(free_class(coinv, e)) for e in identity_matrix(f)]
     roots = eng.sigma.rs_root.positive_roots()
     positive = set(roots)
     total = 0
@@ -835,7 +836,7 @@ def test_pairing_integrality_check_tau_fixed_su4():
     classes; at a class that tau moves, pairing and length both refuse."""
     lgd = load_preset("su4-unramified").lgd
     teng = build_tau_fixed(lgd, build_affine(lgd))
-    lam = lgd.coinv.element((1, 0, 0))
+    lam = free_class(lgd.coinv, (1, 0, 0))
     assert lgd.tau_endo(lam) != lam
     msg = "pairing is not integral at Coinv(free=(1, 0, 0))"
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
@@ -844,7 +845,7 @@ def test_pairing_integrality_check_tau_fixed_su4():
         teng.length(AffineElement(lam, teng.e_mat))
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
         reference_length(teng, AffineElement(lam, teng.e_mat))
-    fixed = lgd.coinv.element((1, 0, 1))
+    fixed = free_class(lgd.coinv, (1, 0, 1))
     assert lgd.tau_endo(fixed) == fixed
     assert [teng._pair(row, fixed) for row in teng._rows] == [0, 1, 1, 2]
 

@@ -362,14 +362,17 @@ def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_datum_not_finite_type_exit_2(tmp_path, capsys):
-    # simple roots 1 and -1 of Z: the affine A1 Cartan matrix
+    # simple roots 1 and -1 of Z: the affine A1 Cartan matrix; and the
+    # hyperbolic ((2, -2), (-3, 2)), whose symmetrizers (3, 2) do not start at 1
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps({"rank": 1, "simple_roots": [[1], [-1]],
-                                "simple_coroots": [[2], [-2]]}))
-    code, out, err = run(capsys, "echelonnage", "--datum", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.strip() == "input error: Cartan matrix is not of finite type"
+    for datum in ({"rank": 1, "simple_roots": [[1], [-1]], "simple_coroots": [[2], [-2]]},
+                  {"rank": 2, "simple_roots": [[1, 0], [0, 1]],
+                   "simple_coroots": [[2, -2], [-3, 2]]}):
+        path.write_text(json.dumps(datum))
+        code, out, err = run(capsys, "echelonnage", "--datum", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "input error: Cartan matrix is not of finite type"
 
 
 def test_datum_one_sided_zero_cartan_entry_exit_2(tmp_path, capsys):
@@ -431,8 +434,8 @@ def test_non_integral_cartan_exit_1(monkeypatch, capsys):
 
     from rootfold import folding
     from rootfold.folding import FoldedRootSystem
-    bad = FoldedRootSystem(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), "N",
-                           (((0,), True), ((1,), True)), label="N_bad")
+    bad = FoldedRootSystem(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), label="N_bad")
+    bad.op, bad.orbits = "N", (((0,), True), ((1,), True))
     # cmd_fold imports fold from rootfold.folding when it runs
     monkeypatch.setattr(folding, "fold", lambda rs, group, op: bad)
     code, _out, err = run(capsys, "fold", "--preset", "split-a2")

@@ -207,13 +207,13 @@ def test_report_shows_the_parameters_it_is_given():
 def reference_orbit_classes(breve_classes, co_fold, double):
     """The classes of a fold of Sigma_breve^vee by the per-orbit loops that
     built them before one helper did: the orbit sum, and for the Knop
-    system (`double`) twice that on a non-orthogonal orbit, via `scale`."""
+    system (`double`) twice that on a non-orthogonal orbit."""
     out = []
     for orb, orth in co_fold.orbits:
         total = None
         for i in orb:
             total = breve_classes[i] if total is None else total + breve_classes[i]
-        out.append(total.scale(2) if double and not orth else total)
+        out.append(total + total if double and not orth else total)
     return tuple(out)
 
 

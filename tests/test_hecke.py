@@ -678,17 +678,47 @@ def test_kl_polynomial_reads_the_coset_table(monkeypatch):
     assert set(values) == interval
 
 
+# preset -> (the least <2rho, mu> whose mu reach a nonzero dominant tau-fixed
+# class, the free coordinates of the nonzero classes reached there), for the
+# presets that reach only lambda = 0 from mu with <2rho, mu> <= 4
+FIRST_NONZERO_CLASSES = {
+    "split-a3": (6, {(1, 1, 1)}),
+    "split-d4": (6, {(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}),
+    "su5-unramified": (8, {(1, 1, 1, 1)}),
+    "d4-triality": (10, {(1, 2, 1, 1)}),
+    "su6-ramified": (10, {(1, 2, 2)}),
+    "su6-unramified": (10, {(1, 1, 1, 1, 1)}),
+    "su7-ramified": (12, {(2, 2, 2)}),
+    "su7-unramified": (12, {(1, 1, 1, 1, 1, 1)}),
+    "e6-flip": (22, {(0, 1, 0, 0, 0, 0)}),
+}
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_theorem_d_on_every_preset(name):
     """Theorem D on all presets, not only where `kl_check` puts it in the
     `verify` report: the twining and KL routes give the same geometric basis
-    element at every dominant tau-fixed class from mu with <2rho, mu> <= 4."""
+    element at every dominant tau-fixed class from mu with <2rho, mu> <= 4,
+    and on the presets where those are all zero, at the first nonzero
+    classes (`FIRST_NONZERO_CLASSES`)."""
     preset = load_preset(name)
     center = CenterContext(preset.lgd, preset.overrides)
     h = center.chars.h
-    lams = sorted({lam for lam in map(preset.lgd.coinv.project,
-                                      preset.datum.dominant_cochars_up_to(4))
-                   if h.is_dominant(lam) and h.is_tau_fixed(lam)})
-    assert lams
+
+    def classes(bound):
+        return sorted({lam for lam in map(preset.lgd.coinv.project,
+                                          preset.datum.dominant_cochars_up_to(bound))
+                       if h.is_dominant(lam) and h.is_tau_fixed(lam)})
+
+    zero = preset.lgd.coinv.zero()
+    lams = classes(4)
+    if name in FIRST_NONZERO_CLASSES:
+        assert lams == [zero]
+        bound, expect = FIRST_NONZERO_CLASSES[name]
+        assert classes(bound - 1) == [zero]
+        lams = classes(bound)
+        assert {lam.free for lam in lams if lam != zero} == expect
+        assert all(lam.tors == () for lam in lams)
+    assert any(lam != zero for lam in lams)
     for lam in lams:
         assert center.geometric_basis(lam) == center.geometric_basis_kl(lam), lam

@@ -1,7 +1,7 @@
 """One int representation per Sigma system.
 
 The int paths (the base and form of every system, the orbit average behind
-the section, the weights of a `WeightTable`) against the Fraction routes
+the section, the weights of a trace table) against the Fraction routes
 they replaced, kept in `fraction_linalg`; and the layers that build the
 Sigma systems and their characters construct no Fraction at all.
 """
@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from rootfold.affine import build_affine, build_tau_fixed
-from rootfold.characters import DualGroup, FixedGroup, WeightTable, freudenthal, graded_trace
+from rootfold.characters import DualGroup, FixedGroup, freudenthal, graded_trace
 from rootfold.folding import OP_TAGS, fold
 from rootfold.lattice import average
 from rootfold.linalg import identity_matrix, mat_mul, mat_vec
@@ -21,6 +21,7 @@ from rootfold.presets import Preset, _load_raw
 import fraction_linalg
 from test_affine import _property_engines, local_data
 from test_folding import folding_data, pointwise_dual
+from test_lattice import free_class
 
 
 def assert_base_matches_reference(rs):
@@ -37,9 +38,12 @@ def assert_average_matches_reference(v, group):
         fraction_linalg.average(v, group), v
 
 
-def assert_weights_match_reference(table, base):
-    assert list(table.items()) == list(
-        fraction_linalg.weight_items(base, table.mu, table.table))
+def assert_weights_match_reference(table, rs, mu):
+    """The {weight: multiplicity} dict `table` of the irrep of rs with
+    highest weight mu lists the weights of its Freudenthal table, in order,
+    as the Fraction route computes them."""
+    assert list(table.items()) == [(v, m) for _c, v, m in fraction_linalg.weight_items(
+        rs.base, mu, freudenthal(rs, mu))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -70,17 +74,16 @@ def test_local_data_int_paths_match_fraction_routes(key):
         assert_base_matches_reference(rs)
     L = lgd.coinv
     for e in identity_matrix(L.free_rank):
-        lift = L.lift(L.element(e))
+        lift = L.lift(free_class(L, e))
         assert_average_matches_reference(lift, L.group)
-        assert L.section_vector(L.element(e)) == fraction_linalg.average(lift, L.group)
+        assert L.section_vector(free_class(L, e)) == fraction_linalg.average(lift, L.group)
     dual = DualGroup(lgd.datum)
     tau = lgd.tau_cochar
     for mu in lgd.datum.dominant_cochars_up_to(4, central_box=0):
-        assert_weights_match_reference(dual.weight_table(mu), dual.system.base)
+        assert_weights_match_reference(dual.weight_table(mu), dual.system, mu)
         if mat_vec(tau, mu) == mu:
-            folded = fold(dual.system, (tau,), "Nprime")
-            table = WeightTable(folded, mu, freudenthal(folded, mu))
-            assert_weights_match_reference(table, folded.base)
+            assert_weights_match_reference(dual.trace_table(tau, mu),
+                                           fold(dual.system, (tau,), "Nprime"), mu)
 
 
 @contextmanager
@@ -102,8 +105,8 @@ def no_fraction(what):
 
 
 def test_sigma_layers_construct_no_fraction():
-    """fold, dual, EchelonnageData, the two engines, freudenthal (on Phi^vee
-    and on the sections of classes), WeightTable.items and graded_trace, on
+    """fold, dual, EchelonnageData, the two engines, the weight tables of
+    Phi^vee, freudenthal on the sections of classes, and graded_trace, on
     fresh presets with averaged, doubled and halved bases."""
     for name in ("su3-unramified", "su4-ramified", "su5-ramified", "d4-triality",
                  "tower-su3"):
@@ -125,15 +128,12 @@ def test_sigma_layers_construct_no_fraction():
         dual, h = DualGroup(d), FixedGroup(lgd)
         mus = [mu for mu in d.dominant_cochars_up_to(4) if not lgd.mu_defect(mu)]
         with no_fraction("freudenthal"):
-            tables = [dual.weight_table(mu) for mu in mus]
             for mu in mus:
+                dual.weight_table(mu)
                 lam = lgd.coinv.project(mu)
                 if h.is_dominant(lam):
                     den, v = lgd.coinv.section(lam)
                     freudenthal(h.system, v, den)
-        with no_fraction("WeightTable.items"):
-            for table in tables:
-                list(table.items())
         group = lgd.inertia.cochar_group
         with no_fraction("graded_trace"):
             for mu in mus:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfold.lattice import (
+    CoinvariantElement,
     MalformedAction,
     _element,
     average,
@@ -33,6 +34,19 @@ import fraction_linalg
 from fraction_linalg import hermite_row_basis
 
 SWAP = ((0, 1), (1, 0))
+
+
+def free_class(L, free):
+    """The class of L with free coordinates `free` and zero residues."""
+    return CoinvariantElement(L, free, (0,) * len(L.torsion))
+
+
+def combination(L, coeffs, classes):
+    """sum_i coeffs[i] classes[i] in L, reduced by the checking constructor."""
+    terms = list(zip(coeffs, classes))
+    return CoinvariantElement(
+        L, [sum(c * e.free[k] for c, e in terms) for k in range(L.free_rank)],
+        [sum(c * e.tors[k] for c, e in terms) for k in range(len(L.torsion))])
 
 
 def invariants(rank, generators):
@@ -111,7 +125,7 @@ def test_average_well_defined_on_flat():
 def test_flat_map():
     L = coinvariants(3, [unitary_dual_action(3)])
     # pure torsion flattens to zero
-    t = L.element((0,), (1,))
+    t = CoinvariantElement(L, (0,), (1,))
     assert t.free == (0,)
     assert L.section_vector(t) == (Fraction(0),) * 3
 
@@ -126,9 +140,7 @@ def test_invariants_vs_coinvariants_rank():
         # sections of the free basis must span the invariant subspace
         from fraction_linalg import gauss_solve
         from rootfold.linalg import mat_transpose
-        secs = [L.section_vector(L.element(tuple(1 if j == i else 0
-                                                 for j in range(L.free_rank))))
-                for i in range(L.free_rank)]
+        secs = [L.section_vector(free_class(L, e)) for e in identity_matrix(L.free_rank)]
         for v in inv:
             assert gauss_solve(mat_transpose(secs), v) is not None
 
@@ -177,7 +189,7 @@ def test_malformed_action():
 def test_endo_validation():
     L = coinvariants(1, [((-1,),)])
     endo = L.endo_from_matrix(((3,),))  # commutes with -1, descends mod 2
-    t = L.element((), (1,))
+    t = CoinvariantElement(L, (), (1,))
     assert endo(t) == t
     with pytest.raises(MalformedAction):
         # does not descend: y -> 2y kills the torsion inconsistently?
@@ -233,12 +245,7 @@ def test_same_subgroup_matches_hermite_reference_property(name, data):
     vec = st.lists(st.integers(-3, 3), min_size=L.rank, max_size=L.rank)
     a = [L.project(v) for v in data.draw(st.lists(vec, max_size=3))]
     coeffs = st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a))
-    b = []
-    for cs in data.draw(st.lists(coeffs, max_size=3)):
-        e = L.zero()
-        for c, g in zip(cs, a):
-            e = e + g.scale(c)
-        b.append(e)
+    b = [combination(L, cs, a) for cs in data.draw(st.lists(coeffs, max_size=3))]
     if data.draw(st.booleans()):
         b += a
     if data.draw(st.booleans()):
@@ -263,9 +270,9 @@ def test_non_integral_coordinates_raise():
     for free, tors in (((Fraction(1, 2),), (0,)), ((1.7,), (0,)),
                        ((1,), (Fraction(1, 2),))):
         with pytest.raises(ArithmeticError):
-            L.element(free, tors)
-    e = L.element((Fraction(4, 2),), (3.0,))
-    assert e == L.element((2,), (1,))
+            CoinvariantElement(L, free, tors)
+    e = CoinvariantElement(L, (Fraction(4, 2),), (3.0,))
+    assert e == CoinvariantElement(L, (2,), (1,))
     assert all(type(x) is int for x in e.free + e.tors)
 
 
@@ -285,10 +292,8 @@ def test_section_pairing_matches_section_vector():
 def reference_section(L):
     """The Fraction section columns: the group average of the lift of each
     free basis class."""
-    n = L.free_rank
-    return [fraction_linalg.average(L.lift(L.element(tuple(int(j == i) for j in range(n)))),
-                                    L.group)
-            for i in range(n)]
+    return [fraction_linalg.average(L.lift(free_class(L, e)), L.group)
+            for e in identity_matrix(L.free_rank)]
 
 
 def reference_section_pairing(L, vectors):
@@ -331,14 +336,10 @@ SIGMA_SYSTEMS = ("sigma_breve", "sigma0", "sigma0_tilde")
 
 
 def reference_lower(lam, classes, c):
-    """lam - sum_i c_i classes[i], one coefficient at a time through the
-    checking constructor (`scale`): the loop the characters of the fixed
-    group ran before they expanded in ints."""
-    nu = lam
-    for ci, cls in zip(c, classes):
-        if ci:
-            nu = nu - cls.scale(ci)
-    return nu
+    """lam - sum_i c_i classes[i] through the checking constructor, as the
+    characters of the fixed group computed it before they expanded in
+    ints."""
+    return combination(lam.lattice, (1,) + tuple(-x for x in c), (lam,) + tuple(classes))
 
 
 def unreduced_lowering(L, classes):

@@ -34,6 +34,7 @@ from fraction_linalg import (
     hermite_row_basis,
     solve_integer,
 )
+from test_lattice import combination
 from test_rootdata import (
     cartan_data,
     dominance_leq,
@@ -339,17 +340,14 @@ def test_coordinates_match_gauss_solve(krows, data):
 # -- the dominance order, Wt(mu) and the class cone against gauss_solve ------
 
 def _reference_class_leq(sigma, lam, mu):
-    diff = mu - lam
+    diff = mu + (-lam)
     cols = tuple(frac_vec(c.free) for c in sigma.base_classes)
     if not cols:
         return diff == diff.lattice.zero()
     sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
     if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
         return False
-    acc = diff.lattice.zero()
-    for c, cls in zip(sol, sigma.base_classes):
-        acc = acc + cls.scale(int(c))
-    return acc == diff
+    return combination(diff.lattice, [int(c) for c in sol], sigma.base_classes) == diff
 
 
 def assert_orders_match_references(lgd, bound):

@@ -24,7 +24,7 @@ def test_split_gaitsgory():
     z = z_v_star_1j(ctx, mu)
     L = lgd.coinv
     expected = {}
-    for _c, nu, m in ctx.chars.dual.weight_table(mu).items():
+    for nu, m in ctx.chars.dual.weight_table(mu).items():
         cls = L.project(tuple(int(x) for x in nu))
         if ctx.chars.h.is_dominant(cls):
             expected[cls] = m
