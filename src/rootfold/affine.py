@@ -103,7 +103,7 @@ class ExtendedAffineWeyl:
         # exceed 1; the pairing is integral on the fixed sublattice.
         rs, co = self.sigma.rs_root, self.sigma.rs_co
         pos = rs._positive_coords
-        self._roots_int = rs._vectors(pos, rs._den)
+        self._roots_int = rs._positive_vectors
         self._den, self._rows = self.coinv.section_pairing(rs._den, self._roots_int)
         if self.restrict_endo is None and self._den != 1:
             raise TheoremViolation(
@@ -334,15 +334,6 @@ class ExtendedAffineWeyl:
         return x
 
 
-def datum_simple_reflection_cochar(datum, i):
-    """s_i as an integer matrix on X_*: y - <alpha_i, y> alpha_i^vee."""
-    n = datum.rank
-    a = datum.simple_roots[i]
-    av = datum.simple_coroots[i]
-    return tuple(tuple((1 if k == j else 0) - av[k] * a[j] for j in range(n))
-                 for k in range(n))
-
-
 def _orbit_longest_matrix(orbit_indices, adjacency, matrices):
     """Longest element of the parabolic generated by an orbit of simple
     reflections.  The orbit splits into singletons s_i and adjacent pairs
@@ -368,15 +359,12 @@ def build_affine(lgd):
     ech = lgd.echelonnage()
     datum = lgd.datum
     sig = ech.sigma_breve
-    base_mats = [datum_simple_reflection_cochar(datum, i)
-                 for i in range(len(datum.simple_roots))]
 
     def adj(i, j):
         return datum.cartan[i][j] != 0
 
-    mats = []
-    for orb, _orth in sig.rs_co.orbits:
-        mats.append(_orbit_longest_matrix(orb, adj, base_mats))
+    mats = [_orbit_longest_matrix(orb, adj, datum.simple_reflections_cochar)
+            for orb, _orth in sig.rs_co.orbits]
     return ExtendedAffineWeyl(lgd.coinv, sig, mats, label="W(%s)" % lgd.label)
 
 

@@ -222,6 +222,12 @@ class RootSystemV:
         return [_span(c, cols) for c in coords]
 
     @cached_property
+    def _positive_vectors(self):
+        """The positive roots as int vectors over `_den`, in the order of
+        `_positive_coords`."""
+        return tuple(self._vectors(self._positive_coords, self._den))
+
+    @cached_property
     def base(self):
         return fraction_rows(self._den, self._base_int)
 

@@ -178,7 +178,7 @@ _DATA = {}
 
 
 class BasedRootDatum:
-    """A based root datum with explicit integer root and coroot vectors.
+    """A based root datum on explicit integer simple roots and coroots.
 
     Data are interned: the constructor returns the one object built for its
     arguments (`_DATA`), so value-equal data share Phi, Phi^vee, their folds
@@ -211,38 +211,15 @@ class BasedRootDatum:
             for i in range(n)
         )
         self._validate()
-        # Phi and Phi^vee from the one integer closure of the Cartan matrix:
-        # the root with coordinates c is sum c_j alpha_j, and its coroot is
-        # sum (2 c_j d_j / (beta|beta)) alpha_j^vee with d the symmetrizers
-        # and (beta|beta) = sum c_i c_j d_i C[i][j]; these are the coroot's
-        # coordinates, so the quotient is exact.  A root is positive when
-        # every coordinate is >= 0.
-        C = self.cartan
-        d = self._symmetrizers
-        pairs = {}
-        self._closure = cartan_closure(C)
-        self._coclosure = set()
-        for c in self._closure:
-            norm = sum(c[i] * c[j] * d[i] * C[i][j]
-                       for i in range(n) if c[i] for j in range(n) if c[j])
-            root = [0] * rank
-            coroot = [0] * rank
-            cv = tuple(2 * cj * d[j] // norm for j, cj in enumerate(c))
-            for j, cj in enumerate(c):
-                if cj:
-                    for k in range(rank):
-                        root[k] += cj * self.simple_roots[j][k]
-                        coroot[k] += cv[j] * self.simple_coroots[j][k]
-            self._coclosure.add(cv)
-            pairs[tuple(root)] = (tuple(coroot), min(c) >= 0)
-        self.roots = tuple(sorted(pairs))
-        self.coroots = tuple(pairs[r][0] for r in self.roots)
-        self.positive_roots = tuple(r for r in self.roots if pairs[r][1])
-        self._positive_coroots = tuple(pairs[r][0] for r in self.positive_roots)
-        self._root_index = {r: k for k, r in enumerate(self.roots)}
+        # Phi and Phi^vee by their coordinates over the simple roots and the
+        # simple coroots: the integer closures of C and of its transpose, the
+        # Cartan matrix of Phi^vee.  A root is positive when every coordinate
+        # is >= 0.
+        self._closure = cartan_closure(self.cartan)
+        self._coclosure = cartan_closure(tuple(zip(*self.cartan)))
         # Phi and Phi^vee as RootSystemV, built on first use from the
-        # coordinates above (the coroots' over the simple coroots) and never
-        # changed afterwards, so every consumer of this datum shares them.
+        # coordinates above and never changed afterwards, so every consumer
+        # of this datum shares them.
         # Two threads racing on the first build each build the same value
         # and one assignment wins; no lock is needed.
         self._root_system = None
@@ -261,18 +238,18 @@ class BasedRootDatum:
             for j in range(n):
                 if i != j and self.cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-        # finite type; the symmetrizers are kept for the closure and the
-        # invariant form
+        # finite type; the symmetrizers are kept for the invariant form
         self._symmetrizers = symmetrizers(self.cartan)
 
     # -- basic maps ---------------------------------------------------------
 
-    def reflect_cochar(self, i, y):
-        """s_i on the cocharacter side: y - <a_i, y> a_i^vee."""
-        return vec_sub(y, vec_scale(vec_dot(self.simple_roots[i], y), self.simple_coroots[i]))
-
-    def coroot_of(self, root):
-        return self.coroots[self._root_index[tuple(root)]]
+    @cached_property
+    def simple_reflections_cochar(self):
+        """s_i on X_* as int matrices, y -> y - <alpha_i, y> alpha_i^vee."""
+        n = self.rank
+        return tuple(tuple(tuple(int(k == j) - av[k] * a[j] for j in range(n))
+                           for k in range(n))
+                     for a, av in zip(self.simple_roots, self.simple_coroots))
 
     def dual(self):
         """The dual datum: roots and coroots (and the two lattices) swapped."""
@@ -363,7 +340,7 @@ class BasedRootDatum:
         return tuple(sorted(closure([tuple(v)], self._reflections_cochar)))
 
     def _reflections_cochar(self, v):
-        return (self.reflect_cochar(i, v) for i in range(len(self.simple_roots)))
+        return (mat_vec(s, v) for s in self.simple_reflections_cochar)
 
     def is_dominant_cochar(self, v):
         return all(vec_dot(a, v) >= 0 for a in self.simple_roots)
@@ -388,15 +365,23 @@ class BasedRootDatum:
         return out
 
     def _dominant_below(self, lam):
-        """The dominant lam - beta^vee over the positive coroots beta^vee."""
-        for b in self._positive_coroots:
+        """The dominant lam - beta^vee over the positive coroots beta^vee,
+        the positive roots of Phi^vee (int vectors, as its base, the simple
+        coroots, is integral)."""
+        for b in self.coroot_system()._positive_vectors:
             nu = vec_sub(lam, b)
             if self.is_dominant_cochar(nu):
                 yield nu
 
+    @cached_property
+    def _heights(self):
+        """The heights of 2rho over the simple roots: the column sums of the
+        positive roots' coordinates."""
+        return tuple(map(sum, zip(*(c for c in self._closure if min(c) >= 0))))
+
     def two_rho_pairing(self, mu):
-        """<2 rho, mu> = sum over positive roots of <alpha, mu>."""
-        return sum(vec_dot(a, mu) for a in self.positive_roots)
+        """<2 rho, mu> = sum_i h_i <alpha_i, mu> over the `_heights` h."""
+        return sum(h * vec_dot(a, mu) for h, a in zip(self._heights, self.simple_roots))
 
     @cached_property
     def _simple_solver(self):
@@ -420,11 +405,8 @@ class BasedRootDatum:
         everything downstream is invariant under central translation.
         """
         solve, central = self._simple_solver
-        # heights of 2rho over the simple roots: the column sums of the
-        # positive roots' coordinates
-        heights = tuple(map(sum, zip(*(c for c in self._closure if min(c) >= 0))))
         out = set()
-        for m in _budget_walk(heights, bound):
+        for m in _budget_walk(self._heights, bound):
             # solve <alpha_i, mu> = m_i over X_*
             part = solve(m)
             if part is None:
@@ -521,13 +503,13 @@ def pinned_cochar(datum, g):
         gstar = mat_transpose(mat_integer_inverse(g))
     except ArithmeticError:
         raise MalformedAction("generator is not invertible over Z")
-    simple_set = set(datum.simple_roots)
-    for a in datum.simple_roots:
-        if mat_vec(g, a) not in simple_set:
-            raise MalformedAction("action does not permute the simple roots")
-    for a, av in zip(datum.simple_roots, datum.simple_coroots):
-        ga = mat_vec(g, a)
-        if datum.coroot_of(ga) != mat_vec(gstar, av):
+    index = {a: i for i, a in enumerate(datum.simple_roots)}
+    perm = [index.get(mat_vec(g, a)) for a in datum.simple_roots]
+    if None in perm:
+        raise MalformedAction("action does not permute the simple roots")
+    # g alpha_i = alpha_j must carry alpha_i^vee to alpha_j^vee
+    for j, av in zip(perm, datum.simple_coroots):
+        if mat_vec(gstar, av) != datum.simple_coroots[j]:
             raise MalformedAction("action breaks the root/coroot pairing")
     return gstar
 

@@ -427,6 +427,21 @@ def test_non_unimodular_matrix_exit_2(tmp_path, capsys):
     assert err.strip() == "input error: generator is not invertible over Z"
 
 
+def test_broken_root_coroot_pairing_exit_2(tmp_path, capsys):
+    """An inertia matrix that fixes the simple root (2, 0) of Z^2 but sends
+    its coroot (1, 0) to (1, -1) is bad input: exit 2 with the pairing
+    message."""
+    config = tmp_path / "pairing.json"
+    config.write_text(json.dumps({
+        "datum": {"explicit": {"rank": 2, "simple_roots": [[2, 0]],
+                               "simple_coroots": [[1, 0]]}},
+        "inertia": [{"matrix": [[1, 1], [0, 1]]}]}))
+    code, out, err = run(capsys, "testfn", "--config", str(config), "--mu", "0,0")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "input error: action breaks the root/coroot pairing"
+
+
 def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     """A folded system whose Cartan matrix has a Fraction entry is an
     internal fault: exit 1 naming the system, not an input error."""

@@ -585,12 +585,14 @@ def test_closure_cap(monkeypatch, fresh_tables):
 
 
 def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
-    """One run_verify() from empty process-wide tables asks for 246 root
+    """One run_verify() from empty process-wide tables asks for 261 root
     closures of only 18 distinct Cartan matrices, and closes each matrix
-    once; every request returns the same frozenset.  (Before data and folds
-    were shared by value it asked 366 times: 4 more data and 55 more folds;
+    once; every request returns the same frozenset.  Each of the 15 data
+    asks twice, for C and for its transpose.  (Before data and folds were
+    shared by value it asked 366 times: 4 more data and 55 more folds;
     before theorem B read the parameter function of its CenterContext, 307:
-    61 more from 19 more parameter functions.)"""
+    61 more from 19 more parameter functions; before Phi^vee was read off
+    the closure of the transpose, 246.)"""
     import rootfold.echelonnage as echelonnage
     import rootfold.folding as folding
     import rootfold.rootdata as rootdata
@@ -612,7 +614,7 @@ def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
     monkeypatch.setattr(folding, "_close_cartan", counted_close)
     code, _lines = run_verify()
     assert code == 0
-    assert (len(requested), len(computed)) == (246, 18)
+    assert (len(requested), len(computed)) == (261, 18)
     assert len(set(computed)) == len(computed) == len(folding._CLOSURES)
     for cartan, roots in requested:
         assert type(roots) is frozenset and roots is folding._CLOSURES[cartan]

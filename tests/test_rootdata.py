@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfold.folding import base_permutation
+from rootfold.folding import base_permutation, cartan_closure
 from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
     identity_matrix,
     integer_solver,
+    mat_integer_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -33,6 +34,7 @@ from rootfold.rootdata import (
     diagram_automorphism,
     gl_datum,
     parse_cartan_type,
+    pinned_cochar,
     symmetrizers,
     UndeterminedAutomorphism,
     unitary_dual_action,
@@ -48,25 +50,92 @@ ROOT_COUNTS = {
 }
 
 
+def int_vector(v):
+    assert all(x.denominator == 1 for x in v), v
+    return tuple(int(x) for x in v)
+
+
+def ambient_roots(d):
+    """(roots, coroots, positive roots) of a datum as int vectors, read off
+    `root_system()` and `coroot_system()`: the roots sorted, the coroot of
+    each beside it, and the positive roots in the same order.  The coroot
+    of alpha is the member 2 G alpha / (alpha|alpha) of Phi^vee, for G the
+    invariant form on X^*: <x, alpha^vee> = 2 (x|alpha) / (alpha|alpha)."""
+    G = d.gram()
+    coroots = {int_vector(c) for c in d.coroot_system().roots}
+    pairs = {}
+    for r in d.root_system().roots:
+        Gr = mat_vec(G, r)
+        q = vec_dot(r, Gr)
+        c = int_vector([2 * x / q for x in Gr])
+        assert c in coroots, (d.label, r, c)
+        pairs[int_vector(r)] = c
+    assert len(pairs) == len(coroots) == len(set(pairs.values())), d.label
+    roots = tuple(sorted(pairs))
+    positive = set(map(int_vector, d.root_system().positive_roots()))
+    return (roots, tuple(pairs[r] for r in roots),
+            tuple(r for r in roots if r in positive))
+
+
 def test_root_counts():
     for t, n in ROOT_COUNTS.items():
         for iso in ("adjoint", "simply_connected"):
             d = build_datum(t, iso)
-            assert len(d.roots) == n, (t, iso)
+            assert len(ambient_roots(d)[0]) == n, (t, iso)
 
 
 def test_pairing_and_closure():
     for t in ("A2", "B2", "G2", "D4"):
         d = build_datum(t, "simply_connected")
-        roots = set(d.roots)
-        for r, c in zip(d.roots, d.coroots):
+        d_roots, d_coroots, _ = ambient_roots(d)
+        roots = set(d_roots)
+        for r, c in zip(d_roots, d_coroots):
             assert vec_dot(r, c) == 2
             for i in range(len(d.simple_roots)):
                 assert reflect_char(d, i, r) in roots
-        for r in d.roots:
-            for c in d.coroots:
+        for r in d_roots:
+            for c in d_coroots:
                 val = vec_dot(r, c)
                 assert isinstance(val, int)
+
+
+def reference_coroot_coords(d):
+    """{coordinates of a root over the simple roots: those of its coroot
+    over the simple coroots} by the per-root formula: over
+    cartan_closure(C), the coroot of sum_j c_j alpha_j is
+    sum_j (2 c_j d_j / (beta|beta)) alpha_j^vee, with d the symmetrizers and
+    (beta|beta) = sum_{i,j} c_i c_j d_i C[i][j]."""
+    C = d.cartan
+    sym = symmetrizers(C)
+    n = len(C)
+    out = {}
+    for c in cartan_closure(C):
+        norm = sum(c[i] * c[j] * sym[i] * C[i][j] for i in range(n) for j in range(n))
+        assert all(2 * cj * sym[j] % norm == 0 for j, cj in enumerate(c)), c
+        out[c] = tuple(2 * cj * sym[j] // norm for j, cj in enumerate(c))
+    return out
+
+
+ORACLE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4",
+                "D4", "D5", "E6", "E7", "E8", "F4", "G2", "A2xB2", "B3xG2")
+
+
+@pytest.mark.parametrize("t, iso", [(t, iso) for t in ORACLE_TYPES
+                                     for iso in ("adjoint", "simply_connected")]
+                         + [("GL3", None)])
+def test_coroot_closure_matches_per_root_formula(t, iso):
+    """Phi^vee's coordinates, the closure of the transposed Cartan matrix,
+    are exactly the images of the per-root coroot formula, which is a
+    bijection from Phi; in ambient ints every root pairs to 2 with its
+    coroot."""
+    d = gl_datum(3) if iso is None else build_datum(t, iso)
+    ref = reference_coroot_coords(d)
+    assert len(set(ref.values())) == len(ref)
+    assert set(ref.values()) == cartan_closure(mat_transpose(d.cartan)) == d._coclosure
+    cols, cocols = mat_transpose(d.simple_roots), mat_transpose(d.simple_coroots)
+    for c, cv in ref.items():
+        root, coroot = mat_vec(cols, c), mat_vec(cocols, cv)
+        assert vec_dot(root, coroot) == 2, (c, cv)
 
 
 def test_classification():
@@ -326,6 +395,19 @@ def test_automorphism_validation():
     assert len(act3.group) == 2
 
 
+def test_pinned_cochar_rejects_broken_pairing():
+    """Negative control: on Z^2 with simple root (2, 0) and simple coroot
+    (1, 0), g = ((1, 1), (0, 1)) fixes the simple root, but its cocharacter
+    matrix sends the simple coroot to (1, -1)."""
+    d = BasedRootDatum(((2, 0),), ((1, 0),), 2)
+    g = ((1, 1), (0, 1))
+    assert mat_vec(g, (2, 0)) == (2, 0)
+    assert mat_vec(mat_transpose(mat_integer_inverse(g)), (1, 0)) == (1, -1)
+    with pytest.raises(MalformedAction, match="^action breaks the root/coroot pairing$"):
+        pinned_cochar(d, g)
+    assert pinned_cochar(d, ((1, 0), (0, -1))) == ((1, 0), (0, -1))
+
+
 def test_automorphism_group_cap(monkeypatch):
     """The closure of an action stops at lattice.GROUP_CAP, read when the
     action is built."""
@@ -354,7 +436,7 @@ def test_json_round_trip():
     d = gl_datum(3)
     d2 = BasedRootDatum.from_json(d.to_json())
     assert d2.simple_roots == d.simple_roots
-    assert d2.roots == d.roots
+    assert ambient_roots(d2)[0] == ambient_roots(d)[0]
 
 
 def test_value_equal_data_are_one_object(fresh_tables):
@@ -390,7 +472,7 @@ def reference_roots(d):
         nxt = []
         for root, coroot in frontier:
             for i in range(n):
-                p = (reflect_char(d, i, root), d.reflect_cochar(i, coroot))
+                p = (reflect_char(d, i, root), reflect_cochar(d, i, coroot))
                 if p not in pairs:
                     pairs.add(p)
                     nxt.append(p)
@@ -437,11 +519,13 @@ def root_data(draw):
 @given(root_data(), st.data())
 def test_roots_match_reflection_closure(d, data):
     roots, coroots, positive = reference_roots(d)
-    assert d.roots == roots, d.label
-    assert d.coroots == coroots, d.label
-    assert d.positive_roots == positive, d.label
+    d_roots, d_coroots, d_positive = ambient_roots(d)
+    assert d_roots == roots, d.label
+    assert d_coroots == coroots, d.label
+    assert d_positive == positive, d.label
+    coroot_of = dict(zip(d_roots, d_coroots))
     for r, c in zip(roots, coroots):
-        assert d.coroot_of(r) == c
+        assert coroot_of[r] == c
     mu = data.draw(st.lists(st.integers(-3, 3), min_size=d.rank,
                             max_size=d.rank))
     assert d.two_rho_pairing(mu) == sum(vec_dot(a, mu) for a in positive)
@@ -457,7 +541,7 @@ def reference_dominant_cochars(d, bound, central_box=1):
     simples = d.simple_roots
     r = len(simples)
     central = integer_solver(tuple(simples))[1] if simples else identity_matrix(d.rank)
-    two_rho = tuple(map(sum, zip(*d.positive_roots))) or (0,) * d.rank
+    two_rho = tuple(map(sum, zip(*ambient_roots(d)[2]))) or (0,) * d.rank
     heights = gauss_solve(mat_transpose(simples), two_rho) if r else ()
     assert all(h.denominator == 1 for h in heights)
     heights = tuple(map(int, heights))
@@ -485,13 +569,18 @@ def reflect_char(d, i, x):
     return vec_sub(x, vec_scale(vec_dot(x, d.simple_coroots[i]), d.simple_roots[i]))
 
 
+def reflect_cochar(d, i, y):
+    """s_i on the cocharacter side: y - <a_i, y> a_i^vee."""
+    return vec_sub(y, vec_scale(vec_dot(d.simple_roots[i], y), d.simple_coroots[i]))
+
+
 def _conjugate_cochar(d, v, sign):
     """Reflect v by s_i while sign * <a_i, v> < 0 for some i."""
     v = tuple(v)
     while True:
         for i, a in enumerate(d.simple_roots):
             if sign * vec_dot(a, v) < 0:
-                v = d.reflect_cochar(i, v)
+                v = reflect_cochar(d, i, v)
                 break
         else:
             return v

@@ -20,6 +20,7 @@ ALLOWED = {
     "rootdata.BasedRootDatum.two_rho_pairing": "benchmarks/workloads.py calls it",
     "rootdata.classify_cartan": "library API: the Cartan type of a matrix",
     "lattice.CoinvariantLattice.section_vector": "README: a Fraction view",
+    "folding.RootSystemV.positive_roots": "README: a Fraction view",
     "lattice.action_to_json": "README: the lattice action JSON schema",
     "lattice.action_from_json": "README: the lattice action JSON schema",
     # the ring arithmetic of LaurentPoly, which only the dict references of
