@@ -290,8 +290,10 @@ def cmd_testfn(args):
     if args.config:
         preset = _read_json("--config", args.config, ("datum",),
                             lambda raw: Preset(raw.get("name", "config"), raw))
-    else:
+    elif args.preset:
         preset = load_preset(args.preset)
+    else:
+        raise PresetError("give --preset or --config")
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
     if preset.tower_small is None and not args.degenerate:
         if args.j != 1:

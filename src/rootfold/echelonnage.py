@@ -12,9 +12,12 @@ running both characterizations of each system and insisting they agree.
 Special simple roots are detected by the middle-orbit criterion on A_{2n}
 components, and the Hecke parameter of each simple affine reflection is the
 length of the longest element of the parabolic subgroup generated by its
-orbit of affine walls (which reproduces the table values for the unramified
-unitary patterns: 3 on the special node, 2 on folded middle nodes, 1
-elsewhere).
+tau-orbit of affine walls of Sigma_breve, read off the orbits that Sigma_0
+records: the orbit size for an orthogonal orbit, 3/2 of it for a union of
+linked pairs, and for an affine wall the number of Sigma_breve components
+folded into its component of Sigma_0 (which reproduces the table values
+for the unramified unitary patterns: 3 on the special node, 2 on folded
+middle nodes, 1 elsewhere).
 """
 
 from __future__ import annotations
@@ -22,19 +25,11 @@ from __future__ import annotations
 from math import lcm
 from operator import sub
 
-from .folding import (
-    RootSystemV,
-    base_permutation,
-    cartan_closure,
-    cartan_of_gram,
-    dual_mismatch,
-    fold,
-)
-from .lattice import MalformedAction, TheoremViolation, closure, coinvariants
+from .folding import RootSystemV, base_permutation, dual_mismatch, fold
+from .lattice import MalformedAction, TheoremViolation, coinvariants
 from .linalg import (
     identity_matrix,
     integer_solver,
-    is_positive_definite,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -254,84 +249,33 @@ class EchelonnageData:
         ("fin", k) for the k-th simple root of Sigma_0 and ("aff", c) for the
         affine node of its c-th component.
 
-        Default: L(w_pi) = length of the longest element of the finite
-        parabolic generated by the tau-orbit pi of affine walls of
-        Sigma_breve.  Overrides (same keys) replace defaults.  That
-        parabolic is always finite; TheoremViolation if it is not."""
+        Default: L(s) = the length of the longest element w_O of the finite
+        parabolic generated by the tau-orbit O of affine walls of Sigma_breve
+        that s folds.  For ("fin", k), O is the k-th orbit that Sigma_0
+        records: W_O is (Z/2)^|O| when O is orthogonal, and otherwise one
+        W(A2) per linked pair, so L = 3|O|/2 (TheoremViolation unless every
+        node of O has exactly one linked partner in O).  For ("aff", c), O is
+        the affine walls of the Sigma_breve components folded into the c-th
+        component of Sigma_0, pairwise orthogonal: L = their number.
+        Overrides (same keys) replace defaults."""
         overrides = dict(overrides or {})
-        rs = self.sigma_breve.rs_root
-        # the nodes of the affine diagram of Sigma_breve, ("fin", i) per
-        # simple root and ("aff", c) per component, with the coordinates of
-        # their wall gradients over the base: e_i and minus the highest root
-        n = len(rs._base_int)
-        nodes = {("fin", i): tuple(int(i == j) for j in range(n)) for i in range(n)}
-        for ci, theta in enumerate(rs.highest_roots):
-            nodes[("aff", ci)] = tuple(-x for x in theta)
-        comps = rs.components
-        comp_of = rs.component_of
-        highest = rs.highest_roots
-        p = self._tau_perm
-
-        def tau_on_node(nd):
-            kind, v = nd
-            if kind == "fin":
-                return ("fin", p[v])
-            # tau sends the root with coordinates c to the one with
-            # c'[p(i)] = c[i]; the image of a highest root must be the
-            # highest root of one component
-            targets = {comp_of[p[i]] for i in comps[v]}
-            if len(targets) != 1:
-                raise TheoremViolation("tau does not permute highest roots")
-            ci = targets.pop()
-            img = [0] * len(p)
-            for i, c in enumerate(highest[v]):
-                img[p[i]] = c
-            if highest[ci] != tuple(img):
-                raise TheoremViolation("tau image of a highest root is not highest")
-            return ("aff", ci)
-
-        # orbits of nodes under tau
-        placed = set()
-        orbits = []
-        for nd in sorted(nodes):
-            if nd not in placed:
-                orb = tuple(sorted(closure([nd], lambda x: (tau_on_node(x),))))
-                placed.update(orb)
-                orbits.append(orb)
-
-        # Sigma_0 keys: simple k <-> tau-orbit of finite Sigma_breve simples;
-        # affine c0 <-> tau-orbit of components, c0 its lowest member
-        fin_orbit_key = {}
-        for k, (orb, _orth) in enumerate(self.sigma0.rs_root.orbits):
-            fin_orbit_key[frozenset(orb)] = ("fin", k)
-
+        breve, sigma0 = self.sigma_breve.rs_root, self.sigma0.rs_root
+        cart = breve.cartan()
         params = {}
-        for orb in orbits:
-            kinds = {nd[0] for nd in orb}
-            if len(kinds) != 1:
-                raise TheoremViolation("tau mixes finite and affine walls")
-            if "fin" in kinds:
-                key = fin_orbit_key[frozenset(nd[1] for nd in orb)]
-            else:
-                key = orb[0]
-            if key in overrides:
-                val = int(overrides.pop(key))
-                if val < 1:
-                    raise ValueError("parameters must be >= 1")
-                params[key] = val
-                continue
-            # a positive multiple of the Gram matrix of the walls, in ints
-            vecs = [nodes[nd] for nd in orb]
-            gram_sub = tuple(tuple(vec_dot(u, mat_vec(rs._base_gram, v)) for v in vecs)
-                             for u in vecs)
-            # tau never mixes finite and affine walls, an orbit of finite
-            # walls is a set of distinct simple roots and an orbit of affine
-            # walls has one -theta per component, pairwise orthogonal: the
-            # Gram matrix is always positive definite
-            if not is_positive_definite(gram_sub):
-                raise TheoremViolation("orbit %r generates an infinite parabolic"
+        for c, comp in enumerate(sigma0.components):
+            params[("aff", c)] = len({breve.component_of[i]
+                                      for k in comp for i in sigma0.orbits[k][0]})
+        for k, (orb, orth) in enumerate(sigma0.orbits):
+            if not orth and any(sum(1 for j in orb if j != i and cart[i][j]) != 1
+                                for i in orb):
+                raise TheoremViolation("orbit %r is not a union of linked pairs"
                                        % (orb,))
-            params[key] = _parabolic_length(gram_sub)
+            params[("fin", k)] = len(orb) if orth else 3 * len(orb) // 2
+        for key in params:
+            if key in overrides:
+                params[key] = int(overrides.pop(key))
+                if params[key] < 1:
+                    raise ValueError("parameters must be >= 1")
         if overrides:
             raise ValueError("unknown override keys: %r" % sorted(overrides))
         return params
@@ -359,11 +303,4 @@ def _path_order(cart, comp):
     while len(path) < len(comp):
         path.append(next(j for j in links[path[-1]] if j not in path))
     return path
-
-
-def _parabolic_length(gram_sub):
-    """Number of positive roots of the finite system whose base has the
-    positive definite Gram matrix gram_sub (= length of the longest
-    parabolic element)."""
-    return len(cartan_closure(cartan_of_gram(gram_sub))) // 2
 

@@ -466,9 +466,10 @@ class CenterContext:
         from .characters import CharacterContext
         self.lgd = lgd
         self.ech = lgd.echelonnage()
+        # read off the tau-orbits alone, so checked before the engines
+        self.parameters = self.ech.parameter_function(overrides)
         self.breve_engine = build_affine(lgd)
         self.tau_engine = build_tau_fixed(lgd, self.breve_engine)
-        self.parameters = self.ech.parameter_function(overrides)
         self.hecke = HeckeAlgebra(self.tau_engine, self.parameters)
         self.chars = CharacterContext(lgd)
 

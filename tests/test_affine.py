@@ -290,6 +290,18 @@ def test_verify_extremal_matches_union_reference(name):
         assert [rep[k] for k in keys] == [ref[k] for k in keys], (name, mu)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_relative_orbit_is_its_own_maximum(name):
+    """The translations of one Weyl orbit have one length and a strict
+    Bruhat relation raises length, so part (c) of `verify_extremal` compares
+    the maxima of the absolute orbit with the relative orbit itself."""
+    lgd, eng, _teng = _property_engines(name)
+    for mu in lgd.datum.dominant_cochars_up_to(4):
+        relative = {eng.translation(c)
+                    for c in eng.weyl_orbit_class(lgd.coinv.project(mu))}
+        assert extremal_elements(eng, relative) == relative, (name, mu)
+
+
 @pytest.mark.parametrize("name", ["split-gl2", "split-a2", "su3-ramified",
                                   "su4-unramified"])
 def test_verify_extremal_sees_a_dropped_translation(name, monkeypatch):
@@ -616,7 +628,7 @@ def test_length_matches_reference_on_kl_cosets(name, vec):
 _PROPERTY_TYPES = {
     "A1": (), "A2": (flip(2),), "A3": (flip(3),), "A4": (flip(4),),
     "B2": (), "C3": (), "G2": (), "D4": ((2, 1, 3, 0), (0, 1, 3, 2)),
-    "A1xA1": ((1, 0),), "A2xA2": ((2, 3, 0, 1),),
+    "A1xA1": ((1, 0),), "A2xA2": ((2, 3, 0, 1),), "A1xA1xA1": ((1, 0, 2),),
 }
 _PROPERTY_ENGINES = {}
 

@@ -183,6 +183,13 @@ def test_testfn_cli(capsys):
     assert "degenerate" in json.loads(out2)["kind"]
 
 
+def test_testfn_without_preset_or_config_exit_2(capsys):
+    code, out, err = run(capsys, "testfn", "--mu=1,0,-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "input error: give --preset or --config"
+
+
 def test_testfn_j_below_one_exit_2(capsys):
     for j in ("0", "-1"):
         code, out, err = run(capsys, "testfn", "--preset", "tower-su3",
@@ -458,16 +465,28 @@ def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     assert err.startswith("theorem check failed: N_bad: non-integral Cartan entry")
 
 
-def test_unparameterized_orbit_is_a_theorem_failure(monkeypatch, capsys):
-    # every tau-orbit of affine walls generates a finite parabolic, so a
-    # failed positivity test is an internal fault (exit 1), not an input error
+def test_unparameterized_orbit_is_a_theorem_failure(monkeypatch, capsys, fresh_tables):
+    # a non-orthogonal tau-orbit of simple roots is a union of linked pairs,
+    # so an orbit of another shape is an internal fault (exit 1), not an
+    # input error; here Sigma_0 records each such orbit without its partners
+    import copy
+
     from rootfold import echelonnage
-    monkeypatch.setattr(echelonnage, "is_positive_definite", lambda gram: False)
+    fold = echelonnage.fold
+
+    def lossy_fold(rs, generators, op):
+        out = fold(rs, generators, op)
+        if op == "resprime":
+            out = copy.copy(out)
+            out.orbits = tuple((orb if orth else orb[:1], orth)
+                               for orb, orth in out.orbits)
+        return out
+
+    monkeypatch.setattr(echelonnage, "fold", lossy_fold)
     code, out, err = run(capsys, "echelonnage", "--preset", "su3-unramified")
     assert code == 1
     assert out == ""
-    assert err.startswith("theorem check failed: orbit ")
-    assert err.strip().endswith("generates an infinite parabolic")
+    assert err.strip() == "theorem check failed: orbit (0,) is not a union of linked pairs"
     code, out, _ = run(capsys, "verify", "su3-unramified")
     assert code == 1
     assert "FAIL internal-consistency preset=su3-unramified orbit " in out

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.linalg import fraction_rows, vec_scale
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from test_affine import _property_engines, local_data
 from test_folding import from_datum
 
 
@@ -226,3 +228,46 @@ def test_folded_classes_match_orbit_loops(name):
     for sigma, double in ((ech.sigma0, False), (ech.sigma0_tilde, True)):
         assert sigma.base_classes == reference_orbit_classes(breve, sigma.rs_co, double)
     assert ech.sigma0.rs_co.op == "N" and ech.sigma0_tilde.rs_co.op == "Nprime"
+
+
+def assert_parameters_are_breve_lengths(key):
+    """L(s) = l(s) in W(Sigma_breve) for every wall s of the tau-fixed
+    engine: s is the longest element of the parabolic its tau-orbit of
+    affine walls generates, whose length is the default parameter."""
+    lgd, beng, teng = _property_engines(key)
+    assert lgd.echelonnage().parameter_function() == {
+        wall: beng.length(s) for wall, s in teng.s_aff}, key
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_parameters_are_breve_lengths(name):
+    assert_parameters_are_breve_lengths(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_data())
+def test_parameters_are_breve_lengths_property(key):
+    assert_parameters_are_breve_lengths(key)
+
+
+@pytest.mark.parametrize("cartan,iso,tau,expected", [
+    # tau swaps the first two A1 components: Sigma_0 has two components,
+    # and the affine node of the unmoved A1 is the second
+    ("A1xA1xA1", "adjoint", (1, 0, 2),
+     {("fin", 0): 2, ("fin", 1): 1, ("aff", 0): 2, ("aff", 1): 1}),
+    ("A2xA2xA2", "simply_connected", (3, 2, 1, 0, 4, 5),
+     {("fin", 0): 2, ("fin", 1): 2, ("fin", 2): 1, ("fin", 3): 1,
+      ("aff", 0): 2, ("aff", 1): 1}),
+])
+def test_affine_parameters_keyed_by_sigma0_components(cartan, iso, tau, expected):
+    """Each affine wall is keyed by the component of Sigma_0 it belongs to,
+    not by the lowest Sigma_breve component of its tau-orbit."""
+    ech = _lgd(cartan, iso, tau_perm=tau, label=cartan).echelonnage()
+    assert ech.parameter_function() == expected
+
+
+def test_override_keys_follow_sigma0_components():
+    ech = _lgd("A1xA1xA1", "adjoint", tau_perm=(1, 0, 2), label="a1^3").echelonnage()
+    assert ech.parameter_function({("aff", 1): 4})[("aff", 1)] == 4
+    with pytest.raises(ValueError, match="unknown override keys"):
+        ech.parameter_function({("aff", 2): 4})

@@ -585,15 +585,16 @@ def test_closure_cap(monkeypatch, fresh_tables):
 
 
 def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
-    """One run_verify() from empty process-wide tables asks for 261 root
-    closures of only 18 distinct Cartan matrices, and closes each matrix
+    """One run_verify() from empty process-wide tables asks for 194 root
+    closures of only 16 distinct Cartan matrices, and closes each matrix
     once; every request returns the same frozenset.  Each of the 15 data
     asks twice, for C and for its transpose.  (Before data and folds were
     shared by value it asked 366 times: 4 more data and 55 more folds;
     before theorem B read the parameter function of its CenterContext, 307:
     61 more from 19 more parameter functions; before Phi^vee was read off
-    the closure of the transpose, 246.)"""
-    import rootfold.echelonnage as echelonnage
+    the closure of the transpose, 246; before the parameter function read
+    L off the tau-orbits of Sigma_0 instead of closing the parabolic of
+    each orbit of walls, 261 requests of 18 matrices.)"""
     import rootfold.folding as folding
     import rootfold.rootdata as rootdata
     from rootfold.verify import run_verify
@@ -609,12 +610,12 @@ def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
         computed.append(cartan)
         return close(cartan)
 
-    for module in (folding, rootdata, echelonnage):
+    for module in (folding, rootdata):
         monkeypatch.setattr(module, "cartan_closure", counted_request)
     monkeypatch.setattr(folding, "_close_cartan", counted_close)
     code, _lines = run_verify()
     assert code == 0
-    assert (len(requested), len(computed)) == (261, 18)
+    assert (len(requested), len(computed)) == (194, 16)
     assert len(set(computed)) == len(computed) == len(folding._CLOSURES)
     for cartan, roots in requested:
         assert type(roots) is frozenset and roots is folding._CLOSURES[cartan]
