@@ -336,7 +336,7 @@ def build_parser():
                     "polynomials, the geometric basis, test functions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, mu=False):
+    def add_common(q, mu=False, tsv=True):
         q.add_argument("--preset", help="preset name (see `rootfold presets`)")
         q.add_argument("--type", help="Cartan type, e.g. A2 or A2xA2")
         q.add_argument("--datum", help="explicit datum JSON file")
@@ -346,7 +346,8 @@ def build_parser():
                        help="inertia generator as a simple-root permutation, "
                             "e.g. 1,0 (repeatable)")
         q.add_argument("--tau", help="Frobenius simple-root permutation")
-        q.add_argument("--out", default="json", choices=["json", "tsv"])
+        q.add_argument("--out", default="json",
+                       choices=["json", "tsv"] if tsv else ["json"])
         if mu:
             q.add_argument("--mu", required=True, help="cocharacter, e.g. 1,0,-1")
 
@@ -364,13 +365,13 @@ def build_parser():
     q.set_defaults(func=cmd_adm)
 
     q = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial P_{w_nu, w_lambda}")
-    add_common(q)
+    add_common(q, tsv=False)
     q.add_argument("--pair", required=True,
                    help="nu|lambda as ambient cocharacters, e.g. 0,0|1,1")
     q.set_defaults(func=cmd_kl)
 
     q = sub.add_parser("geom-basis", help="geometric basis element C_lambda")
-    add_common(q)
+    add_common(q, tsv=False)
     q.add_argument("--lambda", dest="lam", required=True)
     q.add_argument("--no-kl", action="store_true",
                    help="skip the Kazhdan-Lusztig cross-check")

@@ -6,11 +6,14 @@ from .linalg import exact_int
 
 
 class LaurentPoly:
-    """Laurent polynomial in v with integer coefficients, exponents in Z.
+    """Laurent polynomial in v with integer coefficients, exponents in Z: the
+    value that `HeckeAlgebra.kl_table` and `kl_polynomial` return.
 
     The public constructor checks its input and drops zero coefficients;
-    arithmetic builds its results with `_poly`, from int dicts that hold no
-    zero.  A constant polynomial equals and hashes like its int."""
+    `shifted` builds its result with `_poly`, from an int dict that holds no
+    zero.  A constant polynomial equals and hashes like its int.  The ring
+    arithmetic is not here: the library solves in packed ints, and only the
+    dict references of the tests add and multiply polynomials."""
 
     __slots__ = ("coeffs",)
 
@@ -29,10 +32,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def v_power(cls, e, coeff=1):
-        return cls({e: coeff})
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -44,59 +43,8 @@ class LaurentPoly:
             return hash(c.get(0, 0))
         return hash(frozenset(c.items()))
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        c = dict(self.coeffs)
-        for e, a in other.coeffs.items():
-            s = c.get(e, 0) + a
-            if s:
-                c[e] = s
-            else:
-                del c[e]
-        return _poly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly({e: -a for e, a in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        c = {}
-        for e1, a1 in self.coeffs.items():
-            for e2, a2 in other.coeffs.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + a1 * a2
-        return _poly({e: a for e, a in c.items() if a})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def bar(self):
-        """The involution v -> v^(-1)."""
-        return _poly({-e: a for e, a in self.coeffs.items()})
-
     def min_degree(self):
         return min(self.coeffs) if self.coeffs else None
-
-    def negative_part(self):
-        """Terms of strictly negative degree."""
-        return _poly({e: a for e, a in self.coeffs.items() if e < 0})
-
-    def constant_term(self):
-        return self.coeffs.get(0, 0)
 
     def at_one(self):
         return sum(self.coeffs.values())

@@ -4,20 +4,98 @@ for `rootfold.hecke`.
 The library holds the bar rows and the KL solve on packed ints
 (`hecke._PackedRows`).  `dict_interval_rows` and `dict_kl_table` are the
 same coset enumeration, R-polynomial recursion and downward solve with every
-coefficient a `LaurentPoly` dict, as `HeckeAlgebra` computed them before; the
-tests compare whole tables against them.  Their enumeration, `dict_cosets`,
+coefficient a `Poly`, as `HeckeAlgebra` computed them before; the tests
+compare whole tables against them.  Their enumeration, `dict_cosets`,
 is also the reference for the engine's `coset_walk` on a nonempty J.
 `decoded_rows` is the one way the tests read the library's packed rows.
 `HeckeElement` and `HeckeReference` are the element arithmetic of the
 algebra (products through normal-form letters, the bar involution through
 `HeckeAlgebra.bar_basis`), which the library does not need: it reads
-P_{x,y} and the geometric basis from the KL tables alone.
+P_{x,y} and the geometric basis from the KL tables alone.  `Poly` is the ring
+arithmetic of Z[v, v^-1] that all of them use: the library's `LaurentPoly` is
+only the value its KL tables return, and solves in packed ints.
 """
 
 from rootfold.echelonnage import TheoremViolation
 from rootfold.hecke import KL_INTERVAL_CAP
 from rootfold.lattice import ResourceCap
 from rootfold.ring import LaurentPoly
+
+
+def _coeffs(x):
+    """The coefficient dict of a polynomial or an int."""
+    if isinstance(x, int):
+        return {0: x} if x else {}
+    return x.coeffs
+
+
+def _poly(coeffs):
+    """A Poly from an int dict with no zero coefficient: no checks."""
+    p = object.__new__(Poly)
+    p.coeffs = coeffs
+    return p
+
+
+class Poly(LaurentPoly):
+    """A `LaurentPoly` with the ring operations.  The other operand of a sum,
+    difference or product may be an int or any `LaurentPoly`, a library
+    value included; results are `Poly`s built with `_poly`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def v_power(cls, e, coeff=1):
+        return cls({e: coeff})
+
+    def __add__(self, other):
+        c = dict(self.coeffs)
+        for e, a in _coeffs(other).items():
+            s = c.get(e, 0) + a
+            if s:
+                c[e] = s
+            else:
+                del c[e]
+        return _poly(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _poly({e: -a for e, a in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + _poly({e: -a for e, a in _coeffs(other).items()})
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        c = {}
+        for e1, a1 in self.coeffs.items():
+            for e2, a2 in _coeffs(other).items():
+                e = e1 + e2
+                c[e] = c.get(e, 0) + a1 * a2
+        return _poly({e: a for e, a in c.items() if a})
+
+    __rmul__ = __mul__
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def bar(self):
+        """The involution v -> v^(-1)."""
+        return _poly({-e: a for e, a in self.coeffs.items()})
+
+    def negative_part(self):
+        """Terms of strictly negative degree."""
+        return _poly({e: a for e, a in self.coeffs.items() if e < 0})
+
+    def constant_term(self):
+        return self.coeffs.get(0, 0)
+
+
+def as_poly(p):
+    """The `Poly` of a `LaurentPoly`, such as a value the library returns."""
+    return p if isinstance(p, Poly) else _poly(dict(p.coeffs))
 
 
 def _add_term(terms, x, c):
@@ -32,11 +110,12 @@ def _add_term(terms, x, c):
 def eps(H, key):
     """v_s - v_s^(-1) for the wall `key` of H."""
     L = H.weights[key]
-    return LaurentPoly({L: 1, -L: -1})
+    return Poly({L: 1, -L: -1})
 
 
 class HeckeElement:
-    """Finite Z[v,v^-1]-combination of normalized basis elements Ttilde_w."""
+    """Finite Z[v,v^-1]-combination of normalized basis elements Ttilde_w;
+    the coefficients are held as `Poly`s."""
 
     __slots__ = ("algebra", "terms")
 
@@ -44,8 +123,8 @@ class HeckeElement:
         self.algebra = algebra
         t = {}
         for x, c in (terms or {}).items():
-            if not c.is_zero():
-                t[x] = c
+            if c.coeffs:
+                t[x] = as_poly(c)
         self.terms = t
 
     def __eq__(self, other):
@@ -58,13 +137,13 @@ class HeckeElement:
         return HeckeElement(self.algebra, t)
 
     def __sub__(self, other):
-        return self + other.scale(LaurentPoly({0: -1}))
+        return self + other.scale(Poly({0: -1}))
 
     def scale(self, poly):
         return HeckeElement(self.algebra, {x: c * poly for x, c in self.terms.items()})
 
     def coefficient(self, x):
-        return self.terms.get(x, LaurentPoly.zero())
+        return self.terms.get(x, Poly.zero())
 
     def __repr__(self):
         return "HeckeElement(%d terms)" % len(self.terms)
@@ -86,14 +165,14 @@ class HeckeReference:
         return sum(self.weights[k] for k in word)
 
     def one(self):
-        return HeckeElement(self, {self.engine.identity: LaurentPoly.one()})
+        return HeckeElement(self, {self.engine.identity: Poly.one()})
 
     def t_normalized(self, x):
-        return HeckeElement(self, {x: LaurentPoly.one()})
+        return HeckeElement(self, {x: Poly.one()})
 
     def t_standard(self, x):
         """Standard basis T_x = v^L(x) Ttilde_x."""
-        return HeckeElement(self, {x: LaurentPoly.v_power(self.weight(x))})
+        return HeckeElement(self, {x: Poly.v_power(self.weight(x))})
 
     def _mult_gen(self, elt, key):
         """Multiply by Ttilde_s on the right."""
@@ -149,9 +228,10 @@ class HeckeReference:
 
 def decoded_rows(H, y_min, J):
     """(elems, rows) of `H._interval_rows(y_min, J)`, each row decoded to
-    {i: LaurentPoly}."""
+    {i: Poly}."""
     packed = H._interval_rows(y_min, J)
-    return packed.elems, [packed.row(j) for j in range(len(packed.elems))]
+    return packed.elems, [{i: as_poly(r) for i, r in packed.row(j).items()}
+                          for j in range(len(packed.elems))]
 
 
 def _fixer(eng, J):
@@ -182,7 +262,7 @@ def dict_cosets(eng, y_min, J):
 
 def dict_interval_rows(H, y_min, J):
     """(elems, rows) of the cosets x W_J below y_min W_J and the bar rows of
-    M_J, rows[j] = {i: LaurentPoly}, by `_add_term` on dicts."""
+    M_J, rows[j] = {i: Poly}, by `_add_term` on dicts."""
     eng = H.engine
     mult = eng.multiply
     fixer = _fixer(eng, J)
@@ -207,14 +287,14 @@ def dict_interval_rows(H, y_min, J):
             left[k][j] = i
         return i
 
-    rows = [{0: LaurentPoly.one()}]
+    rows = [{0: Poly.one()}]
     for j in range(1, len(elems)):
         for k in range(len(walls)):
             sx = times(k, j)
             if sx >= 0 and lengths[sx] < lengths[j]:
                 break
         key, _s, eps_s = walls[k]
-        v_inv = LaurentPoly.v_power(-H.weights[key])
+        v_inv = Poly.v_power(-H.weights[key])
         row = {}
         for w, c in rows[sx].items():
             sw = times(k, w)
@@ -240,10 +320,10 @@ def dict_kl_table(H, y):
         for x, r in row.items():
             if x != w:
                 cols[x].append((w, r))
-    p = {top: LaurentPoly.one()}
-    pbar = {top: LaurentPoly.one()}
+    p = {top: Poly.one()}
+    pbar = {top: Poly.one()}
     for x in range(top - 1, -1, -1):
-        f = LaurentPoly.zero()
+        f = Poly.zero()
         for w, r in cols[x]:
             if w in pbar:
                 f = f + pbar[w] * r
@@ -259,6 +339,6 @@ def dict_kl_table(H, y):
             _add_term(c, x, pw * r)
     if c != p:
         raise TheoremViolation("canonical basis element is not bar-invariant")
-    return {eng.multiply(x, g): p.get(i, LaurentPoly.zero())
+    return {eng.multiply(x, g): p.get(i, Poly.zero())
             for i, x in enumerate(elems)}
 

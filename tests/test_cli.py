@@ -3,7 +3,10 @@
 import io
 import json
 import os
+import subprocess
 import sys
+
+import pytest
 
 from rootfold import cli
 
@@ -210,6 +213,63 @@ def test_testfn_j_without_tower_exit_2(capsys):
     code, out, _ = run(capsys, "testfn", "--preset", "split-a2", "--mu", "1,1")
     assert code == 0
     assert json.loads(out)["kind"] == "z_V*1_J"
+
+
+def test_out_tsv_refused_without_a_table(capsys):
+    """kl, geom-basis and testfn print JSON alone: --out tsv is a usage
+    error (exit 2), not an option dropped in silence."""
+    for argv in (("kl", "--preset", "split-a2", "--pair=0,0|1,1"),
+                 ("geom-basis", "--preset", "split-a2", "--lambda=1,1"),
+                 ("testfn", "--preset", "split-a2", "--mu=1,1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv) + ["--out", "tsv"])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --out: invalid choice: 'tsv'" in err, argv
+
+
+# the rootfold modules that one query of each subcommand loads: the lazy
+# imports of the cmd_* functions, which a fresh interpreter pays for
+LOADED_BY_ALL = ("cli", "presets", "echelonnage", "folding", "rootdata",
+                 "lattice", "linalg", "jsoninput")
+LOADED_BY_KL = LOADED_BY_ALL + ("affine", "characters", "hecke", "ring")
+LAZY_IMPORTS = {
+    "presets": (("presets",), LOADED_BY_ALL),
+    "fold": (("fold", "--preset", "split-a1"), LOADED_BY_ALL),
+    "echelonnage": (("echelonnage", "--preset", "split-a1"), LOADED_BY_ALL),
+    "adm": (("adm", "--preset", "split-a1", "--mu", "1"),
+            LOADED_BY_ALL + ("affine",)),
+    "branch": (("branch", "--preset", "split-a1", "--mu", "1"),
+               LOADED_BY_ALL + ("characters",)),
+    "kl": (("kl", "--preset", "split-a1", "--pair", "0|2"), LOADED_BY_KL),
+    "geom-basis": (("geom-basis", "--preset", "split-a1", "--lambda", "2"),
+                   LOADED_BY_KL),
+    "testfn": (("testfn", "--preset", "split-a1", "--mu", "2"),
+               LOADED_BY_KL + ("testfn",)),
+    "verify": (("verify", "split-a1"), LOADED_BY_KL + ("testfn", "verify")),
+}
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from rootfold import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in sys.modules if m.startswith("rootfold.")]]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(LAZY_IMPORTS))
+def test_subcommand_loads_only_its_modules(command):
+    argv, expected = LAZY_IMPORTS[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert sorted(loaded) == sorted("rootfold." + m for m in expected)
 
 
 def test_broken_pipe_exits_quietly(monkeypatch, capsys):

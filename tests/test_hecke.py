@@ -13,20 +13,20 @@ from rootfold.echelonnage import LocalGroupDatum
 from rootfold.hecke import BernsteinElement, CenterContext, UndefinedPair
 from rootfold.lattice import ResourceCap
 from rootfold.presets import load_preset, preset_names
-from rootfold.ring import LaurentPoly
 from rootfold.rootdata import build_datum, diagram_automorphism
 
 from bruhat_reference import bruhat_leq
 from kl_reference import (
     HeckeElement,
     HeckeReference,
+    Poly,
     decoded_rows,
     dict_interval_rows,
     dict_kl_table,
     eps,
 )
 
-v = LaurentPoly.v_power
+v = Poly.v_power
 
 
 def flip(r):
@@ -130,7 +130,7 @@ def test_kl_golden_su3():
     by_len = {}
     for x, p in tab.items():
         by_len.setdefault(eng.length(x), []).append(p)
-    assert by_len[3] == [LaurentPoly.one()]
+    assert by_len[3] == [Poly.one()]
     assert [tuple(sorted(p.coeffs.items())) for p in by_len[2]] == [
         ((-3, 1),), ((-3, 1),)]
     assert tab[w_zero] == v(-4) - v(-2)
@@ -143,7 +143,7 @@ def test_kl_golden_su3():
     P = ctx.hecke.kl_polynomial(w_zero, w_theta)
     assert P == 1 - v(2) + 0
     assert P.at_one() == 0
-    assert ctx.hecke.kl_polynomial(w_theta, w_theta) == LaurentPoly.one()
+    assert ctx.hecke.kl_polynomial(w_theta, w_theta) == Poly.one()
 
 
 def test_kl_undefined_pair():
@@ -181,7 +181,7 @@ def test_canonical_basis_bar_fixed_unitriangular():
     w = eng.max_double_coset(L.project((1, 1)))
     c = canonical_basis_element(H, w)
     assert H.bar(c) == c
-    assert c.coefficient(w) == LaurentPoly.one()
+    assert c.coefficient(w) == Poly.one()
     for x, p in c.terms.items():
         if x != w:
             assert max(p.coeffs) < 0
@@ -300,9 +300,9 @@ def full_interval_kl_table(H, y):
     y_aff = eng.multiply(y, eng.inverse(omega))
     elems, rows = decoded_rows(H, y_aff, ())
     top = len(elems) - 1
-    p = {top: LaurentPoly.one()}
+    p = {top: Poly.one()}
     for x in range(top - 1, -1, -1):
-        f = LaurentPoly.zero()
+        f = Poly.zero()
         for w, pw in p.items():
             if w != x and x in rows[w]:
                 f = f + pw.bar() * rows[w][x]
@@ -312,7 +312,7 @@ def full_interval_kl_table(H, y):
     c = {}
     for w, pw in p.items():
         for x, r in rows[w].items():
-            c[x] = c.get(x, LaurentPoly.zero()) + pw.bar() * r
+            c[x] = c.get(x, Poly.zero()) + pw.bar() * r
     assert {x: q for x, q in c.items() if not q.is_zero()} == p
     return {eng.multiply(elems[x], omega): q for x, q in p.items()}
 
@@ -328,7 +328,7 @@ def assert_cosets_match_full_interval(H, y, ref=None):
     weight = HeckeReference(H).weight
     interval = eng.lower_interval(y)
     for x in interval:
-        expect = ref.get(x, LaurentPoly.zero()).shifted(weight(y) - weight(x))
+        expect = ref.get(x, Poly.zero()).shifted(weight(y) - weight(x))
         assert H.kl_polynomial(x, y) == expect, x
     omega_inv = eng.inverse(eng.omega_part(y))
 
@@ -343,7 +343,7 @@ def assert_cosets_match_full_interval(H, y, ref=None):
     table = H.kl_table(y)
     assert set(table) == maximal
     for x, q in table.items():
-        assert q == ref.get(x, LaurentPoly.zero()), x
+        assert q == ref.get(x, Poly.zero()), x
 
 
 # the rungs of the benchmark's KL ladder
@@ -391,7 +391,7 @@ def reference_bar_basis(H, x, cache):
     Ttilde_omega."""
     if x not in cache:
         word, omega = H.engine.normal_form(x)
-        out = HeckeElement(H, {omega: LaurentPoly.one()})
+        out = HeckeElement(H, {omega: Poly.one()})
         for key in reversed(word):
             out = _left_mult_gen(H, out, key) + out.scale(-eps(H, key))
         cache[x] = out
@@ -405,11 +405,11 @@ def reference_kl_table(H, y, cache):
     y_aff = eng.multiply(y, eng.inverse(omega))
     interval = sorted(eng.lower_interval(y_aff), key=lambda x: -eng.length(x))
     bar_rows = {x: reference_bar_basis(H, x, cache) for x in interval}
-    p = {y_aff: LaurentPoly.one()}
+    p = {y_aff: Poly.one()}
     for x in interval:
         if x == y_aff:
             continue
-        f = LaurentPoly.zero()
+        f = Poly.zero()
         for w, pw in p.items():
             if w != x:
                 f = f + pw.bar() * bar_rows[w].coefficient(x)
