@@ -5,15 +5,15 @@ An engine is built from a coinvariant lattice, the Sigma system it lives
 over (Sigma_breve or Sigma_0, as closed once by the echelonnage data), and
 integer matrices for the simple reflections of the finite Weyl group.  The
 positive roots, components and highest roots are read from the system's
-coordinates; no roots are closed here.  Elements are pairs (translation
-class, Weyl matrix); lengths come from the inversion formula in int
-arithmetic, normal forms from descent peeling, and the Bruhat order from one
-walk, `coset_walk`: the cosets x W_J below y W_J, reached from e by the
-letters of a reduced word of y; with J = () it is the lower interval [e, y],
-cached per engine.  As 2rho^vee pairs > 0 with every positive root, w^-1
-alpha > 0 exactly when <alpha, w 2rho^vee> > 0: one sign vector per Weyl
-part (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116,
-1994).  Torsion classes are central and have length zero (they land in
+coordinates; no roots are closed here.  Elements are named pairs
+(translation class, Weyl matrix) that compare by value, across engines too;
+lengths come from the inversion formula in int arithmetic, normal forms from
+descent peeling, and the Bruhat order from one walk, `coset_walk`: the
+cosets x W_J below y W_J, reached from e by the letters of a reduced word of
+y; with J = () it is the lower interval [e, y], cached per engine.  As
+2rho^vee pairs > 0 with every positive root, w^-1 alpha > 0 exactly when
+<alpha, w 2rho^vee> > 0: one sign vector per Weyl part (Casselman, "Machine
+calculations in Weyl groups", Invent. Math. 116, 1994).  Torsion classes are central and have length zero (they land in
 Omega).  The finite Weyl group is never enumerated: w_0 is built by
 right-multiplying simple reflections while the length grows, and the longest
 element of W t_lambda W is w_0 t_mu, mu the dominant class of lambda, checked
@@ -24,6 +24,7 @@ builds neither set; `admissible_set` serves `rootfold adm` only.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import mul
 
 from .echelonnage import TheoremViolation
@@ -33,24 +34,11 @@ from .linalg import identity_matrix, mat_integer_inverse, mat_mul, vec_dot
 ADM_CAP = 10 ** 6
 
 
-class AffineElement:
-    """t_lambda * w, with lambda a coinvariant class and w a Weyl matrix."""
+class AffineElement(namedtuple("AffineElement", "lam w")):
+    """t_lambda * w, with lambda a coinvariant class and w a Weyl matrix;
+    it equals, hashes and sorts as the pair (lam, w)."""
 
-    __slots__ = ("lam", "w")
-
-    def __init__(self, lam, w):
-        self.lam = lam
-        self.w = w
-
-    def __eq__(self, other):
-        return isinstance(other, AffineElement) and self.lam == other.lam \
-            and self.w == other.w
-
-    def __hash__(self):
-        return hash((self.lam, self.w))
-
-    def __repr__(self):
-        return "AffineElement(%r, %r)" % (self.lam, self.w)
+    __slots__ = ()
 
 
 class ExtendedAffineWeyl:
@@ -199,7 +187,7 @@ class ExtendedAffineWeyl:
 
     def inverse(self, x):
         winv = self.inverse_matrix(x.w)
-        return AffineElement(self.endo(winv)(-x.lam), winv)
+        return AffineElement(self.endo(winv)(self.coinv.neg(x.lam)), winv)
 
     def length(self, x):
         total = self._len.get(x)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 # each cmd_* imports the modules only it needs, so a one-shot query loads
 # (and, without bytecode caches, compiles) no more of rootfold than it uses
-from .jsoninput import MalformedInput
+from .jsoninput import MalformedInput, json_field
 from .lattice import MalformedAction, ResourceCap, TheoremViolation
 from .presets import Preset, PresetError, load_preset, preset_names
 from .rootdata import NotAPermutation, UndeterminedAutomorphism
@@ -289,7 +289,7 @@ def cmd_testfn(args):
         raise PresetError("--j must be at least 1, got %d" % args.j)
     if args.config:
         preset = _read_json("--config", args.config, ("datum",),
-                            lambda raw: Preset(raw.get("name", "config"), raw))
+                            lambda raw: Preset(json_field(raw, "name", str, "config"), raw))
     elif args.preset:
         preset = load_preset(args.preset)
     else:

@@ -22,6 +22,7 @@ middle nodes, 1 elsewhere).
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 from operator import sub
 
@@ -130,15 +131,16 @@ class SigmaSystem:
         return self.lower(mu, sol) == lam
 
 
-def _orbit_classes(co_fold, classes):
+def _orbit_classes(co_fold, classes, coinv):
     """The classes of the simple coroots of a fold of a coroot system, from
-    the classes of the source's simple coroots: the orbit sum, doubled for
-    a non-orthogonal orbit under N' (the rule by which `folding.fold` sums
-    the base)."""
+    the classes of the source's simple coroots in `coinv`: the orbit sum,
+    doubled for a non-orthogonal orbit under N' (the rule by which
+    `folding.fold` sums the base)."""
     out = []
     for orb, orth in co_fold.orbits:
-        total = sum((classes[i] for i in orb[1:]), classes[orb[0]])
-        out.append(total + total if not orth and co_fold.op == "Nprime" else total)
+        total = reduce(coinv.add, [classes[i] for i in orb])
+        out.append(coinv.add(total, total) if not orth and co_fold.op == "Nprime"
+                   else total)
     return out
 
 
@@ -176,7 +178,8 @@ class EchelonnageData:
             raise TheoremViolation("Sigma_0: the two characterizations disagree")
         self.sigma0 = SigmaSystem(
             sigma0_root, sigma0_co, lgd.coinv,
-            _orbit_classes(sigma0_co, self.sigma_breve.base_classes), "Sigma_0")
+            _orbit_classes(sigma0_co, self.sigma_breve.base_classes, lgd.coinv),
+            "Sigma_0")
 
         # Knop system: res_tau(Sigma_breve), with its dual N'_tau(Sigma^vee)
         knop_root = fold(breve_root, tau_char, "res")
@@ -187,7 +190,8 @@ class EchelonnageData:
                                    "N'_tau of the coroots")
         self.sigma0_tilde = SigmaSystem(
             knop_root, knop_co, lgd.coinv,
-            _orbit_classes(knop_co, self.sigma_breve.base_classes), "Sigma_0_tilde")
+            _orbit_classes(knop_co, self.sigma_breve.base_classes, lgd.coinv),
+            "Sigma_0_tilde")
 
         # special roots by the A_{2n} middle-orbit criterion
         self.special = self._special_roots(breve_root, sigma0_root)

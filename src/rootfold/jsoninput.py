@@ -17,7 +17,8 @@ class MalformedInput(ValueError):
         super().__init__("key %r: %s" % (key, problem))
 
 
-_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", dict: "an object",
+          list: "a list"}
 
 
 def json_field(data, key, kind, default=None):

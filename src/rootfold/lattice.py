@@ -5,21 +5,26 @@ averaging map onto the fixed subspace, and subgroup equality in coinvariant
 lattices.  Every object is immutable after construction and all
 arithmetic is exact.
 
-A coinvariant class has one integer representation: a tuple of free
-coordinates and a tuple of residues, each reduced modulo its torsion factor.
-Only this module knows how that tuple pair sits in the full Smith normal
-form coordinates.  An induced endomorphism is stored as compact int tables
-on (free, tors), built once, so applying it is one int mat-vec and one `%`
-per torsion coordinate; so is lam - sum_i c_i classes_i for a fixed tuple
-of classes (`CoinvariantLattice.lowering`).  The section over the free
+A coinvariant class has one integer representation, the named pair
+`CoinvariantElement(free, tors)`: a tuple of free coordinates and a tuple of
+residues, each reduced modulo its torsion factor.  It equals, hashes and
+sorts as that pair, and holds no reference to its lattice.  Only this module
+knows how the pair sits in the full Smith normal form coordinates.  An
+induced endomorphism is stored as compact int tables on (free, tors), built
+once, so applying it is one int mat-vec and one `%` per torsion coordinate;
+so is lam - sum_i c_i classes_i for a fixed tuple of classes
+(`CoinvariantLattice.lowering`).  The section over the free
 coordinates, and its pairings with ambient vectors
 (`CoinvariantLattice.section_pairing`), are int rows over one denominator.
-Results of this arithmetic are already reduced ints and skip the
-validating constructor.  Classes sort by (free, tors).
+Ambient vectors enter through `CoinvariantLattice.project`, which checks
+that they are integral and reduces the residues; sums and negatives are
+`CoinvariantLattice.add` and `neg`.  Every other result of this arithmetic
+is reduced where it is computed.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
 from operator import add, mul
 
@@ -100,53 +105,23 @@ def average(v, group):
     return len(orb), tuple(map(sum, zip(*orb)))
 
 
-class CoinvariantElement:
-    """Element of a coinvariant lattice: free coordinates plus residues.
+class CoinvariantElement(namedtuple("CoinvariantElement", "free tors")):
+    """A class of a coinvariant lattice: the int tuple of free coordinates
+    and the int tuple of residues, each reduced modulo its torsion factor.
+    Equality, hashing and the class order are the pair's, by free
+    coordinates, then residues; every listing of classes (reports,
+    peel-offs, orbit seeds) sorts by it.  Only code that has reduced the
+    residues builds one; sums and negatives need the torsion factors and
+    are `CoinvariantLattice.add` and `neg`, so the tuple `+` and `*` are
+    switched off."""
 
-    The public constructor checks and reduces its input; `_element` builds
-    one from int tuples that are already reduced."""
-
-    __slots__ = ("lattice", "free", "tors")
-
-    def __init__(self, lattice, free, tors):
-        self.lattice = lattice
-        self.free = tuple(exact_int(x) for x in free)
-        self.tors = tuple(exact_int(t) % d for t, d in zip(tors, lattice.torsion))
-
-    def __eq__(self, other):
-        return (isinstance(other, CoinvariantElement)
-                and self.free == other.free and self.tors == other.tors)
-
-    def __hash__(self):
-        return hash((self.free, self.tors))
-
-    def __lt__(self, other):
-        """The class order: by free coordinates, then residues.  Every
-        listing of classes (reports, peel-offs, orbit seeds) sorts by it."""
-        return (self.free, self.tors) < (other.free, other.tors)
-
-    def __add__(self, other):
-        return _element(self.lattice, tuple(map(add, self.free, other.free)),
-                        tuple((a + b) % d for a, b, d in
-                              zip(self.tors, other.tors, self.lattice.torsion)))
-
-    def __neg__(self):
-        return _element(self.lattice, tuple(-x for x in self.free),
-                        tuple(-t % d for t, d in zip(self.tors, self.lattice.torsion)))
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None
 
     def __repr__(self):
         if self.tors:
             return "Coinv(free=%r, tors=%r)" % (self.free, self.tors)
         return "Coinv(free=%r)" % (self.free,)
-
-
-def _element(lattice, free, tors):
-    """A CoinvariantElement from int tuples already reduced: no checks."""
-    e = object.__new__(CoinvariantElement)
-    e.lattice = lattice
-    e.free = free
-    e.tors = tors
-    return e
 
 
 class QuotientEndo:
@@ -159,10 +134,9 @@ class QuotientEndo:
     output), and an int row over free + tors with its modulus for each
     torsion output."""
 
-    __slots__ = ("lattice", "matrix", "_free", "_tors")
+    __slots__ = ("matrix", "_free", "_tors")
 
     def __init__(self, lattice, matrix):
-        self.lattice = lattice
         self.matrix = matrix
         free = lattice._free_rows
         both = free + lattice._tors_rows
@@ -173,19 +147,18 @@ class QuotientEndo:
     def __call__(self, e):
         f = e.free
         x = f + e.tors
-        return _element(self.lattice,
-                        tuple([sum(map(mul, row, f)) for row in self._free]),
-                        tuple([sum(map(mul, row, x)) % d for row, d in self._tors]))
+        return CoinvariantElement(
+            tuple([sum(map(mul, row, f)) for row in self._free]),
+            tuple([sum(map(mul, row, x)) % d for row, d in self._tors]))
 
     def shift(self, base, e):
         """base + self(e), in one pass."""
         f = e.free
         x = f + e.tors
-        return _element(self.lattice,
-                        tuple([b + sum(map(mul, row, f))
-                               for b, row in zip(base.free, self._free)]),
-                        tuple([(b + sum(map(mul, row, x))) % d
-                               for b, (row, d) in zip(base.tors, self._tors)]))
+        return CoinvariantElement(
+            tuple([b + sum(map(mul, row, f)) for b, row in zip(base.free, self._free)]),
+            tuple([(b + sum(map(mul, row, x))) % d
+                   for b, (row, d) in zip(base.tors, self._tors)]))
 
 
 class CoinvariantLattice:
@@ -224,11 +197,12 @@ class CoinvariantLattice:
     # -- coordinates ------------------------------------------------------
 
     def project(self, x):
-        """Image of an ambient integer vector in the quotient."""
+        """Image of an ambient integer vector in the quotient; raises
+        ArithmeticError when a coordinate is not integral."""
         y = mat_vec(self._U, x)
-        free = tuple(y[i] for i in self._free_rows)
-        tors = tuple(y[i] for i in self._tors_rows)
-        return CoinvariantElement(self, free, tors)
+        return CoinvariantElement(
+            tuple(exact_int(y[i]) for i in self._free_rows),
+            tuple(exact_int(y[i]) % d for i, d in zip(self._tors_rows, self.torsion)))
 
     def _full_coords(self, e):
         y = [0] * self.rank
@@ -243,14 +217,23 @@ class CoinvariantLattice:
         return mat_vec(self._Uinv, self._full_coords(e))
 
     def zero(self):
-        return _element(self, (0,) * self.free_rank, (0,) * len(self.torsion))
+        return CoinvariantElement((0,) * self.free_rank, (0,) * len(self.torsion))
+
+    def add(self, a, b):
+        return CoinvariantElement(tuple(map(add, a.free, b.free)),
+                                  tuple((x + y) % d for x, y, d in
+                                        zip(a.tors, b.tors, self.torsion)))
+
+    def neg(self, a):
+        return CoinvariantElement(tuple(-x for x in a.free),
+                                  tuple(-t % d for t, d in zip(a.tors, self.torsion)))
 
     def _build_section(self):
         """The section as (den, int rows), one row per ambient coordinate:
         column i is den times the group-average of the lift of the i-th
         free basis class."""
         zero = (0,) * len(self.torsion)
-        avgs = [average(self.lift(_element(self, free, zero)), self.group)
+        avgs = [average(self.lift(CoinvariantElement(free, zero)), self.group)
                 for free in identity_matrix(self.free_rank)]
         den = lcm(*(size for size, _total in avgs))
         return lowest_terms(den, [tuple(den // size * total[k] for size, total in avgs)
@@ -289,10 +272,10 @@ class CoinvariantLattice:
                      for k, d in enumerate(self.torsion))
 
         def lower(lam, c):
-            return _element(self, tuple([x - sum(map(mul, row, c))
-                                         for x, row in zip(lam.free, free)]),
-                            tuple([(t - sum(map(mul, row, c))) % d
-                                   for t, (row, d) in zip(lam.tors, tors)]))
+            return CoinvariantElement(
+                tuple([x - sum(map(mul, row, c)) for x, row in zip(lam.free, free)]),
+                tuple([(t - sum(map(mul, row, c))) % d
+                       for t, (row, d) in zip(lam.tors, tors)]))
         return lower
 
     def endo_from_matrix(self, M):

@@ -91,15 +91,14 @@ def _parse_overrides(raw):
 class Preset:
     def __init__(self, name, raw):
         self.name = name
-        self.description = raw.get("description", "")
+        json_field(raw, "description", str, "")  # read by no code, but checked
         self.datum = _build_base_datum(raw)
         gens = tuple(_resolve_automorphism(self.datum, g, "inertia")
                      for g in json_field(raw, "inertia", list, []))
         frob = _resolve_automorphism(self.datum, raw.get("frobenius"), "frobenius")
         self.lgd = LocalGroupDatum(self.datum, gens, frob, label=name)
         self.overrides = _parse_overrides(raw)
-        self.kl_check = bool(raw.get("kl_check", False))
-        self.raw = raw
+        self.kl_check = json_field(raw, "kl_check", bool, False)
         if "tower_small_inertia" in raw:
             self.tower_small = tuple(
                 _resolve_automorphism(self.datum, g, "tower_small_inertia")

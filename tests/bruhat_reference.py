@@ -14,11 +14,15 @@ length-ordered pass against them.
 `verify_extremal` compares the two definitions of Adm(mu) through their
 maximal translations.  `verify_extremal_by_union` is the check it replaced:
 it builds both definitions as unions of lower intervals and compares the sets.
+
+`tau_fixed_mismatches` checks the tau-fixed engine against its definition as
+the tau-fixed subgroup of the Sigma_breve engine, element by element.
 """
 
 import weakref
 
-from rootfold.affine import admissible_set, extremal_elements
+from rootfold.affine import admissible_set, build_affine, build_tau_fixed, extremal_elements
+from rootfold.linalg import mat_integer_inverse, mat_mul
 
 # engine -> {(u, v): u <= v} for affine parts u, v
 _MEMO = weakref.WeakKeyDictionary()
@@ -116,3 +120,41 @@ def verify_extremal_by_union(lgd, mu, engine):
     report["ok"] = not report["mismatches"]
     report["extremal"] = len(maximal)
     return report
+
+
+def tau_fixed_mismatches(lgd, bound, tau_engine=None):
+    """W~^tau inside W~: (number of elements checked, mismatches).
+
+    For each nonzero dominant tau-fixed class lam in the image of a dominant
+    mu with <2rho, mu> <= bound, and each x in [e, t_lam] of the tau-fixed
+    engine (`build_tau_fixed(lgd, ...)`, or `tau_engine`):
+    * the parameters summed over the tau-engine's reduced word of x equal
+      the length of x in the Sigma_breve engine (Lusztig's weight function
+      L = l_breve restricted to W^tau);
+    * [e, t_lam] of the tau-engine is the set of x in the Sigma_breve
+      interval with tau(x.lam) = x.lam and tau x.w tau^-1 = x.w, tau the
+      Frobenius on X_* (the Bruhat order of W^tau is that of W restricted).
+    Each engine keeps its own tables: their elements compare by value."""
+    breve = build_affine(lgd)
+    tau = tau_engine or build_tau_fixed(lgd, breve)
+    params = lgd.echelonnage().parameter_function()
+    t, t_inv = lgd.tau_cochar, mat_integer_inverse(lgd.tau_cochar)
+    zero = lgd.coinv.zero()
+    lams = sorted({lam for lam in map(lgd.coinv.project,
+                                      lgd.datum.dominant_cochars_up_to(bound))
+                   if lam != zero and lgd.tau_endo(lam) == lam
+                   and breve.is_dominant_class(lam)})
+    checked, bad = 0, []
+    for lam in lams:
+        interval = tau.lower_interval(tau.translation(lam))
+        for x in sorted(interval):
+            word, _omega = tau.normal_form(x)
+            if sum(params[key] for key in word) != breve.length(x):
+                bad.append("length at %r" % (x,))
+        fixed = {x for x in breve.lower_interval(breve.translation(lam))
+                 if lgd.tau_endo(x.lam) == x.lam and mat_mul(mat_mul(t, x.w), t_inv) == x.w}
+        if fixed != interval:
+            bad.append("interval at %r: %d tau-fixed in the breve interval, %d in "
+                       "the tau interval" % (lam, len(fixed), len(interval)))
+        checked += len(interval)
+    return checked, bad

@@ -49,11 +49,12 @@ from bruhat_reference import (
     pairwise_extremal_elements,
     relative_admissible_set,
     subword_interval,
+    tau_fixed_mismatches,
     verify_extremal_by_union,
 )
 from fraction_linalg import frac_vec, gauss_solve
 from kl_reference import dict_cosets
-from test_lattice import free_class
+from test_lattice import free_class, reduced
 
 
 def flip(r):
@@ -151,7 +152,7 @@ def test_normal_form_round_trip():
     # translations by classes (with torsion)
     for free in (-2, -1, 0, 1, 2):
         for tor in (0, 1):
-            cls = CoinvariantElement(lgd.coinv, (free,), (tor,))
+            cls = CoinvariantElement((free,), (tor,))
             t = eng.translation(cls)
             word, omega = eng.normal_form(t)
             assert from_normal_form(eng, word, omega) == t
@@ -161,7 +162,7 @@ def test_torsion_is_central_length_zero():
     d = gl_datum(3)
     lgd = LocalGroupDatum(d, (unitary_dual_action(3),), None, label="u3")
     eng = build_affine(lgd)
-    tors = CoinvariantElement(lgd.coinv, (0,), (1,))
+    tors = CoinvariantElement((0,), (1,))
     t = eng.translation(tors)
     assert eng.length(t) == 0
     for m in eng.simple_matrices:
@@ -393,7 +394,7 @@ def test_tau_fixed_engine_su3():
         acc = cls
         img = lgd.tau_endo(cls)
         while img != cls:
-            acc = acc + img
+            acc = lgd.coinv.add(acc, img)
             img = lgd.tau_endo(img)
         fixed_gens.append(acc)
     for g in fixed_gens:  # g lies in Z Sigma_0^vee
@@ -440,7 +441,7 @@ def reference_engine_data(eng, sigma, gram):
     roots = dict(triples)
     for r, (_r, cls, refl) in triples.items():
         neg = tuple(-x for x in r)
-        roots.setdefault(neg, (neg, -cls, refl))
+        roots.setdefault(neg, (neg, eng.coinv.neg(cls), refl))
     A = mat_transpose(base)
     coords = {r: gauss_solve(A, r) for r in roots}
     pos = tuple(r for r in sorted(roots) if all(x >= 0 for x in coords[r]))
@@ -687,7 +688,7 @@ def test_length_matches_reference_property(key, tau_level, data):
     if tau_level:
         acc, img = lam, lgd.tau_endo(lam)
         while img != lam:
-            acc, img = acc + img, lgd.tau_endo(img)
+            acc, img = lgd.coinv.add(acc, img), lgd.tau_endo(img)
         lam = acc
     word = data.draw(st.lists(st.sampled_from(eng.simple_matrices), max_size=10))
     w = eng.e_mat
@@ -746,8 +747,8 @@ def test_coset_walk_matches_references_property(key, tau_level, data):
 
 def reference_endo(coinv, m, e):
     """m applied to a class through the full Smith normal form coordinates:
-    U m U^-1 on the full vector of e (dead coordinates 0), read back
-    through the validating constructor, which reduces the torsion."""
+    U m U^-1 on the full vector of e (dead coordinates 0), read back with
+    the residues reduced (`test_lattice.reduced`)."""
     A = mat_mul(mat_mul(coinv._U, m), coinv._Uinv)
     y = [0] * coinv.rank
     for i, t in zip(coinv._tors_rows, e.tors):
@@ -755,18 +756,17 @@ def reference_endo(coinv, m, e):
     for i, u in zip(coinv._free_rows, e.free):
         y[i] = u
     z = mat_vec(A, tuple(y))
-    return CoinvariantElement(coinv, tuple(z[i] for i in coinv._free_rows),
-                              tuple(z[i] for i in coinv._tors_rows))
+    return reduced(coinv, tuple(z[i] for i in coinv._free_rows),
+                   tuple(z[i] for i in coinv._tors_rows))
 
 
-def reference_add(a, b):
-    return CoinvariantElement(a.lattice, vec_add(a.free, b.free),
-                              vec_add(a.tors, b.tors))
+def reference_add(coinv, a, b):
+    return reduced(coinv, vec_add(a.free, b.free), vec_add(a.tors, b.tors))
 
 
-def assert_reduced(e):
+def assert_reduced(coinv, e):
     assert all(type(x) is int for x in e.free + e.tors), e
-    assert all(0 <= t < d for t, d in zip(e.tors, e.lattice.torsion)), e
+    assert all(0 <= t < d for t, d in zip(e.tors, coinv.torsion)), e
 
 
 # the data whose coinvariant lattice has torsion, drawn beside local_data
@@ -798,27 +798,26 @@ def test_compact_action_matches_full_coordinates_property(key, tau_level, data):
     c = data.draw(st.integers(-3, 3))
     scaled = tuple(tuple(c * a for a in row) for row in x.w)
     image = reference_endo(coinv, x.w, y.lam)
-    shifted = reference_add(x.lam, image)
-    neg = CoinvariantElement(coinv, tuple(-a for a in x.lam.free),
-                             tuple(-t for t in x.lam.tors))
+    shifted = reference_add(coinv, x.lam, image)
+    neg = reduced(coinv, tuple(-a for a in x.lam.free), tuple(-t for t in x.lam.tors))
     winv = mat_integer_inverse(x.w)
     pairs = [
         (eng.endo(x.w)(y.lam), image),
         (eng.endo(x.w).shift(x.lam, y.lam), shifted),
         (coinv.endo_from_matrix(scaled)(y.lam), reference_endo(coinv, scaled, y.lam)),
         (coinv.endo_from_matrix(scaled).shift(x.lam, y.lam),
-         reference_add(x.lam, reference_endo(coinv, scaled, y.lam))),
-        (x.lam + y.lam, reference_add(x.lam, y.lam)),
-        (-x.lam, neg),
+         reference_add(coinv, x.lam, reference_endo(coinv, scaled, y.lam))),
+        (coinv.add(x.lam, y.lam), reference_add(coinv, x.lam, y.lam)),
+        (coinv.neg(x.lam), neg),
     ]
     for got, want in pairs:
         assert got == want, (key, x, y, c)
-        assert_reduced(got)
+        assert_reduced(coinv, got)
     prod, inv = eng.multiply(x, y), eng.inverse(x)
     assert prod == AffineElement(shifted, mat_mul(x.w, y.w)), (key, x, y)
     assert inv == AffineElement(reference_endo(coinv, winv, neg), winv), (key, x)
-    assert_reduced(prod.lam)
-    assert_reduced(inv.lam)
+    assert_reduced(coinv, prod.lam)
+    assert_reduced(coinv, inv.lam)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -839,8 +838,8 @@ def test_compact_action_matches_full_coordinates_on_presets(name):
                 for b in classes[:3]:
                     image = reference_endo(coinv, m, a)
                     assert endo(a) == image, (name, m, a)
-                    assert endo.shift(b, a) == reference_add(b, image), (name, m, a)
-                    assert_reduced(endo.shift(b, a))
+                    assert endo.shift(b, a) == reference_add(coinv, b, image), (name, m, a)
+                    assert_reduced(coinv, endo.shift(b, a))
 
 
 def test_pairing_integrality_check_tau_fixed_su4():
@@ -881,8 +880,21 @@ def test_affine_element_repr_shows_weyl_part():
     s0, s1 = eng.simple_matrices
     x, y = AffineElement(lgd.coinv.zero(), s0), AffineElement(lgd.coinv.zero(), s1)
     assert x != y and repr(x) != repr(y)
-    assert repr(x) == "AffineElement(%r, %r)" % (lgd.coinv.zero(), s0)
-    assert repr(eng.identity) == "AffineElement(Coinv(free=(0, 0)), ((1, 0), (0, 1)))"
+    assert repr(x) == "AffineElement(lam=%r, w=%r)" % (lgd.coinv.zero(), s0)
+    assert repr(eng.identity) == (
+        "AffineElement(lam=Coinv(free=(0, 0)), w=((1, 0), (0, 1)))")
+
+
+def test_affine_elements_are_pairs():
+    """An element equals, hashes and sorts as its (lam, w) pair, so value
+    equal elements of two engines over one lattice are equal."""
+    lgd, eng = _engine("A2", "adjoint")
+    xs = list(_ball(eng, 2))
+    for x in xs:
+        assert hash(x) == hash((x.lam, x.w)) and x == (x.lam, x.w)
+    assert sorted(xs) == sorted(xs, key=lambda x: (x.lam, x.w))
+    other = build_affine(lgd)
+    assert other is not eng and set(_ball(other, 2)) == set(xs)
 
 
 # -- the recursive Bruhat order, kept as the reference for the intervals -------
@@ -952,3 +964,54 @@ def test_extremal_elements_match_pairwise_reference_property(key, tau_level,
     for x in elems:
         for y in elems:
             assert (x in eng.lower_interval(y)) == bruhat_leq(eng, x, y), (x, y)
+
+
+# -- W~^tau inside W~ ---------------------------------------------------------
+
+# <2rho, mu> <= 8 reaches no nonzero dominant tau-fixed class on these
+TAU_FIXED_BOUND_12 = ("d4-triality", "su6-ramified", "su6-unramified",
+                      "su7-ramified", "su7-unramified")
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names() if n != "e6-flip"])
+def test_tau_fixed_engine_is_the_tau_fixed_subgroup(name):
+    """Lengths and lower intervals of the tau-fixed engine against the
+    Sigma_breve engine (`bruhat_reference.tau_fixed_mismatches`); e6-flip's
+    Sigma_breve intervals are large, and CI checks it at bound 22."""
+    bound = 12 if name in TAU_FIXED_BOUND_12 else 8
+    checked, bad = tau_fixed_mismatches(load_preset(name).lgd, bound)
+    assert checked and not bad, (name, bad[:3])
+
+
+@pytest.mark.parametrize("name,coords", [
+    ("su6-ramified", (1, 1, 1)),
+    ("su7-ramified", (1, 2, 1)),
+    ("su4-unramified", (1, 1)),
+])
+def test_tau_fixed_check_catches_a_wrong_affine_wall(name, coords):
+    """The negative control: a tau-engine whose affine wall is t_{beta^vee}
+    s_beta for a positive root beta of Sigma_0 below the highest one.  On
+    the ramified presets both checks fail; on su4-unramified the wrong wall
+    leaves elements with no descent, and the walk itself fails."""
+    lgd = load_preset(name).lgd
+    teng = build_tau_fixed(lgd, build_affine(lgd))
+    rs = teng.sigma.rs_root
+    assert coords in rs._positive_coords and coords not in rs.highest_roots
+    wall = teng._root_reflection(coords, rs.cartan())
+    teng.s_aff = tuple((key, wall if key == ("aff", 0) else s) for key, s in teng.s_aff)
+    teng._s_aff_map = dict(teng.s_aff)
+    if name == "su4-unramified":
+        with pytest.raises(TheoremViolation, match="no descent"):
+            tau_fixed_mismatches(lgd, 12, teng)
+        return
+    checked, bad = tau_fixed_mismatches(lgd, 12, teng)
+    assert checked and {b.split()[0] for b in bad} == {"interval", "length"}, bad[:3]
+
+
+@settings(max_examples=20, deadline=None)
+@given(local_data())
+def test_tau_fixed_engine_is_the_tau_fixed_subgroup_property(key):
+    """The check above on drawn local data at <2rho, mu> <= 8 (e6-flip
+    reaches no nonzero tau-fixed class there)."""
+    lgd, _beng, _teng = _property_engines(key)
+    assert tau_fixed_mismatches(lgd, 8)[1] == [], key

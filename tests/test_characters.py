@@ -463,7 +463,7 @@ def test_disconnected_hw_characters():
     assert ch[mubar] == 1
     assert sum(ch.values()) == 5
     # the torsion gate: weights with the wrong central character are absent
-    shifted = mubar + CoinvariantElement(L, (0,), (1,))
+    shifted = L.add(mubar, CoinvariantElement((0,), (1,)))
     assert shifted not in ch
     # trivial representation
     ch0 = ctx.h.hw_character(L.zero())
@@ -576,16 +576,16 @@ def test_fixed_group_characters_match_coefficient_loop(name):
     lgd = preset.lgd
     h = FixedGroup(lgd)
     breve = lgd.echelonnage().sigma_breve.base_classes
-    knop = reference_orbit_classes(breve, h.knop_co, True)
+    knop = reference_orbit_classes(lgd.coinv, breve, h.knop_co, True)
     for mu in preset.datum.dominant_cochars_up_to(4):
         lam = lgd.coinv.project(mu)
         if not h.is_dominant(lam):
             continue
         den, v = lgd.coinv.section(lam)
         assert h.hw_character(lam) == {
-            reference_lower(lam, breve, c): m
+            reference_lower(lgd.coinv, lam, breve, c): m
             for c, m in freudenthal(h.system, v, den).items()}
         if h.is_tau_fixed(lam):
             assert h.twisted_hw_character(lam) == {
-                reference_lower(lam, knop, c): m
+                reference_lower(lgd.coinv, lam, knop, c): m
                 for c, m in freudenthal(h.knop_co, v, den).items()}

@@ -400,6 +400,9 @@ def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
         "short_matrix.json": {"datum": {"cartan_type": "A2"},
                               "frobenius": {"matrix": [[0, 1]]}},
         "str_override.json": {"datum": {"cartan_type": "A2"}, "overrides": {"fin:0": "2"}},
+        "str_kl_check.json": {"datum": {"cartan_type": "A2"}, "kl_check": "no"},
+        "int_description.json": {"datum": {"cartan_type": "A2"}, "description": 5},
+        "int_name.json": {"datum": {"cartan_type": "A2"}, "name": 7},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -419,6 +422,12 @@ def test_malformed_values_in_input_files_exit_2(tmp_path, monkeypatch, capsys):
          "--config short_matrix.json: key 'matrix': 1 rows, expected 2"),
         (("testfn", "--config", "str_override.json", "--mu", "0,0"),
          "--config str_override.json: key 'fin:0': expected an integer, got str"),
+        (("testfn", "--config", "str_kl_check.json", "--mu", "1,1"),
+         "--config str_kl_check.json: key 'kl_check': expected a boolean, got str"),
+        (("testfn", "--config", "int_description.json", "--mu", "1,1"),
+         "--config int_description.json: key 'description': expected a string, got int"),
+        (("testfn", "--config", "int_name.json", "--mu", "1,1"),
+         "--config int_name.json: key 'name': expected a string, got int"),
     ]
     monkeypatch.chdir(tmp_path)
     for argv, message in cases:

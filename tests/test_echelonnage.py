@@ -11,6 +11,7 @@ from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
 from test_affine import _property_engines, local_data
 from test_folding import from_datum
+from test_lattice import combination
 
 
 def flip(r):
@@ -206,27 +207,25 @@ def test_report_shows_the_parameters_it_is_given():
     assert ech.report(second.parameters)["parameters"] == {"aff:0": 1, "fin:0": 3}
 
 
-def reference_orbit_classes(breve_classes, co_fold, double):
-    """The classes of a fold of Sigma_breve^vee by the per-orbit loops that
-    built them before one helper did: the orbit sum, and for the Knop
-    system (`double`) twice that on a non-orthogonal orbit."""
-    out = []
-    for orb, orth in co_fold.orbits:
-        total = None
-        for i in orb:
-            total = breve_classes[i] if total is None else total + breve_classes[i]
-        out.append(total + total if double and not orth else total)
-    return tuple(out)
+def reference_orbit_classes(L, breve_classes, co_fold, double):
+    """The classes of a fold of Sigma_breve^vee in L, each one integral
+    combination: the orbit sum, and for the Knop system (`double`) twice
+    that on a non-orthogonal orbit."""
+    return tuple(combination(L, [2 if double and not orth else 1] * len(orb),
+                             [breve_classes[i] for i in orb])
+                 for orb, orth in co_fold.orbits)
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_folded_classes_match_orbit_loops(name):
     """Sigma_0 (the N fold) and the Knop system (the N' fold): their
     classes by the orbit rule equal the per-orbit loops'."""
-    ech = load_preset(name).lgd.echelonnage()
+    lgd = load_preset(name).lgd
+    ech = lgd.echelonnage()
     breve = ech.sigma_breve.base_classes
     for sigma, double in ((ech.sigma0, False), (ech.sigma0_tilde, True)):
-        assert sigma.base_classes == reference_orbit_classes(breve, sigma.rs_co, double)
+        assert sigma.base_classes == reference_orbit_classes(
+            lgd.coinv, breve, sigma.rs_co, double)
     assert ech.sigma0.rs_co.op == "N" and ech.sigma0_tilde.rs_co.op == "Nprime"
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rootfold.lattice import (
     CoinvariantElement,
     MalformedAction,
-    _element,
     average,
     closure,
     coinvariants,
@@ -38,13 +37,20 @@ SWAP = ((0, 1), (1, 0))
 
 def free_class(L, free):
     """The class of L with free coordinates `free` and zero residues."""
-    return CoinvariantElement(L, free, (0,) * len(L.torsion))
+    return CoinvariantElement(tuple(free), (0,) * len(L.torsion))
+
+
+def reduced(L, free, tors):
+    """The class of L with int coordinates `free` and residues `tors`,
+    each residue reduced modulo its torsion factor."""
+    return CoinvariantElement(tuple(free), tuple(t % d for t, d in zip(tors, L.torsion)))
 
 
 def combination(L, coeffs, classes):
-    """sum_i coeffs[i] classes[i] in L, reduced by the checking constructor."""
+    """sum_i coeffs[i] classes[i] in L, coordinate by coordinate, reduced
+    once at the end."""
     terms = list(zip(coeffs, classes))
-    return CoinvariantElement(
+    return reduced(
         L, [sum(c * e.free[k] for c, e in terms) for k in range(L.free_rank)],
         [sum(c * e.tors[k] for c, e in terms) for k in range(len(L.torsion))])
 
@@ -125,7 +131,7 @@ def test_average_well_defined_on_flat():
 def test_flat_map():
     L = coinvariants(3, [unitary_dual_action(3)])
     # pure torsion flattens to zero
-    t = CoinvariantElement(L, (0,), (1,))
+    t = CoinvariantElement((0,), (1,))
     assert t.free == (0,)
     assert L.section_vector(t) == (Fraction(0),) * 3
 
@@ -189,7 +195,7 @@ def test_malformed_action():
 def test_endo_validation():
     L = coinvariants(1, [((-1,),)])
     endo = L.endo_from_matrix(((3,),))  # commutes with -1, descends mod 2
-    t = CoinvariantElement(L, (), (1,))
+    t = CoinvariantElement((), (1,))
     assert endo(t) == t
     with pytest.raises(MalformedAction):
         # does not descend: y -> 2y kills the torsion inconsistently?
@@ -202,14 +208,15 @@ def test_subgroups():
     L = coinvariants(3, [unitary_dual_action(3)])
     a = L.project((1, 0, 0))
     b = L.project((0, 1, 0))
-    assert L.same_subgroup([a, b], [b, a, a + b])
-    assert L.same_subgroup([a, b, a + a], [a, b])
+    add = L.add
+    assert L.same_subgroup([a, b], [b, a, add(a, b)])
+    assert L.same_subgroup([a, b, add(a, a)], [a, b])
     assert L.same_subgroup([L.zero()], [])
     assert L.same_subgroup([a], []) == (a == L.zero())
     # b is the torsion class: 2b = 0, so it lies in no subgroup of 2a's
-    assert not L.same_subgroup([a + a], [a])
+    assert not L.same_subgroup([add(a, a)], [a])
     assert not L.same_subgroup([a], [a, b])
-    assert L.same_subgroup([a + b, b], [a, b + b + b])
+    assert L.same_subgroup([add(a, b), b], [a, add(add(b, b), b)])
 
 
 def reference_same_subgroup(L, a, b):
@@ -266,14 +273,35 @@ def test_action_json_round_trip():
 
 
 def test_non_integral_coordinates_raise():
+    """`project` is where ambient vectors enter: it takes integral Fractions
+    and floats to int classes, and raises on anything else (U is
+    unimodular, so U x is integral exactly when x is)."""
     L = coinvariants(3, [unitary_dual_action(3)])
-    for free, tors in (((Fraction(1, 2),), (0,)), ((1.7,), (0,)),
-                       ((1,), (Fraction(1, 2),))):
+    for x in ((Fraction(1, 2), 0, 0), (0, 1.7, 0), (1, 0, Fraction(-1, 3))):
         with pytest.raises(ArithmeticError):
-            CoinvariantElement(L, free, tors)
-    e = CoinvariantElement(L, (Fraction(4, 2),), (3.0,))
-    assert e == CoinvariantElement(L, (2,), (1,))
+            L.project(x)
+    e = L.project((Fraction(4, 2), 3.0, 0))
+    assert e == L.project((2, 3, 0))
     assert all(type(x) is int for x in e.free + e.tors)
+    assert all(0 <= t < d for t, d in zip(e.tors, L.torsion))
+
+
+def test_classes_are_pairs():
+    """A class equals, hashes and sorts as its (free, tors) pair, holds no
+    lattice, and the tuple `+` and `*` raise instead of concatenating."""
+    L = coinvariants(3, [unitary_dual_action(3)])
+    classes = [L.project(x) for x in itertools.product(range(-1, 2), repeat=3)]
+    for c in classes:
+        assert isinstance(c, tuple) and not hasattr(c, "lattice")
+        assert hash(c) == hash((c.free, c.tors)) and c == (c.free, c.tors)
+    assert sorted(classes) == sorted(classes, key=lambda c: (c.free, c.tors))
+    a, b = classes[:2]
+    for op in (lambda: a + b, lambda: a * 2, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            op()
+    assert L.add(a, b) == combination(L, (1, 1), (a, b))
+    assert L.neg(a) == combination(L, (-1,), (a,))
+    assert L.add(a, L.neg(a)) == L.zero()
 
 
 def test_section_pairing_matches_section_vector():
@@ -335,11 +363,10 @@ def test_section_pairing_matches_fraction_reference(name):
 SIGMA_SYSTEMS = ("sigma_breve", "sigma0", "sigma0_tilde")
 
 
-def reference_lower(lam, classes, c):
-    """lam - sum_i c_i classes[i] through the checking constructor, as the
-    characters of the fixed group computed it before they expanded in
-    ints."""
-    return combination(lam.lattice, (1,) + tuple(-x for x in c), (lam,) + tuple(classes))
+def reference_lower(L, lam, classes, c):
+    """lam - sum_i c_i classes[i] in L by `combination`, as the characters
+    of the fixed group computed it before they expanded in ints."""
+    return combination(L, (1,) + tuple(-x for x in c), (lam,) + tuple(classes))
 
 
 def unreduced_lowering(L, classes):
@@ -349,10 +376,10 @@ def unreduced_lowering(L, classes):
     tors = tuple(tuple(cls.tors[k] for cls in classes) for k in range(len(L.torsion)))
 
     def lower(lam, c):
-        return _element(L, tuple([x - sum(map(mul, row, c))
-                                  for x, row in zip(lam.free, free)]),
-                        tuple([t - sum(map(mul, row, c))
-                               for t, row in zip(lam.tors, tors)]))
+        return CoinvariantElement(tuple([x - sum(map(mul, row, c))
+                                         for x, row in zip(lam.free, free)]),
+                                  tuple([t - sum(map(mul, row, c))
+                                         for t, row in zip(lam.tors, tors)]))
     return lower
 
 
@@ -364,7 +391,7 @@ def _lowering_draw(data, name, which):
                                        max_size=L.rank)))
     n = len(sigma.base_classes)
     c = tuple(data.draw(st.lists(st.integers(-4, 6), min_size=n, max_size=n)))
-    return sigma, lam, c
+    return L, sigma, lam, c
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,8 +399,8 @@ def _lowering_draw(data, name, which):
 def test_lowering_matches_reference_property(name, which, data):
     """Every preset's three Sigma systems, at a drawn class and coefficient
     tuple: the int map of `SigmaSystem.lower` against the loop."""
-    sigma, lam, c = _lowering_draw(data, name, which)
-    assert sigma.lower(lam, c) == reference_lower(lam, sigma.base_classes, c)
+    L, sigma, lam, c = _lowering_draw(data, name, which)
+    assert sigma.lower(lam, c) == reference_lower(L, lam, sigma.base_classes, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,9 +408,9 @@ def test_lowering_matches_reference_property(name, which, data):
 def test_lowering_matches_reference_with_torsion(which, data):
     """su3-ramified, the one preset whose lattice has torsion, (2,): the
     property above, drawn there every time."""
-    sigma, lam, c = _lowering_draw(data, "su3-ramified", which)
-    assert load_preset("su3-ramified").lgd.coinv.torsion == (2,)
-    assert sigma.lower(lam, c) == reference_lower(lam, sigma.base_classes, c)
+    L, sigma, lam, c = _lowering_draw(data, "su3-ramified", which)
+    assert L.torsion == (2,)
+    assert sigma.lower(lam, c) == reference_lower(L, lam, sigma.base_classes, c)
 
 
 def test_unreduced_lowering_fails_with_torsion():
@@ -399,5 +426,5 @@ def test_unreduced_lowering_fails_with_torsion():
             bad = unreduced_lowering(L, classes)
             cs = list(itertools.product(range(-2, 3), repeat=len(classes)))
             wrong = [(lam, c) for lam in lams for c in cs
-                     if bad(lam, c) != reference_lower(lam, classes, c)]
+                     if bad(lam, c) != reference_lower(L, lam, classes, c)]
             assert bool(wrong) == caught, (name, which)

@@ -339,15 +339,15 @@ def test_coordinates_match_gauss_solve(krows, data):
 
 # -- the dominance order, Wt(mu) and the class cone against gauss_solve ------
 
-def _reference_class_leq(sigma, lam, mu):
-    diff = mu + (-lam)
+def _reference_class_leq(L, sigma, lam, mu):
+    diff = combination(L, (1, -1), (mu, lam))
     cols = tuple(frac_vec(c.free) for c in sigma.base_classes)
     if not cols:
-        return diff == diff.lattice.zero()
+        return diff == L.zero()
     sol = gauss_solve(mat_transpose(cols), frac_vec(diff.free))
     if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
         return False
-    return combination(diff.lattice, [int(c) for c in sol], sigma.base_classes) == diff
+    return combination(L, [int(c) for c in sol], sigma.base_classes) == diff
 
 
 def assert_orders_match_references(lgd, bound):
@@ -366,7 +366,8 @@ def assert_orders_match_references(lgd, bound):
     for sigma in (ech.sigma_breve, ech.sigma0):
         for lam in classes:
             for mu in classes:
-                assert sigma.class_leq(lam, mu) == _reference_class_leq(sigma, lam, mu)
+                assert sigma.class_leq(lam, mu) == _reference_class_leq(
+                    lgd.coinv, sigma, lam, mu)
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -66,7 +66,6 @@ ALLOWED = {
     "ring.LaurentPoly.__eq__": "contract: a polynomial equals its value",
     "ring.LaurentPoly.__hash__": "contract: a polynomial hashes like its value",
     "ring.LaurentPoly.__repr__": "contract: a readable repr",
-    "affine.AffineElement.__repr__": "contract: a readable repr",
     "folding.RootSystemV.__repr__": "contract: a readable repr",
     "hecke.BernsteinElement.__repr__": "contract: a readable repr",
     "lattice.CoinvariantElement.__repr__": "contract: a readable repr",
