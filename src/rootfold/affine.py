@@ -6,14 +6,14 @@ over (Sigma_breve or Sigma_0, as closed once by the echelonnage data), and
 integer matrices for the simple reflections of the finite Weyl group.  The
 positive roots, components and highest roots are read from the system's
 coordinates; no roots are closed here.  Elements are named pairs
-(translation class, Weyl matrix) that compare by value, across engines too;
-lengths come from the inversion formula in int arithmetic, normal forms from
-descent peeling, and the Bruhat order from one walk, `coset_walk`: the
-cosets x W_J below y W_J, reached from e by the letters of a reduced word of
-y; with J = () it is the lower interval [e, y], cached per engine.  As
-2rho^vee pairs > 0 with every positive root, w^-1 alpha > 0 exactly when
-<alpha, w 2rho^vee> > 0: one sign vector per Weyl part (Casselman, "Machine
-calculations in Weyl groups", Invent. Math. 116, 1994).  Torsion classes are central and have length zero (they land in
+(translation class, Weyl matrix); lengths come from the inversion formula in
+int arithmetic, normal forms from descent peeling, and the Bruhat order from
+one walk, `coset_walk`: the cosets x W_J below y W_J, reached from e by the
+letters of a reduced word of y; with J = () it is the lower interval [e, y],
+cached per engine.  As 2rho^vee pairs > 0 with every positive root, w^-1
+alpha > 0 exactly when <alpha, w 2rho^vee> > 0: one sign vector per Weyl
+part (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116,
+1994).  Torsion classes are central and have length zero (they land in
 Omega).  The finite Weyl group is never enumerated: w_0 is built by
 right-multiplying simple reflections while the length grows, and the longest
 element of W t_lambda W is w_0 t_mu, mu the dominant class of lambda, checked
@@ -36,9 +36,12 @@ ADM_CAP = 10 ** 6
 
 class AffineElement(namedtuple("AffineElement", "lam w")):
     """t_lambda * w, with lambda a coinvariant class and w a Weyl matrix;
-    it equals, hashes and sorts as the pair (lam, w)."""
+    it equals, hashes and sorts as the pair (lam, w).  Elements combine
+    only through `ExtendedAffineWeyl.multiply`, so the tuple `+` and `*`
+    are switched off."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None
 
 
 class ExtendedAffineWeyl:

@@ -340,12 +340,7 @@ class BasedRootDatum:
         return tuple(sorted(closure([tuple(v)], self._reflections_cochar)))
 
     def _reflections_cochar(self, v):
-        """s_i v = v - <alpha_i, v> alpha_i^vee, a rank-one update, for each
-        simple root with <alpha_i, v> != 0; the other s_i fix v."""
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            p = vec_dot(a, v)
-            if p:
-                yield tuple([x - p * c for x, c in zip(v, av)])
+        return (mat_vec(s, v) for s in self.simple_reflections_cochar)
 
     def is_dominant_cochar(self, v):
         return all(vec_dot(a, v) >= 0 for a in self.simple_roots)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfold.folding import base_permutation, cartan_closure
-from rootfold.lattice import MalformedAction, closure
+from rootfold.lattice import MalformedAction
 from rootfold.linalg import (
     identity_matrix,
     integer_solver,
@@ -375,28 +375,6 @@ def test_weyl_orbits():
     dom = dominant_cochar(d, (-1, -1))
     assert d.is_dominant_cochar(dom)
     assert dominant_cochar(d, dom) == dom
-
-
-def matrix_orbit(d, v):
-    """The W-orbit of v by the full matrices of `simple_reflections_cochar`,
-    the form the orbits took before the rank-one update."""
-    return tuple(sorted(closure(
-        [tuple(v)], lambda y: (mat_vec(s, y) for s in d.simple_reflections_cochar))))
-
-
-@pytest.mark.parametrize("name", preset_names())
-def test_rank_one_reflections_match_matrices(name):
-    """Weyl orbits (of the dominant mu with <2rho, mu> <= 8 and of the unit
-    vectors) and Wt(mu) by s_i v = v - <alpha_i, v> alpha_i^vee equal the
-    ones by the matrices."""
-    d = load_preset(name).datum
-    mus = d.dominant_cochars_up_to(8)
-    for v in list(mus) + list(identity_matrix(d.rank)):
-        assert d.weyl_orbit_cochar(v) == matrix_orbit(d, v), (name, v)
-    for mu in mus:
-        dominant = closure([mu], d._dominant_below)
-        assert d.weight_set(mu) == tuple(sorted(
-            {nu for lam in dominant for nu in matrix_orbit(d, lam)})), (name, mu)
 
 
 def test_automorphism_validation():
