@@ -410,24 +410,24 @@ def verify_extremal(lgd, mu, engine):
     image of mu in the Sigma-breve coroot order; (b) the Bruhat-maximal
     translations of the image of Wt(mu) are exactly the relative orbit of
     the image of mu; (c) both definitions of Adm(mu) have the same maxima,
-    in `engine`, the engine of `build_affine(lgd)`.  Returns a report dict;
-    "ok" is True when everything holds."""
+    in `engine`, the engine of `build_affine(lgd)`.  Returns the list of
+    mismatches, empty when everything holds."""
     datum = lgd.datum
     if not datum.is_dominant_cochar(mu):
         raise ValueError("mu must be dominant")
     coinv = lgd.coinv
     mubar = coinv.project(mu)
-    report = {"mu": list(mu), "mismatches": []}
+    mismatches = []
     weights = datum.weight_set(mu)
     images = sorted({coinv.project(lam) for lam in weights})
     for lam in images:
         if not engine.sigma.class_leq(engine.dominant_class(lam), mubar):
-            report["mismatches"].append("dominance bridge fails at %r" % (lam,))
+            mismatches.append("dominance bridge fails at %r" % (lam,))
     translations = {engine.translation(c) for c in images}
     maximal = extremal_elements(engine, translations)
     expected = {engine.translation(c) for c in engine.weyl_orbit_class(mubar)}
     if maximal != expected:
-        report["mismatches"].append("maximal translations differ from the orbit")
+        mismatches.append("maximal translations differ from the orbit")
     # (c) Either Adm(mu) is the downward closure D(S) of its translations S.
     # max D(S) = max S and D(S) = D(max S), so D(S) = D(S') iff max S = max S'.
     # The relative orbit is its own max: its translations all have one
@@ -435,10 +435,8 @@ def verify_extremal(lgd, mu, engine):
     absolute = {engine.translation(coinv.project(m))
                 for m in datum.weyl_orbit_cochar(mu)}
     if extremal_elements(engine, absolute) != expected:
-        report["mismatches"].append("the two admissible-set definitions differ")
-    report["ok"] = not report["mismatches"]
-    report["extremal"] = len(maximal)
-    return report
+        mismatches.append("the two admissible-set definitions differ")
+    return mismatches
 
 
 def coroot_identity_check(lgd):

@@ -295,6 +295,8 @@ def cmd_testfn(args):
     else:
         raise PresetError("give --preset or --config")
     mu = _parse_cochar(args.mu, preset.datum, "--mu")
+    # checked here because the tower paths never read the overrides
+    preset.lgd.echelonnage().parameter_function(preset.overrides)
     if preset.tower_small is None and not args.degenerate:
         if args.j != 1:
             raise PresetError("--j %d needs tower data, and preset %s has no "

@@ -36,21 +36,23 @@ from .linalg import (
     mat_vec,
     vec_dot,
 )
-from .rootdata import AutomorphismAction, pinned_cochar
+from .rootdata import AutomorphismAction
 
 
 class LocalGroupDatum:
-    """A based root datum together with inertia and Frobenius actions."""
+    """A based root datum with its inertia and Frobenius actions, both
+    `AutomorphismAction`s.  `frobenius` is generated by tau (the identity
+    when none is given): its `group` and `cochar_group` list 1, tau, tau^2."""
 
     def __init__(self, datum, inertia_generators=(), frobenius=None, label=""):
         self.datum = datum
         self.label = label or datum.label
         self.inertia = AutomorphismAction(datum, inertia_generators)
         n = datum.rank
-        self.tau_char = tuple(map(tuple, frobenius)) if frobenius is not None \
-            else identity_matrix(n)
-        # tau must itself be a pinned automorphism
-        self.tau_cochar = pinned_cochar(datum, self.tau_char)
+        self.frobenius = AutomorphismAction(
+            datum, (identity_matrix(n) if frobenius is None else frobenius,))
+        (self.tau_char,) = self.frobenius.generators
+        (self.tau_cochar,) = self.frobenius.cochar_generators
         inertia_set = set(self.inertia.group)
         tau_inv = mat_transpose(self.tau_cochar)
         for g in self.inertia.group:
@@ -75,15 +77,6 @@ class LocalGroupDatum:
         if self._ech is None:
             self._ech = EchelonnageData(self)
         return self._ech
-
-    def tau_order(self):
-        n = self.datum.rank
-        p = self.tau_char
-        k = 1
-        while p != identity_matrix(n):
-            p = mat_mul(p, self.tau_char)
-            k += 1
-        return k
 
 
 class SigmaSystem:

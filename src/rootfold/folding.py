@@ -427,9 +427,8 @@ def verify_duality(datum, gens_char, gens_cochar):
 
     Both sides are computed independently; the cocharacter side is carried
     into the character space by the induced form (the inverse Gram matrix
-    `gram_star()`, sending v to the vector representing <., v>).  Returns a
-    report dict with a list of mismatches (empty means the theorem holds
-    here).
+    `gram_star()`, sending v to the vector representing <., v>).  Returns the
+    list of mismatches, empty when the theorem holds here.
     """
     char = datum.root_system()
     cochar = datum.coroot_system()
@@ -440,4 +439,4 @@ def verify_duality(datum, gens_char, gens_cochar):
                                   datum._gram_star_pair):
             mismatches.append("%s(Phi^vee)^vee %s != %s(Phi) %s"
                               % (res_op, part, norm_op, part))
-    return {"datum": datum.label, "mismatches": mismatches, "ok": not mismatches}
+    return mismatches

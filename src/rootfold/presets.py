@@ -110,22 +110,19 @@ class Preset:
         """The tower configuration with Frobenius tau^j; with degenerate=True
         the ramified step collapses (E_j = E_j0) and one datum serves both
         levels.  At j = 1 the E_j0 level is the preset's own datum."""
-        from .linalg import identity_matrix, mat_mul
         from .testfn import FieldTowerConfig
         if self.tower_small is None and not degenerate:
             raise PresetError("preset %s has no tower data" % self.name)
         label = "%s(j=%d)" % (self.name, j)
-        gens = tuple(self.lgd.inertia.generators)
         if j == 1:
             big = self.lgd
         else:
-            tj = identity_matrix(self.datum.rank)
-            for _ in range(j):
-                tj = mat_mul(tj, self.lgd.tau_char)
-            big = LocalGroupDatum(self.datum, gens, tj, label=label + "/E_j0")
+            powers = self.lgd.frobenius.group
+            big = LocalGroupDatum(self.datum, self.lgd.inertia.generators,
+                                  powers[j % len(powers)], label=label + "/E_j0")
         small = big if degenerate else LocalGroupDatum(
             self.datum, self.tower_small, big.tau_char, label=label + "/E_j")
-        return FieldTowerConfig(big, small, label=label)
+        return FieldTowerConfig(big, small)
 
 
 _CACHE = {}

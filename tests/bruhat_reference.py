@@ -100,26 +100,25 @@ def relative_admissible_set(eng, cls):
 
 def verify_extremal_by_union(lgd, mu, engine):
     """`rootfold.affine.verify_extremal` with part (c) checked on the sets:
-    Adm(mu) by the absolute orbit against Adm(mu) by the relative orbit."""
+    Adm(mu) by the absolute orbit against Adm(mu) by the relative orbit.
+    Returns the list of mismatches."""
     datum = lgd.datum
     coinv = lgd.coinv
     mubar = coinv.project(mu)
-    report = {"mu": list(mu), "mismatches": []}
+    mismatches = []
     images = sorted({coinv.project(lam) for lam in datum.weight_set(mu)},
                     key=lambda c: (c.free, c.tors))
     for lam in images:
         if not engine.sigma.class_leq(engine.dominant_class(lam), mubar):
-            report["mismatches"].append("dominance bridge fails at %r" % (lam,))
+            mismatches.append("dominance bridge fails at %r" % (lam,))
     maximal = extremal_elements(engine, {engine.translation(c) for c in images})
     expected = {engine.translation(c) for c in engine.weyl_orbit_class(mubar)}
     if maximal != expected:
-        report["mismatches"].append("maximal translations differ from the orbit")
+        mismatches.append("maximal translations differ from the orbit")
     adm0 = admissible_set(lgd, mu, engine=engine)
     if adm0 != relative_admissible_set(engine, mubar):
-        report["mismatches"].append("the two admissible-set definitions differ")
-    report["ok"] = not report["mismatches"]
-    report["extremal"] = len(maximal)
-    return report
+        mismatches.append("the two admissible-set definitions differ")
+    return mismatches
 
 
 def tau_fixed_mismatches(lgd, bound, tau_engine=None):

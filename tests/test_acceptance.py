@@ -74,8 +74,7 @@ def test_criterion_1_duality():
         for gens in subgroups:
             mats = [diagram_automorphism(d, p) for p in gens]
             act = AutomorphismAction(d, mats)
-            rep = verify_duality(d, act.group, act.cochar_group)
-            ok = ok and rep["ok"]
+            ok = ok and not verify_duality(d, act.group, act.cochar_group)
             count += 1
     _report(1, "theorem A duality, %d instances" % count, ok, time.time() - t0, 10)
 
@@ -131,8 +130,7 @@ def test_criterion_4_theorem_c():
         preset = load_preset(name)
         center = CenterContext(preset.lgd, preset.overrides)
         for mu in preset.datum.dominant_cochars_up_to(6, central_box=1):
-            rep = verify_extremal(preset.lgd, mu, center.breve_engine)
-            ok = ok and rep["ok"]
+            ok = ok and not verify_extremal(preset.lgd, mu, center.breve_engine)
             checked += 1
     _report(4, "theorem C over %d (preset, mu) pairs" % checked, ok,
             time.time() - t0, 120)
@@ -247,8 +245,7 @@ def test_criterion_8_test_functions():
     cfg = tower.tower_config(j=1)
     cfg0 = tower.tower_config(j=1, degenerate=True)
     for mu3 in ((0, 0), (1, 1), (2, 2)):
-        rep = ramified_descent_check(cfg, mu3)
-        ok = ok and rep["ok"]
+        ok = ok and not ramified_descent_check(cfg, mu3)
         tower_expansion(cfg, mu3)
         ok = ok and tower_expansion(cfg0, mu3) == z_v_star_1j(
             CenterContext(cfg0.lgd_big), mu3)

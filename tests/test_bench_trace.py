@@ -39,13 +39,13 @@ from rootfold import folding
 from rootfold.presets import load_preset
 
 lgd = load_preset("su3-ramified").lgd
-rep = folding.verify_duality(lgd.datum, lgd.inertia.group,
+bad = folding.verify_duality(lgd.datum, lgd.inertia.group,
                              lgd.inertia.cochar_group)
 lgd.echelonnage()
 folding.RootSystemV(lgd.datum.simple_roots, lgd.datum.gram())
 summary = tracer.summary()
 print(json.dumps({"targets": len(TARGETS), "unwrapped": unwrapped,
-                  "duality_ok": rep["ok"], "calls": summary["calls"],
+                  "duality_ok": not bad, "calls": summary["calls"],
                   "distinct": summary["distinct"]}))
 """
 

@@ -186,6 +186,33 @@ def test_testfn_cli(capsys):
     assert "degenerate" in json.loads(out2)["kind"]
 
 
+def test_testfn_j_reads_the_powers_of_tau(capsys):
+    # tau has order 2 on tower-su3, so j and j + 2 give one Frobenius
+    terms = {}
+    for j in ("1", "2", "3", "4"):
+        code, out, _ = run(capsys, "testfn", "--preset", "tower-su3", "--mu", "1,1",
+                           "--j", j)
+        assert code == 0, j
+        terms[j] = json.loads(out)["terms"]
+    assert terms["3"] == terms["1"] != terms["2"] == terms["4"]
+
+
+def test_testfn_overrides_checked_on_every_path(tmp_path, capsys):
+    """An override key that Sigma_0 does not have is bad input on the tower
+    and --degenerate paths too, not only where the centre reads it."""
+    from rootfold.presets import _load_raw
+    for name in ("tower-su3", "su3-unramified"):
+        raw = dict(_load_raw(name), overrides={"fin:9": 2})
+        (tmp_path / (name + ".json")).write_text(json.dumps(raw))
+    for name, extra in (("tower-su3", ()), ("su3-unramified", ()),
+                        ("su3-unramified", ("--degenerate",))):
+        code, out, err = run(capsys, "testfn", "--config",
+                             str(tmp_path / (name + ".json")), "--mu", "1,1", *extra)
+        assert code == 2, (name, extra)
+        assert out == ""
+        assert err.strip() == "input error: unknown override keys: [('fin', 9)]"
+
+
 def test_testfn_without_preset_or_config_exit_2(capsys):
     code, out, err = run(capsys, "testfn", "--mu=1,0,-1")
     assert code == 2
@@ -501,6 +528,34 @@ def test_non_unimodular_matrix_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "input error: generator is not invertible over Z"
+
+
+def test_infinite_order_generator_exit_2(tmp_path, capsys):
+    """A unipotent automorphism of the rank-3 datum with one root (1, -1, 0)
+    is bad input as Frobenius and as inertia alike: exit 2 before any group
+    is closed."""
+    datum = {"explicit": {"rank": 3, "simple_roots": [[1, -1, 0]],
+                          "simple_coroots": [[1, -1, 0]]}}
+    unipotent = {"matrix": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}
+    config = tmp_path / "unipotent.json"
+    for raw in ({"datum": datum, "frobenius": unipotent},
+                {"datum": datum, "inertia": [unipotent]}):
+        config.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "testfn", "--config", str(config),
+                             "--mu", "0,0,0")
+        assert code == 2, raw
+        assert out == ""
+        assert err.strip() == "input error: generator has infinite order"
+
+
+def test_finite_group_past_the_cap_exit_3(capsys):
+    # S_8 permuting the components of A1^8 has 40320 elements, each generator
+    # of finite order: a resource cap, not bad input
+    code, out, err = run(capsys, "echelonnage", "--type", "x".join(["A1"] * 8),
+                         "--inertia", "1,0,2,3,4,5,6,7", "--inertia", "1,2,3,4,5,6,7,0")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "resource cap: group closure exceeded 10080 elements"
 
 
 def test_broken_root_coroot_pairing_exit_2(tmp_path, capsys):

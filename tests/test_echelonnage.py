@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 
 from rootfold.echelonnage import LocalGroupDatum
-from rootfold.linalg import fraction_rows, vec_scale
+from rootfold.linalg import fraction_rows, identity_matrix, mat_mul, vec_scale
 from rootfold.presets import load_preset, preset_names
-from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
+from rootfold.rootdata import (
+    build_datum,
+    diagram_automorphism,
+    gl_datum,
+    pinned_cochar,
+    unitary_dual_action,
+)
 from test_affine import _property_engines, local_data
 from test_folding import from_datum
 from test_lattice import combination
@@ -169,6 +175,23 @@ def test_frobenius_must_normalize():
         LocalGroupDatum(d, (flip_first,), swap)
     # but the swap as inertia with trivial tau is fine
     LocalGroupDatum(d, (swap,), None)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_frobenius_group_lists_the_powers_of_tau(name):
+    """`frobenius.group[k]` is tau^k, and the list ends before tau^k = 1
+    repeats it; `cochar_group[k]` is the cocharacter matrix of tau^k."""
+    lgd = load_preset(name).lgd
+    act = lgd.frobenius
+    power = identity_matrix(lgd.datum.rank)
+    for k, g in enumerate(act.group):
+        assert g == power, (name, k)
+        assert act.cochar_group[k] == pinned_cochar(lgd.datum, g), (name, k)
+        power = mat_mul(power, lgd.tau_char)
+    assert power == identity_matrix(lgd.datum.rank), name
+    assert len(act.cochar_group) == len(act.group)
+    assert act.generators == (lgd.tau_char,)
+    assert act.cochar_generators == (lgd.tau_cochar,)
 
 
 def test_component_swap_with_flip_order_four():

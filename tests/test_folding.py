@@ -222,8 +222,8 @@ def test_duality_theorem():
     for cartan, perm in cases:
         for iso in ("adjoint", "simply_connected"):
             d, act = _setup(cartan, perm, iso)
-            rep = verify_duality(d, act.group, act.cochar_group)
-            assert rep["ok"], (cartan, iso, rep)
+            bad = verify_duality(d, act.group, act.cochar_group)
+            assert not bad, (cartan, iso, bad)
 
 
 def test_dual_mismatch_reports_base():

@@ -190,6 +190,9 @@ def test_group_closure_order():
 def test_malformed_action():
     with pytest.raises(MalformedAction):
         group_closure([((2, 0), (0, 1))])
+    # unipotent: no power up to GROUP_CAP is the identity
+    with pytest.raises(MalformedAction, match="^generator has infinite order$"):
+        group_closure([SWAP, ((1, 1), (0, 1))])
 
 
 def test_endo_validation():
