@@ -59,9 +59,9 @@ class ExtendedAffineWeyl:
     compact int tables (`lattice.QuotientEndo`), and the product table keeps
     that action beside each product, so `multiply` is one lookup and one
     fused `shift` (x.lam + x.w(y.lam)).  The pairings of the positive roots
-    with Lambda are int rows over one denominator
-    (`CoinvariantLattice.section_pairing`), read from the system's int
-    rows.  Confine an instance to one thread or guard access externally.
+    with Lambda are int rows over one denominator, read from the system
+    (`SigmaSystem.pairing`).  Confine an instance to one thread or guard
+    access externally.
     """
 
     def __init__(self, coinv, sigma, simple_matrices, label="",
@@ -88,19 +88,17 @@ class ExtendedAffineWeyl:
     # -- root bookkeeping ---------------------------------------------------
 
     def _build_pairing(self):
-        # int rows den * <alpha, b_i> over the free basis b_i of Lambda, the
-        # positive roots and 2rho^vee (the last two up to a positive factor,
-        # which no sign sees).  For a Frobenius-restricted engine den may
-        # exceed 1; the pairing is integral on the fixed sublattice.
+        # the system's int rows den * <alpha, b_i> over the free basis b_i of
+        # Lambda, the positive roots and 2rho^vee (the last two up to a
+        # positive factor, which no sign sees).  For a Frobenius-restricted
+        # engine den may exceed 1; the pairing is integral on the fixed
+        # sublattice.
         rs, co = self.sigma.rs_root, self.sigma.rs_co
-        pos = rs._positive_coords
         self._roots_int = rs._positive_vectors
-        self._den, self._rows = self.coinv.section_pairing(rs._den, self._roots_int)
+        self._den, self._rows = self.sigma.pairing
         if self.restrict_endo is None and self._den != 1:
             raise TheoremViolation(
                 "echelonnage pairing is not integral on the lattice")
-        self._base_rows = tuple(self._rows[pos.index(e)]
-                                for e in identity_matrix(len(rs._base_int)))
         # the sum of the positive coroots spans the sum of their coordinates
         (self._rho2,) = co._vectors([tuple(map(sum, zip(*co._positive_coords)))], co._den)
         if any(vec_dot(b, self._rho2) <= 0 for b in rs._base_int):
@@ -179,13 +177,16 @@ class ExtendedAffineWeyl:
             raise ValueError("translation class is not fixed by the Frobenius")
         return AffineElement(lam, self.e_mat)
 
-    def multiply(self, x, y):
-        key = (x.w, y.w)
-        prod = self._prod.get(key)
+    def _weyl_product(self, a, b):
+        """(the interned product a b, the action of a on Lambda), from the
+        product table, filled on first use."""
+        prod = self._prod.get((a, b))
         if prod is None:
-            prod = self._prod[key] = (self._intern(mat_mul(x.w, y.w)),
-                                      self.endo(x.w))
-        w, act = prod
+            prod = self._prod[(a, b)] = (self._intern(mat_mul(a, b)), self.endo(a))
+        return prod
+
+    def multiply(self, x, y):
+        w, act = self._weyl_product(x.w, y.w)
         return AffineElement(act.shift(x.lam, y.lam), w)
 
     def inverse(self, x):
@@ -232,10 +233,13 @@ class ExtendedAffineWeyl:
     def coset_fixer(self, J):
         """The function (sw, w) -> the wall t in J with sw = wt, or None: for
         w minimal in w W_J and a wall s, either sw is minimal or sw = wt with
-        t in J, and then s fixes the coset (Deodhar's lemma)."""
-        mult = self.multiply
+        t in J, and then s fixes the coset (Deodhar's lemma).  sw t = w
+        needs (sw.w)(t.w) = w.w, so the Weyl parts are compared through the
+        product table before the elements are multiplied."""
+        mult, prod = self.multiply, self._weyl_product
         right = [(t, self._s_aff_map[t]) for t in J]
-        return lambda sw, w: next((t for t, r in right if mult(sw, r) == w), None)
+        return lambda sw, w: next((t for t, r in right if prod(sw.w, r.w)[0] == w.w
+                                   and mult(sw, r) == w), None)
 
     def coset_walk(self, y, J, cap):
         """The minimal representatives of the cosets x W_J below y' W_J, for
@@ -286,13 +290,10 @@ class ExtendedAffineWeyl:
         endos = [self.endo(m) for m in self.simple_matrices]
         return tuple(sorted(closure([lam], lambda c: (e(c) for e in endos))))
 
-    def is_dominant_class(self, lam):
-        return all(self._pair(row, lam) >= 0 for row in self._base_rows)
-
     def dominant_class(self, lam):
         cur = lam
         while True:
-            for k, row in enumerate(self._base_rows):
+            for k, row in enumerate(self.sigma.base_rows):
                 if self._pair(row, cur) < 0:
                     cur = self.endo(self.simple_matrices[k])(cur)
                     break

@@ -209,24 +209,21 @@ class FixedGroup:
 
     Irreducible characters of the possibly disconnected H are carried by the
     connected part's highest-weight theory plus the central-character gate
-    nu - lambda in Z Sigma_breve^vee (torsion coordinates included)."""
+    nu - lambda in Z Sigma_breve^vee (torsion coordinates included).
+    Dominance is Sigma_breve's (`SigmaSystem.is_dominant`)."""
 
     def __init__(self, lgd):
         self.lgd = lgd
         self.coinv = lgd.coinv
         ech = lgd.echelonnage()
         self.sigma = ech.sigma_breve
-        self.system = ech.sigma_breve.rs_co
         # Knop system for the tau-twisted character of V_{lambda,1}
         self.knop = ech.sigma0_tilde
-        self.knop_co = ech.sigma0_tilde.rs_co
         self._hw_cache = {}
         self._tw_cache = {}
-        rs = self.sigma.rs_root
-        _den, self._base_rows = self.coinv.section_pairing(rs._den, rs._base_int)
 
     def is_dominant(self, lam):
-        return all(sum(map(mul, row, lam.free)) >= 0 for row in self._base_rows)
+        return self.sigma.is_dominant(lam)
 
     def is_tau_fixed(self, lam):
         return self.lgd.tau_endo(lam) == lam

@@ -8,7 +8,9 @@ Frobenius automorphism tau normalizing it.  From these we compute
   Sigma_0_tilde = res_tau(Sigma_breve),
   Sigma_1      = Sigma_0 union Sigma_0_tilde,
 
-running both characterizations of each system and insisting they agree.
+running both characterizations of each system and insisting they agree
+(Sigma_1, read only by the Macdonald check and the report, is built on
+first read).
 Special simple roots are detected by the middle-orbit criterion on A_{2n}
 components, and the Hecke parameter of each simple affine reflection is the
 length of the longest element of the parabolic subgroup generated by its
@@ -22,9 +24,9 @@ middle nodes, 1 elsewhere).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 from .folding import RootSystemV, base_permutation, dual_mismatch, fold
 from .lattice import MalformedAction, TheoremViolation, coinvariants
@@ -89,12 +91,16 @@ class SigmaSystem:
     the dual of the res-side system, carried across by the invariant form,
     is the norm-side system (`folding.dual_mismatch`).  Each side's
     `orbits` record which simple roots of the source system were folded
-    into its k-th simple root, as the automorphisms permute them.
+    into its k-th simple root, as the automorphisms permute them.  The
+    system owns the pairing of the classes with its roots (`pairing`, one
+    `CoinvariantLattice.section_pairing`, on first read) and the one
+    dominance test on classes, `is_dominant`.
     """
 
     def __init__(self, rs_root, rs_co, coinv, base_classes, name):
         self.rs_root = rs_root
         self.rs_co = rs_co
+        self.coinv = coinv
         self.base_classes = tuple(base_classes)
         self.name = name
         self.lower = coinv.lowering(self.base_classes)
@@ -113,6 +119,24 @@ class SigmaSystem:
 
     def type_label(self):
         return self.rs_root.type_label()
+
+    @cached_property
+    def pairing(self):
+        """(den, rows): rows[k][i] = den <alpha_k, b_i> all ints, for the
+        positive roots alpha_k in the order of `rs_root._positive_coords` and
+        the free basis b_i of `coinv` (`CoinvariantLattice.section_pairing`)."""
+        rs = self.rs_root
+        return self.coinv.section_pairing(rs._den, rs._positive_vectors)
+
+    @cached_property
+    def base_rows(self):
+        """The rows of `pairing` at the simple roots, in the order of the base."""
+        rows, pos = self.pairing[1], self.rs_root._positive_coords
+        return tuple(rows[pos.index(e)] for e in identity_matrix(len(self.base_classes)))
+
+    def is_dominant(self, lam):
+        """<alpha, lam> >= 0 for every simple root alpha."""
+        return all(sum(map(mul, row, lam.free)) >= 0 for row in self.base_rows)
 
     def class_leq(self, lam, mu):
         """lam <= mu in the cone of the coroot classes inside X_*(T)_I:
@@ -144,12 +168,10 @@ class EchelonnageData:
         gram_star = datum._gram_star_pair
         char = datum.root_system()
         cochar = datum.coroot_system()
-        I_char = lgd.inertia.generators
-        I_cochar = lgd.inertia.cochar_generators
 
         # Sigma_breve: res_I(Phi^vee) = Sigma^vee and N'_I(Phi) = Sigma
-        breve_co = fold(cochar, I_cochar, "res")
-        breve_root = fold(char, I_char, "Nprime")
+        breve_co = fold(cochar, lgd.inertia.cochar_generators, "res")
+        breve_root = fold(char, lgd.inertia.generators, "Nprime")
         if dual_mismatch(breve_co, breve_root, gram_star):
             raise TheoremViolation("Sigma_breve: the two characterizations disagree")
         # the class of a representative coroot of each orbit
@@ -160,8 +182,7 @@ class EchelonnageData:
 
         # induced tau action on Sigma_breve, as a permutation of its simple
         # roots (raises MalformedAction unless tau permutes them)
-        tau_char = (lgd.tau_char,)
-        tau_cochar = (lgd.tau_cochar,)
+        tau_char, tau_cochar = lgd.frobenius.generators, lgd.frobenius.cochar_generators
         self._tau_perm = base_permutation(breve_root, lgd.tau_char)
 
         # Sigma_0: N_tau(Sigma^vee) = Sigma_0^vee and res'_tau(Sigma) = Sigma_0
@@ -203,13 +224,18 @@ class EchelonnageData:
             raise TheoremViolation("Knop system: halving construction disagrees "
                                    "with res_tau")
 
-        # Macdonald system (den, int vectors); a/2 in it iff it meets its double
-        den = lcm(sigma0_root._den, knop_root._den)
-        union = frozenset(sigma0_root._vectors(sigma0_root._coords, den)
-                          + knop_root._vectors(knop_root._coords, den))
-        self.sigma1 = den, union
-        self.sigma1_nonreduced = not union.isdisjoint(
-            tuple(2 * x for x in a) for a in union)
+    @cached_property
+    def sigma1(self):
+        """The Macdonald system Sigma_0 union Sigma_0_tilde as (den, the
+        frozenset of its int vectors), built on first read."""
+        r0, r1 = self.sigma0.rs_root, self.sigma0_tilde.rs_root
+        den = lcm(r0._den, r1._den)
+        return den, frozenset(r0._vectors(r0._coords, den) + r1._vectors(r1._coords, den))
+
+    @cached_property
+    def sigma1_nonreduced(self):
+        """a/2 is in Sigma_1 for some a: Sigma_1 meets its double."""
+        return not self.sigma1[1].isdisjoint(tuple(2 * x for x in a) for a in self.sigma1[1])
 
     # -- special roots -----------------------------------------------------
 

@@ -19,7 +19,8 @@ source Cartan matrix vanishes on each pair in it, since C[i][j] =
 2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are compared by
 `dual_mismatch`, which carries the dual base of one side across by the
 invariant form (`gram` or its inverse `gram_star`) and rebuilds the carried
-roots from their coroot coordinates.
+roots from their coroot coordinates; each system builds its dual base and
+coroot coordinates once, on first read.
 """
 
 from __future__ import annotations
@@ -157,15 +158,17 @@ class RootSystemV:
     `_base_gram[i][j]` = den^2 gram_den (b_i|b_j), which gives the Cartan
     matrix C[i][j] = <b_j, b_i^vee>.  The closure runs in simple-root
     coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.5).  `_coords` lists the coordinates of the
-    roots, ordered as their ambient vectors.  `_value`, the tuple (_den,
-    _base_int, _gram_den, _gram_int), determines the system.  `__init__`
-    converts rational input; builds inside the library pass `(den, int
-    rows)` pairs.  Fraction views are built on first read: `base`, `gram`,
-    `roots` (sorted), `coords[r]` and `positive_roots()`.  So are the
-    Dynkin components and what `folding`, `echelonnage` and `affine` read
-    of them: `components`, `component_of`, `component_types` and
-    `highest_roots`.  A system is never changed.
+    Groups and Coxeter Groups, 1.5).  `_coords` lists the sorted positive
+    coordinates followed by their negatives; a build computes no ambient
+    vector.  `_value`, the tuple (_den, _base_int, _gram_den, _gram_int),
+    determines the system.  `__init__` converts rational input; builds
+    inside the library pass `(den, int rows)` pairs.  Fraction views are
+    built on first read: `base`, `gram`, and `coords`, `roots` and
+    `positive_roots()`, which compute and sort the ambient vectors
+    themselves.  So are the Dynkin components and what `folding`,
+    `echelonnage` and `affine` read of them: `components`, `component_of`,
+    `component_types` and `highest_roots`, and the dual parts that
+    `dual_mismatch` reads.  A system is never changed.
     """
 
     def __init__(self, base, gram, label=""):
@@ -207,13 +210,11 @@ class RootSystemV:
 
     def _index(self, coords):
         """Install the roots whose coordinates over the base are the positive
-        members of `coords` and their negatives, ordered by ambient vector."""
+        members of `coords`, sorted, followed by their negatives."""
         zero = (0,) * len(self._base_int)
-        pos = [c for c in coords if c > zero]
-        signed = pos + [tuple([-x for x in c]) for c in pos]
-        table = sorted(zip(self._vectors(signed, self._den), signed))
-        self._coords = tuple(c for _v, c in table)
-        self._positive_coords = tuple(c for c in self._coords if c > zero)
+        self._positive_coords = tuple(sorted(c for c in coords if c > zero))
+        self._coords = self._positive_coords + tuple(
+            tuple([-x for x in c]) for c in self._positive_coords)
 
     def _vectors(self, coords, den):
         """The int vectors over den (a multiple of `_den`) with `coords`."""
@@ -236,14 +237,16 @@ class RootSystemV:
         return fraction_rows(self._gram_den, self._gram_int)
 
     @cached_property
-    def roots(self):
-        """The roots as ambient Fraction vectors, sorted."""
-        return fraction_rows(self._den, self._vectors(self._coords, self._den))
+    def coords(self):
+        """{root: its coordinates over `base`}, the roots as ambient Fraction
+        vectors in sorted order."""
+        vectors = fraction_rows(self._den, self._vectors(self._coords, self._den))
+        return dict(sorted(zip(vectors, self._coords)))
 
     @cached_property
-    def coords(self):
-        """{root: its coordinates over `base`}."""
-        return dict(zip(self.roots, self._coords))
+    def roots(self):
+        """The roots as ambient Fraction vectors, sorted."""
+        return tuple(self.coords)
 
     def cartan(self):
         """C[i][j] = <beta_j, beta_i^vee> = 2(b_i|b_j)/(b_i|b_i).  Raises
@@ -255,7 +258,7 @@ class RootSystemV:
 
     def positive_roots(self):
         zero = (0,) * len(self._base_int)
-        return tuple(r for r, c in zip(self.roots, self._coords) if c > zero)
+        return tuple(r for r, c in self.coords.items() if c > zero)
 
     @cached_property
     def components(self):
@@ -288,6 +291,7 @@ class RootSystemV:
                 best[k] = c
         return tuple(best[k] for k in range(len(self.components)))
 
+    @cached_property
     def _dual_parts(self):
         """(L, rows, coords): the dual base b_j^vee = 2 b_j/(b_j|b_j) as int
         rows over L, and the coordinates over it of the positive coroots.
@@ -298,12 +302,9 @@ class RootSystemV:
         scale = 2 * self._den * self._gram_den * L
         rows = tuple(tuple(scale // G[j][j] * x for x in b)
                      for j, b in enumerate(self._base_int))
-        coords = []
-        for c in self._positive_coords:
-            norm = sum(ci * cj * G[i][j] for i, ci in enumerate(c) if ci
-                       for j, cj in enumerate(c) if cj)
-            coords.append(tuple(_ratio(cj * G[j][j], norm) for j, cj in enumerate(c)))
-        return L, rows, coords
+        norms = [vec_dot(c, mat_vec(G, c)) for c in self._positive_coords]
+        return L, rows, tuple(tuple(_ratio(cj * G[j][j], norm) for j, cj in enumerate(c))
+                              for c, norm in zip(self._positive_coords, norms))
 
     def __eq__(self, other):
         # on one base, equal root sets are equal coordinate sets
@@ -409,7 +410,7 @@ def dual_mismatch(res_side, norm_side, carry):
     coroot coordinates c is sum_j c_j carry(b_j^vee).  Both sides are
     compared as int vectors over one denominator; an empty result means the
     identity holds."""
-    den, rows, coords = res_side._dual_parts()
+    den, rows, coords = res_side._dual_parts
     carry_den, carry = carry
     lhs = tuple(tuple(norm_side._den * x for x in mat_vec(carry, row)) for row in rows)
     rhs = tuple(tuple(carry_den * den * x for x in row) for row in norm_side._base_int)

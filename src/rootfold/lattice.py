@@ -77,14 +77,37 @@ def closure(seeds, step):
                 yield y
 
 
+def _finite_order(g, eye):
+    """True when g^k = 1 for the order k <= `GROUP_CAP` of g mod 3.
+    Reduction mod 3 is injective on finite subgroups of GL_n(Z)
+    (Minkowski), so a g of finite order has the order of g mod 3: k is
+    found with entries in {0, 1, 2}, and g^k = 1 is tested over Z by
+    repeated squaring."""
+    g3 = tuple([tuple([x % 3 for x in row]) for row in g])
+    p, k = g3, 1
+    while p != eye:
+        if k == GROUP_CAP:
+            return False
+        p, k = tuple([tuple([x % 3 for x in row]) for row in mat_mul(p, g3)]), k + 1
+    power = eye
+    while True:
+        if k & 1:
+            power = mat_mul(power, g)
+        k >>= 1
+        if not k:
+            return power == eye
+        g = mat_mul(g, g)
+
+
 def group_closure(generators):
     """All elements of the group the matrices generate, breadth first from
     the identity (for one generator g: 1, g, g^2, ...).  Raises
-    MalformedAction on a generator that is not invertible over Z, or whose
-    powers up to `GROUP_CAP` miss the identity ("infinite order": the largest
-    finite order in GL_n(Z), max lcm{m_i : sum phi(m_i) <= n}, is 60 at n = 8
-    and 9240 at n = 27 but 13860 at n = 28, so this is exact through rank
-    27), and ResourceCap past `GROUP_CAP` elements."""
+    MalformedAction on a generator that is not invertible over Z, or that
+    has no power g^k = 1 with k <= `GROUP_CAP` ("infinite order", decided
+    by `_finite_order`: the largest finite order in GL_n(Z),
+    max lcm{m_i : sum phi(m_i) <= n}, is 60 at n = 8 and 9240 at n = 27 but
+    13860 at n = 28, so this is exact through rank 27), and ResourceCap
+    past `GROUP_CAP` elements."""
     if not generators:
         return ()
     eye = identity_matrix(len(generators[0]))
@@ -93,12 +116,7 @@ def group_closure(generators):
             mat_integer_inverse(g)
         except ArithmeticError:
             raise MalformedAction("generator is not invertible over Z")
-        p = g
-        for _ in range(GROUP_CAP):
-            if p == eye:
-                break
-            p = mat_mul(p, g)
-        else:
+        if not _finite_order(g, eye):
             raise MalformedAction("generator has infinite order")
     order = []
     for h in closure([eye], lambda h: (mat_mul(g, h) for g in generators)):

@@ -186,7 +186,7 @@ def test_function(cfg, mu):
     direct = {}
     for nu, val in tw.items():
         kbar = cfg.project(nu)
-        if center_big.tau_engine.is_dominant_class(kbar) and \
+        if center_big.tau_engine.sigma.is_dominant(kbar) and \
                 center_big.chars.h.is_tau_fixed(kbar):
             direct[kbar] = direct.get(kbar, 0) + val
     if route1 != BernsteinElement(direct):

@@ -142,7 +142,7 @@ def tau_fixed_mismatches(lgd, bound, tau_engine=None):
     lams = sorted({lam for lam in map(lgd.coinv.project,
                                       lgd.datum.dominant_cochars_up_to(bound))
                    if lam != zero and lgd.tau_endo(lam) == lam
-                   and breve.is_dominant_class(lam)})
+                   and breve.sigma.is_dominant(lam)})
     checked, bad = 0, []
     for lam in lams:
         interval = tau.lower_interval(tau.translation(lam))

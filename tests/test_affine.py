@@ -3,6 +3,7 @@
 import itertools
 import re
 from types import SimpleNamespace
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from rootfold.affine import (
 from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
 from rootfold.folding import RootSystemV, _components
 from rootfold.hecke import KL_INTERVAL_CAP, CenterContext, HeckeAlgebra
-from rootfold.lattice import CoinvariantElement
+from rootfold.characters import FixedGroup
+from rootfold.lattice import CoinvariantElement, CoinvariantLattice
 from rootfold.linalg import (
     fraction_rows,
     identity_matrix,
@@ -54,6 +56,7 @@ from bruhat_reference import (
 )
 from fraction_linalg import frac_vec, gauss_solve
 from kl_reference import dict_cosets
+from test_folding import reference_coords, reference_positive_roots, reference_roots
 from test_lattice import free_class, reduced
 
 
@@ -415,8 +418,8 @@ def reference_engine_data(eng, sigma, gram):
     triples under the character action of the simple matrices, one
     gauss_solve per root for positivity, the Cartan matrix from the form,
     and the highest root of each component by a gauss_solve per positive
-    root.  Returns (positive roots, components, affine walls as
-    (key, (class, matrix)))."""
+    root.  Returns (positive roots in the order of their coordinates,
+    components, affine walls as (key, (class, matrix)))."""
     base = sigma.rs_root.base
     triples = {}
     frontier = []
@@ -441,7 +444,8 @@ def reference_engine_data(eng, sigma, gram):
         roots.setdefault(neg, (neg, eng.coinv.neg(cls), refl))
     A = mat_transpose(base)
     coords = {r: gauss_solve(A, r) for r in roots}
-    pos = tuple(r for r in sorted(roots) if all(x >= 0 for x in coords[r]))
+    pos = tuple(sorted((r for r in roots if all(x >= 0 for x in coords[r])),
+                       key=coords.__getitem__))
 
     def form(u, v):
         return vec_dot(u, mat_vec(gram, v))
@@ -848,7 +852,7 @@ def test_pairing_integrality_check_tau_fixed_su4():
     assert lgd.tau_endo(lam) != lam
     msg = "pairing is not integral at Coinv(free=(1, 0, 0))"
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
-        teng._pair(teng._base_rows[0], lam)
+        teng._pair(teng.sigma.base_rows[0], lam)
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
         teng.length(AffineElement(lam, teng.e_mat))
     with pytest.raises(TheoremViolation, match=re.escape(msg)):
@@ -867,7 +871,7 @@ def test_two_rho_check_refuses_a_non_dominant_sum():
     co = sigma.rs_co
     negated = RootSystemV(tuple(tuple(-x for x in b) for b in co.base), co.gram)
     bad = SimpleNamespace(rs_root=sigma.rs_root, rs_co=negated,
-                          base_classes=sigma.base_classes)
+                          base_classes=sigma.base_classes, pairing=sigma.pairing)
     with pytest.raises(TheoremViolation, match="2rho"):
         ExtendedAffineWeyl(lgd.coinv, bad, beng.simple_matrices)
 
@@ -1021,3 +1025,108 @@ def test_tau_fixed_engine_is_the_tau_fixed_subgroup_property(key):
     lgd, _beng, _teng = _property_engines(key)
     checked, bad = tau_fixed_mismatches(lgd, 10 if key[0] == "D4" else 8)
     assert checked and not bad, (key, bad[:3])
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_data(), st.data())
+def test_sigma_tables_match_references_property(key, data):
+    """The tables of Sigma_breve and Sigma_0, on both sides: the Fraction
+    views equal the references of `test_folding`, `_coords` is the sorted
+    positive coordinates followed by their negatives, and
+    `SigmaSystem.is_dominant` agrees with `dominant_class` of its engine on
+    the classes of a weight set (on the tau-fixed engine, their sums over
+    tau-orbits).  A fresh LocalGroupDatum on the same data, with both
+    engines, the FixedGroup and every dominance test built, runs one
+    `section_pairing` per Sigma system."""
+    lgd, beng, teng = _property_engines(key)
+    ech = lgd.echelonnage()
+    for sigma in (ech.sigma_breve, ech.sigma0):
+        for rs in (sigma.rs_root, sigma.rs_co):
+            roots = reference_roots(rs.base, rs.gram)
+            coords = reference_coords(rs.base, roots)
+            assert rs.roots == roots and rs.coords == coords, (key, rs)
+            assert rs.positive_roots() == reference_positive_roots(coords), (key, rs)
+            pos = tuple(sorted(c for c in coords.values() if min(c) >= 0))
+            assert rs._coords == pos + tuple(tuple(-x for x in c) for c in pos), (key, rs)
+    mu = data.draw(st.sampled_from(lgd.datum.dominant_cochars_up_to(4)))
+    classes = sorted({lgd.coinv.project(m) for m in lgd.datum.weight_set(mu)})
+    fixed = set()
+    for lam in classes:
+        acc, img = lam, lgd.tau_endo(lam)
+        while img != lam:
+            acc, img = lgd.coinv.add(acc, img), lgd.tau_endo(img)
+        fixed.add(acc)
+    for eng, lams in ((beng, classes), (teng, sorted(fixed))):
+        for lam in lams:
+            assert eng.sigma.is_dominant(lam) == (eng.dominant_class(lam) == lam), (key, lam)
+    calls = []
+    real = CoinvariantLattice.section_pairing
+
+    def counted(self, vden, vrows):
+        calls.append(vrows)
+        return real(self, vden, vrows)
+
+    fresh = LocalGroupDatum(lgd.datum, lgd.inertia.generators, lgd.tau_char)
+    with mock.patch.object(CoinvariantLattice, "section_pairing", counted):
+        fresh_beng = build_affine(fresh)
+        fresh_teng = build_tau_fixed(fresh, fresh_beng)
+        h = FixedGroup(fresh)
+        for lam in classes:
+            h.is_dominant(lam)
+            fresh_beng.dominant_class(lam)
+        for lam in fixed:
+            fresh_teng.sigma.is_dominant(lam)
+            fresh_teng.dominant_class(lam)
+    fresh_ech = fresh.echelonnage()
+    assert calls == [fresh_ech.sigma_breve.rs_root._positive_vectors,
+                     fresh_ech.sigma0.rs_root._positive_vectors], key
+
+
+def _longest_in(eng, walls):
+    """The longest element of the parabolic subgroup of `eng` that `walls`
+    generate: right-multiply by them while the length grows (at most 64
+    steps, so an infinite parabolic fails instead of looping)."""
+    x = eng.identity
+    for _step in range(64):
+        for s in walls:
+            y = eng.multiply(x, s)
+            if eng.length(y) > eng.length(x):
+                x = y
+                break
+        else:
+            return x
+    raise AssertionError("the walls %r generate no finite parabolic" % (walls,))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_tau_walls_are_longest_elements_of_breve_orbits(name):
+    """Each wall of the tau-fixed engine is, by value in the Sigma_breve
+    engine, the longest element w_O of the parabolic generated by a
+    tau-orbit O of Sigma_breve walls, with tau acting on W~ by conjugation
+    with `tau_cochar` (Steinberg, Endomorphisms of linear algebraic groups,
+    Mem. AMS 80, 1968, 1.32).  O is read off the wall's reduced word in the
+    Sigma_breve engine, and distinct walls have distinct orbits."""
+    lgd = load_preset(name).lgd
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    tau, tau_inv = lgd.tau_cochar, mat_integer_inverse(lgd.tau_cochar)
+    walls = dict(beng.s_aff)
+    key_of = {x: k for k, x in beng.s_aff}
+
+    def tau_on(k):
+        x = walls[k]
+        return key_of.get(AffineElement(lgd.tau_endo(x.lam),
+                                        mat_mul(mat_mul(tau, x.w), tau_inv)))
+
+    orbits = []
+    for key, x in teng.s_aff:
+        word, omega = beng.normal_form(x)
+        assert omega == beng.identity and word, (name, key)
+        orbit = [word[0]]
+        while tau_on(orbit[-1]) != orbit[0]:
+            orbit.append(tau_on(orbit[-1]))
+            assert orbit[-1] is not None and len(orbit) <= len(walls), (name, key)
+        assert set(orbit) == set(word), (name, key, word)
+        assert _longest_in(beng, [walls[k] for k in sorted(orbit)]) == x, (name, key)
+        orbits.append(frozenset(orbit))
+    assert len(set(orbits)) == len(orbits), name

@@ -237,9 +237,9 @@ def freudenthal_cases(lgd, bound):
         lam = lgd.coinv.project(mu)
         if h.is_dominant(lam):
             den, v = lgd.coinv.section(lam)
-            cases.append((h.system, v, den))
+            cases.append((h.sigma.rs_co, v, den))
             if h.is_tau_fixed(lam):
-                cases.append((h.knop_co, v, den))
+                cases.append((h.knop.rs_co, v, den))
     return cases
 
 
@@ -326,7 +326,7 @@ def test_freudenthal_matches_reference_on_kl_ladder(name, vec):
     lam = lgd.coinv.project(vec)
     assert h.is_dominant(lam) and h.is_tau_fixed(lam)
     den, v = lgd.coinv.section(lam)
-    for rs in (h.system, h.knop_co):
+    for rs in (h.sigma.rs_co, h.knop.rs_co):
         ref = reference_freudenthal(rs.base, rs.positive_roots(), rs.gram,
                                     lgd.coinv.section_vector(lam))
         assert freudenthal(rs, v, den) == ref, (name, rs)
@@ -445,7 +445,7 @@ def test_fixed_point_datum_matches_sigma():
     lgd = LocalGroupDatum(d, (unitary_dual_action(3),), None, label="u3")
     ctx = CharacterContext(lgd)
     # H's roots are Sigma_breve^vee: rank 1 system here
-    assert len(ctx.h.system.base) == 1
+    assert len(ctx.h.sigma.rs_co.base) == 1
     assert classify_cartan(ctx.h.sigma.rs_co.cartan()) == "A1"
     d2 = build_datum("D4", "simply_connected")
     lgd2 = LocalGroupDatum(d2, (diagram_automorphism(d2, (2, 1, 3, 0)),), None)
@@ -576,7 +576,7 @@ def test_fixed_group_characters_match_coefficient_loop(name):
     lgd = preset.lgd
     h = FixedGroup(lgd)
     breve = lgd.echelonnage().sigma_breve.base_classes
-    knop = reference_orbit_classes(lgd.coinv, breve, h.knop_co, True)
+    knop = reference_orbit_classes(lgd.coinv, breve, h.knop.rs_co, True)
     for mu in preset.datum.dominant_cochars_up_to(4):
         lam = lgd.coinv.project(mu)
         if not h.is_dominant(lam):
@@ -584,8 +584,8 @@ def test_fixed_group_characters_match_coefficient_loop(name):
         den, v = lgd.coinv.section(lam)
         assert h.hw_character(lam) == {
             reference_lower(lgd.coinv, lam, breve, c): m
-            for c, m in freudenthal(h.system, v, den).items()}
+            for c, m in freudenthal(h.sigma.rs_co, v, den).items()}
         if h.is_tau_fixed(lam):
             assert h.twisted_hw_character(lam) == {
                 reference_lower(lgd.coinv, lam, knop, c): m
-                for c, m in freudenthal(h.knop_co, v, den).items()}
+                for c, m in freudenthal(h.knop.rs_co, v, den).items()}

@@ -533,16 +533,20 @@ def test_non_unimodular_matrix_exit_2(tmp_path, capsys):
 def test_infinite_order_generator_exit_2(tmp_path, capsys):
     """A unipotent automorphism of the rank-3 datum with one root (1, -1, 0)
     is bad input as Frobenius and as inertia alike: exit 2 before any group
-    is closed."""
+    is closed.  So is the dense U L on the rank-8 datum with no roots (U, L
+    the all-ones upper and lower unitriangular matrices), whose powers grow
+    exponentially: its order mod 3 is 820, and (U L)^820 != 1."""
     datum = {"explicit": {"rank": 3, "simple_roots": [[1, -1, 0]],
                           "simple_coroots": [[1, -1, 0]]}}
     unipotent = {"matrix": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}
+    rootless = {"explicit": {"rank": 8, "simple_roots": [], "simple_coroots": []}}
+    dense = {"matrix": [[min(8 - i, 8 - j) for j in range(8)] for i in range(8)]}
     config = tmp_path / "unipotent.json"
-    for raw in ({"datum": datum, "frobenius": unipotent},
-                {"datum": datum, "inertia": [unipotent]}):
+    for raw, mu in (({"datum": datum, "frobenius": unipotent}, "0,0,0"),
+                    ({"datum": datum, "inertia": [unipotent]}, "0,0,0"),
+                    ({"datum": rootless, "frobenius": dense}, ",".join("0" * 8))):
         config.write_text(json.dumps(raw))
-        code, out, err = run(capsys, "testfn", "--config", str(config),
-                             "--mu", "0,0,0")
+        code, out, err = run(capsys, "testfn", "--config", str(config), "--mu", mu)
         assert code == 2, raw
         assert out == ""
         assert err.strip() == "input error: generator has infinite order"

@@ -18,7 +18,7 @@ from rootfold.folding import (
     fold,
     verify_duality,
 )
-from rootfold.echelonnage import TheoremViolation
+from rootfold.echelonnage import LocalGroupDatum, TheoremViolation
 from rootfold.lattice import ResourceCap, group_closure
 from rootfold.linalg import (
     fraction_rows,
@@ -338,7 +338,7 @@ def pointwise_dual(rs):
     """The dual system (same ambient space and form, transposed Cartan
     matrix) from the dual base and coroot coordinates of `_dual_parts`,
     which `dual_mismatch` reads."""
-    den, rows, coords = rs._dual_parts()
+    den, rows, coords = rs._dual_parts
     return RootSystemV.from_closure((den, rows), (rs._gram_den, rs._gram_int),
                                     tuple(zip(*rs._cartan)), coords, rs.label + "^")
 
@@ -513,6 +513,31 @@ def test_sigma_breve_folds_built_once(monkeypatch, fresh_tables):
     inertia = preset.lgd.inertia
     assert breve.rs_root is fold(d.root_system(), inertia.generators, "Nprime")
     assert breve.rs_co is fold(d.coroot_system(), inertia.cochar_generators, "res")
+
+
+def test_builds_compute_no_ambient_vector(monkeypatch, fresh_tables):
+    """A build orders its roots by their coordinates: from empty tables,
+    the systems of D4, their four folds under triality, the duality check
+    and the echelonnage data all build with `RootSystemV._vectors`
+    raising, and the Fraction view `roots` and Sigma_1, which is built on
+    first read, then call it."""
+    def refuse(self, coords, den):
+        raise AssertionError("an ambient root vector was built")
+
+    monkeypatch.setattr(RootSystemV, "_vectors", refuse)
+    d = build_datum("D4")
+    lgd = LocalGroupDatum(d, (diagram_automorphism(d, (2, 1, 3, 0)),))
+    inertia = lgd.inertia
+    assert verify_duality(d, inertia.generators, inertia.cochar_generators) == []
+    folds = [fold(rs, gens, op) for op in OP_TAGS
+             for rs, gens in ((d.root_system(), inertia.generators),
+                              (d.coroot_system(), inertia.cochar_generators))]
+    ech = lgd.echelonnage()
+    for rs in [d.root_system(), d.coroot_system()] + folds:
+        with pytest.raises(AssertionError, match="ambient root vector"):
+            rs.roots
+    with pytest.raises(AssertionError, match="ambient root vector"):
+        ech.sigma1
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -133,7 +133,7 @@ def test_sigma_layers_construct_no_fraction():
                 lam = lgd.coinv.project(mu)
                 if h.is_dominant(lam):
                     den, v = lgd.coinv.section(lam)
-                    freudenthal(h.system, v, den)
+                    freudenthal(h.sigma.rs_co, v, den)
         group = lgd.inertia.cochar_group
         with no_fraction("graded_trace"):
             for mu in mus:

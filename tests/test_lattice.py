@@ -343,11 +343,14 @@ def reference_section_vector(L, e):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_section_pairing_matches_fraction_reference(name):
-    """The pairing rows of both affine engines and of the FixedGroup, and
-    the section vectors of a few classes, equal the Fraction route's."""
+    """The pairing rows of both affine engines, over the positive roots in
+    the order of their coordinates, the FixedGroup's rows of the simple
+    roots, and the section vectors of a few classes, equal the Fraction
+    route's."""
     center = CenterContext(load_preset(name).lgd)
     for eng in (center.breve_engine, center.tau_engine):
-        roots = eng.sigma.rs_root.positive_roots()
+        coords = eng.sigma.rs_root.coords
+        roots = sorted(eng.sigma.rs_root.positive_roots(), key=coords.__getitem__)
         assert eng.coinv.section_pairing(*integral_rows(roots)) == (
             reference_section_pairing(eng.coinv, roots))
         assert (eng._den, eng._rows) == reference_section_pairing(eng.coinv, roots)
@@ -355,6 +358,10 @@ def test_section_pairing_matches_fraction_reference(name):
     base = h.sigma.rs_root.base
     assert h.coinv.section_pairing(*integral_rows(base)) == (
         reference_section_pairing(h.coinv, base))
+    coords = h.sigma.rs_root.coords
+    roots = sorted(h.sigma.rs_root.positive_roots(), key=coords.__getitem__)
+    rows = reference_section_pairing(h.coinv, roots)[1]
+    assert h.sigma.base_rows == tuple(rows[roots.index(b)] for b in base)
     L = h.coinv
     for x in identity_matrix(L.rank) + (tuple(range(-1, L.rank - 1)),):
         e = L.project(x)
