@@ -356,7 +356,7 @@ def build_affine(lgd):
         return datum.cartan[i][j] != 0
 
     mats = [_orbit_longest_matrix(orb, adj, datum.simple_reflections_cochar)
-            for orb, _orth in sig.rs_co.orbits]
+            for orb, _orth in sig.orbits]
     return ExtendedAffineWeyl(lgd.coinv, sig, mats, label="W(%s)" % lgd.label)
 
 
@@ -372,7 +372,7 @@ def build_tau_fixed(lgd, breve_engine):
         return cart[i][j] != 0
 
     mats = []
-    for orb, _orth in sig0.rs_root.orbits:
+    for orb, _orth in sig0.orbits:
         mats.append(_orbit_longest_matrix(orb, adj, breve_engine.simple_matrices))
     return ExtendedAffineWeyl(lgd.coinv, sig0, mats, label="W(%s)^tau" % lgd.label,
                               restrict_endo=lgd.tau_endo)

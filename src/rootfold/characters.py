@@ -129,8 +129,8 @@ class DualGroup:
     Trace tables are memoized in a per-instance dict; confine an instance
     to one thread or guard access externally.  The folds of Phi^vee and the
     Freudenthal tables that the weight and trace tables read are built once
-    per process for each value (`folding.fold`, `freudenthal`), so they are
-    shared by every instance and every value-equal datum."""
+    per process for each value (`RootSystemV._closed`, `freudenthal`), so
+    they are shared by every instance and every value-equal datum."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -157,9 +157,9 @@ class DualGroup:
         By the twisted Weyl character formula these traces are the weight
         multiplicities of the highest-weight module of the g-folded group;
         g-fixed weights outside its support have trace 0 and are omitted.
-        The weights are mu - sum_i c_i base[i] in ints over the base of
-        Phi^vee or of its N' fold, listed in the order of the Freudenthal
-        table."""
+        The weights are mu - sum_i c_i base[i] in ints over the base of the
+        N' fold of Phi^vee by g (Phi^vee itself, the one system of its value,
+        when g = 1), listed in the order of the Freudenthal table."""
         mu = tuple(mu)
         key = (g_cochar, mu)
         out = self._trace_tables.get(key)
@@ -167,9 +167,7 @@ class DualGroup:
             return out
         if tuple(mat_vec(g_cochar, mu)) != mu:
             raise ValueError("g does not fix mu")
-        rs = self.system
-        if g_cochar != identity_matrix(self.datum.rank):
-            rs = fold(rs, (g_cochar,), "Nprime")
+        rs = fold(self.system, (g_cochar,), "Nprime").system
         cols = tuple(zip(*rs._base_int))
         out = {tuple([x - sum(map(mul, col, c)) for x, col in zip(mu, cols)]): m
                for c, m in freudenthal(rs, mu).items()}

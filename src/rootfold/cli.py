@@ -159,11 +159,11 @@ def cmd_fold(args):
         label = f.type_label()
         payload[op] = {
             "type": label,
-            "base": [[_fmt_q(x) for x in b] for b in f.base],
+            "base": [[_fmt_q(x) for x in b] for b in f.system.base],
             "orbits": [{"indices": list(orb), "orthogonal": orth}
                        for orb, orth in f.orbits],
         }
-        for b, (orb, orth) in zip(f.base, f.orbits):
+        for b, (orb, orth) in zip(f.system.base, f.orbits):
             rows.append((op, _fmt_vec(b), len(orb), orth, label))
     _emit(args, payload, rows, ("op", "vector", "orbit_size", "orthogonal", "type"))
     return EXIT_OK

@@ -87,19 +87,22 @@ class SigmaSystem:
     For the k-th simple root, `base_classes[k]` is the class of its coroot
     in X_*(T)_I, the lattice `coinv`, and `lower(lam, c)` is
     lam - sum_k c_k base_classes[k] (`CoinvariantLattice.lowering`).  The two
-    folded systems are built independently; `EchelonnageData` checks that
-    the dual of the res-side system, carried across by the invariant form,
-    is the norm-side system (`folding.dual_mismatch`).  Each side's
-    `orbits` record which simple roots of the source system were folded
-    into its k-th simple root, as the automorphisms permute them.  The
+    folds are built independently, and `rs_root` and `rs_co` are their
+    systems; `EchelonnageData` checks that the dual of the res-side system,
+    carried across by the invariant form, is the norm-side system
+    (`folding.dual_mismatch`).  `orbits` and the label are the root fold's:
+    which simple roots of the source were folded into the k-th simple root,
+    the same on both sides, as the automorphisms permute both bases.  The
     system owns the pairing of the classes with its roots (`pairing`, one
     `CoinvariantLattice.section_pairing`, on first read) and the one
     dominance test on classes, `is_dominant`.
     """
 
-    def __init__(self, rs_root, rs_co, coinv, base_classes, name):
-        self.rs_root = rs_root
-        self.rs_co = rs_co
+    def __init__(self, root_fold, co_fold, coinv, base_classes, name):
+        self._root_fold = root_fold
+        self.rs_root = rs_root = root_fold.system
+        self.rs_co = rs_co = co_fold.system
+        self.orbits = root_fold.orbits
         self.coinv = coinv
         self.base_classes = tuple(base_classes)
         self.name = name
@@ -118,7 +121,7 @@ class SigmaSystem:
                 raise TheoremViolation("%s: <root, coroot> != 2 on the base" % name)
 
     def type_label(self):
-        return self.rs_root.type_label()
+        return self._root_fold.type_label()
 
     @cached_property
     def pairing(self):
@@ -172,55 +175,54 @@ class EchelonnageData:
         # Sigma_breve: res_I(Phi^vee) = Sigma^vee and N'_I(Phi) = Sigma
         breve_co = fold(cochar, lgd.inertia.cochar_generators, "res")
         breve_root = fold(char, lgd.inertia.generators, "Nprime")
-        if dual_mismatch(breve_co, breve_root, gram_star):
+        if dual_mismatch(breve_co.system, breve_root.system, gram_star):
             raise TheoremViolation("Sigma_breve: the two characterizations disagree")
         # the class of a representative coroot of each orbit
         classes = [lgd.coinv.project(datum.simple_coroots[orb[0]])
                    for orb, _orth in breve_co.orbits]
-        self.sigma_breve = SigmaSystem(breve_root, breve_co, lgd.coinv, classes,
-                                       "Sigma_breve")
+        breve = self.sigma_breve = SigmaSystem(breve_root, breve_co, lgd.coinv,
+                                               classes, "Sigma_breve")
 
         # induced tau action on Sigma_breve, as a permutation of its simple
         # roots (raises MalformedAction unless tau permutes them)
         tau_char, tau_cochar = lgd.frobenius.generators, lgd.frobenius.cochar_generators
-        self._tau_perm = base_permutation(breve_root, lgd.tau_char)
+        self._tau_perm = base_permutation(breve.rs_root, lgd.tau_char)
 
         # Sigma_0: N_tau(Sigma^vee) = Sigma_0^vee and res'_tau(Sigma) = Sigma_0
-        sigma0_co = fold(breve_co, tau_cochar, "N")
-        sigma0_root = fold(breve_root, tau_char, "resprime")
-        if dual_mismatch(sigma0_co, sigma0_root, gram_star):
+        sigma0_co = fold(breve.rs_co, tau_cochar, "N")
+        sigma0_root = fold(breve.rs_root, tau_char, "resprime")
+        if dual_mismatch(sigma0_co.system, sigma0_root.system, gram_star):
             raise TheoremViolation("Sigma_0: the two characterizations disagree")
-        self.sigma0 = SigmaSystem(
+        sigma0 = self.sigma0 = SigmaSystem(
             sigma0_root, sigma0_co, lgd.coinv,
-            _orbit_classes(sigma0_co, self.sigma_breve.base_classes, lgd.coinv),
-            "Sigma_0")
+            _orbit_classes(sigma0_co, breve.base_classes, lgd.coinv), "Sigma_0")
 
         # Knop system: res_tau(Sigma_breve), with its dual N'_tau(Sigma^vee)
-        knop_root = fold(breve_root, tau_char, "res")
-        knop_co = fold(breve_co, tau_cochar, "Nprime")
+        knop_root = fold(breve.rs_root, tau_char, "res")
+        knop_co = fold(breve.rs_co, tau_cochar, "Nprime")
         # duality the other way around: res on the root side, N' on coroots
-        if dual_mismatch(knop_root, knop_co, datum._gram_pair):
+        if dual_mismatch(knop_root.system, knop_co.system, datum._gram_pair):
             raise TheoremViolation("Knop system: res_tau dual does not match "
                                    "N'_tau of the coroots")
         self.sigma0_tilde = SigmaSystem(
             knop_root, knop_co, lgd.coinv,
-            _orbit_classes(knop_co, self.sigma_breve.base_classes, lgd.coinv),
-            "Sigma_0_tilde")
+            _orbit_classes(knop_co, breve.base_classes, lgd.coinv), "Sigma_0_tilde")
 
         # special roots by the A_{2n} middle-orbit criterion
-        self.special = self._special_roots(breve_root, sigma0_root)
+        self.special = self._special_roots(breve.rs_root, sigma0)
         # the Galois criterion must coincide with non-orthogonality of the
         # tau-orbit (end of the Knop comparison proof)
-        for k, (orb, orth) in enumerate(sigma0_root.orbits):
+        for k, (orb, orth) in enumerate(sigma0.orbits):
             if (k in self.special) != (not orth):
                 raise TheoremViolation("special-root criterion disagrees with "
                                        "orbit orthogonality")
 
         # halving construction of the Knop system must match res_tau
+        rs0 = sigma0.rs_root
         halved = tuple(a if k in self.special else tuple(2 * x for x in a)
-                       for k, a in enumerate(sigma0_root._base_int))
-        if RootSystemV._closed((2 * sigma0_root._den, halved),
-                               (sigma0_root._gram_den, sigma0_root._gram_int)) != knop_root:
+                       for k, a in enumerate(rs0._base_int))
+        if RootSystemV._closed((2 * rs0._den, halved),
+                               (rs0._gram_den, rs0._gram_int)) != knop_root.system:
             raise TheoremViolation("Knop system: halving construction disagrees "
                                    "with res_tau")
 
@@ -239,11 +241,11 @@ class EchelonnageData:
 
     # -- special roots -----------------------------------------------------
 
-    def _special_roots(self, breve_root, sigma0_root):
+    def _special_roots(self, breve_root, sigma0):
         comp_of = breve_root.component_of
         node = self._tau_perm
         special = set()
-        for k, (orb, _orth) in enumerate(sigma0_root.orbits):
+        for k, (orb, _orth) in enumerate(sigma0.orbits):
             rep = orb[0]
             ci = comp_of[rep]
             comp = breve_root.components[ci]
@@ -282,10 +284,10 @@ class EchelonnageData:
         component of Sigma_0, pairwise orthogonal: L = their number.
         Overrides (same keys) replace defaults."""
         overrides = dict(overrides or {})
-        breve, sigma0 = self.sigma_breve.rs_root, self.sigma0.rs_root
+        breve, sigma0 = self.sigma_breve.rs_root, self.sigma0
         cart = breve.cartan()
         params = {}
-        for c, comp in enumerate(sigma0.components):
+        for c, comp in enumerate(sigma0.rs_root.components):
             params[("aff", c)] = len({breve.component_of[i]
                                       for k in comp for i in sigma0.orbits[k][0]})
         for k, (orb, orth) in enumerate(sigma0.orbits):

@@ -13,18 +13,19 @@ once, and builds Fractions only where a caller reads them.
 An automorphism acts on a based system only through the permutation of
 simple-root indices it induces (`base_permutation`), so the operations take
 generators of a group and read its orbits on the base as the connected
-components of their permutations; each fold is built once per process for
-each value of its source system.  An orbit is orthogonal exactly when the
-source Cartan matrix vanishes on each pair in it, since C[i][j] =
-2(b_i|b_j)/(b_i|b_i).  The two sides of a duality identity are compared by
-`dual_mismatch`, which carries the dual base of one side across by the
-invariant form (`gram` or its inverse `gram_star`) and rebuilds the carried
-roots from their coroot coordinates; each system builds its dual base and
-coroot coordinates once, on first read.
+components of their permutations; each system is built once per process
+for each value, and a `Fold` keeps the operation and orbits beside it.  An
+orbit is orthogonal exactly when the source Cartan matrix vanishes on each
+pair in it, since C[i][j] = 2(b_i|b_j)/(b_i|b_i).  The two sides of a
+duality identity are compared by `dual_mismatch`, which carries the dual
+base of one side across by the invariant form (`gram` or its inverse
+`gram_star`) and rebuilds the carried roots from their coroot coordinates;
+each system builds its dual base and coroot coordinates once, on first read.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -63,11 +64,11 @@ def cartan_of_gram(base_gram):
                  for i, row in enumerate(base_gram))
 
 
-# Cartan matrix -> the frozenset of its roots' coordinates, and (source
-# system value, op, orbits) -> its fold.  The values are never changed, so
-# two threads racing on one key only compute it twice.
+# Cartan matrix -> the frozenset of its roots' coordinates, and
+# `RootSystemV._value` -> the one system of that value.  The values are
+# never changed, so two threads racing on one key only compute it twice.
 _CLOSURES = {}
-_FOLDS = {}
+_SYSTEMS = {}
 
 
 def cartan_closure(cartan):
@@ -160,10 +161,11 @@ class RootSystemV:
     coordinates, s_i(c) = c - (sum_j c_j C[i][j]) e_i (Humphreys, Reflection
     Groups and Coxeter Groups, 1.5).  `_coords` lists the sorted positive
     coordinates followed by their negatives; a build computes no ambient
-    vector.  `_value`, the tuple (_den, _base_int, _gram_den, _gram_int),
-    determines the system.  `__init__` converts rational input; builds
-    inside the library pass `(den, int rows)` pairs.  Fraction views are
-    built on first read: `base`, `gram`, and `coords`, `roots` and
+    vector.  `_value`, the tuple (_den, _base_int, _gram_den, _gram_int) in
+    lowest terms, determines the system: the library builds each value once
+    per process (`_closed`, on `(den, int rows)` pairs), and `__init__`
+    converts rational input and builds a system of its own.  Fraction views
+    are built on first read: `base`, `gram`, and `coords`, `roots` and
     `positive_roots()`, which compute and sort the ambient vectors
     themselves.  So are the Dynkin components and what `folding`,
     `echelonnage` and `affine` read of them: `components`, `component_of`,
@@ -171,36 +173,26 @@ class RootSystemV:
     `dual_mismatch` reads.  A system is never changed.
     """
 
-    def __init__(self, base, gram, label=""):
-        self._set_base(integral_rows(base), integral_rows(gram), label)
+    def __init__(self, base, gram):
+        self._set_base(integral_rows(base) + integral_rows(gram))
         self._index(cartan_closure(self._cartan))
 
     @classmethod
-    def _closed(cls, base, gram, label=""):
-        """`__init__` on `(den, int rows)` pairs for the base and the form."""
-        out = cls.__new__(cls)
-        out._set_base(base, gram, label)
-        out._index(cartan_closure(out._cartan))
+    def _closed(cls, base, gram):
+        """The one system on the `(den, int rows)` pairs `base` and `gram`, in
+        lowest terms: kept in `_SYSTEMS`, built only when it is missing."""
+        value = lowest_terms(*base) + lowest_terms(*gram)
+        out = _SYSTEMS.get(value)
+        if out is None:
+            out = cls.__new__(cls)
+            out._set_base(value)
+            out._index(cartan_closure(out._cartan))
+            out = _SYSTEMS.setdefault(value, out)
         return out
 
-    @classmethod
-    def from_closure(cls, base, gram, cartan, coords, label=""):
-        """The system on the `(den, int rows)` pairs `base` and `gram` whose
-        roots have the coordinates `coords` (the closure of `cartan`), not
-        closed again.  Raises TheoremViolation unless the form gives `cartan`."""
-        out = cls.__new__(cls)
-        out._set_base(base, gram, label)
-        if out._cartan != cartan:
-            raise TheoremViolation("%s: the form gives Cartan matrix %r, not %r"
-                                   % (label or "?", out._cartan, cartan))
-        out._index(coords)
-        return out
-
-    def _set_base(self, base, gram, label):
-        self.label = label
-        self._den, self._base_int = lowest_terms(*base)
-        self._gram_den, self._gram_int = lowest_terms(*gram)
-        self._value = (self._den, self._base_int, self._gram_den, self._gram_int)
+    def _set_base(self, value):
+        self._value = value
+        self._den, self._base_int, self._gram_den, self._gram_int = value
         gram_base = [mat_vec(self._gram_int, b) for b in self._base_int]
         self._base_gram = tuple(tuple(vec_dot(u, gv) for gv in gram_base)
                                 for u in self._base_int)
@@ -250,10 +242,9 @@ class RootSystemV:
 
     def cartan(self):
         """C[i][j] = <beta_j, beta_i^vee> = 2(b_i|b_j)/(b_i|b_i).  Raises
-        TheoremViolation, naming the system, unless every entry is an int."""
+        TheoremViolation, naming the matrix, unless every entry is an int."""
         if any(isinstance(x, Fraction) for row in self._cartan for x in row):
-            raise TheoremViolation("%s: non-integral Cartan entry in %r"
-                                   % (self.label or "?", self._cartan))
+            raise TheoremViolation("non-integral Cartan entry in %r" % (self._cartan,))
         return self._cartan
 
     def positive_roots(self):
@@ -313,25 +304,26 @@ class RootSystemV:
                 and set(self._coords) == set(other._coords))
 
     def __repr__(self):
-        return "RootSystemV(%s, %d roots)" % (self.label or "?", len(self._coords))
+        return "RootSystemV(%r, %d roots)" % (self._cartan, len(self._coords))
 
 
-class FoldedRootSystem(RootSystemV):
-    """Output of one of the four operations, with its orbit bookkeeping.
-
-    orbits: tuple of (orbit_indices, orthogonal) per folded base element,
-    where orbit_indices are positions in the source base (lowest first),
-    read off the simple-root permutations of the generators, and orthogonal
-    says that the source Cartan matrix is zero on every pair of the orbit.
-    `fold` builds every instance and sets `op` and `orbits`.
+class Fold(namedtuple("Fold", "system op orbits")):
+    """Output of one of the four operations: the shared `system` of its
+    value, the operation `op`, and `orbits`, a tuple of (orbit_indices,
+    orthogonal) per folded base element, where orbit_indices are positions
+    in the source base (lowest first), read off the simple-root permutations
+    of the generators, and orthogonal says that the source Cartan matrix is
+    zero on every pair of the orbit.
     """
+
+    __slots__ = ()
 
     def type_label(self):
         """Cartan type, refined for rank-1 components: an orbit that was not
         pairwise orthogonal yields B1 under the non-doubling operations
         (N, res) and C1 under the doubling ones (Nprime, resprime)."""
         names = []
-        for comp, name in zip(self.components, self.component_types):
+        for comp, name in zip(self.system.components, self.system.component_types):
             if len(comp) == 1 and not self.orbits[comp[0]][1]:
                 name = "B1" if self.op in ("N", "res") else "C1"
             names.append(name)
@@ -367,23 +359,16 @@ def base_orbits(rs, generators):
 
 def fold(rs, generators, op):
     """Apply one of N, Nprime, res, resprime to a based system, under the
-    group the matrices `generators` generate.
+    group the matrices `generators` generate, as a `Fold`.
 
     The result lives in the fixed subspace of the same ambient space;
     restriction is computed as the orbit average (the image of res under the
     averaging identification).  Orbit sums are taken on the int rows of the
     base, over the denominator times k, the lcm of the averaged orbits'
-    sizes.  The result depends on the source only through its value and on
-    the group only through its orbits, so it is built once per process for
-    each (value, operation, orbits) and kept in `_FOLDS`; value-equal
-    sources share it, whatever their labels."""
+    sizes; the system is the one of that base and the source's form."""
     if op not in OP_TAGS:
         raise ValueError("unknown operation %r" % op)
     orbits = base_orbits(rs, generators)
-    key = (rs._value, op, orbits)
-    out = _FOLDS.get(key)
-    if out is not None:
-        return out
     cart = rs._cartan
     sizes = [len(orb) if op in ("res", "resprime") else 1 for orb in orbits]
     k = lcm(*sizes)
@@ -396,10 +381,8 @@ def fold(rs, generators, op):
         num = (1 if orth or op in ("N", "res") else 2) * (k // size)
         rows.append(tuple(num * x for x in total))
         meta.append((orb, orth))
-    out = FoldedRootSystem._closed(
-        (rs._den * k, rows), (rs._gram_den, rs._gram_int), "%s_%s" % (op, rs.label))
-    out.op, out.orbits = op, tuple(meta)
-    return _FOLDS.setdefault(key, out)
+    system = RootSystemV._closed((rs._den * k, rows), (rs._gram_den, rs._gram_int))
+    return Fold(system, op, tuple(meta))
 
 
 def dual_mismatch(res_side, norm_side, carry):
@@ -435,8 +418,8 @@ def verify_duality(datum, gens_char, gens_cochar):
     cochar = datum.coroot_system()
     mismatches = []
     for res_op, norm_op in (("res", "Nprime"), ("resprime", "N")):
-        lhs = fold(cochar, gens_cochar, res_op)
-        for part in dual_mismatch(lhs, fold(char, gens_char, norm_op),
+        lhs = fold(cochar, gens_cochar, res_op).system
+        for part in dual_mismatch(lhs, fold(char, gens_char, norm_op).system,
                                   datum._gram_star_pair):
             mismatches.append("%s(Phi^vee)^vee %s != %s(Phi) %s"
                               % (res_op, part, norm_op, part))

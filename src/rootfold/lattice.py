@@ -25,6 +25,7 @@ is reduced where it is computed.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from math import lcm
 from operator import add, mul
 
@@ -99,6 +100,11 @@ def _finite_order(g, eye):
         g = mat_mul(g, g)
 
 
+# generator tuple -> the group it generates, never changed, so two threads
+# racing on one key only close it twice
+_GROUPS = {}
+
+
 def group_closure(generators):
     """All elements of the group the matrices generate, breadth first from
     the identity (for one generator g: 1, g, g^2, ...).  Raises
@@ -107,23 +113,29 @@ def group_closure(generators):
     by `_finite_order`: the largest finite order in GL_n(Z),
     max lcm{m_i : sum phi(m_i) <= n}, is 60 at n = 8 and 9240 at n = 27 but
     13860 at n = 28, so this is exact through rank 27), and ResourceCap
-    past `GROUP_CAP` elements."""
+    past `GROUP_CAP` elements.  Each generator tuple that passes is closed
+    once per process and kept in `_GROUPS`; the cap applies to every
+    request."""
     if not generators:
         return ()
-    eye = identity_matrix(len(generators[0]))
-    for g in generators:
-        try:
-            mat_integer_inverse(g)
-        except ArithmeticError:
-            raise MalformedAction("generator is not invertible over Z")
-        if not _finite_order(g, eye):
-            raise MalformedAction("generator has infinite order")
-    order = []
-    for h in closure([eye], lambda h: (mat_mul(g, h) for g in generators)):
-        order.append(h)
-        if len(order) > GROUP_CAP:
-            raise ResourceCap("group closure exceeded %d elements" % GROUP_CAP)
-    return tuple(order)
+    key = tuple(tuple(map(tuple, g)) for g in generators)
+    group = _GROUPS.get(key)
+    if group is None:
+        eye = identity_matrix(len(key[0]))
+        for g in key:
+            try:
+                mat_integer_inverse(g)
+            except ArithmeticError:
+                raise MalformedAction("generator is not invertible over Z")
+            if not _finite_order(g, eye):
+                raise MalformedAction("generator has infinite order")
+        group = tuple(islice(closure([eye], lambda h: (mat_mul(g, h) for g in key)),
+                             GROUP_CAP + 1))
+        if len(group) <= GROUP_CAP:
+            group = _GROUPS.setdefault(key, group)
+    if len(group) > GROUP_CAP:
+        raise ResourceCap("group closure exceeded %d elements" % GROUP_CAP)
+    return group
 
 
 def average(v, group):

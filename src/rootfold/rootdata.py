@@ -12,9 +12,16 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .folding import RootSystemV, _components, cartan_closure, component_type, join_types
+from .folding import (
+    RootSystemV,
+    _components,
+    cartan_closure,
+    cartan_of_gram,
+    component_type,
+    join_types,
+)
 from .jsoninput import MalformedInput, json_field, json_int_rows
-from .lattice import MalformedAction, closure, group_closure
+from .lattice import MalformedAction, TheoremViolation, closure, group_closure
 from .linalg import (
     adjugate,
     fraction_rows,
@@ -181,8 +188,8 @@ class BasedRootDatum:
     """A based root datum on explicit integer simple roots and coroots.
 
     Data are interned: the constructor returns the one object built for its
-    arguments (`_DATA`), so value-equal data share Phi, Phi^vee, their folds
-    and every memo below."""
+    arguments (`_DATA`), so value-equal data share every memo below; Phi
+    and Phi^vee are the one systems of their values."""
 
     def __new__(cls, simple_roots, simple_coroots, rank, label=""):
         key = (tuple(map(tuple, simple_roots)), tuple(map(tuple, simple_coroots)),
@@ -211,17 +218,10 @@ class BasedRootDatum:
             for i in range(n)
         )
         self._validate()
-        # Phi and Phi^vee by their coordinates over the simple roots and the
-        # simple coroots: the integer closures of C and of its transpose, the
-        # Cartan matrix of Phi^vee.  A root is positive when every coordinate
-        # is >= 0.
+        # Phi by its coordinates over the simple roots, the integer closure
+        # of C.  A root is positive when every coordinate is >= 0.
         self._closure = cartan_closure(self.cartan)
-        self._coclosure = cartan_closure(tuple(zip(*self.cartan)))
-        # Phi and Phi^vee as RootSystemV, built on first use from the
-        # coordinates above and never changed afterwards, so every consumer
-        # of this datum shares them.
-        # Two threads racing on the first build each build the same value
-        # and one assignment wins; no lock is needed.
+        # Phi and Phi^vee, looked up on first use; a race only looks twice
         self._root_system = None
         self._coroot_system = None
         # Wt(mu) per dominant mu, walked once; the values are immutable
@@ -319,20 +319,25 @@ class BasedRootDatum:
     def root_system(self):
         """(Phi, Delta) in X^* (x) Q with the invariant form, shared."""
         if self._root_system is None:
-            self._root_system = RootSystemV.from_closure(
-                (1, self.simple_roots), self._gram_pair, self.cartan, self._closure,
-                label=self.label)
+            self._root_system = self._system(self.simple_roots, self._gram_pair, self.cartan)
         return self._root_system
 
     def coroot_system(self):
         """(Phi^vee, Delta^vee) in X_* (x) Q with the induced form, shared;
         its Cartan matrix is the transpose of the datum's."""
         if self._coroot_system is None:
-            self._coroot_system = RootSystemV.from_closure(
-                (1, self.simple_coroots), self._gram_star_pair,
-                tuple(zip(*self.cartan)), self._coclosure,
-                label=self.label + "^" if self.label else "")
+            self._coroot_system = self._system(self.simple_coroots, self._gram_star_pair,
+                                               tuple(zip(*self.cartan)))
         return self._coroot_system
+
+    def _system(self, base, gram, cartan):
+        """The system on the int rows `base` and the form `gram`; raises
+        TheoremViolation, before any closure, unless it gives `cartan`."""
+        got = cartan_of_gram([[vec_dot(u, mat_vec(gram[1], v)) for v in base] for u in base])
+        if got != cartan:
+            raise TheoremViolation("%s: the form gives Cartan matrix %r, not %r"
+                                   % (self.label or "?", got, cartan))
+        return RootSystemV._closed((1, base), gram)
 
     # -- Weyl combinatorics on the cocharacter side -------------------------
 

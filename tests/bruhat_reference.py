@@ -121,11 +121,21 @@ def verify_extremal_by_union(lgd, mu, engine):
     return mismatches
 
 
+def tau_fixed_classes(lgd, bound):
+    """The nonzero dominant tau-fixed classes lam in the image of a
+    dominant mu with <2rho, mu> <= bound, sorted."""
+    zero = lgd.coinv.zero()
+    breve = lgd.echelonnage().sigma_breve
+    return sorted({lam for lam in map(lgd.coinv.project,
+                                      lgd.datum.dominant_cochars_up_to(bound))
+                   if lam != zero and lgd.tau_endo(lam) == lam and breve.is_dominant(lam)})
+
+
 def tau_fixed_mismatches(lgd, bound, tau_engine=None):
     """W~^tau inside W~: (number of elements checked, mismatches).
 
-    For each nonzero dominant tau-fixed class lam in the image of a dominant
-    mu with <2rho, mu> <= bound, and each x in [e, t_lam] of the tau-fixed
+    For each class lam of `tau_fixed_classes(lgd, bound)`, and each x in
+    [e, t_lam] of the tau-fixed
     engine (`build_tau_fixed(lgd, ...)`, or `tau_engine`):
     * the parameters summed over the tau-engine's reduced word of x equal
       the length of x in the Sigma_breve engine (Lusztig's weight function
@@ -138,13 +148,8 @@ def tau_fixed_mismatches(lgd, bound, tau_engine=None):
     tau = tau_engine or build_tau_fixed(lgd, breve)
     params = lgd.echelonnage().parameter_function()
     t, t_inv = lgd.tau_cochar, mat_integer_inverse(lgd.tau_cochar)
-    zero = lgd.coinv.zero()
-    lams = sorted({lam for lam in map(lgd.coinv.project,
-                                      lgd.datum.dominant_cochars_up_to(bound))
-                   if lam != zero and lgd.tau_endo(lam) == lam
-                   and breve.sigma.is_dominant(lam)})
     checked, bad = 0, []
-    for lam in lams:
+    for lam in tau_fixed_classes(lgd, bound):
         interval = tau.lower_interval(tau.translation(lam))
         for x in sorted(interval):
             word, _omega = tau.normal_form(x)

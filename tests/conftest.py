@@ -7,13 +7,13 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 
 def empty_tables(monkeypatch):
-    """Patch the process-wide tables (interned data, root closures, folds,
-    Freudenthal tables, loaded presets) to empty dicts until `monkeypatch`
-    is undone."""
-    from rootfold import characters, folding, presets, rootdata
+    """Patch the process-wide tables (interned data, root closures, root
+    systems, group closures, Freudenthal tables, loaded presets) to empty
+    dicts until `monkeypatch` is undone."""
+    from rootfold import characters, folding, lattice, presets, rootdata
     for module, name in ((rootdata, "_DATA"), (folding, "_CLOSURES"),
-                         (folding, "_FOLDS"), (characters, "_TABLES"),
-                         (presets, "_CACHE")):
+                         (folding, "_SYSTEMS"), (lattice, "_GROUPS"),
+                         (characters, "_TABLES"), (presets, "_CACHE")):
         monkeypatch.setattr(module, name, {})
 
 

@@ -51,6 +51,7 @@ from bruhat_reference import (
     pairwise_extremal_elements,
     relative_admissible_set,
     subword_interval,
+    tau_fixed_classes,
     tau_fixed_mismatches,
     verify_extremal_by_union,
 )
@@ -478,7 +479,7 @@ def test_engines_match_reference_closure(name):
     breve_base = ech.sigma_breve.rs_root.base
     mats = [_orbit_longest_matrix(
         orb, lambda i, j: vec_dot(breve_base[i], mat_vec(gram, breve_base[j])) != 0,
-        beng.simple_matrices) for orb, _orth in ech.sigma0.rs_root.orbits]
+        beng.simple_matrices) for orb, _orth in ech.sigma0.orbits]
     assert list(teng.simple_matrices) == mats, name
     for eng, sigma in ((beng, ech.sigma_breve), (teng, ech.sigma0)):
         pos, comps, walls = reference_engine_data(eng, sigma, gram)
@@ -1012,6 +1013,32 @@ def test_tau_fixed_check_catches_a_wrong_affine_wall(name, coords):
         return
     checked, bad = tau_fixed_mismatches(lgd, 12, teng)
     assert checked and {b.split()[0] for b in bad} == {"interval", "length"}, bad[:3]
+
+
+# the presets with a Hecke parameter above 1
+WEIGHTED_PRESETS = ("d4-triality", "e6-flip", "su3-unramified", "su4-unramified",
+                    "su5-unramified", "su6-unramified", "su7-unramified")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_unweighted_tau_length_is_a_control(name):
+    """The negative control of the length half of the check above: the
+    tau-fixed engine's own length, which counts each simple reflection
+    once, differs from the Sigma_breve length somewhere in [e, t_lam]_tau
+    exactly on the presets with a parameter above 1; where every parameter
+    is 1 the two are equal throughout.  e6-flip reaches its first nonzero
+    tau-fixed class at <2rho, mu> <= 22, where its tau intervals hold 1136
+    elements, 1124 of them with differing lengths."""
+    lgd = load_preset(name).lgd
+    weighted = set(lgd.echelonnage().parameter_function().values()) != {1}
+    assert weighted == (name in WEIGHTED_PRESETS)
+    bound = 22 if name == "e6-flip" else 12 if name in TAU_FIXED_BOUND_12 else 8
+    beng = build_affine(lgd)
+    teng = build_tau_fixed(lgd, beng)
+    lengths = [(teng.length(x), beng.length(x)) for lam in tau_fixed_classes(lgd, bound)
+               for x in teng.lower_interval(teng.translation(lam))]
+    assert lengths, name
+    assert any(a != b for a, b in lengths) == weighted, name
 
 
 @settings(max_examples=20, deadline=None)

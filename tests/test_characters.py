@@ -297,13 +297,14 @@ def test_freudenthal_rejects_a_weight_that_is_not_dominant():
 
 
 def test_freudenthal_table_shared_by_value(fresh_tables):
-    """Value-equal systems share one table per (mu, den), whatever their
-    labels; another mu, den or form is another table, and a weight that is
-    not dominant leaves nothing behind."""
+    """Value-equal systems share one table per (mu, den), whether or not
+    they are one object; another mu, den or form is another table, and a
+    weight that is not dominant leaves nothing behind."""
     from rootfold import characters
     from rootfold.folding import RootSystemV
     rs = build_datum("B2", "adjoint").coroot_system()
-    twin = RootSystemV(rs.base, rs.gram, label="twin")
+    twin = RootSystemV(rs.base, rs.gram)
+    assert twin is not rs
     table = freudenthal(rs, (1, 1))
     assert freudenthal(twin, [1, 1]) is table
     halved = freudenthal(rs, (2, 2), 2)
@@ -576,7 +577,7 @@ def test_fixed_group_characters_match_coefficient_loop(name):
     lgd = preset.lgd
     h = FixedGroup(lgd)
     breve = lgd.echelonnage().sigma_breve.base_classes
-    knop = reference_orbit_classes(lgd.coinv, breve, h.knop.rs_co, True)
+    knop = reference_orbit_classes(lgd.coinv, breve, h.knop.orbits, True)
     for mu in preset.datum.dominant_cochars_up_to(4):
         lam = lgd.coinv.project(mu)
         if not h.is_dominant(lam):

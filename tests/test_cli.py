@@ -579,35 +579,33 @@ def test_broken_root_coroot_pairing_exit_2(tmp_path, capsys):
 
 def test_non_integral_cartan_exit_1(monkeypatch, capsys):
     """A folded system whose Cartan matrix has a Fraction entry is an
-    internal fault: exit 1 naming the system, not an input error."""
+    internal fault: exit 1 naming the matrix, not an input error."""
     from fractions import Fraction
 
     from rootfold import folding
-    from rootfold.folding import FoldedRootSystem
-    bad = FoldedRootSystem(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), label="N_bad")
-    bad.op, bad.orbits = "N", (((0,), True), ((1,), True))
+    from rootfold.folding import Fold, RootSystemV
+    bad = Fold(RootSystemV(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2))), "N",
+               (((0,), True), ((1,), True)))
     # cmd_fold imports fold from rootfold.folding when it runs
     monkeypatch.setattr(folding, "fold", lambda rs, group, op: bad)
     code, _out, err = run(capsys, "fold", "--preset", "split-a2")
     assert code == cli.EXIT_THEOREM
-    assert err.startswith("theorem check failed: N_bad: non-integral Cartan entry")
+    assert err.startswith("theorem check failed: non-integral Cartan entry in "
+                          "((2, Fraction(-1, 2)), (-2, 2))")
 
 
 def test_unparameterized_orbit_is_a_theorem_failure(monkeypatch, capsys, fresh_tables):
     # a non-orthogonal tau-orbit of simple roots is a union of linked pairs,
     # so an orbit of another shape is an internal fault (exit 1), not an
     # input error; here Sigma_0 records each such orbit without its partners
-    import copy
-
     from rootfold import echelonnage
     fold = echelonnage.fold
 
     def lossy_fold(rs, generators, op):
         out = fold(rs, generators, op)
         if op == "resprime":
-            out = copy.copy(out)
-            out.orbits = tuple((orb if orth else orb[:1], orth)
-                               for orb, orth in out.orbits)
+            out = out._replace(orbits=tuple((orb if orth else orb[:1], orth)
+                                            for orb, orth in out.orbits))
         return out
 
     monkeypatch.setattr(echelonnage, "fold", lossy_fold)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from rootfold.echelonnage import LocalGroupDatum
+from rootfold.folding import fold
 from rootfold.linalg import fraction_rows, identity_matrix, mat_mul, vec_scale
 from rootfold.presets import load_preset, preset_names
 from rootfold.rootdata import (
@@ -126,7 +127,7 @@ def test_special_coincides_with_nonorthogonality():
     # reported sets on both a positive and a negative instance)
     lgd = _lgd("A6", "simply_connected", tau_perm=flip(6), label="su7")
     ech = lgd.echelonnage()
-    orth_flags = [orth for _orb, orth in ech.sigma0.rs_root.orbits]
+    orth_flags = [orth for _orb, orth in ech.sigma0.orbits]
     assert {k for k, o in enumerate(orth_flags) if not o} == set(ech.special)
     assert ech.special == frozenset({2})
 
@@ -230,13 +231,13 @@ def test_report_shows_the_parameters_it_is_given():
     assert ech.report(second.parameters)["parameters"] == {"aff:0": 1, "fin:0": 3}
 
 
-def reference_orbit_classes(L, breve_classes, co_fold, double):
-    """The classes of a fold of Sigma_breve^vee in L, each one integral
-    combination: the orbit sum, and for the Knop system (`double`) twice
-    that on a non-orthogonal orbit."""
+def reference_orbit_classes(L, breve_classes, orbits, double):
+    """The classes of a fold of Sigma_breve^vee by `orbits` in L, each one
+    integral combination: the orbit sum, and for the Knop system
+    (`double`) twice that on a non-orthogonal orbit."""
     return tuple(combination(L, [2 if double and not orth else 1] * len(orb),
                              [breve_classes[i] for i in orb])
-                 for orb, orth in co_fold.orbits)
+                 for orb, orth in orbits)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -248,8 +249,9 @@ def test_folded_classes_match_orbit_loops(name):
     breve = ech.sigma_breve.base_classes
     for sigma, double in ((ech.sigma0, False), (ech.sigma0_tilde, True)):
         assert sigma.base_classes == reference_orbit_classes(
-            lgd.coinv, breve, sigma.rs_co, double)
-    assert ech.sigma0.rs_co.op == "N" and ech.sigma0_tilde.rs_co.op == "Nprime"
+            lgd.coinv, breve, sigma.orbits, double)
+    for sigma, op in ((ech.sigma0, "N"), (ech.sigma0_tilde, "Nprime")):
+        assert sigma.rs_co is fold(ech.sigma_breve.rs_co, (lgd.tau_cochar,), op).system
 
 
 def assert_parameters_are_breve_lengths(key):
@@ -293,3 +295,29 @@ def test_override_keys_follow_sigma0_components():
     assert ech.parameter_function({("aff", 1): 4})[("aff", 1)] == 4
     with pytest.raises(ValueError, match="unknown override keys"):
         ech.parameter_function({("aff", 2): 4})
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_data())
+def test_one_system_per_value_property(key):
+    """Value-equal systems reached by different routes are one object: the
+    N fold of Phi or Phi^vee by the trivial group holds the system itself,
+    and each SigmaSystem holds the systems of the two folds it was built
+    from.  Those two folds record the same orbits, which is why a
+    SigmaSystem stores them once."""
+    lgd, _beng, _teng = _property_engines(key)
+    d = lgd.datum
+    for rs in (d.root_system(), d.coroot_system()):
+        assert fold(rs, (), "N").system is rs, key
+    ech = lgd.echelonnage()
+    breve = ech.sigma_breve
+    tau, tau_co = (lgd.tau_char,), (lgd.tau_cochar,)
+    inertia = lgd.inertia
+    for sigma, root_fold, co_fold in (
+            (breve, fold(d.root_system(), inertia.generators, "Nprime"),
+             fold(d.coroot_system(), inertia.cochar_generators, "res")),
+            (ech.sigma0, fold(breve.rs_root, tau, "resprime"), fold(breve.rs_co, tau_co, "N")),
+            (ech.sigma0_tilde, fold(breve.rs_root, tau, "res"),
+             fold(breve.rs_co, tau_co, "Nprime"))):
+        assert sigma.rs_root is root_fold.system and sigma.rs_co is co_fold.system, key
+        assert sigma.orbits == root_fold.orbits == co_fold.orbits, key

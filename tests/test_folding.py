@@ -1,6 +1,7 @@
 """The four folding operations and the duality theorem."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from rootfold.folding import (
     OP_TAGS,
     _components,
-    FoldedRootSystem,
     RootSystemV,
     base_orbits,
     base_permutation,
@@ -23,6 +23,7 @@ from rootfold.lattice import ResourceCap, group_closure
 from rootfold.linalg import (
     fraction_rows,
     identity_matrix,
+    lowest_terms,
     mat_integer_inverse,
     mat_mul,
     mat_transpose,
@@ -45,13 +46,23 @@ from test_rootdata import cartan_data
 
 def from_datum(d):
     """Phi of the datum, closed afresh from its simple roots and its form."""
-    return RootSystemV(d.simple_roots, d.gram(), label=d.label)
+    return RootSystemV(d.simple_roots, d.gram())
 
 
 def dual_from_datum(d):
     """Phi^vee of the datum, closed afresh from its simple coroots and the
     induced form."""
-    return RootSystemV(d.simple_coroots, d.gram_star(), label=d.label + "^" if d.label else "")
+    return RootSystemV(d.simple_coroots, d.gram_star())
+
+
+def system_with_coords(base, gram, coords):
+    """The system on the `(den, int rows)` pairs `base` and `gram` whose
+    roots have the coordinates `coords`, taken as they are, not closed: a
+    system no closure gives, built apart from the process-wide table."""
+    rs = RootSystemV.__new__(RootSystemV)
+    rs._set_base(lowest_terms(*base) + lowest_terms(*gram))
+    rs._index(coords)
+    return rs
 
 
 def flip(r):
@@ -122,10 +133,10 @@ def test_a4_flip_bases():
     # explicit middle-orbit doubling: N' doubles exactly the middle fold
     d, act = _setup("A4", flip(4))
     rs = from_datum(d)
-    N = fold(rs, act.group, "N")
-    Np = fold(rs, act.group, "Nprime")
-    res = fold(rs, act.group, "res")
-    resp = fold(rs, act.group, "resprime")
+    N = fold(rs, act.group, "N").system
+    Np = fold(rs, act.group, "Nprime").system
+    res = fold(rs, act.group, "res").system
+    resp = fold(rs, act.group, "resprime").system
     assert Np.base[0] == N.base[0]
     assert Np.base[1] == vec_scale(2, N.base[1])
     assert resp.base[0] == res.base[0]
@@ -138,7 +149,7 @@ def test_trivial_group_identity():
     rs = from_datum(d)
     triv = (identity_matrix(2),)
     for op in ("res", "resprime", "N", "Nprime"):
-        f = fold(rs, triv, op)
+        f = fold(rs, triv, op).system
         assert set(f.roots) == set(rs.roots)
         assert f.base == rs.base
 
@@ -149,10 +160,10 @@ def test_d4_triality():
     outs = {op: fold(rs, act.group, op) for op in OP_TAGS}
     for op, f in outs.items():
         assert f.type_label() == "G2"
-        assert len(f.roots) == 12
-    # orbits pairwise orthogonal, so N = N' and res = res'
-    assert outs["N"].base == outs["Nprime"].base
-    assert outs["res"].base == outs["resprime"].base
+        assert len(f.system.roots) == 12
+    # orbits pairwise orthogonal, so N = N' and res = res', one system each
+    assert outs["N"].system is outs["Nprime"].system
+    assert outs["res"].system is outs["resprime"].system
 
 
 # The classical folding table above rank 3, where no golden reaches: the
@@ -176,6 +187,22 @@ def test_classical_folding_table(cartan_type, perm):
     rs = d.root_system()
     got = tuple(fold(rs, gens, op).type_label() for op in OP_TAGS)
     assert got == CLASSICAL_FOLDS[cartan_type, perm]
+
+
+def test_res_and_resprime_share_one_system():
+    """On D4 simply connected with inertia (0,1,3,2) every orbit is
+    orthogonal, so res and res' give one value: both folds hold the one
+    system of that value, and each keeps its own operation, its B3 label
+    and its orbits."""
+    d, act = _setup("D4", (0, 1, 3, 2), iso="simply_connected")
+    orbits = (((0,), True), ((1,), True), ((2, 3), True))
+    for rs, gens in ((d.root_system(), act.generators),
+                     (d.coroot_system(), act.cochar_generators)):
+        res, resp = fold(rs, gens, "res"), fold(rs, gens, "resprime")
+        assert res.system is resp.system
+        assert (res.op, resp.op) == ("res", "resprime")
+        assert res.type_label() == resp.type_label() == "B3"
+        assert res.orbits == resp.orbits == orbits
 
 
 def test_orbit_orthogonality():
@@ -230,22 +257,22 @@ def test_dual_mismatch_reports_base():
     # res(Phi^vee)^vee is N'(Phi); against N(Phi) the doubled middle orbit
     # of the A4 flip shows up in the base
     d, act = _setup("A4", flip(4))
-    lhs = fold(d.coroot_system(), act.cochar_group, "res")
-    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "Nprime"),
+    lhs = fold(d.coroot_system(), act.cochar_group, "res").system
+    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "Nprime").system,
                          d._gram_star_pair) == ()
-    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "N"),
+    assert dual_mismatch(lhs, fold(d.root_system(), act.group, "N").system,
                          d._gram_star_pair) == ("base", "roots")
 
 
 def test_weyl_group_orders_match():
     d, act = _setup("A4", flip(4))
     rs = from_datum(d)
-    orders = {weyl_order(fold(rs, act.group, op))
+    orders = {weyl_order(fold(rs, act.group, op).system)
               for op in ("res", "resprime", "N", "Nprime")}
     assert orders == {8}  # |W(B2)|
     d4, act4 = _setup("D4", (2, 1, 3, 0), iso="simply_connected")
     rs4 = from_datum(d4)
-    assert weyl_order(fold(rs4, act4.group, "res")) == 12  # |W(G2)|
+    assert weyl_order(fold(rs4, act4.group, "res").system) == 12  # |W(G2)|
 
 
 def test_normalization_independence():
@@ -267,7 +294,7 @@ def test_folded_systems_are_root_systems():
     d, act = _setup("A6", flip(6), iso="simply_connected")
     rs = from_datum(d)
     for op in ("res", "resprime", "N", "Nprime"):
-        f = fold(rs, act.group, op)
+        f = fold(rs, act.group, op).system
         roots = set(f.roots)
         for b in f.base:
             for r in f.roots:
@@ -335,12 +362,12 @@ def reference_cartan(base, gram):
 
 
 def pointwise_dual(rs):
-    """The dual system (same ambient space and form, transposed Cartan
-    matrix) from the dual base and coroot coordinates of `_dual_parts`,
-    which `dual_mismatch` reads."""
+    """The dual system (same ambient space and form) from the dual base and
+    coroot coordinates of `_dual_parts`, which `dual_mismatch` reads, taken
+    as they are; `assert_matches_reference` checks that its Cartan matrix
+    is the transpose."""
     den, rows, coords = rs._dual_parts
-    return RootSystemV.from_closure((den, rows), (rs._gram_den, rs._gram_int),
-                                    tuple(zip(*rs._cartan)), coords, rs.label + "^")
+    return system_with_coords((den, rows), (rs._gram_den, rs._gram_int), coords)
 
 
 def reference_dual(rs):
@@ -397,18 +424,19 @@ def reference_orbits(rs, group):
 
 
 def assert_fold_matches_reference(rs, group, op):
+    """Check the fold against the references; returns its system."""
     f = fold(rs, group, op)
     orbits = reference_orbits(rs, group)
-    assert f.orbits == orbits, (rs, op)
-    assert_matches_reference(f)
+    assert f.op == op and f.orbits == orbits, (rs, op)
+    assert_matches_reference(f.system)
     # the labelling rule applied to the reference Cartan matrix and orbits
     assert f.type_label() == reference_type_label(
-        op, orbits, reference_cartan(f.base, f.gram)), (rs, op)
-    return f
+        op, orbits, reference_cartan(f.system.base, f.system.gram)), (rs, op)
+    return f.system
 
 
 def reference_type_label(op, orbits, cartan):
-    """`FoldedRootSystem.type_label` on a Cartan matrix: each component's
+    """`Fold.type_label` on a Cartan matrix: each component's
     submatrix classified on its own, except that a rank-1 component from a
     non-orthogonal orbit is B1 under N and res and C1 under N' and res'."""
     names = []
@@ -477,12 +505,14 @@ def test_closure_matches_reference(name):
 @pytest.mark.parametrize("name", preset_names())
 def test_generator_orbits_match_full_group(name):
     """Folding by generators reads the orbits of the whole group, and
-    returns the very fold that the whole group gives."""
+    returns the fold that the whole group gives, on the very same system."""
     lgd = load_preset(name).lgd
     for rs, gens, group in _preset_actions(lgd):
         assert base_orbits(rs, gens) == full_group_orbits(rs, group), (name, rs)
         for op in OP_TAGS:
-            assert fold(rs, gens, op) is fold(rs, group, op), (name, rs, op)
+            f = fold(rs, gens, op)
+            assert f == fold(rs, group, op), (name, rs, op)
+            assert f.system is fold(rs, group, op).system, (name, rs, op)
     assert_cochar_group_is_inverse_transpose(lgd.inertia)
     galois = lgd.inertia.generators + (lgd.tau_char,)
     assert_cochar_group_is_inverse_transpose(AutomorphismAction(lgd.datum, galois))
@@ -491,28 +521,33 @@ def test_generator_orbits_match_full_group(name):
 def test_sigma_breve_folds_built_once(monkeypatch, fresh_tables):
     """theorem-A(inertia) and echelonnage() both fold Phi by N' and Phi^vee
     by res under the inertia; on a fresh preset, from empty process-wide
-    tables, each fold is built once (`fold` builds from int rows, through
-    `FoldedRootSystem._closed`)."""
+    tables, each system is set up once, whatever route reaches it.  On the
+    GL3 lattice of su3-ramified, Phi and Phi^vee are one value (the simple
+    roots are the simple coroots and both forms are the dot product), and
+    N(Phi) = res'(Phi^vee), so theorem A sets up four systems.  tau is
+    trivial here, so theorem-A(galois) reuses them, and the tau-folds of
+    Sigma_breve that echelonnage() adds are Sigma_breve's own systems."""
     from rootfold.verify import Verifier
     built = []
-    orig = FoldedRootSystem._closed
+    orig = RootSystemV._set_base
 
-    def counted(cls, base, gram, label=""):
-        built.append(label)
-        return orig(base, gram, label)
+    def counted(self, value):
+        built.append(value)
+        orig(self, value)
 
-    monkeypatch.setattr(FoldedRootSystem, "_closed", classmethod(counted))
+    monkeypatch.setattr(RootSystemV, "_set_base", counted)
     preset = Preset("su3-ramified", _load_raw("su3-ramified"))
     Verifier()._theorem_a("su3-ramified", preset)
     d = preset.datum
-    # tau is trivial here, so theorem-A(galois) reuses the inertia folds
-    assert sorted(built) == ["N_GL3", "Nprime_GL3", "res_GL3^", "resprime_GL3^"]
-    breve = preset.lgd.echelonnage().sigma_breve
-    # echelonnage() adds only the four tau-folds of Sigma_breve
-    assert len(built) == len(set(built)) == 8, built
     inertia = preset.lgd.inertia
-    assert breve.rs_root is fold(d.root_system(), inertia.generators, "Nprime")
-    assert breve.rs_co is fold(d.coroot_system(), inertia.cochar_generators, "res")
+    assert d.root_system() is d.coroot_system()
+    assert fold(d.root_system(), inertia.generators, "N").system is \
+        fold(d.coroot_system(), inertia.cochar_generators, "resprime").system
+    assert len(built) == len(set(built)) == 4, built
+    breve = preset.lgd.echelonnage().sigma_breve
+    assert len(built) == 4, built
+    assert breve.rs_root is fold(d.root_system(), inertia.generators, "Nprime").system
+    assert breve.rs_co is fold(d.coroot_system(), inertia.cochar_generators, "res").system
 
 
 def test_builds_compute_no_ambient_vector(monkeypatch, fresh_tables):
@@ -529,7 +564,7 @@ def test_builds_compute_no_ambient_vector(monkeypatch, fresh_tables):
     lgd = LocalGroupDatum(d, (diagram_automorphism(d, (2, 1, 3, 0)),))
     inertia = lgd.inertia
     assert verify_duality(d, inertia.generators, inertia.cochar_generators) == []
-    folds = [fold(rs, gens, op) for op in OP_TAGS
+    folds = [fold(rs, gens, op).system for op in OP_TAGS
              for rs, gens in ((d.root_system(), inertia.generators),
                               (d.coroot_system(), inertia.cochar_generators))]
     ech = lgd.echelonnage()
@@ -542,10 +577,12 @@ def test_builds_compute_no_ambient_vector(monkeypatch, fresh_tables):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_shared_systems_reuse_datum_closure(name, monkeypatch, fresh_tables):
-    """root_system() and coroot_system() take the coordinates of the datum's
-    own closure: with cartan_closure disabled they still build, and they
-    equal the systems closed afresh from the base and the form.  From empty
-    tables the datum has built neither system yet, so both are built here."""
+    """root_system() and coroot_system() take the coordinates of C and of
+    its transpose from the one closure of each matrix: once the systems
+    closed afresh from the base and the form have closed both, the datum's
+    systems build with `_close_cartan` disabled, equal the afresh ones, and
+    are the systems of their values.  From empty tables the datum has built
+    neither system yet, so both are built here."""
     import rootfold.folding as folding
     p = load_preset(name).datum
     d = BasedRootDatum(p.simple_roots, p.simple_coroots, p.rank, label=p.label)
@@ -553,12 +590,13 @@ def test_shared_systems_reuse_datum_closure(name, monkeypatch, fresh_tables):
     assert d._root_system is None and d._coroot_system is None, name
 
     def closed_again(_cartan):
-        raise AssertionError("the datum's Cartan matrix was closed again")
+        raise AssertionError("a Cartan matrix was closed again")
 
-    monkeypatch.setattr(folding, "cartan_closure", closed_again)
+    monkeypatch.setattr(folding, "_close_cartan", closed_again)
     for got, ref in ((d.root_system(), char), (d.coroot_system(), cochar)):
         assert got == ref and got.roots == ref.roots, name
-        assert got.coords == ref.coords and got.label == ref.label, name
+        assert got._value == ref._value and folding._SYSTEMS[got._value] is got, name
+        assert got.coords == ref.coords, name
         assert got.positive_roots() == ref.positive_roots(), name
         assert got.cartan() == ref.cartan(), name
     assert d.coroot_system().cartan() == mat_transpose(d.cartan)
@@ -584,7 +622,7 @@ def test_scaled_form_closure_matches_reference():
     assert_matches_reference(scaled)
     assert scaled.roots == d.root_system().roots
     for op in ("res", "resprime", "N", "Nprime"):
-        assert_matches_reference(fold(scaled, act.group, op))
+        assert_matches_reference(fold(scaled, act.group, op).system)
 
 
 def test_dependent_base_rejected():
@@ -610,10 +648,13 @@ def test_closure_cap(monkeypatch, fresh_tables):
 
 
 def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
-    """One run_verify() from empty process-wide tables asks for 194 root
+    """One run_verify() from empty process-wide tables asks for 76 root
     closures of only 16 distinct Cartan matrices, and closes each matrix
     once; every request returns the same frozenset.  Each of the 15 data
-    asks twice, for C and for its transpose.  (Before data and folds were
+    asks once, for C, and each of the 61 systems once, when it is built.
+    (Before systems were interned by value it asked 194 times: the 15 data
+    asked for C and again for its transpose, and 164 folds and systems
+    asked as each was built.  Before data and folds were
     shared by value it asked 366 times: 4 more data and 55 more folds;
     before theorem B read the parameter function of its CenterContext, 307:
     61 more from 19 more parameter functions; before Phi^vee was read off
@@ -640,7 +681,7 @@ def test_one_closure_per_cartan_matrix(monkeypatch, fresh_tables):
     monkeypatch.setattr(folding, "_close_cartan", counted_close)
     code, _lines = run_verify()
     assert code == 0
-    assert (len(requested), len(computed)) == (194, 16)
+    assert (len(requested), len(computed)) == (76, 16)
     assert len(set(computed)) == len(computed) == len(folding._CLOSURES)
     for cartan, roots in requested:
         assert type(roots) is frozenset and roots is folding._CLOSURES[cartan]
@@ -650,7 +691,7 @@ def test_shared_systems_first_build_race(fresh_tables):
     # threads racing, from empty process-wide tables, on the first build of
     # a datum, its systems, their folds and a Freudenthal table may each
     # build; all see equal systems, and the process-wide tables hand every
-    # thread the one datum, fold and table they keep
+    # thread the one datum, folded system and table they keep
     import sys
     import threading
     from rootfold.characters import freudenthal
@@ -659,7 +700,7 @@ def test_shared_systems_first_build_race(fresh_tables):
     def worker():
         d = build_datum("D4")
         triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
-        folds = tuple(fold(d.root_system(), triality, op) for op in OP_TAGS)
+        folds = tuple(fold(d.root_system(), triality, op).system for op in OP_TAGS)
         table = freudenthal(d.coroot_system(), (1, 1, 1, 1))
         got.append((d, folds, table, d.root_system().roots, d.coroot_system().roots))
 
@@ -685,7 +726,7 @@ def test_shared_systems_first_build_race(fresh_tables):
                for other in got)
     triality = (diagram_automorphism(d, (2, 1, 3, 0)),)
     assert [f.roots for f in folds] == [
-        reference_roots(fold(d.root_system(), triality, op).base, d.gram())
+        reference_roots(fold(d.root_system(), triality, op).system.base, d.gram())
         for op in OP_TAGS]
     assert d.root_system() is d.root_system()
     assert sum(table.values()) == 2 ** 12  # dim V_rho = 2^|positive roots|
@@ -747,13 +788,12 @@ def test_dual_mismatch_compares_roots_on_their_own():
     """A norm side with the right base but one +- pair of roots missing
     differs in "roots" only, which a comparison of bases cannot see."""
     d, act = _setup("A4", flip(4))
-    lhs = fold(d.coroot_system(), act.cochar_group, "res")
-    norm = fold(d.root_system(), act.group, "Nprime")
+    lhs = fold(d.coroot_system(), act.cochar_group, "res").system
+    norm = fold(d.root_system(), act.group, "Nprime").system
     c = max(norm.coords.values())  # the highest root, not simple
-    short = RootSystemV.from_closure((norm._den, norm._base_int),
-                                     (norm._gram_den, norm._gram_int), norm.cartan(),
-                                     set(norm.coords.values()) - {c, tuple(-x for x in c)},
-                                     label=norm.label)
+    short = system_with_coords((norm._den, norm._base_int),
+                               (norm._gram_den, norm._gram_int),
+                               set(norm.coords.values()) - {c, tuple(-x for x in c)})
     assert short.base == norm.base and len(short.roots) == len(norm.roots) - 2
     assert dual_mismatch(lhs, norm, d._gram_star_pair) == ()
     assert dual_mismatch(lhs, short, d._gram_star_pair) == ("roots",)
@@ -762,8 +802,9 @@ def test_dual_mismatch_compares_roots_on_their_own():
 
 def test_non_integral_cartan_is_a_theorem_violation():
     """(b1|b1) = 2, (b2|b2) = 1/2, (b1|b2) = -1/2: the reflections close up,
-    but C[0][1] = -1/2, an internal fault that names the system."""
-    rs = RootSystemV(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)), label="bad")
+    but C[0][1] = -1/2, an internal fault that names the matrix."""
+    rs = RootSystemV(((1, 0), (0, Fraction(1, 2))), ((2, -1), (-1, 2)))
     assert rs._cartan == ((2, Fraction(-1, 2)), (-2, 2))
-    with pytest.raises(TheoremViolation, match="bad: non-integral Cartan entry"):
+    with pytest.raises(TheoremViolation, match=re.escape(
+            "non-integral Cartan entry in ((2, Fraction(-1, 2)), (-2, 2))")):
         rs.cartan()

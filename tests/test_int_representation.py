@@ -54,7 +54,7 @@ def test_folding_data_int_paths_match_fraction_routes(data):
     d, act = data
     for rs, group, simple in ((d.root_system(), act.group, d.simple_roots),
                               (d.coroot_system(), act.cochar_group, d.simple_coroots)):
-        folds = [fold(rs, group, op) for op in OP_TAGS]
+        folds = [fold(rs, group, op).system for op in OP_TAGS]
         for s in [rs, pointwise_dual(rs)] + folds + [pointwise_dual(f) for f in folds]:
             assert_base_matches_reference(s)
         for v in simple + identity_matrix(d.rank):
@@ -83,7 +83,7 @@ def test_local_data_int_paths_match_fraction_routes(key):
         assert_weights_match_reference(dual.weight_table(mu), dual.system, mu)
         if mat_vec(tau, mu) == mu:
             assert_weights_match_reference(dual.trace_table(tau, mu),
-                                           fold(dual.system, (tau,), "Nprime"), mu)
+                                           fold(dual.system, (tau,), "Nprime").system, mu)
 
 
 @contextmanager
@@ -115,8 +115,8 @@ def test_sigma_layers_construct_no_fraction():
         gens = lgd.inertia.generators + (lgd.tau_char,)
         cogens = lgd.inertia.cochar_generators + (lgd.tau_cochar,)
         with no_fraction("fold"):
-            folds = [fold(rs, g, op) for rs, g in ((d.root_system(), gens),
-                                                   (d.coroot_system(), cogens))
+            folds = [fold(rs, g, op).system for rs, g in ((d.root_system(), gens),
+                                                          (d.coroot_system(), cogens))
                      for op in OP_TAGS]
         with no_fraction("dual"):
             for f in folds:

@@ -195,6 +195,26 @@ def test_malformed_action():
         group_closure([SWAP, ((1, 1), (0, 1))])
 
 
+def test_group_table_keeps_only_groups_that_pass(monkeypatch):
+    """Each generator tuple is closed once and shared; a refused generator
+    and a group past `GROUP_CAP` are never stored, and the cap is read on
+    every request, the stored group included."""
+    import rootfold.lattice as lattice
+    monkeypatch.setattr(lattice, "_GROUPS", {})
+    r = ((0, -1), (1, -1))
+    group = group_closure([SWAP, r])
+    assert group_closure(([[0, 1], [1, 0]], r)) is group  # keyed as tuples
+    for bad in (((2, 0), (0, 1)), ((1, 1), (0, 1))):
+        with pytest.raises(MalformedAction):
+            group_closure([SWAP, bad])
+    monkeypatch.setattr(lattice, "GROUP_CAP", 5)
+    with pytest.raises(lattice.ResourceCap, match="exceeded 5 elements"):
+        group_closure([SWAP, r])
+    with pytest.raises(lattice.ResourceCap, match="exceeded 5 elements"):
+        group_closure([r, SWAP])
+    assert list(lattice._GROUPS.items()) == [((SWAP, r), group)]
+
+
 def test_endo_validation():
     L = coinvariants(1, [((-1,),)])
     endo = L.endo_from_matrix(((3,),))  # commutes with -1, descends mod 2

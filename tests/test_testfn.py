@@ -4,8 +4,8 @@ import pytest
 
 from rootfold.echelonnage import LocalGroupDatum
 from rootfold.hecke import BernsteinElement, CenterContext
-from rootfold.lattice import MalformedAction
-from rootfold.presets import load_preset
+from rootfold.lattice import MalformedAction, TheoremViolation
+from rootfold.presets import Preset, load_preset
 from rootfold.rootdata import build_datum, diagram_automorphism, gl_datum, unitary_dual_action
 from rootfold.testfn import FieldTowerConfig, ramified_descent_check, z_v_star_1j
 from rootfold.testfn import test_function as tower_expansion
@@ -121,3 +121,20 @@ def test_mu_must_be_rational():
     ctx = CenterContext(lgd)
     with pytest.raises(ValueError):
         z_v_star_1j(ctx, (1, 0))  # not tau-fixed
+
+
+@pytest.mark.xfail(strict=True, raises=TheoremViolation,
+                   reason="ROADMAP item 16: the two test-function routes disagree")
+def test_item_16_smallest_reproduction():
+    """ROADMAP item 16, its smallest reproduction, pinned with neither route
+    changed: A3 adjoint with the flip (2,1,0) as inertia at E_j0 and as
+    Frobenius, and trivial inertia at E_j (`"tower_small_inertia": []`).
+    `rootfold testfn --config` accepts it, and at j = 2, mu = (0,1,0) route
+    1 gives z_0 + z_(1,0) where route 2 gives 2 z_0 + z_(1,0), so
+    `test_function` raises TheoremViolation (exit 1).  The strict xfail
+    makes any change in that behaviour fail here."""
+    preset = Preset("item-16", {"datum": {"cartan_type": "A3", "isogeny": "adjoint"},
+                                "inertia": [{"perm": [2, 1, 0]}],
+                                "frobenius": {"perm": [2, 1, 0]},
+                                "tower_small_inertia": []})
+    tower_expansion(preset.tower_config(j=2), (0, 1, 0))

@@ -3,13 +3,16 @@
 import hashlib
 import time
 
-from rootfold import characters, cli, folding, presets, rootdata
+from rootfold import characters, cli, folding, lattice, presets, rootdata
 from rootfold.characters import DualGroup
 from rootfold.echelonnage import EchelonnageData, LocalGroupDatum
-from rootfold.folding import FoldedRootSystem
+from rootfold.folding import RootSystemV
 from rootfold.hecke import CenterContext
+from rootfold.presets import preset_names
 from rootfold.rootdata import BasedRootDatum
 from rootfold.verify import run_verify
+
+from conftest import empty_tables
 
 
 def _count_cochar_calls(monkeypatch):
@@ -66,11 +69,12 @@ def test_tower_data_built_once_per_preset(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Record every datum, fold, Freudenthal table, CenterContext and
+    """Record every datum, root system (its value), group closure (its
+    generator tuple, as it is stored), Freudenthal table, CenterContext and
     parameter function built from here on."""
-    built = {"datum": [], "fold": [], "freudenthal": [], "center": [],
-             "parameters": []}
-    build, closed = BasedRootDatum._build, FoldedRootSystem._closed.__func__
+    built = {"datum": [], "system": [], "group": [], "freudenthal": [],
+             "center": [], "parameters": []}
+    build, set_base = BasedRootDatum._build, RootSystemV._set_base
     table = characters._freudenthal
     center_init = CenterContext.__init__
     parameters = EchelonnageData.parameter_function
@@ -79,10 +83,14 @@ def _count_builds(monkeypatch):
         built["datum"].append(args)
         build(self, *args)
 
-    def counted_closed(cls, base, gram, label=""):
-        out = closed(cls, base, gram, label)
-        built["fold"].append(out)
-        return out
+    def counted_set_base(self, value):
+        built["system"].append(value)
+        set_base(self, value)
+
+    class Groups(dict):
+        def setdefault(self, key, group):
+            built["group"].append(key)
+            return dict.setdefault(self, key, group)
 
     def counted_table(rs, mu, den):
         built["freudenthal"].append((rs._value, tuple(mu), den))
@@ -99,50 +107,71 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(BasedRootDatum, "_build", counted_build)
     monkeypatch.setattr(CenterContext, "__init__", counted_center)
     monkeypatch.setattr(EchelonnageData, "parameter_function", counted_parameters)
-    monkeypatch.setattr(FoldedRootSystem, "_closed", classmethod(counted_closed))
+    monkeypatch.setattr(RootSystemV, "_set_base", counted_set_base)
+    monkeypatch.setattr(lattice, "_GROUPS", Groups(lattice._GROUPS))
     monkeypatch.setattr(characters, "_freudenthal", counted_table)
     return built
 
 
 def test_one_build_per_value(monkeypatch, fresh_tables):
-    """One run_verify() from empty process-wide tables builds 15 data, 144
-    folds and 61 Freudenthal tables: one per value.  Before data were
-    interned and the fold and Freudenthal memos keyed by value, it built 19,
-    199 and 176.  The parameter function is computed once per CenterContext
-    (22: one per preset and three for the tower), not once more by theorem
-    B (41)."""
+    """One run_verify() from empty process-wide tables builds 15 data, 61
+    root systems, 14 group closures and 61 Freudenthal tables: one per
+    value.  Before data were interned and the fold and Freudenthal memos
+    keyed by value, it built 19 data, 199 folds and 176 tables; before
+    systems were interned by value and groups by generator tuple, it set
+    up a system 194 times (144 folds, keyed by the route that reached them)
+    and closed 58 generator tuples.  The parameter function is computed
+    once per CenterContext (22: one per preset and three for the tower),
+    not once more by theorem B (41)."""
     built = _count_builds(monkeypatch)
     code, lines = run_verify()
     assert code == 0
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith(
         "3d4ee35357afd704")
     assert {k: len(v) for k, v in built.items()} == \
-        {"datum": 15, "fold": 144, "freudenthal": 61, "center": 22,
+        {"datum": 15, "system": 61, "group": 14, "freudenthal": 61, "center": 22,
          "parameters": 22}
     assert built["parameters"] == built["center"]
     assert len(set(built["datum"])) == 15  # 19 presets on 15 datum values
-    assert len({(f._value, f.op, f.orbits) for f in built["fold"]}) == 144
+    assert len(set(built["system"])) == 61
+    assert len(set(built["group"])) == 14
     assert len(set(built["freudenthal"])) == 61
-    assert [len(t) for t in (rootdata._DATA, folding._FOLDS, characters._TABLES)] \
-        == [15, 144, 61]
+    assert [len(t) for t in (rootdata._DATA, folding._SYSTEMS, lattice._GROUPS,
+                             characters._TABLES)] == [15, 61, 14, 61]
 
 
 def test_tower_nprime_fold_built_once(monkeypatch, fresh_tables):
     """In tower-su3, the N' fold of Phi^vee by tau (base (2,2)) is read by
     the trace tables of the dual group and is also the Knop system of the
     E_j level, Sigma_breve^vee folded by tau, whose inertia is trivial.  The
-    two sources are value-equal, so the fold is built once and shared."""
+    two folds give one value, so its system is built once and shared."""
     built = _count_builds(monkeypatch)
     code, _lines = run_verify(["tower-su3"])
     assert code == 0
     preset = presets.load_preset("tower-su3")
     form = preset.datum.coroot_system()._value[2:]
-    nprime = [f for f in built["fold"] if f.op == "Nprime"
-              and f._base_int == ((2, 2),) and f._value[2:] == form]
+    nprime = [v for v in built["system"] if v[1] == ((2, 2),) and v[2:] == form]
     assert len(nprime) == 1
     small = preset.tower_config().lgd_small
-    assert small.echelonnage().sigma0_tilde.rs_co is folding.fold(
-        preset.datum.coroot_system(), (preset.lgd.tau_cochar,), "Nprime") is nprime[0]
+    f = folding.fold(preset.datum.coroot_system(), (preset.lgd.tau_cochar,), "Nprime")
+    assert small.echelonnage().sigma0_tilde.rs_co is f.system is folding._SYSTEMS[nprime[0]]
+
+
+def test_report_does_not_depend_on_preset_order(monkeypatch):
+    """run_verify() from empty process-wide tables over the 19 presets,
+    forward and then reversed, prints the same lines: no state leaks from
+    one preset into the next through a shared datum, system, group or
+    table."""
+    names = preset_names()
+    assert len(names) == 19
+    runs = []
+    for order in (names, names[::-1]):
+        with monkeypatch.context() as mp:
+            empty_tables(mp)
+            code, lines = run_verify(order)
+        assert code == 0
+        runs.append(sorted(lines))
+    assert runs[0] == runs[1]
 
 
 def test_verify_at_deeper_bounds(monkeypatch, capsys):
